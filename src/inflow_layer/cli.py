@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -246,8 +245,7 @@ def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
                 row["gamma2_terminal"] = f"error:{type(exc).__name__}"
         return row
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        return list(pool.map(one, machs))
+    return [one(m) for m in machs]
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

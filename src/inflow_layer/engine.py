@@ -12,7 +12,8 @@ tracing: start within 1e-10 * scale of S1 on the incoming direction,
 integrate backward until the boundary parameter is crossed, then reverse
 and re-base xi to zero at the boundary.  In the sonic regime the innermost
 algebraic stretch is covered by quadrature of the one-dimensional flow
-restricted to the quadratic invariant-manifold graph, which is the only
+restricted to the cubic invariant-manifold graph W2 = c2 W1^2 + c3 W1^3
+(closed-form coefficients, geometric error O(|W1|^4)), which is the only
 numerically stable way to resolve the 1/xi tail.
 """
 
@@ -32,7 +33,8 @@ from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH,
 from .integrator import (BACKWARD, COMPONENT_CROSSES, IntegrationSettings,
                          component_crosses, integrate)
 from .linearize import eigen_2x2, from_w, transonic_frame
-from .system import PhasePoint, SystemData, build_system, field_poly, phase_field
+from .system import (PhasePoint, SystemData, build_system, field_poly, phase_field,
+                     rational_terms)
 from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, Curve,
                      TraceOptions, curve_membership, trace_gamma, trace_sigma)
 
@@ -136,7 +138,7 @@ class DecayReport:
 
 
 class ExistenceEngine:
-    """Caches traced curves per (gas, far field) and answers queries.
+    """Caches traced curves per (gas, far field, regime) and answers queries.
 
     Curve tracing is the expensive step; traces are cached immutable and
     shared read-only across queries, with single-writer population.
@@ -151,13 +153,14 @@ class ExistenceEngine:
 
     def curves_for(self, gas: GasParams, right: EndState,
                    tol_M: float = TOL_MACH) -> dict[str, Curve]:
+        # the regime decides which curves exist, and it depends on tol_M
+        regime = classify_regime(mach(right, gas), tol_M)
         key = (gas.gamma, gas.R, gas.mu, gas.kappa,
-               right.v, right.u, right.theta)
+               right.v, right.u, right.theta, regime.tag)
         with self._lock:
             if key in self._cache:
                 return self._cache[key]
         s = build_system(gas, right)
-        regime = classify_regime(s.mach_plus, tol_M)
         curves: dict[str, Curve] = {}
         if regime.is_transonic:
             frame = transonic_frame(s, tol_M)
@@ -241,8 +244,7 @@ class ExistenceEngine:
                                            abs(prof.Theta[-1] - s.theta_plus))
         prof.metrics["residual_sup"] = verify_residual(prof, s)
         try:
-            report = verify_decay(prof, classify_regime(s.mach_plus, q.tolerances.tol_M),
-                                  curve=curve)
+            report = verify_decay(prof, classify_regime(s.mach_plus, q.tolerances.tol_M))
         except TailTooShort:
             report = None
         prof.metrics["decay"] = report
@@ -316,7 +318,7 @@ class ExistenceEngine:
         segments = None
         t_ev = 0.0
         if du_boundary > 1.2 * y_switch:
-            w1_sw = _w1_from_du(-y_switch, frame)
+            w1_sw = frame.w1_from_du(-y_switch)
             start = from_w((w1_sw, frame.manifold_graph(w1_sw)), frame, s)
             settings = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15,
                                            direction=BACKWARD, max_steps=500_000)
@@ -334,7 +336,7 @@ class ExistenceEngine:
             w1_inner_start = w1_sw
             xi_inner0 = float(xi[-1])
         else:
-            w1_inner_start = _w1_from_du(-du_boundary, frame)
+            w1_inner_start = frame.w1_from_du(-du_boundary)
             p0 = from_w((w1_inner_start, frame.manifold_graph(w1_inner_start)),
                         frame, s)
             self._landing_check(q, p0, 0)
@@ -371,14 +373,6 @@ class ExistenceEngine:
         return Profile(xi=xi, V=V, U=U, Theta=Theta, trivial=False,
                        curve=curve.label, system=s, segments=segments,
                        t_shift=t_ev, reduced_records=reduced_records[1:])
-
-
-def _w1_from_du(du: float, frame) -> float:
-    """Solve du = w1 + graph(w1) for the small root near w1 = du."""
-    w1 = du
-    for _ in range(5):
-        w1 = du - float(frame.manifold_graph(w1))
-    return w1
 
 
 def _monotone_check(prof: Profile) -> tuple[bool, tuple[int, int, int]]:
@@ -422,17 +416,9 @@ def _dense_derivative(seg, t: float, width: float) -> np.ndarray:
 
 def _residual_pair(s: SystemData, u, theta, du_dxi, dth_dxi):
     """Residuals of both integrated equations plus their local term masses."""
-    gas = s.gas
-    V = (s.v_plus / s.u_plus) * u
-    du = u - s.u_plus
-    dth = theta - s.theta_plus
-    lhs1 = gas.mu * du_dxi / V
-    t1a = -s.sigma_minus * du
-    t1b = gas.R * (theta / V - s.theta_plus / s.v_plus)
-    lhs2 = gas.kappa * dth_dxi / V
-    t2a = -s.sigma_minus * gas.R / (gas.gamma - 1.0) * dth
-    t2b = s.p_plus * du
-    t2c = 0.5 * s.sigma_minus * du * du
+    V, (t1a, t1b), (t2a, t2b, t2c) = rational_terms(u, theta, s)
+    lhs1 = s.gas.mu * du_dxi / V
+    lhs2 = s.gas.kappa * dth_dxi / V
     r1 = lhs1 - (t1a + t1b)
     r2 = lhs2 - (t2a + t2b + t2c)
     loc1 = abs(lhs1) + abs(t1a) + abs(t1b)
@@ -492,8 +478,7 @@ def verify_residual(prof: Profile, s: SystemData) -> float:
     return worst
 
 
-def verify_decay(prof: Profile, regime: Regime, eig=None, frame=None,
-                 curve: Curve | None = None) -> DecayReport:
+def verify_decay(prof: Profile, regime: Regime) -> DecayReport:
     """Fit the tail decay of a profile and report the fitted constants.
 
     Subsonic profiles decay exponentially; the fitted rate should match the
@@ -506,9 +491,6 @@ def verify_decay(prof: Profile, regime: Regime, eig=None, frame=None,
     if prof.trivial:
         return DecayReport(kind="not_applicable")
     s = prof.system
-    if curve is not None:
-        eig = eig if eig is not None else curve.eig
-        frame = frame if frame is not None else curve.frame
     y = np.abs(prof.U - s.u_plus)
     z = np.abs(prof.Theta - s.theta_plus)
     if regime.is_subsonic:

@@ -8,7 +8,7 @@ imposed and all arithmetic is binary64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InvalidBoundary
 
@@ -20,6 +20,13 @@ SUBSONIC = "subsonic"
 TOL_MACH = 1e-8
 #: Default relative tolerance for the mass-flux compatibility identity.
 TOL_FLUX = 1e-10
+
+
+def _require_finite(obj) -> None:
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,7 @@ class GasParams:
     kappa: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.gamma > 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         for name in ("R", "mu", "kappa"):
@@ -55,6 +63,7 @@ class EndState:
     theta: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.v > 0.0:
             raise ValueError(f"specific volume must be positive, got {self.v}")
         if not self.theta > 0.0:

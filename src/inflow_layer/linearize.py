@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DefectiveMatrix, DomainError, FitAmbiguous, NewtonDiverged
 from .gas import TOL_MACH
-from .system import PhasePoint, SystemData
+from .system import PhasePoint, SystemData, field_nonlinear
 
 
 def _normalize_direction(v: np.ndarray) -> np.ndarray:
@@ -112,9 +112,9 @@ class TransonicFrame:
     slope of the zero-eigenvalue direction and m2 that of the expanding
     direction with rate lambda2 > 0.  W-coordinates are defined by
     W = P^{-1} (u - u+, theta - theta+).  a2 is the quadratic coefficient of
-    the center-direction dynamics W1' = a2 W1^2 + O(W1^3), and manifold_c2
-    the quadratic coefficient of the local invariant-manifold graph
-    W2 = manifold_c2 * W1^2 + O(W1^3).
+    the center-direction dynamics W1' = a2 W1^2 + O(W1^3), and manifold_c2,
+    manifold_c3 the coefficients of the local invariant-manifold graph
+    W2 = manifold_c2 * W1^2 + manifold_c3 * W1^3 + O(W1^4).
     """
 
     lambda2: float
@@ -137,14 +137,9 @@ class TransonicFrame:
         return self._g(w1, w2)[1]
 
     def _g(self, w1, w2):
-        s = self._sys
-        gas = s.gas
         du = np.asarray(w1, dtype=float) + np.asarray(w2, dtype=float)
         dth = self.m1 * np.asarray(w1, dtype=float) + self.m2 * np.asarray(w2, dtype=float)
-        f1 = du * du / gas.mu
-        c_sq = gas.R * s.theta_plus / (gas.kappa * s.u_plus) - s.u_plus / (2.0 * gas.kappa)
-        c_mix = gas.R / (gas.kappa * (gas.gamma - 1.0))
-        f2 = c_sq * du * du + c_mix * du * dth - du ** 3 / (2.0 * gas.kappa)
+        f1, f2 = field_nonlinear(du, dth, self._sys)
         g1 = (self.m2 * f1 - f2) / self.det_P
         g2 = (-self.m1 * f1 + f2) / self.det_P
         return g1, g2
@@ -158,6 +153,13 @@ class TransonicFrame:
         """Derivative of the manifold graph with respect to W1."""
         w1 = np.asarray(w1, dtype=float)
         return (2.0 * self.manifold_c2 + 3.0 * self.manifold_c3 * w1) * w1
+
+    def w1_from_du(self, du: float) -> float:
+        """Solve du = w1 + graph(w1) for the small root near w1 = du."""
+        w1 = du
+        for _ in range(5):
+            w1 = du - float(self.manifold_graph(w1))
+        return w1
 
     def reduced_field(self, w1):
         """Center-direction speed along the invariant-manifold graph."""
@@ -178,36 +180,24 @@ def transonic_frame(s: SystemData, tol_M: float = TOL_MACH) -> TransonicFrame:
     gas = s.gas
     g, R, mu, kappa = gas.gamma, gas.R, gas.mu, gas.kappa
     up = s.u_plus
-    lam2 = ((g - 1.0) / (g * mu) + R / (kappa * (g - 1.0))) * up
+    lam2 = ((g - 1.0) / (g * mu) + s.c_mix) * up
     m1 = -(g - 1.0) * up / (R * g)
     m2 = mu * up / (kappa * (g - 1.0))
     det_p = m2 - m1
     P = np.array([[1.0, 1.0], [m1, m2]])
     P_inv = np.array([[m2, -1.0], [-m1, 1.0]]) / det_p
     a2 = R * g * (g + 1.0) / (2.0 * (R * g * mu + kappa * (g - 1.0) ** 2))
-    frame = TransonicFrame(lambda2=lam2, a2=a2, m1=m1, m2=m2, det_P=det_p,
-                           P=P, P_inv=P_inv, manifold_c2=0.0, manifold_c3=0.0,
-                           _sys=s)
-    # quadratic coefficient b2 of g2(w1, 0): exact for a cubic polynomial
-    h = 0.5 * max(1.0, up)
-    b2 = (float(frame.g2(h, 0.0)) + float(frame.g2(-h, 0.0))) / (2.0 * h * h)
+    # graph coefficients from the order-2 and order-3 invariance equations
+    # lam2 h + g2(w, h) = h'(w) g1(w, h) for h = c2 w^2 + c3 w^3; b2, b3 are
+    # the w1^2, w1^3 coefficients of g2(w1, 0) and q12 its w1*w2 coefficient
+    b2 = (-m1 / mu + s.c_sq + s.c_mix * m1) / det_p
+    b3 = -1.0 / (2.0 * kappa * det_p)
+    q12 = (-2.0 * m1 / mu + 2.0 * s.c_sq + s.c_mix * (m1 + m2)) / det_p
     c2 = -b2 / lam2
-    object.__setattr__(frame, "manifold_c2", c2)
-
-    # cubic coefficient: cancel the leading term of the invariance defect of
-    # the quadratic graph, extracted by two-scale odd differencing (the
-    # defect is polynomial with no terms below W1^3)
-    def defect(w):
-        h2v = c2 * w * w
-        return (lam2 * h2v + float(frame.g2(w, h2v))
-                - 2.0 * c2 * w * float(frame.g1(w, h2v)))
-
-    hh = 1e-2 * max(1.0, up)
-    odd1 = 0.5 * (defect(hh) - defect(-hh))
-    odd2 = 0.5 * (defect(2.0 * hh) - defect(-2.0 * hh))
-    delta3 = (32.0 * odd1 - odd2) / (24.0 * hh ** 3)
-    object.__setattr__(frame, "manifold_c3", -delta3 / lam2)
-    return frame
+    c3 = (2.0 * c2 * a2 - b3 - q12 * c2) / lam2
+    return TransonicFrame(lambda2=lam2, a2=a2, m1=m1, m2=m2, det_P=det_p,
+                          P=P, P_inv=P_inv, manifold_c2=c2, manifold_c3=c3,
+                          _sys=s)
 
 
 def to_w(p: PhasePoint, f: TransonicFrame, s: SystemData) -> np.ndarray:
@@ -370,9 +360,8 @@ def tangent_line(s: SystemData, eig=None, frame: TransonicFrame | None = None) -
         lam2 = eig.lambda2
         if lam2 >= 0.0:
             raise DomainError("expected a negative eigenvalue in the subsonic regime")
-        m2g = s.u_plus * s.u_plus / (s.gas.R * s.theta_plus)
         coef_u = s.u_plus * s.u_plus
-        coef_th = m2g * s.gas.kappa * (s.A22 - lam2)
+        coef_th = s.m2g * s.gas.kappa * (s.A22 - lam2)
         slope = -coef_u / coef_th
         half = False
     else:

@@ -43,7 +43,9 @@ class SystemData:
     A11..A22 are the entries of the linearization at S1; alpha1, alpha2 are
     the coordinates of the secondary equilibrium S2 = (alpha1 u+, alpha2
     theta+) relative to the far field.  sigma_minus is the boundary moving
-    speed -u+/v+ implied by the mass-flux condition.
+    speed -u+/v+ implied by the mass-flux condition.  c_sq and c_mix are the
+    du^2 and du*dtheta coefficients of the Theta' nonlinearity (see
+    ``field_nonlinear``), and m2g = u+^2 / (R theta+) = gamma M+^2.
     """
 
     gas: GasParams
@@ -59,6 +61,9 @@ class SystemData:
     A22: float
     alpha1: float
     alpha2: float
+    c_sq: float
+    c_mix: float
+    m2g: float
 
     @property
     def matrix(self) -> np.ndarray:
@@ -114,7 +119,29 @@ def build_system(gas: GasParams, right: EndState) -> SystemData:
         gas=gas, v_plus=vp, u_plus=up, theta_plus=tp,
         sigma_minus=-up / vp, p_plus=R * tp / vp, mach_plus=mach_plus,
         A11=a11, A12=a12, A21=a21, A22=a22, alpha1=alpha1, alpha2=alpha2,
+        c_sq=R * tp / (kappa * up) - up / (2.0 * kappa),
+        c_mix=R / (kappa * (g - 1.0)),
+        m2g=m2g,
     )
+
+
+def rational_terms(u, theta, s: SystemData):
+    """Terms of the two integrated equations in rational form.
+
+    Returns (V, (t1a, t1b), (t2a, t2b, t2c)): the specific volume V =
+    (v+/u+) u and the right-hand-side terms of mu U'/V = t1a + t1b and
+    kappa Theta'/V = t2a + t2b + t2c.
+    """
+    gas = s.gas
+    V = (s.v_plus / s.u_plus) * u
+    du = u - s.u_plus
+    dth = theta - s.theta_plus
+    t1a = -s.sigma_minus * du
+    t1b = gas.R * (theta / V - s.theta_plus / s.v_plus)
+    t2a = -s.sigma_minus * gas.R / (gas.gamma - 1.0) * dth
+    t2b = s.p_plus * du
+    t2c = 0.5 * s.sigma_minus * du * du
+    return V, (t1a, t1b), (t2a, t2b, t2c)
 
 
 def field_exact(u, theta, s: SystemData):
@@ -127,15 +154,19 @@ def field_exact(u, theta, s: SystemData):
     theta = np.asarray(theta, dtype=float)
     if np.any(u <= 0.0):
         raise DomainError("rational form requires u > 0")
-    gas = s.gas
-    V = (s.v_plus / s.u_plus) * u
-    du = u - s.u_plus
-    dth = theta - s.theta_plus
-    rhs_u = (V / gas.mu) * (-s.sigma_minus * du
-                            + gas.R * (theta / V - s.theta_plus / s.v_plus))
-    rhs_th = (V / gas.kappa) * (-s.sigma_minus * gas.R / (gas.gamma - 1.0) * dth
-                                + s.p_plus * du + 0.5 * s.sigma_minus * du * du)
-    return rhs_u, rhs_th
+    V, (t1a, t1b), (t2a, t2b, t2c) = rational_terms(u, theta, s)
+    return (V / s.gas.mu) * (t1a + t1b), (V / s.gas.kappa) * (t2a + t2b + t2c)
+
+
+def field_nonlinear(du, dth, s: SystemData):
+    """Nonlinear part (f1, f2) of the polynomial field around S1.
+
+    (U', Theta') = A (du, dth) + (f1, f2) exactly, with du = u - u+ and
+    dth = theta - theta+.
+    """
+    f1 = du * du / s.gas.mu
+    f2 = s.c_sq * du * du + s.c_mix * du * dth - du ** 3 / (2.0 * s.gas.kappa)
+    return f1, f2
 
 
 def field_poly(u, theta, s: SystemData):
@@ -143,18 +174,10 @@ def field_poly(u, theta, s: SystemData):
 
     Valid on the whole plane, including u <= 0.
     """
-    u = np.asarray(u, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    gas = s.gas
-    du = u - s.u_plus
-    dth = theta - s.theta_plus
-    f1 = du * du / gas.mu
-    c_sq = gas.R * s.theta_plus / (gas.kappa * s.u_plus) - s.u_plus / (2.0 * gas.kappa)
-    c_mix = gas.R / (gas.kappa * (gas.gamma - 1.0))
-    f2 = c_sq * du * du + c_mix * du * dth - du ** 3 / (2.0 * gas.kappa)
-    rhs_u = s.A11 * du + s.A12 * dth + f1
-    rhs_th = s.A21 * du + s.A22 * dth + f2
-    return rhs_u, rhs_th
+    du = np.asarray(u, dtype=float) - s.u_plus
+    dth = np.asarray(theta, dtype=float) - s.theta_plus
+    f1, f2 = field_nonlinear(du, dth, s)
+    return s.A11 * du + s.A12 * dth + f1, s.A21 * du + s.A22 * dth + f2
 
 
 def rhs_exact(p: PhasePoint, s: SystemData) -> tuple[float, float]:
@@ -175,23 +198,19 @@ def jacobian(p: PhasePoint, s: SystemData) -> np.ndarray:
     At S1 this equals the matrix A; at S2 it is the linearization of the
     field around the secondary equilibrium.
     """
-    gas = s.gas
     du = p.u - s.u_plus
     dth = p.theta - s.theta_plus
-    c_sq = gas.R * s.theta_plus / (gas.kappa * s.u_plus) - s.u_plus / (2.0 * gas.kappa)
-    c_mix = gas.R / (gas.kappa * (gas.gamma - 1.0))
     return np.array([
-        [s.A11 + 2.0 * du / gas.mu, s.A12],
-        [s.A21 + 2.0 * c_sq * du + c_mix * dth - 1.5 * du * du / gas.kappa,
-         s.A22 + c_mix * du],
+        [s.A11 + 2.0 * du / s.gas.mu, s.A12],
+        [s.A21 + 2.0 * s.c_sq * du + s.c_mix * dth - 1.5 * du * du / s.gas.kappa,
+         s.A22 + s.c_mix * du],
     ])
 
 
 def nullcline_h1(u, s: SystemData):
     """Temperature on the U' = 0 nullcline at velocity u (vectorized)."""
     u = np.asarray(u, dtype=float)
-    m2g = s.u_plus * s.u_plus / (s.gas.R * s.theta_plus)
-    return -(u - s.u_plus) * (u - s.u_plus / m2g) / s.gas.R + s.theta_plus
+    return -(u - s.u_plus) * (u - s.u_plus / s.m2g) / s.gas.R + s.theta_plus
 
 
 def nullcline_h2(u, s: SystemData):
@@ -201,9 +220,8 @@ def nullcline_h2(u, s: SystemData):
     the parabolic branch.
     """
     u = np.asarray(u, dtype=float)
-    m2g = s.u_plus * s.u_plus / (s.gas.R * s.theta_plus)
     return ((s.gas.gamma - 1.0) / (2.0 * s.gas.R)
-            * (u - s.u_plus) * (u - (m2g + 2.0) * s.u_plus / m2g)
+            * (u - s.u_plus) * (u - (s.m2g + 2.0) * s.u_plus / s.m2g)
             + s.theta_plus)
 
 
@@ -224,24 +242,31 @@ class Region(enum.Enum):
     REGION_II = "region_2"
 
 
-def region_contains(p: PhasePoint, which: Region, s: SystemData) -> bool:
+def region_contains(p, which: Region, s: SystemData, slack: float = 0.0):
     """Membership test for the open regions bounded by the nullclines.
 
-    Region I sits on 0 < u < u+, Region II on u+ < u < alpha1 u+.  Which of
-    the two nullclines bounds from above swaps between the regions, so
-    membership uses the sign test (theta - h1)(theta - h2) < 0 instead of a
-    fixed upper/lower assignment.
+    Region I sits on 0 < u < u+, Region II on u+ < u < alpha1 u+, each
+    between the two nullclines; which nullcline bounds from above swaps
+    between the regions, so theta is tested against the band
+    min(h1, h2) < theta < max(h1, h2).  ``p`` is a PhasePoint (the result
+    is a bool) or a pair of arrays (u, theta) (the result is a boolean
+    array).  ``slack`` widens every bound by that absolute amount; 0 gives
+    the strict open regions.
     """
     if which is Region.REGION_II:
         if not s.mach_plus < 1.0:
             raise DomainError("Region II exists only in the subsonic regime")
-        if not s.u_plus < p.u < s.alpha1 * s.u_plus:
-            return False
+        u_lo, u_hi = s.u_plus, s.alpha1 * s.u_plus
     elif which is Region.REGION_I:
-        if not 0.0 < p.u < s.u_plus:
-            return False
+        u_lo, u_hi = 0.0, s.u_plus
     else:
         raise ValueError(f"unknown region {which!r}")
-    d1 = p.theta - float(nullcline_h1(p.u, s))
-    d2 = p.theta - float(nullcline_h2(p.u, s))
-    return d1 * d2 < 0.0
+    u, theta = (p.u, p.theta) if isinstance(p, PhasePoint) else p
+    u = np.asarray(u, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    h1 = nullcline_h1(u, s)
+    h2 = nullcline_h2(u, s)
+    inside = ((u_lo - slack < u) & (u < u_hi + slack)
+              & (np.minimum(h1, h2) - slack < theta)
+              & (theta < np.maximum(h1, h2) + slack))
+    return bool(inside) if inside.ndim == 0 else inside

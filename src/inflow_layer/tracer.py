@@ -12,8 +12,9 @@ In the sonic regime the approach to S1 is algebraic, not exponential: the
 backward orbit crawls along the center direction, and an explicit stepper
 (stability-limited transversally) would need ~1/(a2*eps) steps to escape a
 seed at distance eps.  The trace therefore bridges the innermost stretch
-analytically along the quadratic invariant-manifold graph W2 = c2 W1^2
-(geometric error O(|W1|^3), far below the curve tolerances) and starts the
+analytically along the cubic invariant-manifold graph W2 = c2 W1^2 + c3 W1^3,
+whose coefficients come in closed form from the invariance equations
+(geometric error O(|W1|^4), far below the curve tolerances), and starts the
 integrator where the crawl is affordable.
 """
 
@@ -34,8 +35,7 @@ from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
                          component_crosses, integrate, near_equilibrium,
                          theta_crosses_zero, u_crosses_zero)
 from .linearize import EigenPair, TransonicFrame, from_w
-from .system import (PhasePoint, Region, SystemData, nullcline_h1, nullcline_h2,
-                     phase_field)
+from .system import PhasePoint, Region, SystemData, phase_field, region_contains
 
 CURVE_SIGMA = "sigma"
 CURVE_GAMMA1 = "gamma1"
@@ -93,7 +93,6 @@ class Curve:
     system: SystemData
     frame: Optional[TransonicFrame] = None
     eig: Optional[EigenPair] = None
-    stable_slope: float | None = None
     _interp: object = field(default=None, repr=False)
 
     @property
@@ -134,21 +133,19 @@ class Curve:
     def _gap_value(self, q: float) -> float:
         """Curve value between S1 and the first offset sample.
 
-        Sigma uses the quadratic invariant-manifold graph; the gamma
-        branches use the stable eigen-line (the gap is O(seed_offset), where
-        the quadratic correction is negligible).
+        Sigma uses the cubic invariant-manifold graph; the gamma branches
+        use the stable eigen-line (the gap is O(seed_offset), where the
+        quadratic correction is negligible).
         """
         s = self.system
         if self.frame is not None:
             f = self.frame
-            du = q - s.u_plus
-            w1 = du
-            for _ in range(4):
-                w1 = du - float(f.manifold_graph(w1))
+            w1 = f.w1_from_du(q - s.u_plus)
             return s.theta_plus + f.m1 * w1 + f.m2 * float(f.manifold_graph(w1))
+        slope = self.eig.e2[1] / self.eig.e2[0]
         if self.param_index == 0:
-            return s.theta_plus + self.stable_slope * (q - s.u_plus)
-        return s.u_plus + (q - s.theta_plus) / self.stable_slope
+            return s.theta_plus + slope * (q - s.u_plus)
+        return s.u_plus + (q - s.theta_plus) / slope
 
     def predict(self, q: float) -> float:
         """Interpolated curve value at parameter q (inside the traced span)."""
@@ -247,37 +244,21 @@ def _validate_curve(label: str, samples: np.ndarray, s: SystemData,
     if np.any(interior[1:, 0] <= 0.0) or np.any(interior[1:, 1] <= 0.0):
         raise TraceFailed(f"{label}: interior sample violates positivity")
     region = Region.REGION_II if label == CURVE_GAMMA2 else Region.REGION_I
-    s1 = np.array([s.u_plus, s.theta_plus])
-    s2 = np.array([s.alpha1 * s.u_plus, s.alpha2 * s.theta_plus])
-    skip_s1 = 10.0 * seed_offset
-    skip_s2 = 1e-3 * s.scale
-    for row in interior[1:]:
-        if np.max(np.abs(row - s1)) <= skip_s1:
-            continue
-        if label == CURVE_GAMMA2 and np.max(np.abs(row - s2)) <= skip_s2:
-            continue
-        if row[1] <= 0.0:
-            continue
-        p = PhasePoint(float(row[0]), float(row[1]))
-        if not _region_ok(p, region, s, slack):
-            raise TraceFailed(
-                f"{label}: sample ({row[0]}, {row[1]}) escaped its region; "
-                "tighten the integrator tolerances")
-
-
-def _region_ok(p: PhasePoint, region: Region, s: SystemData, slack: float) -> bool:
-    # band test equivalent to region_contains, widened by the integration
-    # noise budget: near S1 the region pinches to a parabolic sliver that a
-    # correct trace rides to within its error tolerance
-    if region is Region.REGION_I:
-        u_lo, u_hi = 0.0, s.u_plus
-    else:
-        u_lo, u_hi = s.u_plus, s.alpha1 * s.u_plus
-    if not u_lo - slack < p.u < u_hi + slack:
-        return False
-    h1 = float(nullcline_h1(p.u, s))
-    h2 = float(nullcline_h2(p.u, s))
-    return min(h1, h2) - slack < p.theta < max(h1, h2) + slack
+    rows = interior[1:]
+    checked = ((np.max(np.abs(rows - s.s1.as_array()), axis=1) > 10.0 * seed_offset)
+               & (rows[:, 1] > 0.0))
+    if label == CURVE_GAMMA2:
+        checked &= np.max(np.abs(rows - s.s2.as_array()), axis=1) > 1e-3 * s.scale
+    # the region is widened by the integration noise budget: near S1 it
+    # pinches to a parabolic sliver that a correct trace rides to within
+    # its error tolerance
+    inside = region_contains((rows[:, 0], rows[:, 1]), region, s, slack)
+    escaped = np.flatnonzero(checked & ~inside)
+    if escaped.size:
+        u, th = rows[escaped[0]]
+        raise TraceFailed(
+            f"{label}: sample ({u}, {th}) escaped its region; "
+            "tighten the integrator tolerances")
 
 
 def trace_sigma(s: SystemData, f: TransonicFrame,
@@ -286,8 +267,8 @@ def trace_sigma(s: SystemData, f: TransonicFrame,
 
     The seed sits at ``seed_offset`` from S1 along the center direction with
     negative u-component (the side the incoming orbit is tangent to); the
-    quadratic-manifold slide then bridges to ``switch_offset`` before the
-    backward integration takes over.
+    slide along the cubic manifold graph then bridges to ``switch_offset``
+    before the backward integration takes over.
     """
     opts = opts or TraceOptions()
     scale = s.scale
@@ -395,10 +376,9 @@ def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
                             keep_radius=10.0 * eps,
                             floor=opts.thin_spacing * scale, noise=noise)
     _validate_curve(branch, samples, s, eps, terminal, noise)
-    slope = e_stable[1] / e_stable[0]
     return Curve(label=branch, samples=samples, backward_time=btimes,
                  terminal=terminal, terminal_point=res.event.point,
-                 seed_offset=eps, system=s, eig=eig, stable_slope=slope)
+                 seed_offset=eps, system=s, eig=eig)
 
 
 def curve_membership(c: Curve, p: PhasePoint, tol: float = 1e-6) -> Membership:

@@ -41,6 +41,19 @@ class TestClassify:
         assert rc == 1
         assert "u_minus" in captured.err
 
+    def test_readme_example_on_gamma1(self, capsys):
+        rc = main(["classify", *SUBSONIC, *_left(0.73, 0.73, 1.0928104313)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["outcome"] == "exists"
+        assert out["curve"] == "gamma1"
+
+    def test_non_finite_input_rejected(self, capsys):
+        # a repeated flag takes the last value
+        rc = main(["classify", *SUBSONIC, "--u-plus", "nan", *_left(1, 1, 1)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_fields(self, capsys):
         rc = main(["classify", *SUBSONIC])
         assert rc == 1

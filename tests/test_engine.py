@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from inflow_layer import (EndState, InvalidBoundary, Profile,
-                          ProfileDiverged, Query, TailTooShort,
+from inflow_layer import (EndState, ExistenceEngine, InvalidBoundary, Profile,
+                          ProfileDiverged, Query, TailTooShort, Tolerances,
                           classify_regime, verdict_to_dict, verify_decay,
                           verify_residual)
 from inflow_layer.engine import (CURVE_TRIVIAL, REASON_MASS_FLUX,
@@ -107,6 +109,20 @@ class TestDecide:
         a = engine.curves_for(gas, right_subsonic)
         b = engine.curves_for(gas, right_subsonic)
         assert a is b
+
+    def test_cache_keyed_on_regime(self, gas):
+        # the same far field is sonic under tol_M = 1e-2 and subsonic under
+        # 1e-3; the sigma-only cache entry must not answer the subsonic query
+        u_plus = (1.0 - 5e-3) * math.sqrt(1.4)
+        right = EndState(1.0, u_plus, 1.0)
+        eng = ExistenceEngine()
+        assert sorted(eng.curves_for(gas, right, tol_M=1e-2)) == ["sigma"]
+        left = EndState(0.5 / u_plus, 0.5, 1.2)
+        v = eng.decide(Query(left, right, gas, Tolerances(tol_M=1e-3)))
+        assert v.regime.is_subsonic
+        assert v == ExistenceEngine().decide(Query(left, right, gas,
+                                                   Tolerances(tol_M=1e-3)))
+        assert v.reason == REASON_OFF_CURVE
 
     def test_verdict_serialization(self, engine, gas, right_subsonic):
         q = Query(EndState(1.0, 1.0, 1.0), right_subsonic, gas)

@@ -7,6 +7,9 @@ from inflow_layer import (EndState, GasParams, InvalidBoundary,
                           check_flux_condition, classify_regime, mach,
                           pressure)
 
+_VALID = {GasParams: dict(gamma=1.4, R=1.0, mu=1.0, kappa=1.0),
+          EndState: dict(v=1.0, u=1.0, theta=1.0)}
+
 
 class TestConstruction:
     def test_gas_params_reject_bad_values(self):
@@ -26,6 +29,13 @@ class TestConstruction:
             EndState(1.0, 1.0, -0.5)
         # negative velocity is allowed (outflow far fields are representable)
         EndState(1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, field", [(cls, name) for cls, kw in _VALID.items()
+                                            for name in kw])
+    def test_rejects_non_finite(self, cls, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cls(**{**_VALID[cls], field: bad})
 
 
 class TestPressure:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from inflow_layer import (DefectiveMatrix, DegenerateKind, DomainError,
-                          FitAmbiguous, PhasePoint, build_system,
+from inflow_layer import (DefectiveMatrix, DegenerateKind, DomainError, EndState,
+                          FitAmbiguous, GasParams, PhasePoint, build_system,
                           classify_degenerate, eigen_2x2, from_w, rhs_poly,
                           tangent_line, to_w, transonic_frame)
 from conftest import random_system
@@ -106,6 +106,26 @@ class TestTransonicFrame:
         up = s_trans.u_plus
         b2 = (0.4 * up / 1.4 - up / 2.0) / frame.det_P
         assert frame.manifold_c2 == pytest.approx(-b2 / frame.lambda2, rel=1e-12)
+
+    @pytest.mark.parametrize("gas_params", [(1.4, 1.0, 1.0, 1.0),
+                                            (1.67, 2.0, 0.3, 1.7),
+                                            (1.2, 0.5, 3.0, 0.4)])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_cubic_manifold_invariance_defect(self, gas_params, side):
+        # with the right c2 and c3 the invariance defect of the cubic graph
+        # is O(|W1|^4); a wrong c3 leaves an O(|W1|^3) term
+        g = GasParams(*gas_params)
+        s = build_system(g, EndState(1.0, math.sqrt(g.R * g.gamma), 1.0))
+        f = transonic_frame(s)
+
+        def scaled_defect(w):
+            h = float(f.manifold_graph(w))
+            d = (f.lambda2 * h + float(f.g2(w, h))
+                 - float(f.manifold_slope(w)) * float(f.g1(w, h)))
+            return d / w ** 4
+
+        ratio = scaled_defect(side * 1e-3) / scaled_defect(side * 1e-2)
+        assert 1.0 / 1.5 < ratio < 1.5
 
     def test_rejects_non_transonic(self, s_sub):
         with pytest.raises(DomainError):
