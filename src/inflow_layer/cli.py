@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .engine import (ExistenceEngine, Query, Tolerances, decay_to_dict,
@@ -25,18 +25,6 @@ from .portrait import render_portrait
 from .system import build_system
 from .tracer import (CURVE_GAMMA2, TraceOptions, export_curve_csv,
                      export_curve_json, trace_gamma)
-
-_FLOAT_KEYS = {
-    "gamma", "R", "mu", "kappa",
-    "v_minus", "u_minus", "theta_minus",
-    "v_plus", "u_plus", "theta_plus",
-    "tol_member", "tol_mach", "tol_flux",
-    "mach_min", "mach_max",
-}
-_INT_KEYS = {"mach_points", "trajectories"}
-_STR_KEYS = {"out", "format"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -59,6 +47,12 @@ class RunConfig:
     trajectories: int = 3
     out: str = "."
     format: str = "csv"
+
+
+_INT_KEYS = {"mach_points", "trajectories"}
+_STR_KEYS = {"out", "format"}
+_ALL_KEYS = {f.name for f in fields(RunConfig)}
+_FLOAT_KEYS = _ALL_KEYS - _INT_KEYS - _STR_KEYS
 
 
 def load_config_file(path) -> dict:
@@ -127,8 +121,23 @@ def _state(cfg: RunConfig, side: str) -> EndState:
 
 
 def _tolerances(cfg: RunConfig) -> Tolerances:
-    return Tolerances(tol_A=cfg.tol_flux, tol_M=cfg.tol_mach,
-                      tol_member=cfg.tol_member)
+    try:
+        return Tolerances(tol_A=cfg.tol_flux, tol_M=cfg.tol_mach,
+                          tol_member=cfg.tol_member)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _curves(cfg: RunConfig, what: str):
+    """System and traced curves of the far field, or None when it is supersonic."""
+    gas = _gas(cfg)
+    right = _state(cfg, "plus")
+    tol_M = _tolerances(cfg).tol_M
+    s = build_system(gas, right)
+    if classify_regime(s.mach_plus, tol_M).is_supersonic:
+        print(f"no {what}: the far field is supersonic", file=sys.stderr)
+        return None
+    return s, ExistenceEngine().curves_for(gas, right, tol_M)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -146,15 +155,10 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def cmd_trace(cfg: RunConfig) -> int:
-    engine = ExistenceEngine()
-    gas = _gas(cfg)
-    right = _state(cfg, "plus")
-    s = build_system(gas, right)
-    regime = classify_regime(s.mach_plus, cfg.tol_mach)
-    if regime.is_supersonic:
-        print("no existence curves: the far field is supersonic", file=sys.stderr)
+    traced = _curves(cfg, "existence curves")
+    if traced is None:
         return 2
-    curves = engine.curves_for(gas, right, cfg.tol_mach)
+    _s, curves = traced
     out = _outdir(cfg)
     for label, curve in curves.items():
         if cfg.format == "json":
@@ -193,15 +197,12 @@ def cmd_profile(cfg: RunConfig) -> int:
 
 
 def cmd_portrait(cfg: RunConfig) -> int:
-    engine = ExistenceEngine()
-    gas = _gas(cfg)
-    right = _state(cfg, "plus")
-    s = build_system(gas, right)
-    regime = classify_regime(s.mach_plus, cfg.tol_mach)
-    if regime.is_supersonic:
-        print("no portrait: the far field is supersonic", file=sys.stderr)
+    if cfg.trajectories < 0:
+        raise ConfigError("portrait requires trajectories >= 0")
+    traced = _curves(cfg, "portrait")
+    if traced is None:
         return 2
-    curves = engine.curves_for(gas, right, cfg.tol_mach)
+    s, curves = traced
     out = _outdir(cfg)
     target = out / "portrait.svg"
     render_portrait(s, curves, path=target, n_trajectories=cfg.trajectories)

@@ -22,31 +22,36 @@ from __future__ import annotations
 import csv
 import math
 import threading
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import fixed_quad
+from scipy.special import roots_legendre
 
 from .errors import (InvalidBoundary, OutOfRange, ProfileDiverged, TailTooShort)
 from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH,
-                  check_flux_condition, classify_regime, mach)
+                  check_flux_condition, check_tol_mach, classify_regime, mach)
 from .integrator import (BACKWARD, COMPONENT_CROSSES, IntegrationSettings,
                          component_crosses, integrate)
-from .linearize import eigen_2x2, from_w, transonic_frame
+from .linearize import eigen_2x2, transonic_frame
 from .system import (PhasePoint, SystemData, build_system, field_poly, phase_field,
                      rational_terms)
-from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, Curve,
-                     TraceOptions, curve_membership, trace_gamma, trace_sigma)
+from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, SWITCH_OFFSET,
+                     TERMINAL_BUDGET, Curve, TraceOptions, _side, curve_membership,
+                     trace_gamma, trace_sigma)
 
 REASON_MASS_FLUX = "mass_flux_mismatch"
 REASON_NONPOSITIVE_U_PLUS = "nonpositive_u_plus"
 REASON_SUPERSONIC = "supersonic"
 REASON_OFF_CURVE = "off_curve"
 REASON_OUT_OF_RANGE = "outside_curve_range"
+REASON_TRUNCATED = "curve_truncated"
 
 CURVE_TRIVIAL = "trivial"
 
 _TRIVIAL_RTOL = 1e-12
+
+# 20-node Gauss-Legendre rule for the panels of the sonic inner leg
+_GL_NODES, _GL_WEIGHTS = roots_legendre(20)
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,13 @@ class Tolerances:
     tol_A: float = TOL_FLUX
     tol_M: float = TOL_MACH
     tol_member: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("tol_A", "tol_member"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        check_tol_mach(self.tol_M)
 
 
 @dataclass(frozen=True)
@@ -201,10 +213,15 @@ class ExistenceEngine:
         order = [CURVE_SIGMA] if regime.is_transonic else [CURVE_GAMMA1, CURVE_GAMMA2]
         p = PhasePoint(left.u, left.theta)
         best = None
+        truncated = False
         for label in order:
+            curve = curves[label]
             try:
-                mem = curve_membership(curves[label], p, q.tolerances.tol_member)
+                mem = curve_membership(curve, p, q.tolerances.tol_member)
             except OutOfRange:
+                # beyond the far end of a curve the step budget cut short
+                truncated |= (curve.terminal == TERMINAL_BUDGET
+                              and (p.u, p.theta)[curve.param_index] < curve.param_range[0])
                 continue
             if mem.on_curve:
                 return Verdict(exists=True, mach_plus=mach_plus, regime=regime,
@@ -216,7 +233,7 @@ class ExistenceEngine:
                            reason=REASON_OFF_CURVE, distance=best[1].distance,
                            nearest_curve=best[0])
         return Verdict(exists=False, mach_plus=mach_plus, regime=regime,
-                       reason=REASON_OUT_OF_RANGE)
+                       reason=REASON_TRUNCATED if truncated else REASON_OUT_OF_RANGE)
 
     # -- profile computation ---------------------------------------------
 
@@ -251,45 +268,32 @@ class ExistenceEngine:
         return prof
 
     def _trivial_profile(self, q: Query, s: SystemData) -> Profile:
-        xi = np.array([0.0, 1.0])
-        U = np.full(2, q.left.u)
-        Theta = np.full(2, q.left.theta)
-        V = (s.v_plus / s.u_plus) * U
-        prof = Profile(xi=xi, V=V, U=U, Theta=Theta, trivial=True,
-                       curve=CURVE_TRIVIAL, system=s)
+        pts = np.array([[q.left.u, q.left.theta]] * 2)
+        prof = _profile(s, np.array([0.0, 1.0]), pts, CURVE_TRIVIAL)
         prof.metrics = {"monotone_ok": True, "signs": (0, 0, 0),
                         "residual_sup": 0.0, "endpoint_gap": 0.0,
                         "decay": DecayReport(kind="not_applicable")}
         return prof
 
     def _landing_check(self, q: Query, event_point: PhasePoint, pidx: int) -> None:
-        tol = q.tolerances.tol_member
-        if pidx == 0:
-            gap = abs(event_point.theta - q.left.theta)
-            lim = 10.0 * tol * q.right.theta
-        else:
-            gap = abs(event_point.u - q.left.u)
-            lim = 10.0 * tol * q.right.u
+        # the value coordinate of the landing point must match the boundary
+        vidx = 1 - pidx
+        gap = abs((event_point.u, event_point.theta)[vidx] - (q.left.u, q.left.theta)[vidx])
+        lim = 10.0 * q.tolerances.tol_member * (q.right.u, q.right.theta)[vidx]
         if gap > lim:
             raise ProfileDiverged(
                 f"profile landed {gap:.3e} away from the boundary data "
                 f"(limit {lim:.3e}); membership was borderline")
 
-    def _subsonic_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
-        eig = curve.eig
-        r = 1e-10 * s.scale
-        pidx = curve.param_index
-        bparam = q.left.u if pidx == 0 else q.left.theta
-        p_s1 = s.u_plus if pidx == 0 else s.theta_plus
-        if abs(bparam - p_s1) <= 10.0 * r:
-            return self._trivial_profile(q, s)
-        sign = 1.0 if curve.label == CURVE_GAMMA2 else -1.0
-        seed = np.array([s.u_plus, s.theta_plus]) + sign * r * eig.e2
+    def _backward_leg(self, q: Query, s: SystemData, start, pidx: int,
+                      h_max: float = IntegrationSettings.h_max):
+        """Backward run from ``start`` to the boundary parameter: (xi, points,
+        segments, t_event) in forward order, xi = 0 at the boundary."""
         settings = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15,
-                                       direction=BACKWARD,
-                                       h_max=0.25 / abs(eig.lambda2),
+                                       direction=BACKWARD, h_max=h_max,
                                        max_steps=500_000)
-        res = integrate(phase_field(s), seed, settings,
+        bparam = (q.left.u, q.left.theta)[pidx]
+        res = integrate(phase_field(s), start, settings,
                         events=[component_crosses(pidx, bparam)])
         if res.event.kind != COMPONENT_CROSSES:
             raise ProfileDiverged(
@@ -298,19 +302,23 @@ class ExistenceEngine:
         self._landing_check(q, res.event.point, pidx)
         t_ev = res.event.xi
         xi = (res.xi - t_ev)[::-1].copy()
-        pts = res.points[::-1].copy()
-        U = pts[:, 0]
-        Theta = pts[:, 1]
-        V = (s.v_plus / s.u_plus) * U
-        return Profile(xi=xi, V=V, U=U, Theta=Theta, trivial=False,
-                       curve=curve.label, system=s, segments=res.segments,
-                       t_shift=t_ev)
+        return xi, res.points[::-1].copy(), res.segments, t_ev
+
+    def _subsonic_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
+        eig = curve.eig
+        r = 1e-10 * s.scale
+        pidx = curve.param_index
+        if abs((q.left.u, q.left.theta)[pidx] - (s.u_plus, s.theta_plus)[pidx]) <= 10.0 * r:
+            return self._trivial_profile(q, s)
+        seed = np.array([s.u_plus, s.theta_plus]) + _side(curve.label) * r * eig.e2
+        xi, pts, segments, t_ev = self._backward_leg(q, s, seed, pidx,
+                                                     0.25 / abs(eig.lambda2))
+        return _profile(s, xi, pts, curve.label, segments=segments, t_shift=t_ev)
 
     def _transonic_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
         frame = curve.frame
-        norm_e1 = math.hypot(1.0, frame.m1)
-        w_stop = 1e-10 * s.scale / norm_e1
-        y_switch = self.trace_options.switch_offset * s.scale
+        w_stop = 1e-10 * s.scale / math.hypot(1.0, frame.m1)
+        y_switch = SWITCH_OFFSET * s.scale
         du_boundary = s.u_plus - q.left.u
 
         # outer leg: backward 2D integration from the manifold handoff point
@@ -318,61 +326,48 @@ class ExistenceEngine:
         segments = None
         t_ev = 0.0
         if du_boundary > 1.2 * y_switch:
-            w1_sw = frame.w1_from_du(-y_switch)
-            start = from_w((w1_sw, frame.manifold_graph(w1_sw)), frame, s)
-            settings = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15,
-                                           direction=BACKWARD, max_steps=500_000)
-            res = integrate(phase_field(s), start, settings,
-                            events=[component_crosses(0, q.left.u)])
-            if res.event.kind != COMPONENT_CROSSES:
-                raise ProfileDiverged(
-                    f"backward profile run ended with {res.event.kind} before "
-                    "reaching the boundary data")
-            self._landing_check(q, res.event.point, 0)
-            t_ev = res.event.xi
-            xi = (res.xi - t_ev)[::-1].copy()
-            pts = res.points[::-1].copy()
-            segments = res.segments
-            w1_inner_start = w1_sw
-            xi_inner0 = float(xi[-1])
+            w1_start = frame.w1_from_du(-y_switch)
+            xi, pts, segments, t_ev = self._backward_leg(
+                q, s, frame.graph_point(w1_start), 0)
         else:
-            w1_inner_start = frame.w1_from_du(-du_boundary)
-            p0 = from_w((w1_inner_start, frame.manifold_graph(w1_inner_start)),
-                        frame, s)
+            w1_start = frame.w1_from_du(-du_boundary)
+            p0 = frame.graph_point(w1_start)
             self._landing_check(q, p0, 0)
             xi = np.array([0.0])
-            pts = np.array([[p0.u, p0.theta]])
-            xi_inner0 = 0.0
+            pts = p0.as_array()[None, :]
 
         # inner leg: quadrature of the center flow restricted to the local
-        # invariant-manifold graph, from the handoff down to ~1e-10 of S1
-        n_dec = math.log10(abs(w1_inner_start) / w_stop)
+        # invariant-manifold graph, from the handoff down to ~1e-10 of S1;
+        # each panel [a, b] is (b - a)/2 * sum(weight / speed) over its nodes
+        n_dec = math.log10(abs(w1_start) / w_stop)
         n_pts = max(60, int(round(n_dec * 16)) + 1)
-        w_grid = -np.geomspace(abs(w1_inner_start), w_stop, n_pts)
-        speed = frame.reduced_field
-        xi_inner = [xi_inner0]
-        for a, b in zip(w_grid[:-1], w_grid[1:]):
-            dxi, _ = fixed_quad(lambda w: 1.0 / speed(w), a, b, n=20)
-            xi_inner.append(xi_inner[-1] + float(dxi))
-        inner_pts = []
-        reduced_records = []
-        for w1, x in zip(w_grid, xi_inner):
-            pp = from_w((w1, frame.manifold_graph(w1)), frame, s)
-            inner_pts.append([pp.u, pp.theta])
-            w1dot = float(speed(w1))
-            slope = float(frame.manifold_slope(w1))
-            du_dxi = w1dot * (1.0 + slope)
-            dth_dxi = w1dot * (frame.m1 + slope * frame.m2)
-            reduced_records.append((pp.u, pp.theta, du_dxi, dth_dxi))
-        # first inner point coincides with the handoff sample
-        xi = np.concatenate([xi, np.asarray(xi_inner[1:])])
-        pts = np.vstack([pts, np.asarray(inner_pts[1:])])
-        U = pts[:, 0]
-        Theta = pts[:, 1]
-        V = (s.v_plus / s.u_plus) * U
-        return Profile(xi=xi, V=V, U=U, Theta=Theta, trivial=False,
-                       curve=curve.label, system=s, segments=segments,
-                       t_shift=t_ev, reduced_records=reduced_records[1:])
+        w_grid = -np.geomspace(abs(w1_start), w_stop, n_pts)
+        a = w_grid[:-1, None]
+        b = w_grid[1:, None]
+        nodes = (b - a) * (_GL_NODES + 1) / 2.0 + a
+        dxi = (b - a)[:, 0] / 2.0 * np.sum(
+            _GL_WEIGHTS * (1.0 / frame.reduced_field(nodes)), axis=-1)
+        # the first grid point coincides with the handoff sample
+        xi_inner = np.cumsum(np.concatenate([xi[-1:], dxi]))[1:]
+        inner_pts = np.array([frame.graph_point(w1).as_array() for w1 in w_grid[1:]])
+        w1dot = frame.reduced_field(w_grid[1:])
+        slope = frame.manifold_slope(w_grid[1:])
+        reduced_records = list(zip(inner_pts[:, 0], inner_pts[:, 1],
+                                   w1dot * (1.0 + slope),
+                                   w1dot * (frame.m1 + slope * frame.m2)))
+        return _profile(s, np.concatenate([xi, xi_inner]), np.vstack([pts, inner_pts]),
+                        curve.label, segments=segments, t_shift=t_ev,
+                        reduced_records=reduced_records)
+
+
+def _profile(s: SystemData, xi: np.ndarray, pts: np.ndarray, curve: str,
+             **extra) -> Profile:
+    """Profile from (u, theta) samples; V follows from the mass equation."""
+    U = pts[:, 0]
+    Theta = pts[:, 1]
+    V = (s.v_plus / s.u_plus) * U
+    return Profile(xi=xi, V=V, U=U, Theta=Theta, trivial=curve == CURVE_TRIVIAL,
+                   curve=curve, system=s, **extra)
 
 
 def _monotone_check(prof: Profile) -> tuple[bool, tuple[int, int, int]]:
@@ -396,22 +391,16 @@ def _monotone_check(prof: Profile) -> tuple[bool, tuple[int, int, int]]:
     return ok, signs
 
 
-def _dense_derivative(seg, t: float, width: float) -> np.ndarray:
+def _dense_derivative(seg, t: float) -> np.ndarray:
     """Time derivative of a dense-output segment.
 
     Runge-Kutta dense output is polynomial in the step fraction, so the
-    derivative is evaluated exactly when the coefficient layout is exposed;
-    otherwise a central difference (with its roundoff floor) is used.
+    derivative is exact: Q holds the coefficients of each power of the
+    fraction (t - t_old) / h.
     """
-    Q = getattr(seg, "Q", None)
-    h = getattr(seg, "h", None)
-    order = getattr(seg, "order", None)
-    if Q is not None and h is not None and order is not None:
-        x = (t - seg.t_old) / h
-        k = np.arange(order + 1)
-        return np.asarray(Q) @ ((k + 1) * x ** k)
-    delta = min(1e-5, 0.25 * width)
-    return (seg(t + delta) - seg(t - delta)) / (2.0 * delta)
+    x = (t - seg.t_old) / seg.h
+    k = np.arange(seg.order + 1)
+    return seg.Q @ ((k + 1) * x ** k)
 
 
 def _residual_pair(s: SystemData, u, theta, du_dxi, dth_dxi):
@@ -454,7 +443,7 @@ def verify_residual(prof: Profile, s: SystemData) -> float:
                 continue
             t_mid = 0.5 * (a + b)
             y = seg(t_mid)
-            dy = _dense_derivative(seg, t_mid, b - a)
+            dy = _dense_derivative(seg, t_mid)
             records.append((float(y[0]), float(y[1]), float(dy[0]), float(dy[1])))
     elif prof.reduced_records is None and len(prof.xi) >= 3:
         # nonuniform central differences on the samples
@@ -521,18 +510,7 @@ def verify_decay(prof: Profile, regime: Regime) -> DecayReport:
 
 def decay_to_dict(report: DecayReport | None) -> dict | None:
     """JSON-ready decay report (None when no fit was performed)."""
-    if report is None:
-        return None
-    return {
-        "kind": report.kind,
-        "rate": report.rate,
-        "amplitude": report.amplitude,
-        "rate_theta": report.rate_theta,
-        "exponent": report.exponent,
-        "inv_coeff": report.inv_coeff,
-        "exponent_d1": report.exponent_d1,
-        "n_tail": report.n_tail,
-    }
+    return None if report is None else asdict(report)
 
 
 def verdict_to_dict(v: Verdict, decay: DecayReport | None = None) -> dict:

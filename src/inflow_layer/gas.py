@@ -105,6 +105,12 @@ def mach(state: EndState, gas: GasParams) -> float:
     return abs(state.u) / sound_speed(state, gas)
 
 
+def check_tol_mach(tol_M: float) -> None:
+    """Reject a transonic band half-width outside (0, 0.5)."""
+    if not 0.0 < tol_M < 0.5:
+        raise ValueError(f"tol_M must lie in (0, 0.5), got {tol_M}")
+
+
 def classify_regime(mach_plus: float, tol_M: float = TOL_MACH) -> Regime:
     """Classify a nonnegative Mach number into one of the three regimes.
 
@@ -113,8 +119,7 @@ def classify_regime(mach_plus: float, tol_M: float = TOL_MACH) -> Regime:
     """
     if mach_plus < 0.0:
         raise ValueError(f"Mach number must be nonnegative, got {mach_plus}")
-    if not 0.0 < tol_M < 0.5:
-        raise ValueError(f"tol_M must lie in (0, 0.5), got {tol_M}")
+    check_tol_mach(tol_M)
     if abs(mach_plus - 1.0) <= tol_M:
         tag = TRANSONIC
     elif mach_plus > 1.0:

@@ -3,7 +3,8 @@
 The stepper is the Dormand-Prince 5(4) embedded pair (scipy's RK45), which
 carries a free quartic interpolant.  Events are located by sign change on
 step endpoints followed by bisection on the dense output, so event
-functions only need to be evaluable, not differentiable.  The phase field
+functions only need to be evaluable, not differentiable.  Every event is
+terminal: the first one triggered ends the run.  The phase field
 is smooth and non-stiff away from the singular line u = 0, so an explicit
 pair is appropriate.
 """
@@ -67,13 +68,12 @@ class EventSpec:
     """Scalar event function whose zero crossing marks the event.
 
     direction -1 triggers on + -> -, +1 on - -> +, 0 on any sign change.
-    Terminal events stop the integration at the bracketed location.
+    The event stops the integration at the bracketed location.
     """
 
     kind: str
     fn: Callable[[float, np.ndarray], float]
     direction: int = -1
-    terminal: bool = True
 
 
 def u_crosses_zero() -> EventSpec:
@@ -173,7 +173,7 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
     settings : IntegrationSettings
         Tolerances, step bounds, budget, direction.
     events : sequence of EventSpec
-        Terminal events; the first one triggered (bracketed by bisection on
+        Events, all terminal; the first one triggered (bracketed by bisection on
         the dense output) stops the run.  If none triggers before the step
         budget is exhausted, the result carries a ``budget`` event.
     max_state_step : float, optional
@@ -202,7 +202,7 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
     g_prev = {}
     for ev in events:
         g0 = float(ev.fn(0.0, y0))
-        if ev.terminal and _immediate(ev, g0):
+        if _immediate(ev, g0):
             pt = PhasePoint(float(y0[0]), float(y0[1]))
             return IntegrationResult(xi=np.array([0.0]), points=y0[None, :].copy(),
                                      event=Event(ev.kind, 0.0, pt), n_steps=0)
@@ -247,7 +247,7 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         triggered = []
         for ev in events:
             g_new = float(ev.fn(t_new, y_new))
-            if ev.terminal and _crossed(g_prev[id(ev)], g_new, ev.direction):
+            if _crossed(g_prev[id(ev)], g_new, ev.direction):
                 t_ev = _bisect_event(ev, seg, t_old, t_new, g_prev[id(ev)])
                 triggered.append((abs(t_ev - t_old), t_ev, ev))
             g_prev[id(ev)] = g_new

@@ -154,6 +154,10 @@ class TransonicFrame:
         w1 = np.asarray(w1, dtype=float)
         return (2.0 * self.manifold_c2 + 3.0 * self.manifold_c3 * w1) * w1
 
+    def graph_point(self, w1: float) -> PhasePoint:
+        """Phase point on the manifold graph at center coordinate w1."""
+        return from_w((w1, self.manifold_graph(w1)), self, self._sys)
+
     def w1_from_du(self, du: float) -> float:
         """Solve du = w1 + graph(w1) for the small root near w1 = du."""
         w1 = du

@@ -15,7 +15,11 @@ seed at distance eps.  The trace therefore bridges the innermost stretch
 analytically along the cubic invariant-manifold graph W2 = c2 W1^2 + c3 W1^3,
 whose coefficients come in closed form from the invariance equations
 (geometric error O(|W1|^4), far below the curve tolerances), and starts the
-integrator where the crawl is affordable.
+integrator at the handoff distance ``SWITCH_OFFSET * scale``, where the crawl
+is affordable.
+
+Sigma, gamma1 and gamma2 differ only in how they are seeded; the backward
+integration, terminal classification, thinning and validation are one body.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
                          THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationSettings,
                          component_crosses, integrate, near_equilibrium,
                          theta_crosses_zero, u_crosses_zero)
-from .linearize import EigenPair, TransonicFrame, from_w
+from .linearize import EigenPair, TransonicFrame
 from .system import PhasePoint, Region, SystemData, phase_field, region_contains
 
 CURVE_SIGMA = "sigma"
@@ -47,19 +51,22 @@ TERMINAL_CONVERGED_TO_S2 = "converged_to_s2"
 TERMINAL_BUDGET = "budget"
 
 
+SWITCH_OFFSET = 1e-3                  # * scale, sonic manifold handoff
+CAPTURE_RADIUS = 1e-8                 # * scale, S2 capture
+SLIDE_POINTS_PER_DECADE = 12          # sigma's analytic slide up to the handoff
+
+
 @dataclass(frozen=True)
 class TraceOptions:
-    """Knobs for curve tracing; scale-relative values multiply max(u+, theta+)."""
+    """Knobs for curve tracing; scale-relative values multiply max(u+, theta+).
+    The sonic manifold handoff is the module constant ``SWITCH_OFFSET``."""
 
     seed_offset: float | None = None      # absolute; default 1e-6 * scale
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 200_000
-    switch_offset: float = 1e-3           # * scale, sonic manifold handoff
     sample_cap: float = 2e-3              # * scale, max emitted spacing
     thin_spacing: float = 1e-5            # * scale, min kept spacing
-    capture_radius: float = 1e-8          # * scale, S2 capture
-    slide_points_per_decade: int = 12
 
 
 @dataclass(frozen=True)
@@ -109,11 +116,6 @@ class Curve:
         return self.samples[:, 1 - self.param_index]
 
     @property
-    def param_scale(self) -> float:
-        s = self.system
-        return s.theta_plus if self.param_index == 1 else s.u_plus
-
-    @property
     def value_scale(self) -> float:
         s = self.system
         return s.u_plus if self.param_index == 1 else s.theta_plus
@@ -157,12 +159,6 @@ class Curve:
             return self._gap_value(q)
         return float(self._interpolator()(q))
 
-    def point_at(self, q: float) -> PhasePoint:
-        v = self.predict(q)
-        if self.param_index == 0:
-            return PhasePoint(q, v)
-        return PhasePoint(v, q)
-
     def refine_value(self, q: float) -> float | None:
         """Re-integrate locally for a sharper curve value at parameter q.
 
@@ -189,23 +185,22 @@ class Curve:
 
 
 def _thin(samples: list[np.ndarray], times: list[float], s: SystemData,
-          param_index: int, param_dir: float, keep_radius: float, floor: float,
-          noise: float):
+          param_index: int, keep_radius: float, floor: float, noise: float):
     """Thin to the target density while enforcing strict monotonicity.
 
     Keeps a sample only when both coordinates strictly advance in the
-    curve's direction; noise-level backtracks (integration error around a
-    weak eigendirection) are absorbed into the previous sample, anything
-    beyond the noise budget raises TraceFailed.
+    curve's direction (on every curve the parameter decreases and the value
+    increases away from S1); noise-level backtracks (integration error
+    around a weak eigendirection) are absorbed into the previous sample,
+    anything beyond the noise budget raises TraceFailed.
     """
     p_s1 = (s.u_plus, s.theta_plus)[param_index]
     vidx = 1 - param_index
-    vdir = -param_dir  # u and theta always advance in opposite directions
     kept_s, kept_t = [samples[0]], [times[0]]
     for i in range(1, len(samples) - 1):
         row = samples[i]
-        adv_p = (row[param_index] - kept_s[-1][param_index]) * param_dir
-        adv_v = (row[vidx] - kept_s[-1][vidx]) * vdir
+        adv_p = kept_s[-1][param_index] - row[param_index]
+        adv_v = row[vidx] - kept_s[-1][vidx]
         if adv_p < -noise or adv_v < -noise:
             raise TraceFailed(
                 f"sample {i} backtracks by more than the noise budget {noise:.1e}")
@@ -216,8 +211,8 @@ def _thin(samples: list[np.ndarray], times: list[float], s: SystemData,
             kept_t.append(times[i])
     last = samples[-1]
     while len(kept_s) > 1 and (
-            (last[param_index] - kept_s[-1][param_index]) * param_dir <= 0.0
-            or (last[vidx] - kept_s[-1][vidx]) * vdir <= 0.0):
+            kept_s[-1][param_index] - last[param_index] <= 0.0
+            or last[vidx] - kept_s[-1][vidx] <= 0.0):
         # terminal bisection can land within noise of the last kept samples
         kept_s.pop()
         kept_t.pop()
@@ -229,15 +224,10 @@ def _thin(samples: list[np.ndarray], times: list[float], s: SystemData,
 def _validate_curve(label: str, samples: np.ndarray, s: SystemData,
                     seed_offset: float, terminal: str, slack: float) -> None:
     """Monotonicity, positivity, and region confinement of the kept samples."""
-    u = samples[:, 0]
-    th = samples[:, 1]
-    du = np.diff(u)
-    dth = np.diff(th)
-    if label == CURVE_GAMMA2:
-        mono = np.all(du > 0.0) and np.all(dth < 0.0)
-    else:
-        mono = np.all(du < 0.0) and np.all(dth > 0.0)
-    if not mono:
+    pidx = 1 if label == CURVE_GAMMA2 else 0
+    step = np.diff(samples, axis=0)
+    # away from S1 the parameter decreases and the value increases
+    if not (np.all(step[:, pidx] < 0.0) and np.all(step[:, 1 - pidx] > 0.0)):
         raise TraceFailed(f"{label}: samples are not strictly monotone")
     interior = samples[:-1] if terminal in (TERMINAL_HIT_U_AXIS,
                                             TERMINAL_HIT_THETA_AXIS) else samples
@@ -261,65 +251,80 @@ def _validate_curve(label: str, samples: np.ndarray, s: SystemData,
             "tighten the integrator tolerances")
 
 
+_TERMINALS = {
+    U_CROSSES_ZERO: TERMINAL_HIT_U_AXIS,
+    THETA_CROSSES_ZERO: TERMINAL_HIT_THETA_AXIS,
+    NEAR_EQUILIBRIUM: TERMINAL_CONVERGED_TO_S2,
+    BUDGET: TERMINAL_BUDGET,
+}
+
+
+def _side(label: str) -> float:
+    """Sign of the stable-eigenvector step from S1 onto a gamma branch."""
+    return 1.0 if label == CURVE_GAMMA2 else -1.0
+
+
+def _trace(s: SystemData, label: str, pts: list[np.ndarray], times: list[float],
+           events, opts: TraceOptions, eps: float, keep_radius: float,
+           **local) -> Curve:
+    """Integrate backward from the last seeded sample and build the curve.
+
+    ``pts`` and ``times`` hold S1 and the seeded samples with their time of
+    flight; ``local`` is the curve's ``frame`` or ``eig``.
+    """
+    scale = s.scale
+    settings = IntegrationSettings(rel_tol=opts.rel_tol, abs_tol=opts.abs_tol,
+                                   max_steps=opts.max_steps, direction=BACKWARD)
+    res = integrate(phase_field(s), pts[-1], settings, events=events,
+                    max_state_step=opts.sample_cap * scale)
+    pts.extend(res.points[1:])
+    times.extend(times[-1] - res.xi[1:])
+    terminal = _TERMINALS[res.event.kind]
+    if label == CURVE_GAMMA2:
+        expected = (TERMINAL_CONVERGED_TO_S2 if s.alpha2 > 0.0
+                    else TERMINAL_HIT_THETA_AXIS)
+        if terminal != expected and terminal != TERMINAL_BUDGET:
+            raise UnexpectedTerminal(
+                f"gamma2 ended with {terminal}, but alpha2 = {s.alpha2} predicts {expected}")
+
+    pidx = 1 if label == CURVE_GAMMA2 else 0
+    noise = 1e3 * (opts.abs_tol + opts.rel_tol * scale)
+    samples, btimes = _thin(pts, times, s, pidx, keep_radius=keep_radius,
+                            floor=opts.thin_spacing * scale, noise=noise)
+    _validate_curve(label, samples, s, eps, terminal, noise)
+    return Curve(label=label, samples=samples, backward_time=btimes,
+                 terminal=terminal, terminal_point=res.event.point,
+                 seed_offset=eps, system=s, **local)
+
+
 def trace_sigma(s: SystemData, f: TransonicFrame,
                 opts: TraceOptions | None = None) -> Curve:
     """Trace the sonic-regime curve from S1 to its endpoint Z0 on u = 0.
 
     The seed sits at ``seed_offset`` from S1 along the center direction with
     negative u-component (the side the incoming orbit is tangent to); the
-    slide along the cubic manifold graph then bridges to ``switch_offset``
+    slide along the cubic manifold graph then bridges to ``SWITCH_OFFSET``
     before the backward integration takes over.
     """
     opts = opts or TraceOptions()
     scale = s.scale
     eps = opts.seed_offset if opts.seed_offset is not None else 1e-6 * scale
-    norm_e1 = math.hypot(1.0, f.m1)
-    w_seed = eps / norm_e1
-    y_switch = opts.switch_offset * scale
+    w_seed = eps / math.hypot(1.0, f.m1)
+    y_switch = SWITCH_OFFSET * scale
 
     pts: list[np.ndarray] = [np.array([s.u_plus, s.theta_plus])]
     times: list[float] = [math.inf]
+    ws = [w_seed]
     if w_seed < y_switch:
         n_dec = math.log10(y_switch / w_seed)
-        n_pts = max(2, int(round(n_dec * opts.slide_points_per_decade)) + 1)
+        n_pts = max(2, int(round(n_dec * SLIDE_POINTS_PER_DECADE)) + 1)
         ws = np.geomspace(w_seed, y_switch, n_pts)
-        for w in ws:
-            p = from_w((-w, f.manifold_graph(-w)), f, s)
-            pts.append(p.as_array())
-            # time-of-flight of the quadratic center flow, bookkeeping only
-            times.append((1.0 / w_seed - 1.0 / w) / f.a2)
-        start = pts[-1]
-        t_offset = times[-1]
-    else:
-        p = from_w((-w_seed, f.manifold_graph(-w_seed)), f, s)
-        pts.append(p.as_array())
-        times.append(0.0)
-        start = pts[-1]
-        t_offset = 0.0
-
-    settings = IntegrationSettings(rel_tol=opts.rel_tol, abs_tol=opts.abs_tol,
-                                   max_steps=opts.max_steps, direction=BACKWARD)
-    res = integrate(phase_field(s), start, settings,
-                    events=[u_crosses_zero()],
-                    max_state_step=opts.sample_cap * scale)
-    for t, y in zip(res.xi[1:], res.points[1:]):
-        pts.append(y)
-        times.append(t_offset - t)
-    if res.event.kind == U_CROSSES_ZERO:
-        terminal = TERMINAL_HIT_U_AXIS
-    elif res.event.kind == BUDGET:
-        terminal = TERMINAL_BUDGET
-    else:
-        raise TraceFailed(f"sigma: unexpected event {res.event.kind}")
-
-    noise = 1e3 * (opts.abs_tol + opts.rel_tol * scale)
-    samples, btimes = _thin(pts, times, s, 0, -1.0,
-                            keep_radius=3.0 * y_switch,
-                            floor=opts.thin_spacing * scale, noise=noise)
-    _validate_curve(CURVE_SIGMA, samples, s, eps, terminal, noise)
-    return Curve(label=CURVE_SIGMA, samples=samples, backward_time=btimes,
-                 terminal=terminal, terminal_point=res.event.point,
-                 seed_offset=eps, system=s, frame=f)
+    for w in ws:
+        pts.append(f.graph_point(-w).as_array())
+        # time-of-flight of the quadratic center flow, bookkeeping only
+        times.append((1.0 / w_seed - 1.0 / w) / f.a2)
+    return _trace(s, CURVE_SIGMA, pts, times, [u_crosses_zero()], opts, eps,
+                  keep_radius=3.0 * y_switch, frame=f)
 
 
 def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
@@ -335,50 +340,17 @@ def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
     if not (eig.lambda2 < 0.0 < eig.lambda1):
         raise DomainError("gamma branches require a saddle (subsonic regime)")
     opts = opts or TraceOptions()
-    scale = s.scale
-    eps = opts.seed_offset if opts.seed_offset is not None else 1e-6 * scale
-    e_stable = eig.e2  # normalized with positive u-component, negative slope
-    sign = 1.0 if branch == CURVE_GAMMA2 else -1.0
+    eps = opts.seed_offset if opts.seed_offset is not None else 1e-6 * s.scale
     s1 = np.array([s.u_plus, s.theta_plus])
-    seed = s1 + sign * eps * e_stable
-
+    # eig.e2 is normalized with positive u-component, negative slope
+    seed = s1 + _side(branch) * eps * eig.e2
     if branch == CURVE_GAMMA1:
         events = [u_crosses_zero()]
     else:
         events = [theta_crosses_zero(),
-                  near_equilibrium(s.s2, opts.capture_radius * scale)]
-    settings = IntegrationSettings(rel_tol=opts.rel_tol, abs_tol=opts.abs_tol,
-                                   max_steps=opts.max_steps, direction=BACKWARD)
-    res = integrate(phase_field(s), seed, settings, events=events,
-                    max_state_step=opts.sample_cap * scale)
-
-    kind = res.event.kind
-    if kind == U_CROSSES_ZERO:
-        terminal = TERMINAL_HIT_U_AXIS
-    elif kind == THETA_CROSSES_ZERO:
-        terminal = TERMINAL_HIT_THETA_AXIS
-    elif kind == NEAR_EQUILIBRIUM:
-        terminal = TERMINAL_CONVERGED_TO_S2
-    else:
-        terminal = TERMINAL_BUDGET
-    if branch == CURVE_GAMMA2:
-        expected = (TERMINAL_CONVERGED_TO_S2 if s.alpha2 > 0.0
-                    else TERMINAL_HIT_THETA_AXIS)
-        if terminal != expected and terminal != TERMINAL_BUDGET:
-            raise UnexpectedTerminal(
-                f"gamma2 ended with {terminal}, but alpha2 = {s.alpha2} predicts {expected}")
-
-    pts = [s1] + [y for y in res.points]
-    times = [math.inf] + [-t for t in res.xi]
-    pidx = 1 if branch == CURVE_GAMMA2 else 0
-    noise = 1e3 * (opts.abs_tol + opts.rel_tol * scale)
-    samples, btimes = _thin(pts, times, s, pidx, -1.0,
-                            keep_radius=10.0 * eps,
-                            floor=opts.thin_spacing * scale, noise=noise)
-    _validate_curve(branch, samples, s, eps, terminal, noise)
-    return Curve(label=branch, samples=samples, backward_time=btimes,
-                 terminal=terminal, terminal_point=res.event.point,
-                 seed_offset=eps, system=s, eig=eig)
+                  near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)]
+    return _trace(s, branch, [s1, seed], [math.inf, 0.0], events, opts, eps,
+                  keep_radius=10.0 * eps, eig=eig)
 
 
 def curve_membership(c: Curve, p: PhasePoint, tol: float = 1e-6) -> Membership:

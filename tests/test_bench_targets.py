@@ -1,7 +1,8 @@
-"""Every name the benchmark's traced run wraps must exist in the package.
+"""Every name the benchmark uses from the package must exist.
 
-The benchmark stops with WrapTargetMissing when a wrapped name is gone; this
-test makes a refactor that moves such a name fail the test suite instead.
+The benchmark stops with WrapTargetMissing when a wrapped name is gone, and
+fails to start when a name its workloads import is gone; these tests make a
+refactor that moves such a name fail the test suite instead.
 """
 
 import importlib.util
@@ -10,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+def _load(filename: str, name: str):
+    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / filename)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while the body runs
     sys.modules[spec.name] = module
@@ -22,7 +23,7 @@ def _load_spans():
     return module
 
 
-spans = _load_spans()
+spans = _load("spans.py", "bench_spans")
 
 
 @pytest.mark.parametrize("module, path", [(t[0], t[1]) for t in spans.TARGETS])
@@ -35,3 +36,9 @@ def test_wrap_target_resolves(module, path):
 def test_field_factory_resolves(module):
     _owner, _name, value = spans._resolve(module, "phase_field")
     assert callable(value)
+
+
+def test_workload_imports_resolve():
+    # importing the module resolves its REASON_*, TERMINAL_* and CURVE_* names
+    workloads = _load("workloads.py", "bench_workloads")
+    assert workloads.NAMES == ("cold-cli", "trace-ladder", "query-mix", "sweep")

@@ -54,6 +54,19 @@ class TestClassify:
         assert rc == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, flag, value", [
+        ("classify", "--tol-mach", "0.6"),
+        ("classify", "--tol-flux", "-1"),
+        ("classify", "--tol-member", "-1"),
+        ("trace", "--tol-mach", "0.6"),
+        ("portrait", "--trajectories", "-1"),
+    ])
+    def test_invalid_setting_rejected(self, tmp_path, capsys, cmd, flag, value):
+        rc = main([cmd, *SUBSONIC, *_left(0.73, 0.73, 1.0928104313), flag, value,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_fields(self, capsys):
         rc = main(["classify", *SUBSONIC])
         assert rc == 1

@@ -9,7 +9,9 @@ from inflow_layer import (EndState, ExistenceEngine, InvalidBoundary, Profile,
                           verify_residual)
 from inflow_layer.engine import (CURVE_TRIVIAL, REASON_MASS_FLUX,
                                  REASON_NONPOSITIVE_U_PLUS, REASON_OFF_CURVE,
-                                 REASON_OUT_OF_RANGE, REASON_SUPERSONIC)
+                                 REASON_OUT_OF_RANGE, REASON_SUPERSONIC,
+                                 REASON_TRUNCATED)
+from inflow_layer.tracer import TERMINAL_BUDGET, TraceOptions
 
 
 def _left_for(curve, i, right):
@@ -17,6 +19,11 @@ def _left_for(curve, i, right):
     u_b = float(curve.samples[i, 0])
     th_b = float(curve.samples[i, 1])
     return EndState(u_b * right.v / right.u, u_b, th_b)
+
+
+def _left_at(curve, u_b, right):
+    """Flux-compatible boundary state on a u-parameterized curve at u = u_b."""
+    return EndState(u_b * right.v / right.u, u_b, curve.predict(u_b))
 
 
 class TestDecide:
@@ -124,6 +131,30 @@ class TestDecide:
                                                    Tolerances(tol_M=1e-3)))
         assert v.reason == REASON_OFF_CURVE
 
+    def test_truncated_curve_has_own_reason(self, engine, gas, right_transonic,
+                                            transonic_curves):
+        # five steps leave sigma at u in [1.18202, 1.18322]; a boundary point
+        # beyond its far end is unanswered, not outside the curve
+        q = Query(_left_at(transonic_curves["sigma"], 0.5 * right_transonic.u,
+                           right_transonic), right_transonic, gas)
+        assert engine.decide(q).curve == "sigma"
+        short = ExistenceEngine(TraceOptions(max_steps=5))
+        assert short.curves_for(gas, right_transonic)["sigma"].terminal == TERMINAL_BUDGET
+        v = short.decide(q)
+        assert not v.exists and v.reason == REASON_TRUNCATED
+        # beyond S1 the truncation does not matter
+        u_b = 1.05 * right_transonic.u
+        beyond = EndState(u_b * right_transonic.v / right_transonic.u, u_b, 1.05)
+        assert short.decide(Query(beyond, right_transonic, gas)).reason == REASON_OUT_OF_RANGE
+
+    @pytest.mark.parametrize("bad", [{"tol_A": -1.0}, {"tol_A": 0.0},
+                                     {"tol_A": math.inf}, {"tol_member": -1.0},
+                                     {"tol_member": math.nan}, {"tol_M": 0.6},
+                                     {"tol_M": 0.0}, {"tol_M": math.nan}])
+    def test_invalid_tolerances_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Tolerances(**bad)
+
     def test_verdict_serialization(self, engine, gas, right_subsonic):
         q = Query(EndState(1.0, 1.0, 1.0), right_subsonic, gas)
         d = verdict_to_dict(engine.decide(q))
@@ -165,6 +196,19 @@ class TestProfiles:
         assert prof.metrics["monotone_ok"]
         assert prof.metrics["signs"] == (1, 1, -1)
         assert prof.metrics["residual_sup"] <= 1e-8
+
+    def test_transonic_profile_inside_handoff(self, engine, gas, right_transonic,
+                                              transonic_curves):
+        # u+ - u- = 5e-4 u+ lies inside the manifold handoff (1e-3 * scale):
+        # the whole profile comes from the quadrature leg
+        q = Query(_left_at(transonic_curves["sigma"], 0.9995 * right_transonic.u,
+                           right_transonic), right_transonic, gas)
+        prof = engine.compute_profile(q)
+        assert prof.curve == "sigma" and prof.segments is None
+        assert prof.metrics["residual_sup"] <= 1e-8
+        assert prof.metrics["endpoint_gap"] <= 1e-8
+        assert prof.metrics["monotone_ok"]
+        assert prof.metrics["decay"].exponent == pytest.approx(-1.0, abs=0.1)
 
     def test_profile_requires_existing_layer(self, engine, gas, right_supersonic):
         q = Query(EndState(0.5, 1.0, 1.3), right_supersonic, gas)

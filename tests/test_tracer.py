@@ -97,11 +97,6 @@ class TestSigma:
         slope, _ = np.polyfit(c.backward_time[mask], 1.0 / y[mask], 1)
         assert -slope == pytest.approx(frame.a2, rel=0.1)
 
-    def test_budget_terminal_reported(self, s_trans):
-        frame = transonic_frame(s_trans)
-        c = trace_sigma(s_trans, frame, TraceOptions(max_steps=5))
-        assert c.terminal == TERMINAL_BUDGET
-
 
 class TestGamma:
     def test_gamma1_terminal(self, subsonic_curves, s_sub):
@@ -181,6 +176,18 @@ class TestGamma:
         eig = eigen_2x2(np.diag([1.0, 2.0]))
         with pytest.raises(DomainError):
             trace_gamma(s_trans, eig, CURVE_GAMMA1)
+
+
+@pytest.mark.parametrize("label", ["sigma", CURVE_GAMMA1, CURVE_GAMMA2])
+def test_budget_terminal_reported(label, s_sub, s_trans):
+    # a budget stop is reported as such on every curve; gamma2 must not
+    # mistake it for a wrong terminal (UnexpectedTerminal)
+    opts = TraceOptions(max_steps=5)
+    if label == "sigma":
+        c = trace_sigma(s_trans, transonic_frame(s_trans), opts)
+    else:
+        c = trace_gamma(s_sub, eigen_2x2(s_sub.matrix), label, opts)
+    assert c.terminal == TERMINAL_BUDGET
 
 
 class TestMembership:
