@@ -211,12 +211,13 @@ def cmd_portrait(cfg: RunConfig) -> int:
 
 
 def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
-              trace_gamma2: bool = True) -> list[dict]:
+              trace_gamma2: bool = True, tol_M: float = TOL_MACH) -> list[dict]:
     """Evaluate regime/eigen/equilibrium data over a Mach grid.
 
     The far-field velocity is set from each Mach number; rows come back in
-    grid order.  When ``trace_gamma2`` is set, subsonic rows carry the
-    actual traced terminal kind of the gamma2 branch.
+    grid order, each labelled with its regime for the transonic band
+    half-width ``tol_M``.  When ``trace_gamma2`` is set, subsonic rows carry
+    the actual traced terminal kind of the gamma2 branch.
     """
     sound = math.sqrt(gas.R * gas.gamma * theta_plus)
     fast_opts = TraceOptions(rel_tol=1e-8, abs_tol=1e-10, max_steps=100_000,
@@ -225,7 +226,7 @@ def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
     def one(mach_plus: float) -> dict:
         right = EndState(v_plus, mach_plus * sound, theta_plus)
         s = build_system(gas, right)
-        regime = classify_regime(s.mach_plus)
+        regime = classify_regime(s.mach_plus, tol_M)
         eig = eigen_2x2(s.matrix)
         row = {
             "mach_plus": mach_plus,
@@ -258,7 +259,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep requires 0 < mach_min < mach_max")
     machs = [cfg.mach_min + i * (cfg.mach_max - cfg.mach_min) / (cfg.mach_points - 1)
              for i in range(cfg.mach_points)]
-    rows = run_sweep(gas, cfg.v_plus, cfg.theta_plus, machs)
+    rows = run_sweep(gas, cfg.v_plus, cfg.theta_plus, machs,
+                     tol_M=_tolerances(cfg).tol_M)
     out = _outdir(cfg)
     target = out / "sweep.csv"
     fieldnames = ["mach_plus", "regime", "det_A", "tr_A", "lambda1", "lambda2",

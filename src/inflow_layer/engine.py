@@ -25,7 +25,6 @@ import threading
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import (InvalidBoundary, OutOfRange, ProfileDiverged, TailTooShort)
 from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH,
@@ -50,8 +49,27 @@ CURVE_TRIVIAL = "trivial"
 
 _TRIVIAL_RTOL = 1e-12
 
-# 20-node Gauss-Legendre rule for the panels of the sonic inner leg
-_GL_NODES, _GL_WEIGHTS = roots_legendre(20)
+# 20-node Gauss-Legendre rule on [-1, 1] for the panels of the sonic inner
+# leg, as computed by scipy.special.roots_legendre(20); numpy's leggauss
+# weights differ in the last bits, which would move the profile's xi
+_GL_NODES = np.array([
+    -0.9931285991850949, -0.9639719272779137, -0.912234428251326,
+    -0.8391169718222189, -0.7463319064601508, -0.6360536807265149,
+    -0.510867001950827, -0.37370608871541955, -0.22778585114164504,
+    -0.0765265211334973, 0.0765265211334973, 0.22778585114164504,
+    0.37370608871541955, 0.510867001950827, 0.6360536807265149,
+    0.7463319064601508, 0.8391169718222189, 0.912234428251326,
+    0.9639719272779137, 0.9931285991850949,
+])
+_GL_WEIGHTS = np.array([
+    0.017614007139152687, 0.04060142980038748, 0.06267204833410933,
+    0.08327674157670427, 0.10193011981724026, 0.11819453196151841,
+    0.13168863844917644, 0.14209610931838176, 0.1491729864726036,
+    0.1527533871307256, 0.1527533871307256, 0.1491729864726036,
+    0.14209610931838176, 0.13168863844917644, 0.11819453196151841,
+    0.10193011981724026, 0.08327674157670427, 0.06267204833410933,
+    0.04060142980038748, 0.017614007139152687,
+])
 
 
 @dataclass(frozen=True)
@@ -391,18 +409,6 @@ def _monotone_check(prof: Profile) -> tuple[bool, tuple[int, int, int]]:
     return ok, signs
 
 
-def _dense_derivative(seg, t: float) -> np.ndarray:
-    """Time derivative of a dense-output segment.
-
-    Runge-Kutta dense output is polynomial in the step fraction, so the
-    derivative is exact: Q holds the coefficients of each power of the
-    fraction (t - t_old) / h.
-    """
-    x = (t - seg.t_old) / seg.h
-    k = np.arange(seg.order + 1)
-    return seg.Q @ ((k + 1) * x ** k)
-
-
 def _residual_pair(s: SystemData, u, theta, du_dxi, dth_dxi):
     """Residuals of both integrated equations plus their local term masses."""
     V, (t1a, t1b), (t2a, t2b, t2c) = rational_terms(u, theta, s)
@@ -443,7 +449,7 @@ def verify_residual(prof: Profile, s: SystemData) -> float:
                 continue
             t_mid = 0.5 * (a + b)
             y = seg(t_mid)
-            dy = _dense_derivative(seg, t_mid)
+            dy = seg.derivative(t_mid)
             records.append((float(y[0]), float(y[1]), float(dy[0]), float(dy[1])))
     elif prof.reduced_records is None and len(prof.xi) >= 3:
         # nonuniform central differences on the samples

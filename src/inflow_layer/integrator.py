@@ -1,21 +1,26 @@
 """Adaptive explicit Runge-Kutta integration with event detection.
 
-The stepper is the Dormand-Prince 5(4) embedded pair (scipy's RK45), which
-carries a free quartic interpolant.  Events are located by sign change on
-step endpoints followed by bisection on the dense output, so event
-functions only need to be evaluable, not differentiable.  Every event is
-terminal: the first one triggered ends the run.  The phase field
-is smooth and non-stiff away from the singular line u = 0, so an explicit
-pair is appropriate.
+The stepper is the Dormand-Prince 5(4) embedded pair (Dormand & Prince,
+J. Comput. Appl. Math. 6 (1980)) with its free quartic interpolant.  It is
+a literal port of scipy's ``RK45``: the same tableau, the same numpy calls
+on the same array shapes in the same order, the same error norm, step
+controller and initial-step rule.  Every accepted step, and so every curve,
+profile and verdict, is therefore bitwise identical to what scipy computes,
+without scipy's import cost.  Events are located by sign change on step
+endpoints followed by bisection on the dense output, so event functions
+only need to be evaluable, not differentiable.  Every event is terminal:
+the first one triggered ends the run.  The phase field is smooth and
+non-stiff away from the singular line u = 0, so an explicit pair is
+appropriate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .errors import NonFinite, StepUnderflow
 from .system import PhasePoint
@@ -30,8 +35,41 @@ LEFT_REGION = "left_region"
 COMPONENT_CROSSES = "component_crosses"
 BUDGET = "budget"
 
-_T_BOUND = 1e300
 _MIN_STEP_FACTOR = 1e-14
+MIN_REL_TOL = 100 * np.finfo(float).eps   # below it the error estimate is noise
+
+# Dormand-Prince 5(4) tableau with the dense-output matrix P for the optimum
+# c_6 of Shampine (1986), written exactly as in scipy's RK45 so that every
+# coefficient is the same correctly rounded quotient
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+               1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+_SAFETY = 0.9       # multiplies the asymptotic step-size estimate
+_MIN_FACTOR = 0.2   # largest decrease of the step in one rejection
+_MAX_FACTOR = 10    # largest increase of the step after an acceptance
+_ERROR_EXPONENT = -1 / (4 + 1)   # the error estimator is of order 4
 
 
 @dataclass(frozen=True)
@@ -46,8 +84,16 @@ class IntegrationSettings:
     direction: str = FORWARD
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.rel_tol < MIN_REL_TOL:
+            raise ValueError(f"rel_tol must be at least {MIN_REL_TOL}, got {self.rel_tol}")
+        if self.h_init is not None and not 0.0 < self.h_init < math.inf:
+            raise ValueError(f"h_init must be finite and positive, got {self.h_init}")
+        if not self.h_max > 0.0:
+            raise ValueError(f"h_max must be positive, got {self.h_max}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.direction not in (FORWARD, BACKWARD):
@@ -157,6 +203,103 @@ def _immediate(ev: EventSpec, g0: float) -> bool:
     return g0 == 0.0
 
 
+class DenseStep:
+    """Interpolant of one accepted step, polynomial in x = (t - t_old) / h.
+
+    ``Q`` holds the coefficients of x, x^2, x^3, x^4 of each component, so
+    the value at t is ``y_old + h * Q @ (x, x^2, x^3, x^4)``.
+    """
+
+    __slots__ = ("t_old", "h", "Q", "y_old")
+
+    def __init__(self, t_old, t, y_old: np.ndarray, K: np.ndarray):
+        self.t_old = t_old
+        self.h = t - t_old
+        self.Q = K.T.dot(_P)
+        self.y_old = y_old
+
+    def __call__(self, t) -> np.ndarray:
+        x = (t - self.t_old) / self.h
+        p = np.cumprod(np.tile(x, self.Q.shape[1]))
+        y = self.h * np.dot(self.Q, p)
+        y += self.y_old
+        return y
+
+    def derivative(self, t) -> np.ndarray:
+        """d/dt of the interpolant; exact, since it is a polynomial in x."""
+        x = (t - self.t_old) / self.h
+        k = np.arange(self.Q.shape[1])
+        return self.Q @ ((k + 1) * x ** k)
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, f0, direction, h_max, rtol, atol):
+    """Starting step size from the local scales of y and its derivatives
+    (Hairer-Norsett-Wanner I, Sec. II.4)."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    return min(100 * h0, h1, h_max)
+
+
+def _rk_step(fun, t, y, f, h, K):
+    """One Dormand-Prince step of size h; the stages are left in K."""
+    K[0] = f
+    for s in range(1, len(_C)):
+        dy = np.dot(K[:s].T, _A[s, :s]) * h
+        K[s] = fun(t + _C[s] * h, y + dy)
+    y_new = y + h * np.dot(K[:-1].T, _B)
+    f_new = fun(t + h, y_new)
+    K[-1] = f_new
+    return y_new, f_new
+
+
+def _accepted_step(fun, t, y, f, h_abs, direction, h_max, rtol, atol, K):
+    """Retry from (t, y) until the error estimate is accepted.
+
+    Returns (t_new, y_new, f_new, next h_abs); the stages of the accepted
+    step are left in K.
+    """
+    min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+    h_abs = min(max(h_abs, min_step), h_max)
+    rejected = False
+    while True:
+        if h_abs < min_step:
+            raise StepUnderflow(
+                f"step controller failed: required step {h_abs} is below "
+                f"the spacing of floating-point numbers at xi={t}")
+        t_new = t + h_abs * direction
+        h = t_new - t
+        h_abs = np.abs(h)
+        y_new, f_new = _rk_step(fun, t, y, f, h, K)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error_norm = _rms(np.dot(K.T, _E) * h / scale)
+        if error_norm < 1:
+            if error_norm == 0:
+                factor = _MAX_FACTOR
+            else:
+                factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            if rejected:
+                factor = min(1, factor)
+            return t_new, y_new, f_new, h_abs * factor
+        h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        rejected = True
+
+
 def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
               start,
               settings: IntegrationSettings = IntegrationSettings(),
@@ -183,9 +326,10 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
     Raises
     ------
     NonFinite
-        If the field returns NaN or infinity.
+        If the field returns NaN or infinity, or the start point is not finite.
     StepUnderflow
-        If the error controller drives the step below 1e-14 * (1 + |xi|).
+        If the error controller drives the step below 1e-14 * (1 + |xi|), or
+        a rejected step below ten spacings of the floating-point numbers at xi.
     """
     y0 = start.as_array() if isinstance(start, PhasePoint) else np.asarray(start, float)
 
@@ -196,7 +340,7 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         return out
 
     fun(0.0, y0)  # reject fields that are non-finite at the start
-    sign = 1.0 if settings.direction == FORWARD else -1.0
+    direction = np.float64(1.0 if settings.direction == FORWARD else -1.0)
 
     # events already satisfied at the start trigger immediately
     g_prev = {}
@@ -208,10 +352,17 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
                                      event=Event(ev.kind, 0.0, pt), n_steps=0)
         g_prev[id(ev)] = g0
 
-    solver = RK45(fun, 0.0, y0, t_bound=sign * _T_BOUND,
-                  max_step=settings.h_max, rtol=settings.rel_tol,
-                  atol=settings.abs_tol,
-                  first_step=settings.h_init)
+    if not np.all(np.isfinite(y0)):
+        raise NonFinite(f"start point {y0} is not finite")
+    rtol = settings.rel_tol
+    atol = np.asarray(settings.abs_tol)
+    t, y = 0.0, y0
+    f = fun(t, y)
+    if settings.h_init is None:
+        h_abs = _initial_step(fun, t, y, f, direction, settings.h_max, rtol, atol)
+    else:
+        h_abs = settings.h_init
+    K = np.empty((len(_C) + 1, y0.size))
     xs = [0.0]
     ys = [y0.copy()]
     segments = []
@@ -231,24 +382,21 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         ys.append(np.asarray(y_hi, dtype=float))
 
     while n_steps < settings.max_steps:
-        msg = solver.step()
-        if solver.status == "failed":
-            raise StepUnderflow(f"step controller failed: {msg}")
+        t_old, y_old = t, y
+        t, y, f, h_abs = _accepted_step(fun, t, y, f, h_abs, direction,
+                                        settings.h_max, rtol, atol, K)
         n_steps += 1
-        t_old = solver.t_old
-        t_new = solver.t
-        y_new = solver.y
-        if abs(t_new - t_old) < _MIN_STEP_FACTOR * (1.0 + abs(t_new)):
+        if abs(t - t_old) < _MIN_STEP_FACTOR * (1.0 + abs(t)):
             raise StepUnderflow(
-                f"step size {abs(t_new - t_old)} below floor at xi={t_new}")
-        seg = solver.dense_output()
-        segments.append((t_old, t_new, seg))
+                f"step size {abs(t - t_old)} below floor at xi={t}")
+        seg = DenseStep(t_old, t, y_old, K)
+        segments.append((t_old, t, seg))
 
         triggered = []
         for ev in events:
-            g_new = float(ev.fn(t_new, y_new))
+            g_new = float(ev.fn(t, y))
             if _crossed(g_prev[id(ev)], g_new, ev.direction):
-                t_ev = _bisect_event(ev, seg, t_old, t_new, g_prev[id(ev)])
+                t_ev = _bisect_event(ev, seg, t_old, t, g_prev[id(ev)])
                 triggered.append((abs(t_ev - t_old), t_ev, ev))
             g_prev[id(ev)] = g_new
         if triggered:
@@ -260,9 +408,7 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
             return IntegrationResult(xi=np.asarray(xs), points=np.vstack(ys),
                                      event=Event(ev.kind, t_ev, pt),
                                      n_steps=n_steps, segments=segments)
-        emit(seg, t_old, t_new, y_new)
-        if solver.status == "finished":
-            break
+        emit(seg, t_old, t, y)
 
     y_last = ys[-1]
     pt = PhasePoint(float(y_last[0]), float(y_last[1]))

@@ -31,13 +31,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, LayerError, OutOfRange, TraceFailed, UnexpectedTerminal
-from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
-                         THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationSettings,
-                         component_crosses, integrate, near_equilibrium,
-                         theta_crosses_zero, u_crosses_zero)
+from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, MIN_REL_TOL,
+                         NEAR_EQUILIBRIUM, THETA_CROSSES_ZERO, U_CROSSES_ZERO,
+                         IntegrationSettings, component_crosses, integrate,
+                         near_equilibrium, theta_crosses_zero, u_crosses_zero)
 from .linearize import EigenPair, TransonicFrame
 from .system import PhasePoint, Region, SystemData, phase_field, region_contains
 
@@ -67,6 +66,75 @@ class TraceOptions:
     max_steps: int = 200_000
     sample_cap: float = 2e-3              # * scale, max emitted spacing
     thin_spacing: float = 1e-5            # * scale, min kept spacing
+
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "sample_cap", "thin_spacing"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.rel_tol < MIN_REL_TOL:
+            raise ValueError(f"rel_tol must be at least {MIN_REL_TOL}, got {self.rel_tol}")
+        if self.seed_offset is not None and not 0.0 < self.seed_offset < math.inf:
+            raise ValueError(
+                f"seed_offset must be finite and positive, got {self.seed_offset}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+
+
+def _edge_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, clipped to keep the data's shape."""
+    d = ((2*h0 + h1)*m0 - h0*m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.*abs(m0):
+        return 3.*m0
+    return d
+
+
+class Pchip:
+    """Monotone piecewise-cubic interpolant through strictly increasing knots.
+
+    Fritsch-Carlson slopes (SIAM J. Numer. Anal. 17 (1980)): zero at a local
+    extremum or flat segment, otherwise the weighted harmonic mean of the
+    neighbouring secants, with shape-preserving one-sided end slopes.  The
+    slopes, the power-form coefficients and the evaluation repeat the
+    floating-point operations of scipy's ``PchipInterpolator(x, y,
+    extrapolate=False)`` in the same order, so the values agree with it bit
+    for bit.  Outside [x[0], x[-1]] the value is NaN.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        hk = x[1:] - x[:-1]
+        mk = (y[1:] - y[:-1]) / hk
+        d = np.zeros_like(y)
+        if len(x) == 2:
+            d[0] = d[1] = mk[0]
+        else:
+            smk = np.sign(mk)
+            flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+            w1 = 2*hk[1:] + hk[:-1]
+            w2 = hk[1:] + 2*hk[:-1]
+            # the divisions by zero fall on flat knots, whose slope stays 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1/mk[:-1] + w2/mk[1:]) / (w1 + w2)
+            d[1:-1][~flat] = 1.0 / whmean[~flat]
+            d[0] = _edge_slope(hk[0], hk[1], mk[0], mk[1])
+            d[-1] = _edge_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+        t = (d[:-1] + d[1:] - 2 * mk) / hk
+        self.x = x
+        # coefficients of s^3, s^2, s, 1 on each interval, s = q - x[i]
+        self.c = np.stack((t / hk, (mk - d[:-1]) / hk - t, d[:-1], y[:-1]))
+
+    def __call__(self, q: float) -> float:
+        x = self.x
+        if not x[0] <= q <= x[-1]:
+            return math.nan
+        i = min(int(np.searchsorted(x, q, side="right")) - 1, len(x) - 2)
+        s = q - x[i]
+        c0, c1, c2, c3 = self.c[:, i]
+        return ((c3 + c2*s) + c1*(s*s)) + c0*((s*s)*s)
 
 
 @dataclass(frozen=True)
@@ -129,7 +197,7 @@ class Curve:
         if self._interp is None:
             x = self.params[::-1]
             y = self.values[::-1]
-            self._interp = PchipInterpolator(x, y, extrapolate=False)
+            self._interp = Pchip(x, y)
         return self._interp
 
     def _gap_value(self, q: float) -> float:

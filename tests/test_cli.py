@@ -1,14 +1,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import inflow_layer
 from inflow_layer.cli import main, load_config_file, run_sweep
 from inflow_layer.errors import ConfigError
-from inflow_layer.gas import GasParams
+from inflow_layer.gas import GasParams, classify_regime
 
 SUBSONIC = ["--gamma", "1.4", "--R", "1", "--mu", "1", "--kappa", "1",
             "--v-plus", "1", "--u-plus", "1", "--theta-plus", "1"]
@@ -215,9 +220,50 @@ class TestSweep:
         assert kinds == ["hit_theta_axis", "hit_theta_axis",
                          "converged_to_s2", "converged_to_s2"]
 
+    def test_tol_mach_sets_the_regime(self, tmp_path, capsys):
+        # M+ = 0.97 lies inside the transonic band of half-width 0.05, so no
+        # row is subsonic and no gamma2 is traced
+        rc = main(["sweep", "--gamma", "1.4", "--R", "1", "--mu", "1",
+                   "--kappa", "1", "--v-plus", "1", "--theta-plus", "1",
+                   "--tol-mach", "0.05", "--mach-min", "0.97", "--mach-max", "1.03",
+                   "--mach-points", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for r in rows:
+            assert r["regime"] == classify_regime(float(r["mach_plus"]), 0.05).tag
+            assert r["gamma2_terminal"] == ""
+        assert {r["regime"] for r in rows} == {"transonic"}
+
     def test_invalid_range(self, capsys):
         rc = main(["sweep", "--gamma", "1.4", "--R", "1", "--mu", "1",
                    "--kappa", "1", "--v-plus", "1", "--theta-plus", "1",
                    "--mach-min", "1.2", "--mach-max", "0.4",
                    "--mach-points", "5"])
         assert rc == 1
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # the CLI's cold start pays for every module it imports; scipy is a test
+    # dependency only, and no command may pull it in, even when installed
+    src = str(Path(inflow_layer.__file__).resolve().parents[1])
+    argv = [*SUBSONIC, *_left(0.73, 0.73, 1.0928104313), "--out", str(tmp_path)]
+    code = (
+        "import sys, contextlib, io\n"
+        "import inflow_layer.cli as cli\n"
+        f"print({_SCIPY_MODULES})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main([cmd, *{argv!r}]) for cmd in ('profile', 'trace')]\n"
+        "print(codes)\n"
+        f"print({_SCIPY_MODULES})\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[0, 0]", "[]"]
+    assert (tmp_path / "profile.csv").is_file() and (tmp_path / "gamma1.csv").is_file()

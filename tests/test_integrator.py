@@ -18,6 +18,14 @@ def test_settings_validation():
         IntegrationSettings(max_steps=0)
     with pytest.raises(ValueError):
         IntegrationSettings(direction="sideways")
+    for bad in ({"rel_tol": math.nan}, {"rel_tol": math.inf}, {"abs_tol": math.nan},
+                {"abs_tol": math.inf}, {"abs_tol": 0.0}, {"rel_tol": 1e-15},
+                {"h_init": 0.0}, {"h_init": -0.1}, {"h_init": math.nan},
+                {"h_max": 0.0}, {"h_max": -1.0}, {"h_max": math.nan}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            IntegrationSettings(**bad)
+    # the smallest relative tolerance the error estimate can resolve is accepted
+    IntegrationSettings(rel_tol=100 * np.finfo(float).eps, h_init=1e-3, h_max=math.inf)
 
 
 def test_constant_field_hits_budget():

@@ -190,6 +190,23 @@ def test_budget_terminal_reported(label, s_sub, s_trans):
     assert c.terminal == TERMINAL_BUDGET
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rel_tol", 0.0), ("rel_tol", -1e-10), ("rel_tol", math.nan), ("rel_tol", math.inf),
+    ("rel_tol", 1e-16),
+    ("abs_tol", 0.0), ("abs_tol", math.nan), ("abs_tol", math.inf),
+    ("sample_cap", 0.0), ("sample_cap", -2e-3), ("sample_cap", math.nan),
+    ("thin_spacing", 0.0), ("thin_spacing", math.inf),
+    ("seed_offset", -1e-6), ("seed_offset", 0.0), ("seed_offset", math.nan),
+    ("seed_offset", math.inf),
+    ("max_steps", 0), ("max_steps", -5),
+])
+def test_trace_options_rejected_at_construction(field, value):
+    # each of these used to fail late, inside tracing, with a bare
+    # ValueError or a misleading TraceFailed
+    with pytest.raises(ValueError, match=field):
+        TraceOptions(**{field: value})
+
+
 class TestMembership:
     def test_stored_samples_are_members(self, subsonic_curves):
         for label in ("gamma1", "gamma2"):
