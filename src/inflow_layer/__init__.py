@@ -10,23 +10,21 @@ verifies the layer profile.
 from .engine import (DecayReport, ExistenceEngine, Profile, Query, Tolerances,
                      Verdict, compute_profile, decide, export_profile_csv,
                      verdict_to_dict, verify_decay, verify_residual)
-from .errors import (ConfigError, DefectiveMatrix, DomainError, FitAmbiguous,
-                     InvalidBoundary, LayerError, NewtonDiverged, NonFinite,
-                     OutOfRange, ProfileDiverged, StepUnderflow, TailTooShort,
-                     TraceFailed, UnexpectedTerminal)
+from .errors import (ConfigError, DefectiveMatrix, DomainError, InvalidBoundary,
+                     LayerError, NonFinite, OutOfRange, ProfileDiverged,
+                     StepUnderflow, TailTooShort, TraceFailed,
+                     UnexpectedTerminal)
 from .gas import (EndState, FluxCheck, GasParams, Regime, check_flux_condition,
                   classify_regime, mach, pressure, sound_speed)
 from .integrator import (Event, EventSpec, IntegrationResult,
                          IntegrationSettings, component_crosses, integrate,
                          left_region, near_equilibrium, theta_crosses_zero,
                          u_crosses_zero)
-from .linearize import (DegenerateClass, DegenerateKind, EigenPair,
-                        TangentLine, TransonicFrame, classify_degenerate,
-                        eigen_2x2, from_w, tangent_line, to_w, transonic_frame)
+from .linearize import EigenPair, TransonicFrame, eigen_2x2, transonic_frame
 from .portrait import render_portrait
 from .system import (PhasePoint, Region, SystemData, build_system, field_exact,
                      field_poly, jacobian, nullcline_h1, nullcline_h2,
-                     phase_field, region_contains, rhs_exact, rhs_poly)
+                     phase_field, region_contains)
 from .tracer import (Curve, Membership, TraceOptions, curve_membership,
                      export_curve_csv, export_curve_json, trace_gamma,
                      trace_sigma)

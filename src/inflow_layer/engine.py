@@ -11,10 +11,10 @@ the profile is computed by the same stable backward integration used for
 tracing: start within 1e-10 * scale of S1 on the incoming direction,
 integrate backward until the boundary parameter is crossed, then reverse
 and re-base xi to zero at the boundary.  In the sonic regime the innermost
-algebraic stretch is covered by quadrature of the one-dimensional flow
-restricted to the cubic invariant-manifold graph W2 = c2 W1^2 + c3 W1^3
-(closed-form coefficients, geometric error O(|W1|^4)), which is the only
-numerically stable way to resolve the 1/xi tail.
+algebraic stretch rides the invariant-manifold graph at S1: its points,
+reduced velocity and Gauss-Legendre flight times all come from
+``TransonicFrame``, and quadrature is the only numerically stable way to
+resolve the 1/xi tail.
 """
 
 from __future__ import annotations
@@ -48,29 +48,6 @@ REASON_TRUNCATED = "curve_truncated"
 CURVE_TRIVIAL = "trivial"
 
 _TRIVIAL_RTOL = 1e-12
-
-# 20-node Gauss-Legendre rule on [-1, 1] for the panels of the sonic inner
-# leg, as computed by scipy.special.roots_legendre(20); numpy's leggauss
-# weights differ in the last bits, which would move the profile's xi
-_GL_NODES = np.array([
-    -0.9931285991850949, -0.9639719272779137, -0.912234428251326,
-    -0.8391169718222189, -0.7463319064601508, -0.6360536807265149,
-    -0.510867001950827, -0.37370608871541955, -0.22778585114164504,
-    -0.0765265211334973, 0.0765265211334973, 0.22778585114164504,
-    0.37370608871541955, 0.510867001950827, 0.6360536807265149,
-    0.7463319064601508, 0.8391169718222189, 0.912234428251326,
-    0.9639719272779137, 0.9931285991850949,
-])
-_GL_WEIGHTS = np.array([
-    0.017614007139152687, 0.04060142980038748, 0.06267204833410933,
-    0.08327674157670427, 0.10193011981724026, 0.11819453196151841,
-    0.13168863844917644, 0.14209610931838176, 0.1491729864726036,
-    0.1527533871307256, 0.1527533871307256, 0.1491729864726036,
-    0.14209610931838176, 0.13168863844917644, 0.11819453196151841,
-    0.10193011981724026, 0.08327674157670427, 0.06267204833410933,
-    0.04060142980038748, 0.017614007139152687,
-])
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -346,33 +323,23 @@ class ExistenceEngine:
         if du_boundary > 1.2 * y_switch:
             w1_start = frame.w1_from_du(-y_switch)
             xi, pts, segments, t_ev = self._backward_leg(
-                q, s, frame.graph_point(w1_start), 0)
+                q, s, frame.points(w1_start), 0)
         else:
             w1_start = frame.w1_from_du(-du_boundary)
-            p0 = frame.graph_point(w1_start)
-            self._landing_check(q, p0, 0)
+            pts = frame.points(w1_start)[None, :]
+            self._landing_check(q, PhasePoint(*pts[0]), 0)
             xi = np.array([0.0])
-            pts = p0.as_array()[None, :]
 
         # inner leg: quadrature of the center flow restricted to the local
-        # invariant-manifold graph, from the handoff down to ~1e-10 of S1;
-        # each panel [a, b] is (b - a)/2 * sum(weight / speed) over its nodes
+        # invariant-manifold graph, from the handoff down to ~1e-10 of S1
         n_dec = math.log10(abs(w1_start) / w_stop)
         n_pts = max(60, int(round(n_dec * 16)) + 1)
         w_grid = -np.geomspace(abs(w1_start), w_stop, n_pts)
-        a = w_grid[:-1, None]
-        b = w_grid[1:, None]
-        nodes = (b - a) * (_GL_NODES + 1) / 2.0 + a
-        dxi = (b - a)[:, 0] / 2.0 * np.sum(
-            _GL_WEIGHTS * (1.0 / frame.reduced_field(nodes)), axis=-1)
         # the first grid point coincides with the handoff sample
-        xi_inner = np.cumsum(np.concatenate([xi[-1:], dxi]))[1:]
-        inner_pts = np.array([frame.graph_point(w1).as_array() for w1 in w_grid[1:]])
-        w1dot = frame.reduced_field(w_grid[1:])
-        slope = frame.manifold_slope(w_grid[1:])
+        xi_inner = np.cumsum(np.concatenate([xi[-1:], frame.flight_times(w_grid)]))[1:]
+        inner_pts = frame.points(w_grid[1:])
         reduced_records = list(zip(inner_pts[:, 0], inner_pts[:, 1],
-                                   w1dot * (1.0 + slope),
-                                   w1dot * (frame.m1 + slope * frame.m2)))
+                                   *frame.velocity(w_grid[1:])))
         return _profile(s, np.concatenate([xi, xi_inner]), np.vstack([pts, inner_pts]),
                         curve.label, segments=segments, t_shift=t_ev,
                         reduced_records=reduced_records)

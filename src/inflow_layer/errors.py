@@ -17,14 +17,6 @@ class DefectiveMatrix(LayerError):
     """2x2 matrix has a repeated eigenvalue with a one-dimensional eigenspace."""
 
 
-class FitAmbiguous(LayerError):
-    """Leading-order fit did not resolve to an integer exponent."""
-
-
-class NewtonDiverged(LayerError):
-    """Implicit-function Newton solve failed to converge."""
-
-
 class StepUnderflow(LayerError):
     """Adaptive step controller drove the step size below the resolvable floor."""
 

@@ -147,9 +147,9 @@ def left_region(contains: Callable[[np.ndarray], bool]) -> EventSpec:
     return EventSpec(LEFT_REGION, lambda t, y: 1.0 if contains(y) else -1.0)
 
 
-def component_crosses(index: int, value: float, kind: str = COMPONENT_CROSSES) -> EventSpec:
+def component_crosses(index: int, value: float) -> EventSpec:
     """State component crosses a given value (either direction)."""
-    return EventSpec(kind, lambda t, y: y[index] - value, direction=0)
+    return EventSpec(COMPONENT_CROSSES, lambda t, y: y[index] - value, direction=0)
 
 
 @dataclass
@@ -339,7 +339,10 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
             raise NonFinite(f"field returned {out} at xi={t}, y={y}")
         return out
 
-    fun(0.0, y0)  # reject fields that are non-finite at the start
+    if not np.all(np.isfinite(y0)):
+        raise NonFinite(f"start point {y0} is not finite")
+    t, y = 0.0, y0
+    f = fun(t, y)  # also rejects fields that are non-finite at the start
     direction = np.float64(1.0 if settings.direction == FORWARD else -1.0)
 
     # events already satisfied at the start trigger immediately
@@ -352,12 +355,8 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
                                      event=Event(ev.kind, 0.0, pt), n_steps=0)
         g_prev[id(ev)] = g0
 
-    if not np.all(np.isfinite(y0)):
-        raise NonFinite(f"start point {y0} is not finite")
     rtol = settings.rel_tol
     atol = np.asarray(settings.abs_tol)
-    t, y = 0.0, y0
-    f = fun(t, y)
     if settings.h_init is None:
         h_abs = _initial_step(fun, t, y, f, direction, settings.h_max, rtol, atol)
     else:

@@ -1,20 +1,44 @@
-"""Analytic 2x2 eigen-analysis, the transonic change of frame, tangent
-lines at the far-field equilibrium, and a numerical classifier for
-degenerate (one zero eigenvalue) planar equilibria.
+"""Analytic 2x2 eigen-analysis and the geometry at a sonic far field.
+
+``TransonicFrame`` is the one home of the invariant-manifold graph at the
+saddle-node S1: its points, the phase velocity along it, and the
+Gauss-Legendre flight times of the reduced one-dimensional flow.  The
+sigma trace, the sonic profile's inner leg and handoff point, and sigma's
+curve value next to S1 all read the graph through it.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import DefectiveMatrix, DomainError, FitAmbiguous, NewtonDiverged
+from .errors import DefectiveMatrix, DomainError
 from .gas import TOL_MACH
-from .system import PhasePoint, SystemData, field_nonlinear
+from .system import SystemData, field_nonlinear
+
+# 20-node Gauss-Legendre rule on [-1, 1] for the panels of the sonic inner
+# leg, as computed by scipy.special.roots_legendre(20); numpy's leggauss
+# weights differ in the last bits, which would move the profile's xi
+_GL_NODES = np.array([
+    -0.9931285991850949, -0.9639719272779137, -0.912234428251326,
+    -0.8391169718222189, -0.7463319064601508, -0.6360536807265149,
+    -0.510867001950827, -0.37370608871541955, -0.22778585114164504,
+    -0.0765265211334973, 0.0765265211334973, 0.22778585114164504,
+    0.37370608871541955, 0.510867001950827, 0.6360536807265149,
+    0.7463319064601508, 0.8391169718222189, 0.912234428251326,
+    0.9639719272779137, 0.9931285991850949,
+])
+_GL_WEIGHTS = np.array([
+    0.017614007139152687, 0.04060142980038748, 0.06267204833410933,
+    0.08327674157670427, 0.10193011981724026, 0.11819453196151841,
+    0.13168863844917644, 0.14209610931838176, 0.1491729864726036,
+    0.1527533871307256, 0.1527533871307256, 0.1491729864726036,
+    0.14209610931838176, 0.13168863844917644, 0.11819453196151841,
+    0.10193011981724026, 0.08327674157670427, 0.06267204833410933,
+    0.04060142980038748, 0.017614007139152687,
+])
 
 
 def _normalize_direction(v: np.ndarray) -> np.ndarray:
@@ -109,12 +133,13 @@ class TransonicFrame:
     """Diagonalizing frame at S1 in the sonic (Mach 1) regime.
 
     P has the eigenvectors (1, m1) and (1, m2) as columns, where m1 is the
-    slope of the zero-eigenvalue direction and m2 that of the expanding
-    direction with rate lambda2 > 0.  W-coordinates are defined by
-    W = P^{-1} (u - u+, theta - theta+).  a2 is the quadratic coefficient of
-    the center-direction dynamics W1' = a2 W1^2 + O(W1^3), and manifold_c2,
-    manifold_c3 the coefficients of the local invariant-manifold graph
-    W2 = manifold_c2 * W1^2 + manifold_c3 * W1^3 + O(W1^4).
+    slope of the zero-eigenvalue direction (sigma's tangent at S1) and m2
+    that of the expanding direction with rate lambda2 > 0.  W-coordinates
+    are defined by W = P^{-1} (u - u+, theta - theta+).  a2 is the quadratic
+    coefficient of the center-direction dynamics W1' = a2 W1^2 + O(W1^3),
+    and manifold_c2, manifold_c3 the coefficients of the local
+    invariant-manifold graph W2 = manifold_c2 * W1^2 + manifold_c3 * W1^3 +
+    O(W1^4).
     """
 
     lambda2: float
@@ -154,10 +179,6 @@ class TransonicFrame:
         w1 = np.asarray(w1, dtype=float)
         return (2.0 * self.manifold_c2 + 3.0 * self.manifold_c3 * w1) * w1
 
-    def graph_point(self, w1: float) -> PhasePoint:
-        """Phase point on the manifold graph at center coordinate w1."""
-        return from_w((w1, self.manifold_graph(w1)), self, self._sys)
-
     def w1_from_du(self, du: float) -> float:
         """Solve du = w1 + graph(w1) for the small root near w1 = du."""
         w1 = du
@@ -165,10 +186,41 @@ class TransonicFrame:
             w1 = du - float(self.manifold_graph(w1))
         return w1
 
-    def reduced_field(self, w1):
-        """Center-direction speed along the invariant-manifold graph."""
+    def points(self, w1) -> np.ndarray:
+        """Phase points (u, theta) on the graph at center coordinates w1.
+
+        Rows of shape (..., 2): (u+ + (w1 + h), theta+ + (m1 w1 + m2 h))
+        with h the graph's W2, i.e. S1 + P (w1, h).
+        """
         w1 = np.asarray(w1, dtype=float)
+        h = self.manifold_graph(w1)
+        s = self._sys
+        return np.stack([s.u_plus + (w1 + h),
+                         s.theta_plus + (self.m1 * w1 + self.m2 * h)], axis=-1)
+
+    def _speed(self, w1):
+        """Center-direction speed W1' of the flow restricted to the graph."""
         return self.g1(w1, self.manifold_graph(w1))
+
+    def velocity(self, w1):
+        """Phase velocity (U', Theta') of the reduced flow along the graph."""
+        w1 = np.asarray(w1, dtype=float)
+        w1dot = self._speed(w1)
+        slope = self.manifold_slope(w1)
+        return w1dot * (1.0 + slope), w1dot * (self.m1 + slope * self.m2)
+
+    def flight_times(self, w_grid) -> np.ndarray:
+        """Time of flight of the reduced flow across each panel of ``w_grid``.
+
+        Each panel [a, b] is (b - a)/2 * sum(weight / speed) over the
+        20 Gauss-Legendre nodes mapped into it.
+        """
+        w_grid = np.asarray(w_grid, dtype=float)
+        a = w_grid[:-1, None]
+        b = w_grid[1:, None]
+        nodes = (b - a) * (_GL_NODES + 1) / 2.0 + a
+        return (b - a)[:, 0] / 2.0 * np.sum(
+            _GL_WEIGHTS * (1.0 / self._speed(nodes)), axis=-1)
 
 
 def transonic_frame(s: SystemData, tol_M: float = TOL_MACH) -> TransonicFrame:
@@ -202,174 +254,3 @@ def transonic_frame(s: SystemData, tol_M: float = TOL_MACH) -> TransonicFrame:
     return TransonicFrame(lambda2=lam2, a2=a2, m1=m1, m2=m2, det_P=det_p,
                           P=P, P_inv=P_inv, manifold_c2=c2, manifold_c3=c3,
                           _sys=s)
-
-
-def to_w(p: PhasePoint, f: TransonicFrame, s: SystemData) -> np.ndarray:
-    """Map a phase point to W-coordinates."""
-    return f.P_inv @ np.array([p.u - s.u_plus, p.theta - s.theta_plus])
-
-
-def from_w(w, f: TransonicFrame, s: SystemData) -> PhasePoint:
-    """Map W-coordinates back to the phase plane."""
-    d = f.P @ np.asarray(w, dtype=float)
-    return PhasePoint(s.u_plus + d[0], s.theta_plus + d[1])
-
-
-class DegenerateKind(enum.Enum):
-    UNSTABLE_NODE = "unstable_node"
-    SADDLE = "saddle"
-    SADDLE_NODE_NEG_AXIS = "saddle_node_neg_axis"
-    SADDLE_NODE_POS_AXIS = "saddle_node_pos_axis"
-
-
-@dataclass(frozen=True)
-class DegenerateClass:
-    """Classification of x' = g1(x, y), y' = lam y + g2(x, y) at the origin.
-
-    m is the leading order of psi(x) = g1(x, phi(x)) where lam phi + g2(x,
-    phi) = 0, and a_m its leading coefficient.  Odd m gives an unstable node
-    (a_m > 0) or a saddle (a_m < 0); even m gives a saddle-node whose unique
-    incoming orbit is tangent to the negative half x-axis when a_m > 0 and
-    to the positive half when a_m < 0.
-    """
-
-    m: int
-    a_m: float
-    kind: DegenerateKind
-
-
-def _solve_phi(g2: Callable[[float, float], float], lam: float, x: float,
-               tol: float, max_iter: int = 60) -> float:
-    """Damped Newton solve of lam*phi + g2(x, phi) = 0 at fixed x."""
-    y = -float(g2(x, 0.0)) / lam
-    scale = max(abs(lam) * max(abs(y), x * x), 1e-30)
-
-    def resid(yy: float) -> float:
-        return lam * yy + float(g2(x, yy))
-
-    r = resid(y)
-    for _ in range(max_iter):
-        if abs(r) <= tol * scale:
-            return y
-        dy = 1e-7 * (1.0 + abs(y))
-        slope = (resid(y + dy) - resid(y - dy)) / (2.0 * dy)
-        if slope == 0.0:
-            break
-        step = -r / slope
-        alpha = 1.0
-        for _ in range(50):
-            y_new = y + alpha * step
-            r_new = resid(y_new)
-            if abs(r_new) < abs(r):
-                y, r = y_new, r_new
-                break
-            alpha *= 0.5
-        else:
-            break
-    if abs(r) <= tol * scale:
-        return y
-    raise NewtonDiverged(f"phi(x) solve stalled at x={x}, residual={r}")
-
-
-def classify_degenerate(g1: Callable[[float, float], float],
-                        g2: Callable[[float, float], float],
-                        lam: float,
-                        delta: float = 1e-2,
-                        newton_tol: float = 1e-13,
-                        points_per_branch: int = 25) -> DegenerateClass:
-    """Numerically classify a degenerate planar equilibrium at the origin.
-
-    The implicit graph phi(x) is solved by damped Newton on a log-spaced
-    grid x in +-[delta/100, delta]; psi(x) = g1(x, phi(x)) is then fitted by
-    log-log regression on each branch.  The integer leading order comes from
-    rounding the fitted exponent.
-
-    Raises
-    ------
-    FitAmbiguous
-        If a fitted exponent deviates from the common integer by more than
-        0.1, or the branch sign pattern contradicts its parity.
-    NewtonDiverged
-        If the implicit graph cannot be solved on the grid.
-    """
-    if lam <= 0.0:
-        raise DomainError(f"classifier requires lam > 0, got {lam}")
-    xs = np.geomspace(delta / 100.0, delta, points_per_branch)
-    branches = {}
-    for sign in (+1.0, -1.0):
-        psi = np.array([float(g1(sign * x, _solve_phi(g2, lam, sign * x, newton_tol)))
-                        for x in xs])
-        if np.any(psi == 0.0) or len(set(np.sign(psi))) != 1:
-            raise FitAmbiguous("psi changes sign or vanishes inside a branch")
-        slope, intercept = np.polyfit(np.log(xs), np.log(np.abs(psi)), 1)
-        branches[sign] = (slope, intercept, float(np.sign(psi[0])), psi)
-    m_est = 0.5 * (branches[1.0][0] + branches[-1.0][0])
-    m = int(round(m_est))
-    if m < 2:
-        raise FitAmbiguous(f"fitted leading order {m_est:.3f} below 2")
-    for sign in (+1.0, -1.0):
-        if abs(branches[sign][0] - m) > 0.1:
-            raise FitAmbiguous(
-                f"fitted exponent {branches[sign][0]:.4f} is not within 0.1 of {m}")
-    same_sign = branches[1.0][2] == branches[-1.0][2]
-    if same_sign != (m % 2 == 0):
-        raise FitAmbiguous("branch sign pattern contradicts fitted parity")
-    # amplitude from the lower decade, least contaminated by the next order
-    lower = xs <= delta / 10.0
-    psi_pos = branches[1.0][3]
-    log_a = float(np.mean(np.log(np.abs(psi_pos[lower])) - m * np.log(xs[lower])))
-    a_m = branches[1.0][2] * math.exp(log_a)
-    if m % 2 == 1:
-        kind = DegenerateKind.UNSTABLE_NODE if a_m > 0 else DegenerateKind.SADDLE
-    else:
-        kind = (DegenerateKind.SADDLE_NODE_NEG_AXIS if a_m > 0
-                else DegenerateKind.SADDLE_NODE_POS_AXIS)
-    return DegenerateClass(m=m, a_m=a_m, kind=kind)
-
-
-@dataclass(frozen=True)
-class TangentLine:
-    """Tangent line of the existence curves at S1.
-
-    Stored as coef_u * (u - u+) + coef_theta * (theta - theta+) = 0.  In the
-    sonic regime the relevant object is the half line u <= u+ (half_line
-    True); in the subsonic regime the full line.
-    """
-
-    coef_u: float
-    coef_theta: float
-    slope: float
-    half_line: bool
-    direction: np.ndarray
-
-    def theta_at(self, u, u_plus: float, theta_plus: float):
-        return theta_plus + self.slope * (np.asarray(u, dtype=float) - u_plus)
-
-
-def tangent_line(s: SystemData, eig=None, frame: TransonicFrame | None = None) -> TangentLine:
-    """Tangent line at S1 for the sonic or subsonic regime.
-
-    Pass the TransonicFrame in the sonic case; the EigenPair of the matrix A
-    in the subsonic case (its negative eigenvalue fixes the line).  The
-    supersonic regime has no incoming curve and is rejected.
-    """
-    if frame is not None:
-        coef_u = (s.gas.gamma - 1.0) * s.u_plus
-        coef_th = s.gas.R * s.gas.gamma
-        slope = -coef_u / coef_th
-        half = True
-    elif eig is not None:
-        if s.mach_plus >= 1.0 - TOL_MACH:
-            raise DomainError("subsonic tangent line requires M+ < 1")
-        lam2 = eig.lambda2
-        if lam2 >= 0.0:
-            raise DomainError("expected a negative eigenvalue in the subsonic regime")
-        coef_u = s.u_plus * s.u_plus
-        coef_th = s.m2g * s.gas.kappa * (s.A22 - lam2)
-        slope = -coef_u / coef_th
-        half = False
-    else:
-        raise DomainError("tangent line needs an eigen pair or a transonic frame")
-    direction = _normalize_direction(np.array([1.0, slope]))
-    return TangentLine(coef_u=coef_u, coef_theta=coef_th, slope=slope,
-                       half_line=half, direction=direction)

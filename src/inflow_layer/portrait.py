@@ -13,6 +13,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .errors import LayerError
+from .gas import TOL_MACH
 from .integrator import (BACKWARD, FORWARD, IntegrationSettings, integrate,
                          left_region)
 from .system import SystemData, nullcline_h1, nullcline_h2, phase_field
@@ -170,7 +171,7 @@ def render_portrait(s: SystemData, curves: dict[str, Curve],
     _, s1, s2 = s.equilibria()
     parts.append(_marker(frame, "O", 0.0, 0.0, "#000"))
     parts.append(_marker(frame, "S1", s1.u, s1.theta, "#c22"))
-    if abs(s.mach_plus - 1.0) > 1e-8:
+    if abs(s.mach_plus - 1.0) > TOL_MACH:
         parts.append(_marker(frame, "S2", s2.u, s2.theta, "#22c"))
     parts.append("</svg>")
     svg = "\n".join(p for p in parts if p)

@@ -180,18 +180,6 @@ def field_poly(u, theta, s: SystemData):
     return s.A11 * du + s.A12 * dth + f1, s.A21 * du + s.A22 * dth + f2
 
 
-def rhs_exact(p: PhasePoint, s: SystemData) -> tuple[float, float]:
-    """Phase velocity (U', Theta') at p from the rational form; needs p.u > 0."""
-    fu, fth = field_exact(p.u, p.theta, s)
-    return float(fu), float(fth)
-
-
-def rhs_poly(p: PhasePoint, s: SystemData) -> tuple[float, float]:
-    """Phase velocity (U', Theta') at p from the polynomial form."""
-    fu, fth = field_poly(p.u, p.theta, s)
-    return float(fu), float(fth)
-
-
 def jacobian(p: PhasePoint, s: SystemData) -> np.ndarray:
     """Exact Jacobian of the polynomial field at p.
 

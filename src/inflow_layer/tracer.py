@@ -12,11 +12,11 @@ In the sonic regime the approach to S1 is algebraic, not exponential: the
 backward orbit crawls along the center direction, and an explicit stepper
 (stability-limited transversally) would need ~1/(a2*eps) steps to escape a
 seed at distance eps.  The trace therefore bridges the innermost stretch
-analytically along the cubic invariant-manifold graph W2 = c2 W1^2 + c3 W1^3,
-whose coefficients come in closed form from the invariance equations
-(geometric error O(|W1|^4), far below the curve tolerances), and starts the
-integrator at the handoff distance ``SWITCH_OFFSET * scale``, where the crawl
-is affordable.
+analytically along the cubic invariant-manifold graph W2 = c2 W1^2 + c3 W1^3
+(``TransonicFrame.points``), whose coefficients come in closed form from the
+invariance equations (geometric error O(|W1|^4), far below the curve
+tolerances), and starts the integrator at the handoff distance
+``SWITCH_OFFSET * scale``, where the crawl is affordable.
 
 Sigma, gamma1 and gamma2 differ only in how they are seeded; the backward
 integration, terminal classification, thinning and validation are one body.
@@ -210,8 +210,7 @@ class Curve:
         s = self.system
         if self.frame is not None:
             f = self.frame
-            w1 = f.w1_from_du(q - s.u_plus)
-            return s.theta_plus + f.m1 * w1 + f.m2 * float(f.manifold_graph(w1))
+            return float(f.points(f.w1_from_du(q - s.u_plus))[1])
         slope = self.eig.e2[1] / self.eig.e2[0]
         if self.param_index == 0:
             return s.theta_plus + slope * (q - s.u_plus)
@@ -380,17 +379,14 @@ def trace_sigma(s: SystemData, f: TransonicFrame,
     w_seed = eps / math.hypot(1.0, f.m1)
     y_switch = SWITCH_OFFSET * scale
 
-    pts: list[np.ndarray] = [np.array([s.u_plus, s.theta_plus])]
-    times: list[float] = [math.inf]
-    ws = [w_seed]
+    ws = np.array([w_seed])
     if w_seed < y_switch:
         n_dec = math.log10(y_switch / w_seed)
         n_pts = max(2, int(round(n_dec * SLIDE_POINTS_PER_DECADE)) + 1)
         ws = np.geomspace(w_seed, y_switch, n_pts)
-    for w in ws:
-        pts.append(f.graph_point(-w).as_array())
-        # time-of-flight of the quadratic center flow, bookkeeping only
-        times.append((1.0 / w_seed - 1.0 / w) / f.a2)
+    pts = [np.array([s.u_plus, s.theta_plus]), *f.points(-ws)]
+    # time-of-flight of the quadratic center flow, bookkeeping only
+    times = [math.inf, *((1.0 / w_seed - 1.0 / ws) / f.a2)]
     return _trace(s, CURVE_SIGMA, pts, times, [u_crosses_zero()], opts, eps,
                   keep_radius=3.0 * y_switch, frame=f)
 

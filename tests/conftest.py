@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from inflow_layer import EndState, ExistenceEngine, GasParams, build_system
+
+# property tests draw the same examples on every run and keep no example
+# database, so a tier-1 run is reproducible and its cost fixed
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from inflow_layer import (DegenerateKind, EndState, GasParams, Query,
-                          build_system, classify_degenerate,
-                          classify_regime, eigen_2x2, field_exact,
-                          field_poly, nullcline_h2, rhs_poly, trace_gamma,
-                          trace_sigma, transonic_frame)
+from inflow_layer import (EndState, GasParams, Query, build_system,
+                          classify_regime, eigen_2x2, field_exact, field_poly,
+                          nullcline_h2, trace_gamma, trace_sigma,
+                          transonic_frame)
 from inflow_layer.cli import run_sweep
 from inflow_layer.engine import REASON_OFF_CURVE
 from inflow_layer.portrait import render_portrait
@@ -23,6 +22,7 @@ from inflow_layer.tracer import (CURVE_GAMMA1, CURVE_GAMMA2,
                                  TERMINAL_HIT_THETA_AXIS, TERMINAL_HIT_U_AXIS,
                                  TraceOptions)
 from conftest import random_system
+from degenerate import DegenerateKind, classify_degenerate
 
 LAMBDA_NEG = 0.3507810593582122     # |negative eigenvalue|, canonical subsonic
 A2 = 14.0 / 13.0                    # center-direction quadratic coefficient
@@ -84,7 +84,7 @@ def test_criterion_2_equilibria_and_sign_laws(rng):
     for _ in range(1000):
         s = random_system(rng)
         for p in s.equilibria():
-            fu, fth = rhs_poly(p, s)
+            fu, fth = field_poly(p.u, p.theta, s)
             mass = _equilibrium_term_mass(p, s)
             worst = max(worst, abs(fu) / mass, abs(fth) / mass)
         assert np.sign(s.det_A) == np.sign(s.mach_plus ** 2 - 1.0)

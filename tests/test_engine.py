@@ -70,6 +70,21 @@ class TestDecide:
         v = engine.decide(q)
         assert v.exists and v.curve == "sigma"
 
+    def test_sigma_gap_zone_point_exists(self, engine, gas, right_transonic,
+                                         transonic_curves):
+        # between S1 and the first seeded sample sigma is read off the
+        # manifold graph, so a point on that graph is a point on sigma
+        c = transonic_curves["sigma"]
+        du = 5e-7 * right_transonic.u
+        assert right_transonic.u - c.samples[1, 0] > du
+        u_b, th_b = (float(x) for x in c.frame.points(c.frame.w1_from_du(-du)))
+        assert c.predict(u_b) == pytest.approx(th_b, rel=0.0, abs=1e-15)
+        q = Query(EndState(u_b * right_transonic.v / right_transonic.u, u_b, th_b),
+                  right_transonic, gas)
+        v = engine.decide(q)
+        assert v.exists and v.curve == "sigma"
+        assert v.curve_parameter == u_b
+
     def test_perturbed_theta_off_curve(self, engine, gas, right_subsonic, subsonic_curves):
         c = subsonic_curves["gamma1"]
         base = _left_for(c, len(c.samples) // 2, right_subsonic)

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from inflow_layer import (DefectiveMatrix, DegenerateKind, DomainError, EndState,
-                          FitAmbiguous, GasParams, PhasePoint, build_system,
-                          classify_degenerate, eigen_2x2, from_w, rhs_poly,
-                          tangent_line, to_w, transonic_frame)
+from inflow_layer import (DefectiveMatrix, DomainError, EndState, GasParams,
+                          build_system, eigen_2x2, field_poly, transonic_frame)
 from conftest import random_system
+from degenerate import DegenerateKind, FitAmbiguous, classify_degenerate
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +97,6 @@ class TestTransonicFrame:
     def test_center_slope_equals_tangent_slope(self, frame, s_trans):
         expected = -0.4 * math.sqrt(1.4) / 1.4
         assert frame.m1 == pytest.approx(expected, rel=1e-14)
-        tl = tangent_line(s_trans, frame=frame)
-        assert tl.slope == pytest.approx(expected, rel=1e-14)
-        assert tl.half_line
 
     def test_manifold_coefficient_closed_form(self, frame, s_trans):
         up = s_trans.u_plus
@@ -134,22 +130,16 @@ class TestTransonicFrame:
 
 class TestWCoordinates:
     def test_s1_maps_to_origin(self, frame, s_trans):
-        w = to_w(s_trans.s1, frame, s_trans)
-        assert np.max(np.abs(w)) < 1e-15
-
-    def test_round_trip(self, frame, s_trans, rng):
-        for _ in range(100):
-            p = PhasePoint(rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
-            q = from_w(to_w(p, frame, s_trans), frame, s_trans)
-            assert q.u == pytest.approx(p.u, rel=1e-14)
-            assert q.theta == pytest.approx(p.theta, rel=1e-14)
+        # the graph passes through S1 at w1 = 0, and P_inv inverts P
+        assert tuple(frame.points(0.0)) == (s_trans.u_plus, s_trans.theta_plus)
+        assert np.max(np.abs(frame.P_inv @ frame.P - np.eye(2))) < 1e-15
 
     def test_pushforward_matches_w_equations(self, frame, s_trans, rng):
         # P^{-1} f(P w + S1) must equal (g1, lambda2 w2 + g2)
         for _ in range(100):
             w = rng.uniform(-0.15, 0.15, 2)
-            p = from_w(w, frame, s_trans)
-            lhs = frame.P_inv @ np.array(rhs_poly(p, s_trans))
+            u, theta = s_trans.s1.as_array() + frame.P @ w
+            lhs = frame.P_inv @ np.array(field_poly(u, theta, s_trans))
             rhs = np.array([frame.g1(w[0], w[1]),
                             frame.lambda2 * w[1] + frame.g2(w[0], w[1])])
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
@@ -202,32 +192,21 @@ class TestClassifyDegenerate:
 
 class TestTangentLine:
     def test_subsonic_slope(self, s_sub):
+        # the gamma branches leave S1 along the stable eigenvector e2
         eig = eigen_2x2(s_sub.matrix)
-        tl = tangent_line(s_sub, eig=eig)
-        assert tl.slope == pytest.approx(-1.0 / 2.8507810593582126, rel=1e-10)
-        assert not tl.half_line
+        assert eig.e2[1] / eig.e2[0] == pytest.approx(-1.0 / 2.8507810593582126, rel=1e-10)
 
     def test_subsonic_direction_is_stable_eigenvector(self, rng):
-        # the line's direction solves A d = lambda2 d
+        # the line's direction solves A d = lambda2 d, i.e. the closed-form
+        # slope -u+^2 / (m2g kappa (A22 - lambda2)) of the stable line
         for _ in range(50):
             s = random_system(rng, regime="subsonic")
             eig = eigen_2x2(s.matrix)
-            tl = tangent_line(s, eig=eig)
-            d = tl.direction
+            slope = -s.u_plus ** 2 / (s.m2g * s.gas.kappa * (s.A22 - eig.lambda2))
+            d = np.array([1.0, slope]) / math.hypot(1.0, slope)
             resid = s.matrix @ d - eig.lambda2 * d
             assert np.max(np.abs(resid)) < 1e-10 * max(1.0, float(np.max(np.abs(s.matrix))))
-
-    def test_theta_at(self, s_sub):
-        eig = eigen_2x2(s_sub.matrix)
-        tl = tangent_line(s_sub, eig=eig)
-        th = tl.theta_at(0.9, s_sub.u_plus, s_sub.theta_plus)
-        assert th == pytest.approx(1.0 + tl.slope * (-0.1), rel=1e-14)
-
-    def test_supersonic_rejected(self, gas, right_supersonic):
-        s = build_system(gas, right_supersonic)
-        eig = eigen_2x2(s.matrix)
-        with pytest.raises(DomainError):
-            tangent_line(s, eig=eig)
+            assert eig.e2[1] / eig.e2[0] == pytest.approx(slope, rel=1e-9)
 
 
 class TestRegimeEigenPatterns:

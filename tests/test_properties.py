@@ -1,0 +1,124 @@
+"""Properties of the decision procedure over random gas, far-field and
+boundary data, under the derandomised ``tier1`` profile of conftest.py.
+
+The far fields leave out stiff equilibria at S1, where one trace costs
+seconds, not because an answer there is wrong: a subsonic saddle with
+lambda1 > STIFF_SADDLE * |lambda2|, whose branches crawl at rate |lambda2|
+with steps capped by lambda1, and a sonic saddle-node with lambda2 >
+STIFF_SADDLE_NODE * a2 * scale, whose sigma crawls from the fixed manifold
+handoff in about lambda2 / (a2 * SWITCH_OFFSET * scale) steps.
+"""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from inflow_layer import (EndState, ExistenceEngine, GasParams, LayerError,
+                          Query, build_system, eigen_2x2, transonic_frame,
+                          verdict_to_dict)
+
+STIFF_SADDLE = 200.0          # the canonical gas at M+ = 0.99 has 153
+STIFF_SADDLE_NODE = 20.0
+
+
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda x: 10.0 ** x)
+
+
+gases = st.builds(GasParams, gamma=st.floats(1.05, 2.2), R=_log_uniform(-1.0, 1.0),
+                  mu=_log_uniform(-1.0, 1.0), kappa=_log_uniform(-1.0, 1.0))
+
+
+@st.composite
+def far_fields(draw, machs):
+    """(gas, far field) at a Mach number drawn from ``machs``."""
+    gas = draw(gases)
+    theta = draw(_log_uniform(-0.7, 0.7))
+    v = draw(_log_uniform(-0.7, 0.7))
+    mach = draw(machs)
+    right = EndState(v, mach * math.sqrt(gas.R * gas.gamma * theta), theta)
+    s = build_system(gas, right)
+    if mach == 1.0:
+        f = transonic_frame(s)
+        assume(f.lambda2 <= STIFF_SADDLE_NODE * f.a2 * s.scale)
+    elif mach < 1.0:
+        eig = eigen_2x2(s.matrix)
+        assume(eig.lambda1 <= STIFF_SADDLE * -eig.lambda2)
+    return gas, right
+
+
+layer_machs = st.one_of(st.floats(0.05, 0.99), st.just(1.0))
+any_machs = st.one_of(layer_machs, st.floats(1.05, 3.0))
+
+
+@st.composite
+def boundaries(draw, right: EndState):
+    """Boundary data around the far field, flux-compatible or not."""
+    u = draw(st.floats(0.01, 2.0)) * right.u
+    theta = draw(st.floats(0.01, 3.0)) * right.theta
+    matched = u * right.v / right.u
+    v = draw(st.one_of(st.just(matched), st.floats(0.5, 2.0).map(lambda f: f * matched)))
+    return EndState(v, u, theta)
+
+
+def _on_curve(draw, curves: dict, right: EndState):
+    """A curve label and a flux-compatible boundary state on one of its samples."""
+    label = draw(st.sampled_from(sorted(curves)))
+    samples = curves[label].samples
+    # neither S1 (the trivial layer) nor the terminal point on an axis
+    i = draw(st.integers(1, len(samples) - 2))
+    u, theta = (float(x) for x in samples[i])
+    return label, EndState(u * right.v / right.u, u, theta)
+
+
+def _decision(engine: ExistenceEngine, q: Query):
+    try:
+        return verdict_to_dict(engine.decide(q))
+    except LayerError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_decide_raises_only_layer_errors_and_returns_finite_fields(data):
+    gas, right = data.draw(far_fields(any_machs))
+    left = data.draw(boundaries(right))
+    try:
+        verdict = ExistenceEngine().decide(Query(left, right, gas))
+    except LayerError:
+        return
+    for f in dataclasses.fields(verdict):
+        value = getattr(verdict, f.name)
+        if isinstance(value, float):
+            assert math.isfinite(value), f"{f.name} = {value}"
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_point_on_traced_curve_exists_on_that_curve(data):
+    gas, right = data.draw(far_fields(layer_machs))
+    engine = ExistenceEngine()
+    label, left = _on_curve(data.draw, engine.curves_for(gas, right), right)
+    verdict = engine.decide(Query(left, right, gas))
+    assert verdict.exists and verdict.curve == label
+
+
+@pytest.fixture(scope="module")
+def warm_engine():
+    return ExistenceEngine()
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_fresh_and_warm_engines_agree(warm_engine, data):
+    # the warm engine has answered every earlier example, in the drawn
+    # order; the fresh one sees only this example's queries, reversed
+    gas, right = data.draw(far_fields(layer_machs))
+    _label, on = _on_curve(data.draw, warm_engine.curves_for(gas, right), right)
+    queries = [Query(left, right, gas)
+               for left in [on, data.draw(boundaries(right)), data.draw(boundaries(right))]]
+    warm = [_decision(warm_engine, q) for q in queries]
+    fresh = ExistenceEngine()
+    assert [_decision(fresh, q) for q in reversed(queries)] == warm[::-1]

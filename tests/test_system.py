@@ -5,8 +5,7 @@ import pytest
 
 from inflow_layer import (DomainError, EndState, GasParams, PhasePoint, Region,
                           build_system, field_exact, field_poly, jacobian,
-                          nullcline_h1, nullcline_h2, region_contains,
-                          rhs_exact, rhs_poly)
+                          nullcline_h1, nullcline_h2, region_contains)
 from conftest import random_system
 
 
@@ -73,33 +72,33 @@ class TestBuildSystem:
 
 class TestFieldForms:
     def test_equilibrium_s1(self, s_sub):
-        assert rhs_exact(s_sub.s1, s_sub) == (0.0, 0.0)
-        assert rhs_poly(s_sub.s1, s_sub) == (0.0, 0.0)
+        assert field_exact(s_sub.s1.u, s_sub.s1.theta, s_sub) == (0.0, 0.0)
+        assert field_poly(s_sub.s1.u, s_sub.s1.theta, s_sub) == (0.0, 0.0)
 
     def test_equilibrium_s2(self, s_sub):
-        fu, fth = rhs_poly(s_sub.s2, s_sub)
+        fu, fth = field_poly(s_sub.s2.u, s_sub.s2.theta, s_sub)
         assert abs(fu) < 1e-14 and abs(fth) < 1e-14
-        fu, fth = rhs_exact(s_sub.s2, s_sub)
+        fu, fth = field_exact(s_sub.s2.u, s_sub.s2.theta, s_sub)
         assert abs(fu) < 1e-14 and abs(fth) < 1e-14
 
     def test_origin_is_polynomial_equilibrium(self, s_sub):
-        assert rhs_poly(PhasePoint(0.0, 0.0), s_sub) == (0.0, 0.0)
+        assert field_poly(0.0, 0.0, s_sub) == (0.0, 0.0)
 
     def test_rational_form_rejects_nonpositive_u(self, s_sub):
         with pytest.raises(DomainError):
-            rhs_exact(PhasePoint(0.0, 1.0), s_sub)
+            field_exact(0.0, 1.0, s_sub)
         with pytest.raises(DomainError):
-            rhs_exact(PhasePoint(-0.5, 1.0), s_sub)
+            field_exact(-0.5, 1.0, s_sub)
 
     def test_hand_evaluated_point(self, s_sub):
         # du = 1, dth = 0: U' = F1 + A11 = 1; the quadratic and cubic parts
         # of F2 cancel, leaving Theta' = A21 = 1
-        assert rhs_poly(PhasePoint(2.0, 1.0), s_sub) == pytest.approx((1.0, 1.0))
-        assert rhs_exact(PhasePoint(2.0, 1.0), s_sub) == pytest.approx((1.0, 1.0))
+        assert field_poly(2.0, 1.0, s_sub) == pytest.approx((1.0, 1.0))
+        assert field_exact(2.0, 1.0, s_sub) == pytest.approx((1.0, 1.0))
 
     def test_cross_evaluation_point(self, s_sub):
-        a = rhs_exact(PhasePoint(0.5, 1.2), s_sub)
-        b = rhs_poly(PhasePoint(0.5, 1.2), s_sub)
+        a = field_exact(0.5, 1.2, s_sub)
+        b = field_poly(0.5, 1.2, s_sub)
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_forms_agree_on_random_points(self, rng):

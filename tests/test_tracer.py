@@ -9,8 +9,7 @@ from inflow_layer import (DomainError, EndState, GasParams, OutOfRange,
                           PhasePoint, TraceOptions, build_system,
                           curve_membership, eigen_2x2, field_poly,
                           export_curve_csv, export_curve_json, nullcline_h2,
-                          tangent_line, trace_gamma, trace_sigma,
-                          transonic_frame)
+                          trace_gamma, trace_sigma, transonic_frame)
 from inflow_layer.tracer import (CURVE_GAMMA1, CURVE_GAMMA2,
                                  TERMINAL_BUDGET, TERMINAL_CONVERGED_TO_S2,
                                  TERMINAL_HIT_THETA_AXIS, TERMINAL_HIT_U_AXIS)
@@ -66,13 +65,12 @@ class TestSigma:
     def test_tangency_at_s1(self, transonic_curves, s_trans):
         c = transonic_curves["sigma"]
         frame = transonic_frame(s_trans)
-        tl = tangent_line(s_trans, frame=frame)
         target_dist = 1e-3 * s_trans.u_plus
         du = c.samples[:, 0] - s_trans.u_plus
         idx = int(np.argmin(np.abs(np.abs(du) - target_dist)))
         secant = (c.samples[idx, 1] - s_trans.theta_plus) / du[idx]
-        assert secant == pytest.approx(tl.slope, rel=1e-2)
-        assert tl.slope == pytest.approx(-0.33806170189140655, rel=1e-6)
+        assert secant == pytest.approx(frame.m1, rel=1e-2)
+        assert frame.m1 == pytest.approx(-0.33806170189140655, rel=1e-6)
 
     def test_seed_halving_consistency(self, s_trans, transonic_curves):
         base = transonic_curves["sigma"]
@@ -139,14 +137,14 @@ class TestGamma:
 
     def test_tangency_matches_stable_line(self, subsonic_curves, s_sub):
         eig = eigen_2x2(s_sub.matrix)
-        tl = tangent_line(s_sub, eig=eig)
+        slope = eig.e2[1] / eig.e2[0]
         for label in ("gamma1", "gamma2"):
             c = subsonic_curves[label]
             du = c.samples[:, 0] - s_sub.u_plus
             idx = int(np.argmin(np.abs(np.abs(du) - 1e-3 * s_sub.u_plus)))
             secant = (c.samples[idx, 1] - s_sub.theta_plus) / du[idx]
-            assert secant == pytest.approx(tl.slope, rel=1e-2)
-        assert tl.slope == pytest.approx(-0.35078105935821224, rel=1e-6)
+            assert secant == pytest.approx(slope, rel=1e-2)
+        assert slope == pytest.approx(-0.35078105935821224, rel=1e-6)
 
     def test_seed_halving_consistency(self, subsonic_curves, s_sub):
         base = subsonic_curves["gamma1"]

@@ -1,0 +1,223 @@
+"""Write the package's bitwise output set to one JSON file, or compare two.
+
+A refactor that must not move an output bit is checked by running this
+script on both commits and comparing the two files:
+
+    python3 tools/snapshot.py before.json          # on the old checkout
+    python3 tools/snapshot.py after.json           # on the new checkout
+    python3 tools/snapshot.py --compare before.json after.json
+
+The script imports the package from the ``src`` directory next to it, so a
+copy placed in another checkout snapshots that checkout.  The output set:
+
+* the trace-ladder rungs of ``bench/workloads.py`` (samples, backward times,
+  terminal, terminal point and seed offset of every curve);
+* the query-mix cases of seeds 0 and 1: the verdict of each, and the xi, V,
+  U, Theta, metrics and reduced records of each profile;
+* sonic verdicts and profiles at u-/u+ = 0.5, 0.9995 and 0.99999, and
+  sigma's predictions between S1 and its first offset sample;
+* the 200 ``run_sweep`` rows of the acceptance grid;
+* the canonical, sonic and alpha2 < 0 portrait SVGs;
+* ``classify``, ``trace`` (csv and json), ``profile`` and ``portrait`` on
+  canonical and sonic data, and a 7-point ``sweep``: exit code, stdout,
+  stderr and every written file.
+
+Floats are stored as ``float.hex`` with their type, arrays as dtype, shape
+and the sha256 of their bytes, text as its sha256.  ``--compare`` prints the
+keys that differ and exits 1 when there are any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import enum
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SONIC_RATIOS = (0.5, 0.9995, 0.99999)
+GAP_OFFSETS = (1e-7, 3e-7, 5e-7, 7e-7, 9e-7)   # (u+ - u) / u+, inside sigma's gap
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def encode(value):
+    """JSON-ready form that changes whenever a bit of ``value`` changes."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (float, np.floating)):
+        return f"{type(value).__name__}:{float(value).hex()}"
+    if isinstance(value, (int, np.integer)):
+        return f"{type(value).__name__}:{int(value)}"
+    if isinstance(value, str):
+        return value if len(value) <= 80 else f"sha256:{_sha(value.encode())}"
+    if value is None:
+        return None
+    if isinstance(value, enum.Enum):
+        return f"{type(value).__name__}.{value.name}"
+    if isinstance(value, np.ndarray):
+        return {"dtype": str(value.dtype), "shape": list(value.shape),
+                "sha256": _sha(np.ascontiguousarray(value).tobytes())}
+    if dataclasses.is_dataclass(value):
+        return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [encode(v) for v in value]
+    raise TypeError(f"cannot encode {type(value).__name__}")
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("snapshot_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def _curve(curve) -> dict:
+    return {"samples": curve.samples, "backward_time": curve.backward_time,
+            "terminal": curve.terminal, "terminal_point": curve.terminal_point,
+            "seed_offset": curve.seed_offset}
+
+
+def _profile(prof) -> dict:
+    return {"xi": prof.xi, "V": prof.V, "U": prof.U, "Theta": prof.Theta,
+            "metrics": prof.metrics,
+            "reduced_records": (None if prof.reduced_records is None
+                                else np.asarray(prof.reduced_records))}
+
+
+def _decided(engine, query, verdict_to_dict) -> dict:
+    verdict = engine.decide(query)
+    out = {"verdict": verdict_to_dict(verdict)}
+    if verdict.exists:
+        out["profile"] = _profile(engine.compute_profile(query, verdict))
+    return out
+
+
+def snapshot() -> dict:
+    sys.path.insert(0, str(ROOT / "src"))
+    from inflow_layer import EndState, ExistenceEngine, Query, build_system
+    from inflow_layer import cli
+    from inflow_layer.engine import verdict_to_dict
+    from inflow_layer.portrait import render_portrait
+
+    wl = _load_workloads()
+    out = {}
+
+    ladder = wl.TraceLadder(0)
+    ladder.setup()
+    for rung, right, _s in ladder.cases:
+        for label, curve in ExistenceEngine().curves_for(wl.GAS, right).items():
+            out[f"ladder/{rung}/{label}"] = _curve(curve)
+
+    for seed in (0, 1):
+        mix = wl.QueryMix(seed)
+        mix.setup()
+        for i, case in enumerate(mix.cases):
+            out[f"query_mix/{seed}/{i:03d}"] = _decided(mix.engine, case.query,
+                                                        verdict_to_dict)
+
+    engine = ExistenceEngine()
+    right = wl.SONIC
+    sigma = engine.curves_for(wl.GAS, right)["sigma"]
+    for ratio in SONIC_RATIOS:
+        u_b = ratio * right.u
+        left = EndState(u_b * right.v / right.u, u_b, sigma.predict(u_b))
+        out[f"sonic/{ratio}"] = _decided(engine, Query(left, right, wl.GAS),
+                                         verdict_to_dict)
+    for offset in GAP_OFFSETS:
+        out[f"sigma_gap/{offset}"] = sigma.predict(right.u * (1.0 - offset))
+
+    grid = np.linspace(0.25, 1.25, 200).tolist()
+    for i, row in enumerate(cli.run_sweep(wl.GAS, 1.0, 1.0, grid)):
+        out[f"sweep/{i:03d}"] = row
+
+    for name, right in (("canonical", wl.CANONICAL), ("sonic", wl.SONIC),
+                        ("theta_axis", wl.THETA_AXIS)):
+        curves = ExistenceEngine().curves_for(wl.GAS, right)
+        out[f"portrait/{name}"] = render_portrait(build_system(wl.GAS, right), curves)
+
+    out.update(_cli_outputs(wl, cli, sigma))
+    return {key: encode(value) for key, value in out.items()}
+
+
+def _cli_outputs(wl, cli, sigma) -> dict:
+    gas = ["--gamma", repr(wl.GAS.gamma), "--R", repr(wl.GAS.R),
+           "--mu", repr(wl.GAS.mu), "--kappa", repr(wl.GAS.kappa)]
+
+    def data(right, u_b, theta_b):
+        return gas + ["--v-plus", repr(right.v), "--u-plus", repr(right.u),
+                      "--theta-plus", repr(right.theta),
+                      "--v-minus", repr(u_b * right.v / right.u),
+                      "--u-minus", repr(u_b), "--theta-minus", repr(theta_b)]
+
+    u_s = 0.5 * wl.SONIC.u
+    cases = {
+        "canonical": data(wl.CANONICAL, 0.73, 1.0928104313),
+        "sonic": data(wl.SONIC, u_s, float(sigma.predict(u_s))),
+    }
+    runs = {}
+    for name, args in cases.items():
+        for cmd in ("classify", "trace", "profile", "portrait"):
+            runs[f"{cmd}/{name}"] = [cmd] + args
+        runs[f"trace_json/{name}"] = ["trace"] + args + ["--format", "json"]
+    runs["sweep"] = ["sweep"] + gas + ["--v-plus", "1.0", "--theta-plus", "1.0",
+                                       "--mach-min", "0.4", "--mach-max", "1.2",
+                                       "--mach-points", "7"]
+    out = {}
+    for key, argv in runs.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv + ["--out", tmp])
+            files = {p.name: _sha(p.read_bytes()) for p in sorted(Path(tmp).iterdir())}
+            out[f"cli/{key}"] = {"exit": code,
+                                 "stdout": stdout.getvalue().replace(tmp, "<out>"),
+                                 "stderr": stderr.getvalue().replace(tmp, "<out>"),
+                                 "files": files}
+    return out
+
+
+def compare(path_a: Path, path_b: Path) -> list[str]:
+    """Keys whose encoded values differ, or that only one file has."""
+    a = json.loads(path_a.read_text())
+    b = json.loads(path_b.read_text())
+    return sorted(k for k in a.keys() | b.keys() if a.get(k, ...) != b.get(k, ...))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="write the snapshot to this JSON file")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="list the keys that differ between two snapshots")
+    args = parser.parse_args(argv)
+    if args.compare:
+        diff = compare(*map(Path, args.compare))
+        for key in diff:
+            print(key)
+        print(f"{len(diff)} differing keys")
+        return 1 if diff else 0
+    if not args.out:
+        parser.error("give an output file or --compare A B")
+    data = snapshot()
+    Path(args.out).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(data)} keys to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
