@@ -8,8 +8,8 @@ verifies the layer profile.
 """
 
 from .engine import (DecayReport, ExistenceEngine, Profile, Query, Tolerances,
-                     Verdict, compute_profile, decide, export_profile_csv,
-                     verdict_to_dict, verify_decay, verify_residual)
+                     Verdict, export_profile_csv, verdict_to_dict, verify_decay,
+                     verify_residual)
 from .errors import (ConfigError, DefectiveMatrix, DomainError, InvalidBoundary,
                      LayerError, NonFinite, OutOfRange, ProfileDiverged,
                      StepUnderflow, TailTooShort, TraceFailed,

@@ -211,13 +211,13 @@ def cmd_portrait(cfg: RunConfig) -> int:
 
 
 def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
-              trace_gamma2: bool = True, tol_M: float = TOL_MACH) -> list[dict]:
+              tol_M: float = TOL_MACH) -> list[dict]:
     """Evaluate regime/eigen/equilibrium data over a Mach grid.
 
     The far-field velocity is set from each Mach number; rows come back in
     grid order, each labelled with its regime for the transonic band
-    half-width ``tol_M``.  When ``trace_gamma2`` is set, subsonic rows carry
-    the actual traced terminal kind of the gamma2 branch.
+    half-width ``tol_M``.  Subsonic rows carry the actual traced terminal
+    kind of the gamma2 branch.
     """
     sound = math.sqrt(gas.R * gas.gamma * theta_plus)
     fast_opts = TraceOptions(rel_tol=1e-8, abs_tol=1e-10, max_steps=100_000,
@@ -239,7 +239,7 @@ def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
             "alpha2": s.alpha2,
             "gamma2_terminal": "",
         }
-        if regime.is_subsonic and trace_gamma2:
+        if regime.is_subsonic:
             try:
                 curve = trace_gamma(s, eig, CURVE_GAMMA2, fast_opts)
                 row["gamma2_terminal"] = curve.terminal

@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import (InvalidBoundary, OutOfRange, ProfileDiverged, TailTooShort)
 from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH,
-                  check_flux_condition, check_tol_mach, classify_regime, mach)
+                  check_flux_condition, check_tol_mach, classify_regime, mach,
+                  require_positive)
 from .integrator import (BACKWARD, COMPONENT_CROSSES, IntegrationSettings,
                          component_crosses, integrate)
 from .linearize import eigen_2x2, transonic_frame
@@ -48,6 +49,7 @@ REASON_TRUNCATED = "curve_truncated"
 CURVE_TRIVIAL = "trivial"
 
 _TRIVIAL_RTOL = 1e-12
+_S1_OFFSET = 1e-10   # * scale, where profile runs leave or reach S1
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -58,10 +60,7 @@ class Tolerances:
     tol_member: float = 1e-6
 
     def __post_init__(self):
-        for name in ("tol_A", "tol_member"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        require_positive(self, ("tol_A", "tol_member"))
         check_tol_mach(self.tol_M)
 
 
@@ -245,8 +244,12 @@ class ExistenceEngine:
         s = build_system(q.gas, q.right)
         if verdict.curve == CURVE_TRIVIAL:
             return self._trivial_profile(q, s)
-        curves = self.curves_for(q.gas, q.right, q.tolerances.tol_M)
-        curve = curves[verdict.curve]
+        curve = self.curves_for(q.gas, q.right, q.tolerances.tol_M)[verdict.curve]
+        pidx = curve.param_index
+        # a boundary within ten start offsets of S1 leaves no layer to resolve
+        if (abs((q.left.u, q.left.theta)[pidx] - (s.u_plus, s.theta_plus)[pidx])
+                <= 10.0 * _S1_OFFSET * s.scale):
+            return self._trivial_profile(q, s)
         if curve.label == CURVE_SIGMA:
             prof = self._transonic_profile(q, s, curve)
         else:
@@ -301,18 +304,15 @@ class ExistenceEngine:
 
     def _subsonic_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
         eig = curve.eig
-        r = 1e-10 * s.scale
-        pidx = curve.param_index
-        if abs((q.left.u, q.left.theta)[pidx] - (s.u_plus, s.theta_plus)[pidx]) <= 10.0 * r:
-            return self._trivial_profile(q, s)
+        r = _S1_OFFSET * s.scale
         seed = np.array([s.u_plus, s.theta_plus]) + _side(curve.label) * r * eig.e2
-        xi, pts, segments, t_ev = self._backward_leg(q, s, seed, pidx,
+        xi, pts, segments, t_ev = self._backward_leg(q, s, seed, curve.param_index,
                                                      0.25 / abs(eig.lambda2))
         return _profile(s, xi, pts, curve.label, segments=segments, t_shift=t_ev)
 
     def _transonic_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
         frame = curve.frame
-        w_stop = 1e-10 * s.scale / math.hypot(1.0, frame.m1)
+        w_stop = _S1_OFFSET * s.scale / math.hypot(1.0, frame.m1)
         y_switch = SWITCH_OFFSET * s.scale
         du_boundary = s.u_plus - q.left.u
 
@@ -510,16 +510,3 @@ def export_profile_csv(prof: Profile, path) -> None:
         writer.writerow(["xi", "V", "U", "Theta"])
         for row in zip(prof.xi, prof.V, prof.U, prof.Theta):
             writer.writerow([repr(float(x)) for x in row])
-
-
-_default_engine = ExistenceEngine()
-
-
-def decide(q: Query) -> Verdict:
-    """Decide a query against the process-wide default engine."""
-    return _default_engine.decide(q)
-
-
-def compute_profile(q: Query, verdict: Verdict | None = None) -> Profile:
-    """Compute a profile using the process-wide default engine."""
-    return _default_engine.compute_profile(q, verdict)

@@ -29,6 +29,14 @@ def _require_finite(obj) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
+def require_positive(obj, names) -> None:
+    """Reject the named attributes of ``obj`` that are not finite and positive."""
+    for name in names:
+        value = getattr(obj, name)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class GasParams:
     """Ideal polytropic gas constants.

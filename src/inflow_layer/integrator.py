@@ -16,13 +16,13 @@ appropriate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFinite, StepUnderflow
+from .gas import require_positive
 from .system import PhasePoint
 
 FORWARD = "forward"
@@ -84,14 +84,11 @@ class IntegrationSettings:
     direction: str = FORWARD
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        require_positive(self, ("rel_tol", "abs_tol"))
         if self.rel_tol < MIN_REL_TOL:
             raise ValueError(f"rel_tol must be at least {MIN_REL_TOL}, got {self.rel_tol}")
-        if self.h_init is not None and not 0.0 < self.h_init < math.inf:
-            raise ValueError(f"h_init must be finite and positive, got {self.h_init}")
+        if self.h_init is not None:
+            require_positive(self, ("h_init",))
         if not self.h_max > 0.0:
             raise ValueError(f"h_max must be positive, got {self.h_max}")
         if self.max_steps < 1:
@@ -113,13 +110,17 @@ class Event:
 class EventSpec:
     """Scalar event function whose zero crossing marks the event.
 
-    direction -1 triggers on + -> -, +1 on - -> +, 0 on any sign change.
-    The event stops the integration at the bracketed location.
+    direction -1 triggers on + -> -, 0 on any sign change.  The event stops
+    the integration at the bracketed location.
     """
 
     kind: str
     fn: Callable[[float, np.ndarray], float]
     direction: int = -1
+
+    def __post_init__(self):
+        if self.direction not in (-1, 0):
+            raise ValueError(f"direction must be -1 or 0, got {self.direction}")
 
 
 def u_crosses_zero() -> EventSpec:
@@ -170,8 +171,6 @@ class IntegrationResult:
 def _crossed(g_old: float, g_new: float, direction: int) -> bool:
     if direction < 0:
         return g_old > 0.0 >= g_new
-    if direction > 0:
-        return g_old < 0.0 <= g_new
     return (g_old > 0.0 >= g_new) or (g_old < 0.0 <= g_new)
 
 
@@ -196,11 +195,7 @@ def _bisect_event(ev: EventSpec, seg, t_lo: float, t_hi: float,
 
 
 def _immediate(ev: EventSpec, g0: float) -> bool:
-    if ev.direction < 0:
-        return g0 <= 0.0
-    if ev.direction > 0:
-        return g0 >= 0.0
-    return g0 == 0.0
+    return g0 <= 0.0 if ev.direction < 0 else g0 == 0.0
 
 
 class DenseStep:
@@ -236,6 +231,11 @@ def _rms(x: np.ndarray):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
+def _require_finite_field(f, t, y) -> None:
+    if not np.isfinite(f).all():
+        raise NonFinite(f"field returned {f} at xi={t}, y={y}")
+
+
 def _initial_step(fun, t0, y0, f0, direction, h_max, rtol, atol):
     """Starting step size from the local scales of y and its derivatives
     (Hairer-Norsett-Wanner I, Sec. II.4)."""
@@ -248,6 +248,7 @@ def _initial_step(fun, t0, y0, f0, direction, h_max, rtol, atol):
         h0 = 0.01 * d0 / d1
     y1 = y0 + h0 * direction * f0
     f1 = fun(t0 + h0 * direction, y1)
+    _require_finite_field(f1, t0 + h0 * direction, y1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -286,6 +287,7 @@ def _accepted_step(fun, t, y, f, h_abs, direction, h_max, rtol, atol, K):
         h = t_new - t
         h_abs = np.abs(h)
         y_new, f_new = _rk_step(fun, t, y, f, h, K)
+        _require_finite_field(K, t, y)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         error_norm = _rms(np.dot(K.T, _E) * h / scale)
         if error_norm < 1:
@@ -309,8 +311,10 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
 
     Parameters
     ----------
-    fieldfn : callable(xi, y) -> array of shape (2,)
-        The phase velocity.  Must be pure; it is checked for finiteness.
+    fieldfn : callable(xi, y) -> float64 array of shape (2,)
+        The phase velocity.  Must be pure.  The stepper calls it directly;
+        its values are checked for finiteness at the start point, at the
+        initial-step probe and once per attempted step (all stages at once).
     start : PhasePoint or array-like of shape (2,)
         Initial point; integration starts at xi = 0.
     settings : IntegrationSettings
@@ -332,33 +336,28 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         a rejected step below ten spacings of the floating-point numbers at xi.
     """
     y0 = start.as_array() if isinstance(start, PhasePoint) else np.asarray(start, float)
-
-    def fun(t, y):
-        out = np.asarray(fieldfn(t, y), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise NonFinite(f"field returned {out} at xi={t}, y={y}")
-        return out
-
     if not np.all(np.isfinite(y0)):
         raise NonFinite(f"start point {y0} is not finite")
     t, y = 0.0, y0
-    f = fun(t, y)  # also rejects fields that are non-finite at the start
+    f = fieldfn(t, y)
+    _require_finite_field(f, t, y)
     direction = np.float64(1.0 if settings.direction == FORWARD else -1.0)
 
-    # events already satisfied at the start trigger immediately
-    g_prev = {}
+    # events already satisfied at the start trigger immediately; g_prev
+    # holds each event's last value, in the order of ``events``
+    g_prev = []
     for ev in events:
         g0 = float(ev.fn(0.0, y0))
         if _immediate(ev, g0):
             pt = PhasePoint(float(y0[0]), float(y0[1]))
             return IntegrationResult(xi=np.array([0.0]), points=y0[None, :].copy(),
                                      event=Event(ev.kind, 0.0, pt), n_steps=0)
-        g_prev[id(ev)] = g0
+        g_prev.append(g0)
 
     rtol = settings.rel_tol
     atol = np.asarray(settings.abs_tol)
     if settings.h_init is None:
-        h_abs = _initial_step(fun, t, y, f, direction, settings.h_max, rtol, atol)
+        h_abs = _initial_step(fieldfn, t, y, f, direction, settings.h_max, rtol, atol)
     else:
         h_abs = settings.h_init
     K = np.empty((len(_C) + 1, y0.size))
@@ -376,13 +375,13 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
             if n_sub >= 1:
                 for t_mid in np.linspace(t_lo, t_hi, n_sub + 2)[1:-1]:
                     xs.append(float(t_mid))
-                    ys.append(np.asarray(seg(t_mid), dtype=float))
+                    ys.append(seg(t_mid))
         xs.append(float(t_hi))
-        ys.append(np.asarray(y_hi, dtype=float))
+        ys.append(y_hi)
 
     while n_steps < settings.max_steps:
         t_old, y_old = t, y
-        t, y, f, h_abs = _accepted_step(fun, t, y, f, h_abs, direction,
+        t, y, f, h_abs = _accepted_step(fieldfn, t, y, f, h_abs, direction,
                                         settings.h_max, rtol, atol, K)
         n_steps += 1
         if abs(t - t_old) < _MIN_STEP_FACTOR * (1.0 + abs(t)):
@@ -392,16 +391,16 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         segments.append((t_old, t, seg))
 
         triggered = []
-        for ev in events:
+        for i, ev in enumerate(events):
             g_new = float(ev.fn(t, y))
-            if _crossed(g_prev[id(ev)], g_new, ev.direction):
-                t_ev = _bisect_event(ev, seg, t_old, t, g_prev[id(ev)])
+            if _crossed(g_prev[i], g_new, ev.direction):
+                t_ev = _bisect_event(ev, seg, t_old, t, g_prev[i])
                 triggered.append((abs(t_ev - t_old), t_ev, ev))
-            g_prev[id(ev)] = g_new
+            g_prev[i] = g_new
         if triggered:
             triggered.sort(key=lambda item: item[0])
             _, t_ev, ev = triggered[0]
-            y_ev = np.asarray(seg(t_ev), dtype=float)
+            y_ev = seg(t_ev)
             emit(seg, t_old, t_ev, y_ev)
             pt = PhasePoint(float(y_ev[0]), float(y_ev[1]))
             return IntegrationResult(xi=np.asarray(xs), points=np.vstack(ys),

@@ -8,8 +8,6 @@ records the world-to-viewport mapping.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .errors import LayerError
@@ -59,7 +57,7 @@ def _marker(frame, name, u, th, color) -> str:
             f'cx="{frame.x(u):.2f}" cy="{frame.y(th):.2f}" r="4" fill="{color}" '
             f'data-u="{u!r}" data-theta="{th!r}"/>'
             f'<text x="{frame.x(u) + 6:.2f}" y="{frame.y(th) - 6:.2f}" '
-            f'font-size="12">{escape(name)}</text>')
+            f'font-size="12">{name}</text>')
 
 
 def _default_bounds(s: SystemData, curves: dict[str, Curve]):
@@ -77,15 +75,12 @@ def _default_bounds(s: SystemData, curves: dict[str, Curve]):
 
 
 def render_portrait(s: SystemData, curves: dict[str, Curve],
-                    path=None, n_trajectories: int = 3,
-                    bounds=None) -> str:
+                    path=None, n_trajectories: int = 3) -> str:
     """Render nullclines, region boundaries, equilibria, traced curves, and a
     grid of generic trajectories to an SVG string (optionally written to
     ``path``).
     """
-    if bounds is None:
-        bounds = _default_bounds(s, curves)
-    frame = _Frame(*bounds)
+    frame = _Frame(*_default_bounds(s, curves))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}" data-u-lo="{frame.u_lo!r}" '

@@ -33,10 +33,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, LayerError, OutOfRange, TraceFailed, UnexpectedTerminal
-from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, MIN_REL_TOL,
-                         NEAR_EQUILIBRIUM, THETA_CROSSES_ZERO, U_CROSSES_ZERO,
-                         IntegrationSettings, component_crosses, integrate,
-                         near_equilibrium, theta_crosses_zero, u_crosses_zero)
+from .gas import require_positive
+from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
+                         THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationSettings,
+                         component_crosses, integrate, near_equilibrium,
+                         theta_crosses_zero, u_crosses_zero)
 from .linearize import EigenPair, TransonicFrame
 from .system import PhasePoint, Region, SystemData, phase_field, region_contains
 
@@ -68,17 +69,16 @@ class TraceOptions:
     thin_spacing: float = 1e-5            # * scale, min kept spacing
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "sample_cap", "thin_spacing"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.rel_tol < MIN_REL_TOL:
-            raise ValueError(f"rel_tol must be at least {MIN_REL_TOL}, got {self.rel_tol}")
-        if self.seed_offset is not None and not 0.0 < self.seed_offset < math.inf:
-            raise ValueError(
-                f"seed_offset must be finite and positive, got {self.seed_offset}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+        # rel_tol, abs_tol and max_steps are checked by the settings they make
+        self.integration_settings()
+        require_positive(self, ("sample_cap", "thin_spacing"))
+        if self.seed_offset is not None:
+            require_positive(self, ("seed_offset",))
+
+    def integration_settings(self) -> IntegrationSettings:
+        """The settings of every backward trace run."""
+        return IntegrationSettings(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
+                                   max_steps=self.max_steps, direction=BACKWARD)
 
 
 def _edge_slope(h0, h1, m0, m1):
@@ -144,7 +144,6 @@ class Membership:
     on_curve: bool
     parameter: float
     distance: float
-    nearest: PhasePoint
     refined: bool
 
 
@@ -340,10 +339,8 @@ def _trace(s: SystemData, label: str, pts: list[np.ndarray], times: list[float],
     flight; ``local`` is the curve's ``frame`` or ``eig``.
     """
     scale = s.scale
-    settings = IntegrationSettings(rel_tol=opts.rel_tol, abs_tol=opts.abs_tol,
-                                   max_steps=opts.max_steps, direction=BACKWARD)
-    res = integrate(phase_field(s), pts[-1], settings, events=events,
-                    max_state_step=opts.sample_cap * scale)
+    res = integrate(phase_field(s), pts[-1], opts.integration_settings(),
+                    events=events, max_state_step=opts.sample_cap * scale)
     pts.extend(res.points[1:])
     times.extend(times[-1] - res.xi[1:])
     terminal = _TERMINALS[res.event.kind]
@@ -436,22 +433,16 @@ def curve_membership(c: Curve, p: PhasePoint, tol: float = 1e-6) -> Membership:
         raise DomainError("membership queries require u > 0 and theta > 0")
     q = p.theta if c.param_index == 1 else p.u
     val = p.u if c.param_index == 1 else p.theta
-    predicted = c.predict(q)
-    dist = val - predicted
+    dist = val - c.predict(q)
     thr = tol * c.value_scale
     refined = False
     if thr / 3.0 <= abs(dist) <= 10.0 * thr:
         better = c.refine_value(q)
         if better is not None:
             dist = val - better
-            predicted = better
             refined = True
-    if c.param_index == 1:
-        nearest = PhasePoint(predicted, q)
-    else:
-        nearest = PhasePoint(q, predicted)
     return Membership(on_curve=abs(dist) <= thr, parameter=q, distance=dist,
-                      nearest=nearest, refined=refined)
+                      refined=refined)
 
 
 def export_curve_csv(c: Curve, path) -> None:

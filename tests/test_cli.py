@@ -245,6 +245,8 @@ class TestSweep:
 
 
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# the stdlib's XML helpers pull in urllib.request, http.client, email and ssl
+_STDLIB_HEAVY = "sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules)"
 
 
 def test_runtime_loads_no_scipy(tmp_path):
@@ -255,15 +257,16 @@ def test_runtime_loads_no_scipy(tmp_path):
     code = (
         "import sys, contextlib, io\n"
         "import inflow_layer.cli as cli\n"
-        f"print({_SCIPY_MODULES})\n"
+        f"print({_SCIPY_MODULES}, {_STDLIB_HEAVY})\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [cli.main([cmd, *{argv!r}]) for cmd in ('profile', 'trace')]\n"
+        f"    codes = [cli.main([cmd, *{argv!r}]) for cmd in ('profile', 'trace', 'portrait')]\n"
         "print(codes)\n"
-        f"print({_SCIPY_MODULES})\n"
+        f"print({_SCIPY_MODULES}, {_STDLIB_HEAVY})\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[0, 0]", "[]"]
-    assert (tmp_path / "profile.csv").is_file() and (tmp_path / "gamma1.csv").is_file()
+    assert proc.stdout.splitlines() == ["[] []", "[0, 0, 0]", "[] []"]
+    for name in ("profile.csv", "gamma1.csv", "portrait.svg"):
+        assert (tmp_path / name).is_file()

@@ -225,6 +225,22 @@ class TestProfiles:
         assert prof.metrics["monotone_ok"]
         assert prof.metrics["decay"].exponent == pytest.approx(-1.0, abs=0.1)
 
+    @pytest.mark.parametrize("regime", ["transonic", "subsonic"])
+    def test_boundary_at_s1_gives_trivial_profile(self, engine, gas, right_transonic,
+                                                  transonic_curves, right_subsonic,
+                                                  subsonic_curves, regime):
+        # u+ - u- = 5e-11 u+ lies inside the profiles' start offset from S1;
+        # the sonic quadrature leg used to walk away from S1 to xi ~ -7e9
+        right, c = ((right_transonic, transonic_curves["sigma"]) if regime == "transonic"
+                    else (right_subsonic, subsonic_curves["gamma1"]))
+        q = Query(_left_at(c, (1.0 - 5e-11) * right.u, right), right, gas)
+        verdict = engine.decide(q)
+        assert verdict.exists and verdict.curve == c.label
+        prof = engine.compute_profile(q, verdict)
+        assert prof.trivial and list(prof.xi) == [0.0, 1.0]
+        assert prof.metrics["monotone_ok"]
+        assert prof.metrics["residual_sup"] == 0.0
+
     def test_profile_requires_existing_layer(self, engine, gas, right_supersonic):
         q = Query(EndState(0.5, 1.0, 1.3), right_supersonic, gas)
         with pytest.raises(ProfileDiverged):

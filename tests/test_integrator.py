@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from inflow_layer import (Event, IntegrationSettings, NonFinite, PhasePoint,
-                          StepUnderflow, component_crosses, integrate,
-                          left_region, near_equilibrium, theta_crosses_zero,
-                          u_crosses_zero)
+from inflow_layer import (Event, EventSpec, IntegrationSettings, NonFinite,
+                          PhasePoint, StepUnderflow, component_crosses,
+                          integrate, left_region, near_equilibrium,
+                          theta_crosses_zero, u_crosses_zero)
 from inflow_layer.integrator import BACKWARD, BUDGET
 
 
@@ -138,6 +138,29 @@ def test_nonfinite_field_raises():
 
     with pytest.raises(NonFinite):
         integrate(field, PhasePoint(1.0, 0.0), IntegrationSettings(max_steps=5000))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad_call", [1, 2, 4])
+def test_nonfinite_value_at_one_call_raises(bad_call, bad):
+    # call 1 is the start value, call 2 the initial-step probe and call 4 the
+    # second stage of the first step; the field is finite at every other call,
+    # and the run stops within its first step (start, probe and 6 stages)
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return np.array([1.0, bad if len(calls) == bad_call else 0.5])
+
+    with pytest.raises(NonFinite):
+        integrate(field, PhasePoint(0.0, 1.0), IntegrationSettings(max_steps=5))
+    assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("direction", [1, 2, -2])
+def test_event_direction_must_be_falling_or_either(direction):
+    with pytest.raises(ValueError, match="direction"):
+        EventSpec("kind", lambda t, y: y[0], direction)
 
 
 def test_step_underflow_on_singular_field():

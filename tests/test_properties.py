@@ -12,12 +12,13 @@ handoff in about lambda2 / (a2 * SWITCH_OFFSET * scale) steps.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from inflow_layer import (EndState, ExistenceEngine, GasParams, LayerError,
-                          Query, build_system, eigen_2x2, transonic_frame,
-                          verdict_to_dict)
+                          Query, build_system, eigen_2x2, field_poly, phase_field,
+                          transonic_frame, verdict_to_dict)
 
 STIFF_SADDLE = 200.0          # the canonical gas at M+ = 0.99 has 153
 STIFF_SADDLE_NODE = 20.0
@@ -122,3 +123,19 @@ def test_fresh_and_warm_engines_agree(warm_engine, data):
     warm = [_decision(warm_engine, q) for q in queries]
     fresh = ExistenceEngine()
     assert [_decision(fresh, q) for q in reversed(queries)] == warm[::-1]
+
+
+@settings(max_examples=300)
+@given(far_fields(any_machs), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+def test_field_bits_equal_on_floats_numpy_scalars_and_in_the_stepper(far, u, theta):
+    # Python floats round every operation as numpy's float64 scalars do, so
+    # the stepper's evaluation on floats repeats the numpy one bit for bit.
+    # 1-d arrays are left out: numpy's vectorised pow may round du ** 3
+    # differently from the C library's pow by one unit in the last place.
+    s = build_system(*far)
+    on_floats = field_poly(u, theta, s)
+    assert all(type(x) is float for x in on_floats)
+    for other in (field_poly(np.float64(u), np.float64(theta), s),
+                  field_poly(np.asarray(u), np.asarray(theta), s),
+                  phase_field(s)(0.0, np.array([u, theta]))):
+        assert [float(x).hex() for x in other] == [x.hex() for x in on_floats]
