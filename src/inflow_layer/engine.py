@@ -31,13 +31,13 @@ from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH,
                   check_flux_condition, check_tol_mach, classify_regime, mach,
                   require_positive)
 from .integrator import (BACKWARD, COMPONENT_CROSSES, IntegrationSettings,
-                         component_crosses, integrate)
+                         component_crosses, dense_eval, integrate)
 from .linearize import eigen_2x2, transonic_frame
 from .system import (PhasePoint, SystemData, build_system, field_poly, phase_field,
                      rational_terms)
 from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, SWITCH_OFFSET,
-                     TERMINAL_BUDGET, Curve, TraceOptions, _side, curve_membership,
-                     trace_gamma, trace_sigma)
+                     TERMINAL_BUDGET, Curve, TraceOptions, curve_membership,
+                     gamma_seed, trace_gamma, trace_sigma)
 
 REASON_MASS_FLUX = "mass_flux_mismatch"
 REASON_NONPOSITIVE_U_PLUS = "nonpositive_u_plus"
@@ -109,6 +109,9 @@ class Profile:
     V satisfies V = (v+/u+) U identically (the integrated mass equation).
     ``metrics`` holds monotonicity, the scaled sup residual, the endpoint
     gap to S1, and the decay report when a fit was possible.
+    ``residual_rows`` holds the (u, theta, u', theta') rows the residual is
+    checked on, from the engine's legs; a profile built without them gets
+    three-point differences of its samples.
     """
 
     xi: np.ndarray
@@ -119,9 +122,11 @@ class Profile:
     curve: str | None
     system: SystemData
     metrics: dict = dc_field(default_factory=dict)
-    segments: list | None = None
-    t_shift: float = 0.0
-    reduced_records: list | None = None
+    residual_rows: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.residual_rows is None:
+            self.residual_rows = _stencil_rows(self.xi, self.U, self.Theta)
 
 
 @dataclass(frozen=True)
@@ -286,7 +291,11 @@ class ExistenceEngine:
     def _backward_leg(self, q: Query, s: SystemData, start, pidx: int,
                       h_max: float = IntegrationSettings.h_max):
         """Backward run from ``start`` to the boundary parameter: (xi, points,
-        segments, t_event) in forward order, xi = 0 at the boundary."""
+        residual rows), samples in forward order, xi = 0 at the boundary.
+
+        A row is the dense output and its derivative at the midpoint (where
+        the interpolant is independent of the step-end field values) of each
+        step's part in [t_event, 0] that is at least 1e-5 long."""
         settings = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15,
                                        direction=BACKWARD, h_max=h_max,
                                        max_steps=500_000)
@@ -300,15 +309,20 @@ class ExistenceEngine:
         self._landing_check(q, res.event.point, pidx)
         t_ev = res.event.xi
         xi = (res.xi - t_ev)[::-1].copy()
-        return xi, res.points[::-1].copy(), res.segments, t_ev
+        # backward steps run from t_old down to t_new; only the last passes t_ev
+        t_old = np.array([t0 for t0, _, _ in res.segments])
+        t_new = np.maximum([t1 for _, t1, _ in res.segments], t_ev)
+        kept = t_old - t_new >= 1e-5
+        steps = [seg for (_, _, seg), keep in zip(res.segments, kept) if keep]
+        y, dy = dense_eval(steps, 0.5 * (t_new[kept] + t_old[kept]))
+        return xi, res.points[::-1].copy(), np.hstack([y, dy])
 
     def _subsonic_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
         eig = curve.eig
-        r = _S1_OFFSET * s.scale
-        seed = np.array([s.u_plus, s.theta_plus]) + _side(curve.label) * r * eig.e2
-        xi, pts, segments, t_ev = self._backward_leg(q, s, seed, curve.param_index,
-                                                     0.25 / abs(eig.lambda2))
-        return _profile(s, xi, pts, curve.label, segments=segments, t_shift=t_ev)
+        seed = gamma_seed(s, eig, curve.label, _S1_OFFSET * s.scale)
+        xi, pts, rows = self._backward_leg(q, s, seed, curve.param_index,
+                                           0.25 / abs(eig.lambda2))
+        return _profile(s, xi, pts, curve.label, rows)
 
     def _transonic_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
         frame = curve.frame
@@ -318,17 +332,15 @@ class ExistenceEngine:
 
         # outer leg: backward 2D integration from the manifold handoff point
         # down to the boundary, unless the boundary sits inside the handoff
-        segments = None
-        t_ev = 0.0
         if du_boundary > 1.2 * y_switch:
             w1_start = frame.w1_from_du(-y_switch)
-            xi, pts, segments, t_ev = self._backward_leg(
-                q, s, frame.points(w1_start), 0)
+            xi, pts, rows = self._backward_leg(q, s, frame.points(w1_start), 0)
         else:
             w1_start = frame.w1_from_du(-du_boundary)
             pts = frame.points(w1_start)[None, :]
             self._landing_check(q, PhasePoint(*pts[0]), 0)
             xi = np.array([0.0])
+            rows = np.empty((0, 4))
 
         # inner leg: quadrature of the center flow restricted to the local
         # invariant-manifold graph, from the handoff down to ~1e-10 of S1
@@ -338,21 +350,32 @@ class ExistenceEngine:
         # the first grid point coincides with the handoff sample
         xi_inner = np.cumsum(np.concatenate([xi[-1:], frame.flight_times(w_grid)]))[1:]
         inner_pts = frame.points(w_grid[1:])
-        reduced_records = list(zip(inner_pts[:, 0], inner_pts[:, 1],
-                                   *frame.velocity(w_grid[1:])))
+        inner_rows = np.column_stack([inner_pts, *frame.velocity(w_grid[1:])])
         return _profile(s, np.concatenate([xi, xi_inner]), np.vstack([pts, inner_pts]),
-                        curve.label, segments=segments, t_shift=t_ev,
-                        reduced_records=reduced_records)
+                        curve.label, np.vstack([rows, inner_rows]))
 
 
 def _profile(s: SystemData, xi: np.ndarray, pts: np.ndarray, curve: str,
-             **extra) -> Profile:
+             residual_rows: np.ndarray | None = None) -> Profile:
     """Profile from (u, theta) samples; V follows from the mass equation."""
     U = pts[:, 0]
     Theta = pts[:, 1]
     V = (s.v_plus / s.u_plus) * U
     return Profile(xi=xi, V=V, U=U, Theta=Theta, trivial=curve == CURVE_TRIVIAL,
-                   curve=curve, system=s, **extra)
+                   curve=curve, system=s, residual_rows=residual_rows)
+
+
+def _stencil_rows(xi: np.ndarray, U: np.ndarray, Theta: np.ndarray) -> np.ndarray:
+    """(u, theta, u', theta') at the interior samples, the derivatives by
+    nonuniform three-point central differences; no rows below 3 samples."""
+    h1 = xi[1:-1] - xi[:-2]
+    h2 = xi[2:] - xi[1:-1]
+    w1 = -h2 / (h1 * (h1 + h2))
+    w2 = (h2 - h1) / (h1 * h2)
+    w3 = h1 / (h2 * (h1 + h2))
+    du = w1 * U[:-2] + w2 * U[1:-1] + w3 * U[2:]
+    dth = w1 * Theta[:-2] + w2 * Theta[1:-1] + w3 * Theta[2:]
+    return np.column_stack([U[1:-1], Theta[1:-1], du, dth])
 
 
 def _monotone_check(prof: Profile) -> tuple[bool, tuple[int, int, int]]:
@@ -389,55 +412,25 @@ def _residual_pair(s: SystemData, u, theta, du_dxi, dth_dxi):
 
 
 def verify_residual(prof: Profile, s: SystemData) -> float:
-    """Scaled sup norm of the integrated-equation residuals along a profile.
+    """Scaled sup norm of the integrated-equation residuals on the profile's
+    ``residual_rows``.
 
-    Derivatives come from the integrator's dense output (evaluated at step
-    midpoints, where the interpolant is independent of the endpoint field
-    values) and, on the quadrature-generated sonic tail, from the exact
-    derivative of the constructed path, so the tail residual measures the
-    invariant-manifold defect.  Profiles without dense segments (e.g.
-    externally modified data) fall back to finite differences on the
-    samples.
+    Each residual is scaled by the larger of the global momentum/energy
+    scale and the local term magnitude (the equations blow up like 1/V
+    toward the u = 0 axis, where only a relative measure is meaningful).
+    A non-trivial profile with no rows, or with a non-finite residual,
+    gets ``inf``, which fails every bound.
     """
     if prof.trivial:
         return 0.0
     scale = max(abs(s.sigma_minus) * s.u_plus, s.p_plus * s.u_plus)
-    worst = 0.0
-    records = []
-    if prof.segments is not None:
-        # the last stored step extends past the boundary event; only the part
-        # inside the profile's time range belongs to the profile
-        dom_lo = min(prof.t_shift, 0.0)
-        dom_hi = max(prof.t_shift, 0.0)
-        for t_lo, t_hi, seg in prof.segments:
-            a, b = sorted((t_lo, t_hi))
-            a, b = max(a, dom_lo), min(b, dom_hi)
-            if b - a < 1e-5:
-                continue
-            t_mid = 0.5 * (a + b)
-            y = seg(t_mid)
-            dy = seg.derivative(t_mid)
-            records.append((float(y[0]), float(y[1]), float(dy[0]), float(dy[1])))
-    elif prof.reduced_records is None and len(prof.xi) >= 3:
-        # nonuniform central differences on the samples
-        for i in range(1, len(prof.xi) - 1):
-            h1 = prof.xi[i] - prof.xi[i - 1]
-            h2 = prof.xi[i + 1] - prof.xi[i]
-            w1 = -h2 / (h1 * (h1 + h2))
-            w2 = (h2 - h1) / (h1 * h2)
-            w3 = h1 / (h2 * (h1 + h2))
-            du = w1 * prof.U[i - 1] + w2 * prof.U[i] + w3 * prof.U[i + 1]
-            dth = w1 * prof.Theta[i - 1] + w2 * prof.Theta[i] + w3 * prof.Theta[i + 1]
-            records.append((float(prof.U[i]), float(prof.Theta[i]), float(du), float(dth)))
-    if prof.reduced_records:
-        records.extend(prof.reduced_records)
-    for u, theta, du_dxi, dth_dxi in records:
-        r1, r2, loc1, loc2 = _residual_pair(s, u, theta, du_dxi, dth_dxi)
-        # each residual is scaled by the larger of the global momentum/energy
-        # scale and the local term magnitude (the equations blow up like 1/V
-        # toward the u = 0 axis, where only a relative measure is meaningful)
-        worst = max(worst, abs(r1) / max(scale, loc1), abs(r2) / max(scale, loc2))
-    return worst
+    with np.errstate(divide="ignore", invalid="ignore"):   # bad rows give inf below
+        r1, r2, loc1, loc2 = _residual_pair(s, *prof.residual_rows.T)
+        scaled = np.concatenate([np.abs(r1) / np.maximum(scale, loc1),
+                                 np.abs(r2) / np.maximum(scale, loc2)])
+    if scaled.size == 0 or not np.isfinite(scaled).all():
+        return math.inf
+    return float(scaled.max())
 
 
 def verify_decay(prof: Profile, regime: Regime) -> DecayReport:

@@ -157,8 +157,8 @@ def component_crosses(index: int, value: float) -> EventSpec:
 class IntegrationResult:
     """Trajectory samples in traversal order plus the first triggered event.
 
-    ``segments`` holds (t_lo, t_hi, dense_output) triples covering the
-    traversal, usable for interpolation and derivative estimates.
+    ``segments`` holds one (t_old, t_new, DenseStep) triple per accepted
+    step, in traversal order; ``dense_eval`` evaluates them.
     """
 
     xi: np.ndarray
@@ -220,11 +220,20 @@ class DenseStep:
         y += self.y_old
         return y
 
-    def derivative(self, t) -> np.ndarray:
-        """d/dt of the interpolant; exact, since it is a polynomial in x."""
-        x = (t - self.t_old) / self.h
-        k = np.arange(self.Q.shape[1])
-        return self.Q @ ((k + 1) * x ** k)
+
+def dense_eval(steps: Sequence[DenseStep], t) -> tuple[np.ndarray, np.ndarray]:
+    """Value and exact xi-derivative of step i's interpolant at t[i], each of
+    shape (len(steps), 2); the values equal ``DenseStep.__call__``'s bits."""
+    t_old = np.array([st.t_old for st in steps], dtype=float)
+    h = np.array([st.h for st in steps], dtype=float)
+    Q = np.array([st.Q for st in steps], dtype=float).reshape(-1, 2, _P.shape[1])
+    y_old = np.array([st.y_old for st in steps], dtype=float).reshape(-1, 2)
+    x = ((np.asarray(t, dtype=float) - t_old) / h)[:, None]
+    k = np.arange(_P.shape[1])
+    powers = np.cumprod(np.repeat(x, k.size, axis=1), axis=1)
+    y = h[:, None] * np.matmul(Q, powers[:, :, None])[:, :, 0] + y_old
+    dy = np.matmul(Q, ((k + 1) * x ** k)[:, :, None])[:, :, 0]
+    return y, dy
 
 
 def _rms(x: np.ndarray):

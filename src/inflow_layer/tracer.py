@@ -147,7 +147,7 @@ class Membership:
     refined: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class Curve:
     """A traced existence curve, sampled from S1 outward (backward-xi order).
 
@@ -156,6 +156,7 @@ class Curve:
     excluded from the membership parameter range since it violates the
     positivity constraints.  ``backward_time`` is the time-of-flight from
     the seed (S1 itself carries +inf: the true orbit needs infinite xi).
+    ``interpolant`` is the monotone interpolant of value over parameter.
     """
 
     label: str
@@ -165,9 +166,9 @@ class Curve:
     terminal_point: PhasePoint
     seed_offset: float
     system: SystemData
+    interpolant: Pchip = field(repr=False)
     frame: Optional[TransonicFrame] = None
     eig: Optional[EigenPair] = None
-    _interp: object = field(default=None, repr=False)
 
     @property
     def param_index(self) -> int:
@@ -191,13 +192,6 @@ class Curve:
     def param_range(self) -> tuple[float, float]:
         p = self.params
         return float(p[-1]), float(p[0])
-
-    def _interpolator(self):
-        if self._interp is None:
-            x = self.params[::-1]
-            y = self.values[::-1]
-            self._interp = Pchip(x, y)
-        return self._interp
 
     def _gap_value(self, q: float) -> float:
         """Curve value between S1 and the first offset sample.
@@ -223,7 +217,7 @@ class Curve:
                 f"{self.label}: parameter {q} outside traced span [{lo}, {hi}]")
         if q > self.params[1]:  # between S1 and the first offset sample
             return self._gap_value(q)
-        return float(self._interpolator()(q))
+        return float(self.interpolant(q))
 
     def refine_value(self, q: float) -> float | None:
         """Re-integrate locally for a sharper curve value at parameter q.
@@ -325,9 +319,12 @@ _TERMINALS = {
 }
 
 
-def _side(label: str) -> float:
-    """Sign of the stable-eigenvector step from S1 onto a gamma branch."""
-    return 1.0 if label == CURVE_GAMMA2 else -1.0
+def gamma_seed(s: SystemData, eig: EigenPair, branch: str, offset: float) -> np.ndarray:
+    """The point ``offset`` from S1 along the stable eigenvector, on a gamma
+    branch's side: u > u+ for gamma2, u < u+ for gamma1 (``eig.e2`` has a
+    positive u-component)."""
+    side = 1.0 if branch == CURVE_GAMMA2 else -1.0
+    return np.array([s.u_plus, s.theta_plus]) + side * offset * eig.e2
 
 
 def _trace(s: SystemData, label: str, pts: list[np.ndarray], times: list[float],
@@ -358,7 +355,9 @@ def _trace(s: SystemData, label: str, pts: list[np.ndarray], times: list[float],
     _validate_curve(label, samples, s, eps, terminal, noise)
     return Curve(label=label, samples=samples, backward_time=btimes,
                  terminal=terminal, terminal_point=res.event.point,
-                 seed_offset=eps, system=s, **local)
+                 seed_offset=eps, system=s,
+                 interpolant=Pchip(samples[::-1, pidx], samples[::-1, 1 - pidx]),
+                 **local)
 
 
 def trace_sigma(s: SystemData, f: TransonicFrame,
@@ -402,15 +401,13 @@ def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
         raise DomainError("gamma branches require a saddle (subsonic regime)")
     opts = opts or TraceOptions()
     eps = opts.seed_offset if opts.seed_offset is not None else 1e-6 * s.scale
-    s1 = np.array([s.u_plus, s.theta_plus])
-    # eig.e2 is normalized with positive u-component, negative slope
-    seed = s1 + _side(branch) * eps * eig.e2
     if branch == CURVE_GAMMA1:
         events = [u_crosses_zero()]
     else:
         events = [theta_crosses_zero(),
                   near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)]
-    return _trace(s, branch, [s1, seed], [math.inf, 0.0], events, opts, eps,
+    pts = [np.array([s.u_plus, s.theta_plus]), gamma_seed(s, eig, branch, eps)]
+    return _trace(s, branch, pts, [math.inf, 0.0], events, opts, eps,
                   keep_radius=10.0 * eps, eig=eig)
 
 

@@ -10,7 +10,8 @@ from inflow_layer import (EndState, ExistenceEngine, InvalidBoundary, Profile,
 from inflow_layer.engine import (CURVE_TRIVIAL, REASON_MASS_FLUX,
                                  REASON_NONPOSITIVE_U_PLUS, REASON_OFF_CURVE,
                                  REASON_OUT_OF_RANGE, REASON_SUPERSONIC,
-                                 REASON_TRUNCATED)
+                                 REASON_TRUNCATED, _residual_pair)
+from inflow_layer.integrator import dense_eval, integrate
 from inflow_layer.tracer import TERMINAL_BUDGET, TraceOptions
 
 
@@ -219,7 +220,10 @@ class TestProfiles:
         q = Query(_left_at(transonic_curves["sigma"], 0.9995 * right_transonic.u,
                            right_transonic), right_transonic, gas)
         prof = engine.compute_profile(q)
-        assert prof.curve == "sigma" and prof.segments is None
+        # every residual row is an inner-leg sample: there is no outer leg
+        assert prof.curve == "sigma"
+        samples = np.column_stack([prof.U, prof.Theta])
+        assert np.array_equal(prof.residual_rows[:, :2], samples[1:])
         assert prof.metrics["residual_sup"] <= 1e-8
         assert prof.metrics["endpoint_gap"] <= 1e-8
         assert prof.metrics["monotone_ok"]
@@ -337,3 +341,98 @@ class TestVerifyResidual:
         r_clean = verify_residual(clean, prof.system)
         assert r_clean < 5e-4
         assert verify_residual(bad, prof.system) > 10.0 * r_clean
+
+    @pytest.mark.parametrize("corrupt", ["one_nan", "all_nan", "two_samples"])
+    def test_unusable_rows_give_inf(self, engine, gas, right_subsonic, subsonic_curves,
+                                    corrupt):
+        # a NaN row, or no row at all, must fail every bound: Python's
+        # max(worst, nan) kept worst, and an empty set of rows read 0.0
+        c = subsonic_curves["gamma1"]
+        q = Query(_left_for(c, len(c.samples) // 2, right_subsonic), right_subsonic, gas)
+        prof = engine.compute_profile(q)
+        xi, U, Theta = prof.xi, prof.U, prof.Theta.copy()
+        if corrupt == "one_nan":
+            Theta[len(Theta) // 2] = np.nan
+        elif corrupt == "all_nan":
+            Theta[:] = np.nan
+        else:
+            xi, U, Theta = xi[:2], U[:2], Theta[:2]
+        bad = Profile(xi=xi, V=(prof.V[0] / prof.U[0]) * U, U=U, Theta=Theta,
+                      trivial=False, curve=prof.curve, system=prof.system)
+        assert verify_residual(bad, prof.system) == math.inf
+
+    def test_nonfinite_engine_row_gives_inf(self, engine, gas, right_transonic,
+                                            transonic_curves):
+        c = transonic_curves["sigma"]
+        q = Query(_left_for(c, len(c.samples) // 2, right_transonic), right_transonic, gas)
+        prof = engine.compute_profile(q)
+        prof.residual_rows[-1, 3] = np.inf
+        assert verify_residual(prof, prof.system) == math.inf
+
+
+LEG_CASES = [("subsonic", "gamma1"), ("subsonic", "gamma2"),
+             ("subcase_b", "gamma2"), ("transonic", "sigma")]
+
+
+def _profile_and_leg(request, engine, gas, monkeypatch, case, label):
+    """A mid-curve profile and the IntegrationResult of its backward leg."""
+    import inflow_layer.engine as engine_module
+
+    right = request.getfixturevalue(f"right_{case}")
+    curve = request.getfixturevalue(f"{case}_curves")[label]
+    q = Query(_left_for(curve, len(curve.samples) // 2, right), right, gas)
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(engine_module, "integrate", recording)
+    prof = engine.compute_profile(q)
+    assert prof.curve == label and len(runs) == 1
+    return prof, runs[0]
+
+
+@pytest.mark.parametrize("case,label", LEG_CASES)
+def test_dense_eval_equals_each_step(request, engine, gas, monkeypatch, case, label):
+    _, res = _profile_and_leg(request, engine, gas, monkeypatch, case, label)
+    steps = [seg for _, _, seg in res.segments]
+    assert len(steps) > 50
+    for frac in (0.0, 0.5, 0.9, 1.0):
+        t = np.array([seg.t_old + frac * seg.h for seg in steps])
+        y, dy = dense_eval(steps, t)
+        for i, (seg, ti) in enumerate(zip(steps, t)):
+            assert y[i].tobytes() == seg(ti).tobytes(), (frac, i)
+            # the per-step derivative formula dense_eval replaced
+            x = (ti - seg.t_old) / seg.h
+            k = np.arange(seg.Q.shape[1])
+            assert dy[i].tobytes() == (seg.Q @ ((k + 1) * x ** k)).tobytes(), (frac, i)
+
+
+@pytest.mark.parametrize("case,label", LEG_CASES)
+def test_array_residual_equals_scalar_loop(request, engine, gas, monkeypatch, case,
+                                           label):
+    prof, res = _profile_and_leg(request, engine, gas, monkeypatch, case, label)
+    s = prof.system
+    # the leg's rows come first, one per step part inside [t_event, 0] that is
+    # at least 1e-5 long, at its midpoint; the sonic inner leg adds one row
+    # per sample after the handoff
+    dom_lo, dom_hi = min(res.event.xi, 0.0), max(res.event.xi, 0.0)
+    kept = []
+    for t_lo, t_hi, seg in res.segments:
+        a, b = sorted((t_lo, t_hi))
+        a, b = max(a, dom_lo), min(b, dom_hi)
+        if b - a >= 1e-5:
+            kept.append((seg, 0.5 * (a + b)))
+    assert len(prof.residual_rows) == len(kept) + len(prof.xi) - len(res.xi)
+    for row, (seg, t_mid) in zip(prof.residual_rows, kept):
+        assert row[:2].tobytes() == seg(t_mid).tobytes()
+    # the scalar loop the array evaluation replaced, on Python floats
+    scale = max(abs(s.sigma_minus) * s.u_plus, s.p_plus * s.u_plus)
+    worst = 0.0
+    for u, theta, du_dxi, dth_dxi in prof.residual_rows.tolist():
+        r1, r2, loc1, loc2 = _residual_pair(s, u, theta, du_dxi, dth_dxi)
+        worst = max(worst, abs(r1) / max(scale, loc1), abs(r2) / max(scale, loc2))
+    got = verify_residual(prof, s)
+    assert type(got) is float and got.hex() == worst.hex()
+    assert got == prof.metrics["residual_sup"] <= 1e-8

@@ -123,7 +123,7 @@ def test_pchip_end_slope_branches():
 def test_pchip_matches_scipy_on_traced_curve(subsonic_curves):
     for curve in subsonic_curves.values():
         x, y = curve.params[::-1], curve.values[::-1]
-        mine = curve._interpolator()
+        mine = curve.interpolant
         ref = PchipInterpolator(x, y, extrapolate=False)
         qs = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
                              np.random.default_rng(3).uniform(x[0], x[-1], 500)])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -155,6 +156,14 @@ class TestGamma:
         us = np.linspace(lo + 1e-6, s_sub.u_plus - 1e-9, 400)
         diff = np.abs([base.predict(u) - half.predict(u) for u in us])
         assert float(np.max(diff)) < 1e-6 * s_sub.theta_plus
+
+    def test_curve_is_frozen_with_its_interpolant(self, subsonic_curves):
+        # curves are shared across queries and threads: nothing writes to one
+        c = subsonic_curves["gamma1"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.samples = c.samples[:2]
+        q = 0.5 * (c.params[2] + c.params[3])
+        assert c.predict(q) == c.interpolant(q)
 
     def test_terminal_kind_tracks_alpha2_sign(self, rng):
         gas = GasParams(1.4, 1.0, 1.0, 1.0)

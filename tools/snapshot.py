@@ -13,7 +13,8 @@ copy placed in another checkout snapshots that checkout.  The output set:
 * the trace-ladder rungs of ``bench/workloads.py`` (samples, backward times,
   terminal, terminal point and seed offset of every curve);
 * the query-mix cases of seeds 0 and 1: the verdict of each, and the xi, V,
-  U, Theta, metrics and reduced records of each profile;
+  U, Theta and metrics of each profile (``metrics.residual_sup`` pins the
+  residual rows);
 * sonic verdicts and profiles at u-/u+ = 0.5, 0.9995 and 0.99999, and
   sigma's predictions between S1 and its first offset sample;
 * the 200 ``run_sweep`` rows of the acceptance grid;
@@ -95,9 +96,7 @@ def _curve(curve) -> dict:
 
 def _profile(prof) -> dict:
     return {"xi": prof.xi, "V": prof.V, "U": prof.U, "Theta": prof.Theta,
-            "metrics": prof.metrics,
-            "reduced_records": (None if prof.reduced_records is None
-                                else np.asarray(prof.reduced_records))}
+            "metrics": prof.metrics}
 
 
 def _decided(engine, query, verdict_to_dict) -> dict:
