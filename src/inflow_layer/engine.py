@@ -50,6 +50,7 @@ CURVE_TRIVIAL = "trivial"
 
 _TRIVIAL_RTOL = 1e-12
 _S1_OFFSET = 1e-10   # * scale, where profile runs leave or reach S1
+CURVE_CACHE_SIZE = 32   # far fields whose curves an engine keeps
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -148,16 +149,29 @@ class DecayReport:
     n_tail: int = 0
 
 
+class _Flight:
+    """One key's curves, traced by the first caller while the others wait."""
+
+    __slots__ = ("done", "curves")
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.curves: dict[str, Curve] | None = None
+
+
 class ExistenceEngine:
     """Caches traced curves per (gas, far field, regime) and answers queries.
 
     Curve tracing is the expensive step; traces are cached immutable and
-    shared read-only across queries, with single-writer population.
+    shared read-only across queries.  Each key is traced once however many
+    callers ask for it at the same time, and the cache keeps the
+    ``CURVE_CACHE_SIZE`` keys used last.
     """
 
     def __init__(self, trace_options: TraceOptions | None = None):
         self.trace_options = trace_options or TraceOptions()
-        self._cache: dict = {}
+        # insertion order is recency order: a hit moves its key to the end
+        self._cache: dict[tuple, _Flight] = {}
         self._lock = threading.Lock()
 
     # -- system and curve assembly -------------------------------------
@@ -168,21 +182,40 @@ class ExistenceEngine:
         regime = classify_regime(mach(right, gas), tol_M)
         key = (gas.gamma, gas.R, gas.mu, gas.kappa,
                right.v, right.u, right.theta, regime.tag)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        s = build_system(gas, right)
-        curves: dict[str, Curve] = {}
+        while True:
+            with self._lock:
+                flight = self._cache.pop(key, None)
+                if flight is None:
+                    flight = self._cache[key] = _Flight()
+                    if len(self._cache) > CURVE_CACHE_SIZE:
+                        del self._cache[next(iter(self._cache))]
+                    break
+                self._cache[key] = flight
+                if flight.curves is not None:
+                    return flight.curves
+            flight.done.wait()
+            if flight.curves is not None:
+                return flight.curves
+            # the trace raised in the caller that ran it: trace here instead
+        try:
+            flight.curves = self._trace(build_system(gas, right), regime, tol_M)
+        finally:
+            if flight.curves is None:
+                with self._lock:
+                    if self._cache.get(key) is flight:
+                        del self._cache[key]
+            flight.done.set()
+        return flight.curves
+
+    def _trace(self, s: SystemData, regime: Regime, tol_M: float) -> dict[str, Curve]:
         if regime.is_transonic:
-            frame = transonic_frame(s, tol_M)
-            curves[CURVE_SIGMA] = trace_sigma(s, frame, self.trace_options)
-        elif regime.is_subsonic:
+            return {CURVE_SIGMA: trace_sigma(s, transonic_frame(s, tol_M),
+                                             self.trace_options)}
+        if regime.is_subsonic:
             eig = eigen_2x2(s.matrix)
-            curves[CURVE_GAMMA1] = trace_gamma(s, eig, CURVE_GAMMA1, self.trace_options)
-            curves[CURVE_GAMMA2] = trace_gamma(s, eig, CURVE_GAMMA2, self.trace_options)
-        with self._lock:
-            self._cache.setdefault(key, curves)
-            return self._cache[key]
+            return {label: trace_gamma(s, eig, label, self.trace_options)
+                    for label in (CURVE_GAMMA1, CURVE_GAMMA2)}
+        return {}
 
     # -- decision procedure ---------------------------------------------
 

@@ -1,10 +1,14 @@
-"""Analytic 2x2 eigen-analysis and the geometry at a sonic far field.
+"""Analytic 2x2 eigen-analysis and the invariant-manifold graphs at S1.
 
 ``TransonicFrame`` is the one home of the invariant-manifold graph at the
 saddle-node S1: its points, the phase velocity along it, and the
 Gauss-Legendre flight times of the reduced one-dimensional flow.  The
 sigma trace, the sonic profile's inner leg and handoff point, and sigma's
 curve value next to S1 all read the graph through it.
+
+``slow_graph`` builds the order-``GRAPH_ORDER`` graph of the manifold
+tangent to the slow eigendirection at S1 over the slow coordinate, with the
+polynomial of the flow along it; the gamma traces start on it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import numpy as np
 from .errors import DefectiveMatrix, DomainError
 from .gas import TOL_MACH
 from .system import SystemData, field_nonlinear
+
+GRAPH_ORDER = 10     # highest power of the slow coordinate in ``slow_graph``
 
 # 20-node Gauss-Legendre rule on [-1, 1] for the panels of the sonic inner
 # leg, as computed by scipy.special.roots_legendre(20); numpy's leggauss
@@ -39,6 +45,18 @@ _GL_WEIGHTS = np.array([
     0.10193011981724026, 0.08327674157670427, 0.06267204833410933,
     0.04060142980038748, 0.017614007139152687,
 ])
+
+
+def _gl_flight_times(w_grid, speed) -> np.ndarray:
+    """Time of flight of a one-dimensional flow w' = speed(w) across each
+    panel of ``w_grid``: (b - a)/2 * sum(weight / speed) over the 20
+    Gauss-Legendre nodes mapped into the panel [a, b]."""
+    w_grid = np.asarray(w_grid, dtype=float)
+    a = w_grid[:-1, None]
+    b = w_grid[1:, None]
+    nodes = (b - a) * (_GL_NODES + 1) / 2.0 + a
+    return (b - a)[:, 0] / 2.0 * np.sum(
+        _GL_WEIGHTS * (1.0 / speed(nodes)), axis=-1)
 
 
 def _normalize_direction(v: np.ndarray) -> np.ndarray:
@@ -212,15 +230,9 @@ class TransonicFrame:
     def flight_times(self, w_grid) -> np.ndarray:
         """Time of flight of the reduced flow across each panel of ``w_grid``.
 
-        Each panel [a, b] is (b - a)/2 * sum(weight / speed) over the
-        20 Gauss-Legendre nodes mapped into it.
+        See ``_gl_flight_times``.
         """
-        w_grid = np.asarray(w_grid, dtype=float)
-        a = w_grid[:-1, None]
-        b = w_grid[1:, None]
-        nodes = (b - a) * (_GL_NODES + 1) / 2.0 + a
-        return (b - a)[:, 0] / 2.0 * np.sum(
-            _GL_WEIGHTS * (1.0 / self._speed(nodes)), axis=-1)
+        return _gl_flight_times(w_grid, self._speed)
 
 
 def transonic_frame(s: SystemData, tol_M: float = TOL_MACH) -> TransonicFrame:
@@ -254,3 +266,149 @@ def transonic_frame(s: SystemData, tol_M: float = TOL_MACH) -> TransonicFrame:
     return TransonicFrame(lambda2=lam2, a2=a2, m1=m1, m2=m2, det_P=det_p,
                           P=P, P_inv=P_inv, manifold_c2=c2, manifold_c3=c3,
                           _sys=s)
+
+
+def _horner(coef, w):
+    """Value at w (a float or an array) of the polynomial with ascending
+    coefficients ``coef``; it only multiplies and adds, so it rounds the
+    same on every host."""
+    acc = coef[-1] + 0.0 * w
+    for c in coef[-2::-1]:
+        acc = acc * w + c
+    return acc
+
+
+def _derivative(coef: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the derivative, same length as ``coef``."""
+    return np.append(coef[1:] * np.arange(1, coef.size), 0.0)
+
+
+@dataclass(frozen=True)
+class SlowGraph:
+    """Invariant manifold z = h(w) tangent to the slow eigendirection at S1.
+
+    Coordinates are (z, w) = P^{-1} (u - u+, theta - theta+) with P =
+    [e_fast e_slow]: z is the fast coordinate (rate lam_fast), w the slow
+    one (rate lam_slow).  ``h`` holds the graph's coefficients of w^0 ..
+    w^N (the first two are 0) and ``flow`` those of the reduced flow
+    w' = lam_slow w + g_w(h(w), w) along it, exactly as composed.
+    """
+
+    lam_fast: float
+    lam_slow: float
+    e_fast: np.ndarray
+    e_slow: np.ndarray
+    P_inv: np.ndarray
+    h: np.ndarray
+    flow: np.ndarray
+    _sys: SystemData
+
+    def points(self, w) -> np.ndarray:
+        """Phase points S1 + h(w) e_fast + w e_slow, rows of shape (..., 2)."""
+        w = np.asarray(w, dtype=float)
+        z = _horner(self.h, w)
+        s = self._sys
+        return np.stack([s.u_plus + (z * self.e_fast[0] + w * self.e_slow[0]),
+                         s.theta_plus + (z * self.e_fast[1] + w * self.e_slow[1])],
+                        axis=-1)
+
+    def speed(self, w):
+        """Reduced-flow speed w'."""
+        return _horner(self.flow, w)
+
+    def flight_times(self, w_grid) -> np.ndarray:
+        """Time of flight of the reduced flow across each panel of ``w_grid``;
+        see ``_gl_flight_times``."""
+        return _gl_flight_times(w_grid, self.speed)
+
+    def defect(self, w: float) -> float:
+        """Normal invariance defect z' - h'(w) w' of the field at the graph
+        point over w, on Python floats (no array ``pow``, which may round
+        differently between hosts)."""
+        z = float(_horner(self.h, w))
+        dz = float(_horner(_derivative(self.h), w))
+        (ef0, ef1), (es0, es1) = self.e_fast.tolist(), self.e_slow.tolist()
+        f1, f2 = field_nonlinear(z * ef0 + w * es0, z * ef1 + w * es1, self._sys)
+        (p00, p01), (p10, p11) = self.P_inv.tolist()
+        return (self.lam_fast * z + (p00 * f1 + p01 * f2)
+                - dz * (self.lam_slow * w + (p10 * f1 + p11 * f2)))
+
+
+class _Series:
+    """Power series in w cut after a fixed length, with the arithmetic that
+    ``field_nonlinear`` uses.  Products add shifted elementwise products in
+    a fixed order, so the coefficients are the same on every host."""
+
+    __slots__ = ("c",)
+    __array_ufunc__ = None     # numpy scalars defer to the reflected methods
+
+    def __init__(self, c):
+        self.c = c
+
+    def __add__(self, other):
+        return _Series(self.c + other.c)
+
+    def __sub__(self, other):
+        return _Series(self.c - other.c)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Series):
+            return _Series(self.c * other)
+        a, b = self.c, other.c
+        out = np.zeros_like(a)
+        for i in np.flatnonzero(a):
+            out[i:] += a[i] * b[:a.size - i]
+        return _Series(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, x):
+        return _Series(self.c / x)
+
+    def __pow__(self, n: int):
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+
+def slow_graph(s: SystemData, lam_fast: float, e_fast, lam_slow: float, e_slow,
+               order: int = GRAPH_ORDER) -> SlowGraph:
+    """Graph of the invariant manifold tangent to ``e_slow`` at S1, to w^order.
+
+    With (f1, f2) = ``field_nonlinear`` and (g_z, g_w) = P^{-1} (f1, f2) at
+    S1 + z e_fast + w e_slow, the invariance equation lam_fast h + g_z =
+    h' (lam_slow w + g_w) gives, order by order,
+
+        h_k = ([g_z]_k - [h' g_w]_k) / (k lam_slow - lam_fast),
+
+    where the brackets take the w^k coefficient and involve h_2 .. h_{k-1}
+    only (the parameterization method in graph form; Cabre, Fontich and de
+    la Llave, Indiana Univ. Math. J. 52, 2003).  The divisors stay away
+    from zero when lam_slow <= 0 < lam_fast, and for lam_slow = 0 != lam_fast.
+    """
+    e_fast = np.asarray(e_fast, dtype=float)
+    e_slow = np.asarray(e_slow, dtype=float)
+    (ef0, ef1), (es0, es1) = e_fast.tolist(), e_slow.tolist()
+    det = ef0 * es1 - es0 * ef1
+    (p00, p01), (p10, p11) = (es1 / det, -es0 / det), (-ef1 / det, ef0 / det)
+
+    def nonlinear(h: np.ndarray):
+        """(g_z, g_w) on the graph, and w, as series as long as ``h``."""
+        w = np.zeros(h.size)
+        w[1] = 1.0
+        z, w = _Series(h), _Series(w)
+        f1, f2 = field_nonlinear(z * ef0 + w * es0, z * ef1 + w * es1, s)
+        return p00 * f1 + p01 * f2, p10 * f1 + p11 * f2, w
+
+    h = np.zeros(order + 1)
+    for k in range(2, order + 1):
+        g_z, g_w, _ = nonlinear(h)
+        dh = _Series(_derivative(h))
+        h[k] = (g_z - dh * g_w).c[k] / (k * lam_slow - lam_fast)
+    # the field is cubic, so the flow on the graph has degree 3 * order
+    _, g_w, w = nonlinear(np.append(h, np.zeros(2 * order)))
+    flow = (lam_slow * w + g_w).c
+    return SlowGraph(lam_fast=lam_fast, lam_slow=lam_slow, e_fast=e_fast,
+                     e_slow=e_slow, P_inv=np.array([[p00, p01], [p10, p11]]),
+                     h=h, flow=flow, _sys=s)

@@ -4,19 +4,28 @@ The curves of interest all approach the far-field equilibrium S1 forward in
 xi, which makes forward shooting onto them ill-posed: any transverse error
 grows like exp(lambda_unstable * xi).  Backward integration reverses the
 roles, contracting the off-manifold component, so every trace here seeds a
-small offset from S1 along the appropriate eigen-direction and integrates
+small offset from S1 on the curve's invariant manifold and integrates
 backward until it hits an axis, is captured by the secondary equilibrium
 S2, or exhausts its budget.
 
-In the sonic regime the approach to S1 is algebraic, not exponential: the
-backward orbit crawls along the center direction, and an explicit stepper
-(stability-limited transversally) would need ~1/(a2*eps) steps to escape a
-seed at distance eps.  The trace therefore bridges the innermost stretch
-analytically along the cubic invariant-manifold graph W2 = c2 W1^2 + c3 W1^3
-(``TransonicFrame.points``), whose coefficients come in closed form from the
-invariance equations (geometric error O(|W1|^4), far below the curve
-tolerances), and starts the integrator at the handoff distance
-``SWITCH_OFFSET * scale``, where the crawl is affordable.
+Near S1 the backward orbit crawls along the slow direction while explicit
+steps are capped by the fast rate, so the innermost stretch of every curve
+is laid analytically along an invariant-manifold graph:
+
+* sigma (sonic regime, where the approach to S1 is algebraic) slides along
+  the cubic graph W2 = c2 W1^2 + c3 W1^3 (``TransonicFrame.points``) up to
+  the handoff distance ``SWITCH_OFFSET * scale``;
+* gamma1 and gamma2 (subsonic saddle) are sampled on the graph of the
+  stable manifold over the slow coordinate (``linearize.slow_graph``, of
+  order ``GRAPH_ORDER``) out to its certified radius r*: the last point of
+  a fixed geometric grid, contiguous from the seed and in the open
+  quadrant, at which the graph's invariance defect over the fast rate is
+  within the trace tolerance ``abs_tol + rel_tol * scale``.  The graph
+  samples carry Gauss-Legendre flight times of the reduced flow.  When S2
+  lies inside r*, gamma2 is the graph from S1 to S2's capture point and
+  needs no integration; that is the whole branch as M+ -> 1-, where S2
+  merges into S1.  When r* does not exceed the seed offset, the seed sits
+  on the stable eigenline.
 
 Sigma, gamma1 and gamma2 differ only in how they are seeded; the backward
 integration, terminal classification, thinning and validation are one body.
@@ -38,7 +47,7 @@ from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
                          THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationSettings,
                          component_crosses, integrate, near_equilibrium,
                          theta_crosses_zero, u_crosses_zero)
-from .linearize import EigenPair, TransonicFrame
+from .linearize import EigenPair, SlowGraph, TransonicFrame, slow_graph
 from .system import PhasePoint, Region, SystemData, phase_field, region_contains
 
 CURVE_SIGMA = "sigma"
@@ -335,12 +344,20 @@ def _trace(s: SystemData, label: str, pts: list[np.ndarray], times: list[float],
     ``pts`` and ``times`` hold S1 and the seeded samples with their time of
     flight; ``local`` is the curve's ``frame`` or ``eig``.
     """
-    scale = s.scale
     res = integrate(phase_field(s), pts[-1], opts.integration_settings(),
-                    events=events, max_state_step=opts.sample_cap * scale)
+                    events=events, max_state_step=opts.sample_cap * s.scale)
     pts.extend(res.points[1:])
     times.extend(times[-1] - res.xi[1:])
-    terminal = _TERMINALS[res.event.kind]
+    return _curve(s, label, pts, times, _TERMINALS[res.event.kind], res.event.point,
+                  opts, eps, keep_radius, **local)
+
+
+def _curve(s: SystemData, label: str, pts: list[np.ndarray], times: list[float],
+           terminal: str, terminal_point: PhasePoint, opts: TraceOptions,
+           eps: float, keep_radius: float, **local) -> Curve:
+    """Check the terminal, thin and validate the samples, and build the curve;
+    the last of ``pts`` is the terminal point."""
+    scale = s.scale
     if label == CURVE_GAMMA2:
         expected = (TERMINAL_CONVERGED_TO_S2 if s.alpha2 > 0.0
                     else TERMINAL_HIT_THETA_AXIS)
@@ -354,7 +371,7 @@ def _trace(s: SystemData, label: str, pts: list[np.ndarray], times: list[float],
                             floor=opts.thin_spacing * scale, noise=noise)
     _validate_curve(label, samples, s, eps, terminal, noise)
     return Curve(label=label, samples=samples, backward_time=btimes,
-                 terminal=terminal, terminal_point=res.event.point,
+                 terminal=terminal, terminal_point=terminal_point,
                  seed_offset=eps, system=s,
                  interpolant=Pchip(samples[::-1, pidx], samples[::-1, 1 - pidx]),
                  **local)
@@ -387,6 +404,74 @@ def trace_sigma(s: SystemData, f: TransonicFrame,
                   keep_radius=3.0 * y_switch, frame=f)
 
 
+def _certified_radii(graph: SlowGraph, side: float, eps: float, tol: float,
+                     s: SystemData) -> np.ndarray:
+    """Radii eps * 10**(j / SLIDE_POINTS_PER_DECADE), j = 0, 1, ..., up to the
+    certified radius r*: the last one, contiguous from eps and at most
+    ``scale``, at which the graph's invariance defect divided by its fast
+    rate is within ``tol`` and its point has u > 0 and theta > 0.  Empty
+    when the seed itself fails.  Evaluated on Python floats."""
+    radii = []
+    for j in range(math.floor(math.log10(s.scale / eps) * SLIDE_POINTS_PER_DECADE) + 1):
+        r = eps * 10.0 ** (j / SLIDE_POINTS_PER_DECADE)
+        if abs(graph.defect(side * r)) > tol * graph.lam_fast:
+            break
+        u, theta = graph.points(side * r)
+        if not (u > 0.0 and theta > 0.0):
+            break
+        radii.append(r)
+    return np.array(radii)
+
+
+def _to_s2(graph: SlowGraph, side: float, radii: np.ndarray, s: SystemData,
+           tol: float) -> tuple[np.ndarray, bool]:
+    """The radii of a gamma2 with alpha2 > 0, and whether they end at S2.
+
+    When S2 lies inside the certified radii and the graph passes within
+    ``tol`` of it, the radii run to the graph's point within
+    ``CAPTURE_RADIUS`` of S2, bisected on the captured side as the
+    integrator's event is, and those past S2 / 2 are graded geometrically
+    towards S2, where the reduced flow stops.  A graph that misses S2 keeps
+    only its radii below S2 / 2, for the integration to carry on into S2.
+    """
+    s2 = s.s2.as_array()
+    r_s2 = side * float((graph.P_inv @ (s2 - s.s1.as_array()))[1])
+    if not 0.0 < r_s2 <= radii[-1]:
+        return radii, False
+    radius = CAPTURE_RADIUS * s.scale
+
+    def dist(r: float) -> float:
+        return float(np.linalg.norm(graph.points(side * r) - s2))
+
+    if dist(r_s2) > min(tol, radius):
+        return radii[radii < 0.5 * r_s2], False
+    lo, hi = 0.0, r_s2
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if dist(mid) > radius:
+            lo = mid
+        else:
+            hi = mid
+    start = min(0.5 * r_s2, hi)
+    n = max(2, int(round(math.log10((r_s2 - start) / (r_s2 - hi))
+                         * SLIDE_POINTS_PER_DECADE)) + 1)
+    tail = r_s2 - np.geomspace(r_s2 - start, r_s2 - hi, n)
+    tail[-1] = hi
+    return np.concatenate([radii[radii < start], tail]), True
+
+
+def _capped(graph: SlowGraph, side: float, radii: np.ndarray, cap: float) -> np.ndarray:
+    """Radii with evenly spaced ones inserted so that no component of the
+    graph point moves by more than ``cap`` between neighbours (the
+    integrator's ``max_state_step`` rule)."""
+    moves = np.max(np.abs(np.diff(graph.points(side * radii), axis=0)), axis=1)
+    n_sub = (moves / cap).astype(int)
+    parts = [np.linspace(a, b, n + 2)[:-1] for a, b, n in zip(radii[:-1], radii[1:], n_sub)]
+    return np.concatenate(parts + [radii[-1:]])
+
+
 def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
                 opts: TraceOptions | None = None) -> Curve:
     """Trace a stable-manifold branch of the subsonic saddle at S1.
@@ -394,6 +479,13 @@ def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
     gamma1 seeds into 0 < u < u+ and ends on the u = 0 axis at Z1; gamma2
     seeds into u > u+ and either converges to the secondary equilibrium S2
     (when alpha2 > 0) or reaches the theta = 0 axis at Z2 (alpha2 <= 0).
+
+    The samples from the seed offset out to the certified radius r* lie on
+    the stable manifold's graph over the slow coordinate (``slow_graph``),
+    with the Gauss-Legendre flight times of the reduced flow; the backward
+    integration starts at r*.  A gamma2 whose S2 lies inside r* ends on the
+    graph at S2's capture point, with no integration.  When r* does not
+    exceed the seed offset, the branch seeds on the stable eigenline.
     """
     if branch not in (CURVE_GAMMA1, CURVE_GAMMA2):
         raise ValueError(f"unknown branch {branch!r}")
@@ -406,9 +498,25 @@ def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
     else:
         events = [theta_crosses_zero(),
                   near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)]
-    pts = [np.array([s.u_plus, s.theta_plus]), gamma_seed(s, eig, branch, eps)]
-    return _trace(s, branch, pts, [math.inf, 0.0], events, opts, eps,
-                  keep_radius=10.0 * eps, eig=eig)
+    s1 = np.array([s.u_plus, s.theta_plus])
+    keep_radius = 10.0 * eps
+    side = 1.0 if branch == CURVE_GAMMA2 else -1.0
+    tol = opts.abs_tol + opts.rel_tol * s.scale
+    graph = slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+    radii = _certified_radii(graph, side, eps, tol, s)
+    at_s2 = False
+    if radii.size and branch == CURVE_GAMMA2 and s.alpha2 > 0.0:
+        radii, at_s2 = _to_s2(graph, side, radii, s, tol)
+    if radii.size < 2 and not at_s2:
+        return _trace(s, branch, [s1, gamma_seed(s, eig, branch, eps)], [math.inf, 0.0],
+                      events, opts, eps, keep_radius, eig=eig)
+    w = side * _capped(graph, side, radii, opts.sample_cap * s.scale)
+    pts = [s1, *graph.points(w)]
+    times = [math.inf, 0.0, *np.cumsum(-graph.flight_times(w))]
+    if not at_s2:
+        return _trace(s, branch, pts, times, events, opts, eps, keep_radius, eig=eig)
+    return _curve(s, branch, pts, times, TERMINAL_CONVERGED_TO_S2,
+                  PhasePoint(*map(float, pts[-1])), opts, eps, keep_radius, eig=eig)
 
 
 def curve_membership(c: Curve, p: PhasePoint, tol: float = 1e-6) -> Membership:

@@ -1,12 +1,17 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from inflow_layer import (EndState, ExistenceEngine, InvalidBoundary, Profile,
                           ProfileDiverged, Query, TailTooShort, Tolerances,
-                          classify_regime, verdict_to_dict, verify_decay,
-                          verify_residual)
+                          TraceFailed, classify_regime, trace_gamma,
+                          verdict_to_dict, verify_decay, verify_residual)
+from inflow_layer import engine as engine_module
+from inflow_layer.gas import TOL_MACH
 from inflow_layer.engine import (CURVE_TRIVIAL, REASON_MASS_FLUX,
                                  REASON_NONPOSITIVE_U_PLUS, REASON_OFF_CURVE,
                                  REASON_OUT_OF_RANGE, REASON_SUPERSONIC,
@@ -436,3 +441,121 @@ def test_array_residual_equals_scalar_loop(request, engine, gas, monkeypatch, ca
     got = verify_residual(prof, s)
     assert type(got) is float and got.hex() == worst.hex()
     assert got == prof.metrics["residual_sup"] <= 1e-8
+
+
+class _CountedTrace:
+    """Stands in for the engine's ``trace_gamma``: counts the traces of
+    each far field and holds each one long enough for callers to overlap."""
+
+    def __init__(self, delay: float = 0.05):
+        self.delay = delay
+        self.lock = threading.Lock()
+        self.counts: dict = {}
+
+    def __call__(self, s, eig, branch, opts=None):
+        with self.lock:
+            key = (s.u_plus, branch)
+            self.counts[key] = self.counts.get(key, 0) + 1
+        time.sleep(self.delay)
+        return trace_gamma(s, eig, branch, opts)
+
+
+class TestCurveCache:
+    def test_concurrent_callers_trace_a_key_once(self, gas, monkeypatch):
+        counted = _CountedTrace()
+        monkeypatch.setattr(engine_module, "trace_gamma", counted)
+        eng = ExistenceEngine()
+        rights = [EndState(1.0, u, 1.0) for u in (0.8, 0.9)]
+        n_threads = 6                      # more callers than cores
+        barrier = threading.Barrier(n_threads)
+        results, errors = [], []
+
+        def caller(i):
+            try:
+                barrier.wait(timeout=10)
+                results.append((i % 2, eng.curves_for(gas, rights[i % 2])))
+            except Exception as exc:     # reported by the assertions below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(n_threads)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == [] and len(results) == n_threads
+        # one trace per far field and branch, and every caller got that one
+        assert sorted(counted.counts.values()) == [1, 1, 1, 1]
+        for k in (0, 1):
+            firsts = [curves for j, curves in results if j == k]
+            assert all(curves is firsts[0] for curves in firsts)
+
+    def test_a_failed_trace_is_not_cached(self, gas, monkeypatch):
+        calls = []
+
+        def failing(s, eig, branch, opts=None):
+            calls.append(branch)
+            raise TraceFailed("injected")
+
+        monkeypatch.setattr(engine_module, "trace_gamma", failing)
+        eng = ExistenceEngine()
+        right = EndState(1.0, 0.9, 1.0)
+        for _ in range(2):
+            with pytest.raises(TraceFailed):
+                eng.curves_for(gas, right)
+        assert len(calls) == 2
+        monkeypatch.setattr(engine_module, "trace_gamma", trace_gamma)
+        assert sorted(eng.curves_for(gas, right)) == ["gamma1", "gamma2"]
+
+    def test_eviction_keeps_answers_independent_of_history(self, gas, monkeypatch):
+        monkeypatch.setattr(engine_module, "CURVE_CACHE_SIZE", 2)
+        counted = _CountedTrace(delay=0.0)
+        monkeypatch.setattr(engine_module, "trace_gamma", counted)
+        rights = [EndState(1.0, u, 1.0) for u in (0.7, 0.8, 0.9)]
+        queries = []
+        for right in rights:
+            g1 = ExistenceEngine().curves_for(gas, right)["gamma1"]
+            queries.append(Query(_left_for(g1, len(g1.samples) // 2, right), right, gas))
+            queries.append(Query(EndState(0.5 / right.u, 0.5, 1.2), right, gas))
+        fresh = [verdict_to_dict(ExistenceEngine().decide(q)) for q in queries]
+        eng = ExistenceEngine()
+        counted.counts.clear()
+        # forward, backward and forward again through three far fields with
+        # room for two: the ends are evicted and traced again, the middle not
+        answers = [verdict_to_dict(eng.decide(q)) for q in queries + queries[::-1] + queries]
+        assert answers == fresh + fresh[::-1] + fresh
+        assert len(eng._cache) == 2
+        assert {u: counted.counts[(u, "gamma1")] for u in (0.7, 0.8, 0.9)} == \
+            {0.7: 2, 0.8: 1, 0.9: 2}
+
+    def test_a_hit_refreshes_the_key(self, gas, monkeypatch):
+        monkeypatch.setattr(engine_module, "CURVE_CACHE_SIZE", 2)
+        eng = ExistenceEngine()
+        a, b, c = (EndState(1.0, u, 1.0) for u in (0.7, 0.8, 0.9))
+        first = eng.curves_for(gas, a)
+        eng.curves_for(gas, b)
+        assert eng.curves_for(gas, a) is first        # a is now the newest
+        eng.curves_for(gas, c)                        # evicts b
+        assert eng.curves_for(gas, a) is first
+
+
+def test_verdict_continuous_across_the_sonic_band_edge(gas):
+    # at 1 - M+ = 2 TOL_MACH the default band says subsonic (gamma1) and a
+    # band twice as wide says sonic (sigma); a boundary point on gamma1 must
+    # exist on both, at the same parameter
+    right = EndState(1.0, (1.0 - 2 * TOL_MACH) * math.sqrt(1.4), 1.0)
+    eng = ExistenceEngine()
+    g1 = eng.curves_for(gas, right)["gamma1"]
+    assert g1.terminal == "hit_u_axis"
+    for i in (len(g1.samples) // 5, len(g1.samples) // 2, 4 * len(g1.samples) // 5):
+        q = Query(_left_for(g1, i, right), right, gas)
+        sub = eng.decide(q)
+        sonic = eng.decide(Query(q.left, right, gas, Tolerances(tol_M=4 * TOL_MACH)))
+        assert sub.regime.is_subsonic and sub.exists and sub.curve == "gamma1"
+        assert sonic.regime.is_transonic and sonic.exists and sonic.curve == "sigma"
+        assert sonic.curve_parameter == sub.curve_parameter

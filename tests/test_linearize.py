@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from inflow_layer import (DefectiveMatrix, DomainError, EndState, GasParams,
-                          build_system, eigen_2x2, field_poly, transonic_frame)
+                          TraceOptions, build_system, eigen_2x2, field_poly,
+                          transonic_frame)
+from inflow_layer.linearize import slow_graph
+from inflow_layer.tracer import _certified_radii
 from conftest import random_system
 from degenerate import DegenerateKind, FitAmbiguous, classify_degenerate
 
@@ -126,6 +129,71 @@ class TestTransonicFrame:
     def test_rejects_non_transonic(self, s_sub):
         with pytest.raises(DomainError):
             transonic_frame(s_sub)
+
+
+GASES = [(1.4, 1.0, 1.0, 1.0), (1.67, 2.0, 0.3, 1.7), (1.2, 0.5, 3.0, 0.4)]
+SOUND = math.sqrt(1.4)
+
+
+def _subsonic_graph(mach: float):
+    s = build_system(GasParams(1.4, 1.0, 1.0, 1.0), EndState(1.0, mach * SOUND, 1.0))
+    eig = eigen_2x2(s.matrix)
+    return s, slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+
+
+def _trace_tol(s):
+    opts = TraceOptions()
+    return opts.abs_tol + opts.rel_tol * s.scale
+
+
+class TestSlowGraph:
+    @pytest.mark.parametrize("gas_params", GASES)
+    def test_reproduces_the_sonic_closed_form(self, gas_params):
+        # on the sonic frame (slow rate 0, fast rate lambda2) the recursion
+        # must give TransonicFrame's closed-form c2 and c3
+        g = GasParams(*gas_params)
+        s = build_system(g, EndState(1.0, math.sqrt(g.R * g.gamma), 1.0))
+        f = transonic_frame(s)
+        graph = slow_graph(s, f.lambda2, f.P[:, 1], 0.0, f.P[:, 0])
+        assert graph.h[:2].tolist() == [0.0, 0.0]
+        assert graph.h[2] == pytest.approx(f.manifold_c2, rel=1e-12)
+        assert graph.h[3] == pytest.approx(f.manifold_c3, rel=1e-12)
+        # the reduced flow starts a2 W1^2 + ...
+        assert graph.flow[:2].tolist() == [0.0, 0.0]
+        assert graph.flow[2] == pytest.approx(f.a2, rel=1e-12)
+
+    def test_reduced_flow_is_the_field_on_the_graph(self, s_sub):
+        eig = eigen_2x2(s_sub.matrix)
+        graph = slow_graph(s_sub, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        assert graph.flow[1] == eig.lambda2
+        w = np.linspace(-0.2, 0.2, 9)
+        pts = graph.points(w)
+        f = np.array(field_poly(pts[:, 0], pts[:, 1], s_sub))
+        np.testing.assert_allclose(graph.speed(w), (graph.P_inv @ f)[1],
+                                   rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("mach", [1.0 / SOUND, 0.3 / SOUND, 0.99, 0.999])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_defect_within_tolerance_at_the_certified_radius(self, mach, side):
+        s, graph = _subsonic_graph(mach)
+        tol = _trace_tol(s)
+        radii = _certified_radii(graph, side, 1e-6 * s.scale, tol, s)
+        r_star = radii[-1]
+        assert r_star > 0.05 * s.scale
+        assert abs(graph.defect(side * r_star)) <= tol * graph.lam_fast
+        # the defect grows like w^(N+1): the next grid point fails
+        assert abs(graph.defect(side * r_star * 10.0 ** (1 / 12))) > tol * graph.lam_fast
+
+    @pytest.mark.parametrize("mach", [0.99, 0.999, 1.0 - 1e-5])
+    def test_graph_passes_through_s2_inside_the_radius(self, mach):
+        s, graph = _subsonic_graph(mach)
+        s1, s2 = s.s1.as_array(), s.s2.as_array()
+        z_s2, w_s2 = graph.P_inv @ (s2 - s1)
+        radii = _certified_radii(graph, 1.0, 1e-6 * s.scale, _trace_tol(s), s)
+        assert 0.0 < w_s2 < radii[-1]
+        z = np.polynomial.polynomial.polyval(w_s2, graph.h)
+        assert abs(z - z_s2) <= _trace_tol(s)
+        assert abs(graph.speed(w_s2)) <= 1e-9 * abs(graph.lam_slow) * w_s2
 
 
 class TestWCoordinates:

@@ -1,12 +1,14 @@
 """Properties of the decision procedure over random gas, far-field and
 boundary data, under the derandomised ``tier1`` profile of conftest.py.
 
-The far fields leave out stiff equilibria at S1, where one trace costs
-seconds, not because an answer there is wrong: a subsonic saddle with
-lambda1 > STIFF_SADDLE * |lambda2|, whose branches crawl at rate |lambda2|
-with steps capped by lambda1, and a sonic saddle-node with lambda2 >
-STIFF_SADDLE_NODE * a2 * scale, whose sigma crawls from the fixed manifold
-handoff in about lambda2 / (a2 * SWITCH_OFFSET * scale) steps.
+Subsonic far fields are drawn however stiff the saddle at S1 is, up to
+1 - M+ = 1e-6: the branches start on the slow-manifold graph, so they no
+longer crawl along the slow direction there.  A stiff saddle whose S2 lies
+beyond the graph's certified radius still costs about half a second per
+gamma2, crawling into S2; none of the tier-1 draws is one.  The sonic far
+fields leave out a stiff saddle-node, lambda2 > STIFF_SADDLE_NODE * a2 *
+scale, whose sigma crawls from the fixed manifold handoff in about
+lambda2 / (a2 * SWITCH_OFFSET * scale) steps, costing seconds per trace.
 """
 
 import dataclasses
@@ -17,10 +19,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from inflow_layer import (EndState, ExistenceEngine, GasParams, LayerError,
-                          Query, build_system, eigen_2x2, field_poly, phase_field,
+                          Query, build_system, field_poly, phase_field,
                           transonic_frame, verdict_to_dict)
 
-STIFF_SADDLE = 200.0          # the canonical gas at M+ = 0.99 has 153
 STIFF_SADDLE_NODE = 20.0
 
 
@@ -44,13 +45,13 @@ def far_fields(draw, machs):
     if mach == 1.0:
         f = transonic_frame(s)
         assume(f.lambda2 <= STIFF_SADDLE_NODE * f.a2 * s.scale)
-    elif mach < 1.0:
-        eig = eigen_2x2(s.matrix)
-        assume(eig.lambda1 <= STIFF_SADDLE * -eig.lambda2)
     return gas, right
 
 
-layer_machs = st.one_of(st.floats(0.05, 0.99), st.just(1.0))
+# subsonic Mach numbers reach 1 - M+ = 1e-6, where the branches are slow
+# manifolds that the graph seed carries
+near_sonic_machs = st.floats(-6.0, -2.0).map(lambda x: 1.0 - 10.0 ** x)
+layer_machs = st.one_of(st.floats(0.05, 0.99), near_sonic_machs, st.just(1.0))
 any_machs = st.one_of(layer_machs, st.floats(1.05, 3.0))
 
 

@@ -9,11 +9,16 @@ import pytest
 from inflow_layer import (DomainError, EndState, GasParams, OutOfRange,
                           PhasePoint, TraceOptions, build_system,
                           curve_membership, eigen_2x2, field_poly,
-                          export_curve_csv, export_curve_json, nullcline_h2,
-                          trace_gamma, trace_sigma, transonic_frame)
-from inflow_layer.tracer import (CURVE_GAMMA1, CURVE_GAMMA2,
+                          export_curve_csv, export_curve_json, integrate,
+                          near_equilibrium, nullcline_h2, phase_field,
+                          theta_crosses_zero, trace_gamma, trace_sigma,
+                          transonic_frame, u_crosses_zero)
+from inflow_layer import tracer
+from inflow_layer.tracer import (CAPTURE_RADIUS, CURVE_GAMMA1, CURVE_GAMMA2,
                                  TERMINAL_BUDGET, TERMINAL_CONVERGED_TO_S2,
-                                 TERMINAL_HIT_THETA_AXIS, TERMINAL_HIT_U_AXIS)
+                                 TERMINAL_HIT_THETA_AXIS, TERMINAL_HIT_U_AXIS,
+                                 _TERMINALS as _TERMINAL_OF, Pchip, gamma_seed)
+from inflow_layer.linearize import slow_graph
 from conftest import random_system
 
 
@@ -321,3 +326,137 @@ class TestRandomSubsonicSweep:
             assert g1.terminal == TERMINAL_HIT_U_AXIS
             g2 = trace_gamma(s, eig, CURVE_GAMMA2, opts)
             assert g2.terminal in (TERMINAL_CONVERGED_TO_S2, TERMINAL_HIT_THETA_AXIS)
+
+
+SOUND = math.sqrt(1.4)
+NEAR_SONIC = [1e-3, 1e-4, 1e-5, 1e-6, 1e-7]       # 1 - M+
+TOL_MEMBER = 1e-6
+
+
+def _far_field(mach):
+    s = build_system(GasParams(1.4, 1.0, 1.0, 1.0), EndState(1.0, mach * SOUND, 1.0))
+    return s, eigen_2x2(s.matrix)
+
+
+def _eigenline_reference(s, eig, branch):
+    """The reference trace: backward integration from the seed offset on the
+    stable eigenline, with the trace's events, sampled ten times finer than a
+    curve so that its interpolant is exact to well below the membership
+    tolerance."""
+    opts = TraceOptions()
+    events = ([u_crosses_zero()] if branch == CURVE_GAMMA1 else
+              [theta_crosses_zero(), near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)])
+    return integrate(phase_field(s), gamma_seed(s, eig, branch, 1e-6 * s.scale),
+                     opts.integration_settings(), events=events,
+                     max_state_step=0.1 * opts.sample_cap * s.scale)
+
+
+class _CountedIntegrate:
+    """Stands in for ``tracer.integrate`` and records each run's steps."""
+
+    def __init__(self):
+        self.steps = []
+
+    def __call__(self, *args, **kwargs):
+        res = integrate(*args, **kwargs)
+        self.steps.append(res.n_steps)
+        return res
+
+
+class TestGraphSeed:
+    @pytest.mark.parametrize("mach", [1.0 / SOUND, 0.3 / SOUND, 0.99, 0.999])
+    @pytest.mark.parametrize("branch", [CURVE_GAMMA1, CURVE_GAMMA2])
+    def test_agrees_with_the_eigenline_trace(self, mach, branch):
+        s, eig = _far_field(mach)
+        curve = trace_gamma(s, eig, branch)
+        ref = _eigenline_reference(s, eig, branch)
+        pidx = curve.param_index
+        assert _TERMINAL_OF[ref.event.kind] == curve.terminal
+        ref_pts = ref.points[:-1]         # up to the terminal event
+        interp = Pchip(ref_pts[::-1, pidx], ref_pts[::-1, 1 - pidx])
+        rows = curve.samples[2:-1]
+        gap = np.abs([interp(q) - v for q, v in zip(rows[:, pidx], rows[:, 1 - pidx])])
+        assert np.all(np.isfinite(gap))
+        assert gap.max() <= TOL_MEMBER / 10.0 * curve.value_scale
+        end = np.subtract(curve.terminal_point.as_array(), ref.event.point.as_array())
+        assert np.max(np.abs(end)) <= TOL_MEMBER / 10.0 * s.scale
+
+    def test_near_sonic_gamma2_runs_no_integrator(self, monkeypatch):
+        counted = _CountedIntegrate()
+        monkeypatch.setattr(tracer, "integrate", counted)
+        for gap in [1e-2] + NEAR_SONIC:
+            s, eig = _far_field(1.0 - gap)
+            c = trace_gamma(s, eig, CURVE_GAMMA2)
+            assert c.terminal == TERMINAL_CONVERGED_TO_S2
+            assert np.linalg.norm(c.terminal_point.as_array() - s.s2.as_array()) \
+                <= CAPTURE_RADIUS * s.scale
+        assert counted.steps == []
+
+    def test_near_sonic_gamma1_cost_is_bounded(self, monkeypatch):
+        counted = _CountedIntegrate()
+        monkeypatch.setattr(tracer, "integrate", counted)
+        steps = {}
+        for gap in (1e-2, 1e-7):
+            s, eig = _far_field(1.0 - gap)
+            counted.steps.clear()
+            assert trace_gamma(s, eig, CURVE_GAMMA1).terminal == TERMINAL_HIT_U_AXIS
+            steps[gap] = sum(counted.steps)
+        assert steps[1e-7] <= 2 * steps[1e-2]
+
+    def test_sonic_limit(self, transonic_curves):
+        # as M+ -> 1-, gamma1 tends to sigma and gamma2 shrinks to {S1},
+        # both at the rate 1 - M+
+        sigma = transonic_curves["sigma"]
+        gaps = [1e-2] + NEAR_SONIC
+        to_sigma, spans = [], []
+        for gap in gaps:
+            s, eig = _far_field(1.0 - gap)
+            g1 = trace_gamma(s, eig, CURVE_GAMMA1)
+            g2 = trace_gamma(s, eig, CURVE_GAMMA2)
+            us = np.linspace(0.05, s.u_plus - 1e-3, 100)
+            to_sigma.append(max(abs(g1.predict(u) - sigma.predict(u)) for u in us))
+            spans.append(float(np.max(np.abs(g2.samples - s.s1.as_array()))))
+        for gap, d, span in zip(gaps, to_sigma, spans):
+            assert d <= gap and span <= 3.0 * gap * s.scale, (gap, d, span)
+        assert to_sigma == sorted(to_sigma, reverse=True)
+        assert spans == sorted(spans, reverse=True)
+
+    def test_eigenline_seed_when_the_graph_certifies_nothing(self, s_sub):
+        # a seed offset beyond the certified radius leaves the seed on the
+        # eigenline, as before the graph
+        eig = eigen_2x2(s_sub.matrix)
+        opts = TraceOptions(seed_offset=0.2)
+        for branch in (CURVE_GAMMA1, CURVE_GAMMA2):
+            c = trace_gamma(s_sub, eig, branch, opts)
+            assert np.array_equal(c.samples[1], gamma_seed(s_sub, eig, branch, 0.2))
+            assert c.backward_time[1] == 0.0
+
+    def test_graph_samples_are_capped_and_timed(self, subsonic_curves, s_sub):
+        c = subsonic_curves["gamma1"]
+        assert c.backward_time[0] == math.inf and c.backward_time[1] == 0.0
+        assert np.all(np.diff(c.backward_time[1:]) > 0.0)
+        # the graph part, well inside the certified radius
+        graph = c.samples[1:][np.max(np.abs(c.samples[1:] - s_sub.s1.as_array()), axis=1)
+                              < 0.05 * s_sub.scale]
+        steps = np.max(np.abs(np.diff(graph, axis=0)), axis=1)
+        assert steps.max() <= TraceOptions().sample_cap * s_sub.scale
+        # near S1 the flight time is the linear one, log(r / eps) / |lambda2|
+        eig = eigen_2x2(s_sub.matrix)
+        r = np.linalg.norm(c.samples[1:12] - s_sub.s1.as_array(), axis=1)
+        np.testing.assert_allclose(c.backward_time[1:12],
+                                   np.log(r / r[0]) / -eig.lambda2, rtol=1e-3, atol=1e-9)
+
+    def test_a_graph_that_misses_s2_stops_short_of_it(self):
+        # a graph bent away from S2 must not carry the branch past S2: it
+        # keeps its radii below S2 / 2 and the integration goes on from there
+        s, eig = _far_field(0.99)
+        graph = slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        tol = TraceOptions().abs_tol + TraceOptions().rel_tol * s.scale
+        radii = tracer._certified_radii(graph, 1.0, 1e-6 * s.scale, tol, s)
+        r_s2 = float((graph.P_inv @ (s.s2.as_array() - s.s1.as_array()))[1])
+        on, at_s2 = tracer._to_s2(graph, 1.0, radii, s, tol)
+        assert at_s2 and on[-1] < r_s2
+        bent = dataclasses.replace(graph, h=graph.h + np.eye(1, graph.h.size, 2)[0] * 1e-6)
+        off, at_s2 = tracer._to_s2(bent, 1.0, radii, s, tol)
+        assert not at_s2
+        assert np.array_equal(off, radii[radii < 0.5 * r_s2])
