@@ -150,13 +150,15 @@ class DecayReport:
 
 
 class _Flight:
-    """One key's curves, traced by the first caller while the others wait."""
+    """One key's curves, or the error its trace raised, traced by the first
+    caller while the others wait."""
 
-    __slots__ = ("done", "curves")
+    __slots__ = ("done", "curves", "error")
 
     def __init__(self):
         self.done = threading.Event()
         self.curves: dict[str, Curve] | None = None
+        self.error: BaseException | None = None
 
 
 class ExistenceEngine:
@@ -164,7 +166,8 @@ class ExistenceEngine:
 
     Curve tracing is the expensive step; traces are cached immutable and
     shared read-only across queries.  Each key is traced once however many
-    callers ask for it at the same time, and the cache keeps the
+    callers ask for it at the same time (a trace that raises raises in
+    each of them, and is not kept), and the cache keeps the
     ``CURVE_CACHE_SIZE`` keys used last.
     """
 
@@ -182,28 +185,31 @@ class ExistenceEngine:
         regime = classify_regime(mach(right, gas), tol_M)
         key = (gas.gamma, gas.R, gas.mu, gas.kappa,
                right.v, right.u, right.theta, regime.tag)
-        while True:
-            with self._lock:
-                flight = self._cache.pop(key, None)
-                if flight is None:
-                    flight = self._cache[key] = _Flight()
-                    if len(self._cache) > CURVE_CACHE_SIZE:
-                        del self._cache[next(iter(self._cache))]
-                    break
-                self._cache[key] = flight
-                if flight.curves is not None:
-                    return flight.curves
-            flight.done.wait()
-            if flight.curves is not None:
+        with self._lock:
+            flight = self._cache.pop(key, None)
+            owner = flight is None
+            if owner:
+                flight = _Flight()
+            self._cache[key] = flight
+            if owner and len(self._cache) > CURVE_CACHE_SIZE:
+                del self._cache[next(iter(self._cache))]
+            elif flight.curves is not None:
                 return flight.curves
-            # the trace raised in the caller that ran it: trace here instead
+        if not owner:
+            flight.done.wait()
+            if flight.error is not None:
+                raise flight.error
+            return flight.curves
         try:
             flight.curves = self._trace(build_system(gas, right), regime, tol_M)
+        except BaseException as exc:
+            # the waiters get the error; the next new caller traces again
+            flight.error = exc
+            with self._lock:
+                if self._cache.get(key) is flight:
+                    del self._cache[key]
+            raise
         finally:
-            if flight.curves is None:
-                with self._lock:
-                    if self._cache.get(key) is flight:
-                        del self._cache[key]
             flight.done.set()
         return flight.curves
 

@@ -372,9 +372,10 @@ class _Series:
         return out
 
 
-def slow_graph(s: SystemData, lam_fast: float, e_fast, lam_slow: float, e_slow,
-               order: int = GRAPH_ORDER) -> SlowGraph:
-    """Graph of the invariant manifold tangent to ``e_slow`` at S1, to w^order.
+def slow_graph(s: SystemData, lam_fast: float, e_fast, lam_slow: float,
+               e_slow) -> SlowGraph:
+    """Graph of the invariant manifold tangent to ``e_slow`` at S1, to
+    w^GRAPH_ORDER.
 
     With (f1, f2) = ``field_nonlinear`` and (g_z, g_w) = P^{-1} (f1, f2) at
     S1 + z e_fast + w e_slow, the invariance equation lam_fast h + g_z =
@@ -401,13 +402,13 @@ def slow_graph(s: SystemData, lam_fast: float, e_fast, lam_slow: float, e_slow,
         f1, f2 = field_nonlinear(z * ef0 + w * es0, z * ef1 + w * es1, s)
         return p00 * f1 + p01 * f2, p10 * f1 + p11 * f2, w
 
-    h = np.zeros(order + 1)
-    for k in range(2, order + 1):
+    h = np.zeros(GRAPH_ORDER + 1)
+    for k in range(2, GRAPH_ORDER + 1):
         g_z, g_w, _ = nonlinear(h)
         dh = _Series(_derivative(h))
         h[k] = (g_z - dh * g_w).c[k] / (k * lam_slow - lam_fast)
-    # the field is cubic, so the flow on the graph has degree 3 * order
-    _, g_w, w = nonlinear(np.append(h, np.zeros(2 * order)))
+    # the field is cubic, so the flow on the graph has degree 3 * GRAPH_ORDER
+    _, g_w, w = nonlinear(np.append(h, np.zeros(2 * GRAPH_ORDER)))
     flow = (lam_slow * w + g_w).c
     return SlowGraph(lam_fast=lam_fast, lam_slow=lam_slow, e_fast=e_fast,
                      e_slow=e_slow, P_inv=np.array([[p00, p01], [p10, p11]]),

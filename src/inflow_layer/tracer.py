@@ -24,8 +24,8 @@ is laid analytically along an invariant-manifold graph:
   samples carry Gauss-Legendre flight times of the reduced flow.  When S2
   lies inside r*, gamma2 is the graph from S1 to S2's capture point and
   needs no integration; that is the whole branch as M+ -> 1-, where S2
-  merges into S1.  When r* does not exceed the seed offset, the seed sits
-  on the stable eigenline.
+  merges into S1.  When the grid's first point already fails, the
+  integration starts from the graph point at the seed offset.
 
 Sigma, gamma1 and gamma2 differ only in how they are seeded; the backward
 integration, terminal classification, thinning and validation are one body.
@@ -484,8 +484,9 @@ def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
     the stable manifold's graph over the slow coordinate (``slow_graph``),
     with the Gauss-Legendre flight times of the reduced flow; the backward
     integration starts at r*.  A gamma2 whose S2 lies inside r* ends on the
-    graph at S2's capture point, with no integration.  When r* does not
-    exceed the seed offset, the branch seeds on the stable eigenline.
+    graph at S2's capture point, with no integration.  When the graph is
+    not certified even at the seed offset, the integration starts from its
+    point there.
     """
     if branch not in (CURVE_GAMMA1, CURVE_GAMMA2):
         raise ValueError(f"unknown branch {branch!r}")
@@ -507,9 +508,8 @@ def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
     at_s2 = False
     if radii.size and branch == CURVE_GAMMA2 and s.alpha2 > 0.0:
         radii, at_s2 = _to_s2(graph, side, radii, s, tol)
-    if radii.size < 2 and not at_s2:
-        return _trace(s, branch, [s1, gamma_seed(s, eig, branch, eps)], [math.inf, 0.0],
-                      events, opts, eps, keep_radius, eig=eig)
+    if not radii.size:
+        radii = np.array([eps])
     w = side * _capped(graph, side, radii, opts.sample_cap * s.scale)
     pts = [s1, *graph.points(w)]
     times = [math.inf, 0.0, *np.cumsum(-graph.flight_times(w))]

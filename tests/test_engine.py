@@ -512,6 +512,42 @@ class TestCurveCache:
         monkeypatch.setattr(engine_module, "trace_gamma", trace_gamma)
         assert sorted(eng.curves_for(gas, right)) == ["gamma1", "gamma2"]
 
+    def test_concurrent_callers_share_a_failed_trace(self, gas, monkeypatch):
+        # callers waiting on a trace that raises get its error, not a trace
+        # of their own each; the next caller after them traces again
+        calls = []
+
+        def failing(s, eig, branch, opts=None):
+            calls.append(branch)
+            time.sleep(0.2)                # long enough for every caller to wait
+            raise TraceFailed("injected")
+
+        monkeypatch.setattr(engine_module, "trace_gamma", failing)
+        eng = ExistenceEngine()
+        right = EndState(1.0, 0.9, 1.0)
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        errors = []
+
+        def caller():
+            barrier.wait(timeout=10)
+            try:
+                eng.curves_for(gas, right)
+            except TraceFailed as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller) for _ in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+        assert not any(th.is_alive() for th in threads)
+        assert len(errors) == n_threads and len(calls) == 1
+        assert eng._cache == {}
+        with pytest.raises(TraceFailed):
+            eng.curves_for(gas, right)
+        assert len(calls) == 2
+
     def test_eviction_keeps_answers_independent_of_history(self, gas, monkeypatch):
         monkeypatch.setattr(engine_module, "CURVE_CACHE_SIZE", 2)
         counted = _CountedTrace(delay=0.0)

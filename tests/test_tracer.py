@@ -421,15 +421,20 @@ class TestGraphSeed:
         assert to_sigma == sorted(to_sigma, reverse=True)
         assert spans == sorted(spans, reverse=True)
 
-    def test_eigenline_seed_when_the_graph_certifies_nothing(self, s_sub):
-        # a seed offset beyond the certified radius leaves the seed on the
-        # eigenline, as before the graph
+    def test_graph_seed_when_the_graph_certifies_nothing(self, s_sub):
+        # a seed offset beyond the certified radius: the integration starts
+        # from the graph point at the seed offset
         eig = eigen_2x2(s_sub.matrix)
         opts = TraceOptions(seed_offset=0.2)
-        for branch in (CURVE_GAMMA1, CURVE_GAMMA2):
+        graph = slow_graph(s_sub, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        tol = opts.abs_tol + opts.rel_tol * s_sub.scale
+        for branch, side in ((CURVE_GAMMA1, -1.0), (CURVE_GAMMA2, 1.0)):
+            assert tracer._certified_radii(graph, side, 0.2, tol, s_sub).size == 0
             c = trace_gamma(s_sub, eig, branch, opts)
-            assert np.array_equal(c.samples[1], gamma_seed(s_sub, eig, branch, 0.2))
+            assert np.array_equal(c.samples[1], graph.points(side * 0.2))
             assert c.backward_time[1] == 0.0
+            assert c.terminal == (TERMINAL_HIT_U_AXIS if branch == CURVE_GAMMA1
+                                  else TERMINAL_CONVERGED_TO_S2)
 
     def test_graph_samples_are_capped_and_timed(self, subsonic_curves, s_sub):
         c = subsonic_curves["gamma1"]
