@@ -20,7 +20,7 @@ from .integrator import (Event, EventSpec, IntegrationResult,
                          IntegrationSettings, component_crosses, integrate,
                          left_region, near_equilibrium, theta_crosses_zero,
                          u_crosses_zero)
-from .linearize import EigenPair, TransonicFrame, eigen_2x2, transonic_frame
+from .linearize import EigenPair, SlowGraph, eigen_2x2, transonic_frame
 from .portrait import render_portrait
 from .system import (PhasePoint, Region, SystemData, build_system, field_exact,
                      field_poly, jacobian, nullcline_h1, nullcline_h2,

@@ -6,15 +6,18 @@ its regime (sonic: sigma; subsonic: gamma1 or gamma2), the equal-states
 case giving the trivial constant layer.
 
 Profiles ride invariant manifolds into the far-field equilibrium S1, which
-forward shooting cannot follow (transverse errors grow exponentially), so
-the profile is computed by the same stable backward integration used for
-tracing: start within 1e-10 * scale of S1 on the incoming direction,
-integrate backward until the boundary parameter is crossed, then reverse
-and re-base xi to zero at the boundary.  In the sonic regime the innermost
-algebraic stretch rides the invariant-manifold graph at S1: its points,
-reduced velocity and Gauss-Legendre flight times all come from
-``TransonicFrame``, and quadrature is the only numerically stable way to
-resolve the 1/xi tail.
+forward shooting cannot follow (transverse errors grow exponentially).
+Every profile rides its curve's invariant-manifold graph at S1
+(``Curve.graph``).  A boundary beyond the graph's radius is reached by the
+stable backward integration used for tracing, started at the graph point
+at that radius and run until the boundary parameter is crossed, then
+reversed and re-based to xi = 0 at the boundary; a boundary inside it is
+the graph point itself.  From there down to 1e-10 * scale of S1 the
+profile is the reduced flow along the graph: xi by Gauss-Legendre
+quadrature of its flight time, the residual rows from the graph's phase
+velocity.  Quadrature resolves the sonic 1/xi tail and the subsonic
+exp(lambda2 xi) one alike, where an integrator would crawl at |lambda2| ~
+1 - M+ with its steps capped by the fast rate.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from .integrator import (BACKWARD, COMPONENT_CROSSES, IntegrationSettings,
 from .linearize import eigen_2x2, transonic_frame
 from .system import (PhasePoint, SystemData, build_system, field_poly, phase_field,
                      rational_terms)
-from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, SWITCH_OFFSET,
-                     TERMINAL_BUDGET, Curve, TraceOptions, curve_membership,
-                     gamma_seed, trace_gamma, trace_sigma)
+from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, TERMINAL_BUDGET,
+                     Curve, TraceOptions, curve_membership, trace_gamma,
+                     trace_sigma)
 
 REASON_MASS_FLUX = "mass_flux_mismatch"
 REASON_NONPOSITIVE_U_PLUS = "nonpositive_u_plus"
@@ -294,10 +297,7 @@ class ExistenceEngine:
         if (abs((q.left.u, q.left.theta)[pidx] - (s.u_plus, s.theta_plus)[pidx])
                 <= 10.0 * _S1_OFFSET * s.scale):
             return self._trivial_profile(q, s)
-        if curve.label == CURVE_SIGMA:
-            prof = self._transonic_profile(q, s, curve)
-        else:
-            prof = self._subsonic_profile(q, s, curve)
+        prof = self._graph_profile(q, s, curve)
         prof.metrics["monotone_ok"], prof.metrics["signs"] = _monotone_check(prof)
         prof.metrics["endpoint_gap"] = max(abs(prof.U[-1] - s.u_plus),
                                            abs(prof.Theta[-1] - s.theta_plus))
@@ -327,8 +327,7 @@ class ExistenceEngine:
                 f"profile landed {gap:.3e} away from the boundary data "
                 f"(limit {lim:.3e}); membership was borderline")
 
-    def _backward_leg(self, q: Query, s: SystemData, start, pidx: int,
-                      h_max: float = IntegrationSettings.h_max):
+    def _backward_leg(self, q: Query, s: SystemData, start, pidx: int):
         """Backward run from ``start`` to the boundary parameter: (xi, points,
         residual rows), samples in forward order, xi = 0 at the boundary.
 
@@ -336,8 +335,7 @@ class ExistenceEngine:
         the interpolant is independent of the step-end field values) of each
         step's part in [t_event, 0] that is at least 1e-5 long."""
         settings = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15,
-                                       direction=BACKWARD, h_max=h_max,
-                                       max_steps=500_000)
+                                       direction=BACKWARD, max_steps=500_000)
         bparam = (q.left.u, q.left.theta)[pidx]
         res = integrate(phase_field(s), start, settings,
                         events=[component_crosses(pidx, bparam)])
@@ -356,40 +354,34 @@ class ExistenceEngine:
         y, dy = dense_eval(steps, 0.5 * (t_new[kept] + t_old[kept]))
         return xi, res.points[::-1].copy(), np.hstack([y, dy])
 
-    def _subsonic_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
-        eig = curve.eig
-        seed = gamma_seed(s, eig, curve.label, _S1_OFFSET * s.scale)
-        xi, pts, rows = self._backward_leg(q, s, seed, curve.param_index,
-                                           0.25 / abs(eig.lambda2))
-        return _profile(s, xi, pts, curve.label, rows)
-
-    def _transonic_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
-        frame = curve.frame
-        w_stop = _S1_OFFSET * s.scale / math.hypot(1.0, frame.m1)
-        y_switch = SWITCH_OFFSET * s.scale
-        du_boundary = s.u_plus - q.left.u
-
-        # outer leg: backward 2D integration from the manifold handoff point
-        # down to the boundary, unless the boundary sits inside the handoff
-        if du_boundary > 1.2 * y_switch:
-            w1_start = frame.w1_from_du(-y_switch)
-            xi, pts, rows = self._backward_leg(q, s, frame.points(w1_start), 0)
+    def _graph_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
+        """The outer leg, backward from the graph point at the curve's graph
+        radius to the boundary, or for a boundary inside that radius the
+        graph point at the boundary; then the inner leg along the graph."""
+        graph, pidx = curve.graph, curve.param_index
+        p_s1 = (s.u_plus, s.theta_plus)[pidx]
+        d = (q.left.u, q.left.theta)[pidx] - p_s1
+        # the graph leaves S1 along e_slow, so d / e_slow[pidx] has w's sign
+        w_start = math.copysign(curve.graph_radius, d / graph.e_slow[pidx])
+        edge = graph.points(w_start)
+        if abs(d) > abs(edge[pidx] - p_s1):
+            xi, pts, rows = self._backward_leg(q, s, edge, pidx)
         else:
-            w1_start = frame.w1_from_du(-du_boundary)
-            pts = frame.points(w1_start)[None, :]
-            self._landing_check(q, PhasePoint(*pts[0]), 0)
+            w_start = graph.w_at(pidx, d)
+            pts = graph.points(w_start)[None, :]
+            self._landing_check(q, PhasePoint(*pts[0]), pidx)
             xi = np.array([0.0])
             rows = np.empty((0, 4))
 
-        # inner leg: quadrature of the center flow restricted to the local
-        # invariant-manifold graph, from the handoff down to ~1e-10 of S1
-        n_dec = math.log10(abs(w1_start) / w_stop)
-        n_pts = max(60, int(round(n_dec * 16)) + 1)
-        w_grid = -np.geomspace(abs(w1_start), w_stop, n_pts)
-        # the first grid point coincides with the handoff sample
-        xi_inner = np.cumsum(np.concatenate([xi[-1:], frame.flight_times(w_grid)]))[1:]
-        inner_pts = frame.points(w_grid[1:])
-        inner_rows = np.column_stack([inner_pts, *frame.velocity(w_grid[1:])])
+        # inner leg: quadrature of the reduced flow along the graph, from
+        # the outer leg's end down to ~1e-10 of S1
+        w_stop = _S1_OFFSET * s.scale / math.hypot(*graph.e_slow)
+        n_pts = max(60, int(round(math.log10(abs(w_start) / w_stop) * 16)) + 1)
+        w_grid = math.copysign(1.0, w_start) * np.geomspace(abs(w_start), w_stop, n_pts)
+        # the first grid point coincides with the outer leg's last sample
+        xi_inner = np.cumsum(np.concatenate([xi[-1:], graph.flight_times(w_grid)]))[1:]
+        inner_pts = graph.points(w_grid[1:])
+        inner_rows = np.hstack([inner_pts, graph.velocity(w_grid[1:])])
         return _profile(s, np.concatenate([xi, xi_inner]), np.vstack([pts, inner_pts]),
                         curve.label, np.vstack([rows, inner_rows]))
 

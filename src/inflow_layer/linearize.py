@@ -1,14 +1,14 @@
-"""Analytic 2x2 eigen-analysis and the invariant-manifold graphs at S1.
+"""Analytic 2x2 eigen-analysis and the invariant-manifold graph at S1.
 
-``TransonicFrame`` is the one home of the invariant-manifold graph at the
-saddle-node S1: its points, the phase velocity along it, and the
-Gauss-Legendre flight times of the reduced one-dimensional flow.  The
-sigma trace, the sonic profile's inner leg and handoff point, and sigma's
-curve value next to S1 all read the graph through it.
-
-``slow_graph`` builds the order-``GRAPH_ORDER`` graph of the manifold
-tangent to the slow eigendirection at S1 over the slow coordinate, with the
-polynomial of the flow along it; the gamma traces start on it.
+Every layer enters the far-field equilibrium S1 along an invariant manifold
+tangent to its slow eigendirection: the center manifold of the sonic
+saddle-node, the stable manifold of the subsonic saddle.  ``SlowGraph`` is
+the one representation of that manifold, the order-``GRAPH_ORDER`` graph
+z = h(w) over the slow coordinate built by ``slow_graph``, with the
+polynomial of the reduced flow along it.  Its points, phase velocity,
+coordinate inverse and Gauss-Legendre flight times serve the sigma and gamma
+traces, the curves' values next to S1 and the profiles' legs;
+``transonic_frame`` builds it in the closed-form sonic frame.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .gas import TOL_MACH
 from .system import SystemData, field_nonlinear
 
 GRAPH_ORDER = 10     # highest power of the slow coordinate in ``slow_graph``
+_NEWTON_STEPS = 20   # cap on ``SlowGraph.w_at``; a few steps suffice inside r*
 
-# 20-node Gauss-Legendre rule on [-1, 1] for the panels of the sonic inner
-# leg, as computed by scipy.special.roots_legendre(20); numpy's leggauss
+# 20-node Gauss-Legendre rule on [-1, 1] for the flight-time panels along
+# the graph, as computed by scipy.special.roots_legendre(20); numpy's leggauss
 # weights differ in the last bits, which would move the profile's xi
 _GL_NODES = np.array([
     -0.9931285991850949, -0.9639719272779137, -0.912234428251326,
@@ -45,18 +46,6 @@ _GL_WEIGHTS = np.array([
     0.10193011981724026, 0.08327674157670427, 0.06267204833410933,
     0.04060142980038748, 0.017614007139152687,
 ])
-
-
-def _gl_flight_times(w_grid, speed) -> np.ndarray:
-    """Time of flight of a one-dimensional flow w' = speed(w) across each
-    panel of ``w_grid``: (b - a)/2 * sum(weight / speed) over the 20
-    Gauss-Legendre nodes mapped into the panel [a, b]."""
-    w_grid = np.asarray(w_grid, dtype=float)
-    a = w_grid[:-1, None]
-    b = w_grid[1:, None]
-    nodes = (b - a) * (_GL_NODES + 1) / 2.0 + a
-    return (b - a)[:, 0] / 2.0 * np.sum(
-        _GL_WEIGHTS * (1.0 / speed(nodes)), axis=-1)
 
 
 def _normalize_direction(v: np.ndarray) -> np.ndarray:
@@ -146,128 +135,6 @@ def eigen_2x2(A) -> EigenPair:
     return EigenPair(lam1, lam2, v1, v2)
 
 
-@dataclass(frozen=True)
-class TransonicFrame:
-    """Diagonalizing frame at S1 in the sonic (Mach 1) regime.
-
-    P has the eigenvectors (1, m1) and (1, m2) as columns, where m1 is the
-    slope of the zero-eigenvalue direction (sigma's tangent at S1) and m2
-    that of the expanding direction with rate lambda2 > 0.  W-coordinates
-    are defined by W = P^{-1} (u - u+, theta - theta+).  a2 is the quadratic
-    coefficient of the center-direction dynamics W1' = a2 W1^2 + O(W1^3),
-    and manifold_c2, manifold_c3 the coefficients of the local
-    invariant-manifold graph W2 = manifold_c2 * W1^2 + manifold_c3 * W1^3 +
-    O(W1^4).
-    """
-
-    lambda2: float
-    a2: float
-    m1: float
-    m2: float
-    det_P: float
-    P: np.ndarray
-    P_inv: np.ndarray
-    manifold_c2: float
-    manifold_c3: float
-    _sys: SystemData
-
-    def g1(self, w1, w2):
-        """Nonlinear part of the W1 equation (vectorized)."""
-        return self._g(w1, w2)[0]
-
-    def g2(self, w1, w2):
-        """Nonlinear part of the W2 equation, after removing lambda2 W2."""
-        return self._g(w1, w2)[1]
-
-    def _g(self, w1, w2):
-        du = np.asarray(w1, dtype=float) + np.asarray(w2, dtype=float)
-        dth = self.m1 * np.asarray(w1, dtype=float) + self.m2 * np.asarray(w2, dtype=float)
-        f1, f2 = field_nonlinear(du, dth, self._sys)
-        g1 = (self.m2 * f1 - f2) / self.det_P
-        g2 = (-self.m1 * f1 + f2) / self.det_P
-        return g1, g2
-
-    def manifold_graph(self, w1):
-        """Local invariant-manifold graph W2 = c2 W1^2 + c3 W1^3."""
-        w1 = np.asarray(w1, dtype=float)
-        return (self.manifold_c2 + self.manifold_c3 * w1) * w1 * w1
-
-    def manifold_slope(self, w1):
-        """Derivative of the manifold graph with respect to W1."""
-        w1 = np.asarray(w1, dtype=float)
-        return (2.0 * self.manifold_c2 + 3.0 * self.manifold_c3 * w1) * w1
-
-    def w1_from_du(self, du: float) -> float:
-        """Solve du = w1 + graph(w1) for the small root near w1 = du."""
-        w1 = du
-        for _ in range(5):
-            w1 = du - float(self.manifold_graph(w1))
-        return w1
-
-    def points(self, w1) -> np.ndarray:
-        """Phase points (u, theta) on the graph at center coordinates w1.
-
-        Rows of shape (..., 2): (u+ + (w1 + h), theta+ + (m1 w1 + m2 h))
-        with h the graph's W2, i.e. S1 + P (w1, h).
-        """
-        w1 = np.asarray(w1, dtype=float)
-        h = self.manifold_graph(w1)
-        s = self._sys
-        return np.stack([s.u_plus + (w1 + h),
-                         s.theta_plus + (self.m1 * w1 + self.m2 * h)], axis=-1)
-
-    def _speed(self, w1):
-        """Center-direction speed W1' of the flow restricted to the graph."""
-        return self.g1(w1, self.manifold_graph(w1))
-
-    def velocity(self, w1):
-        """Phase velocity (U', Theta') of the reduced flow along the graph."""
-        w1 = np.asarray(w1, dtype=float)
-        w1dot = self._speed(w1)
-        slope = self.manifold_slope(w1)
-        return w1dot * (1.0 + slope), w1dot * (self.m1 + slope * self.m2)
-
-    def flight_times(self, w_grid) -> np.ndarray:
-        """Time of flight of the reduced flow across each panel of ``w_grid``.
-
-        See ``_gl_flight_times``.
-        """
-        return _gl_flight_times(w_grid, self._speed)
-
-
-def transonic_frame(s: SystemData, tol_M: float = TOL_MACH) -> TransonicFrame:
-    """Build the diagonalizing frame for a sonic far field.
-
-    Once the regime test |M+ - 1| <= tol_M passes, the zero eigenvalue is
-    treated as exactly zero; downstream logic branches on the degenerate
-    classification, not on a near-zero numerical root.
-    """
-    if abs(s.mach_plus - 1.0) > tol_M:
-        raise DomainError(
-            f"transonic frame requires |M - 1| <= {tol_M}, got M = {s.mach_plus}")
-    gas = s.gas
-    g, R, mu, kappa = gas.gamma, gas.R, gas.mu, gas.kappa
-    up = s.u_plus
-    lam2 = ((g - 1.0) / (g * mu) + s.c_mix) * up
-    m1 = -(g - 1.0) * up / (R * g)
-    m2 = mu * up / (kappa * (g - 1.0))
-    det_p = m2 - m1
-    P = np.array([[1.0, 1.0], [m1, m2]])
-    P_inv = np.array([[m2, -1.0], [-m1, 1.0]]) / det_p
-    a2 = R * g * (g + 1.0) / (2.0 * (R * g * mu + kappa * (g - 1.0) ** 2))
-    # graph coefficients from the order-2 and order-3 invariance equations
-    # lam2 h + g2(w, h) = h'(w) g1(w, h) for h = c2 w^2 + c3 w^3; b2, b3 are
-    # the w1^2, w1^3 coefficients of g2(w1, 0) and q12 its w1*w2 coefficient
-    b2 = (-m1 / mu + s.c_sq + s.c_mix * m1) / det_p
-    b3 = -1.0 / (2.0 * kappa * det_p)
-    q12 = (-2.0 * m1 / mu + 2.0 * s.c_sq + s.c_mix * (m1 + m2)) / det_p
-    c2 = -b2 / lam2
-    c3 = (2.0 * c2 * a2 - b3 - q12 * c2) / lam2
-    return TransonicFrame(lambda2=lam2, a2=a2, m1=m1, m2=m2, det_P=det_p,
-                          P=P, P_inv=P_inv, manifold_c2=c2, manifold_c3=c3,
-                          _sys=s)
-
-
 def _horner(coef, w):
     """Value at w (a float or an array) of the polynomial with ascending
     coefficients ``coef``; it only multiplies and adds, so it rounds the
@@ -316,10 +183,40 @@ class SlowGraph:
         """Reduced-flow speed w'."""
         return _horner(self.flow, w)
 
+    def velocity(self, w) -> np.ndarray:
+        """Phase velocity w' (h'(w) e_fast + e_slow) of the reduced flow at
+        the graph points over w, rows of shape (..., 2)."""
+        w = np.asarray(w, dtype=float)
+        dz = _horner(_derivative(self.h), w)
+        speed = self.speed(w)
+        return np.stack([speed * (dz * self.e_fast[0] + self.e_slow[0]),
+                         speed * (dz * self.e_fast[1] + self.e_slow[1])], axis=-1)
+
+    def w_at(self, i: int, d: float) -> float:
+        """The w near 0 at which component ``i`` of points(w) - S1 is ``d``:
+        Newton's method from the eigenline's w = d / e_slow[i], on Python
+        floats."""
+        ef, es = float(self.e_fast[i]), float(self.e_slow[i])
+        dh = _derivative(self.h)
+        w = d / es
+        for _ in range(_NEWTON_STEPS):
+            step = ((float(_horner(self.h, w)) * ef + w * es - d)
+                    / (float(_horner(dh, w)) * ef + es))
+            w -= step
+            if abs(step) <= 1e-15 * abs(w):
+                break
+        return w
+
     def flight_times(self, w_grid) -> np.ndarray:
-        """Time of flight of the reduced flow across each panel of ``w_grid``;
-        see ``_gl_flight_times``."""
-        return _gl_flight_times(w_grid, self.speed)
+        """Time of flight of the reduced flow across each panel of ``w_grid``:
+        (b - a)/2 * sum(weight / speed) over the 20 Gauss-Legendre nodes
+        mapped into the panel [a, b]."""
+        w_grid = np.asarray(w_grid, dtype=float)
+        a = w_grid[:-1, None]
+        b = w_grid[1:, None]
+        nodes = (b - a) * (_GL_NODES + 1) / 2.0 + a
+        return (b - a)[:, 0] / 2.0 * np.sum(
+            _GL_WEIGHTS * (1.0 / self.speed(nodes)), axis=-1)
 
     def defect(self, w: float) -> float:
         """Normal invariance defect z' - h'(w) w' of the field at the graph
@@ -370,6 +267,27 @@ class _Series:
         for _ in range(n - 1):
             out = out * self
         return out
+
+
+def transonic_frame(s: SystemData, tol_M: float = TOL_MACH) -> SlowGraph:
+    """The center-manifold graph at S1 of a sonic far field.
+
+    Once the regime test |M+ - 1| <= tol_M passes, the zero eigenvalue is
+    treated as exactly zero: the graph is built on the closed-form
+    eigenvectors (1, m2) of the rate lambda2 > 0 and (1, m1) of the center
+    direction (sigma's tangent at S1), so its slow coordinate is the center
+    coordinate W1 of W = P^{-1} (u - u+, theta - theta+), P = [(1, m1)
+    (1, m2)], and its ``flow`` starts a2 W1^2.
+    """
+    if abs(s.mach_plus - 1.0) > tol_M:
+        raise DomainError(
+            f"transonic frame requires |M - 1| <= {tol_M}, got M = {s.mach_plus}")
+    g, R, mu, kappa = s.gas.gamma, s.gas.R, s.gas.mu, s.gas.kappa
+    up = s.u_plus
+    lam2 = ((g - 1.0) / (g * mu) + s.c_mix) * up
+    m1 = -(g - 1.0) * up / (R * g)
+    m2 = mu * up / (kappa * (g - 1.0))
+    return slow_graph(s, lam2, (1.0, m2), 0.0, (1.0, m1))
 
 
 def slow_graph(s: SystemData, lam_fast: float, e_fast, lam_slow: float,

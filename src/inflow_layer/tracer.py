@@ -10,25 +10,29 @@ S2, or exhausts its budget.
 
 Near S1 the backward orbit crawls along the slow direction while explicit
 steps are capped by the fast rate, so the innermost stretch of every curve
-is laid analytically along an invariant-manifold graph:
+is laid analytically along the invariant-manifold graph at S1
+(``linearize.SlowGraph``, of order ``GRAPH_ORDER``), its samples carrying
+the Gauss-Legendre flight times of the reduced flow along the graph:
 
-* sigma (sonic regime, where the approach to S1 is algebraic) slides along
-  the cubic graph W2 = c2 W1^2 + c3 W1^3 (``TransonicFrame.points``) up to
-  the handoff distance ``SWITCH_OFFSET * scale``;
-* gamma1 and gamma2 (subsonic saddle) are sampled on the graph of the
-  stable manifold over the slow coordinate (``linearize.slow_graph``, of
-  order ``GRAPH_ORDER``) out to its certified radius r*: the last point of
-  a fixed geometric grid, contiguous from the seed and in the open
-  quadrant, at which the graph's invariance defect over the fast rate is
-  within the trace tolerance ``abs_tol + rel_tol * scale``.  The graph
-  samples carry Gauss-Legendre flight times of the reduced flow.  When S2
-  lies inside r*, gamma2 is the graph from S1 to S2's capture point and
-  needs no integration; that is the whole branch as M+ -> 1-, where S2
-  merges into S1.  When the grid's first point already fails, the
-  integration starts from the graph point at the seed offset.
+* sigma (sonic regime, where the approach to S1 is algebraic) is sampled on
+  the center-manifold graph (``transonic_frame``) up to the handoff
+  distance ``SWITCH_OFFSET * scale``;
+* gamma1 and gamma2 (subsonic saddle) are sampled on the stable-manifold
+  graph out to its certified radius r*: the last point of a fixed
+  geometric grid, contiguous from the seed and in the open quadrant, at
+  which the graph's invariance defect over the fast rate is within the
+  trace tolerance ``abs_tol + rel_tol * scale``.  When S2 lies inside r*,
+  gamma2 is the graph from S1 to S2's capture point and needs no
+  integration; that is the whole branch as M+ -> 1-, where S2 merges into
+  S1.  When the grid's first point already fails, the integration starts
+  from the graph point at the seed offset.
 
-Sigma, gamma1 and gamma2 differ only in how they are seeded; the backward
-integration, terminal classification, thinning and validation are one body.
+Each curve keeps its graph and the w-extent of its graph samples
+(``Curve.graph``, ``Curve.graph_radius``): its value between S1 and the
+first offset sample is read off the graph, and the engine's profiles ride
+it.  Sigma, gamma1 and gamma2 differ only in how they are seeded; the
+backward integration, terminal classification, thinning and validation are
+one body.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
                          THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationSettings,
                          component_crosses, integrate, near_equilibrium,
                          theta_crosses_zero, u_crosses_zero)
-from .linearize import EigenPair, SlowGraph, TransonicFrame, slow_graph
+from .linearize import EigenPair, SlowGraph, slow_graph
 from .system import PhasePoint, Region, SystemData, phase_field, region_contains
 
 CURVE_SIGMA = "sigma"
@@ -62,7 +66,7 @@ TERMINAL_BUDGET = "budget"
 
 SWITCH_OFFSET = 1e-3                  # * scale, sonic manifold handoff
 CAPTURE_RADIUS = 1e-8                 # * scale, S2 capture
-SLIDE_POINTS_PER_DECADE = 12          # sigma's analytic slide up to the handoff
+SLIDE_POINTS_PER_DECADE = 12          # graph samples per decade of w
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,8 @@ class Curve:
     positivity constraints.  ``backward_time`` is the time-of-flight from
     the seed (S1 itself carries +inf: the true orbit needs infinite xi).
     ``interpolant`` is the monotone interpolant of value over parameter.
+    ``graph`` is the invariant-manifold graph at S1 the curve leaves along,
+    and ``graph_radius`` the |w| of its last graph sample.
     """
 
     label: str
@@ -176,7 +182,8 @@ class Curve:
     seed_offset: float
     system: SystemData
     interpolant: Pchip = field(repr=False)
-    frame: Optional[TransonicFrame] = None
+    graph: SlowGraph = field(repr=False)
+    graph_radius: float
     eig: Optional[EigenPair] = None
 
     @property
@@ -203,20 +210,10 @@ class Curve:
         return float(p[-1]), float(p[0])
 
     def _gap_value(self, q: float) -> float:
-        """Curve value between S1 and the first offset sample.
-
-        Sigma uses the cubic invariant-manifold graph; the gamma branches
-        use the stable eigen-line (the gap is O(seed_offset), where the
-        quadratic correction is negligible).
-        """
-        s = self.system
-        if self.frame is not None:
-            f = self.frame
-            return float(f.points(f.w1_from_du(q - s.u_plus))[1])
-        slope = self.eig.e2[1] / self.eig.e2[0]
-        if self.param_index == 0:
-            return s.theta_plus + slope * (q - s.u_plus)
-        return s.u_plus + (q - s.theta_plus) / slope
+        """Curve value between S1 and the first offset sample, on the graph."""
+        pidx, g = self.param_index, self.graph
+        s1 = (self.system.u_plus, self.system.theta_plus)
+        return float(g.points(g.w_at(pidx, q - s1[pidx]))[1 - pidx])
 
     def predict(self, q: float) -> float:
         """Interpolated curve value at parameter q (inside the traced span)."""
@@ -328,12 +325,12 @@ _TERMINALS = {
 }
 
 
-def gamma_seed(s: SystemData, eig: EigenPair, branch: str, offset: float) -> np.ndarray:
-    """The point ``offset`` from S1 along the stable eigenvector, on a gamma
-    branch's side: u > u+ for gamma2, u < u+ for gamma1 (``eig.e2`` has a
-    positive u-component)."""
-    side = 1.0 if branch == CURVE_GAMMA2 else -1.0
-    return np.array([s.u_plus, s.theta_plus]) + side * offset * eig.e2
+def _graph_samples(s: SystemData, graph: SlowGraph, w: np.ndarray):
+    """S1 and the graph points over ``w``, from the seed outward, with their
+    backward times: +inf at S1, then the reduced flow's flight time from
+    the first point."""
+    return ([np.array([s.u_plus, s.theta_plus]), *graph.points(w)],
+            [math.inf, 0.0, *np.cumsum(-graph.flight_times(w))])
 
 
 def _trace(s: SystemData, label: str, pts: list[np.ndarray], times: list[float],
@@ -342,7 +339,8 @@ def _trace(s: SystemData, label: str, pts: list[np.ndarray], times: list[float],
     """Integrate backward from the last seeded sample and build the curve.
 
     ``pts`` and ``times`` hold S1 and the seeded samples with their time of
-    flight; ``local`` is the curve's ``frame`` or ``eig``.
+    flight; ``local`` is the curve's ``graph`` and ``graph_radius``, and
+    for gamma its ``eig``.
     """
     res = integrate(phase_field(s), pts[-1], opts.integration_settings(),
                     events=events, max_state_step=opts.sample_cap * s.scale)
@@ -377,19 +375,20 @@ def _curve(s: SystemData, label: str, pts: list[np.ndarray], times: list[float],
                  **local)
 
 
-def trace_sigma(s: SystemData, f: TransonicFrame,
+def trace_sigma(s: SystemData, graph: SlowGraph,
                 opts: TraceOptions | None = None) -> Curve:
     """Trace the sonic-regime curve from S1 to its endpoint Z0 on u = 0.
 
-    The seed sits at ``seed_offset`` from S1 along the center direction with
-    negative u-component (the side the incoming orbit is tangent to); the
-    slide along the cubic manifold graph then bridges to ``SWITCH_OFFSET``
-    before the backward integration takes over.
+    ``graph`` is the center-manifold graph of ``transonic_frame``.  The seed
+    sits at ``seed_offset`` from S1 along the center direction with negative
+    u-component (the side the incoming orbit is tangent to); the samples on
+    the graph then bridge to w = -``SWITCH_OFFSET`` * scale before the
+    backward integration takes over.
     """
     opts = opts or TraceOptions()
     scale = s.scale
     eps = opts.seed_offset if opts.seed_offset is not None else 1e-6 * scale
-    w_seed = eps / math.hypot(1.0, f.m1)
+    w_seed = eps / math.hypot(*graph.e_slow)
     y_switch = SWITCH_OFFSET * scale
 
     ws = np.array([w_seed])
@@ -397,11 +396,9 @@ def trace_sigma(s: SystemData, f: TransonicFrame,
         n_dec = math.log10(y_switch / w_seed)
         n_pts = max(2, int(round(n_dec * SLIDE_POINTS_PER_DECADE)) + 1)
         ws = np.geomspace(w_seed, y_switch, n_pts)
-    pts = [np.array([s.u_plus, s.theta_plus]), *f.points(-ws)]
-    # time-of-flight of the quadratic center flow, bookkeeping only
-    times = [math.inf, *((1.0 / w_seed - 1.0 / ws) / f.a2)]
+    pts, times = _graph_samples(s, graph, -ws)
     return _trace(s, CURVE_SIGMA, pts, times, [u_crosses_zero()], opts, eps,
-                  keep_radius=3.0 * y_switch, frame=f)
+                  keep_radius=3.0 * y_switch, graph=graph, graph_radius=float(ws[-1]))
 
 
 def _certified_radii(graph: SlowGraph, side: float, eps: float, tol: float,
@@ -499,7 +496,6 @@ def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
     else:
         events = [theta_crosses_zero(),
                   near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)]
-    s1 = np.array([s.u_plus, s.theta_plus])
     keep_radius = 10.0 * eps
     side = 1.0 if branch == CURVE_GAMMA2 else -1.0
     tol = opts.abs_tol + opts.rel_tol * s.scale
@@ -511,12 +507,12 @@ def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
     if not radii.size:
         radii = np.array([eps])
     w = side * _capped(graph, side, radii, opts.sample_cap * s.scale)
-    pts = [s1, *graph.points(w)]
-    times = [math.inf, 0.0, *np.cumsum(-graph.flight_times(w))]
+    pts, times = _graph_samples(s, graph, w)
+    local = dict(graph=graph, graph_radius=float(radii[-1]), eig=eig)
     if not at_s2:
-        return _trace(s, branch, pts, times, events, opts, eps, keep_radius, eig=eig)
+        return _trace(s, branch, pts, times, events, opts, eps, keep_radius, **local)
     return _curve(s, branch, pts, times, TERMINAL_CONVERGED_TO_S2,
-                  PhasePoint(*map(float, pts[-1])), opts, eps, keep_radius, eig=eig)
+                  PhasePoint(*map(float, pts[-1])), opts, eps, keep_radius, **local)
 
 
 def curve_membership(c: Curve, p: PhasePoint, tol: float = 1e-6) -> Membership:

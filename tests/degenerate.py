@@ -2,9 +2,10 @@
 equilibria, used by the acceptance suite to confirm the sonic saddle-node.
 
 The runtime never calls it: the sigma trace seeds on the negative center
-axis, the side the closed-form quadratic coefficient ``TransonicFrame.a2 >
-0`` predicts.  The classifier checks that orientation and coefficient
-independently, from the W-equations alone, by solving the implicit graph
+axis, the side the quadratic coefficient a2 > 0 of the center flow
+(``transonic_frame(s).flow[2]``) predicts.  The classifier checks that
+orientation and coefficient independently, from the W-equations alone
+(``sonic_reference.w_equations``), by solving the implicit graph
 lam phi + g2(x, phi) = 0 and fitting the leading order of the reduced flow
 psi(x) = g1(x, phi(x)).
 """

@@ -23,6 +23,7 @@ from inflow_layer.tracer import (CURVE_GAMMA1, CURVE_GAMMA2,
                                  TraceOptions)
 from conftest import random_system
 from degenerate import DegenerateKind, classify_degenerate
+from sonic_reference import w_equations
 
 LAMBDA_NEG = 0.3507810593582122     # |negative eigenvalue|, canonical subsonic
 A2 = 14.0 / 13.0                    # center-direction quadratic coefficient
@@ -113,19 +114,20 @@ def test_criterion_3_canonical_subsonic(gas, right_subsonic):
 def test_criterion_4_canonical_transonic(gas, right_transonic):
     s = build_system(gas, right_transonic)
     frame = transonic_frame(s)
+    lam2 = frame.lam_fast
     eig = eigen_2x2(s.matrix)
     assert abs(eig.lambda2) <= 1e-10 * s.scale
     lam2_closed = (0.4 / 1.4 + 1.0 / 0.4) * math.sqrt(1.4)
-    assert frame.lambda2 == pytest.approx(lam2_closed, rel=1e-10)
+    assert lam2 == pytest.approx(lam2_closed, rel=1e-10)
     assert eig.lambda1 == pytest.approx(lam2_closed, rel=1e-10)
-    D = frame.P_inv @ s.matrix @ frame.P
-    assert np.max(np.abs(D - np.diag([0.0, frame.lambda2]))) < 1e-12 * frame.lambda2
-    cls = classify_degenerate(frame.g1, frame.g2, frame.lambda2,
+    D = frame.P_inv @ s.matrix @ np.column_stack([frame.e_fast, frame.e_slow])
+    assert np.max(np.abs(D - np.diag([lam2, 0.0]))) < 1e-12 * lam2
+    cls = classify_degenerate(*w_equations(frame), lam2,
                               delta=1e-2 * max(1.0, s.u_plus))
     assert cls.m == 2
     assert cls.a_m == pytest.approx(A2, rel=1e-2)
     assert cls.kind is DegenerateKind.SADDLE_NODE_NEG_AXIS
-    _ok(f"criterion 4: transonic set gives lambda = (0, {frame.lambda2:.6f}), "
+    _ok(f"criterion 4: transonic set gives lambda = (0, {lam2:.6f}), "
         f"clean diagonalization, classifier m=2, a2={cls.a_m:.6f} "
         f"(closed form {A2:.6f}), saddle-node tangent to the negative center axis")
 

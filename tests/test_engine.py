@@ -6,9 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from inflow_layer import (EndState, ExistenceEngine, InvalidBoundary, Profile,
-                          ProfileDiverged, Query, TailTooShort, Tolerances,
-                          TraceFailed, classify_regime, trace_gamma,
+from inflow_layer import (EndState, ExistenceEngine, GasParams, InvalidBoundary,
+                          Profile, ProfileDiverged, Query, TailTooShort,
+                          Tolerances, TraceFailed, classify_regime, trace_gamma,
                           verdict_to_dict, verify_decay, verify_residual)
 from inflow_layer import engine as engine_module
 from inflow_layer.gas import TOL_MACH
@@ -76,20 +76,27 @@ class TestDecide:
         v = engine.decide(q)
         assert v.exists and v.curve == "sigma"
 
-    def test_sigma_gap_zone_point_exists(self, engine, gas, right_transonic,
-                                         transonic_curves):
-        # between S1 and the first seeded sample sigma is read off the
-        # manifold graph, so a point on that graph is a point on sigma
-        c = transonic_curves["sigma"]
-        du = 5e-7 * right_transonic.u
-        assert right_transonic.u - c.samples[1, 0] > du
-        u_b, th_b = (float(x) for x in c.frame.points(c.frame.w1_from_du(-du)))
-        assert c.predict(u_b) == pytest.approx(th_b, rel=0.0, abs=1e-15)
-        q = Query(EndState(u_b * right_transonic.v / right_transonic.u, u_b, th_b),
-                  right_transonic, gas)
+    @pytest.mark.parametrize("case,label", [("transonic", "sigma"),
+                                            ("subsonic", "gamma1"),
+                                            ("subsonic", "gamma2")],
+                             ids=["sigma", "gamma1", "gamma2"])
+    def test_gap_zone_point_exists(self, request, engine, gas, case, label):
+        # between S1 and the first seeded sample a curve is read off its
+        # manifold graph, so a point on that graph is a point on the curve
+        right = request.getfixturevalue(f"right_{case}")
+        c = request.getfixturevalue(f"{case}_curves")[label]
+        pidx = c.param_index
+        s1 = c.samples[0]
+        d = 0.5 * (c.samples[1, pidx] - s1[pidx])
+        point = c.graph.points(c.graph.w_at(pidx, d))
+        assert 0.0 < (point - s1)[pidx] / (c.samples[1] - s1)[pidx] < 1.0
+        u_b, th_b = (float(x) for x in point)
+        assert c.predict(float(point[pidx])) == pytest.approx(float(point[1 - pidx]),
+                                                              rel=0.0, abs=1e-15)
+        q = Query(EndState(u_b * right.v / right.u, u_b, th_b), right, gas)
         v = engine.decide(q)
-        assert v.exists and v.curve == "sigma"
-        assert v.curve_parameter == u_b
+        assert v.exists and v.curve == label
+        assert v.curve_parameter == float(point[pidx])
 
     def test_perturbed_theta_off_curve(self, engine, gas, right_subsonic, subsonic_curves):
         c = subsonic_curves["gamma1"]
@@ -316,8 +323,8 @@ class TestRandomParameterRoundTrip:
                     lam2 = eigen_2x2(s.matrix).lambda2
                     assert rep.rate == pytest.approx(abs(lam2), rel=0.05)
                 else:
-                    frame = transonic_frame(s)
-                    assert rep.inv_coeff == pytest.approx(1.0 / frame.a2, rel=0.1)
+                    a2 = transonic_frame(s).flow[2]
+                    assert rep.inv_coeff == pytest.approx(1.0 / a2, rel=0.1)
                     assert rep.exponent == pytest.approx(-1.0, abs=0.1)
 
 
@@ -441,6 +448,47 @@ def test_array_residual_equals_scalar_loop(request, engine, gas, monkeypatch, ca
     got = verify_residual(prof, s)
     assert type(got) is float and got.hex() == worst.hex()
     assert got == prof.metrics["residual_sup"] <= 1e-8
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-5])
+@pytest.mark.parametrize("label", ["gamma1", "gamma2"])
+def test_near_sonic_profile_rides_the_graph(gas, monkeypatch, gap, label):
+    # the slow tail decays at |lambda2| ~ 1 - M+; an integrator leg from
+    # S1 crawled there and ran out of its step budget at 1 - M+ = 1e-5
+    steps = []
+
+    def counted(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        steps.append(res.n_steps)
+        return res
+
+    monkeypatch.setattr(engine_module, "integrate", counted)
+    right = EndState(1.0, (1.0 - gap) * math.sqrt(1.4), 1.0)
+    eng = ExistenceEngine()
+    c = eng.curves_for(gas, right)[label]
+    prof = eng.compute_profile(Query(_left_for(c, len(c.samples) // 2, right), right, gas))
+    assert prof.metrics["residual_sup"] <= 1e-8
+    assert prof.metrics["monotone_ok"]
+    assert prof.metrics["endpoint_gap"] <= 1e-8
+    assert sum(steps) <= 1000
+
+
+def test_profile_far_beyond_the_graph_radius():
+    # the graph polynomial is meaningless far beyond its radius: here the
+    # boundary's u - u+ = -0.6 is also reached at w = +5.04, on gamma2's
+    # side, so the outer leg is decided on the parameter, not on w_at
+    k = 1.0757796162975648
+    gas = GasParams(2.00001, k, k, k)
+    right = EndState(k, 1.521384405557168, k)
+    left = EndState(0.6533475853717337, 0.9239744021307462, 1.4726395371858751)
+    eng = ExistenceEngine()
+    c = eng.curves_for(gas, right)["gamma1"]
+    assert c.graph.w_at(0, left.u - right.u) > c.graph_radius
+    prof = eng.compute_profile(Query(left, right, gas))
+    assert prof.curve == "gamma1"
+    assert prof.metrics["residual_sup"] <= 1e-8
+    assert prof.metrics["monotone_ok"]
+    assert prof.metrics["endpoint_gap"] <= 1e-8
 
 
 class _CountedTrace:

@@ -10,6 +10,7 @@ from inflow_layer.linearize import slow_graph
 from inflow_layer.tracer import _certified_radii
 from conftest import random_system
 from degenerate import DegenerateKind, FitAmbiguous, classify_degenerate
+from sonic_reference import closed_form, w_equations
 
 
 @pytest.fixture(scope="module")
@@ -80,31 +81,33 @@ class TestEigen2x2:
 
 
 class TestTransonicFrame:
+    # the frame is the center-manifold graph: lam_fast is lambda2, e_slow =
+    # (1, m1), e_fast = (1, m2), and flow[2] the reduced flow's a2
     def test_lambda2_closed_form(self, frame, s_trans):
         expected = (0.4 / 1.4 + 1.0 / 0.4) * math.sqrt(1.4)
-        assert frame.lambda2 == pytest.approx(expected, rel=1e-14)
+        assert frame.lam_fast == pytest.approx(expected, rel=1e-14)
 
     def test_matches_generic_eigensolver(self, frame, s_trans):
         eig = eigen_2x2(s_trans.matrix)
         assert abs(eig.lambda2) <= 1e-10 * s_trans.scale
-        assert eig.lambda1 == pytest.approx(frame.lambda2, rel=1e-10)
+        assert eig.lambda1 == pytest.approx(frame.lam_fast, rel=1e-10)
 
     def test_diagonalization(self, frame, s_trans):
-        D = frame.P_inv @ s_trans.matrix @ frame.P
-        target = np.diag([0.0, frame.lambda2])
-        assert np.max(np.abs(D - target)) < 1e-12 * max(1.0, frame.lambda2)
+        D = frame.P_inv @ s_trans.matrix @ np.column_stack([frame.e_fast, frame.e_slow])
+        target = np.diag([frame.lam_fast, 0.0])
+        assert np.max(np.abs(D - target)) < 1e-12 * max(1.0, frame.lam_fast)
 
     def test_a2_closed_form(self, frame):
-        assert frame.a2 == pytest.approx(14.0 / 13.0, rel=1e-14)
+        assert frame.flow[2] == pytest.approx(14.0 / 13.0, rel=1e-14)
 
     def test_center_slope_equals_tangent_slope(self, frame, s_trans):
         expected = -0.4 * math.sqrt(1.4) / 1.4
-        assert frame.m1 == pytest.approx(expected, rel=1e-14)
+        assert frame.e_slow[1] == pytest.approx(expected, rel=1e-14)
 
     def test_manifold_coefficient_closed_form(self, frame, s_trans):
         up = s_trans.u_plus
-        b2 = (0.4 * up / 1.4 - up / 2.0) / frame.det_P
-        assert frame.manifold_c2 == pytest.approx(-b2 / frame.lambda2, rel=1e-12)
+        b2 = (0.4 * up / 1.4 - up / 2.0) / (frame.e_fast[1] - frame.e_slow[1])
+        assert frame.h[2] == pytest.approx(-b2 / frame.lam_fast, rel=1e-12)
 
     @pytest.mark.parametrize("gas_params", [(1.4, 1.0, 1.0, 1.0),
                                             (1.67, 2.0, 0.3, 1.7),
@@ -115,12 +118,13 @@ class TestTransonicFrame:
         # is O(|W1|^4); a wrong c3 leaves an O(|W1|^3) term
         g = GasParams(*gas_params)
         s = build_system(g, EndState(1.0, math.sqrt(g.R * g.gamma), 1.0))
-        f = transonic_frame(s)
+        ref = closed_form(s)
+        g1, g2 = w_equations(transonic_frame(s))
 
         def scaled_defect(w):
-            h = float(f.manifold_graph(w))
-            d = (f.lambda2 * h + float(f.g2(w, h))
-                 - float(f.manifold_slope(w)) * float(f.g1(w, h)))
+            h = (ref.c2 + ref.c3 * w) * w * w
+            slope = (2.0 * ref.c2 + 3.0 * ref.c3 * w) * w
+            d = ref.lambda2 * h + float(g2(w, h)) - slope * float(g1(w, h))
             return d / w ** 4
 
         ratio = scaled_defect(side * 1e-3) / scaled_defect(side * 1e-2)
@@ -150,17 +154,20 @@ class TestSlowGraph:
     @pytest.mark.parametrize("gas_params", GASES)
     def test_reproduces_the_sonic_closed_form(self, gas_params):
         # on the sonic frame (slow rate 0, fast rate lambda2) the recursion
-        # must give TransonicFrame's closed-form c2 and c3
+        # must give the closed-form c2 and c3
         g = GasParams(*gas_params)
         s = build_system(g, EndState(1.0, math.sqrt(g.R * g.gamma), 1.0))
-        f = transonic_frame(s)
-        graph = slow_graph(s, f.lambda2, f.P[:, 1], 0.0, f.P[:, 0])
+        ref = closed_form(s)
+        graph = transonic_frame(s)
+        assert (graph.lam_fast, graph.lam_slow) == (ref.lambda2, 0.0)
+        assert graph.e_fast.tolist() == [1.0, ref.m2]
+        assert graph.e_slow.tolist() == [1.0, ref.m1]
         assert graph.h[:2].tolist() == [0.0, 0.0]
-        assert graph.h[2] == pytest.approx(f.manifold_c2, rel=1e-12)
-        assert graph.h[3] == pytest.approx(f.manifold_c3, rel=1e-12)
+        assert graph.h[2] == pytest.approx(ref.c2, rel=1e-12)
+        assert graph.h[3] == pytest.approx(ref.c3, rel=1e-12)
         # the reduced flow starts a2 W1^2 + ...
         assert graph.flow[:2].tolist() == [0.0, 0.0]
-        assert graph.flow[2] == pytest.approx(f.a2, rel=1e-12)
+        assert graph.flow[2] == pytest.approx(ref.a2, rel=1e-12)
 
     def test_reduced_flow_is_the_field_on_the_graph(self, s_sub):
         eig = eigen_2x2(s_sub.matrix)
@@ -171,6 +178,28 @@ class TestSlowGraph:
         f = np.array(field_poly(pts[:, 0], pts[:, 1], s_sub))
         np.testing.assert_allclose(graph.speed(w), (graph.P_inv @ f)[1],
                                    rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("sonic", [False, True])
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_w_at_inverts_a_coordinate_of_the_graph(self, frame, sonic, i):
+        graph = frame if sonic else _subsonic_graph(1.0 / SOUND)[1]
+        s1 = np.array([graph._sys.u_plus, graph._sys.theta_plus])
+        for w in (-0.1, -1e-3, -1e-7, 1e-7, 1e-3, 0.1):
+            d = float((graph.points(w) - s1)[i])
+            assert graph.w_at(i, d) == pytest.approx(w, rel=1e-12)
+        assert graph.w_at(i, 0.0) == 0.0
+
+    @pytest.mark.parametrize("sonic", [False, True])
+    def test_velocity_is_the_field_on_the_graph(self, frame, sonic):
+        # the reduced flow along the tangent h'(w) e_fast + e_slow; the field
+        # differs from it by the invariance defect along e_fast
+        graph = frame if sonic else _subsonic_graph(1.0 / SOUND)[1]
+        w = np.linspace(-0.1, 0.1, 9)
+        pts = graph.points(w)
+        f = np.column_stack(field_poly(pts[:, 0], pts[:, 1], graph._sys))
+        defect = np.array([graph.defect(x) for x in w])
+        np.testing.assert_allclose(graph.velocity(w), f - np.outer(defect, graph.e_fast),
+                                   rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("mach", [1.0 / SOUND, 0.3 / SOUND, 0.99, 0.999])
     @pytest.mark.parametrize("side", [1.0, -1.0])
@@ -199,17 +228,20 @@ class TestSlowGraph:
 class TestWCoordinates:
     def test_s1_maps_to_origin(self, frame, s_trans):
         # the graph passes through S1 at w1 = 0, and P_inv inverts P
+        P = np.column_stack([frame.e_fast, frame.e_slow])
         assert tuple(frame.points(0.0)) == (s_trans.u_plus, s_trans.theta_plus)
-        assert np.max(np.abs(frame.P_inv @ frame.P - np.eye(2))) < 1e-15
+        assert np.max(np.abs(frame.P_inv @ P - np.eye(2))) < 1e-15
 
     def test_pushforward_matches_w_equations(self, frame, s_trans, rng):
-        # P^{-1} f(P w + S1) must equal (g1, lambda2 w2 + g2)
+        # P^{-1} f(P w + S1) must equal (g1, lambda2 w2 + g2), with P =
+        # [(1, m1) (1, m2)] taking the slow coordinate w1 first
+        P = np.column_stack([frame.e_slow, frame.e_fast])
+        g1, g2 = w_equations(frame)
         for _ in range(100):
             w = rng.uniform(-0.15, 0.15, 2)
-            u, theta = s_trans.s1.as_array() + frame.P @ w
-            lhs = frame.P_inv @ np.array(field_poly(u, theta, s_trans))
-            rhs = np.array([frame.g1(w[0], w[1]),
-                            frame.lambda2 * w[1] + frame.g2(w[0], w[1])])
+            u, theta = s_trans.s1.as_array() + P @ w
+            lhs = (frame.P_inv @ np.array(field_poly(u, theta, s_trans)))[::-1]
+            rhs = np.array([g1(w[0], w[1]), frame.lam_fast * w[1] + g2(w[0], w[1])])
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
 
@@ -241,21 +273,21 @@ class TestClassifyDegenerate:
             classify_degenerate(lambda x, y: abs(x) ** 2.5, lambda x, y: 0.0, lam=1.0)
 
     def test_transonic_w_system(self, frame, s_trans):
-        c = classify_degenerate(frame.g1, frame.g2, frame.lambda2,
+        c = classify_degenerate(*w_equations(frame), frame.lam_fast,
                                 delta=1e-2 * max(1.0, s_trans.u_plus))
         assert c.m == 2
-        assert c.a_m == pytest.approx(frame.a2, rel=1e-2)
+        assert c.a_m == pytest.approx(frame.flow[2], rel=1e-2)
         assert c.kind is DegenerateKind.SADDLE_NODE_NEG_AXIS
 
     def test_random_transonic_sets_always_saddle_node(self, rng):
         for _ in range(15):
             s = random_system(rng, regime="transonic")
             f = transonic_frame(s)
-            c = classify_degenerate(f.g1, f.g2, f.lambda2,
+            c = classify_degenerate(*w_equations(f), f.lam_fast,
                                     delta=1e-2 * max(1.0, s.u_plus))
             assert c.m == 2
             assert c.a_m > 0.0
-            assert c.a_m == pytest.approx(f.a2, rel=2e-2)
+            assert c.a_m == pytest.approx(f.flow[2], rel=2e-2)
 
 
 class TestTangentLine:
@@ -295,8 +327,8 @@ class TestRegimeEigenPatterns:
             s = random_system(rng, regime="transonic")
             eig = eigen_2x2(s.matrix)
             f = transonic_frame(s)
-            assert abs(eig.lambda2) <= 1e-10 * max(1.0, f.lambda2)
-            assert eig.lambda1 == pytest.approx(f.lambda2, rel=1e-10)
+            assert abs(eig.lambda2) <= 1e-10 * max(1.0, f.lam_fast)
+            assert eig.lambda1 == pytest.approx(f.lam_fast, rel=1e-10)
 
     def test_s2_unstable_node_band(self, rng):
         # jacobian at S2 has two distinct positive eigenvalues for

@@ -44,7 +44,7 @@ def far_fields(draw, machs):
     s = build_system(gas, right)
     if mach == 1.0:
         f = transonic_frame(s)
-        assume(f.lambda2 <= STIFF_SADDLE_NODE * f.a2 * s.scale)
+        assume(f.lam_fast <= STIFF_SADDLE_NODE * f.flow[2] * s.scale)
     return gas, right
 
 
@@ -65,14 +65,18 @@ def boundaries(draw, right: EndState):
     return EndState(v, u, theta)
 
 
+def _at_sample(draw, curve, right: EndState) -> EndState:
+    """A flux-compatible boundary state on one of the curve's samples."""
+    # neither S1 (the trivial layer) nor the terminal point on an axis
+    i = draw(st.integers(1, len(curve.samples) - 2))
+    u, theta = (float(x) for x in curve.samples[i])
+    return EndState(u * right.v / right.u, u, theta)
+
+
 def _on_curve(draw, curves: dict, right: EndState):
     """A curve label and a flux-compatible boundary state on one of its samples."""
     label = draw(st.sampled_from(sorted(curves)))
-    samples = curves[label].samples
-    # neither S1 (the trivial layer) nor the terminal point on an axis
-    i = draw(st.integers(1, len(samples) - 2))
-    u, theta = (float(x) for x in samples[i])
-    return label, EndState(u * right.v / right.u, u, theta)
+    return label, _at_sample(draw, curves[label], right)
 
 
 def _decision(engine: ExistenceEngine, q: Query):
@@ -105,6 +109,22 @@ def test_point_on_traced_curve_exists_on_that_curve(data):
     label, left = _on_curve(data.draw, engine.curves_for(gas, right), right)
     verdict = engine.decide(Query(left, right, gas))
     assert verdict.exists and verdict.curve == label
+
+
+@settings(max_examples=10)
+@given(st.data())
+def test_profile_at_a_traced_sample_meets_the_bounds(data):
+    # the decay rate is left out: near M+ = 1 the fixed exponential window
+    # reaches past the linear regime, which shrinks like 1 - M+
+    gas, right = data.draw(far_fields(layer_machs))
+    engine = ExistenceEngine()
+    for label, curve in sorted(engine.curves_for(gas, right).items()):
+        left = _at_sample(data.draw, curve, right)
+        prof = engine.compute_profile(Query(left, right, gas))
+        assert prof.curve == label
+        assert prof.metrics["residual_sup"] <= 1e-8
+        assert prof.metrics["monotone_ok"]
+        assert prof.metrics["endpoint_gap"] <= 1e-8 * prof.system.scale
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from inflow_layer import tracer
 from inflow_layer.tracer import (CAPTURE_RADIUS, CURVE_GAMMA1, CURVE_GAMMA2,
                                  TERMINAL_BUDGET, TERMINAL_CONVERGED_TO_S2,
                                  TERMINAL_HIT_THETA_AXIS, TERMINAL_HIT_U_AXIS,
-                                 _TERMINALS as _TERMINAL_OF, Pchip, gamma_seed)
+                                 _TERMINALS as _TERMINAL_OF, Pchip)
 from inflow_layer.linearize import slow_graph
 from conftest import random_system
 
@@ -75,8 +75,8 @@ class TestSigma:
         du = c.samples[:, 0] - s_trans.u_plus
         idx = int(np.argmin(np.abs(np.abs(du) - target_dist)))
         secant = (c.samples[idx, 1] - s_trans.theta_plus) / du[idx]
-        assert secant == pytest.approx(frame.m1, rel=1e-2)
-        assert frame.m1 == pytest.approx(-0.33806170189140655, rel=1e-6)
+        assert secant == pytest.approx(frame.e_slow[1], rel=1e-2)
+        assert frame.e_slow[1] == pytest.approx(-0.33806170189140655, rel=1e-6)
 
     def test_seed_halving_consistency(self, s_trans, transonic_curves):
         base = transonic_curves["sigma"]
@@ -99,7 +99,7 @@ class TestSigma:
                 & np.isfinite(c.backward_time))
         assert np.count_nonzero(mask) > 30
         slope, _ = np.polyfit(c.backward_time[mask], 1.0 / y[mask], 1)
-        assert -slope == pytest.approx(frame.a2, rel=0.1)
+        assert -slope == pytest.approx(frame.flow[2], rel=0.1)
 
 
 class TestGamma:
@@ -340,13 +340,16 @@ def _far_field(mach):
 
 def _eigenline_reference(s, eig, branch):
     """The reference trace: backward integration from the seed offset on the
-    stable eigenline, with the trace's events, sampled ten times finer than a
-    curve so that its interpolant is exact to well below the membership
-    tolerance."""
+    stable eigenline (on the branch's side: u > u+ for gamma2, u < u+ for
+    gamma1, ``eig.e2`` having a positive u-component), with the trace's
+    events, sampled ten times finer than a curve so that its interpolant is
+    exact to well below the membership tolerance."""
     opts = TraceOptions()
     events = ([u_crosses_zero()] if branch == CURVE_GAMMA1 else
               [theta_crosses_zero(), near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)])
-    return integrate(phase_field(s), gamma_seed(s, eig, branch, 1e-6 * s.scale),
+    side = 1.0 if branch == CURVE_GAMMA2 else -1.0
+    seed = np.array([s.u_plus, s.theta_plus]) + side * 1e-6 * s.scale * eig.e2
+    return integrate(phase_field(s), seed,
                      opts.integration_settings(), events=events,
                      max_state_step=0.1 * opts.sample_cap * s.scale)
 

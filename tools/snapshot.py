@@ -17,6 +17,8 @@ copy placed in another checkout snapshots that checkout.  The output set:
   residual rows);
 * sonic verdicts and profiles at u-/u+ = 0.5, 0.9995 and 0.99999, and
   sigma's predictions between S1 and its first offset sample;
+* near-sonic verdicts and profiles at 1-M+ = 1e-2 and 1e-3, with the
+  boundary at the middle sample of gamma1 and of gamma2;
 * the 200 ``run_sweep`` rows of the acceptance grid;
 * the canonical, sonic and alpha2 < 0 portrait SVGs;
 * ``classify``, ``trace`` (csv and json), ``profile`` and ``portrait`` on
@@ -47,6 +49,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SONIC_RATIOS = (0.5, 0.9995, 0.99999)
 GAP_OFFSETS = (1e-7, 3e-7, 5e-7, 7e-7, 9e-7)   # (u+ - u) / u+, inside sigma's gap
+NEAR_SONIC = (1e-2, 1e-3)                       # 1 - M+ of the pinned near-sonic profiles
 
 
 def _sha(data: bytes) -> str:
@@ -140,6 +143,13 @@ def snapshot() -> dict:
                                          verdict_to_dict)
     for offset in GAP_OFFSETS:
         out[f"sigma_gap/{offset}"] = sigma.predict(right.u * (1.0 - offset))
+
+    for gap in NEAR_SONIC:
+        right = EndState(1.0, (1.0 - gap) * wl.SOUND, 1.0)
+        for label, curve in engine.curves_for(wl.GAS, right).items():
+            left = wl.boundary_on(curve, len(curve.samples) // 2, right)
+            out[f"near_sonic/{gap}/{label}"] = _decided(engine, Query(left, right, wl.GAS),
+                                                        verdict_to_dict)
 
     grid = np.linspace(0.25, 1.25, 200).tolist()
     for i, row in enumerate(cli.run_sweep(wl.GAS, 1.0, 1.0, grid)):
