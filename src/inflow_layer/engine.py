@@ -37,7 +37,7 @@ from .integrator import (BACKWARD, COMPONENT_CROSSES, IntegrationSettings,
                          component_crosses, dense_eval, integrate)
 from .linearize import eigen_2x2, transonic_frame
 from .system import (PhasePoint, SystemData, build_system, field_poly, phase_field,
-                     rational_terms)
+                     residual_sup)
 from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, TERMINAL_BUDGET,
                      Curve, TraceOptions, curve_membership, trace_gamma,
                      trace_sigma)
@@ -430,38 +430,10 @@ def _monotone_check(prof: Profile) -> tuple[bool, tuple[int, int, int]]:
     return ok, signs
 
 
-def _residual_pair(s: SystemData, u, theta, du_dxi, dth_dxi):
-    """Residuals of both integrated equations plus their local term masses."""
-    V, (t1a, t1b), (t2a, t2b, t2c) = rational_terms(u, theta, s)
-    lhs1 = s.gas.mu * du_dxi / V
-    lhs2 = s.gas.kappa * dth_dxi / V
-    r1 = lhs1 - (t1a + t1b)
-    r2 = lhs2 - (t2a + t2b + t2c)
-    loc1 = abs(lhs1) + abs(t1a) + abs(t1b)
-    loc2 = abs(lhs2) + abs(t2a) + abs(t2b) + abs(t2c)
-    return r1, r2, loc1, loc2
-
-
 def verify_residual(prof: Profile, s: SystemData) -> float:
-    """Scaled sup norm of the integrated-equation residuals on the profile's
-    ``residual_rows``.
-
-    Each residual is scaled by the larger of the global momentum/energy
-    scale and the local term magnitude (the equations blow up like 1/V
-    toward the u = 0 axis, where only a relative measure is meaningful).
-    A non-trivial profile with no rows, or with a non-finite residual,
-    gets ``inf``, which fails every bound.
-    """
-    if prof.trivial:
-        return 0.0
-    scale = max(abs(s.sigma_minus) * s.u_plus, s.p_plus * s.u_plus)
-    with np.errstate(divide="ignore", invalid="ignore"):   # bad rows give inf below
-        r1, r2, loc1, loc2 = _residual_pair(s, *prof.residual_rows.T)
-        scaled = np.concatenate([np.abs(r1) / np.maximum(scale, loc1),
-                                 np.abs(r2) / np.maximum(scale, loc2)])
-    if scaled.size == 0 or not np.isfinite(scaled).all():
-        return math.inf
-    return float(scaled.max())
+    """``system.residual_sup`` of the profile's ``residual_rows``; 0 for a
+    trivial profile."""
+    return 0.0 if prof.trivial else residual_sup(s, prof.residual_rows)
 
 
 def verify_decay(prof: Profile, regime: Regime) -> DecayReport:

@@ -214,6 +214,38 @@ def nullcline_h2(u, s: SystemData):
             + s.theta_plus)
 
 
+def _residual_pair(s: SystemData, u, theta, du_dxi, dth_dxi):
+    """Residuals of both integrated equations plus their local term masses."""
+    V, (t1a, t1b), (t2a, t2b, t2c) = rational_terms(u, theta, s)
+    lhs1 = s.gas.mu * du_dxi / V
+    lhs2 = s.gas.kappa * dth_dxi / V
+    r1 = lhs1 - (t1a + t1b)
+    r2 = lhs2 - (t2a + t2b + t2c)
+    loc1 = abs(lhs1) + abs(t1a) + abs(t1b)
+    loc2 = abs(lhs2) + abs(t2a) + abs(t2b) + abs(t2c)
+    return r1, r2, loc1, loc2
+
+
+def residual_sup(s: SystemData, rows: np.ndarray) -> float:
+    """Scaled sup norm of the integrated-equation residuals on the
+    (u, theta, u', theta') rows of the array ``rows``.
+
+    Each residual is scaled by the larger of the global momentum/energy
+    scale and the local term magnitude (the equations blow up like 1/V
+    toward the u = 0 axis, where only a relative measure is meaningful).
+    No rows, or a non-finite residual, give ``inf``, which fails every
+    bound.
+    """
+    scale = max(abs(s.sigma_minus) * s.u_plus, s.p_plus * s.u_plus)
+    with np.errstate(divide="ignore", invalid="ignore"):   # bad rows give inf below
+        r1, r2, loc1, loc2 = _residual_pair(s, *rows.T)
+        scaled = np.concatenate([np.abs(r1) / np.maximum(scale, loc1),
+                                 np.abs(r2) / np.maximum(scale, loc2)])
+    if scaled.size == 0 or not np.isfinite(scaled).all():
+        return math.inf
+    return float(scaled.max())
+
+
 def phase_field(s: SystemData):
     """Polynomial field in the (xi, y) -> array signature integrators use.
 

@@ -10,29 +10,30 @@ S2, or exhausts its budget.
 
 Near S1 the backward orbit crawls along the slow direction while explicit
 steps are capped by the fast rate, so the innermost stretch of every curve
-is laid analytically along the invariant-manifold graph at S1
-(``linearize.SlowGraph``, of order ``GRAPH_ORDER``), its samples carrying
-the Gauss-Legendre flight times of the reduced flow along the graph:
+is laid analytically along its invariant-manifold graph at S1
+(``linearize.SlowGraph``, of order ``GRAPH_ORDER``): the center-manifold
+graph of ``transonic_frame`` for sigma, where the approach to S1 is
+algebraic, and the stable-manifold graph of ``slow_graph`` for gamma1 and
+gamma2, where it is exponential.  All three are seeded the same way.  The
+graph is sampled from the seed offset |w| = ``seed_offset`` out to its
+certified radius r*: the last point of a fixed geometric grid, contiguous
+from the seed and in the open quadrant, at which the graph's invariance
+defect over the fast rate is within the trace tolerance ``abs_tol +
+rel_tol * scale``, pulled in until the graph row there (point and phase
+velocity) satisfies the layer equations to ``GRAPH_RESIDUAL``.  The samples
+carry the Gauss-Legendre flight times of the reduced flow along the graph,
+and the backward integration starts at r*.  When S2 lies inside r*, gamma2
+is the graph from S1 to S2's capture point and needs no integration; that
+is the whole branch as M+ -> 1-, where S2 merges into S1.  When the grid's
+first point already fails, the integration starts from the graph point at
+the seed offset.
 
-* sigma (sonic regime, where the approach to S1 is algebraic) is sampled on
-  the center-manifold graph (``transonic_frame``) up to the handoff
-  distance ``SWITCH_OFFSET * scale``;
-* gamma1 and gamma2 (subsonic saddle) are sampled on the stable-manifold
-  graph out to its certified radius r*: the last point of a fixed
-  geometric grid, contiguous from the seed and in the open quadrant, at
-  which the graph's invariance defect over the fast rate is within the
-  trace tolerance ``abs_tol + rel_tol * scale``.  When S2 lies inside r*,
-  gamma2 is the graph from S1 to S2's capture point and needs no
-  integration; that is the whole branch as M+ -> 1-, where S2 merges into
-  S1.  When the grid's first point already fails, the integration starts
-  from the graph point at the seed offset.
-
-Each curve keeps its graph and the w-extent of its graph samples
-(``Curve.graph``, ``Curve.graph_radius``): its value between S1 and the
-first offset sample is read off the graph, and the engine's profiles ride
-it.  Sigma, gamma1 and gamma2 differ only in how they are seeded; the
-backward integration, terminal classification, thinning and validation are
-one body.
+Each curve keeps its graph and r* (``Curve.graph``,
+``Curve.graph_radius``): its value between S1 and the first offset sample
+is read off the graph, and the engine's profiles ride it.  Seeding,
+backward integration, terminal classification, thinning and validation
+are one body for all three curves; they differ only in their graph, the
+side of S1 they leave on, and their terminal events.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
                          component_crosses, integrate, near_equilibrium,
                          theta_crosses_zero, u_crosses_zero)
 from .linearize import EigenPair, SlowGraph, slow_graph
-from .system import PhasePoint, Region, SystemData, phase_field, region_contains
+from .system import (PhasePoint, Region, SystemData, phase_field, region_contains,
+                     residual_sup)
 
 CURVE_SIGMA = "sigma"
 CURVE_GAMMA1 = "gamma1"
@@ -64,17 +66,21 @@ TERMINAL_CONVERGED_TO_S2 = "converged_to_s2"
 TERMINAL_BUDGET = "budget"
 
 
-SWITCH_OFFSET = 1e-3                  # * scale, sonic manifold handoff
 CAPTURE_RADIUS = 1e-8                 # * scale, S2 capture
 SLIDE_POINTS_PER_DECADE = 12          # graph samples per decade of w
+GRAPH_RESIDUAL = 1e-9                 # scaled equation residual of a graph row
 
 
 @dataclass(frozen=True)
 class TraceOptions:
     """Knobs for curve tracing; scale-relative values multiply max(u+, theta+).
-    The sonic manifold handoff is the module constant ``SWITCH_OFFSET``."""
 
-    seed_offset: float | None = None      # absolute; default 1e-6 * scale
+    ``seed_offset`` is the seed's slow coordinate |w| on the curve's graph.
+    For gamma, whose slow eigenvector has unit length, that is its distance
+    from S1; sigma's center direction (1, m1) is longer, and its seed lies
+    |(1, m1)| seed_offset from S1 (1.056 seed_offset on the canonical gas)."""
+
+    seed_offset: float | None = None      # absolute |w|; default 1e-6 * scale
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 200_000
@@ -171,7 +177,9 @@ class Curve:
     the seed (S1 itself carries +inf: the true orbit needs infinite xi).
     ``interpolant`` is the monotone interpolant of value over parameter.
     ``graph`` is the invariant-manifold graph at S1 the curve leaves along,
-    and ``graph_radius`` the |w| of its last graph sample.
+    and ``graph_radius`` the |w| of its last graph sample: the certified
+    radius r* (S2's capture point for a gamma2 that ends on the graph, the
+    seed offset when nothing is certified).
     """
 
     label: str
@@ -333,81 +341,15 @@ def _graph_samples(s: SystemData, graph: SlowGraph, w: np.ndarray):
             [math.inf, 0.0, *np.cumsum(-graph.flight_times(w))])
 
 
-def _trace(s: SystemData, label: str, pts: list[np.ndarray], times: list[float],
-           events, opts: TraceOptions, eps: float, keep_radius: float,
-           **local) -> Curve:
-    """Integrate backward from the last seeded sample and build the curve.
-
-    ``pts`` and ``times`` hold S1 and the seeded samples with their time of
-    flight; ``local`` is the curve's ``graph`` and ``graph_radius``, and
-    for gamma its ``eig``.
-    """
-    res = integrate(phase_field(s), pts[-1], opts.integration_settings(),
-                    events=events, max_state_step=opts.sample_cap * s.scale)
-    pts.extend(res.points[1:])
-    times.extend(times[-1] - res.xi[1:])
-    return _curve(s, label, pts, times, _TERMINALS[res.event.kind], res.event.point,
-                  opts, eps, keep_radius, **local)
-
-
-def _curve(s: SystemData, label: str, pts: list[np.ndarray], times: list[float],
-           terminal: str, terminal_point: PhasePoint, opts: TraceOptions,
-           eps: float, keep_radius: float, **local) -> Curve:
-    """Check the terminal, thin and validate the samples, and build the curve;
-    the last of ``pts`` is the terminal point."""
-    scale = s.scale
-    if label == CURVE_GAMMA2:
-        expected = (TERMINAL_CONVERGED_TO_S2 if s.alpha2 > 0.0
-                    else TERMINAL_HIT_THETA_AXIS)
-        if terminal != expected and terminal != TERMINAL_BUDGET:
-            raise UnexpectedTerminal(
-                f"gamma2 ended with {terminal}, but alpha2 = {s.alpha2} predicts {expected}")
-
-    pidx = 1 if label == CURVE_GAMMA2 else 0
-    noise = 1e3 * (opts.abs_tol + opts.rel_tol * scale)
-    samples, btimes = _thin(pts, times, s, pidx, keep_radius=keep_radius,
-                            floor=opts.thin_spacing * scale, noise=noise)
-    _validate_curve(label, samples, s, eps, terminal, noise)
-    return Curve(label=label, samples=samples, backward_time=btimes,
-                 terminal=terminal, terminal_point=terminal_point,
-                 seed_offset=eps, system=s,
-                 interpolant=Pchip(samples[::-1, pidx], samples[::-1, 1 - pidx]),
-                 **local)
-
-
-def trace_sigma(s: SystemData, graph: SlowGraph,
-                opts: TraceOptions | None = None) -> Curve:
-    """Trace the sonic-regime curve from S1 to its endpoint Z0 on u = 0.
-
-    ``graph`` is the center-manifold graph of ``transonic_frame``.  The seed
-    sits at ``seed_offset`` from S1 along the center direction with negative
-    u-component (the side the incoming orbit is tangent to); the samples on
-    the graph then bridge to w = -``SWITCH_OFFSET`` * scale before the
-    backward integration takes over.
-    """
-    opts = opts or TraceOptions()
-    scale = s.scale
-    eps = opts.seed_offset if opts.seed_offset is not None else 1e-6 * scale
-    w_seed = eps / math.hypot(*graph.e_slow)
-    y_switch = SWITCH_OFFSET * scale
-
-    ws = np.array([w_seed])
-    if w_seed < y_switch:
-        n_dec = math.log10(y_switch / w_seed)
-        n_pts = max(2, int(round(n_dec * SLIDE_POINTS_PER_DECADE)) + 1)
-        ws = np.geomspace(w_seed, y_switch, n_pts)
-    pts, times = _graph_samples(s, graph, -ws)
-    return _trace(s, CURVE_SIGMA, pts, times, [u_crosses_zero()], opts, eps,
-                  keep_radius=3.0 * y_switch, graph=graph, graph_radius=float(ws[-1]))
-
-
 def _certified_radii(graph: SlowGraph, side: float, eps: float, tol: float,
                      s: SystemData) -> np.ndarray:
     """Radii eps * 10**(j / SLIDE_POINTS_PER_DECADE), j = 0, 1, ..., up to the
     certified radius r*: the last one, contiguous from eps and at most
     ``scale``, at which the graph's invariance defect divided by its fast
-    rate is within ``tol`` and its point has u > 0 and theta > 0.  Empty
-    when the seed itself fails.  Evaluated on Python floats."""
+    rate is within ``tol`` and its point has u > 0 and theta > 0, and then
+    the largest of those at which the graph row (point and phase velocity)
+    has a scaled equation residual within ``GRAPH_RESIDUAL``.  Empty when
+    the seed itself fails.  The grid is on Python floats."""
     radii = []
     for j in range(math.floor(math.log10(s.scale / eps) * SLIDE_POINTS_PER_DECADE) + 1):
         r = eps * 10.0 ** (j / SLIDE_POINTS_PER_DECADE)
@@ -417,6 +359,16 @@ def _certified_radii(graph: SlowGraph, side: float, eps: float, tol: float,
         if not (u > 0.0 and theta > 0.0):
             break
         radii.append(r)
+
+    def row_residual(r: float) -> float:
+        w = [side * r]
+        return residual_sup(s, np.hstack([graph.points(w), graph.velocity(w)]))
+
+    # the defect bounds a graph point's position, not the velocity that a
+    # profile's residual rows read off the graph; the residual grows with r,
+    # so the largest radius that meets it is found from the top
+    while radii and row_residual(radii[-1]) > GRAPH_RESIDUAL:
+        radii.pop()
     return np.array(radii)
 
 
@@ -469,6 +421,65 @@ def _capped(graph: SlowGraph, side: float, radii: np.ndarray, cap: float) -> np.
     return np.concatenate(parts + [radii[-1:]])
 
 
+def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
+           opts: TraceOptions, eig: EigenPair | None = None) -> Curve:
+    """The curve leaving S1 along ``graph`` where w has the sign of
+    ``side``: the graph samples from the seed offset out to the certified
+    radius r*, then the backward integration from there until one of
+    ``events``, or for a gamma2 whose S2 lies inside r* the graph samples
+    out to S2's capture point; then the terminal is checked and the
+    samples are thinned and validated."""
+    scale = s.scale
+    eps = opts.seed_offset if opts.seed_offset is not None else 1e-6 * scale
+    tol = opts.abs_tol + opts.rel_tol * scale
+    radii = _certified_radii(graph, side, eps, tol, s)
+    at_s2 = False
+    if radii.size and label == CURVE_GAMMA2 and s.alpha2 > 0.0:
+        radii, at_s2 = _to_s2(graph, side, radii, s, tol)
+    if not radii.size:
+        radii = np.array([eps])
+    w = side * _capped(graph, side, radii, opts.sample_cap * scale)
+    pts, times = _graph_samples(s, graph, w)
+    if at_s2:
+        terminal = TERMINAL_CONVERGED_TO_S2
+        terminal_point = PhasePoint(*map(float, pts[-1]))
+    else:
+        res = integrate(phase_field(s), pts[-1], opts.integration_settings(),
+                        events=events, max_state_step=opts.sample_cap * scale)
+        pts.extend(res.points[1:])
+        times.extend(times[-1] - res.xi[1:])
+        terminal, terminal_point = _TERMINALS[res.event.kind], res.event.point
+    if label == CURVE_GAMMA2:
+        expected = (TERMINAL_CONVERGED_TO_S2 if s.alpha2 > 0.0
+                    else TERMINAL_HIT_THETA_AXIS)
+        if terminal != expected and terminal != TERMINAL_BUDGET:
+            raise UnexpectedTerminal(
+                f"gamma2 ended with {terminal}, but alpha2 = {s.alpha2} predicts {expected}")
+
+    pidx = 1 if label == CURVE_GAMMA2 else 0
+    noise = 1e3 * tol
+    samples, btimes = _thin(pts, times, s, pidx, keep_radius=10.0 * eps,
+                            floor=opts.thin_spacing * scale, noise=noise)
+    _validate_curve(label, samples, s, eps, terminal, noise)
+    return Curve(label=label, samples=samples, backward_time=btimes,
+                 terminal=terminal, terminal_point=terminal_point,
+                 seed_offset=eps, system=s,
+                 interpolant=Pchip(samples[::-1, pidx], samples[::-1, 1 - pidx]),
+                 graph=graph, graph_radius=float(radii[-1]), eig=eig)
+
+
+def trace_sigma(s: SystemData, graph: SlowGraph,
+                opts: TraceOptions | None = None) -> Curve:
+    """Trace the sonic-regime curve from S1 to its endpoint Z0 on u = 0.
+
+    ``graph`` is the center-manifold graph of ``transonic_frame``; sigma
+    leaves S1 on its side w < 0, where u < u+ (the side the incoming orbit
+    is tangent to).
+    """
+    return _trace(s, CURVE_SIGMA, graph, -1.0, [u_crosses_zero()],
+                  opts or TraceOptions())
+
+
 def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
                 opts: TraceOptions | None = None) -> Curve:
     """Trace a stable-manifold branch of the subsonic saddle at S1.
@@ -476,43 +487,21 @@ def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
     gamma1 seeds into 0 < u < u+ and ends on the u = 0 axis at Z1; gamma2
     seeds into u > u+ and either converges to the secondary equilibrium S2
     (when alpha2 > 0) or reaches the theta = 0 axis at Z2 (alpha2 <= 0).
-
-    The samples from the seed offset out to the certified radius r* lie on
-    the stable manifold's graph over the slow coordinate (``slow_graph``),
-    with the Gauss-Legendre flight times of the reduced flow; the backward
-    integration starts at r*.  A gamma2 whose S2 lies inside r* ends on the
-    graph at S2's capture point, with no integration.  When the graph is
-    not certified even at the seed offset, the integration starts from its
-    point there.
+    Both leave S1 along the stable manifold's graph over the slow
+    coordinate (``slow_graph``).
     """
     if branch not in (CURVE_GAMMA1, CURVE_GAMMA2):
         raise ValueError(f"unknown branch {branch!r}")
     if not (eig.lambda2 < 0.0 < eig.lambda1):
         raise DomainError("gamma branches require a saddle (subsonic regime)")
-    opts = opts or TraceOptions()
-    eps = opts.seed_offset if opts.seed_offset is not None else 1e-6 * s.scale
     if branch == CURVE_GAMMA1:
         events = [u_crosses_zero()]
     else:
         events = [theta_crosses_zero(),
                   near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)]
-    keep_radius = 10.0 * eps
     side = 1.0 if branch == CURVE_GAMMA2 else -1.0
-    tol = opts.abs_tol + opts.rel_tol * s.scale
     graph = slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
-    radii = _certified_radii(graph, side, eps, tol, s)
-    at_s2 = False
-    if radii.size and branch == CURVE_GAMMA2 and s.alpha2 > 0.0:
-        radii, at_s2 = _to_s2(graph, side, radii, s, tol)
-    if not radii.size:
-        radii = np.array([eps])
-    w = side * _capped(graph, side, radii, opts.sample_cap * s.scale)
-    pts, times = _graph_samples(s, graph, w)
-    local = dict(graph=graph, graph_radius=float(radii[-1]), eig=eig)
-    if not at_s2:
-        return _trace(s, branch, pts, times, events, opts, eps, keep_radius, **local)
-    return _curve(s, branch, pts, times, TERMINAL_CONVERGED_TO_S2,
-                  PhasePoint(*map(float, pts[-1])), opts, eps, keep_radius, **local)
+    return _trace(s, branch, graph, side, events, opts or TraceOptions(), eig)
 
 
 def curve_membership(c: Curve, p: PhasePoint, tol: float = 1e-6) -> Membership:

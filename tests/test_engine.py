@@ -15,8 +15,9 @@ from inflow_layer.gas import TOL_MACH
 from inflow_layer.engine import (CURVE_TRIVIAL, REASON_MASS_FLUX,
                                  REASON_NONPOSITIVE_U_PLUS, REASON_OFF_CURVE,
                                  REASON_OUT_OF_RANGE, REASON_SUPERSONIC,
-                                 REASON_TRUNCATED, _residual_pair)
+                                 REASON_TRUNCATED)
 from inflow_layer.integrator import dense_eval, integrate
+from inflow_layer.system import _residual_pair
 from inflow_layer.tracer import TERMINAL_BUDGET, TraceOptions
 
 
@@ -227,7 +228,7 @@ class TestProfiles:
 
     def test_transonic_profile_inside_handoff(self, engine, gas, right_transonic,
                                               transonic_curves):
-        # u+ - u- = 5e-4 u+ lies inside the manifold handoff (1e-3 * scale):
+        # u+ - u- = 5e-4 u+ lies inside sigma's graph radius (0.1 scale):
         # the whole profile comes from the quadrature leg
         q = Query(_left_at(transonic_curves["sigma"], 0.9995 * right_transonic.u,
                            right_transonic), right_transonic, gas)
@@ -427,8 +428,8 @@ def test_array_residual_equals_scalar_loop(request, engine, gas, monkeypatch, ca
     prof, res = _profile_and_leg(request, engine, gas, monkeypatch, case, label)
     s = prof.system
     # the leg's rows come first, one per step part inside [t_event, 0] that is
-    # at least 1e-5 long, at its midpoint; the sonic inner leg adds one row
-    # per sample after the handoff
+    # at least 1e-5 long, at its midpoint; the inner leg adds one row per
+    # sample along the graph
     dom_lo, dom_hi = min(res.event.xi, 0.0), max(res.event.xi, 0.0)
     kept = []
     for t_lo, t_hi, seg in res.segments:

@@ -5,10 +5,7 @@ Subsonic far fields are drawn however stiff the saddle at S1 is, up to
 1 - M+ = 1e-6: the branches start on the slow-manifold graph, so they no
 longer crawl along the slow direction there.  A stiff saddle whose S2 lies
 beyond the graph's certified radius still costs about half a second per
-gamma2, crawling into S2; none of the tier-1 draws is one.  The sonic far
-fields leave out a stiff saddle-node, lambda2 > STIFF_SADDLE_NODE * a2 *
-scale, whose sigma crawls from the fixed manifold handoff in about
-lambda2 / (a2 * SWITCH_OFFSET * scale) steps, costing seconds per trace.
+gamma2, crawling into S2; none of the tier-1 draws is one.
 """
 
 import dataclasses
@@ -16,13 +13,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from inflow_layer import (EndState, ExistenceEngine, GasParams, LayerError,
                           Query, build_system, field_poly, phase_field,
-                          transonic_frame, verdict_to_dict)
-
-STIFF_SADDLE_NODE = 20.0
+                          verdict_to_dict)
 
 
 def _log_uniform(lo_exp: float, hi_exp: float):
@@ -40,12 +35,7 @@ def far_fields(draw, machs):
     theta = draw(_log_uniform(-0.7, 0.7))
     v = draw(_log_uniform(-0.7, 0.7))
     mach = draw(machs)
-    right = EndState(v, mach * math.sqrt(gas.R * gas.gamma * theta), theta)
-    s = build_system(gas, right)
-    if mach == 1.0:
-        f = transonic_frame(s)
-        assume(f.lam_fast <= STIFF_SADDLE_NODE * f.flow[2] * s.scale)
-    return gas, right
+    return gas, EndState(v, mach * math.sqrt(gas.R * gas.gamma * theta), theta)
 
 
 # subsonic Mach numbers reach 1 - M+ = 1e-6, where the branches are slow

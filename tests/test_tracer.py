@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from inflow_layer import (DomainError, EndState, GasParams, OutOfRange,
-                          PhasePoint, TraceOptions, build_system,
+from inflow_layer import (DomainError, EndState, ExistenceEngine, GasParams,
+                          OutOfRange, PhasePoint, Query, TraceOptions, build_system,
                           curve_membership, eigen_2x2, field_poly,
                           export_curve_csv, export_curve_json, integrate,
                           near_equilibrium, nullcline_h2, phase_field,
@@ -89,17 +89,56 @@ class TestSigma:
         diff = np.abs([base.predict(u) - half.predict(u) for u in us])
         assert float(np.max(diff)) < 1e-6 * s_trans.theta_plus
 
-    def test_center_coefficient_from_backward_time(self, transonic_curves, s_trans):
+    def test_center_coefficient_from_backward_time(self, s_trans):
         # near S1 the reciprocal distance grows linearly in backward time at
-        # the center-direction quadratic rate
-        c = transonic_curves["sigma"]
+        # the center-direction quadratic rate; read off the reference trace,
+        # since on sigma this window holds graph samples only
         frame = transonic_frame(s_trans)
-        y = s_trans.u_plus - c.samples[:, 0]
-        mask = ((y >= 2e-3 * s_trans.scale) & (y <= 2e-2 * s_trans.scale)
-                & np.isfinite(c.backward_time))
+        ref = _center_graph_reference(s_trans, frame, TraceOptions())
+        y = s_trans.u_plus - ref.points[:, 0]
+        mask = (y >= 2e-3 * s_trans.scale) & (y <= 2e-2 * s_trans.scale)
         assert np.count_nonzero(mask) > 30
-        slope, _ = np.polyfit(c.backward_time[mask], 1.0 / y[mask], 1)
+        slope, _ = np.polyfit(-ref.xi[mask], 1.0 / y[mask], 1)
         assert -slope == pytest.approx(frame.flow[2], rel=0.1)
+
+    def test_agrees_with_the_reference_trace(self, transonic_curves, s_trans):
+        c = transonic_curves["sigma"]
+        ref = _center_graph_reference(s_trans, transonic_frame(s_trans),
+                                      TraceOptions(rel_tol=1e-13, sample_cap=2e-4))
+        assert _TERMINAL_OF[ref.event.kind] == c.terminal
+        ref_pts = ref.points[:-1]         # up to the terminal event
+        interp = Pchip(ref_pts[::-1, 0], ref_pts[::-1, 1])
+        # the samples the reference covers, from 1e-3 scale outward
+        rows = c.samples[2:-1][c.samples[2:-1, 0] <= ref_pts[0, 0]]
+        gap = np.abs([interp(u) - theta for u, theta in rows])
+        assert len(rows) > 100 and np.all(np.isfinite(gap))
+        assert gap.max() <= TOL_MEMBER / 10.0 * c.value_scale
+        end = np.subtract(c.terminal_point.as_array(), ref.event.point.as_array())
+        assert np.max(np.abs(end)) <= TOL_MEMBER / 10.0 * s_trans.scale
+
+    def test_stiff_saddle_node_rides_its_graph(self, monkeypatch):
+        # lambda2 / (a2 scale) = 625: an integration started 1e-3 scale from
+        # S1 would crawl along the center manifold with steps capped by
+        # lambda2 (about 190 000 of them); sigma rides its certified graph
+        # to 0.22 scale instead, and its profiles ride the same graph
+        counted = _CountedIntegrate()
+        monkeypatch.setattr(tracer, "integrate", counted)
+        gas = GasParams(1.4241, 5.5366, 6.3002, 0.10869)
+        right = EndState(1.0, math.sqrt(gas.gamma * gas.R * 0.3812), 0.3812)
+        engine = ExistenceEngine()
+        c = engine.curves_for(gas, right)["sigma"]
+        assert c.terminal == TERMINAL_HIT_U_AXIS
+        assert sum(counted.steps) <= 5000
+        inside = int(np.searchsorted(-c.params, -(right.u - 0.5 * c.graph_radius)))
+        for i in (inside, len(c.samples) // 2):
+            u, theta = (float(x) for x in c.samples[i])
+            prof = engine.compute_profile(
+                Query(EndState(u * right.v / right.u, u, theta), right, gas))
+            assert prof.curve == "sigma"
+            assert prof.metrics["residual_sup"] <= 1e-8
+            assert prof.metrics["endpoint_gap"] <= 1e-8 * c.system.scale
+            assert prof.metrics["monotone_ok"]
+            assert prof.metrics["decay"].exponent == pytest.approx(-1.0, abs=0.1)
 
 
 class TestGamma:
@@ -351,6 +390,15 @@ def _eigenline_reference(s, eig, branch):
     seed = np.array([s.u_plus, s.theta_plus]) + side * 1e-6 * s.scale * eig.e2
     return integrate(phase_field(s), seed,
                      opts.integration_settings(), events=events,
+                     max_state_step=0.1 * opts.sample_cap * s.scale)
+
+
+def _center_graph_reference(s, graph, opts):
+    """The sigma reference: backward integration from the center-manifold
+    graph point at w = -1e-3 scale with the trace's event and ``opts``'s
+    settings, sampled ten times finer than a curve."""
+    return integrate(phase_field(s), graph.points(-1e-3 * s.scale),
+                     opts.integration_settings(), events=[u_crosses_zero()],
                      max_state_step=0.1 * opts.sample_cap * s.scale)
 
 

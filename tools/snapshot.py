@@ -19,6 +19,9 @@ copy placed in another checkout snapshots that checkout.  The output set:
   sigma's predictions between S1 and its first offset sample;
 * near-sonic verdicts and profiles at 1-M+ = 1e-2 and 1e-3, with the
   boundary at the middle sample of gamma1 and of gamma2;
+* sigma of a stiff sonic far field (lambda2 / (a2 scale) = 625) and the
+  verdict and profile at its middle sample (a checkout whose sigma is
+  integrated from 1e-3 scale of S1 needs about 20 s for them);
 * the 200 ``run_sweep`` rows of the acceptance grid;
 * the canonical, sonic and alpha2 < 0 portrait SVGs;
 * ``classify``, ``trace`` (csv and json), ``profile`` and ``portrait`` on
@@ -40,6 +43,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -50,6 +54,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SONIC_RATIOS = (0.5, 0.9995, 0.99999)
 GAP_OFFSETS = (1e-7, 3e-7, 5e-7, 7e-7, 9e-7)   # (u+ - u) / u+, inside sigma's gap
 NEAR_SONIC = (1e-2, 1e-3)                       # 1 - M+ of the pinned near-sonic profiles
+STIFF_GAS = (1.4241, 5.5366, 6.3002, 0.10869)  # gamma, R, mu, kappa
+STIFF_THETA = 0.3812                            # theta+ of the stiff sonic far field
 
 
 def _sha(data: bytes) -> str:
@@ -112,7 +118,7 @@ def _decided(engine, query, verdict_to_dict) -> dict:
 
 def snapshot() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
-    from inflow_layer import EndState, ExistenceEngine, Query, build_system
+    from inflow_layer import EndState, ExistenceEngine, GasParams, Query, build_system
     from inflow_layer import cli
     from inflow_layer.engine import verdict_to_dict
     from inflow_layer.portrait import render_portrait
@@ -150,6 +156,13 @@ def snapshot() -> dict:
             left = wl.boundary_on(curve, len(curve.samples) // 2, right)
             out[f"near_sonic/{gap}/{label}"] = _decided(engine, Query(left, right, wl.GAS),
                                                         verdict_to_dict)
+
+    gas = GasParams(*STIFF_GAS)
+    right = EndState(1.0, math.sqrt(gas.gamma * gas.R * STIFF_THETA), STIFF_THETA)
+    stiff = engine.curves_for(gas, right)["sigma"]
+    out["stiff_sonic/sigma"] = _curve(stiff)
+    left = wl.boundary_on(stiff, len(stiff.samples) // 2, right)
+    out["stiff_sonic/mid"] = _decided(engine, Query(left, right, gas), verdict_to_dict)
 
     grid = np.linspace(0.25, 1.25, 200).tolist()
     for i, row in enumerate(cli.run_sweep(wl.GAS, 1.0, 1.0, grid)):
