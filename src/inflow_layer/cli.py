@@ -210,6 +210,11 @@ def cmd_portrait(cfg: RunConfig) -> int:
     return 0
 
 
+# run_sweep's gamma2 traces keep only their terminal kind
+SWEEP_TRACE = TraceOptions(rel_tol=1e-8, abs_tol=1e-10, max_steps=100_000,
+                           sample_cap=5e-2, thin_spacing=1e-4)
+
+
 def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
               tol_M: float = TOL_MACH) -> list[dict]:
     """Evaluate regime/eigen/equilibrium data over a Mach grid.
@@ -220,8 +225,6 @@ def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
     kind of the gamma2 branch.
     """
     sound = math.sqrt(gas.R * gas.gamma * theta_plus)
-    fast_opts = TraceOptions(rel_tol=1e-8, abs_tol=1e-10, max_steps=100_000,
-                             sample_cap=5e-2, thin_spacing=1e-4)
 
     def one(mach_plus: float) -> dict:
         right = EndState(v_plus, mach_plus * sound, theta_plus)
@@ -241,7 +244,7 @@ def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
         }
         if regime.is_subsonic:
             try:
-                curve = trace_gamma(s, eig, CURVE_GAMMA2, fast_opts)
+                curve = trace_gamma(s, eig, CURVE_GAMMA2, SWEEP_TRACE)
                 row["gamma2_terminal"] = curve.terminal
             except LayerError as exc:
                 row["gamma2_terminal"] = f"error:{type(exc).__name__}"

@@ -5,10 +5,10 @@ tangent to its slow eigendirection: the center manifold of the sonic
 saddle-node, the stable manifold of the subsonic saddle.  ``SlowGraph`` is
 the one representation of that manifold, the order-``GRAPH_ORDER`` graph
 z = h(w) over the slow coordinate built by ``slow_graph``, with the
-polynomial of the reduced flow along it.  Its points, phase velocity,
-coordinate inverse and Gauss-Legendre flight times serve the sigma and gamma
-traces, the curves' values next to S1 and the profiles' legs;
-``transonic_frame`` builds it in the closed-form sonic frame.
+polynomials of the reduced flow and the invariance defect along it.  Its
+points, phase velocity, coordinate inverse and Gauss-Legendre flight times
+serve the sigma and gamma traces, the curves' values next to S1 and the
+profiles' legs; ``transonic_frame`` builds it in the closed-form sonic frame.
 """
 
 from __future__ import annotations
@@ -157,8 +157,10 @@ class SlowGraph:
     Coordinates are (z, w) = P^{-1} (u - u+, theta - theta+) with P =
     [e_fast e_slow]: z is the fast coordinate (rate lam_fast), w the slow
     one (rate lam_slow).  ``h`` holds the graph's coefficients of w^0 ..
-    w^N (the first two are 0) and ``flow`` those of the reduced flow
-    w' = lam_slow w + g_w(h(w), w) along it, exactly as composed.
+    w^N (the first two are 0), ``flow`` those of the reduced flow w' =
+    lam_slow w + g_w(h(w), w) along it, and ``defect_coef`` those of the
+    invariance defect z' - h'(w) w', zero up to rounding through w^N, all
+    exactly as composed.
     """
 
     lam_fast: float
@@ -168,6 +170,7 @@ class SlowGraph:
     P_inv: np.ndarray
     h: np.ndarray
     flow: np.ndarray
+    defect_coef: np.ndarray
     _sys: SystemData
 
     def points(self, w) -> np.ndarray:
@@ -218,17 +221,10 @@ class SlowGraph:
         return (b - a)[:, 0] / 2.0 * np.sum(
             _GL_WEIGHTS * (1.0 / self.speed(nodes)), axis=-1)
 
-    def defect(self, w: float) -> float:
+    def defect(self, w):
         """Normal invariance defect z' - h'(w) w' of the field at the graph
-        point over w, on Python floats (no array ``pow``, which may round
-        differently between hosts)."""
-        z = float(_horner(self.h, w))
-        dz = float(_horner(_derivative(self.h), w))
-        (ef0, ef1), (es0, es1) = self.e_fast.tolist(), self.e_slow.tolist()
-        f1, f2 = field_nonlinear(z * ef0 + w * es0, z * ef1 + w * es1, self._sys)
-        (p00, p01), (p10, p11) = self.P_inv.tolist()
-        return (self.lam_fast * z + (p00 * f1 + p01 * f2)
-                - dz * (self.lam_slow * w + (p10 * f1 + p11 * f2)))
+        points over w (a float or an array)."""
+        return _horner(self.defect_coef, w)
 
 
 class _Series:
@@ -302,9 +298,10 @@ def slow_graph(s: SystemData, lam_fast: float, e_fast, lam_slow: float,
         h_k = ([g_z]_k - [h' g_w]_k) / (k lam_slow - lam_fast),
 
     where the brackets take the w^k coefficient and involve h_2 .. h_{k-1}
-    only (the parameterization method in graph form; Cabre, Fontich and de
-    la Llave, Indiana Univ. Math. J. 52, 2003).  The divisors stay away
-    from zero when lam_slow <= 0 < lam_fast, and for lam_slow = 0 != lam_fast.
+    only, so h_k is solved on series cut after w^k (the parameterization
+    method in graph form; Cabre, Fontich and de la Llave, Indiana Univ.
+    Math. J. 52, 2003).  The divisors stay away from zero when lam_slow <=
+    0 < lam_fast, and for lam_slow = 0 != lam_fast.
     """
     e_fast = np.asarray(e_fast, dtype=float)
     e_slow = np.asarray(e_slow, dtype=float)
@@ -322,12 +319,15 @@ def slow_graph(s: SystemData, lam_fast: float, e_fast, lam_slow: float,
 
     h = np.zeros(GRAPH_ORDER + 1)
     for k in range(2, GRAPH_ORDER + 1):
-        g_z, g_w, _ = nonlinear(h)
-        dh = _Series(_derivative(h))
+        g_z, g_w, _ = nonlinear(h[:k + 1])
+        dh = _Series(_derivative(h[:k + 1]))
         h[k] = (g_z - dh * g_w).c[k] / (k * lam_slow - lam_fast)
-    # the field is cubic, so the flow on the graph has degree 3 * GRAPH_ORDER
-    _, g_w, w = nonlinear(np.append(h, np.zeros(2 * GRAPH_ORDER)))
-    flow = (lam_slow * w + g_w).c
+    # the field is cubic: the flow on the graph has degree 3N, and the
+    # defect lam_fast h + g_z - h' (lam_slow w + g_w) degree 4N - 1
+    z = _Series(np.append(h, np.zeros(3 * GRAPH_ORDER - 1)))
+    g_z, g_w, w = nonlinear(z.c)
+    flow = lam_slow * w + g_w
+    defect = (z * lam_fast + g_z) - _Series(_derivative(z.c)) * flow
     return SlowGraph(lam_fast=lam_fast, lam_slow=lam_slow, e_fast=e_fast,
-                     e_slow=e_slow, P_inv=np.array([[p00, p01], [p10, p11]]),
-                     h=h, flow=flow, _sys=s)
+                     e_slow=e_slow, P_inv=np.array([[p00, p01], [p10, p11]]), h=h,
+                     flow=flow.c[:3 * GRAPH_ORDER + 1], defect_coef=defect.c, _sys=s)

@@ -226,24 +226,25 @@ def _residual_pair(s: SystemData, u, theta, du_dxi, dth_dxi):
     return r1, r2, loc1, loc2
 
 
-def residual_sup(s: SystemData, rows: np.ndarray) -> float:
-    """Scaled sup norm of the integrated-equation residuals on the
-    (u, theta, u', theta') rows of the array ``rows``.
-
-    Each residual is scaled by the larger of the global momentum/energy
-    scale and the local term magnitude (the equations blow up like 1/V
-    toward the u = 0 axis, where only a relative measure is meaningful).
-    No rows, or a non-finite residual, give ``inf``, which fails every
-    bound.
-    """
+def row_residuals(s: SystemData, rows: np.ndarray) -> np.ndarray:
+    """Scaled residual of each (u, theta, u', theta') row of the array
+    ``rows``: the larger of its two integrated-equation residuals, each
+    scaled by the larger of the global momentum/energy scale and the local
+    term magnitude (the equations blow up like 1/V toward the u = 0 axis,
+    where only a relative measure is meaningful).  A row with a non-finite
+    residual gets ``inf``, which fails every bound."""
     scale = max(abs(s.sigma_minus) * s.u_plus, s.p_plus * s.u_plus)
     with np.errstate(divide="ignore", invalid="ignore"):   # bad rows give inf below
         r1, r2, loc1, loc2 = _residual_pair(s, *rows.T)
-        scaled = np.concatenate([np.abs(r1) / np.maximum(scale, loc1),
-                                 np.abs(r2) / np.maximum(scale, loc2)])
-    if scaled.size == 0 or not np.isfinite(scaled).all():
-        return math.inf
-    return float(scaled.max())
+        scaled = np.maximum(np.abs(r1) / np.maximum(scale, loc1),
+                            np.abs(r2) / np.maximum(scale, loc2))
+    return np.where(np.isfinite(scaled), scaled, math.inf)
+
+
+def residual_sup(s: SystemData, rows: np.ndarray) -> float:
+    """Largest ``row_residuals`` of ``rows``; no rows give ``inf``."""
+    scaled = row_residuals(s, rows)
+    return float(scaled.max()) if scaled.size else math.inf
 
 
 def phase_field(s: SystemData):

@@ -19,7 +19,7 @@ graph is sampled from the seed offset |w| = ``seed_offset`` out to its
 certified radius r*: the last point of a fixed geometric grid, contiguous
 from the seed and in the open quadrant, at which the graph's invariance
 defect over the fast rate is within the trace tolerance ``abs_tol +
-rel_tol * scale``, pulled in until the graph row there (point and phase
+rel_tol * scale``, pulled in to the last whose graph row (point and phase
 velocity) satisfies the layer equations to ``GRAPH_RESIDUAL``.  The samples
 carry the Gauss-Legendre flight times of the reduced flow along the graph,
 and the backward integration starts at r*.  When S2 lies inside r*, gamma2
@@ -54,7 +54,7 @@ from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
                          theta_crosses_zero, u_crosses_zero)
 from .linearize import EigenPair, SlowGraph, slow_graph
 from .system import (PhasePoint, Region, SystemData, phase_field, region_contains,
-                     residual_sup)
+                     row_residuals)
 
 CURVE_SIGMA = "sigma"
 CURVE_GAMMA1 = "gamma1"
@@ -349,27 +349,21 @@ def _certified_radii(graph: SlowGraph, side: float, eps: float, tol: float,
     rate is within ``tol`` and its point has u > 0 and theta > 0, and then
     the largest of those at which the graph row (point and phase velocity)
     has a scaled equation residual within ``GRAPH_RESIDUAL``.  Empty when
-    the seed itself fails.  The grid is on Python floats."""
-    radii = []
-    for j in range(math.floor(math.log10(s.scale / eps) * SLIDE_POINTS_PER_DECADE) + 1):
-        r = eps * 10.0 ** (j / SLIDE_POINTS_PER_DECADE)
-        if abs(graph.defect(side * r)) > tol * graph.lam_fast:
-            break
-        u, theta = graph.points(side * r)
-        if not (u > 0.0 and theta > 0.0):
-            break
-        radii.append(r)
-
-    def row_residual(r: float) -> float:
-        w = [side * r]
-        return residual_sup(s, np.hstack([graph.points(w), graph.velocity(w)]))
-
+    the seed itself fails.  The grid is on Python floats; each test is one
+    array evaluation over it."""
+    n = math.floor(math.log10(s.scale / eps) * SLIDE_POINTS_PER_DECADE) + 1
+    radii = np.array([eps * 10.0 ** (j / SLIDE_POINTS_PER_DECADE) for j in range(n)])
+    w = side * radii
+    pts = graph.points(w)
+    ok = ((np.abs(graph.defect(w)) <= tol * graph.lam_fast)
+          & (pts[:, 0] > 0.0) & (pts[:, 1] > 0.0))
+    m = ok.size if ok.all() else int(np.argmin(ok))
     # the defect bounds a graph point's position, not the velocity that a
-    # profile's residual rows read off the graph; the residual grows with r,
-    # so the largest radius that meets it is found from the top
-    while radii and row_residual(radii[-1]) > GRAPH_RESIDUAL:
-        radii.pop()
-    return np.array(radii)
+    # profile's residual rows read off the graph; r* is the largest radius
+    # whose row meets it
+    rows = np.hstack([pts[:m], graph.velocity(w[:m])])
+    passed = np.flatnonzero(row_residuals(s, rows) <= GRAPH_RESIDUAL)
+    return radii[:passed[-1] + 1] if passed.size else radii[:0]
 
 
 def _to_s2(graph: SlowGraph, side: float, radii: np.ndarray, s: SystemData,
@@ -414,11 +408,13 @@ def _to_s2(graph: SlowGraph, side: float, radii: np.ndarray, s: SystemData,
 def _capped(graph: SlowGraph, side: float, radii: np.ndarray, cap: float) -> np.ndarray:
     """Radii with evenly spaced ones inserted so that no component of the
     graph point moves by more than ``cap`` between neighbours (the
-    integrator's ``max_state_step`` rule)."""
+    integrator's ``max_state_step`` rule): k (b - a) / (n + 1) + a, k = 0
+    .. n, on a segment [a, b] that gets n, rounded as ``np.linspace`` does."""
     moves = np.max(np.abs(np.diff(graph.points(side * radii), axis=0)), axis=1)
-    n_sub = (moves / cap).astype(int)
-    parts = [np.linspace(a, b, n + 2)[:-1] for a, b, n in zip(radii[:-1], radii[1:], n_sub)]
-    return np.concatenate(parts + [radii[-1:]])
+    parts = (moves / cap).astype(int) + 1
+    k = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+    step = np.repeat(np.diff(radii) / parts, parts)
+    return np.append(k * step + np.repeat(radii[:-1], parts), radii[-1])
 
 
 def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,

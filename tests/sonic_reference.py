@@ -1,6 +1,11 @@
-"""Test-side references for the center-manifold graph of a sonic far field.
+"""Test-side references for the invariant-manifold graph at S1.
 
-In the frame of ``transonic_frame``'s graph, W1 the slow (center) and W2
+``graph_defect`` composes a graph's invariance defect from the field on
+Python floats, the definition that ``SlowGraph.defect``'s stored polynomial
+must reproduce.
+
+The rest concerns the center-manifold graph of a sonic far field.  In the
+frame of ``transonic_frame``'s graph, W1 the slow (center) and W2
 the fast coordinate, the field reads W1' = g1(W1, W2), W2' = lambda2 W2 +
 g2(W1, W2), the form ``degenerate.classify_degenerate`` takes.
 ``closed_form`` gives the order-3 graph W2 = c2 W1^2 + c3 W1^3 and the
@@ -14,7 +19,20 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from inflow_layer.linearize import _derivative, _horner
 from inflow_layer.system import field_nonlinear
+
+
+def graph_defect(graph, w: float) -> float:
+    """Normal invariance defect z' - h'(w) w' of the field at the graph
+    point over w, composed from ``field_nonlinear`` on Python floats."""
+    z = float(_horner(graph.h, w))
+    dz = float(_horner(_derivative(graph.h), w))
+    (ef0, ef1), (es0, es1) = graph.e_fast.tolist(), graph.e_slow.tolist()
+    f1, f2 = field_nonlinear(z * ef0 + w * es0, z * ef1 + w * es1, graph._sys)
+    (p00, p01), (p10, p11) = graph.P_inv.tolist()
+    return (graph.lam_fast * z + (p00 * f1 + p01 * f2)
+            - dz * (graph.lam_slow * w + (p10 * f1 + p11 * f2)))
 
 
 def w_equations(graph):

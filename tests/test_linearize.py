@@ -6,11 +6,12 @@ import pytest
 from inflow_layer import (DefectiveMatrix, DomainError, EndState, GasParams,
                           TraceOptions, build_system, eigen_2x2, field_poly,
                           transonic_frame)
-from inflow_layer.linearize import slow_graph
+from inflow_layer.linearize import GRAPH_ORDER, _derivative, _Series, slow_graph
+from inflow_layer.system import field_nonlinear
 from inflow_layer.tracer import _certified_radii
 from conftest import random_system
 from degenerate import DegenerateKind, FitAmbiguous, classify_degenerate
-from sonic_reference import closed_form, w_equations
+from sonic_reference import closed_form, graph_defect, w_equations
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +198,7 @@ class TestSlowGraph:
         w = np.linspace(-0.1, 0.1, 9)
         pts = graph.points(w)
         f = np.column_stack(field_poly(pts[:, 0], pts[:, 1], graph._sys))
-        defect = np.array([graph.defect(x) for x in w])
+        defect = np.array([graph_defect(graph, x) for x in w])
         np.testing.assert_allclose(graph.velocity(w), f - np.outer(defect, graph.e_fast),
                                    rtol=0.0, atol=1e-14)
 
@@ -209,9 +210,45 @@ class TestSlowGraph:
         radii = _certified_radii(graph, side, 1e-6 * s.scale, tol, s)
         r_star = radii[-1]
         assert r_star > 0.05 * s.scale
-        assert abs(graph.defect(side * r_star)) <= tol * graph.lam_fast
+        assert abs(graph_defect(graph, side * r_star)) <= tol * graph.lam_fast
         # the defect grows like w^(N+1): the next grid point fails
-        assert abs(graph.defect(side * r_star * 10.0 ** (1 / 12))) > tol * graph.lam_fast
+        assert (abs(graph_defect(graph, side * r_star * 10.0 ** (1 / 12)))
+                > tol * graph.lam_fast)
+
+    @pytest.mark.parametrize("sonic", [False, True])
+    def test_defect_polynomial_is_the_composed_defect(self, frame, sonic):
+        # the stored polynomial is the field's defect on the graph, and the
+        # invariance equation zeroes it through w^N
+        graph = frame if sonic else _subsonic_graph(1.0 / SOUND)[1]
+        w = np.linspace(-0.1, 0.1, 21)
+        np.testing.assert_allclose(graph.defect(w), [graph_defect(graph, x) for x in w],
+                                   rtol=0.0, atol=1e-14)
+        assert graph.defect_coef.size == 4 * GRAPH_ORDER
+        assert np.max(np.abs(graph.defect_coef[:GRAPH_ORDER + 1])) < 1e-14
+
+    @pytest.mark.parametrize("mach", [0.3 / SOUND, 1.0 / SOUND, 0.999, None])
+    def test_short_series_solve_is_the_full_length_solve(self, frame, mach):
+        # h_k solved on series cut after w^k, and the flow cut after w^3N,
+        # keep every bit of a solve on series of the flow's full length
+        graph = frame if mach is None else _subsonic_graph(mach)[1]
+        s = graph._sys
+        (ef0, ef1), (es0, es1) = graph.e_fast.tolist(), graph.e_slow.tolist()
+        (p00, p01), (p10, p11) = graph.P_inv.tolist()
+        n = 3 * GRAPH_ORDER + 1
+        w = _Series(np.eye(1, n, 1)[0])
+
+        def g(h):
+            z = _Series(h)
+            f1, f2 = field_nonlinear(z * ef0 + w * es0, z * ef1 + w * es1, s)
+            return p00 * f1 + p01 * f2, p10 * f1 + p11 * f2
+
+        h = np.zeros(n)
+        for k in range(2, GRAPH_ORDER + 1):
+            g_z, g_w = g(h)
+            h[k] = ((g_z - _Series(_derivative(h)) * g_w).c[k]
+                    / (k * graph.lam_slow - graph.lam_fast))
+        assert np.array_equal(graph.h, h[:GRAPH_ORDER + 1])
+        assert np.array_equal(graph.flow, (graph.lam_slow * w + g(h)[1]).c)
 
     @pytest.mark.parametrize("mach", [0.99, 0.999, 1.0 - 1e-5])
     def test_graph_passes_through_s2_inside_the_radius(self, mach):

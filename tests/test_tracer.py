@@ -18,8 +18,11 @@ from inflow_layer.tracer import (CAPTURE_RADIUS, CURVE_GAMMA1, CURVE_GAMMA2,
                                  TERMINAL_BUDGET, TERMINAL_CONVERGED_TO_S2,
                                  TERMINAL_HIT_THETA_AXIS, TERMINAL_HIT_U_AXIS,
                                  _TERMINALS as _TERMINAL_OF, Pchip)
+from inflow_layer.cli import SWEEP_TRACE
 from inflow_layer.linearize import slow_graph
+from inflow_layer.system import residual_sup
 from conftest import random_system
+from sonic_reference import graph_defect
 
 
 @pytest.fixture(scope="module")
@@ -516,3 +519,82 @@ class TestGraphSeed:
         off, at_s2 = tracer._to_s2(bent, 1.0, radii, s, tol)
         assert not at_s2
         assert np.array_equal(off, radii[radii < 0.5 * r_s2])
+
+
+def _reference_radii(graph, side, eps, tol, s):
+    """The certified radii by a loop over the grid: per radius the defect
+    composed from the field on Python floats and the graph point, then the
+    residual rule from the top down on one-row arrays."""
+    per_decade = tracer.SLIDE_POINTS_PER_DECADE
+    radii = []
+    for j in range(math.floor(math.log10(s.scale / eps) * per_decade) + 1):
+        r = eps * 10.0 ** (j / per_decade)
+        if abs(graph_defect(graph, side * r)) > tol * graph.lam_fast:
+            break
+        u, theta = graph.points(side * r)
+        if not (u > 0.0 and theta > 0.0):
+            break
+        radii.append(r)
+
+    def row_residual(r):
+        w = [side * r]
+        return residual_sup(s, np.hstack([graph.points(w), graph.velocity(w)]))
+
+    while radii and row_residual(radii[-1]) > tracer.GRAPH_RESIDUAL:
+        radii.pop()
+    return np.array(radii)
+
+
+def _reference_capped(graph, side, radii, cap):
+    """The capped radii by one ``np.linspace`` per segment."""
+    moves = np.max(np.abs(np.diff(graph.points(side * radii), axis=0)), axis=1)
+    n_sub = (moves / cap).astype(int)
+    parts = [np.linspace(a, b, n + 2)[:-1]
+             for a, b, n in zip(radii[:-1], radii[1:], n_sub)]
+    return np.concatenate(parts + [radii[-1:]])
+
+
+@pytest.fixture(scope="module")
+def seeded_graphs():
+    """(graph, side, system) of gamma1 and gamma2 at 40 canonical Mach
+    numbers in (0.25, 0.999) and on four random subsonic gases, and of
+    sigma on the canonical and the stiff sonic far field."""
+    systems = [_far_field(m)[0] for m in np.linspace(0.26, 0.998, 40)]
+    rng = np.random.default_rng(20240817)
+    systems += [random_system(rng, regime="subsonic") for _ in range(4)]
+    cases = []
+    for s in systems:
+        eig = eigen_2x2(s.matrix)
+        graph = slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        cases += [(graph, -1.0, s), (graph, 1.0, s)]
+    for gas, theta in ((GasParams(1.4, 1.0, 1.0, 1.0), 1.0),
+                       (GasParams(1.4241, 5.5366, 6.3002, 0.10869), 0.3812)):
+        s = build_system(gas, EndState(1.0, math.sqrt(gas.gamma * gas.R * theta), theta))
+        cases.append((transonic_frame(s), -1.0, s))
+    return cases
+
+
+class TestGraphGrid:
+    @pytest.mark.parametrize("opts", [TraceOptions(), SWEEP_TRACE], ids=["default", "sweep"])
+    def test_certified_radii_are_the_per_radius_loop(self, seeded_graphs, opts):
+        for graph, side, s in seeded_graphs:
+            eps = 1e-6 * s.scale
+            tol = opts.abs_tol + opts.rel_tol * s.scale
+            radii = tracer._certified_radii(graph, side, eps, tol, s)
+            assert np.array_equal(radii, _reference_radii(graph, side, eps, tol, s))
+
+    def test_capped_is_linspace_per_segment(self, s_sub):
+        eig = eigen_2x2(s_sub.matrix)
+        graph = slow_graph(s_sub, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        opts = TraceOptions()
+        tol = opts.abs_tol + opts.rel_tol * s_sub.scale
+        grid = tracer._certified_radii(graph, -1.0, 1e-6 * s_sub.scale, tol, s_sub)
+        # nothing inserted, a gamma1 grid at the trace's cap, hundreds
+        # inserted into one segment, and a lone seed radius
+        assert np.array_equal(tracer._capped(graph, -1.0, grid, 1.0), grid)
+        wide = np.array([1e-3, 1e-2, 0.3])
+        for radii, cap in ((grid, opts.sample_cap * s_sub.scale), (wide, 1e-3),
+                           (grid[:1], 1e-3)):
+            capped = tracer._capped(graph, -1.0, radii, cap)
+            assert np.array_equal(capped, _reference_capped(graph, -1.0, radii, cap))
+        assert tracer._capped(graph, -1.0, wide, 1e-3).size > 200

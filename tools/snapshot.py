@@ -11,7 +11,7 @@ The script imports the package from the ``src`` directory next to it, so a
 copy placed in another checkout snapshots that checkout.  The output set:
 
 * the trace-ladder rungs of ``bench/workloads.py`` (samples, backward times,
-  terminal, terminal point and seed offset of every curve);
+  terminal, terminal point, seed offset and graph radius of every curve);
 * the query-mix cases of seeds 0 and 1: the verdict of each, and the xi, V,
   U, Theta and metrics of each profile (``metrics.residual_sup`` pins the
   residual rows);
@@ -22,7 +22,9 @@ copy placed in another checkout snapshots that checkout.  The output set:
 * sigma of a stiff sonic far field (lambda2 / (a2 scale) = 625) and the
   verdict and profile at its middle sample (a checkout whose sigma is
   integrated from 1e-3 scale of S1 needs about 20 s for them);
-* the 200 ``run_sweep`` rows of the acceptance grid;
+* the 200 ``run_sweep`` rows of the acceptance grid, and the gamma2 curve
+  at each of its subsonic points, traced with ``cli.SWEEP_TRACE`` as the
+  sweep traces it (the rows keep only its terminal kind);
 * the canonical, sonic and alpha2 < 0 portrait SVGs;
 * ``classify``, ``trace`` (csv and json), ``profile`` and ``portrait`` on
   canonical and sonic data, and a 7-point ``sweep``: exit code, stdout,
@@ -100,7 +102,7 @@ def _load_workloads():
 def _curve(curve) -> dict:
     return {"samples": curve.samples, "backward_time": curve.backward_time,
             "terminal": curve.terminal, "terminal_point": curve.terminal_point,
-            "seed_offset": curve.seed_offset}
+            "seed_offset": curve.seed_offset, "graph_radius": curve.graph_radius}
 
 
 def _profile(prof) -> dict:
@@ -118,7 +120,8 @@ def _decided(engine, query, verdict_to_dict) -> dict:
 
 def snapshot() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
-    from inflow_layer import EndState, ExistenceEngine, GasParams, Query, build_system
+    from inflow_layer import (EndState, ExistenceEngine, GasParams, LayerError, Query,
+                              build_system, eigen_2x2, trace_gamma)
     from inflow_layer import cli
     from inflow_layer.engine import verdict_to_dict
     from inflow_layer.portrait import render_portrait
@@ -165,8 +168,18 @@ def snapshot() -> dict:
     out["stiff_sonic/mid"] = _decided(engine, Query(left, right, gas), verdict_to_dict)
 
     grid = np.linspace(0.25, 1.25, 200).tolist()
+    sound = math.sqrt(wl.GAS.R * wl.GAS.gamma)
     for i, row in enumerate(cli.run_sweep(wl.GAS, 1.0, 1.0, grid)):
         out[f"sweep/{i:03d}"] = row
+        if row["regime"] != "subsonic":
+            continue
+        # the far field as run_sweep builds it from the Mach number
+        s = build_system(wl.GAS, EndState(1.0, row["mach_plus"] * sound, 1.0))
+        try:
+            curve = trace_gamma(s, eigen_2x2(s.matrix), "gamma2", cli.SWEEP_TRACE)
+            out[f"sweep_curve/{i:03d}"] = _curve(curve)
+        except LayerError as exc:
+            out[f"sweep_curve/{i:03d}"] = f"error:{type(exc).__name__}"
 
     for name, right in (("canonical", wl.CANONICAL), ("sonic", wl.SONIC),
                         ("theta_axis", wl.THETA_AXIS)):
