@@ -2,8 +2,8 @@
 
 The stepper is the Dormand-Prince 5(4) embedded pair (Dormand & Prince,
 J. Comput. Appl. Math. 6 (1980)) with its free quartic interpolant.  It is
-a literal port of scipy's ``RK45``: the same tableau, the same numpy calls
-on the same array shapes in the same order, the same error norm, step
+a literal port of scipy's ``RK45``: the same tableau, the same
+floating-point operations in the same order, the same error norm, step
 controller and initial-step rule.  Every accepted step, and so every curve,
 profile and verdict, is therefore bitwise identical to what scipy computes,
 without scipy's import cost.  Events are located by sign change on step
@@ -16,6 +16,7 @@ appropriate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -138,7 +139,8 @@ def near_equilibrium(target, radius: float) -> EventSpec:
     tgt = target.as_array() if isinstance(target, PhasePoint) else np.asarray(target, float)
 
     def fn(t, y):
-        return float(np.linalg.norm(y - tgt)) - radius
+        d = y - tgt
+        return math.sqrt(d.dot(d)) - radius   # the dot np.linalg.norm makes
 
     return EventSpec(NEAR_EQUILIBRIUM, fn)
 
@@ -214,11 +216,18 @@ class DenseStep:
         self.y_old = y_old
 
     def __call__(self, t) -> np.ndarray:
-        x = (t - self.t_old) / self.h
-        p = np.cumprod(np.tile(x, self.Q.shape[1]))
-        y = self.h * np.dot(self.Q, p)
-        y += self.y_old
-        return y
+        return self.sample(np.asarray([t], dtype=float))[0]
+
+    def sample(self, t: np.ndarray) -> np.ndarray:
+        """Values at each t[i], one row each."""
+        return _dense_values(self.Q, self.h, self.y_old, (t - self.t_old) / self.h)
+
+
+def _dense_values(Q, h, y_old, x: np.ndarray) -> np.ndarray:
+    """y_old + h * Q @ (x, x^2, x^3, x^4) at each x[i], the powers by
+    cumprod; Q, h and y_old are one step's or one per x[i]."""
+    powers = np.cumprod(np.repeat(x[:, None], _P.shape[1], axis=1), axis=1)
+    return h * np.matmul(Q, powers[:, :, None])[:, :, 0] + y_old
 
 
 def dense_eval(steps: Sequence[DenseStep], t) -> tuple[np.ndarray, np.ndarray]:
@@ -228,16 +237,15 @@ def dense_eval(steps: Sequence[DenseStep], t) -> tuple[np.ndarray, np.ndarray]:
     h = np.array([st.h for st in steps], dtype=float)
     Q = np.array([st.Q for st in steps], dtype=float).reshape(-1, 2, _P.shape[1])
     y_old = np.array([st.y_old for st in steps], dtype=float).reshape(-1, 2)
-    x = ((np.asarray(t, dtype=float) - t_old) / h)[:, None]
+    x = (np.asarray(t, dtype=float) - t_old) / h
+    y = _dense_values(Q, h[:, None], y_old, x)
     k = np.arange(_P.shape[1])
-    powers = np.cumprod(np.repeat(x, k.size, axis=1), axis=1)
-    y = h[:, None] * np.matmul(Q, powers[:, :, None])[:, :, 0] + y_old
-    dy = np.matmul(Q, ((k + 1) * x ** k)[:, :, None])[:, :, 0]
+    dy = np.matmul(Q, ((k + 1) * x[:, None] ** k)[:, :, None])[:, :, 0]
     return y, dy
 
 
 def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5   # the dot np.linalg.norm makes
 
 
 def _require_finite_field(f, t, y) -> None:
@@ -266,25 +274,46 @@ def _initial_step(fun, t0, y0, f0, direction, h_max, rtol, atol):
     return min(100 * h0, h1, h_max)
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One Dormand-Prince step of size h; the stages are left in K."""
+class _Stages:
+    """The stage array K of one run and its stage-sum operands, built once:
+    ``sums`` holds (stage, node, row of _A, K[:stage].T) of each stage
+    between the first and the last, ``KB`` is K[:-1].T and ``KE`` K.T."""
+
+    __slots__ = ("K", "sums", "KB", "KE")
+
+    def __init__(self, n: int):
+        self.K = K = np.empty((len(_C) + 1, n))
+        self.sums = tuple((s, float(_C[s]), _A[s, :s], K[:s].T)
+                          for s in range(1, len(_C)))
+        self.KB = K[:-1].T
+        self.KE = K.T
+
+
+def _rk_step(fun, t, y, f, h, st: _Stages):
+    """One Dormand-Prince step of size h; the stages are left in st.K."""
+    K = st.K
     K[0] = f
-    for s in range(1, len(_C)):
-        dy = np.dot(K[:s].T, _A[s, :s]) * h
-        K[s] = fun(t + _C[s] * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, _B)
+    for s, c, a, Ks in st.sums:
+        dy = np.dot(Ks, a) * h
+        K[s] = fun(t + c * h, y + dy)
+    y_new = y + h * np.dot(st.KB, _B)
     f_new = fun(t + h, y_new)
     K[-1] = f_new
     return y_new, f_new
 
 
-def _accepted_step(fun, t, y, f, h_abs, direction, h_max, rtol, atol, K):
+def _accepted_step(fun, t, y, f, h_abs, direction, h_max, rtol, atol, st: _Stages):
     """Retry from (t, y) until the error estimate is accepted.
 
     Returns (t_new, y_new, f_new, next h_abs); the stages of the accepted
-    step are left in K.
+    step are left in st.K.  The stages are checked for finiteness only when
+    the error norm is not finite.  A NaN or infinite stage always makes it
+    so: h != 0, and every nonzero _E entry is finite.  Stage 1, whose _E and
+    _B entries are 0, reaches the norm only because np.dot forms inf * 0 =
+    NaN rather than skipping the zero weight.  Arithmetic on an infinite
+    stage may emit a numpy RuntimeWarning before the NonFinite is raised.
     """
-    min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+    min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
     h_abs = min(max(h_abs, min_step), h_max)
     rejected = False
     while True:
@@ -294,11 +323,12 @@ def _accepted_step(fun, t, y, f, h_abs, direction, h_max, rtol, atol, K):
                 f"the spacing of floating-point numbers at xi={t}")
         t_new = t + h_abs * direction
         h = t_new - t
-        h_abs = np.abs(h)
-        y_new, f_new = _rk_step(fun, t, y, f, h, K)
-        _require_finite_field(K, t, y)
+        h_abs = abs(h)
+        y_new, f_new = _rk_step(fun, t, y, f, h, st)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms(np.dot(K.T, _E) * h / scale)
+        error_norm = _rms(np.dot(st.KE, _E) * h / scale)
+        if not math.isfinite(error_norm):
+            _require_finite_field(st.K, t, y)
         if error_norm < 1:
             if error_norm == 0:
                 factor = _MAX_FACTOR
@@ -323,7 +353,8 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
     fieldfn : callable(xi, y) -> float64 array of shape (2,)
         The phase velocity.  Must be pure.  The stepper calls it directly;
         its values are checked for finiteness at the start point, at the
-        initial-step probe and once per attempted step (all stages at once).
+        initial-step probe and, all stages at once, at every attempted step
+        whose error norm is not finite.
     start : PhasePoint or array-like of shape (2,)
         Initial point; integration starts at xi = 0.
     settings : IntegrationSettings
@@ -340,6 +371,7 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
     ------
     NonFinite
         If the field returns NaN or infinity, or the start point is not finite.
+        An infinite field value may also emit a numpy RuntimeWarning first.
     StepUnderflow
         If the error controller drives the step below 1e-14 * (1 + |xi|), or
         a rejected step below ten spacings of the floating-point numbers at xi.
@@ -369,7 +401,7 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         h_abs = _initial_step(fieldfn, t, y, f, direction, settings.h_max, rtol, atol)
     else:
         h_abs = settings.h_init
-    K = np.empty((len(_C) + 1, y0.size))
+    stages = _Stages(y0.size)
     xs = [0.0]
     ys = [y0.copy()]
     segments = []
@@ -379,24 +411,24 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         # subdivide the step so no component moves more than max_state_step;
         # capped so runaway trajectories cannot demand absurd grids
         if max_state_step is not None:
-            dy = float(np.max(np.abs(y_hi - ys[-1])))
-            n_sub = min(int(dy / max_state_step), 1000)
+            du, dth = (y_hi - ys[-1]).tolist()
+            n_sub = min(int(max(abs(du), abs(dth)) / max_state_step), 1000)
             if n_sub >= 1:
-                for t_mid in np.linspace(t_lo, t_hi, n_sub + 2)[1:-1]:
-                    xs.append(float(t_mid))
-                    ys.append(seg(t_mid))
+                t_mid = np.linspace(t_lo, t_hi, n_sub + 2)[1:-1]
+                xs.extend(t_mid.tolist())
+                ys.extend(seg.sample(t_mid))
         xs.append(float(t_hi))
         ys.append(y_hi)
 
     while n_steps < settings.max_steps:
         t_old, y_old = t, y
         t, y, f, h_abs = _accepted_step(fieldfn, t, y, f, h_abs, direction,
-                                        settings.h_max, rtol, atol, K)
+                                        settings.h_max, rtol, atol, stages)
         n_steps += 1
         if abs(t - t_old) < _MIN_STEP_FACTOR * (1.0 + abs(t)):
             raise StepUnderflow(
                 f"step size {abs(t - t_old)} below floor at xi={t}")
-        seg = DenseStep(t_old, t, y_old, K)
+        seg = DenseStep(t_old, t, y_old, stages.K)
         segments.append((t_old, t, seg))
 
         triggered = []
@@ -412,13 +444,13 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
             y_ev = seg(t_ev)
             emit(seg, t_old, t_ev, y_ev)
             pt = PhasePoint(float(y_ev[0]), float(y_ev[1]))
-            return IntegrationResult(xi=np.asarray(xs), points=np.vstack(ys),
+            return IntegrationResult(xi=np.asarray(xs), points=np.array(ys),
                                      event=Event(ev.kind, t_ev, pt),
                                      n_steps=n_steps, segments=segments)
         emit(seg, t_old, t, y)
 
     y_last = ys[-1]
     pt = PhasePoint(float(y_last[0]), float(y_last[1]))
-    return IntegrationResult(xi=np.asarray(xs), points=np.vstack(ys),
+    return IntegrationResult(xi=np.asarray(xs), points=np.array(ys),
                              event=Event(BUDGET, float(xs[-1]), pt),
                              n_steps=n_steps, segments=segments)

@@ -255,7 +255,8 @@ def phase_field(s: SystemData):
     """
 
     def fun(_xi, y):
-        return np.array(field_poly(float(y[0]), float(y[1]), s))
+        u, theta = y.tolist()
+        return np.array(field_poly(u, theta, s))
 
     return fun
 

@@ -258,7 +258,7 @@ class Curve:
         return pt.theta if self.param_index == 0 else pt.u
 
 
-def _thin(samples: list[np.ndarray], times: list[float], s: SystemData,
+def _thin(samples: np.ndarray, times: np.ndarray, s: SystemData,
           param_index: int, keep_radius: float, floor: float, noise: float):
     """Thin to the target density while enforcing strict monotonicity.
 
@@ -266,33 +266,34 @@ def _thin(samples: list[np.ndarray], times: list[float], s: SystemData,
     curve's direction (on every curve the parameter decreases and the value
     increases away from S1); noise-level backtracks (integration error
     around a weak eigendirection) are absorbed into the previous sample,
-    anything beyond the noise budget raises TraceFailed.
+    anything beyond the noise budget raises TraceFailed.  ``samples`` has
+    one row per sample and ``times`` one entry; the kept rows of each are
+    returned.
     """
     p_s1 = (s.u_plus, s.theta_plus)[param_index]
-    vidx = 1 - param_index
-    kept_s, kept_t = [samples[0]], [times[0]]
-    for i in range(1, len(samples) - 1):
-        row = samples[i]
-        adv_p = kept_s[-1][param_index] - row[param_index]
-        adv_v = row[vidx] - kept_s[-1][vidx]
+    params = samples[:, param_index].tolist()
+    values = samples[:, 1 - param_index].tolist()
+    kept = [0]
+    p_kept, v_kept = params[0], values[0]
+    for i in range(1, len(params) - 1):
+        p, v = params[i], values[i]
+        adv_p = p_kept - p
+        adv_v = v - v_kept
         if adv_p < -noise or adv_v < -noise:
             raise TraceFailed(
                 f"sample {i} backtracks by more than the noise budget {noise:.1e}")
-        near_s1 = abs(row[param_index] - p_s1) <= keep_radius
+        near_s1 = abs(p - p_s1) <= keep_radius
         wanted = adv_p >= floor or (near_s1 and adv_p > 0.0)
         if wanted and adv_p > 0.0 and adv_v > 0.0:
-            kept_s.append(row)
-            kept_t.append(times[i])
-    last = samples[-1]
-    while len(kept_s) > 1 and (
-            kept_s[-1][param_index] - last[param_index] <= 0.0
-            or last[vidx] - kept_s[-1][vidx] <= 0.0):
+            kept.append(i)
+            p_kept, v_kept = p, v
+    last = len(params) - 1
+    while len(kept) > 1 and (params[kept[-1]] - params[last] <= 0.0
+                             or values[last] - values[kept[-1]] <= 0.0):
         # terminal bisection can land within noise of the last kept samples
-        kept_s.pop()
-        kept_t.pop()
-    kept_s.append(last)
-    kept_t.append(times[-1])
-    return np.vstack(kept_s), np.asarray(kept_t)
+        kept.pop()
+    kept.append(last)
+    return samples[kept], times[kept]
 
 
 def _validate_curve(label: str, samples: np.ndarray, s: SystemData,
@@ -334,11 +335,11 @@ _TERMINALS = {
 
 
 def _graph_samples(s: SystemData, graph: SlowGraph, w: np.ndarray):
-    """S1 and the graph points over ``w``, from the seed outward, with their
-    backward times: +inf at S1, then the reduced flow's flight time from
-    the first point."""
-    return ([np.array([s.u_plus, s.theta_plus]), *graph.points(w)],
-            [math.inf, 0.0, *np.cumsum(-graph.flight_times(w))])
+    """S1 and the graph points over ``w``, from the seed outward, one row
+    each, with their backward times: +inf at S1, then the reduced flow's
+    flight time from the first point."""
+    return (np.vstack(([s.u_plus, s.theta_plus], graph.points(w))),
+            np.concatenate(([math.inf, 0.0], np.cumsum(-graph.flight_times(w)))))
 
 
 def _certified_radii(graph: SlowGraph, side: float, eps: float, tol: float,
@@ -442,8 +443,8 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
     else:
         res = integrate(phase_field(s), pts[-1], opts.integration_settings(),
                         events=events, max_state_step=opts.sample_cap * scale)
-        pts.extend(res.points[1:])
-        times.extend(times[-1] - res.xi[1:])
+        pts = np.concatenate((pts, res.points[1:]))
+        times = np.concatenate((times, times[-1] - res.xi[1:]))
         terminal, terminal_point = _TERMINALS[res.event.kind], res.event.point
     if label == CURVE_GAMMA2:
         expected = (TERMINAL_CONVERGED_TO_S2 if s.alpha2 > 0.0

@@ -5,10 +5,12 @@ import pytest
 from scipy.optimize import brentq
 
 from inflow_layer import (Event, EventSpec, IntegrationSettings, NonFinite,
-                          PhasePoint, StepUnderflow, component_crosses,
-                          integrate, left_region, near_equilibrium,
-                          theta_crosses_zero, u_crosses_zero)
-from inflow_layer.integrator import BACKWARD, BUDGET
+                          PhasePoint, StepUnderflow, TraceOptions, build_system,
+                          component_crosses, eigen_2x2, integrate, left_region,
+                          near_equilibrium, phase_field, theta_crosses_zero,
+                          transonic_frame, u_crosses_zero)
+from inflow_layer.integrator import BACKWARD, BUDGET, DenseStep, _rms
+from inflow_layer.tracer import CAPTURE_RADIUS
 
 
 def test_settings_validation():
@@ -141,20 +143,49 @@ def test_nonfinite_field_raises():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("bad_call", [1, 2, 4])
+@pytest.mark.parametrize("bad_call", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_nonfinite_value_at_one_call_raises(bad_call, bad):
-    # call 1 is the start value, call 2 the initial-step probe and call 4 the
-    # second stage of the first step; the field is finite at every other call,
-    # and the run stops within its first step (start, probe and 6 stages)
+    # call 1 is the start value, call 2 the initial-step probe and calls 3 to
+    # 8 the stages after the first of the first step, call 8 being the field
+    # at its end; the field is finite at every other call, and the run stops
+    # within its first step.  The stages are checked only when the error norm
+    # is not finite, so every one of them must make it so; call 3's stage has
+    # zero weight in both the solution and the error estimate, and reaches
+    # the norm only through np.dot's inf * 0 = NaN.  Arithmetic on the
+    # infinite stage may warn on the way to the raise.
     calls = []
 
     def field(t, y):
         calls.append(t)
         return np.array([1.0, bad if len(calls) == bad_call else 0.5])
 
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite), np.errstate(invalid="ignore"):
         integrate(field, PhasePoint(0.0, 1.0), IntegrationSettings(max_steps=5))
     assert len(calls) <= 8
+
+
+def test_overflowing_error_norm_of_a_finite_field_rejects_the_step():
+    # the field is finite everywhere, but its value at the end of the first
+    # attempted step, which weighs in the error estimate only, makes the
+    # estimate's sum of squares overflow: the step is rejected and shrunk by
+    # the largest factor, not reported as a non-finite field
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return np.array([1e290 if t >= 0.95 else 1.0, 0.5])
+
+    # the estimate's first component, (1/40) 1e290 h over the scale
+    # atol + 1.1 rtol, is about 2e298, and its square is infinite
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.float64(1e290 / 40 / (1e-12 + 1.1e-10)) ** 2)
+        res = integrate(field, PhasePoint(0.0, 1.0),
+                        IntegrationSettings(h_init=1.0, max_steps=1))
+    assert res.event.kind == BUDGET and res.n_steps == 1
+    # start, the rejected attempt ending at 1.0, the accepted one at 0.2
+    assert len(calls) == 13 and calls[6] == 1.0 and calls[12] == 0.2
+    assert res.xi.tolist() == [0.0, 0.2]
+    np.testing.assert_allclose(res.points, [[0.0, 1.0], [0.2, 1.1]], rtol=1e-15)
 
 
 @pytest.mark.parametrize("direction", [1, 2, -2])
@@ -182,3 +213,95 @@ def test_trajectory_order_and_event_typing():
                     IntegrationSettings(max_steps=10))
     assert isinstance(res.event, Event)
     assert np.all(np.diff(res.xi) > 0.0)
+
+
+def test_norms_are_their_linalg_norm_forms():
+    rng = np.random.default_rng(11)
+    vecs = [rng.normal(size=n) * 10.0 ** rng.uniform(-200.0, 200.0)
+            for n in (2, 7) for _ in range(1000)]
+    vecs += [np.array(v) for v in ((np.inf, 1.0), (1.0, -np.inf), (np.nan, 1.0),
+                                   (np.inf, np.nan), (0.0, -0.0), (1e200, 1e200),
+                                   (5e-324, 0.0))]
+    target, radius = np.array([0.3, 0.7]), 1e-8
+    capture = near_equilibrium(target, radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in vecs:
+            assert float(_rms(x)).hex() == float(np.linalg.norm(x) / x.size ** 0.5).hex()
+            if x.size == 2:
+                want = float(np.linalg.norm(x - target)) - radius
+                assert float(capture.fn(0.0, x)).hex() == want.hex()
+
+
+@pytest.fixture(scope="module")
+def real_runs(gas, right_subsonic, right_transonic):
+    """Runs on the canonical phase fields: backward along gamma1, gamma2 and
+    sigma as the tracer integrates them, gamma1 sub-sampled finely enough
+    that single steps carry hundreds of sub-samples, and forward runs back
+    towards S1 from points on gamma1 and sigma."""
+    opts = TraceOptions()
+    back, fwd = opts.integration_settings(), IntegrationSettings(max_steps=2000)
+    s = build_system(gas, right_subsonic)
+    e2 = eigen_2x2(s.matrix).e2
+    s1 = np.array([s.u_plus, s.theta_plus])
+    cap = opts.sample_cap * s.scale
+    field = phase_field(s)
+    to_s2 = [theta_crosses_zero(), near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)]
+    toward_s1 = [component_crosses(0, 0.99 * s.u_plus)]
+    runs = {
+        "gamma1": integrate(field, s1 - 1e-3 * s.scale * e2, back, [u_crosses_zero()],
+                            cap / 40),
+        "gamma2": integrate(field, s1 + 1e-3 * s.scale * e2, back, to_s2, cap),
+        "gamma1_forward": integrate(field, s1 - 0.3 * s.scale * e2, fwd, toward_s1, cap),
+    }
+    st = build_system(gas, right_transonic)
+    sigma = integrate(phase_field(st), transonic_frame(st).points(-1e-3 * st.scale), back,
+                      [u_crosses_zero()], cap)
+    runs["sigma"] = sigma
+    runs["sigma_forward"] = integrate(phase_field(st), sigma.points[len(sigma.points) // 2],
+                                      fwd, [component_crosses(0, 0.999 * st.u_plus)], cap)
+    return runs
+
+
+def _one_point_value(seg: DenseStep, t) -> np.ndarray:
+    """The interpolant at one t, evaluated as scipy's ``RkDenseOutput``
+    evaluates it: powers by cumprod of a tiled x, one np.dot."""
+    x = (t - seg.t_old) / seg.h
+    p = np.cumprod(np.tile(x, seg.Q.shape[1]))
+    y = seg.h * np.dot(seg.Q, p)
+    y += seg.y_old
+    return y
+
+
+def test_batched_samples_are_each_steps_values(real_runs):
+    for name, res in real_runs.items():
+        assert res.n_steps > 50, name
+        for k, (t_old, t_new, seg) in enumerate(res.segments):
+            n = 500 if k == res.n_steps // 2 else 7
+            t = np.linspace(t_old, t_new, n + 2)
+            batch = seg.sample(t)
+            for ti, row in zip(t, batch):
+                want = _one_point_value(seg, ti).tobytes()
+                assert row.tobytes() == want and seg(ti).tobytes() == want, (name, k, ti)
+    # on a real step the last bits of the power terms mostly vanish into
+    # y_old; a unit step from the origin with random stages keeps them
+    seg = DenseStep(0.0, 1.0, np.zeros(2), np.random.default_rng(3).normal(size=(7, 2)))
+    t = np.random.default_rng(4).uniform(0.0, 1.0, 2000)
+    for ti, row in zip(t, seg.sample(t)):
+        want = _one_point_value(seg, ti).tobytes()
+        assert row.tobytes() == want and seg(ti).tobytes() == want, ti
+
+
+def test_emitted_points_are_step_ends_and_their_sub_samples(real_runs):
+    for name, res in real_runs.items():
+        sign = 1.0 if res.xi[-1] > 0.0 else -1.0
+        ends = [t_new for _, t_new, _ in res.segments[:-1]] + [res.event.xi]
+        stops = np.searchsorted(sign * res.xi, sign * np.array(ends))
+        assert stops[-1] == len(res.xi) - 1 and np.all(sign * np.diff(res.xi) > 0.0)
+        start, most = 0, 0
+        for k, ((t_old, _, seg), stop) in enumerate(zip(res.segments, stops)):
+            assert res.xi[start] == t_old and res.points[start].tobytes() == seg.y_old.tobytes()
+            for i in range(start + 1, stop):
+                assert res.points[i].tobytes() == seg(res.xi[i]).tobytes(), (name, k, i)
+            most = max(most, stop - start - 1)
+            start = stop
+        assert most >= (300 if name == "gamma1" else 1), name

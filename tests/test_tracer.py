@@ -598,3 +598,75 @@ class TestGraphGrid:
             capped = tracer._capped(graph, -1.0, radii, cap)
             assert np.array_equal(capped, _reference_capped(graph, -1.0, radii, cap))
         assert tracer._capped(graph, -1.0, wide, 1e-3).size > 200
+
+
+SOUND = math.sqrt(1.4)   # canonical gas at theta+ = 1
+LADDER_U = (1.0, 0.3, SOUND, (1.0 - 1e-2) * SOUND, (1.0 - 1e-3) * SOUND)
+
+
+def _reference_thin(samples, times, s, param_index, keep_radius, floor, noise):
+    """The row loop ``tracer._thin`` replaced: numpy rows in, rows kept."""
+    p_s1 = (s.u_plus, s.theta_plus)[param_index]
+    vidx = 1 - param_index
+    kept_s, kept_t = [samples[0]], [times[0]]
+    for i in range(1, len(samples) - 1):
+        row = samples[i]
+        adv_p = kept_s[-1][param_index] - row[param_index]
+        adv_v = row[vidx] - kept_s[-1][vidx]
+        if adv_p < -noise or adv_v < -noise:
+            raise tracer.TraceFailed(
+                f"sample {i} backtracks by more than the noise budget {noise:.1e}")
+        near_s1 = abs(row[param_index] - p_s1) <= keep_radius
+        wanted = adv_p >= floor or (near_s1 and adv_p > 0.0)
+        if wanted and adv_p > 0.0 and adv_v > 0.0:
+            kept_s.append(row)
+            kept_t.append(times[i])
+    last = samples[-1]
+    while len(kept_s) > 1 and (
+            kept_s[-1][param_index] - last[param_index] <= 0.0
+            or last[vidx] - kept_s[-1][vidx] <= 0.0):
+        kept_s.pop()
+        kept_t.pop()
+    kept_s.append(last)
+    kept_t.append(times[-1])
+    return np.vstack(kept_s), np.asarray(kept_t)
+
+
+class TestThin:
+    @pytest.mark.parametrize("opts", [TraceOptions(), SWEEP_TRACE], ids=["default", "sweep"])
+    def test_thin_is_the_row_loop_on_the_ladder(self, gas, monkeypatch, opts):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return thin(*args, **kwargs)
+
+        thin = tracer._thin
+        monkeypatch.setattr(tracer, "_thin", recording)
+        for u_plus in LADDER_U:
+            ExistenceEngine(opts).curves_for(gas, EndState(1.0, u_plus, 1.0))
+        monkeypatch.undo()
+        assert len(calls) == 9   # gamma1 and gamma2 on three rungs, sigma on two
+        for (samples, times, *rest), kwargs in calls:
+            got = tracer._thin(samples, times, *rest, **kwargs)
+            want = _reference_thin(list(samples), list(times), *rest, **kwargs)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert len(samples) > len(got[0]) > 2
+
+    def test_noise_budget_is_the_row_loop(self, s_sub):
+        # u falls away from S1 as on gamma1, then backtracks by 1e-6 at
+        # sample 3: past a 1e-7 noise budget, inside a 1e-5 one; at sample 4
+        # theta backtracks by 5e-7 from the last kept sample, but not from S1
+        samples = np.array([[1.0, 1.0], [0.99, 1.01], [0.98, 1.02], [0.980001, 1.03],
+                            [0.97, 1.0199995], [0.96, 1.04]])
+        times = np.array([math.inf, 0.0, 0.5, 1.0, 1.5, 2.0])
+        args = (s_sub, 0, 1e-6, 1e-3)
+        with pytest.raises(tracer.TraceFailed) as got:
+            tracer._thin(samples, times, *args, noise=1e-7)
+        with pytest.raises(tracer.TraceFailed) as want:
+            _reference_thin(list(samples), list(times), *args, noise=1e-7)
+        assert str(got.value) == str(want.value) and "sample 3" in str(got.value)
+        got = tracer._thin(samples, times, *args, noise=1e-5)
+        want = _reference_thin(list(samples), list(times), *args, noise=1e-5)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[1].tolist() == [math.inf, 0.0, 0.5, 2.0]

@@ -25,6 +25,12 @@ copy placed in another checkout snapshots that checkout.  The output set:
 * the 200 ``run_sweep`` rows of the acceptance grid, and the gamma2 curve
   at each of its subsonic points, traced with ``cli.SWEEP_TRACE`` as the
   sweep traces it (the rows keep only its terminal kind);
+* ``integrate`` itself on the canonical field, whose every emitted point
+  the thinned curves above mostly drop: backward runs along gamma1 and
+  gamma2 with ``max_state_step`` set, and runs ending in each event kind
+  (u and theta crossings, the S2 capture, ``component_crosses`` falling
+  and rising, the step budget), each with its xi, points, event, step
+  count and every step's dense value at fractions 0, 0.5 and 1;
 * the canonical, sonic and alpha2 < 0 portrait SVGs;
 * ``classify``, ``trace`` (csv and json), ``profile`` and ``portrait`` on
   canonical and sonic data, and a 7-point ``sweep``: exit code, stdout,
@@ -58,6 +64,7 @@ GAP_OFFSETS = (1e-7, 3e-7, 5e-7, 7e-7, 9e-7)   # (u+ - u) / u+, inside sigma's g
 NEAR_SONIC = (1e-2, 1e-3)                       # 1 - M+ of the pinned near-sonic profiles
 STIFF_GAS = (1.4241, 5.5366, 6.3002, 0.10869)  # gamma, R, mu, kappa
 STIFF_THETA = 0.3812                            # theta+ of the stiff sonic far field
+DENSE_FRACTIONS = (0.0, 0.5, 1.0)               # where each step's interpolant is pinned
 
 
 def _sha(data: bytes) -> str:
@@ -103,6 +110,46 @@ def _curve(curve) -> dict:
     return {"samples": curve.samples, "backward_time": curve.backward_time,
             "terminal": curve.terminal, "terminal_point": curve.terminal_point,
             "seed_offset": curve.seed_offset, "graph_radius": curve.graph_radius}
+
+
+def _integration(res) -> dict:
+    dense = np.array([[seg(t0 + frac * (t1 - t0)) for frac in DENSE_FRACTIONS]
+                      for t0, t1, seg in res.segments]).reshape(-1, len(DENSE_FRACTIONS), 2)
+    return {"xi": res.xi, "points": res.points, "event": res.event,
+            "n_steps": res.n_steps, "bounds": np.array([seg[:2] for seg in res.segments]),
+            "dense": dense}
+
+
+def _integrations(wl) -> dict:
+    """``integrate`` on the canonical field, one run per emission mode and
+    event kind."""
+    from inflow_layer import (IntegrationSettings, build_system, component_crosses,
+                              eigen_2x2, integrate, near_equilibrium, phase_field,
+                              theta_crosses_zero, u_crosses_zero)
+    from inflow_layer.integrator import BACKWARD
+
+    s = build_system(wl.GAS, wl.CANONICAL)
+    e2 = eigen_2x2(s.matrix).e2
+    s1 = np.array([s.u_plus, s.theta_plus])
+    below, above = s1 - 1e-3 * s.scale * e2, s1 + 1e-3 * s.scale * e2
+    back = IntegrationSettings(direction=BACKWARD, max_steps=200_000)
+    fwd = IntegrationSettings(max_steps=200_000)
+    to_s2 = [theta_crosses_zero(), near_equilibrium(s.s2, 1e-8 * s.scale)]
+    runs = {
+        # below: about 45 sub-samples per step, hundreds on the longest
+        "gamma1_sub_sampled": (below, back, [u_crosses_zero()], 2e-4),
+        "gamma2_sub_sampled": (above, back, to_s2, 1e-3),
+        "gamma1_u_axis": (below, back, [u_crosses_zero()], None),
+        "gamma2_s2_capture": (above, back, to_s2, None),
+        "theta_axis_forward": ((0.3, 0.5), fwd, [theta_crosses_zero()], 1e-3),
+        "u_falls_through": (below, back, [component_crosses(0, 0.5 * s.u_plus)], None),
+        "u_rises_through": (above, back, [component_crosses(0, 1.1 * s.u_plus)], None),
+        "budget": ((0.8, 0.05), IntegrationSettings(max_steps=40), [], 1e-3),
+    }
+    return {f"integrate/{name}": _integration(
+                integrate(phase_field(s), np.array(start, dtype=float), settings,
+                          events=events, max_state_step=step))
+            for name, (start, settings, events, step) in runs.items()}
 
 
 def _profile(prof) -> dict:
@@ -186,6 +233,7 @@ def snapshot() -> dict:
         curves = ExistenceEngine().curves_for(wl.GAS, right)
         out[f"portrait/{name}"] = render_portrait(build_system(wl.GAS, right), curves)
 
+    out.update(_integrations(wl))
     out.update(_cli_outputs(wl, cli, sigma))
     return {key: encode(value) for key, value in out.items()}
 
