@@ -9,11 +9,20 @@ polynomials of the reduced flow and the invariance defect along it.  Its
 points, phase velocity, coordinate inverse and Gauss-Legendre flight times
 serve the sigma and gamma traces, the curves' values next to S1 and the
 profiles' legs; ``transonic_frame`` builds it in the closed-form sonic frame.
+
+``slow_graph`` applies ``field_nonlinear`` itself to ``_Taylor``
+polynomials in w, whose coefficients are computed once each, in increasing
+order, when first read (the recurrences of Taylor-series arithmetic; Jorba
+and Zou, Experimental Math. 14, 2005).  One pass over k = 2 .. N solves h_k
+as soon as the w^k coefficients of the invariance equation are in, which
+never read h_k; the flow and the defect are then read out to w^3N and
+w^(4N - 1).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,36 +236,98 @@ class SlowGraph:
         return _horner(self.defect_coef, w)
 
 
-class _Series:
-    """Power series in w cut after a fixed length, with the arithmetic that
-    ``field_nonlinear`` uses.  Products add shifted elementwise products in
-    a fixed order, so the coefficients are the same on every host."""
+class _Taylor:
+    """Polynomial in w whose coefficients are computed once each, in
+    increasing order, when first read.
 
-    __slots__ = ("c",)
+    ``c`` holds the coefficients of w^0 .. w^(len(c) - 1) as Python floats;
+    those of w^k for k outside [lo, hi] are all ``zero`` and are never
+    computed.  ``fill(n)`` computes them through w^min(n, hi).  Sums,
+    differences, scalar products and quotients act coefficient by
+    coefficient.  Coefficient k of a product a * b is the sum, from 0.0 and
+    in ascending i, of a_i b_(k-i) over the nonzero a_i (a NaN counts) with
+    i in [max(a.lo, k - b.hi), min(a.hi, k - b.lo)]: the terms left out
+    are products with an exact zero of b, which move no finite sum.  With
+    a.lo, b.lo >= 1 it reads a and b only below w^k.
+    """
+
+    __slots__ = ("c", "lo", "hi", "zero", "_coefs")
     __array_ufunc__ = None     # numpy scalars defer to the reflected methods
 
-    def __init__(self, c):
-        self.c = c
+    def __init__(self, lo: int, hi: int, zero: float, coefs):
+        """``coefs(k0, n)`` returns the coefficients of w^k0 .. w^n for
+        n <= hi, reading other polynomials only after their ``fill``."""
+        self.c = []
+        self.lo, self.hi, self.zero, self._coefs = lo, hi, zero, coefs
+
+    def fill(self, n: int) -> None:
+        """Compute the coefficients through w^min(n, hi)."""
+        if n > self.hi:
+            n = self.hi
+        if len(self.c) <= n:
+            self.c.extend(self._coefs(len(self.c), n))
+
+    @classmethod
+    def of(cls, lo: int, hi: int, coef) -> _Taylor:
+        """The polynomial with coefficients coef(k) on [lo, hi], 0.0 elsewhere."""
+        return cls(lo, hi, 0.0, lambda k0, n: [coef(k) if k >= lo else 0.0
+                                               for k in range(k0, n + 1)])
+
+    def values(self, k0: int, n: int) -> list:
+        """Coefficients of w^k0 .. w^n."""
+        self.fill(n)
+        vals = self.c[k0:n + 1]
+        return vals + [self.zero] * (n + 1 - k0 - len(vals))
+
+    def _combine(self, other, op) -> _Taylor:
+        return _Taylor(min(self.lo, other.lo), max(self.hi, other.hi),
+                       op(self.zero, other.zero),
+                       lambda k0, n: list(map(op, self.values(k0, n),
+                                              other.values(k0, n))))
 
     def __add__(self, other):
-        return _Series(self.c + other.c)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        return _Series(self.c - other.c)
-
-    def __mul__(self, other):
-        if not isinstance(other, _Series):
-            return _Series(self.c * other)
-        a, b = self.c, other.c
-        out = np.zeros_like(a)
-        for i in np.flatnonzero(a):
-            out[i:] += a[i] * b[:a.size - i]
-        return _Series(out)
-
-    __rmul__ = __mul__
+        return self._combine(other, operator.sub)
 
     def __truediv__(self, x):
-        return _Series(self.c / x)
+        x = float(x)
+
+        def coefs(k0, n):
+            self.fill(n)
+            return [v / x for v in self.c[k0:n + 1]]
+        return _Taylor(self.lo, self.hi, self.zero / x, coefs)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Taylor):
+            x = float(other)
+
+            def coefs(k0, n):
+                self.fill(n)
+                return [v * x for v in self.c[k0:n + 1]]
+            return _Taylor(self.lo, self.hi, self.zero * x, coefs)
+        a, b = self, other
+        ac, bc = a.c, b.c
+
+        def coefs(k0, n):
+            # coefficient k reads a through w^(k - b.lo), b through w^(k - a.lo)
+            a.fill(n - b.lo)
+            b.fill(n - a.lo)
+            out = []
+            for k in range(k0, n + 1):
+                i0 = k - b.hi if k - b.hi > a.lo else a.lo
+                i1 = k - b.lo if k - b.lo < a.hi else a.hi
+                acc = 0.0
+                for i in range(i0, i1 + 1):
+                    ai = ac[i]
+                    if ai != 0.0:
+                        acc += ai * bc[k - i]
+                out.append(acc)
+            return out
+        return _Taylor(a.lo + b.lo, a.hi + b.hi, 0.0, coefs)
+
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         out = self
@@ -297,11 +368,23 @@ def slow_graph(s: SystemData, lam_fast: float, e_fast, lam_slow: float,
 
         h_k = ([g_z]_k - [h' g_w]_k) / (k lam_slow - lam_fast),
 
-    where the brackets take the w^k coefficient and involve h_2 .. h_{k-1}
-    only, so h_k is solved on series cut after w^k (the parameterization
+    where the brackets take the w^k coefficient (the parameterization
     method in graph form; Cabre, Fontich and de la Llave, Indiana Univ.
     Math. J. 52, 2003).  The divisors stay away from zero when lam_slow <=
     0 < lam_fast, and for lam_slow = 0 != lam_fast.
+
+    The composition runs on ``_Taylor`` polynomials in w, with h's
+    coefficients appended as they are solved.  z = h(w) starts at w^2 and
+    du, dtheta at w^1, so coefficient k of every product in the cubic, and
+    of h' g_w, reads its operands only below w^k: [g_z]_k and [h' g_w]_k
+    involve h_2 .. h_{k-1}, never h_k itself, and one pass in increasing k
+    solves h_2 .. h_N.  The flow lam_slow w + g_w (degree 3N) and the
+    defect lam_fast h + g_z - h' (lam_slow w + g_w) (degree 4N - 1, zero up
+    to rounding through w^N) are then read out of the same polynomials, so
+    no coefficient is computed twice.  Every finite coefficient keeps the
+    bits of the composition on numpy arrays cut after w^k for h_k and after
+    w^(4N - 1) for the flow and defect: it adds the same nonzero terms in
+    the same order.
     """
     e_fast = np.asarray(e_fast, dtype=float)
     e_slow = np.asarray(e_slow, dtype=float)
@@ -309,25 +392,20 @@ def slow_graph(s: SystemData, lam_fast: float, e_fast, lam_slow: float,
     det = ef0 * es1 - es0 * ef1
     (p00, p01), (p10, p11) = (es1 / det, -es0 / det), (-ef1 / det, ef0 / det)
 
-    def nonlinear(h: np.ndarray):
-        """(g_z, g_w) on the graph, and w, as series as long as ``h``."""
-        w = np.zeros(h.size)
-        w[1] = 1.0
-        z, w = _Series(h), _Series(w)
-        f1, f2 = field_nonlinear(z * ef0 + w * es0, z * ef1 + w * es1, s)
-        return p00 * f1 + p01 * f2, p10 * f1 + p11 * f2, w
-
-    h = np.zeros(GRAPH_ORDER + 1)
-    for k in range(2, GRAPH_ORDER + 1):
-        g_z, g_w, _ = nonlinear(h[:k + 1])
-        dh = _Series(_derivative(h[:k + 1]))
-        h[k] = (g_z - dh * g_w).c[k] / (k * lam_slow - lam_fast)
-    # the field is cubic: the flow on the graph has degree 3N, and the
-    # defect lam_fast h + g_z - h' (lam_slow w + g_w) degree 4N - 1
-    z = _Series(np.append(h, np.zeros(3 * GRAPH_ORDER - 1)))
-    g_z, g_w, w = nonlinear(z.c)
+    n = GRAPH_ORDER
+    h = [0.0, 0.0]     # h_k is appended once solved; reading it earlier raises
+    z = _Taylor.of(2, n, h.__getitem__)
+    dz = _Taylor.of(1, n - 1, lambda k: h[k + 1] * float(k + 1))
+    w = _Taylor.of(1, 1, lambda k: 1.0)
+    f1, f2 = field_nonlinear(z * ef0 + w * es0, z * ef1 + w * es1, s)
+    g_z, g_w = p00 * f1 + p01 * f2, p10 * f1 + p11 * f2
+    rhs = g_z - dz * g_w
+    for k in range(2, n + 1):
+        rhs.fill(k)
+        h.append(float(rhs.c[k] / (k * lam_slow - lam_fast)))
     flow = lam_slow * w + g_w
-    defect = (z * lam_fast + g_z) - _Series(_derivative(z.c)) * flow
+    defect = (z * lam_fast + g_z) - dz * flow
     return SlowGraph(lam_fast=lam_fast, lam_slow=lam_slow, e_fast=e_fast,
-                     e_slow=e_slow, P_inv=np.array([[p00, p01], [p10, p11]]), h=h,
-                     flow=flow.c[:3 * GRAPH_ORDER + 1], defect_coef=defect.c, _sys=s)
+                     e_slow=e_slow, P_inv=np.array([[p00, p01], [p10, p11]]),
+                     h=np.array(h), flow=np.array(flow.values(0, 3 * n)),
+                     defect_coef=np.array(defect.values(0, 4 * n - 1)), _sys=s)

@@ -6,11 +6,13 @@ import pytest
 from inflow_layer import (DefectiveMatrix, DomainError, EndState, GasParams,
                           TraceOptions, build_system, eigen_2x2, field_poly,
                           transonic_frame)
-from inflow_layer.linearize import GRAPH_ORDER, _derivative, _Series, slow_graph
+from inflow_layer.gas import TOL_MACH
+from inflow_layer.linearize import GRAPH_ORDER, _derivative, _Taylor, slow_graph
 from inflow_layer.system import field_nonlinear
 from inflow_layer.tracer import _certified_radii
 from conftest import random_system
 from degenerate import DegenerateKind, FitAmbiguous, classify_degenerate
+from graph_reference import Series, reference_graph
 from sonic_reference import closed_form, graph_defect, w_equations
 
 
@@ -235,17 +237,17 @@ class TestSlowGraph:
         (ef0, ef1), (es0, es1) = graph.e_fast.tolist(), graph.e_slow.tolist()
         (p00, p01), (p10, p11) = graph.P_inv.tolist()
         n = 3 * GRAPH_ORDER + 1
-        w = _Series(np.eye(1, n, 1)[0])
+        w = Series(np.eye(1, n, 1)[0])
 
         def g(h):
-            z = _Series(h)
+            z = Series(h)
             f1, f2 = field_nonlinear(z * ef0 + w * es0, z * ef1 + w * es1, s)
             return p00 * f1 + p01 * f2, p10 * f1 + p11 * f2
 
         h = np.zeros(n)
         for k in range(2, GRAPH_ORDER + 1):
             g_z, g_w = g(h)
-            h[k] = ((g_z - _Series(_derivative(h)) * g_w).c[k]
+            h[k] = ((g_z - Series(_derivative(h)) * g_w).c[k]
                     / (k * graph.lam_slow - graph.lam_fast))
         assert np.array_equal(graph.h, h[:GRAPH_ORDER + 1])
         assert np.array_equal(graph.flow, (graph.lam_slow * w + g(h)[1]).c)
@@ -260,6 +262,69 @@ class TestSlowGraph:
         z = np.polynomial.polynomial.polyval(w_s2, graph.h)
         assert abs(z - z_s2) <= _trace_tol(s)
         assert abs(graph.speed(w_s2)) <= 1e-9 * abs(graph.lam_slow) * w_s2
+
+
+STIFF = GasParams(1.2728, 4.2983, 3.5278, 0.1)   # lambda1 / |lambda2| = 816 at M+ = 0.771
+
+
+def _graph(s):
+    """The graph a trace leaves S1 along: the center manifold of a sonic far
+    field, else the stable manifold in S1's eigenframe."""
+    if abs(s.mach_plus - 1.0) <= TOL_MACH:
+        return transonic_frame(s)
+    eig = eigen_2x2(s.matrix)
+    return slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+
+
+def _assert_reference_bits(graph):
+    ref = reference_graph(graph._sys, graph.lam_fast, graph.e_fast, graph.lam_slow,
+                          graph.e_slow)
+    for name in ("h", "flow", "defect_coef", "P_inv"):
+        assert getattr(graph, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def _on(gas, mach, theta=1.0):
+    return build_system(gas, EndState(1.0, mach * math.sqrt(gas.gamma * gas.R * theta), theta))
+
+
+CANONICAL = GasParams(1.4, 1.0, 1.0, 1.0)
+ORACLE_FIELDS = {
+    "subsonic": _on(CANONICAL, 1.0 / SOUND),
+    "sonic": _on(CANONICAL, 1.0),
+    **{f"near_sonic_{gap:g}": _on(CANONICAL, 1.0 - gap)
+       for gap in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)},
+    "stiff_0.5": _on(STIFF, 0.5),
+    "stiff_0.771": _on(STIFF, 0.771),
+    "stiff_sonic": _on(STIFF, 1.0),
+    "stiff_sonic_sigma": _on(GasParams(1.4241, 5.5366, 6.3002, 0.10869), 1.0, 0.3812),
+}
+
+
+class TestGraphOracle:
+    """``slow_graph`` against the k-loop composition on numpy series of
+    ``graph_reference``: h, flow, defect_coef and P_inv to the last bit."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+    def test_listed_fields(self, name):
+        _assert_reference_bits(_graph(ORACLE_FIELDS[name]))
+
+    def test_random_fields(self):
+        rng = np.random.default_rng(15)
+        for regime, count in (("subsonic", 200), ("transonic", 50)):
+            for _ in range(count):
+                _assert_reference_bits(_graph(random_system(rng, regime=regime)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_non_finite_operand_coefficient_propagates_as_in_the_reference(self, value, m):
+        # every term the reference adds with a non-finite b_m lies in the
+        # product's window; the zero a_4 skips its term with b_m in both
+        a = np.array([0.0, 0.5, -1.25, 2.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0])
+        b = np.array([0.0, 1.5, 0.0, -0.75, 0.25, 2.0, 0.0, 0.0, 0.0, 0.0])
+        b[m] = value
+        ref = (Series(a) * Series(b)).c
+        prod = _Taylor.of(1, 5, a.__getitem__) * _Taylor.of(1, 5, b.__getitem__)
+        assert np.array(prod.values(0, a.size - 1)).tobytes() == ref.tobytes()
 
 
 class TestWCoordinates:

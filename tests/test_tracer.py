@@ -490,6 +490,39 @@ class TestGraphSeed:
             assert c.terminal == (TERMINAL_HIT_U_AXIS if branch == CURVE_GAMMA1
                                   else TERMINAL_CONVERGED_TO_S2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["h", "flow", "defect_coef"])
+    def test_a_non_finite_coefficient_certifies_no_radius(self, s_sub, name, value):
+        # a failed test, NaN included, ends the radii; a defect or flow that
+        # certifies nothing leaves the seed at the seed offset
+        eig = eigen_2x2(s_sub.matrix)
+        graph = slow_graph(s_sub, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        opts = TraceOptions()
+        eps, tol = 1e-6 * s_sub.scale, opts.abs_tol + opts.rel_tol * s_sub.scale
+        for i in (2, 5, -1):
+            coef = getattr(graph, name).copy()
+            coef[i] = value
+            bad = dataclasses.replace(graph, **{name: coef})
+            for side in (-1.0, 1.0):
+                assert tracer._certified_radii(bad, side, eps, tol, s_sub).size == 0
+        if name == "h":
+            return
+        c = tracer._trace(s_sub, CURVE_GAMMA1, bad, -1.0, [u_crosses_zero()], opts, eig)
+        assert c.graph_radius == eps
+        assert np.array_equal(c.samples[1], graph.points(-eps))
+        assert c.backward_time[1] == 0.0 and c.terminal == TERMINAL_HIT_U_AXIS
+
+    def test_a_nan_field_coefficient_certifies_no_radius(self, s_sub):
+        # a NaN in the cubic reaches the defect polynomial through the
+        # graph's composition
+        eig = eigen_2x2(s_sub.matrix)
+        s = dataclasses.replace(s_sub, c_sq=math.nan)
+        graph = slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        assert np.isnan(graph.h[2:]).all() and np.isnan(graph.defect_coef).any()
+        tol = TraceOptions().abs_tol + TraceOptions().rel_tol * s.scale
+        for side in (-1.0, 1.0):
+            assert tracer._certified_radii(graph, side, 1e-6 * s.scale, tol, s).size == 0
+
     def test_graph_samples_are_capped_and_timed(self, subsonic_curves, s_sub):
         c = subsonic_curves["gamma1"]
         assert c.backward_time[0] == math.inf and c.backward_time[1] == 0.0

@@ -11,7 +11,9 @@ The script imports the package from the ``src`` directory next to it, so a
 copy placed in another checkout snapshots that checkout.  The output set:
 
 * the trace-ladder rungs of ``bench/workloads.py`` (samples, backward times,
-  terminal, terminal point, seed offset and graph radius of every curve);
+  terminal, terminal point, seed offset and graph radius of every curve, and
+  the h, flow, defect_coef and P_inv of the invariant-manifold graph it
+  leaves S1 along);
 * the query-mix cases of seeds 0 and 1: the verdict of each, and the xi, V,
   U, Theta and metrics of each profile (``metrics.residual_sup`` pins the
   residual rows);
@@ -19,12 +21,14 @@ copy placed in another checkout snapshots that checkout.  The output set:
   sigma's predictions between S1 and its first offset sample;
 * near-sonic verdicts and profiles at 1-M+ = 1e-2 and 1e-3, with the
   boundary at the middle sample of gamma1 and of gamma2;
-* sigma of a stiff sonic far field (lambda2 / (a2 scale) = 625) and the
+* sigma of a stiff sonic far field (lambda2 / (a2 scale) = 625), its graph
+  included, and the
   verdict and profile at its middle sample (a checkout whose sigma is
   integrated from 1e-3 scale of S1 needs about 20 s for them);
 * the 200 ``run_sweep`` rows of the acceptance grid, and the gamma2 curve
-  at each of its subsonic points, traced with ``cli.SWEEP_TRACE`` as the
-  sweep traces it (the rows keep only its terminal kind);
+  at each of its subsonic points with its graph, traced with
+  ``cli.SWEEP_TRACE`` as the sweep traces it (the rows keep only its
+  terminal kind);
 * ``integrate`` itself on the canonical field, whose every emitted point
   the thinned curves above mostly drop: backward runs along gamma1 and
   gamma2 with ``max_state_step`` set, and runs ending in each event kind
@@ -107,9 +111,12 @@ def _load_workloads():
 
 
 def _curve(curve) -> dict:
+    graph = curve.graph
     return {"samples": curve.samples, "backward_time": curve.backward_time,
             "terminal": curve.terminal, "terminal_point": curve.terminal_point,
-            "seed_offset": curve.seed_offset, "graph_radius": curve.graph_radius}
+            "seed_offset": curve.seed_offset, "graph_radius": curve.graph_radius,
+            "graph": {"h": graph.h, "flow": graph.flow,
+                      "defect_coef": graph.defect_coef, "P_inv": graph.P_inv}}
 
 
 def _integration(res) -> dict:
