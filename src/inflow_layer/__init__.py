@@ -20,7 +20,8 @@ from .integrator import (Event, EventSpec, IntegrationResult,
                          IntegrationSettings, component_crosses, integrate,
                          left_region, near_equilibrium, theta_crosses_zero,
                          u_crosses_zero)
-from .linearize import EigenPair, SlowGraph, eigen_2x2, transonic_frame
+from .linearize import (EigenPair, SlowGraph, eigen_2x2, saddle_graph,
+                        transonic_frame)
 from .portrait import render_portrait
 from .system import (PhasePoint, Region, SystemData, build_system, field_exact,
                      field_poly, jacobian, nullcline_h1, nullcline_h2,

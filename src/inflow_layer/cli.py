@@ -20,7 +20,7 @@ from .engine import (ExistenceEngine, Query, Tolerances, decay_to_dict,
                      export_profile_csv, verdict_to_dict)
 from .errors import ConfigError, LayerError
 from .gas import (EndState, GasParams, TOL_FLUX, TOL_MACH, classify_regime)
-from .linearize import eigen_2x2
+from .linearize import eigen_2x2, saddle_graph
 from .portrait import render_portrait
 from .system import build_system
 from .tracer import (CURVE_GAMMA2, TraceOptions, export_curve_csv,
@@ -49,6 +49,7 @@ class RunConfig:
     format: str = "csv"
 
 
+FORMATS = ("csv", "json")       # what ``trace`` writes the samples as
 _INT_KEYS = {"mach_points", "trajectories"}
 _STR_KEYS = {"out", "format"}
 _ALL_KEYS = {f.name for f in fields(RunConfig)}
@@ -73,6 +74,9 @@ def load_config_file(path) -> dict:
         val = val.strip()
         if key not in _ALL_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key == "format" and val not in FORMATS:
+            raise ConfigError(f"{path}:{lineno}: format must be one of "
+                              f"{', '.join(FORMATS)}, got {val!r}")
         if key in _STR_KEYS:
             values[key] = val
         else:
@@ -244,7 +248,8 @@ def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
         }
         if regime.is_subsonic:
             try:
-                curve = trace_gamma(s, eig, CURVE_GAMMA2, SWEEP_TRACE)
+                curve = trace_gamma(s, saddle_graph(s, eig), CURVE_GAMMA2,
+                                    SWEEP_TRACE)
                 row["gamma2_terminal"] = curve.terminal
             except LayerError as exc:
                 row["gamma2_terminal"] = f"error:{type(exc).__name__}"
@@ -289,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key in sorted(_INT_KEYS):
         common.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
     common.add_argument("--out", dest="out")
-    common.add_argument("--format", dest="format", choices=["csv", "json"])
+    common.add_argument("--format", dest="format", choices=FORMATS)
     sub.add_parser("classify", parents=[common],
                    help="decide existence for boundary + far-field data")
     sub.add_parser("trace", parents=[common],

@@ -35,7 +35,7 @@ from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH,
                   require_positive)
 from .integrator import (BACKWARD, COMPONENT_CROSSES, IntegrationSettings,
                          component_crosses, dense_eval, integrate)
-from .linearize import eigen_2x2, transonic_frame
+from .linearize import eigen_2x2, saddle_graph, transonic_frame
 from .system import (PhasePoint, SystemData, build_system, field_poly, phase_field,
                      residual_sup)
 from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, TERMINAL_BUDGET,
@@ -221,8 +221,9 @@ class ExistenceEngine:
             return {CURVE_SIGMA: trace_sigma(s, transonic_frame(s, tol_M),
                                              self.trace_options)}
         if regime.is_subsonic:
-            eig = eigen_2x2(s.matrix)
-            return {label: trace_gamma(s, eig, label, self.trace_options)
+            # gamma1 and gamma2 are the two branches of one stable manifold
+            graph = saddle_graph(s, eigen_2x2(s.matrix))
+            return {label: trace_gamma(s, graph, label, self.trace_options)
                     for label in (CURVE_GAMMA1, CURVE_GAMMA2)}
         return {}
 

@@ -8,7 +8,8 @@ z = h(w) over the slow coordinate built by ``slow_graph``, with the
 polynomials of the reduced flow and the invariance defect along it.  Its
 points, phase velocity, coordinate inverse and Gauss-Legendre flight times
 serve the sigma and gamma traces, the curves' values next to S1 and the
-profiles' legs; ``transonic_frame`` builds it in the closed-form sonic frame.
+profiles' legs; ``transonic_frame`` builds it in the closed-form sonic frame,
+``saddle_graph`` in the subsonic saddle's eigenframe.
 
 ``slow_graph`` applies ``field_nonlinear`` itself to ``_Taylor``
 polynomials in w, whose coefficients are computed once each, in increasing
@@ -355,6 +356,22 @@ def transonic_frame(s: SystemData, tol_M: float = TOL_MACH) -> SlowGraph:
     m1 = -(g - 1.0) * up / (R * g)
     m2 = mu * up / (kappa * (g - 1.0))
     return slow_graph(s, lam2, (1.0, m2), 0.0, (1.0, m1))
+
+
+def saddle_graph(s: SystemData, eig: EigenPair) -> SlowGraph:
+    """The stable-manifold graph at S1 of a subsonic far field, whose
+    branches are gamma1 and gamma2: the graph over the stable coordinate
+    along e2 (rate lambda2 < 0), with the unstable e1 (rate lambda1 > 0) as
+    its fast direction.
+
+    Raises
+    ------
+    DomainError
+        Unless lambda2 < 0 < lambda1, before anything is built.
+    """
+    if not (eig.lambda2 < 0.0 < eig.lambda1):
+        raise DomainError("gamma branches require a saddle (subsonic regime)")
+    return slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
 
 
 def slow_graph(s: SystemData, lam_fast: float, e_fast, lam_slow: float,

@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LayerError
-from .gas import TOL_MACH
 from .integrator import (BACKWARD, FORWARD, IntegrationSettings, integrate,
                          left_region)
 from .system import SystemData, nullcline_h1, nullcline_h2, phase_field
-from .tracer import Curve
+from .tracer import CURVE_SIGMA, Curve
 
 _SVG_W = 720
 _SVG_H = 560
@@ -79,7 +78,12 @@ def render_portrait(s: SystemData, curves: dict[str, Curve],
     """Render nullclines, region boundaries, equilibria, traced curves, and a
     grid of generic trajectories to an SVG string (optionally written to
     ``path``).
+
+    The regime is the run's, read off ``curves``: a far field traced as
+    sonic (sigma among the curves) gets neither the S2 marker nor the
+    Region II arcs, since S2 has merged into S1.
     """
+    sonic = CURVE_SIGMA in curves
     frame = _Frame(*_default_bounds(s, curves))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
@@ -117,7 +121,7 @@ def render_portrait(s: SystemData, curves: dict[str, Curve],
     th_axis = np.linspace(frame.th_lo, frame.th_hi, 2)
     parts.append(_polyline(frame, np.zeros_like(th_axis), th_axis,
                            'id="boundary-l3" class="region-boundary" stroke="#555" stroke-width="2"'))
-    if s.mach_plus < 1.0 and s.alpha1 > 1.0:
+    if not sonic and s.mach_plus < 1.0 and s.alpha1 > 1.0:
         seg2 = np.linspace(s.u_plus, s.alpha1 * s.u_plus, 160)
         parts.append(_polyline(frame, seg2, nullcline_h2(seg2, s),
                                'id="boundary-l4" class="region-boundary" stroke="#036" stroke-width="2"'))
@@ -166,7 +170,7 @@ def render_portrait(s: SystemData, curves: dict[str, Curve],
     _, s1, s2 = s.equilibria()
     parts.append(_marker(frame, "O", 0.0, 0.0, "#000"))
     parts.append(_marker(frame, "S1", s1.u, s1.theta, "#c22"))
-    if abs(s.mach_plus - 1.0) > TOL_MACH:
+    if not sonic:
         parts.append(_marker(frame, "S2", s2.u, s2.theta, "#22c"))
     parts.append("</svg>")
     svg = "\n".join(p for p in parts if p)

@@ -13,14 +13,16 @@ steps are capped by the fast rate, so the innermost stretch of every curve
 is laid analytically along its invariant-manifold graph at S1
 (``linearize.SlowGraph``, of order ``GRAPH_ORDER``): the center-manifold
 graph of ``transonic_frame`` for sigma, where the approach to S1 is
-algebraic, and the stable-manifold graph of ``slow_graph`` for gamma1 and
-gamma2, where it is exponential.  All three are seeded the same way.  The
-graph is sampled from the seed offset |w| = ``seed_offset`` out to its
-certified radius r*: the last point of a fixed geometric grid, contiguous
-from the seed and in the open quadrant, at which the graph's invariance
-defect over the fast rate is within the trace tolerance ``abs_tol +
-rel_tol * scale``, pulled in to the last whose graph row (point and phase
-velocity) satisfies the layer equations to ``GRAPH_RESIDUAL``.  The samples
+algebraic, and the stable-manifold graph of ``saddle_graph`` for gamma1 and
+gamma2, where it is exponential.  Every trace takes its graph from the
+caller and builds none; gamma1 and gamma2 leave S1 on the two sides of one
+graph.  All three are seeded the same way.  The graph is sampled from the
+seed offset |w| = ``seed_offset`` out to its certified radius r*: the last
+point of a fixed geometric grid, contiguous from the seed and in the open
+quadrant, at which the graph's invariance defect over the fast rate is
+within the trace tolerance ``abs_tol + rel_tol * scale``, pulled in to the
+last whose graph row (point and phase velocity) satisfies the layer
+equations to ``GRAPH_RESIDUAL``.  The samples
 carry the Gauss-Legendre flight times of the reduced flow along the graph,
 and the backward integration starts at r*.  When S2 lies inside r*, gamma2
 is the graph from S1 to S2's capture point and needs no integration; that
@@ -28,12 +30,12 @@ is the whole branch as M+ -> 1-, where S2 merges into S1.  When the grid's
 first point already fails, the integration starts from the graph point at
 the seed offset.
 
-Each curve keeps its graph and r* (``Curve.graph``,
-``Curve.graph_radius``): its value between S1 and the first offset sample
-is read off the graph, and the engine's profiles ride it.  Seeding,
-backward integration, terminal classification, thinning and validation
-are one body for all three curves; they differ only in their graph, the
-side of S1 they leave on, and their terminal events.
+Each curve keeps its graph and r* (``Curve.graph``, shared by gamma1 and
+gamma2, and ``Curve.graph_radius``): its value between S1 and the first
+offset sample is read off the graph, and the engine's profiles ride it.
+Seeding, backward integration, terminal classification, thinning and
+validation are one body for all three curves; they differ only in their
+graph, the side of S1 they leave on, and their terminal events.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
                          THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationSettings,
                          component_crosses, integrate, near_equilibrium,
                          theta_crosses_zero, u_crosses_zero)
-from .linearize import EigenPair, SlowGraph, slow_graph
+from .linearize import EigenPair, SlowGraph
 from .system import (PhasePoint, Region, SystemData, phase_field, region_contains,
                      row_residuals)
 
@@ -192,7 +193,16 @@ class Curve:
     interpolant: Pchip = field(repr=False)
     graph: SlowGraph = field(repr=False)
     graph_radius: float
-    eig: Optional[EigenPair] = None
+
+    @property
+    def eig(self) -> EigenPair | None:
+        """The eigenpair of S1 a gamma's graph is built on, lambda1 and e1
+        its fast rate and direction, lambda2 and e2 its slow ones; None for
+        sigma."""
+        if self.label == CURVE_SIGMA:
+            return None
+        g = self.graph
+        return EigenPair(g.lam_fast, g.lam_slow, g.e_fast, g.e_slow)
 
     @property
     def param_index(self) -> int:
@@ -419,7 +429,7 @@ def _capped(graph: SlowGraph, side: float, radii: np.ndarray, cap: float) -> np.
 
 
 def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
-           opts: TraceOptions, eig: EigenPair | None = None) -> Curve:
+           opts: TraceOptions) -> Curve:
     """The curve leaving S1 along ``graph`` where w has the sign of
     ``side``: the graph samples from the seed offset out to the certified
     radius r*, then the backward integration from there until one of
@@ -462,7 +472,7 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
                  terminal=terminal, terminal_point=terminal_point,
                  seed_offset=eps, system=s,
                  interpolant=Pchip(samples[::-1, pidx], samples[::-1, 1 - pidx]),
-                 graph=graph, graph_radius=float(radii[-1]), eig=eig)
+                 graph=graph, graph_radius=float(radii[-1]))
 
 
 def trace_sigma(s: SystemData, graph: SlowGraph,
@@ -477,28 +487,25 @@ def trace_sigma(s: SystemData, graph: SlowGraph,
                   opts or TraceOptions())
 
 
-def trace_gamma(s: SystemData, eig: EigenPair, branch: str,
+def trace_gamma(s: SystemData, graph: SlowGraph, branch: str,
                 opts: TraceOptions | None = None) -> Curve:
     """Trace a stable-manifold branch of the subsonic saddle at S1.
 
-    gamma1 seeds into 0 < u < u+ and ends on the u = 0 axis at Z1; gamma2
-    seeds into u > u+ and either converges to the secondary equilibrium S2
-    (when alpha2 > 0) or reaches the theta = 0 axis at Z2 (alpha2 <= 0).
-    Both leave S1 along the stable manifold's graph over the slow
-    coordinate (``slow_graph``).
+    ``graph`` is the stable-manifold graph of ``saddle_graph``, one for
+    both branches.  gamma1 leaves S1 on its side w < 0, into 0 < u < u+,
+    and ends on the u = 0 axis at Z1; gamma2 leaves on its side w > 0, into
+    u > u+, and either converges to the secondary equilibrium S2 (when
+    alpha2 > 0) or reaches the theta = 0 axis at Z2 (alpha2 <= 0).
     """
     if branch not in (CURVE_GAMMA1, CURVE_GAMMA2):
         raise ValueError(f"unknown branch {branch!r}")
-    if not (eig.lambda2 < 0.0 < eig.lambda1):
-        raise DomainError("gamma branches require a saddle (subsonic regime)")
     if branch == CURVE_GAMMA1:
         events = [u_crosses_zero()]
     else:
         events = [theta_crosses_zero(),
                   near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)]
     side = 1.0 if branch == CURVE_GAMMA2 else -1.0
-    graph = slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
-    return _trace(s, branch, graph, side, events, opts or TraceOptions(), eig)
+    return _trace(s, branch, graph, side, events, opts or TraceOptions())
 
 
 def curve_membership(c: Curve, p: PhasePoint, tol: float = 1e-6) -> Membership:

@@ -39,6 +39,21 @@ def right_subcase_b():
     return EndState(1.0, 0.3, 1.0)
 
 
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """The system of every ``slow_graph`` build made while the test runs."""
+    from inflow_layer import linearize
+    builds = []
+    build = linearize.slow_graph
+
+    def counted(s, *args):
+        builds.append(s)
+        return build(s, *args)
+
+    monkeypatch.setattr(linearize, "slow_graph", counted)
+    return builds
+
+
 @pytest.fixture(scope="session")
 def engine():
     return ExistenceEngine()

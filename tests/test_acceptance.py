@@ -156,9 +156,8 @@ def test_criterion_5_curve_tracing(gas, right_transonic, right_subsonic,
 
     # seed-offset robustness
     frame = transonic_frame(s_t)
-    eig = eigen_2x2(s_s.matrix)
     half_sigma = trace_sigma(s_t, frame, TraceOptions(seed_offset=sigma.seed_offset / 2))
-    half_g1 = trace_gamma(s_s, eig, CURVE_GAMMA1,
+    half_g1 = trace_gamma(s_s, g1.graph, CURVE_GAMMA1,
                           TraceOptions(seed_offset=g1.seed_offset / 2))
     sup = 0.0
     for base, half, s in ((sigma, half_sigma, s_t), (g1, half_g1, s_s)):

@@ -110,6 +110,17 @@ class TestConfigFile:
         rc = main(["classify", "--config", "/nonexistent/x.cfg"])
         assert rc == 1
 
+    def test_unknown_format_rejected(self, tmp_path, capsys):
+        # as --format xml is: no command may fall back to csv
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:1: format"):
+            load_config_file(cfg)
+        rc = main(["trace", *SUBSONIC, "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "gamma1.csv").exists()
+
 
 class TestTrace:
     def test_subsonic_writes_both_curves(self, tmp_path, capsys):
@@ -210,6 +221,11 @@ class TestSweep:
             det = float(r["det_A"])
             mach = float(r["mach_plus"])
             assert np.sign(det) == np.sign(mach ** 2 - 1.0)
+
+    def test_one_graph_per_subsonic_row(self, graph_builds):
+        rows = run_sweep(GasParams(1.4, 1.0, 1.0, 1.0), 1.0, 1.0, [0.5, 0.8, 1.2])
+        assert [r["regime"] for r in rows] == ["subsonic", "subsonic", "supersonic"]
+        assert len(graph_builds) == 2
 
     def test_terminal_kind_flips_at_alpha2_boundary(self):
         gas = GasParams(1.4, 1.0, 1.0, 1.0)

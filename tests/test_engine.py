@@ -492,6 +492,13 @@ def test_profile_far_beyond_the_graph_radius():
     assert prof.metrics["endpoint_gap"] <= 1e-8
 
 
+def test_gamma_branches_share_one_graph(gas, graph_builds):
+    # gamma1 and gamma2 are the two branches of S1's one stable manifold
+    curves = ExistenceEngine().curves_for(gas, EndState(1.0, 0.9, 1.0))
+    assert len(graph_builds) == 1
+    assert curves["gamma1"].graph is curves["gamma2"].graph
+
+
 class _CountedTrace:
     """Stands in for the engine's ``trace_gamma``: counts the traces of
     each far field and holds each one long enough for callers to overlap."""
@@ -501,12 +508,12 @@ class _CountedTrace:
         self.lock = threading.Lock()
         self.counts: dict = {}
 
-    def __call__(self, s, eig, branch, opts=None):
+    def __call__(self, s, graph, branch, opts=None):
         with self.lock:
             key = (s.u_plus, branch)
             self.counts[key] = self.counts.get(key, 0) + 1
         time.sleep(self.delay)
-        return trace_gamma(s, eig, branch, opts)
+        return trace_gamma(s, graph, branch, opts)
 
 
 class TestCurveCache:
@@ -547,7 +554,7 @@ class TestCurveCache:
     def test_a_failed_trace_is_not_cached(self, gas, monkeypatch):
         calls = []
 
-        def failing(s, eig, branch, opts=None):
+        def failing(s, graph, branch, opts=None):
             calls.append(branch)
             raise TraceFailed("injected")
 
@@ -566,7 +573,7 @@ class TestCurveCache:
         # of their own each; the next caller after them traces again
         calls = []
 
-        def failing(s, eig, branch, opts=None):
+        def failing(s, graph, branch, opts=None):
             calls.append(branch)
             time.sleep(0.2)                # long enough for every caller to wait
             raise TraceFailed("injected")

@@ -5,9 +5,9 @@ import pytest
 
 from inflow_layer import (DefectiveMatrix, DomainError, EndState, GasParams,
                           TraceOptions, build_system, eigen_2x2, field_poly,
-                          transonic_frame)
+                          saddle_graph, transonic_frame)
 from inflow_layer.gas import TOL_MACH
-from inflow_layer.linearize import GRAPH_ORDER, _derivative, _Taylor, slow_graph
+from inflow_layer.linearize import GRAPH_ORDER, _derivative, _Taylor
 from inflow_layer.system import field_nonlinear
 from inflow_layer.tracer import _certified_radii
 from conftest import random_system
@@ -144,8 +144,7 @@ SOUND = math.sqrt(1.4)
 
 def _subsonic_graph(mach: float):
     s = build_system(GasParams(1.4, 1.0, 1.0, 1.0), EndState(1.0, mach * SOUND, 1.0))
-    eig = eigen_2x2(s.matrix)
-    return s, slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+    return s, saddle_graph(s, eigen_2x2(s.matrix))
 
 
 def _trace_tol(s):
@@ -174,7 +173,7 @@ class TestSlowGraph:
 
     def test_reduced_flow_is_the_field_on_the_graph(self, s_sub):
         eig = eigen_2x2(s_sub.matrix)
-        graph = slow_graph(s_sub, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        graph = saddle_graph(s_sub, eig)
         assert graph.flow[1] == eig.lambda2
         w = np.linspace(-0.2, 0.2, 9)
         pts = graph.points(w)
@@ -272,8 +271,7 @@ def _graph(s):
     field, else the stable manifold in S1's eigenframe."""
     if abs(s.mach_plus - 1.0) <= TOL_MACH:
         return transonic_frame(s)
-    eig = eigen_2x2(s.matrix)
-    return slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+    return saddle_graph(s, eigen_2x2(s.matrix))
 
 
 def _assert_reference_bits(graph):

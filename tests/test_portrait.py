@@ -3,7 +3,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from inflow_layer import build_system, render_portrait
+from inflow_layer import EndState, ExistenceEngine, build_system, render_portrait
+from inflow_layer.gas import TOL_MACH
 
 
 def _by_id(root, ident):
@@ -78,6 +79,18 @@ class TestTransonicPortrait:
         for ident in ("boundary-l1", "boundary-l2", "boundary-l3"):
             _by_id(root, ident)
         assert root.find(".//*[@id='boundary-l4']") is None
+
+
+@pytest.mark.parametrize("gap, tol_M", [(5e-9, TOL_MACH), (5e-4, 1e-3)])
+def test_regime_is_the_runs(gas, gap, tol_M):
+    # M+ just below 1 but inside the run's sonic band: the far field is
+    # traced as sonic, so S2 has merged into S1 and Region II is gone
+    right = EndState(1.0, (1.0 - gap) * math.sqrt(1.4), 1.0)
+    curves = ExistenceEngine().curves_for(gas, right, tol_M)
+    assert list(curves) == ["sigma"]
+    root = _parse(render_portrait(build_system(gas, right), curves, n_trajectories=0))
+    for ident in ("eq-S2", "boundary-l4", "boundary-l5"):
+        assert root.find(f".//*[@id='{ident}']") is None, ident
 
 
 class TestSubcaseBPortrait:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,15 +12,14 @@ from inflow_layer import (DomainError, EndState, ExistenceEngine, GasParams,
                           curve_membership, eigen_2x2, field_poly,
                           export_curve_csv, export_curve_json, integrate,
                           near_equilibrium, nullcline_h2, phase_field,
-                          theta_crosses_zero, trace_gamma, trace_sigma,
-                          transonic_frame, u_crosses_zero)
+                          saddle_graph, theta_crosses_zero, trace_gamma,
+                          trace_sigma, transonic_frame, u_crosses_zero)
 from inflow_layer import tracer
 from inflow_layer.tracer import (CAPTURE_RADIUS, CURVE_GAMMA1, CURVE_GAMMA2,
                                  TERMINAL_BUDGET, TERMINAL_CONVERGED_TO_S2,
                                  TERMINAL_HIT_THETA_AXIS, TERMINAL_HIT_U_AXIS,
                                  _TERMINALS as _TERMINAL_OF, Pchip)
 from inflow_layer.cli import SWEEP_TRACE
-from inflow_layer.linearize import slow_graph
 from inflow_layer.system import residual_sup
 from conftest import random_system
 from sonic_reference import graph_defect
@@ -196,8 +196,7 @@ class TestGamma:
 
     def test_seed_halving_consistency(self, subsonic_curves, s_sub):
         base = subsonic_curves["gamma1"]
-        eig = eigen_2x2(s_sub.matrix)
-        half = trace_gamma(s_sub, eig, CURVE_GAMMA1,
+        half = trace_gamma(s_sub, base.graph, CURVE_GAMMA1,
                            TraceOptions(seed_offset=base.seed_offset / 2.0))
         lo = max(base.params[-2], half.params[-2])
         us = np.linspace(lo + 1e-6, s_sub.u_plus - 1e-9, 400)
@@ -220,16 +219,28 @@ class TestGamma:
         for mach in (0.2, 0.3, m_star - 0.01, m_star + 0.01, 0.5, 0.8, 0.95):
             right = EndState(1.0, mach * math.sqrt(1.4), 1.0)
             s = build_system(gas, right)
-            eig = eigen_2x2(s.matrix)
-            c = trace_gamma(s, eig, CURVE_GAMMA2, opts)
+            c = trace_gamma(s, saddle_graph(s, eigen_2x2(s.matrix)), CURVE_GAMMA2, opts)
             expected = (TERMINAL_CONVERGED_TO_S2 if s.alpha2 > 0.0
                         else TERMINAL_HIT_THETA_AXIS)
             assert c.terminal == expected
 
     def test_requires_saddle(self, s_trans):
+        # checked before the graph is built, whose divisor k lambda2 -
+        # lambda1 would vanish at k = 2 on this pair
         eig = eigen_2x2(np.diag([1.0, 2.0]))
-        with pytest.raises(DomainError):
-            trace_gamma(s_trans, eig, CURVE_GAMMA1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                saddle_graph(s_trans, eig)
+
+    def test_eig_reads_the_graph(self, subsonic_curves, transonic_curves, s_sub):
+        # the saddle's eigenpair, bit for bit, on both gamma branches
+        def bits(e):
+            return np.hstack([e.lambda1, e.lambda2, e.e1, e.e2]).tobytes()
+
+        for label in (CURVE_GAMMA1, CURVE_GAMMA2):
+            assert bits(subsonic_curves[label].eig) == bits(eigen_2x2(s_sub.matrix))
+        assert transonic_curves["sigma"].eig is None
 
 
 @pytest.mark.parametrize("label", ["sigma", CURVE_GAMMA1, CURVE_GAMMA2])
@@ -240,7 +251,7 @@ def test_budget_terminal_reported(label, s_sub, s_trans):
     if label == "sigma":
         c = trace_sigma(s_trans, transonic_frame(s_trans), opts)
     else:
-        c = trace_gamma(s_sub, eigen_2x2(s_sub.matrix), label, opts)
+        c = trace_gamma(s_sub, saddle_graph(s_sub, eigen_2x2(s_sub.matrix)), label, opts)
     assert c.terminal == TERMINAL_BUDGET
 
 
@@ -363,10 +374,10 @@ class TestRandomSubsonicSweep:
                             thin_spacing=1e-4)
         for _ in range(6):
             s = random_system(rng, regime="subsonic")
-            eig = eigen_2x2(s.matrix)
-            g1 = trace_gamma(s, eig, CURVE_GAMMA1, opts)
+            graph = saddle_graph(s, eigen_2x2(s.matrix))
+            g1 = trace_gamma(s, graph, CURVE_GAMMA1, opts)
             assert g1.terminal == TERMINAL_HIT_U_AXIS
-            g2 = trace_gamma(s, eig, CURVE_GAMMA2, opts)
+            g2 = trace_gamma(s, graph, CURVE_GAMMA2, opts)
             assert g2.terminal in (TERMINAL_CONVERGED_TO_S2, TERMINAL_HIT_THETA_AXIS)
 
 
@@ -377,20 +388,21 @@ TOL_MEMBER = 1e-6
 
 def _far_field(mach):
     s = build_system(GasParams(1.4, 1.0, 1.0, 1.0), EndState(1.0, mach * SOUND, 1.0))
-    return s, eigen_2x2(s.matrix)
+    return s, saddle_graph(s, eigen_2x2(s.matrix))
 
 
-def _eigenline_reference(s, eig, branch):
+def _eigenline_reference(s, branch):
     """The reference trace: backward integration from the seed offset on the
     stable eigenline (on the branch's side: u > u+ for gamma2, u < u+ for
-    gamma1, ``eig.e2`` having a positive u-component), with the trace's
-    events, sampled ten times finer than a curve so that its interpolant is
-    exact to well below the membership tolerance."""
+    gamma1, the stable eigenvector e2 having a positive u-component), with
+    the trace's events, sampled ten times finer than a curve so that its
+    interpolant is exact to well below the membership tolerance."""
     opts = TraceOptions()
     events = ([u_crosses_zero()] if branch == CURVE_GAMMA1 else
               [theta_crosses_zero(), near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)])
     side = 1.0 if branch == CURVE_GAMMA2 else -1.0
-    seed = np.array([s.u_plus, s.theta_plus]) + side * 1e-6 * s.scale * eig.e2
+    seed = (np.array([s.u_plus, s.theta_plus])
+            + side * 1e-6 * s.scale * eigen_2x2(s.matrix).e2)
     return integrate(phase_field(s), seed,
                      opts.integration_settings(), events=events,
                      max_state_step=0.1 * opts.sample_cap * s.scale)
@@ -421,9 +433,9 @@ class TestGraphSeed:
     @pytest.mark.parametrize("mach", [1.0 / SOUND, 0.3 / SOUND, 0.99, 0.999])
     @pytest.mark.parametrize("branch", [CURVE_GAMMA1, CURVE_GAMMA2])
     def test_agrees_with_the_eigenline_trace(self, mach, branch):
-        s, eig = _far_field(mach)
-        curve = trace_gamma(s, eig, branch)
-        ref = _eigenline_reference(s, eig, branch)
+        s, graph = _far_field(mach)
+        curve = trace_gamma(s, graph, branch)
+        ref = _eigenline_reference(s, branch)
         pidx = curve.param_index
         assert _TERMINAL_OF[ref.event.kind] == curve.terminal
         ref_pts = ref.points[:-1]         # up to the terminal event
@@ -439,8 +451,8 @@ class TestGraphSeed:
         counted = _CountedIntegrate()
         monkeypatch.setattr(tracer, "integrate", counted)
         for gap in [1e-2] + NEAR_SONIC:
-            s, eig = _far_field(1.0 - gap)
-            c = trace_gamma(s, eig, CURVE_GAMMA2)
+            s, graph = _far_field(1.0 - gap)
+            c = trace_gamma(s, graph, CURVE_GAMMA2)
             assert c.terminal == TERMINAL_CONVERGED_TO_S2
             assert np.linalg.norm(c.terminal_point.as_array() - s.s2.as_array()) \
                 <= CAPTURE_RADIUS * s.scale
@@ -451,9 +463,9 @@ class TestGraphSeed:
         monkeypatch.setattr(tracer, "integrate", counted)
         steps = {}
         for gap in (1e-2, 1e-7):
-            s, eig = _far_field(1.0 - gap)
+            s, graph = _far_field(1.0 - gap)
             counted.steps.clear()
-            assert trace_gamma(s, eig, CURVE_GAMMA1).terminal == TERMINAL_HIT_U_AXIS
+            assert trace_gamma(s, graph, CURVE_GAMMA1).terminal == TERMINAL_HIT_U_AXIS
             steps[gap] = sum(counted.steps)
         assert steps[1e-7] <= 2 * steps[1e-2]
 
@@ -464,9 +476,9 @@ class TestGraphSeed:
         gaps = [1e-2] + NEAR_SONIC
         to_sigma, spans = [], []
         for gap in gaps:
-            s, eig = _far_field(1.0 - gap)
-            g1 = trace_gamma(s, eig, CURVE_GAMMA1)
-            g2 = trace_gamma(s, eig, CURVE_GAMMA2)
+            s, graph = _far_field(1.0 - gap)
+            g1 = trace_gamma(s, graph, CURVE_GAMMA1)
+            g2 = trace_gamma(s, graph, CURVE_GAMMA2)
             us = np.linspace(0.05, s.u_plus - 1e-3, 100)
             to_sigma.append(max(abs(g1.predict(u) - sigma.predict(u)) for u in us))
             spans.append(float(np.max(np.abs(g2.samples - s.s1.as_array()))))
@@ -478,13 +490,12 @@ class TestGraphSeed:
     def test_graph_seed_when_the_graph_certifies_nothing(self, s_sub):
         # a seed offset beyond the certified radius: the integration starts
         # from the graph point at the seed offset
-        eig = eigen_2x2(s_sub.matrix)
         opts = TraceOptions(seed_offset=0.2)
-        graph = slow_graph(s_sub, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        graph = saddle_graph(s_sub, eigen_2x2(s_sub.matrix))
         tol = opts.abs_tol + opts.rel_tol * s_sub.scale
         for branch, side in ((CURVE_GAMMA1, -1.0), (CURVE_GAMMA2, 1.0)):
             assert tracer._certified_radii(graph, side, 0.2, tol, s_sub).size == 0
-            c = trace_gamma(s_sub, eig, branch, opts)
+            c = trace_gamma(s_sub, graph, branch, opts)
             assert np.array_equal(c.samples[1], graph.points(side * 0.2))
             assert c.backward_time[1] == 0.0
             assert c.terminal == (TERMINAL_HIT_U_AXIS if branch == CURVE_GAMMA1
@@ -495,8 +506,7 @@ class TestGraphSeed:
     def test_a_non_finite_coefficient_certifies_no_radius(self, s_sub, name, value):
         # a failed test, NaN included, ends the radii; a defect or flow that
         # certifies nothing leaves the seed at the seed offset
-        eig = eigen_2x2(s_sub.matrix)
-        graph = slow_graph(s_sub, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        graph = saddle_graph(s_sub, eigen_2x2(s_sub.matrix))
         opts = TraceOptions()
         eps, tol = 1e-6 * s_sub.scale, opts.abs_tol + opts.rel_tol * s_sub.scale
         for i in (2, 5, -1):
@@ -507,7 +517,7 @@ class TestGraphSeed:
                 assert tracer._certified_radii(bad, side, eps, tol, s_sub).size == 0
         if name == "h":
             return
-        c = tracer._trace(s_sub, CURVE_GAMMA1, bad, -1.0, [u_crosses_zero()], opts, eig)
+        c = tracer._trace(s_sub, CURVE_GAMMA1, bad, -1.0, [u_crosses_zero()], opts)
         assert c.graph_radius == eps
         assert np.array_equal(c.samples[1], graph.points(-eps))
         assert c.backward_time[1] == 0.0 and c.terminal == TERMINAL_HIT_U_AXIS
@@ -515,9 +525,8 @@ class TestGraphSeed:
     def test_a_nan_field_coefficient_certifies_no_radius(self, s_sub):
         # a NaN in the cubic reaches the defect polynomial through the
         # graph's composition
-        eig = eigen_2x2(s_sub.matrix)
         s = dataclasses.replace(s_sub, c_sq=math.nan)
-        graph = slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        graph = saddle_graph(s, eigen_2x2(s_sub.matrix))
         assert np.isnan(graph.h[2:]).all() and np.isnan(graph.defect_coef).any()
         tol = TraceOptions().abs_tol + TraceOptions().rel_tol * s.scale
         for side in (-1.0, 1.0):
@@ -541,8 +550,7 @@ class TestGraphSeed:
     def test_a_graph_that_misses_s2_stops_short_of_it(self):
         # a graph bent away from S2 must not carry the branch past S2: it
         # keeps its radii below S2 / 2 and the integration goes on from there
-        s, eig = _far_field(0.99)
-        graph = slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        s, graph = _far_field(0.99)
         tol = TraceOptions().abs_tol + TraceOptions().rel_tol * s.scale
         radii = tracer._certified_radii(graph, 1.0, 1e-6 * s.scale, tol, s)
         r_s2 = float((graph.P_inv @ (s.s2.as_array() - s.s1.as_array()))[1])
@@ -597,8 +605,7 @@ def seeded_graphs():
     systems += [random_system(rng, regime="subsonic") for _ in range(4)]
     cases = []
     for s in systems:
-        eig = eigen_2x2(s.matrix)
-        graph = slow_graph(s, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        graph = saddle_graph(s, eigen_2x2(s.matrix))
         cases += [(graph, -1.0, s), (graph, 1.0, s)]
     for gas, theta in ((GasParams(1.4, 1.0, 1.0, 1.0), 1.0),
                        (GasParams(1.4241, 5.5366, 6.3002, 0.10869), 0.3812)):
@@ -617,8 +624,7 @@ class TestGraphGrid:
             assert np.array_equal(radii, _reference_radii(graph, side, eps, tol, s))
 
     def test_capped_is_linspace_per_segment(self, s_sub):
-        eig = eigen_2x2(s_sub.matrix)
-        graph = slow_graph(s_sub, eig.lambda1, eig.e1, eig.lambda2, eig.e2)
+        graph = saddle_graph(s_sub, eigen_2x2(s_sub.matrix))
         opts = TraceOptions()
         tol = opts.abs_tol + opts.rel_tol * s_sub.scale
         grid = tracer._certified_radii(graph, -1.0, 1e-6 * s_sub.scale, tol, s_sub)

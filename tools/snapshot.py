@@ -175,7 +175,7 @@ def _decided(engine, query, verdict_to_dict) -> dict:
 def snapshot() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     from inflow_layer import (EndState, ExistenceEngine, GasParams, LayerError, Query,
-                              build_system, eigen_2x2, trace_gamma)
+                              build_system, eigen_2x2, saddle_graph, trace_gamma)
     from inflow_layer import cli
     from inflow_layer.engine import verdict_to_dict
     from inflow_layer.portrait import render_portrait
@@ -230,7 +230,8 @@ def snapshot() -> dict:
         # the far field as run_sweep builds it from the Mach number
         s = build_system(wl.GAS, EndState(1.0, row["mach_plus"] * sound, 1.0))
         try:
-            curve = trace_gamma(s, eigen_2x2(s.matrix), "gamma2", cli.SWEEP_TRACE)
+            curve = trace_gamma(s, saddle_graph(s, eigen_2x2(s.matrix)), "gamma2",
+                                cli.SWEEP_TRACE)
             out[f"sweep_curve/{i:03d}"] = _curve(curve)
         except LayerError as exc:
             out[f"sweep_curve/{i:03d}"] = f"error:{type(exc).__name__}"
