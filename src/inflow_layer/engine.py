@@ -114,8 +114,8 @@ class Profile:
     ``metrics`` holds monotonicity, the scaled sup residual, the endpoint
     gap to S1, and the decay report when a fit was possible.
     ``residual_rows`` holds the (u, theta, u', theta') rows the residual is
-    checked on, from the engine's legs; a profile built without them gets
-    three-point differences of its samples.
+    checked on, from the engine's legs; a non-trivial profile without rows
+    gets ``residual_sup = inf``.
     """
 
     xi: np.ndarray
@@ -126,11 +126,7 @@ class Profile:
     curve: str | None
     system: SystemData
     metrics: dict = dc_field(default_factory=dict)
-    residual_rows: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.residual_rows is None:
-            self.residual_rows = _stencil_rows(self.xi, self.U, self.Theta)
+    residual_rows: np.ndarray = dc_field(default_factory=lambda: np.empty((0, 4)))
 
 
 @dataclass(frozen=True)
@@ -312,7 +308,7 @@ class ExistenceEngine:
 
     def _trivial_profile(self, q: Query, s: SystemData) -> Profile:
         pts = np.array([[q.left.u, q.left.theta]] * 2)
-        prof = _profile(s, np.array([0.0, 1.0]), pts, CURVE_TRIVIAL)
+        prof = _profile(s, np.array([0.0, 1.0]), pts, CURVE_TRIVIAL, np.empty((0, 4)))
         prof.metrics = {"monotone_ok": True, "signs": (0, 0, 0),
                         "residual_sup": 0.0, "endpoint_gap": 0.0,
                         "decay": DecayReport(kind="not_applicable")}
@@ -388,26 +384,13 @@ class ExistenceEngine:
 
 
 def _profile(s: SystemData, xi: np.ndarray, pts: np.ndarray, curve: str,
-             residual_rows: np.ndarray | None = None) -> Profile:
+             residual_rows: np.ndarray) -> Profile:
     """Profile from (u, theta) samples; V follows from the mass equation."""
     U = pts[:, 0]
     Theta = pts[:, 1]
     V = (s.v_plus / s.u_plus) * U
     return Profile(xi=xi, V=V, U=U, Theta=Theta, trivial=curve == CURVE_TRIVIAL,
                    curve=curve, system=s, residual_rows=residual_rows)
-
-
-def _stencil_rows(xi: np.ndarray, U: np.ndarray, Theta: np.ndarray) -> np.ndarray:
-    """(u, theta, u', theta') at the interior samples, the derivatives by
-    nonuniform three-point central differences; no rows below 3 samples."""
-    h1 = xi[1:-1] - xi[:-2]
-    h2 = xi[2:] - xi[1:-1]
-    w1 = -h2 / (h1 * (h1 + h2))
-    w2 = (h2 - h1) / (h1 * h2)
-    w3 = h1 / (h2 * (h1 + h2))
-    du = w1 * U[:-2] + w2 * U[1:-1] + w3 * U[2:]
-    dth = w1 * Theta[:-2] + w2 * Theta[1:-1] + w3 * Theta[2:]
-    return np.column_stack([U[1:-1], Theta[1:-1], du, dth])
 
 
 def _monotone_check(prof: Profile) -> tuple[bool, tuple[int, int, int]]:

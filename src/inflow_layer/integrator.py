@@ -37,6 +37,7 @@ COMPONENT_CROSSES = "component_crosses"
 BUDGET = "budget"
 
 _MIN_STEP_FACTOR = 1e-14
+MAX_INSERTED = 1000   # knots ``capped_knots`` inserts into one segment at most
 MIN_REL_TOL = 100 * np.finfo(float).eps   # below it the error estimate is noise
 
 # Dormand-Prince 5(4) tableau with the dense-output matrix P for the optimum
@@ -216,11 +217,8 @@ class DenseStep:
         self.y_old = y_old
 
     def __call__(self, t) -> np.ndarray:
-        return self.sample(np.asarray([t], dtype=float))[0]
-
-    def sample(self, t: np.ndarray) -> np.ndarray:
-        """Values at each t[i], one row each."""
-        return _dense_values(self.Q, self.h, self.y_old, (t - self.t_old) / self.h)
+        x = (np.asarray([t], dtype=float) - self.t_old) / self.h
+        return _dense_values(self.Q, self.h, self.y_old, x)[0]
 
 
 def _dense_values(Q, h, y_old, x: np.ndarray) -> np.ndarray:
@@ -230,18 +228,43 @@ def _dense_values(Q, h, y_old, x: np.ndarray) -> np.ndarray:
     return h * np.matmul(Q, powers[:, :, None])[:, :, 0] + y_old
 
 
+def _stacked(steps: Sequence[DenseStep], t, which=slice(None)):
+    """Q, h (a column), y_old and x = (t[i] - t_old) / h of step
+    ``steps[which][i]`` at t[i], the operands of ``_dense_values``."""
+    t_old = np.array([st.t_old for st in steps], dtype=float)[which]
+    h = np.array([st.h for st in steps], dtype=float)[which]
+    Q = np.array([st.Q for st in steps], dtype=float).reshape(-1, 2, _P.shape[1])[which]
+    y_old = np.array([st.y_old for st in steps], dtype=float).reshape(-1, 2)[which]
+    return Q, h[:, None], y_old, (np.asarray(t, dtype=float) - t_old) / h
+
+
 def dense_eval(steps: Sequence[DenseStep], t) -> tuple[np.ndarray, np.ndarray]:
     """Value and exact xi-derivative of step i's interpolant at t[i], each of
     shape (len(steps), 2); the values equal ``DenseStep.__call__``'s bits."""
-    t_old = np.array([st.t_old for st in steps], dtype=float)
-    h = np.array([st.h for st in steps], dtype=float)
-    Q = np.array([st.Q for st in steps], dtype=float).reshape(-1, 2, _P.shape[1])
-    y_old = np.array([st.y_old for st in steps], dtype=float).reshape(-1, 2)
-    x = (np.asarray(t, dtype=float) - t_old) / h
-    y = _dense_values(Q, h[:, None], y_old, x)
+    Q, h, y_old, x = _stacked(steps, t)
+    y = _dense_values(Q, h, y_old, x)
     k = np.arange(_P.shape[1])
     dy = np.matmul(Q, ((k + 1) * x[:, None] ** k)[:, :, None])[:, :, 0]
     return y, dy
+
+
+def capped_knots(knots: np.ndarray, points: np.ndarray, cap: float):
+    """``knots`` with evenly spaced ones inserted so that no component of
+    ``points`` (one row per knot) moves by more than ``cap`` between
+    neighbours, the state-spacing rule of every sampled path.
+
+    A segment [a, b] whose largest component move is ``move`` gets n =
+    min(int(move / cap), MAX_INSERTED) inner knots k ((b - a) / (n + 1)) + a,
+    k = 1 .. n, the operations ``np.linspace(a, b, n + 2)`` does.  Returns
+    the knots, and for each the index of the input knot its segment starts
+    at and its k; the input knots are those with k = 0.
+    """
+    moves = np.max(np.abs(np.diff(points, axis=0)), axis=1)
+    parts = np.append(np.minimum(moves / cap, MAX_INSERTED).astype(int) + 1, 1)
+    seg = np.repeat(np.arange(parts.size), parts)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    step = np.append(np.diff(knots) / parts[:-1], 0.0)
+    return k * step[seg] + knots[seg], seg, k
 
 
 def _rms(x: np.ndarray):
@@ -364,11 +387,16 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         the dense output) stops the run.  If none triggers before the step
         budget is exhausted, the result carries a ``budget`` event.
     max_state_step : float, optional
-        Emit extra dense-output samples so that no state component changes
-        by more than this amount between consecutive samples.
+        Finite and positive.  After the last step, the run's dense output
+        is sampled, in one stacked evaluation, at the knots
+        ``capped_knots`` inserts between the step ends so that no state
+        component changes by more than this amount between consecutive
+        samples (at most ``MAX_INSERTED`` per step).
 
     Raises
     ------
+    ValueError
+        If ``max_state_step`` is neither None nor finite and positive.
     NonFinite
         If the field returns NaN or infinity, or the start point is not finite.
         An infinite field value may also emit a numpy RuntimeWarning first.
@@ -376,6 +404,9 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         If the error controller drives the step below 1e-14 * (1 + |xi|), or
         a rejected step below ten spacings of the floating-point numbers at xi.
     """
+    if max_state_step is not None and not 0.0 < max_state_step < math.inf:
+        raise ValueError(
+            f"max_state_step must be None or finite and positive, got {max_state_step}")
     y0 = start.as_array() if isinstance(start, PhasePoint) else np.asarray(start, float)
     if not np.all(np.isfinite(y0)):
         raise NonFinite(f"start point {y0} is not finite")
@@ -406,20 +437,6 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
     ys = [y0.copy()]
     segments = []
     n_steps = 0
-
-    def emit(seg, t_lo, t_hi, y_hi):
-        # subdivide the step so no component moves more than max_state_step;
-        # capped so runaway trajectories cannot demand absurd grids
-        if max_state_step is not None:
-            du, dth = (y_hi - ys[-1]).tolist()
-            n_sub = min(int(max(abs(du), abs(dth)) / max_state_step), 1000)
-            if n_sub >= 1:
-                t_mid = np.linspace(t_lo, t_hi, n_sub + 2)[1:-1]
-                xs.extend(t_mid.tolist())
-                ys.extend(seg.sample(t_mid))
-        xs.append(float(t_hi))
-        ys.append(y_hi)
-
     while n_steps < settings.max_steps:
         t_old, y_old = t, y
         t, y, f, h_abs = _accepted_step(fieldfn, t, y, f, h_abs, direction,
@@ -440,17 +457,22 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
             g_prev[i] = g_new
         if triggered:
             triggered.sort(key=lambda item: item[0])
-            _, t_ev, ev = triggered[0]
-            y_ev = seg(t_ev)
-            emit(seg, t_old, t_ev, y_ev)
-            pt = PhasePoint(float(y_ev[0]), float(y_ev[1]))
-            return IntegrationResult(xi=np.asarray(xs), points=np.array(ys),
-                                     event=Event(ev.kind, t_ev, pt),
-                                     n_steps=n_steps, segments=segments)
-        emit(seg, t_old, t, y)
+            _, t, ev = triggered[0]
+            y = seg(t)
+        xs.append(float(t))
+        ys.append(y)
+        if triggered:
+            break
 
-    y_last = ys[-1]
-    pt = PhasePoint(float(y_last[0]), float(y_last[1]))
-    return IntegrationResult(xi=np.asarray(xs), points=np.array(ys),
-                             event=Event(BUDGET, float(xs[-1]), pt),
+    xi, points = np.asarray(xs), np.array(ys)
+    pt = PhasePoint(float(points[-1, 0]), float(points[-1, 1]))
+    event = Event(ev.kind, t, pt) if triggered else Event(BUDGET, xs[-1], pt)
+    if max_state_step is not None:
+        xi, at, k = capped_knots(xi, points, max_state_step)
+        points = points[at]
+        inner = k > 0
+        if inner.any():
+            points[inner] = _dense_values(*_stacked([seg for _, _, seg in segments],
+                                                    xi[inner], at[inner]))
+    return IntegrationResult(xi=xi, points=points, event=event,
                              n_steps=n_steps, segments=segments)

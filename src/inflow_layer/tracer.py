@@ -51,7 +51,7 @@ from .errors import DomainError, LayerError, OutOfRange, TraceFailed, Unexpected
 from .gas import require_positive
 from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
                          THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationSettings,
-                         component_crosses, integrate, near_equilibrium,
+                         capped_knots, component_crosses, integrate, near_equilibrium,
                          theta_crosses_zero, u_crosses_zero)
 from .linearize import EigenPair, SlowGraph
 from .system import (PhasePoint, Region, SystemData, phase_field, region_contains,
@@ -416,18 +416,6 @@ def _to_s2(graph: SlowGraph, side: float, radii: np.ndarray, s: SystemData,
     return np.concatenate([radii[radii < start], tail]), True
 
 
-def _capped(graph: SlowGraph, side: float, radii: np.ndarray, cap: float) -> np.ndarray:
-    """Radii with evenly spaced ones inserted so that no component of the
-    graph point moves by more than ``cap`` between neighbours (the
-    integrator's ``max_state_step`` rule): k (b - a) / (n + 1) + a, k = 0
-    .. n, on a segment [a, b] that gets n, rounded as ``np.linspace`` does."""
-    moves = np.max(np.abs(np.diff(graph.points(side * radii), axis=0)), axis=1)
-    parts = (moves / cap).astype(int) + 1
-    k = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
-    step = np.repeat(np.diff(radii) / parts, parts)
-    return np.append(k * step + np.repeat(radii[:-1], parts), radii[-1])
-
-
 def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
            opts: TraceOptions) -> Curve:
     """The curve leaving S1 along ``graph`` where w has the sign of
@@ -435,7 +423,9 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
     radius r*, then the backward integration from there until one of
     ``events``, or for a gamma2 whose S2 lies inside r* the graph samples
     out to S2's capture point; then the terminal is checked and the
-    samples are thinned and validated."""
+    samples are thinned and validated.  The graph radii and the
+    integration are spaced by one rule, ``capped_knots`` at
+    ``sample_cap * scale``."""
     scale = s.scale
     eps = opts.seed_offset if opts.seed_offset is not None else 1e-6 * scale
     tol = opts.abs_tol + opts.rel_tol * scale
@@ -445,14 +435,15 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
         radii, at_s2 = _to_s2(graph, side, radii, s, tol)
     if not radii.size:
         radii = np.array([eps])
-    w = side * _capped(graph, side, radii, opts.sample_cap * scale)
+    cap = opts.sample_cap * scale
+    w = side * capped_knots(radii, graph.points(side * radii), cap)[0]
     pts, times = _graph_samples(s, graph, w)
     if at_s2:
         terminal = TERMINAL_CONVERGED_TO_S2
         terminal_point = PhasePoint(*map(float, pts[-1]))
     else:
         res = integrate(phase_field(s), pts[-1], opts.integration_settings(),
-                        events=events, max_state_step=opts.sample_cap * scale)
+                        events=events, max_state_step=cap)
         pts = np.concatenate((pts, res.points[1:]))
         times = np.concatenate((times, times[-1] - res.xi[1:]))
         terminal, terminal_point = _TERMINALS[res.event.kind], res.event.point

@@ -336,24 +336,22 @@ class TestVerifyResidual:
         q = Query(_left_for(c, len(c.samples) // 2, right_subsonic), right_subsonic, gas)
         prof = engine.compute_profile(q)
         bad = Profile(xi=prof.xi, V=prof.V, U=prof.U, Theta=prof.Theta * 1.01,
-                      trivial=False, curve=prof.curve, system=prof.system)
+                      trivial=False, curve=prof.curve, system=prof.system,
+                      residual_rows=prof.residual_rows * [1.0, 1.01, 1.0, 1.01])
         assert verify_residual(bad, prof.system) > 1e-3
 
-    def test_sample_based_residual_of_clean_profile_is_small(self, engine, gas,
-                                                             right_subsonic,
-                                                             subsonic_curves):
-        # the finite-difference fallback is coarser than dense output but must
-        # still be far below the corruption scale
+    def test_profile_without_rows_gives_inf(self, engine, gas, right_subsonic,
+                                            subsonic_curves):
+        # rows come only from the legs that computed the profile; one built
+        # from bare samples has none and fails every bound
         c = subsonic_curves["gamma1"]
         q = Query(_left_for(c, len(c.samples) // 2, right_subsonic), right_subsonic, gas)
         prof = engine.compute_profile(q)
-        clean = Profile(xi=prof.xi, V=prof.V, U=prof.U, Theta=prof.Theta,
-                        trivial=False, curve=prof.curve, system=prof.system)
-        bad = Profile(xi=prof.xi, V=prof.V, U=prof.U, Theta=prof.Theta * 1.01,
-                      trivial=False, curve=prof.curve, system=prof.system)
-        r_clean = verify_residual(clean, prof.system)
-        assert r_clean < 5e-4
-        assert verify_residual(bad, prof.system) > 10.0 * r_clean
+        assert verify_residual(prof, prof.system) < 1e-8
+        bare = Profile(xi=prof.xi, V=prof.V, U=prof.U, Theta=prof.Theta,
+                       trivial=False, curve=prof.curve, system=prof.system)
+        assert bare.residual_rows.shape == (0, 4)
+        assert verify_residual(bare, prof.system) == math.inf
 
     @pytest.mark.parametrize("corrupt", ["one_nan", "all_nan", "two_samples"])
     def test_unusable_rows_give_inf(self, engine, gas, right_subsonic, subsonic_curves,
@@ -363,15 +361,17 @@ class TestVerifyResidual:
         c = subsonic_curves["gamma1"]
         q = Query(_left_for(c, len(c.samples) // 2, right_subsonic), right_subsonic, gas)
         prof = engine.compute_profile(q)
-        xi, U, Theta = prof.xi, prof.U, prof.Theta.copy()
+        xi, U, Theta = prof.xi, prof.U, prof.Theta
+        rows = prof.residual_rows.copy()
         if corrupt == "one_nan":
-            Theta[len(Theta) // 2] = np.nan
+            rows[len(rows) // 2, 1] = np.nan
         elif corrupt == "all_nan":
-            Theta[:] = np.nan
+            rows[:, 1] = np.nan
         else:
-            xi, U, Theta = xi[:2], U[:2], Theta[:2]
+            xi, U, Theta, rows = xi[:2], U[:2], Theta[:2], rows[:0]
         bad = Profile(xi=xi, V=(prof.V[0] / prof.U[0]) * U, U=U, Theta=Theta,
-                      trivial=False, curve=prof.curve, system=prof.system)
+                      trivial=False, curve=prof.curve, system=prof.system,
+                      residual_rows=rows)
         assert verify_residual(bad, prof.system) == math.inf
 
     def test_nonfinite_engine_row_gives_inf(self, engine, gas, right_transonic,

@@ -9,7 +9,8 @@ from inflow_layer import (Event, EventSpec, IntegrationSettings, NonFinite,
                           component_crosses, eigen_2x2, integrate, left_region,
                           near_equilibrium, phase_field, theta_crosses_zero,
                           transonic_frame, u_crosses_zero)
-from inflow_layer.integrator import BACKWARD, BUDGET, DenseStep, _rms
+from inflow_layer.integrator import (BACKWARD, BUDGET, MAX_INSERTED, DenseStep,
+                                     _rms, dense_eval)
 from inflow_layer.tracer import CAPTURE_RADIUS
 
 
@@ -273,22 +274,54 @@ def _one_point_value(seg: DenseStep, t) -> np.ndarray:
 
 
 def test_batched_samples_are_each_steps_values(real_runs):
+    # the sub-samples are evaluated after the step loop, all in one stacked
+    # call; each row is still its step's interpolant evaluated alone
     for name, res in real_runs.items():
         assert res.n_steps > 50, name
-        for k, (t_old, t_new, seg) in enumerate(res.segments):
-            n = 500 if k == res.n_steps // 2 else 7
-            t = np.linspace(t_old, t_new, n + 2)
-            batch = seg.sample(t)
-            for ti, row in zip(t, batch):
-                want = _one_point_value(seg, ti).tobytes()
-                assert row.tobytes() == want and seg(ti).tobytes() == want, (name, k, ti)
+        sign = 1.0 if res.xi[-1] > 0.0 else -1.0
+        t_old = np.array([t0 for t0, _, _ in res.segments])
+        step = np.searchsorted(sign * t_old, sign * res.xi, side="right") - 1
+        inner = np.flatnonzero(~np.isin(res.xi, np.append(t_old, res.event.xi)))
+        assert inner.size > 0, name
+        for i in inner:
+            seg = res.segments[step[i]][2]
+            want = _one_point_value(seg, res.xi[i]).tobytes()
+            assert res.points[i].tobytes() == want, (name, i)
     # on a real step the last bits of the power terms mostly vanish into
     # y_old; a unit step from the origin with random stages keeps them
     seg = DenseStep(0.0, 1.0, np.zeros(2), np.random.default_rng(3).normal(size=(7, 2)))
     t = np.random.default_rng(4).uniform(0.0, 1.0, 2000)
-    for ti, row in zip(t, seg.sample(t)):
+    for ti, row in zip(t, dense_eval([seg] * t.size, t)[0]):
         want = _one_point_value(seg, ti).tobytes()
         assert row.tobytes() == want and seg(ti).tobytes() == want, ti
+
+
+def test_a_step_gets_at_most_max_inserted_sub_samples(gas, right_subsonic):
+    # at this cap all but the first of the 12 steps ask for more than the
+    # limit; each gets exactly MAX_INSERTED, at np.linspace's points
+    s = build_system(gas, right_subsonic)
+    start = np.array([s.u_plus, s.theta_plus]) - 1e-3 * s.scale * eigen_2x2(s.matrix).e2
+    settings = IntegrationSettings(direction=BACKWARD, max_steps=12)
+    ends = integrate(phase_field(s), start, settings, [u_crosses_zero()])
+    res = integrate(phase_field(s), start, settings, [u_crosses_zero()], 1e-8)
+    wanted = (np.max(np.abs(np.diff(ends.points, axis=0)), axis=1) / 1e-8).astype(int)
+    assert wanted[0] < MAX_INSERTED < wanted[1:].min()
+    i = 0
+    for (t_old, t_new, seg), n in zip(res.segments, np.minimum(wanted, MAX_INSERTED)):
+        knots = np.linspace(t_old, t_new, n + 2)
+        assert np.array_equal(res.xi[i:i + n + 2], knots)
+        for ti, row in zip(knots[1:-1], res.points[i + 1:i + n + 1]):
+            assert row.tobytes() == seg(ti).tobytes()
+        i += n + 1
+    assert i == len(res.xi) - 1 and np.array_equal(res.points[-1], ends.points[-1])
+
+
+def test_max_state_step_validation():
+    field = lambda t, y: np.array([1.0, 0.0])
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="max_state_step"):
+            integrate(field, PhasePoint(0.0, 0.0), IntegrationSettings(max_steps=3),
+                      max_state_step=bad)
 
 
 def test_emitted_points_are_step_ends_and_their_sub_samples(real_runs):

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from inflow_layer import (EndState, ExistenceEngine, GasParams, LayerError,
                           Query, build_system, field_poly, phase_field,
                           verdict_to_dict)
+from inflow_layer.portrait import render_portrait
 
 
 def _log_uniform(lo_exp: float, hi_exp: float):
@@ -150,3 +151,12 @@ def test_field_bits_equal_on_floats_numpy_scalars_and_in_the_stepper(far, u, the
                   field_poly(np.asarray(u), np.asarray(theta), s),
                   phase_field(s)(0.0, np.array([u, theta]))):
         assert [float(x).hex() for x in other] == [x.hex() for x in on_floats]
+
+
+@settings(max_examples=10)
+@given(far_fields(layer_machs))
+def test_portrait_renders_every_layer_far_field(field):
+    # its trajectories leave the view mid-step, and their sub-samples with it
+    gas, right = field
+    svg = render_portrait(build_system(gas, right), ExistenceEngine().curves_for(gas, right))
+    assert svg.startswith("<svg") and svg.endswith("</svg>")

@@ -20,6 +20,7 @@ from inflow_layer.tracer import (CAPTURE_RADIUS, CURVE_GAMMA1, CURVE_GAMMA2,
                                  TERMINAL_HIT_THETA_AXIS, TERMINAL_HIT_U_AXIS,
                                  _TERMINALS as _TERMINAL_OF, Pchip)
 from inflow_layer.cli import SWEEP_TRACE
+from inflow_layer.integrator import MAX_INSERTED, capped_knots
 from inflow_layer.system import residual_sup
 from conftest import random_system
 from sonic_reference import graph_defect
@@ -223,6 +224,21 @@ class TestGamma:
             expected = (TERMINAL_CONVERGED_TO_S2 if s.alpha2 > 0.0
                         else TERMINAL_HIT_THETA_AXIS)
             assert c.terminal == expected
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-5, 1e-7, 1e-9])
+    def test_terminal_is_continuous_across_the_alpha2_switch(self, gas, delta):
+        # at M* = sqrt((gamma - 1) / (2 gamma)) S2 reaches the theta axis:
+        # just below it gamma2 hits the axis, just above it converges to an
+        # S2 that close to the axis, and the terminal u moves like sqrt(delta)
+        m_star = math.sqrt(0.4 / 2.8)
+        ends = []
+        for mach in (m_star * (1.0 - delta), m_star * (1.0 + delta)):
+            s = build_system(gas, EndState(1.0, mach * math.sqrt(1.4), 1.0))
+            c = trace_gamma(s, saddle_graph(s, eigen_2x2(s.matrix)), CURVE_GAMMA2)
+            ends.append((c.terminal, c.terminal_point.u))
+        (below, u_below), (above, u_above) = ends
+        assert below == TERMINAL_HIT_THETA_AXIS and above == TERMINAL_CONVERGED_TO_S2
+        assert abs(u_above - u_below) <= 2.0 * math.sqrt(delta)
 
     def test_requires_saddle(self, s_trans):
         # checked before the graph is built, whose divisor k lambda2 -
@@ -628,15 +644,29 @@ class TestGraphGrid:
         opts = TraceOptions()
         tol = opts.abs_tol + opts.rel_tol * s_sub.scale
         grid = tracer._certified_radii(graph, -1.0, 1e-6 * s_sub.scale, tol, s_sub)
+
+        def capped(radii, cap):
+            return capped_knots(radii, graph.points(-radii), cap)[0]
+
         # nothing inserted, a gamma1 grid at the trace's cap, hundreds
         # inserted into one segment, and a lone seed radius
-        assert np.array_equal(tracer._capped(graph, -1.0, grid, 1.0), grid)
+        assert np.array_equal(capped(grid, 1.0), grid)
         wide = np.array([1e-3, 1e-2, 0.3])
         for radii, cap in ((grid, opts.sample_cap * s_sub.scale), (wide, 1e-3),
                            (grid[:1], 1e-3)):
-            capped = tracer._capped(graph, -1.0, radii, cap)
-            assert np.array_equal(capped, _reference_capped(graph, -1.0, radii, cap))
-        assert tracer._capped(graph, -1.0, wide, 1e-3).size > 200
+            assert np.array_equal(capped(radii, cap),
+                                  _reference_capped(graph, -1.0, radii, cap))
+        assert capped(wide, 1e-3).size > 200
+
+    def test_a_graph_segment_gets_at_most_max_inserted_radii(self, s_sub):
+        graph = saddle_graph(s_sub, eigen_2x2(s_sub.matrix))
+        radii = np.array([1e-3, 0.3])
+        pts = graph.points(-radii)
+        assert np.max(np.abs(pts[1] - pts[0])) / 1e-6 > MAX_INSERTED
+        knots, at, k = capped_knots(radii, pts, 1e-6)
+        assert np.array_equal(knots, np.linspace(1e-3, 0.3, MAX_INSERTED + 2))
+        assert np.array_equal(at, np.repeat([0, 1], [MAX_INSERTED + 1, 1]))
+        assert np.array_equal(k, np.append(np.arange(MAX_INSERTED + 1), 0))
 
 
 SOUND = math.sqrt(1.4)   # canonical gas at theta+ = 1

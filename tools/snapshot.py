@@ -31,7 +31,8 @@ copy placed in another checkout snapshots that checkout.  The output set:
   terminal kind);
 * ``integrate`` itself on the canonical field, whose every emitted point
   the thinned curves above mostly drop: backward runs along gamma1 and
-  gamma2 with ``max_state_step`` set, and runs ending in each event kind
+  gamma2 with ``max_state_step`` set, one whose steps ask for more
+  sub-samples than a step gets, and runs ending in each event kind
   (u and theta crossings, the S2 capture, ``component_crosses`` falling
   and rising, the step budget), each with its xi, points, event, step
   count and every step's dense value at fractions 0, 0.5 and 1;
@@ -146,6 +147,10 @@ def _integrations(wl) -> dict:
         # below: about 45 sub-samples per step, hundreds on the longest
         "gamma1_sub_sampled": (below, back, [u_crosses_zero()], 2e-4),
         "gamma2_sub_sampled": (above, back, to_s2, 1e-3),
+        # all but the first of its 12 steps ask for more than the 1000
+        # sub-samples a step gets
+        "gamma1_over_limit": (below, IntegrationSettings(direction=BACKWARD, max_steps=12),
+                              [u_crosses_zero()], 1e-8),
         "gamma1_u_axis": (below, back, [u_crosses_zero()], None),
         "gamma2_s2_capture": (above, back, to_s2, None),
         "theta_axis_forward": ((0.3, 0.5), fwd, [theta_crosses_zero()], 1e-3),
