@@ -12,7 +12,9 @@ Every profile rides its curve's invariant-manifold graph at S1
 stable backward integration used for tracing, started at the graph point
 at that radius and run until the boundary parameter is crossed, then
 reversed and re-based to xi = 0 at the boundary; a boundary inside it is
-the graph point itself.  From there down to 1e-10 * scale of S1 the
+the graph point itself.  That run is one orbit for every boundary on the
+same side of the curve, so the cache entry keeps it (``_Orbit``) and each
+profile takes its prefix.  From there down to 1e-10 * scale of S1 the
 profile is the reduced flow along the graph: xi by Gauss-Legendre
 quadrature of its flight time, the residual rows from the graph's phase
 velocity.  Quadrature resolves the sonic 1/xi tail and the subsonic
@@ -33,8 +35,11 @@ from .errors import (InvalidBoundary, OutOfRange, ProfileDiverged, TailTooShort)
 from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH,
                   check_flux_condition, check_tol_mach, classify_regime, mach,
                   require_positive)
-from .integrator import (BACKWARD, COMPONENT_CROSSES, IntegrationSettings,
-                         component_crosses, dense_eval, integrate)
+from .integrator import (BACKWARD, COMPONENT_CROSSES, IntegrationSettings, Run,
+                         component_crosses, dense_eval)
+# the profile legs step a ``Run``; ``integrate`` stays importable here, the
+# engine's name for the integrator, which bench/spans.py wraps
+from .integrator import integrate  # noqa: F401
 from .linearize import eigen_2x2, saddle_graph, transonic_frame
 from .system import (PhasePoint, SystemData, build_system, field_poly, phase_field,
                      residual_sup)
@@ -54,6 +59,10 @@ CURVE_TRIVIAL = "trivial"
 _TRIVIAL_RTOL = 1e-12
 _S1_OFFSET = 1e-10   # * scale, where profile runs leave or reach S1
 CURVE_CACHE_SIZE = 32   # far fields whose curves an engine keeps
+# the backward profile leg: tighter than tracing, since the profile is held
+# to its residual bound on the leg's own dense output
+_LEG_SETTINGS = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15, direction=BACKWARD,
+                                    max_steps=500_000)
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -148,16 +157,47 @@ class DecayReport:
     n_tail: int = 0
 
 
+class _Orbit:
+    """One side of a curve's profile orbit: the backward run from the graph
+    point at the graph radius, stepped only as far as a profile has asked.
+
+    Every profile on that side is a prefix of this one orbit, and the steps
+    of a run do not depend on where it stops, so ``stop`` returns what
+    ``integrate`` returns for the same field, start, settings and event.
+    """
+
+    __slots__ = ("run", "lock")
+
+    def __init__(self, run: Run):
+        self.run = run
+        self.lock = threading.Lock()
+
+    def stop(self, ev):
+        """``integrate``'s result for the one event ``ev``: the steps
+        already taken are scanned without the lock; the run is stepped on,
+        under it, only when none of them crosses."""
+        run = self.run
+        k = run.crossing(ev)
+        if k is None:
+            with self.lock:
+                k = run.crossing(ev)
+                if k is None:
+                    k = run.step_until(ev)
+        return run.stopped_by(ev, k)
+
+
 class _Flight:
     """One key's curves, or the error its trace raised, traced by the first
-    caller while the others wait."""
+    caller while the others wait; and the profile orbits of its curves,
+    keyed by (label, signed graph radius), which leave with it."""
 
-    __slots__ = ("done", "curves", "error")
+    __slots__ = ("done", "curves", "error", "orbits")
 
     def __init__(self):
         self.done = threading.Event()
         self.curves: dict[str, Curve] | None = None
         self.error: BaseException | None = None
+        self.orbits: dict[tuple[str, float], _Orbit] = {}
 
 
 class ExistenceEngine:
@@ -168,6 +208,14 @@ class ExistenceEngine:
     callers ask for it at the same time (a trace that raises raises in
     each of them, and is not kept), and the cache keeps the
     ``CURVE_CACHE_SIZE`` keys used last.
+
+    A key's entry also keeps the profile orbits of its curves: for each
+    curve side that a profile has needed, the backward run from the graph
+    point at the graph radius, holding the steps up to the farthest
+    boundary asked of it.  They leave the cache with the entry.  They
+    cannot change an answer: a profile's leg is a prefix of its orbit,
+    stopped with ``integrate``'s own event test, and the steps before a
+    stop do not depend on where the run stops.
     """
 
     def __init__(self, trace_options: TraceOptions | None = None):
@@ -180,6 +228,10 @@ class ExistenceEngine:
 
     def curves_for(self, gas: GasParams, right: EndState,
                    tol_M: float = TOL_MACH) -> dict[str, Curve]:
+        return self._entry(gas, right, tol_M).curves
+
+    def _entry(self, gas: GasParams, right: EndState, tol_M: float) -> _Flight:
+        """The cache entry of the far field, traced if it is not cached."""
         # the regime decides which curves exist, and it depends on tol_M
         regime = classify_regime(mach(right, gas), tol_M)
         key = (gas.gamma, gas.R, gas.mu, gas.kappa,
@@ -193,12 +245,12 @@ class ExistenceEngine:
             if owner and len(self._cache) > CURVE_CACHE_SIZE:
                 del self._cache[next(iter(self._cache))]
             elif flight.curves is not None:
-                return flight.curves
+                return flight
         if not owner:
             flight.done.wait()
             if flight.error is not None:
                 raise flight.error
-            return flight.curves
+            return flight
         try:
             flight.curves = self._trace(build_system(gas, right), regime, tol_M)
         except BaseException as exc:
@@ -210,7 +262,7 @@ class ExistenceEngine:
             raise
         finally:
             flight.done.set()
-        return flight.curves
+        return flight
 
     def _trace(self, s: SystemData, regime: Regime, tol_M: float) -> dict[str, Curve]:
         if regime.is_transonic:
@@ -278,9 +330,15 @@ class ExistenceEngine:
     def compute_profile(self, q: Query, verdict: Verdict | None = None) -> Profile:
         """Compute the layer profile (V, U, Theta)(xi) for an existing layer.
 
+        A boundary beyond its curve's graph radius is reached on the curve's
+        profile orbit, which the far field's cache entry keeps (see
+        ``_backward_leg``); the answer is the same bits on a fresh engine
+        and on one that has profiled any other boundaries before.
+
         Raises ProfileDiverged if the backward realization fails to land on
         the boundary data within ten membership tolerances (a sign the
-        membership decision was borderline; tighten tolerances).
+        membership decision was borderline; tighten tolerances), or spends
+        its step budget before it reaches the boundary parameter.
         """
         verdict = verdict if verdict is not None else self.decide(q)
         if not verdict.exists:
@@ -288,13 +346,14 @@ class ExistenceEngine:
         s = build_system(q.gas, q.right)
         if verdict.curve == CURVE_TRIVIAL:
             return self._trivial_profile(q, s)
-        curve = self.curves_for(q.gas, q.right, q.tolerances.tol_M)[verdict.curve]
+        entry = self._entry(q.gas, q.right, q.tolerances.tol_M)
+        curve = entry.curves[verdict.curve]
         pidx = curve.param_index
         # a boundary within ten start offsets of S1 leaves no layer to resolve
         if (abs((q.left.u, q.left.theta)[pidx] - (s.u_plus, s.theta_plus)[pidx])
                 <= 10.0 * _S1_OFFSET * s.scale):
             return self._trivial_profile(q, s)
-        prof = self._graph_profile(q, s, curve)
+        prof = self._graph_profile(q, s, curve, entry)
         prof.metrics["monotone_ok"], prof.metrics["signs"] = _monotone_check(prof)
         prof.metrics["endpoint_gap"] = max(abs(prof.U[-1] - s.u_plus),
                                            abs(prof.Theta[-1] - s.theta_plus))
@@ -324,18 +383,38 @@ class ExistenceEngine:
                 f"profile landed {gap:.3e} away from the boundary data "
                 f"(limit {lim:.3e}); membership was borderline")
 
-    def _backward_leg(self, q: Query, s: SystemData, start, pidx: int):
-        """Backward run from ``start`` to the boundary parameter: (xi, points,
-        residual rows), samples in forward order, xi = 0 at the boundary.
+    def _orbit(self, entry: _Flight, s: SystemData, curve: Curve, w_start: float,
+               start: np.ndarray) -> _Orbit:
+        """The profile orbit of ``curve`` from its graph point ``start`` at
+        ``w_start``, made at its first use with ``_LEG_SETTINGS``."""
+        key = (curve.label, w_start)
+        orbit = entry.orbits.get(key)
+        if orbit is None:
+            with self._lock:
+                orbit = entry.orbits.get(key)
+                if orbit is None:
+                    orbit = _Orbit(Run(phase_field(s), start, _LEG_SETTINGS))
+                    entry.orbits[key] = orbit
+        return orbit
+
+    def _backward_leg(self, q: Query, orbit: _Orbit, pidx: int):
+        """The backward run on ``orbit`` to the boundary parameter: (xi,
+        points, residual rows), samples in forward order, xi = 0 at the
+        boundary.
+
+        The run is the one ``integrate`` makes from the orbit's start with
+        ``_LEG_SETTINGS`` and a ``component_crosses`` event at the boundary
+        parameter, taken as a prefix of the orbit: its steps are scanned
+        with ``integrate``'s event test and bisection, and the orbit is
+        stepped on only when the boundary lies beyond its last step.  So the
+        orbit holds the steps up to the farthest boundary asked of it, and
+        a first profile on a curve takes the steps it would take alone.
 
         A row is the dense output and its derivative at the midpoint (where
         the interpolant is independent of the step-end field values) of each
         step's part in [t_event, 0] that is at least 1e-5 long."""
-        settings = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15,
-                                       direction=BACKWARD, max_steps=500_000)
         bparam = (q.left.u, q.left.theta)[pidx]
-        res = integrate(phase_field(s), start, settings,
-                        events=[component_crosses(pidx, bparam)])
+        res = orbit.stop(component_crosses(pidx, bparam))
         if res.event.kind != COMPONENT_CROSSES:
             raise ProfileDiverged(
                 f"backward profile run ended with {res.event.kind} before "
@@ -351,10 +430,12 @@ class ExistenceEngine:
         y, dy = dense_eval(steps, 0.5 * (t_new[kept] + t_old[kept]))
         return xi, res.points[::-1].copy(), np.hstack([y, dy])
 
-    def _graph_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
-        """The outer leg, backward from the graph point at the curve's graph
-        radius to the boundary, or for a boundary inside that radius the
-        graph point at the boundary; then the inner leg along the graph."""
+    def _graph_profile(self, q: Query, s: SystemData, curve: Curve,
+                       entry: _Flight) -> Profile:
+        """The outer leg, backward on the curve's orbit from the graph point
+        at the curve's graph radius to the boundary, or for a boundary
+        inside that radius the graph point at the boundary; then the inner
+        leg along the graph."""
         graph, pidx = curve.graph, curve.param_index
         p_s1 = (s.u_plus, s.theta_plus)[pidx]
         d = (q.left.u, q.left.theta)[pidx] - p_s1
@@ -362,7 +443,8 @@ class ExistenceEngine:
         w_start = math.copysign(curve.graph_radius, d / graph.e_slow[pidx])
         edge = graph.points(w_start)
         if abs(d) > abs(edge[pidx] - p_s1):
-            xi, pts, rows = self._backward_leg(q, s, edge, pidx)
+            orbit = self._orbit(entry, s, curve, w_start, edge)
+            xi, pts, rows = self._backward_leg(q, orbit, pidx)
         else:
             w_start = graph.w_at(pidx, d)
             pts = graph.points(w_start)[None, :]

@@ -364,12 +364,157 @@ def _accepted_step(fun, t, y, f, h_abs, direction, h_max, rtol, atol, st: _Stage
         rejected = True
 
 
+class Run:
+    """``integrate``'s step loop, resumable: the stepper state (t, y, f,
+    h_abs, stages) and every accepted step so far.
+
+    ``step`` takes one more accepted step.  Events do not steer the step
+    control, so the steps do not depend on when, or by whom, the run is
+    resumed, nor on where it will stop: the ``integrate`` call that stops
+    on step k of this run takes its first k steps.  ``crossing`` and
+    ``step_until`` find that k for an event, with ``integrate``'s test,
+    and ``stopped_by`` returns that call's result.
+
+    The record (the step ends, the start included, and one (t_old, t_new,
+    DenseStep) triple per step in ``segments``) only grows, and a step is
+    counted in ``n_steps`` only once all of it is stored, so readers may
+    scan the first ``n_steps`` steps while one writer steps on; the
+    caller serializes the writers.
+    """
+
+    __slots__ = ("fieldfn", "settings", "t", "y", "f", "h_abs", "direction",
+                 "h_max", "rtol", "atol", "stages", "segments", "_xs", "_ys", "_stacked")
+
+    def __init__(self, fieldfn: Callable[[float, np.ndarray], np.ndarray], start,
+                 settings: IntegrationSettings = IntegrationSettings()):
+        y0 = start.as_array() if isinstance(start, PhasePoint) else np.asarray(start, float)
+        if not np.all(np.isfinite(y0)):
+            raise NonFinite(f"start point {y0} is not finite")
+        self.fieldfn, self.settings = fieldfn, settings
+        self.t, self.y = 0.0, y0
+        self.f = fieldfn(self.t, y0)
+        _require_finite_field(self.f, self.t, y0)
+        # None until the first step: the initial-step rule costs a field call
+        self.h_abs = settings.h_init
+        self.direction = np.float64(1.0 if settings.direction == FORWARD else -1.0)
+        self.h_max, self.rtol = settings.h_max, settings.rel_tol
+        self.atol = np.asarray(settings.abs_tol)
+        self.stages = _Stages(y0.size)
+        self.segments = []
+        self._xs = [0.0]
+        self._ys = [y0.copy()]
+        # the step ends as arrays, as far as a scan has needed them
+        self._stacked = (np.empty(0), np.empty((0, y0.size)))
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.segments)
+
+    def step(self) -> DenseStep:
+        """Take and record one more accepted step; return its interpolant.
+
+        Raises StepUnderflow as ``integrate`` does, and then records nothing.
+        """
+        t_old, y_old = self.t, self.y
+        if self.h_abs is None:
+            self.h_abs = _initial_step(self.fieldfn, t_old, y_old, self.f, self.direction,
+                                       self.h_max, self.rtol, self.atol)
+        t, y, f, h_abs = _accepted_step(self.fieldfn, t_old, y_old, self.f, self.h_abs,
+                                        self.direction, self.h_max, self.rtol, self.atol,
+                                        self.stages)
+        if abs(t - t_old) < _MIN_STEP_FACTOR * (1.0 + abs(t)):
+            raise StepUnderflow(
+                f"step size {abs(t - t_old)} below floor at xi={t}")
+        seg = DenseStep(t_old, t, y_old, self.stages.K)
+        self.t, self.y, self.f, self.h_abs = t, y, f, h_abs
+        self._xs.append(t)
+        self._ys.append(y)
+        self.segments.append((t_old, t, seg))
+        return seg
+
+    def _ends(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The xi and points of the first n + 1 step ends as arrays.  Only
+        the ends no earlier call stacked are stacked; a stack is replaced,
+        never changed, so concurrent readers each see a whole one."""
+        xi, pts = self._stacked
+        if len(xi) <= n:
+            xi = np.concatenate([xi, np.asarray(self._xs[len(xi):n + 1])])
+            pts = np.concatenate([pts, np.array(self._ys[len(pts):n + 1])])
+            self._stacked = xi, pts
+        return xi[:n + 1], pts[:n + 1]
+
+    def crossing(self, ev: EventSpec) -> int | None:
+        """``integrate``'s verdict on ``ev`` over the steps taken so far: 0
+        if it triggers at the start, k if the first crossing is on step k,
+        None if there is none yet.
+
+        The test is ``integrate``'s, on the step ends, for all of them at
+        once: ``ev.fn`` must act elementwise on the (2, n) array of step
+        ends, as the component and axis events do.
+        """
+        xi, pts = self._ends(self.n_steps)
+        g = ev.fn(xi, pts.T)
+        if _immediate(ev, float(g[0])):
+            return 0
+        hits = (g[:-1] > 0.0) & (g[1:] <= 0.0)
+        if ev.direction == 0:
+            hits |= (g[:-1] < 0.0) & (g[1:] >= 0.0)
+        return int(np.argmax(hits)) + 1 if hits.any() else None
+
+    def step_until(self, ev: EventSpec) -> int | None:
+        """Step until ``ev`` is crossed on the last step, as ``integrate``
+        tests it; that step's index, or None once ``settings.max_steps``
+        steps are taken.  The steps taken so far must not cross it."""
+        g_prev = float(ev.fn(self.t, self.y))
+        while self.n_steps < self.settings.max_steps:
+            self.step()
+            g_new = float(ev.fn(self.t, self.y))
+            if _crossed(g_prev, g_new, ev.direction):
+                return self.n_steps
+            g_prev = g_new
+        return None
+
+    def stopped_by(self, ev: EventSpec, k: int | None) -> IntegrationResult:
+        """What ``integrate`` with this run's field, start, settings and the
+        one event ``ev`` returns, given ``k`` from ``crossing`` or
+        ``step_until``: None for a run that spent its step budget."""
+        if k is None:
+            return self._spent()
+        if k == 0:
+            return self._result(0, ev.kind, 0.0, self._ys[0])
+        t_old, t, seg = self.segments[k - 1]
+        g_old = float(ev.fn(t_old, self._ys[k - 1]))
+        t_ev = _bisect_event(ev, seg, t_old, t, g_old)
+        return self._result(k, ev.kind, t_ev, seg(t_ev))
+
+    def _spent(self) -> IntegrationResult:
+        """The whole run, ended by its step budget."""
+        n = self.n_steps
+        return self._result(n, BUDGET, float(self._xs[n]), self._ys[n])
+
+    def _result(self, k: int, kind: str, t, y) -> IntegrationResult:
+        """The run's first k steps, their last end moved to the stop (t, y)."""
+        xi = np.asarray(self._xs[:k + 1])
+        points = np.array(self._ys[:k + 1])
+        xi[-1], points[-1] = t, y
+        pt = PhasePoint(float(points[-1, 0]), float(points[-1, 1]))
+        return IntegrationResult(xi=xi, points=points, event=Event(kind, t, pt),
+                                 n_steps=k, segments=self.segments[:k])
+
+
 def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
               start,
               settings: IntegrationSettings = IntegrationSettings(),
               events: Sequence[EventSpec] = (),
               max_state_step: float | None = None) -> IntegrationResult:
     """Integrate a planar field from ``start`` until an event or the budget.
+
+    One ``Run``, stepped until the first event, and kept by nothing once
+    the call returns.  Events do not steer the step control, so for one
+    event and no ``max_state_step`` a longer run of the same field, start
+    and settings gives the same result, bit for bit, through
+    ``Run.crossing`` and ``Run.stopped_by``; the engine's profile legs are
+    made that way.
 
     Parameters
     ----------
@@ -407,13 +552,8 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
     if max_state_step is not None and not 0.0 < max_state_step < math.inf:
         raise ValueError(
             f"max_state_step must be None or finite and positive, got {max_state_step}")
-    y0 = start.as_array() if isinstance(start, PhasePoint) else np.asarray(start, float)
-    if not np.all(np.isfinite(y0)):
-        raise NonFinite(f"start point {y0} is not finite")
-    t, y = 0.0, y0
-    f = fieldfn(t, y)
-    _require_finite_field(f, t, y)
-    direction = np.float64(1.0 if settings.direction == FORWARD else -1.0)
+    run = Run(fieldfn, start, settings)
+    y0 = run.y
 
     # events already satisfied at the start trigger immediately; g_prev
     # holds each event's last value, in the order of ``events``
@@ -421,33 +561,12 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
     for ev in events:
         g0 = float(ev.fn(0.0, y0))
         if _immediate(ev, g0):
-            pt = PhasePoint(float(y0[0]), float(y0[1]))
-            return IntegrationResult(xi=np.array([0.0]), points=y0[None, :].copy(),
-                                     event=Event(ev.kind, 0.0, pt), n_steps=0)
+            return run.stopped_by(ev, 0)
         g_prev.append(g0)
 
-    rtol = settings.rel_tol
-    atol = np.asarray(settings.abs_tol)
-    if settings.h_init is None:
-        h_abs = _initial_step(fieldfn, t, y, f, direction, settings.h_max, rtol, atol)
-    else:
-        h_abs = settings.h_init
-    stages = _Stages(y0.size)
-    xs = [0.0]
-    ys = [y0.copy()]
-    segments = []
-    n_steps = 0
-    while n_steps < settings.max_steps:
-        t_old, y_old = t, y
-        t, y, f, h_abs = _accepted_step(fieldfn, t, y, f, h_abs, direction,
-                                        settings.h_max, rtol, atol, stages)
-        n_steps += 1
-        if abs(t - t_old) < _MIN_STEP_FACTOR * (1.0 + abs(t)):
-            raise StepUnderflow(
-                f"step size {abs(t - t_old)} below floor at xi={t}")
-        seg = DenseStep(t_old, t, y_old, stages.K)
-        segments.append((t_old, t, seg))
-
+    for _ in range(settings.max_steps):
+        seg = run.step()
+        t_old, t, y = seg.t_old, run.t, run.y
         triggered = []
         for i, ev in enumerate(events):
             g_new = float(ev.fn(t, y))
@@ -458,21 +577,16 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         if triggered:
             triggered.sort(key=lambda item: item[0])
             _, t, ev = triggered[0]
-            y = seg(t)
-        xs.append(float(t))
-        ys.append(y)
-        if triggered:
+            res = run._result(run.n_steps, ev.kind, t, seg(t))
             break
-
-    xi, points = np.asarray(xs), np.array(ys)
-    pt = PhasePoint(float(points[-1, 0]), float(points[-1, 1]))
-    event = Event(ev.kind, t, pt) if triggered else Event(BUDGET, xs[-1], pt)
+    else:
+        res = run._spent()
     if max_state_step is not None:
-        xi, at, k = capped_knots(xi, points, max_state_step)
-        points = points[at]
+        xi, at, k = capped_knots(res.xi, res.points, max_state_step)
+        points = res.points[at]
         inner = k > 0
         if inner.any():
-            points[inner] = _dense_values(*_stacked([seg for _, _, seg in segments],
+            points[inner] = _dense_values(*_stacked([seg for _, _, seg in res.segments],
                                                     xi[inner], at[inner]))
-    return IntegrationResult(xi=xi, points=points, event=event,
-                             n_steps=n_steps, segments=segments)
+        res.xi, res.points = xi, points
+    return res

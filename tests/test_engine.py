@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 import sys
 import threading
 import time
@@ -16,8 +18,8 @@ from inflow_layer.engine import (CURVE_TRIVIAL, REASON_MASS_FLUX,
                                  REASON_NONPOSITIVE_U_PLUS, REASON_OFF_CURVE,
                                  REASON_OUT_OF_RANGE, REASON_SUPERSONIC,
                                  REASON_TRUNCATED)
-from inflow_layer.integrator import dense_eval, integrate
-from inflow_layer.system import _residual_pair
+from inflow_layer.integrator import component_crosses, dense_eval, integrate
+from inflow_layer.system import _residual_pair, build_system, phase_field
 from inflow_layer.tracer import TERMINAL_BUDGET, TraceOptions
 
 
@@ -387,28 +389,41 @@ LEG_CASES = [("subsonic", "gamma1"), ("subsonic", "gamma2"),
              ("subcase_b", "gamma2"), ("transonic", "sigma")]
 
 
-def _profile_and_leg(request, engine, gas, monkeypatch, case, label):
-    """A mid-curve profile and the IntegrationResult of its backward leg."""
-    import inflow_layer.engine as engine_module
+def _leg_by_integrate(q, curve):
+    """The profile's backward leg as one ``integrate`` call makes it: from
+    the curve's graph point at its graph radius to the boundary parameter;
+    None for a boundary inside that radius, which takes no leg."""
+    s = build_system(q.gas, q.right)
+    graph, pidx = curve.graph, curve.param_index
+    p_s1, bparam = (s.u_plus, s.theta_plus)[pidx], (q.left.u, q.left.theta)[pidx]
+    edge = graph.points(math.copysign(curve.graph_radius,
+                                      (bparam - p_s1) / graph.e_slow[pidx]))
+    if abs(bparam - p_s1) <= abs(edge[pidx] - p_s1):
+        return None
+    return integrate(phase_field(s), edge, engine_module._LEG_SETTINGS,
+                     events=[component_crosses(pidx, bparam)])
 
+
+def _profile_and_leg(request, engine, gas, case, label):
+    """A mid-curve profile on the shared engine and its backward leg made by
+    ``integrate`` alone."""
     right = request.getfixturevalue(f"right_{case}")
     curve = request.getfixturevalue(f"{case}_curves")[label]
     q = Query(_left_for(curve, len(curve.samples) // 2, right), right, gas)
-    runs = []
-
-    def recording(*args, **kwargs):
-        runs.append(integrate(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(engine_module, "integrate", recording)
     prof = engine.compute_profile(q)
-    assert prof.curve == label and len(runs) == 1
-    return prof, runs[0]
+    assert prof.curve == label
+    return prof, _leg_by_integrate(q, curve)
+
+
+def _orbit_steps(eng) -> list[int]:
+    """The steps each profile orbit of the engine's cache has stored."""
+    return [orbit.run.n_steps for entry in eng._cache.values()
+            for orbit in entry.orbits.values()]
 
 
 @pytest.mark.parametrize("case,label", LEG_CASES)
-def test_dense_eval_equals_each_step(request, engine, gas, monkeypatch, case, label):
-    _, res = _profile_and_leg(request, engine, gas, monkeypatch, case, label)
+def test_dense_eval_equals_each_step(request, engine, gas, case, label):
+    _, res = _profile_and_leg(request, engine, gas, case, label)
     steps = [seg for _, _, seg in res.segments]
     assert len(steps) > 50
     for frac in (0.0, 0.5, 0.9, 1.0):
@@ -423,9 +438,8 @@ def test_dense_eval_equals_each_step(request, engine, gas, monkeypatch, case, la
 
 
 @pytest.mark.parametrize("case,label", LEG_CASES)
-def test_array_residual_equals_scalar_loop(request, engine, gas, monkeypatch, case,
-                                           label):
-    prof, res = _profile_and_leg(request, engine, gas, monkeypatch, case, label)
+def test_array_residual_equals_scalar_loop(request, engine, gas, case, label):
+    prof, res = _profile_and_leg(request, engine, gas, case, label)
     s = prof.system
     # the leg's rows come first, one per step part inside [t_event, 0] that is
     # at least 1e-5 long, at its midpoint; the inner leg adds one row per
@@ -453,17 +467,9 @@ def test_array_residual_equals_scalar_loop(request, engine, gas, monkeypatch, ca
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-5])
 @pytest.mark.parametrize("label", ["gamma1", "gamma2"])
-def test_near_sonic_profile_rides_the_graph(gas, monkeypatch, gap, label):
+def test_near_sonic_profile_rides_the_graph(gas, gap, label):
     # the slow tail decays at |lambda2| ~ 1 - M+; an integrator leg from
     # S1 crawled there and ran out of its step budget at 1 - M+ = 1e-5
-    steps = []
-
-    def counted(*args, **kwargs):
-        res = integrate(*args, **kwargs)
-        steps.append(res.n_steps)
-        return res
-
-    monkeypatch.setattr(engine_module, "integrate", counted)
     right = EndState(1.0, (1.0 - gap) * math.sqrt(1.4), 1.0)
     eng = ExistenceEngine()
     c = eng.curves_for(gas, right)[label]
@@ -471,7 +477,7 @@ def test_near_sonic_profile_rides_the_graph(gas, monkeypatch, gap, label):
     assert prof.metrics["residual_sup"] <= 1e-8
     assert prof.metrics["monotone_ok"]
     assert prof.metrics["endpoint_gap"] <= 1e-8
-    assert sum(steps) <= 1000
+    assert sum(_orbit_steps(eng)) <= 1000
 
 
 def test_profile_far_beyond_the_graph_radius():
@@ -634,6 +640,164 @@ class TestCurveCache:
         assert eng.curves_for(gas, a) is first        # a is now the newest
         eng.curves_for(gas, c)                        # evicts b
         assert eng.curves_for(gas, a) is first
+
+
+def _profile_bytes(prof) -> tuple:
+    """Every bit of a profile: its samples, residual rows and metrics."""
+    return (prof.xi.tobytes(), prof.V.tobytes(), prof.U.tobytes(), prof.Theta.tobytes(),
+            prof.residual_rows.tobytes(), repr(prof.metrics))
+
+
+ORBIT_CURVES = [("subsonic", "gamma1"), ("subsonic", "gamma2"), ("transonic", "sigma")]
+
+
+def _five_on(request, gas, case, label):
+    """The curve and five flux-compatible boundaries spread along it."""
+    right = request.getfixturevalue(f"right_{case}")
+    curve = request.getfixturevalue(f"{case}_curves")[label]
+    n = len(curve.samples)
+    return curve, [Query(_left_for(curve, n * (k + 1) // 6, right), right, gas)
+                   for k in range(5)]
+
+
+class TestProfileOrbits:
+    """Profiles on one curve side are prefixes of one backward run that the
+    cache entry keeps; no history of earlier profiles may move a bit."""
+
+    @pytest.mark.parametrize("case,label", ORBIT_CURVES)
+    def test_profiles_do_not_depend_on_cache_history(self, request, gas, case, label):
+        curve, queries = _five_on(request, gas, case, label)
+        fresh = [_profile_bytes(ExistenceEngine().compute_profile(q)) for q in queries]
+        legs = [leg.n_steps for leg in (_leg_by_integrate(q, curve) for q in queries)
+                if leg is not None]
+        assert len(legs) >= 3
+        shuffled = list(range(5))
+        random.Random(7).shuffle(shuffled)
+        for order in (list(range(5)), list(range(5))[::-1], shuffled):
+            eng = ExistenceEngine()
+            got = {i: _profile_bytes(eng.compute_profile(queries[i])) for i in order}
+            assert [got[i] for i in range(5)] == fresh, order
+            # one orbit, holding the steps to the farthest boundary and no more
+            assert _orbit_steps(eng) == [max(legs)]
+
+    @pytest.mark.parametrize("case,label", ORBIT_CURVES)
+    def test_threads_profiling_one_curve_agree(self, request, gas, case, label):
+        _, queries = _five_on(request, gas, case, label)
+        fresh = [_profile_bytes(ExistenceEngine().compute_profile(q)) for q in queries]
+        eng = ExistenceEngine()
+        eng.curves_for(gas, queries[0].right)      # the threads race on the orbit only
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        results, errors = [], []
+
+        def caller(j):
+            # each thread starts at another boundary, half of them going back
+            order = list(range(j, 5)) + list(range(j))
+            order = order[::-1] if j % 2 else order
+            try:
+                barrier.wait(timeout=10)
+                for i in order:
+                    results.append((i, _profile_bytes(eng.compute_profile(queries[i]))))
+            except Exception as exc:     # reported by the assertions below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(j,)) for j in range(n_threads)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == [] and len(results) == 5 * n_threads
+        for i, got in results:
+            assert got == fresh[i], i
+        assert len(_orbit_steps(eng)) == 1
+
+    def test_step_budget_raises_as_on_a_fresh_engine(self, request, gas, monkeypatch):
+        curve, queries = _five_on(request, gas, "subsonic", "gamma1")
+        near, far = queries[1], queries[4]
+        k_near, k_far = (_leg_by_integrate(q, curve).n_steps for q in (near, far))
+        assert k_near < k_far
+        budget = (k_near + k_far) // 2
+        monkeypatch.setattr(engine_module, "_LEG_SETTINGS",
+                            dataclasses.replace(engine_module._LEG_SETTINGS,
+                                                max_steps=budget))
+        with pytest.raises(ProfileDiverged, match="budget") as fresh:
+            ExistenceEngine().compute_profile(far)
+        want_near = _profile_bytes(ExistenceEngine().compute_profile(near))
+        eng = ExistenceEngine()
+        assert _profile_bytes(eng.compute_profile(near)) == want_near
+        for _ in range(2):          # on a run stepped on to its budget, then on a spent one
+            with pytest.raises(ProfileDiverged) as warm:
+                eng.compute_profile(far)
+            assert str(warm.value) == str(fresh.value)
+            assert _orbit_steps(eng) == [budget]
+        # the steps of the spent run still serve the boundaries they reach
+        assert _profile_bytes(eng.compute_profile(near)) == want_near
+
+    def test_borderline_landing_still_raises(self, request, gas):
+        curve, queries = _five_on(request, gas, "subsonic", "gamma1")
+        on = queries[2]
+        verdict = ExistenceEngine().decide(on)
+        assert verdict.exists and curve.param_index == 0
+        # theta, gamma1's value coordinate, 20 membership tolerances off the curve
+        bump = 20 * on.tolerances.tol_member * on.right.theta
+        off = Query(EndState(on.left.v, on.left.u, on.left.theta + bump), on.right, gas)
+        with pytest.raises(ProfileDiverged, match="borderline") as fresh:
+            ExistenceEngine().compute_profile(off, verdict)
+        eng = ExistenceEngine()
+        for q in (on, queries[4]):   # the orbit stopped at, then beyond, the boundary
+            eng.compute_profile(q)
+            with pytest.raises(ProfileDiverged) as warm:
+                eng.compute_profile(off, verdict)
+            assert str(warm.value) == str(fresh.value)
+
+    def test_boundary_inside_the_graph_radius_takes_no_step(
+            self, gas, monkeypatch, right_transonic, transonic_curves):
+        evals = []
+
+        def counting(s):
+            fun = phase_field(s)
+
+            def counted(t, y):
+                evals.append(t)
+                return fun(t, y)
+
+            return counted
+
+        monkeypatch.setattr(engine_module, "phase_field", counting)
+        sigma = transonic_curves["sigma"]
+        inside = Query(_left_at(sigma, 0.9995 * right_transonic.u, right_transonic),
+                       right_transonic, gas)
+        beyond = Query(_left_for(sigma, len(sigma.samples) // 2, right_transonic),
+                       right_transonic, gas)
+        assert _leg_by_integrate(inside, sigma) is None
+        assert _leg_by_integrate(beyond, sigma) is not None
+        want = _profile_bytes(ExistenceEngine().compute_profile(inside))
+        eng = ExistenceEngine()
+        evals.clear()
+        assert _profile_bytes(eng.compute_profile(inside)) == want
+        assert evals == [] and _orbit_steps(eng) == []
+        eng.compute_profile(beyond)
+        n_evals, steps = len(evals), _orbit_steps(eng)
+        assert n_evals > 0 and steps[0] > 0
+        # on a warm orbit too, the graph point alone
+        assert _profile_bytes(eng.compute_profile(inside)) == want
+        assert len(evals) == n_evals and _orbit_steps(eng) == steps
+
+    def test_orbits_leave_with_their_cache_entry(self, request, gas, monkeypatch):
+        monkeypatch.setattr(engine_module, "CURVE_CACHE_SIZE", 1)
+        _, queries = _five_on(request, gas, "subsonic", "gamma1")
+        eng = ExistenceEngine()
+        first = _profile_bytes(eng.compute_profile(queries[4]))
+        assert len(_orbit_steps(eng)) == 1
+        eng.curves_for(gas, EndState(1.0, 0.9, 1.0))   # evicts the canonical far field
+        assert _orbit_steps(eng) == []
+        assert _profile_bytes(eng.compute_profile(queries[4])) == first
 
 
 def test_verdict_continuous_across_the_sonic_band_edge(gas):

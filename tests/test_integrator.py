@@ -9,8 +9,8 @@ from inflow_layer import (Event, EventSpec, IntegrationSettings, NonFinite,
                           component_crosses, eigen_2x2, integrate, left_region,
                           near_equilibrium, phase_field, theta_crosses_zero,
                           transonic_frame, u_crosses_zero)
-from inflow_layer.integrator import (BACKWARD, BUDGET, MAX_INSERTED, DenseStep,
-                                     _rms, dense_eval)
+from inflow_layer.integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, MAX_INSERTED,
+                                     DenseStep, Run, _rms, dense_eval)
 from inflow_layer.tracer import CAPTURE_RADIUS
 
 
@@ -338,3 +338,75 @@ def test_emitted_points_are_step_ends_and_their_sub_samples(real_runs):
             most = max(most, stop - start - 1)
             start = stop
         assert most >= (300 if name == "gamma1" else 1), name
+
+
+def _run_bits(res) -> tuple:
+    """Every bit of an IntegrationResult that ``integrate`` promises: xi,
+    points, the event, the step count, and each step's bounds and dense
+    values at fractions 0, 0.5 and 1."""
+    ev = res.event
+    dense = [seg(t0 + frac * (t1 - t0)).tobytes()
+             for t0, t1, seg in res.segments for frac in (0.0, 0.5, 1.0)]
+    return (res.xi.tobytes(), res.points.tobytes(), ev.kind, type(ev.xi),
+            float(ev.xi).hex(), float(ev.point.u).hex(), float(ev.point.theta).hex(),
+            res.n_steps, [(float(t0).hex(), float(t1).hex()) for t0, t1, _ in res.segments],
+            dense)
+
+
+def test_run_prefixes_equal_separate_integrate_calls(gas, right_subsonic):
+    # one backward run along gamma1, stepped on only as far as each boundary
+    # needs, stops at each as a separate integrate call does
+    s = build_system(gas, right_subsonic)
+    start = np.array([s.u_plus, s.theta_plus]) - 1e-3 * s.scale * eigen_2x2(s.matrix).e2
+    settings = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15, direction=BACKWARD)
+    run = Run(phase_field(s), start, settings)
+    bounds = [f * s.u_plus for f in (0.9, 0.7, 0.5, 0.3, 0.1)]   # each one farther on
+    want = {b: integrate(phase_field(s), start, settings, [component_crosses(0, b)])
+            for b in bounds}
+    for b in bounds:
+        ev = component_crosses(0, b)
+        assert run.crossing(ev) is None
+        k = run.step_until(ev)
+        # the run stores the steps up to the farthest boundary and no more
+        assert k == run.n_steps == want[b].n_steps
+        assert want[b].event.kind == COMPONENT_CROSSES
+        assert _run_bits(run.stopped_by(ev, k)) == _run_bits(want[b])
+    assert run.n_steps > 64            # the record grew past its first size
+    # every boundary short of the last is now a scan of the stored steps
+    for b in reversed(bounds):
+        ev = component_crosses(0, b)
+        assert _run_bits(run.stopped_by(ev, run.crossing(ev))) == _run_bits(want[b])
+    # a boundary at the start triggers there, before any step
+    ev = component_crosses(0, float(start[0]))
+    assert run.crossing(ev) == 0
+    assert _run_bits(run.stopped_by(ev, 0)) == _run_bits(
+        integrate(phase_field(s), start, settings, [ev]))
+
+
+def test_run_budget_equals_integrate_budget(gas, right_subsonic):
+    s = build_system(gas, right_subsonic)
+    start = np.array([s.u_plus, s.theta_plus]) - 1e-3 * s.scale * eigen_2x2(s.matrix).e2
+    settings = IntegrationSettings(direction=BACKWARD, max_steps=30)
+    ev = component_crosses(0, 0.1 * s.u_plus)
+    run = Run(phase_field(s), start, settings)
+    assert run.step_until(ev) is None and run.n_steps == 30
+    want = integrate(phase_field(s), start, settings, [ev])
+    assert want.event.kind == BUDGET
+    assert _run_bits(run.stopped_by(ev, None)) == _run_bits(want)
+
+
+def test_run_scan_finds_the_first_crossing_of_many():
+    # on a circle every level is crossed twice a turn, once each way, and
+    # the run goes round several times
+    field = lambda t, y: np.array([-y[1], y[0]])
+    start, settings = PhasePoint(1.0, 0.0), IntegrationSettings(max_steps=800)
+    run = Run(field, start, settings)
+    assert run.step_until(component_crosses(0, 2.0)) is None
+    assert run.t > 3 * 2 * math.pi
+    for ev in (component_crosses(1, 0.5),            # first crossed rising
+               component_crosses(0, -0.5),           # first crossed falling
+               EventSpec("falling", lambda t, y: 0.5 - y[1]),
+               EventSpec("falling", lambda t, y: y[1] + 0.5)):
+        want = integrate(field, start, settings, [ev])
+        assert want.event.kind == ev.kind and want.event.xi < 2 * math.pi
+        assert _run_bits(run.stopped_by(ev, run.crossing(ev))) == _run_bits(want)

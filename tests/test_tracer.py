@@ -397,7 +397,7 @@ class TestRandomSubsonicSweep:
             assert g2.terminal in (TERMINAL_CONVERGED_TO_S2, TERMINAL_HIT_THETA_AXIS)
 
 
-SOUND = math.sqrt(1.4)
+SOUND = math.sqrt(1.4)                            # canonical gas at theta+ = 1
 NEAR_SONIC = [1e-3, 1e-4, 1e-5, 1e-6, 1e-7]       # 1 - M+
 TOL_MEMBER = 1e-6
 
@@ -669,7 +669,6 @@ class TestGraphGrid:
         assert np.array_equal(k, np.append(np.arange(MAX_INSERTED + 1), 0))
 
 
-SOUND = math.sqrt(1.4)   # canonical gas at theta+ = 1
 LADDER_U = (1.0, 0.3, SOUND, (1.0 - 1e-2) * SOUND, (1.0 - 1e-3) * SOUND)
 
 

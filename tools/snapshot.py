@@ -16,7 +16,9 @@ copy placed in another checkout snapshots that checkout.  The output set:
   leaves S1 along);
 * the query-mix cases of seeds 0 and 1: the verdict of each, and the xi, V,
   U, Theta and metrics of each profile (``metrics.residual_sup`` pins the
-  residual rows);
+  residual rows); and all of them again, on the same warm engine in
+  reverse case order (``query_mix_reversed``), which must give the same
+  bits whatever the engine's profile orbits already hold;
 * sonic verdicts and profiles at u-/u+ = 0.5, 0.9995 and 0.99999, and
   sigma's predictions between S1 and its first offset sample;
 * near-sonic verdicts and profiles at 1-M+ = 1e-2 and 1e-3, with the
@@ -200,6 +202,9 @@ def snapshot() -> dict:
         for i, case in enumerate(mix.cases):
             out[f"query_mix/{seed}/{i:03d}"] = _decided(mix.engine, case.query,
                                                         verdict_to_dict)
+        for i in reversed(range(len(mix.cases))):
+            out[f"query_mix_reversed/{seed}/{i:03d}"] = _decided(
+                mix.engine, mix.cases[i].query, verdict_to_dict)
 
     engine = ExistenceEngine()
     right = wl.SONIC
