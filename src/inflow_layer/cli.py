@@ -12,14 +12,17 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .engine import (ExistenceEngine, Query, Tolerances, decay_to_dict,
                      export_profile_csv, verdict_to_dict)
 from .errors import ConfigError, LayerError
-from .gas import (EndState, GasParams, TOL_FLUX, TOL_MACH, classify_regime)
+from .gas import (EndState, GasParams, TOL_FLUX, TOL_MACH, classify_regime,
+                  require_positive)
 from .linearize import eigen_2x2, saddle_graph
 from .portrait import render_portrait
 from .system import build_system
@@ -226,7 +229,21 @@ def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
     The far-field velocity is set from each Mach number; rows come back in
     grid order, each labelled with its regime for the transonic band
     half-width ``tol_M``.  Subsonic rows carry the actual traced terminal
-    kind of the gamma2 branch.
+    kind of the gamma2 branch, or ``"error:<Type>"`` when its trace raised
+    a ``LayerError``.
+
+    Each row is a pure function of its Mach number, so the rows may be
+    computed anywhere: with k = min(usable CPUs, subsonic rows // 4) of
+    at least 2, and when the process can fork and runs no other thread,
+    the grid is split into k interleaved shares ``machs[j::k]``, each
+    spanning the whole Mach range.  This process computes share 0 and
+    k - 1 forked children the others; each child sends its rows back by
+    pickle, which carries every float and its type exactly, and the rows
+    are put back in grid order.  Otherwise the rows are computed here, one
+    after another.  Either way the rows have the same bits, and an
+    exception other than a ``LayerError`` of a trace propagates with its
+    type: that of the first row, in grid order, that raises.  No child
+    outlives the call.
     """
     sound = math.sqrt(gas.R * gas.gamma * theta_plus)
 
@@ -255,7 +272,99 @@ def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
                 row["gamma2_terminal"] = f"error:{type(exc).__name__}"
         return row
 
-    return [one(m) for m in machs]
+    machs = list(machs)
+    k = _shares(machs, tol_M)
+    if k <= 1:
+        return [one(m) for m in machs]
+    return _split(one, machs, k)
+
+
+def _shares(machs, tol_M: float) -> int:
+    """How many processes share a sweep: min(usable CPUs, subsonic rows //
+    4), or 1 where the process cannot fork or runs another thread.
+
+    A subsonic row traces gamma2, about 8 ms on a 2-core VM; the other
+    rows cost microseconds.  There, splitting 3 subsonic rows in two
+    already gains nothing (23 ms either way), hence the 4.  A process with
+    other threads is not forked: a lock one of them holds would stay held
+    in the child.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    subsonic = sum(1 for m in machs if 0.0 <= m < 1.0 - tol_M)
+    return min(cpus, subsonic // 4)
+
+
+def _rows(one, machs) -> tuple[list[dict], Exception | None]:
+    """The rows of ``machs`` in order up to the first that raises, and
+    that exception (None when every row is made)."""
+    rows = []
+    try:
+        for m in machs:
+            rows.append(one(m))
+    except Exception as exc:
+        return rows, exc
+    return rows, None
+
+
+def _split(one, machs: list, k: int) -> list[dict]:
+    """``[one(m) for m in machs]`` in k interleaved shares: share 0 here,
+    shares 1 .. k-1 in forked children, which send their rows back by
+    pickle and exit.  Raises the exception of the first row, in grid
+    order, that raises.  Every child is reaped before the call returns or
+    raises; when an exception cuts the call short, every child still
+    running is killed first."""
+    import pickle
+    import signal
+    shares = [machs[j::k] for j in range(k)]
+    children = []                  # (pid, read end) of shares 1 .. k-1
+    done = False
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:           # the child: never returns into the caller
+                status = 1
+                try:
+                    os.close(r)
+                    data = pickle.dumps(_rows(one, share))
+                    with open(w, "wb") as fh:
+                        fh.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = [_rows(one, shares[0])]
+        for pid, fh in children:
+            data = fh.read()
+            if not data:
+                raise RuntimeError(f"sweep share process {pid} exited sending no rows")
+            results.append(pickle.loads(data))
+        done = True
+    finally:
+        for pid, fh in children:
+            fh.close()
+            if not done:           # unreaped, so the pid is still the child's
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [(j + k * len(rows), exc)
+              for j, (rows, exc) in enumerate(results) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    out = [None] * len(machs)
+    for j, (rows, _exc) in enumerate(results):
+        out[j::k] = rows
+    return out
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -263,8 +372,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     _require(cfg, ("v_plus", "theta_plus", "mach_min", "mach_max"), "sweep")
     if cfg.mach_points < 2:
         raise ConfigError("sweep requires mach_points >= 2")
-    if not 0.0 < cfg.mach_min < cfg.mach_max:
-        raise ConfigError("sweep requires 0 < mach_min < mach_max")
+    try:
+        require_positive(cfg, ("v_plus", "theta_plus"))
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
+    if not 0.0 < cfg.mach_min < cfg.mach_max < math.inf:
+        raise ConfigError("sweep requires 0 < mach_min < mach_max < inf")
     machs = [cfg.mach_min + i * (cfg.mach_max - cfg.mach_min) / (cfg.mach_points - 1)
              for i in range(cfg.mach_points)]
     rows = run_sweep(gas, cfg.v_plus, cfg.theta_plus, machs,

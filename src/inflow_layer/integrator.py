@@ -39,6 +39,8 @@ BUDGET = "budget"
 _MIN_STEP_FACTOR = 1e-14
 MAX_INSERTED = 1000   # knots ``capped_knots`` inserts into one segment at most
 MIN_REL_TOL = 100 * np.finfo(float).eps   # below it the error estimate is noise
+_BISECT_LEVELS = 5    # halvings whose midpoints one dense-output call evaluates
+_BISECT_NODES = 2 ** _BISECT_LEVELS - 1
 
 # Dormand-Prince 5(4) tableau with the dense-output matrix P for the optimum
 # c_6 of Shampine (1986), written exactly as in scipy's RK45 so that every
@@ -182,18 +184,34 @@ def _bisect_event(ev: EventSpec, seg, t_lo: float, t_hi: float,
     """Bisect the event location on a step's dense output.
 
     Returns the triggered side of the final bracket, with width at most
-    1e-12 * (1 + |t|).
+    1e-12 * (1 + |t|), after at most 200 halvings.  The midpoints that the
+    next ``_BISECT_LEVELS`` halvings can reach are made first, each as
+    ``0.5 * (a + b)`` of its bracket, and evaluated in one dense-output
+    call, whose values have ``DenseStep.__call__``'s bits; the walk down
+    them takes the one-point loop's decisions, so the result is that
+    loop's, bit for bit and of the same type.
     """
     a, b = t_lo, t_hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if abs(b - a) <= 1e-12 * (1.0 + abs(mid)):
-            break
-        g_mid = ev.fn(mid, seg(mid))
-        if _crossed(g_lo, g_mid, ev.direction):
-            b = mid
-        else:
-            a = mid
+    left = 200
+    while left:
+        # breadth first: node i halves its bracket into nodes 2i+1 (lower) and 2i+2
+        brackets, mids = [(a, b)], []
+        for lo, hi in brackets:
+            mid = 0.5 * (lo + hi)
+            mids.append(mid)
+            if len(brackets) < _BISECT_NODES:
+                brackets += [(lo, mid), (mid, hi)]
+        ys = seg.values(mids)
+        i = 0
+        for _ in range(min(_BISECT_LEVELS, left)):
+            left -= 1
+            mid = mids[i]
+            if abs(b - a) <= 1e-12 * (1.0 + abs(mid)):
+                return b
+            if _crossed(g_lo, ev.fn(mid, ys[i]), ev.direction):
+                b, i = mid, 2 * i + 1
+            else:
+                a, i = mid, 2 * i + 2
     return b
 
 
@@ -217,8 +235,12 @@ class DenseStep:
         self.y_old = y_old
 
     def __call__(self, t) -> np.ndarray:
-        x = (np.asarray([t], dtype=float) - self.t_old) / self.h
-        return _dense_values(self.Q, self.h, self.y_old, x)[0]
+        return self.values([t])[0]
+
+    def values(self, t) -> np.ndarray:
+        """The value at each t[i], one row each, with ``__call__``'s bits."""
+        x = (np.asarray(t, dtype=float) - self.t_old) / self.h
+        return _dense_values(self.Q, self.h, self.y_old, x)
 
 
 def _dense_values(Q, h, y_old, x: np.ndarray) -> np.ndarray:

@@ -41,7 +41,9 @@ def right_subcase_b():
 
 @pytest.fixture
 def graph_builds(monkeypatch):
-    """The system of every ``slow_graph`` build made while the test runs."""
+    """The system of every ``slow_graph`` build this process makes while the
+    test runs.  A build in a forked child, such as a ``run_sweep`` share, is
+    not counted."""
     from inflow_layer import linearize
     builds = []
     build = linearize.slow_graph

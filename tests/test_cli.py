@@ -1,9 +1,12 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,9 +14,11 @@ import numpy as np
 import pytest
 
 import inflow_layer
+from inflow_layer import cli
 from inflow_layer.cli import main, load_config_file, run_sweep
-from inflow_layer.errors import ConfigError
+from inflow_layer.errors import ConfigError, TraceFailed
 from inflow_layer.gas import GasParams, classify_regime
+from inflow_layer.tracer import trace_gamma
 
 SUBSONIC = ["--gamma", "1.4", "--R", "1", "--mu", "1", "--kappa", "1",
             "--v-plus", "1", "--u-plus", "1", "--theta-plus", "1"]
@@ -222,10 +227,11 @@ class TestSweep:
             mach = float(r["mach_plus"])
             assert np.sign(det) == np.sign(mach ** 2 - 1.0)
 
-    def test_one_graph_per_subsonic_row(self, graph_builds):
+    def test_one_graph_per_subsonic_row(self, graph_builds, forks):
+        # two subsonic rows are too few to split, so every build is counted here
         rows = run_sweep(GasParams(1.4, 1.0, 1.0, 1.0), 1.0, 1.0, [0.5, 0.8, 1.2])
         assert [r["regime"] for r in rows] == ["subsonic", "subsonic", "supersonic"]
-        assert len(graph_builds) == 2
+        assert len(graph_builds) == 2 and forks == []
 
     def test_terminal_kind_flips_at_alpha2_boundary(self):
         gas = GasParams(1.4, 1.0, 1.0, 1.0)
@@ -258,6 +264,161 @@ class TestSweep:
                    "--mach-min", "1.2", "--mach-max", "0.4",
                    "--mach-points", "5"])
         assert rc == 1
+
+    @pytest.mark.parametrize("bad", [
+        ["--theta-plus", "-1"], ["--theta-plus", "0"], ["--theta-plus", "nan"],
+        ["--theta-plus", "inf"], ["--v-plus", "-1"], ["--v-plus", "nan"],
+        ["--mach-max", "inf"], ["--mach-max", "nan"], ["--mach-min", "nan"]])
+    def test_bad_far_field_or_range_is_an_error_line(self, bad, tmp_path, capsys, forks):
+        rc = main(["sweep", "--gamma", "1.4", "--R", "1", "--mu", "1",
+                   "--kappa", "1", "--v-plus", "1", "--theta-plus", "1",
+                   "--mach-min", "0.3", "--mach-max", "1.2", "--mach-points", "40",
+                   "--out", str(tmp_path), *bad])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == "" and forks == []
+        assert len(err.splitlines()) == 1 and err.startswith("error: sweep")
+        assert not (tmp_path / "sweep.csv").exists()
+
+
+GAS = GasParams(1.4, 1.0, 1.0, 1.0)
+SUBSONIC_GRID = np.linspace(0.3, 0.9, 12).tolist()   # alpha2 changes sign inside
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child ``os.fork`` makes while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _reaped(pids) -> bool:
+    """No child process of this one is left, running or as a zombie."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    return multiprocessing.active_children() == []
+
+
+def _bits(rows):
+    return [{k: float(v).hex() if isinstance(v, float) else str(v) for k, v in r.items()}
+            for r in rows]
+
+
+def _failing_trace(monkeypatch, failures):
+    """Make ``cli.trace_gamma`` raise ``failures[i]`` at SUBSONIC_GRID[i]."""
+    def trace_or_raise(s, graph, branch, opts):
+        for i, exc in failures.items():
+            if s.mach_plus == pytest.approx(SUBSONIC_GRID[i], rel=1e-12):
+                raise exc
+        return trace_gamma(s, graph, branch, opts)
+
+    monkeypatch.setattr(cli, "trace_gamma", trace_or_raise)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+class TestSweepSplit:
+    """``run_sweep`` over k interleaved shares in forked children."""
+
+    def test_split_rows_equal_one_point_calls(self, forks, two_cpus):
+        # the acceptance grid; a one-point call has no subsonic rows to split
+        machs = np.linspace(0.25, 1.25, 200).tolist()
+        rows = run_sweep(GAS, 1.0, 1.0, machs)
+        assert len(forks) == 1 and _reaped(forks)
+        alone = [run_sweep(GAS, 1.0, 1.0, [m])[0] for m in machs]
+        assert len(forks) == 1
+        assert _bits(rows) == _bits(alone)
+        assert [type(v) for r in rows for v in r.values()] == \
+               [type(v) for r in alone for v in r.values()]
+
+    def test_split_rule(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        # eight usable CPUs: 12 subsonic rows make 3 shares, 7 make 1
+        assert cli._shares(SUBSONIC_GRID + [1.0, 1.5], 1e-8) == 3
+        assert cli._shares(SUBSONIC_GRID[:7], 1e-8) == 1
+        rows = run_sweep(GAS, 1.0, 1.0, SUBSONIC_GRID)
+        assert len(forks) == 2 and _reaped(forks)
+        assert [r["mach_plus"] for r in rows] == SUBSONIC_GRID
+
+    def test_one_usable_cpu_forks_nothing(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        rows = run_sweep(GAS, 1.0, 1.0, SUBSONIC_GRID)
+        assert forks == [] and len(rows) == len(SUBSONIC_GRID)
+
+    def test_another_thread_forks_nothing(self, forks, two_cpus):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            rows = run_sweep(GAS, 1.0, 1.0, SUBSONIC_GRID)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == [] and len(rows) == len(SUBSONIC_GRID)
+
+    def test_a_childs_exception_keeps_its_type(self, forks, two_cpus, monkeypatch):
+        # row 3 is in the child's share, row 4 in the caller's
+        _failing_trace(monkeypatch, {3: ValueError("injected at row 3")})
+        with pytest.raises(ValueError, match="injected at row 3"):
+            run_sweep(GAS, 1.0, 1.0, SUBSONIC_GRID)
+        assert len(forks) == 1 and _reaped(forks)
+
+    def test_the_first_failing_row_in_grid_order_raises(self, forks, two_cpus,
+                                                       monkeypatch):
+        _failing_trace(monkeypatch, {4: KeyError("row 4"), 3: ValueError("row 3")})
+        with pytest.raises(ValueError, match="row 3"):
+            run_sweep(GAS, 1.0, 1.0, SUBSONIC_GRID)
+        _failing_trace(monkeypatch, {2: KeyError("row 2"), 3: ValueError("row 3")})
+        with pytest.raises(KeyError, match="row 2"):
+            run_sweep(GAS, 1.0, 1.0, SUBSONIC_GRID)
+        assert len(forks) == 2 and _reaped(forks)
+
+    def test_no_child_outlives_an_interrupted_sweep(self, forks, two_cpus, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        # an interrupt in the caller's share kills the child at once
+        caller = os.getpid()
+
+        def interrupted_or_stuck(*args):
+            if os.getpid() == caller:
+                raise Interrupt()
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "trace_gamma", interrupted_or_stuck)
+        start = time.perf_counter()
+        with pytest.raises(Interrupt):
+            run_sweep(GAS, 1.0, 1.0, SUBSONIC_GRID)
+        assert time.perf_counter() - start < 30
+        # a child ended by one sends no rows
+        _failing_trace(monkeypatch, {1: Interrupt()})
+        with pytest.raises(RuntimeError, match="sending no rows"):
+            run_sweep(GAS, 1.0, 1.0, SUBSONIC_GRID)
+        assert len(forks) == 2 and _reaped(forks)
+
+    def test_a_layer_error_stays_a_row(self, forks, two_cpus, monkeypatch):
+        _failing_trace(monkeypatch, {3: TraceFailed("child"), 4: TraceFailed("caller")})
+        rows = run_sweep(GAS, 1.0, 1.0, SUBSONIC_GRID)
+        assert len(forks) == 1 and _reaped(forks)
+        kinds = [r["gamma2_terminal"] for r in rows]
+        assert kinds[3] == kinds[4] == "error:TraceFailed"
+        assert not any(k.startswith("error") for i, k in enumerate(kinds) if i not in (3, 4))
 
 
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"

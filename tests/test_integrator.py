@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from inflow_layer import (Event, EventSpec, IntegrationSettings, NonFinite,
-                          PhasePoint, StepUnderflow, TraceOptions, build_system,
+from inflow_layer import (Event, EventSpec, ExistenceEngine, IntegrationSettings,
+                          NonFinite, PhasePoint, StepUnderflow, TraceOptions, build_system,
                           component_crosses, eigen_2x2, integrate, left_region,
                           near_equilibrium, phase_field, theta_crosses_zero,
                           transonic_frame, u_crosses_zero)
+from inflow_layer import integrator
 from inflow_layer.integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, MAX_INSERTED,
-                                     DenseStep, Run, _rms, dense_eval)
+                                     NEAR_EQUILIBRIUM, U_CROSSES_ZERO, DenseStep, Run,
+                                     _rms, dense_eval)
 from inflow_layer.tracer import CAPTURE_RADIUS
 
 
@@ -410,3 +412,83 @@ def test_run_scan_finds_the_first_crossing_of_many():
         want = integrate(field, start, settings, [ev])
         assert want.event.kind == ev.kind and want.event.xi < 2 * math.pi
         assert _run_bits(run.stopped_by(ev, run.crossing(ev))) == _run_bits(want)
+
+
+def _one_point_bisect(ev: EventSpec, seg: DenseStep, t_lo, t_hi, g_lo):
+    """The bisection as one dense-output call per halving."""
+    a, b = t_lo, t_hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if abs(b - a) <= 1e-12 * (1.0 + abs(mid)):
+            break
+        if integrator._crossed(g_lo, ev.fn(mid, seg(mid)), ev.direction):
+            b = mid
+        else:
+            a = mid
+    return b
+
+
+def _same_float(x, y) -> bool:
+    return type(x) is type(y) and float(x).hex() == float(y).hex()
+
+
+def test_batched_bisection_equals_the_one_point_loop_on_real_steps(
+        monkeypatch, gas, right_subsonic, right_subcase_b, right_transonic):
+    calls = []
+    bisect = integrator._bisect_event
+
+    def recorded(*args):
+        calls.append((args, bisect(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(integrator, "_bisect_event", recorded)
+    engine = ExistenceEngine()
+    for right in (right_subsonic, right_subcase_b, right_transonic):
+        engine.curves_for(gas, right)
+    s = build_system(gas, right_subsonic)
+    e2 = eigen_2x2(s.matrix).e2
+    s1 = np.array([s.u_plus, s.theta_plus])
+    back = TraceOptions().integration_settings()
+    integrate(phase_field(s), s1 + 1e-3 * s.scale * e2, back,
+              [near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)])
+    integrate(phase_field(s), s1 - 0.3 * s.scale * e2, IntegrationSettings(),
+              [component_crosses(0, 0.99 * s.u_plus)])
+    kinds = {args[0].kind for args, _ in calls}
+    assert {NEAR_EQUILIBRIUM, COMPONENT_CROSSES, U_CROSSES_ZERO} <= kinds
+    assert any(args[0].direction == 0 for args, _ in calls)
+    for args, got in calls:
+        assert _same_float(got, _one_point_bisect(*args)), args[0].kind
+
+
+def test_batched_bisection_equals_the_one_point_loop_on_random_steps():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        t_old = float(rng.uniform(-5.0, 5.0))
+        t_new = t_old + float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 1.0))
+        seg = DenseStep(t_old, t_new, rng.normal(size=2), rng.normal(size=(7, 2)))
+        ends = seg.values([t_old, t_new])
+        level = float(rng.uniform(*sorted(ends[:, 0])))
+        cross = component_crosses(0, level)                   # direction 0
+        capture = near_equilibrium(ends[1] + 1e-3 * rng.normal(size=2),
+                                   float(np.linalg.norm(ends[1] - ends[0])) / 2)
+        for ev in (cross, capture):
+            g_lo = float(ev.fn(t_old, ends[0]))
+            # the loop's bounds may be Python floats or numpy scalars
+            for lo, hi in ((t_old, t_new), (np.float64(t_old), np.float64(t_new))):
+                got = integrator._bisect_event(ev, seg, lo, hi, g_lo)
+                assert _same_float(got, _one_point_bisect(ev, seg, lo, hi, g_lo)), trial
+
+
+@pytest.mark.parametrize("levels", [3, integrator._BISECT_LEVELS])
+def test_batched_bisection_stops_at_the_halving_cap(levels, monkeypatch):
+    # every midpoint is on the triggered side and the bracket never gets
+    # narrow enough, so both loops stop after exactly 200 evaluations, also
+    # when a batch's levels do not divide 200
+    monkeypatch.setattr(integrator, "_BISECT_LEVELS", levels)
+    monkeypatch.setattr(integrator, "_BISECT_NODES", 2 ** levels - 1)
+    seg = DenseStep(0.0, 1e300, np.zeros(2), np.ones((7, 2)))
+    for bisect in (integrator._bisect_event, _one_point_bisect):
+        seen = []
+        ev = EventSpec("always", lambda t, y: seen.append(t) or -1.0)
+        got = bisect(ev, seg, 0.0, 1e300, 1.0)
+        assert len(seen) == 200 and got == 1e300 / 2 ** 200

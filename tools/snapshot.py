@@ -30,7 +30,10 @@ copy placed in another checkout snapshots that checkout.  The output set:
 * the 200 ``run_sweep`` rows of the acceptance grid, and the gamma2 curve
   at each of its subsonic points with its graph, traced with
   ``cli.SWEEP_TRACE`` as the sweep traces it (the rows keep only its
-  terminal kind);
+  terminal kind).  With its 150 subsonic rows this grid takes the sweep's
+  split path on any host with two or more usable CPUs, while the 7-point
+  CLI sweep below, with 5 subsonic rows, stays in-process, so a
+  ``--compare`` pins both sides of the split rule;
 * ``integrate`` itself on the canonical field, whose every emitted point
   the thinned curves above mostly drop: backward runs along gamma1 and
   gamma2 with ``max_state_step`` set, one whose steps ask for more
