@@ -176,14 +176,14 @@ class _Orbit:
         """``integrate``'s result for the one event ``ev``: the steps
         already taken are scanned without the lock; the run is stepped on,
         under it, only when none of them crosses."""
-        run = self.run
-        k = run.crossing(ev)
+        run, events = self.run, (ev,)
+        k = run.crossing(events)
         if k is None:
             with self.lock:
-                k = run.crossing(ev)
+                k = run.crossing(events)
                 if k is None:
-                    k = run.step_until(ev)
-        return run.stopped_by(ev, k)
+                    k = run.step_until(events)
+        return run.stopped_by(events, k)
 
 
 class _Flight:
@@ -214,8 +214,8 @@ class ExistenceEngine:
     point at the graph radius, holding the steps up to the farthest
     boundary asked of it.  They leave the cache with the entry.  They
     cannot change an answer: a profile's leg is a prefix of its orbit,
-    stopped with ``integrate``'s own event test, and the steps before a
-    stop do not depend on where the run stops.
+    stopped by ``Run.stopped_by`` as every ``integrate`` call is, and the
+    steps before a stop do not depend on where the run stops.
     """
 
     def __init__(self, trace_options: TraceOptions | None = None):
@@ -405,8 +405,9 @@ class ExistenceEngine:
         The run is the one ``integrate`` makes from the orbit's start with
         ``_LEG_SETTINGS`` and a ``component_crosses`` event at the boundary
         parameter, taken as a prefix of the orbit: its steps are scanned
-        with ``integrate``'s event test and bisection, and the orbit is
-        stepped on only when the boundary lies beyond its last step.  So the
+        by ``Run.crossing`` and the stop read out by ``Run.stopped_by``, and
+        the orbit is stepped on only when the boundary lies beyond its last
+        step.  So the
         orbit holds the steps up to the farthest boundary asked of it, and
         a first profile on a curve takes the steps it would take alone.
 

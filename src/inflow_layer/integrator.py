@@ -9,9 +9,9 @@ profile and verdict, is therefore bitwise identical to what scipy computes,
 without scipy's import cost.  Events are located by sign change on step
 endpoints followed by bisection on the dense output, so event functions
 only need to be evaluable, not differentiable.  Every event is terminal:
-the first one triggered ends the run.  The phase field is smooth and
-non-stiff away from the singular line u = 0, so an explicit pair is
-appropriate.
+the first one triggered ends the run, and ``Run`` is the one step loop
+that stops on it.  The phase field is smooth and non-stiff away from the
+singular line u = 0, so an explicit pair is appropriate.
 """
 
 from __future__ import annotations
@@ -160,7 +160,8 @@ def component_crosses(index: int, value: float) -> EventSpec:
 
 @dataclass
 class IntegrationResult:
-    """Trajectory samples in traversal order plus the first triggered event.
+    """A run's samples in traversal order and the event that stopped it,
+    as ``Run.stopped_by`` reads them out.
 
     ``segments`` holds one (t_old, t_new, DenseStep) triple per accepted
     step, in traversal order; ``dense_eval`` evaluates them.
@@ -173,10 +174,12 @@ class IntegrationResult:
     segments: list = field(default_factory=list)
 
 
-def _crossed(g_old: float, g_new: float, direction: int) -> bool:
+def _crossed(g_old, g_new, direction: int):
+    """Whether g_old -> g_new crosses zero as ``direction`` asks; elementwise."""
+    hit = (g_old > 0.0) & (g_new <= 0.0)
     if direction < 0:
-        return g_old > 0.0 >= g_new
-    return (g_old > 0.0 >= g_new) or (g_old < 0.0 <= g_new)
+        return hit
+    return hit | ((g_old < 0.0) & (g_new >= 0.0))
 
 
 def _bisect_event(ev: EventSpec, seg, t_lo: float, t_hi: float,
@@ -387,15 +390,16 @@ def _accepted_step(fun, t, y, f, h_abs, direction, h_max, rtol, atol, st: _Stage
 
 
 class Run:
-    """``integrate``'s step loop, resumable: the stepper state (t, y, f,
-    h_abs, stages) and every accepted step so far.
+    """The one step loop: the stepper state (t, y, f, h_abs, stages) and
+    every accepted step so far, resumable.
 
     ``step`` takes one more accepted step.  Events do not steer the step
     control, so the steps do not depend on when, or by whom, the run is
-    resumed, nor on where it will stop: the ``integrate`` call that stops
-    on step k of this run takes its first k steps.  ``crossing`` and
-    ``step_until`` find that k for an event, with ``integrate``'s test,
-    and ``stopped_by`` returns that call's result.
+    resumed, nor on where it will stop.  ``step_until`` steps on until a
+    sequence of events is crossed, ``crossing`` finds where the steps
+    already taken first cross one, and ``stopped_by`` reads the result out
+    of either: what ``integrate`` returns for the same field, start,
+    settings and events, whose first k steps it takes.
 
     The record (the step ends, the start included, and one (t_old, t_new,
     DenseStep) triple per step in ``segments``) only grows, and a step is
@@ -425,7 +429,7 @@ class Run:
         self.segments = []
         self._xs = [0.0]
         self._ys = [y0.copy()]
-        # the step ends as arrays, as far as a scan has needed them
+        # the step ends as arrays, as far as a reader has needed them
         self._stacked = (np.empty(0), np.empty((0, y0.size)))
 
     @property
@@ -465,59 +469,73 @@ class Run:
             self._stacked = xi, pts
         return xi[:n + 1], pts[:n + 1]
 
-    def crossing(self, ev: EventSpec) -> int | None:
-        """``integrate``'s verdict on ``ev`` over the steps taken so far: 0
-        if it triggers at the start, k if the first crossing is on step k,
-        None if there is none yet.
+    def crossing(self, events: Sequence[EventSpec]) -> int | None:
+        """Where the steps taken so far first stop on ``events``: 0 if one
+        triggers at the start, k if the first crossing of any is on step
+        k, None if there is none yet.
 
-        The test is ``integrate``'s, on the step ends, for all of them at
-        once: ``ev.fn`` must act elementwise on the (2, n) array of step
-        ends, as the component and axis events do.
+        The test is ``step_until``'s, on all the step ends at once: each
+        ``ev.fn`` must act elementwise on the (2, n) array of step ends, as
+        the component and axis events do.
         """
         xi, pts = self._ends(self.n_steps)
-        g = ev.fn(xi, pts.T)
-        if _immediate(ev, float(g[0])):
-            return 0
-        hits = (g[:-1] > 0.0) & (g[1:] <= 0.0)
-        if ev.direction == 0:
-            hits |= (g[:-1] < 0.0) & (g[1:] >= 0.0)
-        return int(np.argmax(hits)) + 1 if hits.any() else None
+        ks = []
+        for ev in events:
+            g = ev.fn(xi, pts.T)
+            if _immediate(ev, float(g[0])):
+                return 0
+            hits = _crossed(g[:-1], g[1:], ev.direction)
+            if hits.any():
+                ks.append(int(np.argmax(hits)) + 1)
+        return min(ks, default=None)
 
-    def step_until(self, ev: EventSpec) -> int | None:
-        """Step until ``ev`` is crossed on the last step, as ``integrate``
-        tests it; that step's index, or None once ``settings.max_steps``
-        steps are taken.  The steps taken so far must not cross it."""
-        g_prev = float(ev.fn(self.t, self.y))
+    def step_until(self, events: Sequence[EventSpec]) -> int | None:
+        """Step until one of ``events`` is crossed on the last step; that
+        step's index, 0 if the run has no steps and one triggers at its
+        start, or None once ``settings.max_steps`` steps are taken.  The
+        steps taken so far must not cross any."""
+        g_prev = [float(ev.fn(self.t, self.y)) for ev in events]
+        if not self.n_steps and any(map(_immediate, events, g_prev)):
+            return 0
+        directions = [ev.direction for ev in events]
         while self.n_steps < self.settings.max_steps:
             self.step()
-            g_new = float(ev.fn(self.t, self.y))
-            if _crossed(g_prev, g_new, ev.direction):
+            g_new = [float(ev.fn(self.t, self.y)) for ev in events]
+            if any(map(_crossed, g_prev, g_new, directions)):
                 return self.n_steps
             g_prev = g_new
         return None
 
-    def stopped_by(self, ev: EventSpec, k: int | None) -> IntegrationResult:
-        """What ``integrate`` with this run's field, start, settings and the
-        one event ``ev`` returns, given ``k`` from ``crossing`` or
-        ``step_until``: None for a run that spent its step budget."""
-        if k is None:
-            return self._spent()
-        if k == 0:
-            return self._result(0, ev.kind, 0.0, self._ys[0])
-        t_old, t, seg = self.segments[k - 1]
-        g_old = float(ev.fn(t_old, self._ys[k - 1]))
-        t_ev = _bisect_event(ev, seg, t_old, t, g_old)
-        return self._result(k, ev.kind, t_ev, seg(t_ev))
+    def stopped_by(self, events: Sequence[EventSpec], k: int | None) -> IntegrationResult:
+        """The run stopped on ``events``, given ``k`` from ``crossing`` or
+        ``step_until``.
 
-    def _spent(self) -> IntegrationResult:
-        """The whole run, ended by its step budget."""
-        n = self.n_steps
-        return self._result(n, BUDGET, float(self._xs[n]), self._ys[n])
+        None stops it at its step budget; 0 at its start, on the first
+        listed event that triggers there; k >= 1 on step k, at the
+        bisected location of each event that crosses there nearest the
+        step's start, the first listed on a tie.
+        """
+        if k is None:
+            n = self.n_steps
+            return self._result(n, BUDGET, float(self._xs[n]), self._ys[n])
+        if k == 0:
+            y0 = self._ys[0]
+            ev = next(ev for ev in events if _immediate(ev, float(ev.fn(0.0, y0))))
+            return self._result(0, ev.kind, 0.0, y0)
+        t_old, t, seg = self.segments[k - 1]
+        y_old, y = self._ys[k - 1], self._ys[k]
+        stops = []
+        for ev in events:
+            g_old = float(ev.fn(t_old, y_old))
+            if _crossed(g_old, float(ev.fn(t, y)), ev.direction):
+                t_ev = _bisect_event(ev, seg, t_old, t, g_old)
+                stops.append((abs(t_ev - t_old), t_ev, ev))
+        _, t_ev, ev = min(stops, key=lambda stop: stop[0])
+        return self._result(k, ev.kind, t_ev, seg(t_ev))
 
     def _result(self, k: int, kind: str, t, y) -> IntegrationResult:
         """The run's first k steps, their last end moved to the stop (t, y)."""
-        xi = np.asarray(self._xs[:k + 1])
-        points = np.array(self._ys[:k + 1])
+        xi, points = (ends.copy() for ends in self._ends(k))
         xi[-1], points[-1] = t, y
         pt = PhasePoint(float(points[-1, 0]), float(points[-1, 1]))
         return IntegrationResult(xi=xi, points=points, event=Event(kind, t, pt),
@@ -531,12 +549,13 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
               max_state_step: float | None = None) -> IntegrationResult:
     """Integrate a planar field from ``start`` until an event or the budget.
 
-    One ``Run``, stepped until the first event, and kept by nothing once
-    the call returns.  Events do not steer the step control, so for one
-    event and no ``max_state_step`` a longer run of the same field, start
-    and settings gives the same result, bit for bit, through
-    ``Run.crossing`` and ``Run.stopped_by``; the engine's profile legs are
-    made that way.
+    A ``Run`` stepped by ``Run.step_until`` and read out by
+    ``Run.stopped_by``, and kept by nothing once the call returns; this
+    function adds only the ``max_state_step`` sub-samples.  Events do not
+    steer the step control, so without ``max_state_step`` a longer run of
+    the same field, start and settings gives the same result, bit for bit,
+    through ``Run.crossing`` and ``Run.stopped_by``; the engine's profile
+    legs are made that way.
 
     Parameters
     ----------
@@ -550,9 +569,12 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
     settings : IntegrationSettings
         Tolerances, step bounds, budget, direction.
     events : sequence of EventSpec
-        Events, all terminal; the first one triggered (bracketed by bisection on
-        the dense output) stops the run.  If none triggers before the step
-        budget is exhausted, the result carries a ``budget`` event.
+        Events, all terminal.  One already triggered at the start stops
+        the run there, the first listed if several are.  Otherwise the
+        first step that crosses any stops it, at the crossing (bracketed by
+        bisection on the dense output) nearest the step's start, the first
+        listed on a tie.  If none triggers before the step budget is
+        exhausted, the result carries a ``budget`` event.
     max_state_step : float, optional
         Finite and positive.  After the last step, the run's dense output
         is sampled, in one stacked evaluation, at the knots
@@ -575,34 +597,7 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         raise ValueError(
             f"max_state_step must be None or finite and positive, got {max_state_step}")
     run = Run(fieldfn, start, settings)
-    y0 = run.y
-
-    # events already satisfied at the start trigger immediately; g_prev
-    # holds each event's last value, in the order of ``events``
-    g_prev = []
-    for ev in events:
-        g0 = float(ev.fn(0.0, y0))
-        if _immediate(ev, g0):
-            return run.stopped_by(ev, 0)
-        g_prev.append(g0)
-
-    for _ in range(settings.max_steps):
-        seg = run.step()
-        t_old, t, y = seg.t_old, run.t, run.y
-        triggered = []
-        for i, ev in enumerate(events):
-            g_new = float(ev.fn(t, y))
-            if _crossed(g_prev[i], g_new, ev.direction):
-                t_ev = _bisect_event(ev, seg, t_old, t, g_prev[i])
-                triggered.append((abs(t_ev - t_old), t_ev, ev))
-            g_prev[i] = g_new
-        if triggered:
-            triggered.sort(key=lambda item: item[0])
-            _, t, ev = triggered[0]
-            res = run._result(run.n_steps, ev.kind, t, seg(t))
-            break
-    else:
-        res = run._spent()
+    res = run.stopped_by(events, run.step_until(events))
     if max_state_step is not None:
         xi, at, k = capped_knots(res.xi, res.points, max_state_step)
         points = res.points[at]

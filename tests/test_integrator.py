@@ -211,6 +211,41 @@ def test_immediate_trigger_when_already_inside():
     assert res.n_steps == 0
 
 
+@pytest.mark.parametrize("direction", ["forward", BACKWARD])
+def test_earlier_of_two_crossings_on_one_step_stops_the_run(direction):
+    # u runs down at unit speed from 1 whichever way xi goes; the steps
+    # grow tenfold, so one step crosses both levels
+    sign = 1.0 if direction == "forward" else -1.0
+    field = lambda t, y: np.array([-sign, 0.0])
+    start, settings = PhasePoint(1.0, 1.0), IntegrationSettings(direction=direction)
+    later, earlier = component_crosses(0, 0.5 - 1e-9), component_crosses(0, 0.5)
+    alone = [integrate(field, start, settings, [ev]) for ev in (later, earlier)]
+    assert alone[0].n_steps == alone[1].n_steps
+    assert abs(alone[0].event.xi) > abs(alone[1].event.xi)
+    assert _run_bits(integrate(field, start, settings, [later, earlier])) == _run_bits(alone[1])
+
+
+def test_first_listed_of_two_events_with_one_function_stops_the_run():
+    field = lambda t, y: np.array([-1.0, 0.0])
+    one, two = (EventSpec(kind, lambda t, y: y[0] - 0.5) for kind in ("one", "two"))
+    for events in ([one, two], [two, one]):
+        res = integrate(field, PhasePoint(1.0, 1.0), IntegrationSettings(), events)
+        alone = integrate(field, PhasePoint(1.0, 1.0), IntegrationSettings(), events[:1])
+        assert res.event.kind == events[0].kind
+        assert _run_bits(res) == _run_bits(alone)
+
+
+def test_first_listed_of_two_events_triggered_at_the_start_stops_the_run():
+    field = lambda t, y: np.array([-1.0, 0.0])
+    for events in ([u_crosses_zero(), theta_crosses_zero()],
+                   [theta_crosses_zero(), u_crosses_zero()],
+                   [component_crosses(1, -0.2), u_crosses_zero()]):
+        res = integrate(field, PhasePoint(-0.1, -0.2), IntegrationSettings(), events)
+        assert res.event.kind == events[0].kind
+        assert res.n_steps == 0 and res.event.xi == 0.0
+        assert res.xi.tolist() == [0.0] and res.points.tolist() == [[-0.1, -0.2]]
+
+
 def test_trajectory_order_and_event_typing():
     res = integrate(lambda t, y: np.array([1.0, 0.0]), PhasePoint(0.0, 0.0),
                     IntegrationSettings(max_steps=10))
@@ -366,35 +401,35 @@ def test_run_prefixes_equal_separate_integrate_calls(gas, right_subsonic):
     want = {b: integrate(phase_field(s), start, settings, [component_crosses(0, b)])
             for b in bounds}
     for b in bounds:
-        ev = component_crosses(0, b)
-        assert run.crossing(ev) is None
-        k = run.step_until(ev)
+        evs = [component_crosses(0, b)]
+        assert run.crossing(evs) is None
+        k = run.step_until(evs)
         # the run stores the steps up to the farthest boundary and no more
         assert k == run.n_steps == want[b].n_steps
         assert want[b].event.kind == COMPONENT_CROSSES
-        assert _run_bits(run.stopped_by(ev, k)) == _run_bits(want[b])
+        assert _run_bits(run.stopped_by(evs, k)) == _run_bits(want[b])
     assert run.n_steps > 64            # the record grew past its first size
     # every boundary short of the last is now a scan of the stored steps
     for b in reversed(bounds):
-        ev = component_crosses(0, b)
-        assert _run_bits(run.stopped_by(ev, run.crossing(ev))) == _run_bits(want[b])
+        evs = [component_crosses(0, b)]
+        assert _run_bits(run.stopped_by(evs, run.crossing(evs))) == _run_bits(want[b])
     # a boundary at the start triggers there, before any step
-    ev = component_crosses(0, float(start[0]))
-    assert run.crossing(ev) == 0
-    assert _run_bits(run.stopped_by(ev, 0)) == _run_bits(
-        integrate(phase_field(s), start, settings, [ev]))
+    evs = [component_crosses(0, float(start[0]))]
+    assert run.crossing(evs) == 0
+    assert _run_bits(run.stopped_by(evs, 0)) == _run_bits(
+        integrate(phase_field(s), start, settings, evs))
 
 
 def test_run_budget_equals_integrate_budget(gas, right_subsonic):
     s = build_system(gas, right_subsonic)
     start = np.array([s.u_plus, s.theta_plus]) - 1e-3 * s.scale * eigen_2x2(s.matrix).e2
     settings = IntegrationSettings(direction=BACKWARD, max_steps=30)
-    ev = component_crosses(0, 0.1 * s.u_plus)
+    evs = [component_crosses(0, 0.1 * s.u_plus)]
     run = Run(phase_field(s), start, settings)
-    assert run.step_until(ev) is None and run.n_steps == 30
-    want = integrate(phase_field(s), start, settings, [ev])
+    assert run.step_until(evs) is None and run.n_steps == 30
+    want = integrate(phase_field(s), start, settings, evs)
     assert want.event.kind == BUDGET
-    assert _run_bits(run.stopped_by(ev, None)) == _run_bits(want)
+    assert _run_bits(run.stopped_by(evs, None)) == _run_bits(want)
 
 
 def test_run_scan_finds_the_first_crossing_of_many():
@@ -403,7 +438,7 @@ def test_run_scan_finds_the_first_crossing_of_many():
     field = lambda t, y: np.array([-y[1], y[0]])
     start, settings = PhasePoint(1.0, 0.0), IntegrationSettings(max_steps=800)
     run = Run(field, start, settings)
-    assert run.step_until(component_crosses(0, 2.0)) is None
+    assert run.step_until([component_crosses(0, 2.0)]) is None
     assert run.t > 3 * 2 * math.pi
     for ev in (component_crosses(1, 0.5),            # first crossed rising
                component_crosses(0, -0.5),           # first crossed falling
@@ -411,7 +446,28 @@ def test_run_scan_finds_the_first_crossing_of_many():
                EventSpec("falling", lambda t, y: y[1] + 0.5)):
         want = integrate(field, start, settings, [ev])
         assert want.event.kind == ev.kind and want.event.xi < 2 * math.pi
-        assert _run_bits(run.stopped_by(ev, run.crossing(ev))) == _run_bits(want)
+        assert _run_bits(run.stopped_by([ev], run.crossing([ev]))) == _run_bits(want)
+
+
+def test_run_stops_on_the_first_of_several_events_as_integrate_does():
+    # several events, each list scanned on a run that went round a circle
+    # several times and stepped on a fresh run
+    field = lambda t, y: np.array([-y[1], y[0]])
+    start, settings = PhasePoint(1.0, 0.0), IntegrationSettings(max_steps=800)
+    run = Run(field, start, settings)
+    assert run.step_until([component_crosses(0, 2.0)]) is None
+    rising, falling = component_crosses(1, 0.5), component_crosses(0, -0.5)
+    hair = component_crosses(1, 0.5 + 1e-9)
+    at_start = EventSpec("at_start", lambda t, y: y[0] - 1.0)
+    for events in ([rising, falling], [falling, rising], [hair, rising], [rising, hair],
+                   [falling, at_start], [component_crosses(0, 1.0), at_start],
+                   [at_start, component_crosses(0, 1.0)]):
+        want = integrate(field, start, settings, events)
+        assert _run_bits(run.stopped_by(events, run.crossing(events))) == _run_bits(want)
+        fresh = Run(field, start, settings)
+        k = fresh.step_until(events)
+        assert k == fresh.n_steps == want.n_steps
+        assert _run_bits(fresh.stopped_by(events, k)) == _run_bits(want)
 
 
 def _one_point_bisect(ev: EventSpec, seg: DenseStep, t_lo, t_hi, g_lo):

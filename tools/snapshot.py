@@ -39,8 +39,9 @@ copy placed in another checkout snapshots that checkout.  The output set:
   gamma2 with ``max_state_step`` set, one whose steps ask for more
   sub-samples than a step gets, and runs ending in each event kind
   (u and theta crossings, the S2 capture, ``component_crosses`` falling
-  and rising, the step budget), each with its xi, points, event, step
-  count and every step's dense value at fractions 0, 0.5 and 1;
+  and rising, the step budget), runs where two events stop on one step or
+  both at the start, each with its xi, points, event, step count and
+  every step's dense value at fractions 0, 0.5 and 1;
 * the canonical, sonic and alpha2 < 0 portrait SVGs;
 * ``classify``, ``trace`` (csv and json), ``profile`` and ``portrait`` on
   canonical and sonic data, and a 7-point ``sweep``: exit code, stdout,
@@ -162,6 +163,13 @@ def _integrations(wl) -> dict:
         "u_falls_through": (below, back, [component_crosses(0, 0.5 * s.u_plus)], None),
         "u_rises_through": (above, back, [component_crosses(0, 1.1 * s.u_plus)], None),
         "budget": ((0.8, 0.05), IntegrationSettings(max_steps=40), [], 1e-3),
+        # two levels a hair apart, the one crossed later listed first, both
+        # crossed on one step: the earlier crossing stops the run
+        "two_in_one_step": (below, back, [component_crosses(0, 0.5 * s.u_plus * (1 - 1e-9)),
+                                          component_crosses(0, 0.5 * s.u_plus)], None),
+        # both triggered at the start: the first listed stops the run
+        "immediate_first_of_two": (below, back, [near_equilibrium(s1, s.scale),
+                                                 component_crosses(0, float(below[0]))], None),
     }
     return {f"integrate/{name}": _integration(
                 integrate(phase_field(s), np.array(start, dtype=float), settings,
