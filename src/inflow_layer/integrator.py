@@ -538,7 +538,7 @@ class Run:
         xi, points = (ends.copy() for ends in self._ends(k))
         xi[-1], points[-1] = t, y
         pt = PhasePoint(float(points[-1, 0]), float(points[-1, 1]))
-        return IntegrationResult(xi=xi, points=points, event=Event(kind, t, pt),
+        return IntegrationResult(xi=xi, points=points, event=Event(kind, float(t), pt),
                                  n_steps=k, segments=self.segments[:k])
 
 

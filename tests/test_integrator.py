@@ -246,6 +246,21 @@ def test_first_listed_of_two_events_triggered_at_the_start_stops_the_run():
         assert res.xi.tolist() == [0.0] and res.points.tolist() == [[-0.1, -0.2]]
 
 
+def test_event_xi_is_a_python_float_however_the_run_stops():
+    field = lambda t, y: np.array([-1.0, 0.0])
+    start = PhasePoint(1.0, 1.0)
+    cases = (([u_crosses_zero()], IntegrationSettings(), U_CROSSES_ZERO),
+             ([component_crosses(0, 1.0)], IntegrationSettings(), COMPONENT_CROSSES),
+             ([], IntegrationSettings(max_steps=5), BUDGET))
+    for events, settings, kind in cases:
+        run = Run(field, start, settings)
+        for res in (integrate(field, start, settings, events),
+                    run.stopped_by(events, run.step_until(events)),
+                    run.stopped_by(events, run.crossing(events) if events else None)):
+            assert res.event.kind == kind
+            assert type(res.event.xi) is float
+
+
 def test_trajectory_order_and_event_typing():
     res = integrate(lambda t, y: np.array([1.0, 0.0]), PhasePoint(0.0, 0.0),
                     IntegrationSettings(max_steps=10))
