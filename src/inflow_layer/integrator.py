@@ -497,13 +497,15 @@ class Run:
         g_prev = [float(ev.fn(self.t, self.y)) for ev in events]
         if not self.n_steps and any(map(_immediate, events, g_prev)):
             return 0
-        directions = [ev.direction for ev in events]
-        while self.n_steps < self.settings.max_steps:
+        for _ in range(self.settings.max_steps - self.n_steps):
             self.step()
-            g_new = [float(ev.fn(self.t, self.y)) for ev in events]
-            if any(map(_crossed, g_prev, g_new, directions)):
+            t, y, crossed = self.t, self.y, False
+            for i, ev in enumerate(events):
+                g = float(ev.fn(t, y))
+                crossed |= _crossed(g_prev[i], g, ev.direction)
+                g_prev[i] = g
+            if crossed:
                 return self.n_steps
-            g_prev = g_new
         return None
 
     def stopped_by(self, events: Sequence[EventSpec], k: int | None) -> IntegrationResult:
