@@ -211,7 +211,7 @@ def _bisect_event(ev: EventSpec, seg, t_lo: float, t_hi: float,
             mid = mids[i]
             if abs(b - a) <= 1e-12 * (1.0 + abs(mid)):
                 return b
-            if _crossed(g_lo, ev.fn(mid, ys[i]), ev.direction):
+            if _crossed(g_lo, float(ev.fn(mid, ys[i])), ev.direction):
                 b, i = mid, 2 * i + 1
             else:
                 a, i = mid, 2 * i + 2
