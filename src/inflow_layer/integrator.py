@@ -519,7 +519,7 @@ class Run:
         """
         if k is None:
             n = self.n_steps
-            return self._result(n, BUDGET, float(self._xs[n]), self._ys[n])
+            return self._result(n, BUDGET, self._xs[n], self._ys[n])
         if k == 0:
             y0 = self._ys[0]
             ev = next(ev for ev in events if _immediate(ev, float(ev.fn(0.0, y0))))
