@@ -10,8 +10,8 @@ from inflow_layer import (Event, EventSpec, ExistenceEngine, IntegrationSettings
                           near_equilibrium, phase_field, theta_crosses_zero,
                           transonic_frame, u_crosses_zero)
 from inflow_layer import integrator
-from inflow_layer.integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, MAX_INSERTED,
-                                     NEAR_EQUILIBRIUM, U_CROSSES_ZERO, DenseStep, Run,
+from inflow_layer.integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, FORWARD,
+                                     MAX_INSERTED, NEAR_EQUILIBRIUM, U_CROSSES_ZERO, DenseStep, Run,
                                      _rms, dense_eval)
 from inflow_layer.tracer import CAPTURE_RADIUS
 
@@ -211,11 +211,11 @@ def test_immediate_trigger_when_already_inside():
     assert res.n_steps == 0
 
 
-@pytest.mark.parametrize("direction", ["forward", BACKWARD])
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
 def test_earlier_of_two_crossings_on_one_step_stops_the_run(direction):
     # u runs down at unit speed from 1 whichever way xi goes; the steps
     # grow tenfold, so one step crosses both levels
-    sign = 1.0 if direction == "forward" else -1.0
+    sign = 1.0 if direction == FORWARD else -1.0
     field = lambda t, y: np.array([-sign, 0.0])
     start, settings = PhasePoint(1.0, 1.0), IntegrationSettings(direction=direction)
     later, earlier = component_crosses(0, 0.5 - 1e-9), component_crosses(0, 0.5)
@@ -256,7 +256,7 @@ def test_event_xi_is_a_python_float_however_the_run_stops():
         run = Run(field, start, settings)
         for res in (integrate(field, start, settings, events),
                     run.stopped_by(events, run.step_until(events)),
-                    run.stopped_by(events, run.crossing(events) if events else None)):
+                    run.stopped_by(events, run.crossing(events))):
             assert res.event.kind == kind
             assert type(res.event.xi) is float
 
