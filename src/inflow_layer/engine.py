@@ -20,6 +20,11 @@ quadrature of its flight time, the residual rows from the graph's phase
 velocity.  Quadrature resolves the sonic 1/xi tail and the subsonic
 exp(lambda2 xi) one alike, where an integrator would crawl at |lambda2| ~
 1 - M+ with its steps capped by the fast rate.
+
+Beyond the radius the inner leg starts at the same graph point for every
+boundary on the side, so the orbit keeps it too, and its run keeps its
+steps stacked for the residual rows: a warm profile pays for its own stop
+and the sum of its xi, not for the side's shared tail.
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH,
                   check_flux_condition, check_tol_mach, classify_regime, mach,
                   require_positive)
 from .integrator import (BACKWARD, COMPONENT_CROSSES, IntegrationSettings, Run,
-                         component_crosses, dense_eval)
+                         component_crosses)
 # the profile legs step a ``Run``; ``integrate`` stays importable here, the
 # engine's name for the integrator, which bench/spans.py wraps
 from .integrator import integrate  # noqa: F401
-from .linearize import eigen_2x2, saddle_graph, transonic_frame
+from .linearize import SlowGraph, eigen_2x2, saddle_graph, transonic_frame
 from .system import (PhasePoint, SystemData, build_system, field_poly, phase_field,
                      residual_sup)
 from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, TERMINAL_BUDGET,
@@ -117,7 +122,9 @@ class Verdict:
 
 @dataclass
 class Profile:
-    """Sampled layer profile on the integrator's grid, xi = 0 at the boundary.
+    """Sampled layer profile, xi = 0 at the boundary: the outer leg's step
+    ends (the boundary's graph point alone inside the graph radius), then
+    the inner leg's quadrature grid along the graph down to S1.
 
     V satisfies V = (v+/u+) U identically (the integrated mass equation).
     ``metrics`` holds monotonicity, the scaled sup residual, the endpoint
@@ -159,18 +166,25 @@ class DecayReport:
 
 class _Orbit:
     """One side of a curve's profile orbit: the backward run from the graph
-    point at the graph radius, stepped only as far as a profile has asked.
+    point ``edge`` at the graph radius, stepped only as far as a profile
+    has asked, and the inner leg from that point down the graph to S1.
 
     Every profile on that side is a prefix of this one orbit, and the steps
     of a run do not depend on where it stops, so ``stop`` returns what
     ``integrate`` returns for the same field, start, settings and event.
+    The run keeps its steps' dense-output operands stacked, so a profile's
+    residual rows are one evaluation on them.  The inner leg (``_inner_leg``)
+    is the same for every profile on the side; only its xi, which starts
+    from the profile's own stop, is left to each profile.
     """
 
-    __slots__ = ("run", "lock")
+    __slots__ = ("run", "lock", "edge", "inner")
 
-    def __init__(self, run: Run):
+    def __init__(self, run: Run, edge: np.ndarray, inner: tuple):
         self.run = run
         self.lock = threading.Lock()
+        self.edge = edge
+        self.inner = inner
 
     def stop(self, ev):
         """``integrate``'s result for the one event ``ev``: the steps
@@ -189,7 +203,8 @@ class _Orbit:
 class _Flight:
     """One key's curves, or the error its trace raised, traced by the first
     caller while the others wait; and the profile orbits of its curves,
-    keyed by (label, signed graph radius), which leave with it."""
+    keyed by (label, signed graph radius), which leave with it, their
+    stacked steps and inner legs with them."""
 
     __slots__ = ("done", "curves", "error", "orbits")
 
@@ -212,10 +227,12 @@ class ExistenceEngine:
     A key's entry also keeps the profile orbits of its curves: for each
     curve side that a profile has needed, the backward run from the graph
     point at the graph radius, holding the steps up to the farthest
-    boundary asked of it.  They leave the cache with the entry.  They
-    cannot change an answer: a profile's leg is a prefix of its orbit,
-    stopped by ``Run.stopped_by`` as every ``integrate`` call is, and the
-    steps before a stop do not depend on where the run stops.
+    boundary asked of it, and the side's inner leg along the graph.  They
+    leave the cache with the entry.  They cannot change an answer: a
+    profile's leg is a prefix of its orbit, stopped by ``Run.stopped_by``
+    as every ``integrate`` call is, the steps before a stop do not depend
+    on where the run stops, and the inner leg does not depend on the
+    boundary.
     """
 
     def __init__(self, trace_options: TraceOptions | None = None):
@@ -384,17 +401,16 @@ class ExistenceEngine:
                 f"(limit {lim:.3e}); membership was borderline")
 
     def _orbit(self, entry: _Flight, s: SystemData, curve: Curve, w_start: float,
-               start: np.ndarray) -> _Orbit:
-        """The profile orbit of ``curve`` from its graph point ``start`` at
+               edge: np.ndarray) -> _Orbit:
+        """The profile orbit of ``curve`` from its graph point ``edge`` at
         ``w_start``, made at its first use with ``_LEG_SETTINGS``."""
         key = (curve.label, w_start)
-        orbit = entry.orbits.get(key)
-        if orbit is None:
-            with self._lock:
-                orbit = entry.orbits.get(key)
-                if orbit is None:
-                    orbit = _Orbit(Run(phase_field(s), start, _LEG_SETTINGS))
-                    entry.orbits[key] = orbit
+        with self._lock:
+            orbit = entry.orbits.get(key)
+            if orbit is None:
+                orbit = _Orbit(Run(phase_field(s), edge, _LEG_SETTINGS), edge,
+                               _inner_leg(s, curve.graph, w_start))
+                entry.orbits[key] = orbit
         return orbit
 
     def _backward_leg(self, q: Query, orbit: _Orbit, pidx: int):
@@ -413,7 +429,8 @@ class ExistenceEngine:
 
         A row is the dense output and its derivative at the midpoint (where
         the interpolant is independent of the step-end field values) of each
-        step's part in [t_event, 0] that is at least 1e-5 long."""
+        step's part in [t_event, 0] that is at least 1e-5 long, evaluated on
+        the steps the run keeps stacked."""
         bparam = (q.left.u, q.left.theta)[pidx]
         res = orbit.stop(component_crosses(pidx, bparam))
         if res.event.kind != COMPONENT_CROSSES:
@@ -423,12 +440,11 @@ class ExistenceEngine:
         self._landing_check(q, res.event.point, pidx)
         t_ev = res.event.xi
         xi = (res.xi - t_ev)[::-1].copy()
-        # backward steps run from t_old down to t_new; only the last passes t_ev
-        t_old = np.array([t0 for t0, _, _ in res.segments])
-        t_new = np.maximum([t1 for _, t1, _ in res.segments], t_ev)
+        # backward steps run from t_old down to t_new, the step ends; only
+        # the last passes t_ev, and its end res.xi[-1] is t_ev itself
+        t_old, t_new = res.xi[:-1], np.maximum(res.xi[1:], t_ev)
         kept = t_old - t_new >= 1e-5
-        steps = [seg for (_, _, seg), keep in zip(res.segments, kept) if keep]
-        y, dy = dense_eval(steps, 0.5 * (t_new[kept] + t_old[kept]))
+        y, dy = orbit.run.dense_eval(res.n_steps, 0.5 * (t_new[kept] + t_old[kept]), kept)
         return xi, res.points[::-1].copy(), np.hstack([y, dy])
 
     def _graph_profile(self, q: Query, s: SystemData, curve: Curve,
@@ -436,34 +452,43 @@ class ExistenceEngine:
         """The outer leg, backward on the curve's orbit from the graph point
         at the curve's graph radius to the boundary, or for a boundary
         inside that radius the graph point at the boundary; then the inner
-        leg along the graph."""
+        leg along the graph, the orbit's own beyond the radius."""
         graph, pidx = curve.graph, curve.param_index
         p_s1 = (s.u_plus, s.theta_plus)[pidx]
         d = (q.left.u, q.left.theta)[pidx] - p_s1
         # the graph leaves S1 along e_slow, so d / e_slow[pidx] has w's sign
         w_start = math.copysign(curve.graph_radius, d / graph.e_slow[pidx])
-        edge = graph.points(w_start)
+        orbit = entry.orbits.get((curve.label, w_start))
+        edge = graph.points(w_start) if orbit is None else orbit.edge
         if abs(d) > abs(edge[pidx] - p_s1):
-            orbit = self._orbit(entry, s, curve, w_start, edge)
+            if orbit is None:
+                orbit = self._orbit(entry, s, curve, w_start, edge)
             xi, pts, rows = self._backward_leg(q, orbit, pidx)
+            flights, inner_pts, inner_rows = orbit.inner
         else:
             w_start = graph.w_at(pidx, d)
             pts = graph.points(w_start)[None, :]
             self._landing_check(q, PhasePoint(*pts[0]), pidx)
             xi = np.array([0.0])
             rows = np.empty((0, 4))
-
-        # inner leg: quadrature of the reduced flow along the graph, from
-        # the outer leg's end down to ~1e-10 of S1
-        w_stop = _S1_OFFSET * s.scale / math.hypot(*graph.e_slow)
-        n_pts = max(60, int(round(math.log10(abs(w_start) / w_stop) * 16)) + 1)
-        w_grid = math.copysign(1.0, w_start) * np.geomspace(abs(w_start), w_stop, n_pts)
+            flights, inner_pts, inner_rows = _inner_leg(s, graph, w_start)
         # the first grid point coincides with the outer leg's last sample
-        xi_inner = np.cumsum(np.concatenate([xi[-1:], graph.flight_times(w_grid)]))[1:]
-        inner_pts = graph.points(w_grid[1:])
-        inner_rows = np.hstack([inner_pts, graph.velocity(w_grid[1:])])
+        xi_inner = np.cumsum(np.concatenate([xi[-1:], flights]))[1:]
         return _profile(s, np.concatenate([xi, xi_inner]), np.vstack([pts, inner_pts]),
                         curve.label, np.vstack([rows, inner_rows]))
+
+
+def _inner_leg(s: SystemData, graph: SlowGraph, w_start: float) -> tuple:
+    """The inner leg from the graph point at ``w_start`` down to ~1e-10 of
+    S1, quadrature of the reduced flow along the graph, 16 panels a decade:
+    the flight time across each panel, and the points and residual rows at
+    the panels' ends."""
+    w_stop = _S1_OFFSET * s.scale / math.hypot(*graph.e_slow)
+    n_pts = max(60, int(round(math.log10(abs(w_start) / w_stop) * 16)) + 1)
+    w_grid = math.copysign(1.0, w_start) * np.geomspace(abs(w_start), w_stop, n_pts)
+    inner_pts = graph.points(w_grid[1:])
+    return (graph.flight_times(w_grid), inner_pts,
+            np.hstack([inner_pts, graph.velocity(w_grid[1:])]))
 
 
 def _profile(s: SystemData, xi: np.ndarray, pts: np.ndarray, curve: str,

@@ -253,24 +253,35 @@ def _dense_values(Q, h, y_old, x: np.ndarray) -> np.ndarray:
     return h * np.matmul(Q, powers[:, :, None])[:, :, 0] + y_old
 
 
-def _stacked(steps: Sequence[DenseStep], t, which=slice(None)):
+def _stacked(steps: Sequence[DenseStep]) -> tuple:
+    """t_old, h, Q and y_old of each of ``steps``, stacked: the one way
+    steps are stacked for a dense evaluation."""
+    return (np.array([st.t_old for st in steps], dtype=float),
+            np.array([st.h for st in steps], dtype=float),
+            np.array([st.Q for st in steps], dtype=float).reshape(-1, 2, _P.shape[1]),
+            np.array([st.y_old for st in steps], dtype=float).reshape(-1, 2))
+
+
+def _operands(stack: tuple, t, which=slice(None)):
     """Q, h (a column), y_old and x = (t[i] - t_old) / h of step
-    ``steps[which][i]`` at t[i], the operands of ``_dense_values``."""
-    t_old = np.array([st.t_old for st in steps], dtype=float)[which]
-    h = np.array([st.h for st in steps], dtype=float)[which]
-    Q = np.array([st.Q for st in steps], dtype=float).reshape(-1, 2, _P.shape[1])[which]
-    y_old = np.array([st.y_old for st in steps], dtype=float).reshape(-1, 2)[which]
+    ``which[i]`` of a ``_stacked`` stack at t[i], the operands of
+    ``_dense_values`` and ``_dense_eval``."""
+    t_old, h, Q, y_old = (a[which] for a in stack)
     return Q, h[:, None], y_old, (np.asarray(t, dtype=float) - t_old) / h
+
+
+def _dense_eval(Q, h, y_old, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_dense_values`` and the exact xi-derivative at each x[i]."""
+    y = _dense_values(Q, h, y_old, x)
+    k = np.arange(_P.shape[1])
+    dy = np.matmul(Q, ((k + 1) * x[:, None] ** k)[:, :, None])[:, :, 0]
+    return y, dy
 
 
 def dense_eval(steps: Sequence[DenseStep], t) -> tuple[np.ndarray, np.ndarray]:
     """Value and exact xi-derivative of step i's interpolant at t[i], each of
     shape (len(steps), 2); the values equal ``DenseStep.__call__``'s bits."""
-    Q, h, y_old, x = _stacked(steps, t)
-    y = _dense_values(Q, h, y_old, x)
-    k = np.arange(_P.shape[1])
-    dy = np.matmul(Q, ((k + 1) * x[:, None] ** k)[:, :, None])[:, :, 0]
-    return y, dy
+    return _dense_eval(*_operands(_stacked(steps), t))
 
 
 def capped_knots(knots: np.ndarray, points: np.ndarray, cap: float):
@@ -405,11 +416,16 @@ class Run:
     DenseStep) triple per step in ``segments``) only grows, and a step is
     counted in ``n_steps`` only once all of it is stored, so readers may
     scan the first ``n_steps`` steps while one writer steps on; the
-    caller serializes the writers.
+    caller serializes the writers.  The run also keeps the record stacked
+    as arrays, its step ends for ``crossing`` and its steps' dense-output
+    operands for ``dense_eval``, each as far as a reader has needed it: a
+    stack grows only past what an earlier reader stacked, and is replaced,
+    never changed, so readers that hold no lock each see a whole one.
     """
 
     __slots__ = ("fieldfn", "settings", "t", "y", "f", "h_abs", "direction",
-                 "h_max", "rtol", "atol", "stages", "segments", "_xs", "_ys", "_stacked")
+                 "h_max", "rtol", "atol", "stages", "segments", "_xs", "_ys",
+                 "_end_stack", "_step_stack")
 
     def __init__(self, fieldfn: Callable[[float, np.ndarray], np.ndarray], start,
                  settings: IntegrationSettings = IntegrationSettings()):
@@ -429,8 +445,10 @@ class Run:
         self.segments = []
         self._xs = [0.0]
         self._ys = [y0.copy()]
-        # the step ends as arrays, as far as a reader has needed them
-        self._stacked = (np.empty(0), np.empty((0, y0.size)))
+        # the step ends and the steps' operands as arrays, as far as a
+        # reader has needed them
+        self._end_stack = (np.empty(0), np.empty((0, y0.size)))
+        self._step_stack = _stacked([])
 
     @property
     def n_steps(self) -> int:
@@ -459,15 +477,28 @@ class Run:
         return seg
 
     def _ends(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The xi and points of the first n + 1 step ends as arrays.  Only
-        the ends no earlier call stacked are stacked; a stack is replaced,
-        never changed, so concurrent readers each see a whole one."""
-        xi, pts = self._stacked
+        """The xi and points of the first n + 1 step ends as arrays."""
+        xi, pts = self._end_stack
         if len(xi) <= n:
             xi = np.concatenate([xi, np.asarray(self._xs[len(xi):n + 1])])
             pts = np.concatenate([pts, np.array(self._ys[len(pts):n + 1])])
-            self._stacked = xi, pts
+            self._end_stack = xi, pts
         return xi[:n + 1], pts[:n + 1]
+
+    def stacked(self, n: int) -> tuple:
+        """``_stacked`` of the first n steps: their t_old, h, Q and y_old."""
+        stack = self._step_stack
+        done = len(stack[0])
+        if done < n:
+            more = _stacked([seg for _, _, seg in self.segments[done:n]])
+            stack = tuple(np.concatenate(pair) for pair in zip(stack, more))
+            self._step_stack = stack
+        return tuple(a[:n] for a in stack)
+
+    def dense_eval(self, n: int, t, which=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """``dense_eval`` of step ``which[i]`` of the first n steps at t[i]
+        (``which`` a mask or indices), on the run's stacked operands."""
+        return _dense_eval(*_operands(self.stacked(n), t, which))
 
     def crossing(self, events: Sequence[EventSpec]) -> int | None:
         """Where the steps taken so far first stop on ``events``: 0 if one
@@ -605,7 +636,7 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         points = res.points[at]
         inner = k > 0
         if inner.any():
-            points[inner] = _dense_values(*_stacked([seg for _, _, seg in res.segments],
-                                                    xi[inner], at[inner]))
+            points[inner] = _dense_values(*_operands(run.stacked(res.n_steps),
+                                                     xi[inner], at[inner]))
         res.xi, res.points = xi, points
     return res

@@ -13,12 +13,14 @@ from inflow_layer import (EndState, ExistenceEngine, GasParams, InvalidBoundary,
                           Tolerances, TraceFailed, classify_regime, trace_gamma,
                           verdict_to_dict, verify_decay, verify_residual)
 from inflow_layer import engine as engine_module
+from inflow_layer import linearize as linearize_module
 from inflow_layer.gas import TOL_MACH
 from inflow_layer.engine import (CURVE_TRIVIAL, REASON_MASS_FLUX,
                                  REASON_NONPOSITIVE_U_PLUS, REASON_OFF_CURVE,
                                  REASON_OUT_OF_RANGE, REASON_SUPERSONIC,
                                  REASON_TRUNCATED)
 from inflow_layer.integrator import component_crosses, dense_eval, integrate
+from inflow_layer.linearize import SlowGraph
 from inflow_layer.system import _residual_pair, build_system, phase_field
 from inflow_layer.tracer import TERMINAL_BUDGET, TraceOptions
 
@@ -788,6 +790,50 @@ class TestProfileOrbits:
         # on a warm orbit too, the graph point alone
         assert _profile_bytes(eng.compute_profile(inside)) == want
         assert len(evals) == n_evals and _orbit_steps(eng) == steps
+
+    @pytest.mark.parametrize("case,label", ORBIT_CURVES)
+    def test_inner_leg_is_built_once_per_side(self, request, gas, monkeypatch, case, label):
+        curve, queries = _five_on(request, gas, case, label)
+        # and the first and the last curve sample inside the graph radius
+        right, pidx = queries[0].right, curve.param_index
+        params = curve.samples[:, pidx]
+        w_edge = math.copysign(curve.graph_radius,
+                               (params[1] - params[0]) / curve.graph.e_slow[pidx])
+        reach = abs(curve.graph.points(w_edge)[pidx] - params[0])
+        n_in = int(np.count_nonzero(np.abs(params[1:] - params[0]) <= reach))
+        queries += [Query(_left_for(curve, i, right), right, gas) for i in sorted({1, n_in})]
+        fresh = [_profile_bytes(ExistenceEngine().compute_profile(q)) for q in queries]
+        beyond = {i for i, q in enumerate(queries) if _leg_by_integrate(q, curve) is not None}
+        inside = set(range(len(queries))) - beyond
+        assert len(beyond) >= 3 and inside >= {5}
+        eng = ExistenceEngine()
+        verdicts = [eng.decide(q) for q in queries]
+        flights, polys = [], []
+        flight_times, horner = SlowGraph.flight_times, linearize_module._horner
+
+        def counted_flights(graph, w_grid):
+            flights.append(len(w_grid))
+            return flight_times(graph, w_grid)
+
+        def counted_horner(coef, w):
+            polys.append(coef)
+            return horner(coef, w)
+
+        monkeypatch.setattr(SlowGraph, "flight_times", counted_flights)
+        monkeypatch.setattr(linearize_module, "_horner", counted_horner)
+        order = list(range(len(queries)))
+        random.Random(11).shuffle(order)
+        got, cost = {}, {}
+        for i in order:
+            n_flights, n_polys = len(flights), len(polys)
+            got[i] = _profile_bytes(eng.compute_profile(queries[i], verdicts[i]))
+            cost[i] = len(flights) - n_flights, len(polys) - n_polys
+        assert [got[i] for i in range(len(queries))] == fresh
+        assert sum(cost[i][0] for i in beyond) == 1
+        assert all(cost[i][0] == 1 for i in inside)
+        # after the first, a profile beyond the radius evaluates no graph polynomial
+        first = next(i for i in order if i in beyond)
+        assert all(cost[i] == (0, 0) for i in beyond - {first})
 
     def test_orbits_leave_with_their_cache_entry(self, request, gas, monkeypatch):
         monkeypatch.setattr(engine_module, "CURVE_CACHE_SIZE", 1)

@@ -435,6 +435,46 @@ def test_run_prefixes_equal_separate_integrate_calls(gas, right_subsonic):
         integrate(phase_field(s), start, settings, evs))
 
 
+def test_run_keeps_its_steps_stacked(gas, right_subsonic, monkeypatch):
+    # stepped in three pieces and read along the way, the run stacks each
+    # step once, and a stack it hands out keeps its bytes as the run grows
+    stacked = []
+    restack = integrator._stacked
+
+    def counted(steps):
+        stacked.append(len(steps))
+        return restack(steps)
+
+    s = build_system(gas, right_subsonic)
+    start = np.array([s.u_plus, s.theta_plus]) - 1e-3 * s.scale * eigen_2x2(s.matrix).e2
+    run = Run(phase_field(s), start,
+              IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15, direction=BACKWARD))
+    monkeypatch.setattr(integrator, "_stacked", counted)
+    held, done = [], 0
+    for n in (10, 40, 100):
+        while run.n_steps < n:
+            run.step()
+        steps = [seg for _, _, seg in run.segments]
+        stacked.clear()
+        for k in (n // 2, n, 0, 1):
+            got = run.stacked(k)
+            want = restack(steps[:k])
+            assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes())
+                                                             for a in want], k
+            held.append((got, [a.tobytes() for a in got]))
+        # each read stacked only the steps no earlier read had
+        assert stacked == [n // 2 - done, n - n // 2]
+        done = n
+        # a masked prefix, evaluated on the stack, is dense_eval of its steps
+        mask = np.arange(n) % 3 != 1
+        t = np.array([st.t_old + 0.3 * st.h for st in steps[:n]])[mask]
+        y, dy = run.dense_eval(n, t, mask)
+        want_y, want_dy = dense_eval([st for st, m in zip(steps, mask) if m], t)
+        assert y.tobytes() == want_y.tobytes() and dy.tobytes() == want_dy.tobytes()
+    for got, want in held:
+        assert [a.tobytes() for a in got] == want
+
+
 def test_run_budget_equals_integrate_budget(gas, right_subsonic):
     s = build_system(gas, right_subsonic)
     start = np.array([s.u_plus, s.theta_plus]) - 1e-3 * s.scale * eigen_2x2(s.matrix).e2

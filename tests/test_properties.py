@@ -137,6 +137,43 @@ def test_fresh_and_warm_engines_agree(warm_engine, data):
     assert [_decision(fresh, q) for q in reversed(queries)] == warm[::-1]
 
 
+def _profile_bytes(prof) -> tuple:
+    return (prof.xi.tobytes(), prof.V.tobytes(), prof.U.tobytes(), prof.Theta.tobytes(),
+            prof.residual_rows.tobytes(), repr(prof.metrics))
+
+
+@settings(max_examples=8)
+@given(st.data())
+def test_warm_profiles_do_not_depend_on_query_order(data):
+    # profiles on one curve side share a backward run, its stacked steps and
+    # an inner leg along the graph; none of it may move a bit, whatever was
+    # profiled before.  The first boundary lies inside the graph radius.
+    gas, right = data.draw(far_fields(st.floats(0.05, 0.99)))
+    curves = ExistenceEngine().curves_for(gas, right)
+    queries = []
+    for j in range(4):
+        curve = curves[data.draw(st.sampled_from(["gamma1", "gamma2"]))]
+        # the last sample at or before a drawn fraction of the distance from
+        # S1 along the parameter, out to the last sample short of the
+        # terminal or, for the first boundary, to the graph radius
+        pidx, graph = curve.param_index, curve.graph
+        params = curve.samples[:, pidx]
+        dist = np.abs(params[1:-1] - params[0])
+        reach = dist[-1]
+        if j == 0:
+            w_edge = math.copysign(curve.graph_radius,
+                                   (params[1] - params[0]) / graph.e_slow[pidx])
+            reach = abs(graph.points(w_edge)[pidx] - params[0])
+        i = max(1, int(np.count_nonzero(dist <= data.draw(st.floats(0.0, 1.0)) * reach)))
+        u, theta = (float(x) for x in curve.samples[i])
+        queries.append(Query(EndState(u * right.v / right.u, u, theta), right, gas))
+    fresh = [_profile_bytes(ExistenceEngine().compute_profile(q)) for q in queries]
+    warm, got = ExistenceEngine(), {}
+    for i in data.draw(st.permutations(range(4))):
+        got[i] = _profile_bytes(warm.compute_profile(queries[i]))
+    assert [got[i] for i in range(4)] == fresh
+
+
 @settings(max_examples=300)
 @given(far_fields(any_machs), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
 def test_field_bits_equal_on_floats_numpy_scalars_and_in_the_stepper(far, u, theta):
