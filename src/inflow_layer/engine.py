@@ -8,23 +8,23 @@ case giving the trivial constant layer.
 Profiles ride invariant manifolds into the far-field equilibrium S1, which
 forward shooting cannot follow (transverse errors grow exponentially).
 Every profile rides its curve's invariant-manifold graph at S1
-(``Curve.graph``).  A boundary beyond the graph's radius is reached by the
-stable backward integration used for tracing, started at the graph point
-at that radius and run until the boundary parameter is crossed, then
-reversed and re-based to xi = 0 at the boundary; a boundary inside it is
-the graph point itself.  That run is one orbit for every boundary on the
-same side of the curve, so the cache entry keeps it (``_Orbit``) and each
-profile takes its prefix.  From there down to 1e-10 * scale of S1 the
-profile is the reduced flow along the graph: xi by Gauss-Legendre
-quadrature of its flight time, the residual rows from the graph's phase
-velocity.  Quadrature resolves the sonic 1/xi tail and the subsonic
-exp(lambda2 xi) one alike, where an integrator would crawl at |lambda2| ~
-1 - M+ with its steps capped by the fast rate.
+(``Curve.graph``).  A boundary beyond the graph's radius is reached on the
+curve's profile orbit (``Curve.orbit``), the stable backward run from the
+graph point at that radius, stopped where the boundary parameter is
+crossed, then reversed and re-based to xi = 0 at the boundary; a boundary
+inside it is the graph point itself.  The orbit is one run for every
+boundary on the curve, and the refined membership of ``decide`` stops on
+it too, so a refined verdict and its profile read the same crossing.  From
+there down to 1e-10 * scale of S1 the profile is the reduced flow along the
+graph: xi by Gauss-Legendre quadrature of its flight time, the residual
+rows from the graph's phase velocity.  Quadrature resolves the sonic 1/xi
+tail and the subsonic exp(lambda2 xi) one alike, where an integrator would
+crawl at |lambda2| ~ 1 - M+ with its steps capped by the fast rate.
 
 Beyond the radius the inner leg starts at the same graph point for every
-boundary on the side, so the orbit keeps it too, and its run keeps its
+boundary on the curve, so the orbit keeps it too, and its run keeps its
 steps stacked for the residual rows: a warm profile pays for its own stop
-and the sum of its xi, not for the side's shared tail.
+and the sum of its xi, not for the curve's shared tail.
 """
 
 from __future__ import annotations
@@ -40,17 +40,17 @@ from .errors import (InvalidBoundary, OutOfRange, ProfileDiverged, TailTooShort)
 from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH,
                   check_flux_condition, check_tol_mach, classify_regime, mach,
                   require_positive)
-from .integrator import (BACKWARD, COMPONENT_CROSSES, IntegrationSettings, Run,
-                         component_crosses)
-# the profile legs step a ``Run``; ``integrate`` stays importable here, the
-# engine's name for the integrator, which bench/spans.py wraps
+from .integrator import COMPONENT_CROSSES, component_crosses
+# the profile legs stop on the curve's orbit; ``integrate`` and
+# ``phase_field`` stay importable here, the engine's names for the
+# integrator and the field, which bench/spans.py wraps
 from .integrator import integrate  # noqa: F401
-from .linearize import SlowGraph, eigen_2x2, saddle_graph, transonic_frame
-from .system import (PhasePoint, SystemData, build_system, field_poly, phase_field,
-                     residual_sup)
+from .linearize import eigen_2x2, saddle_graph, transonic_frame
+from .system import phase_field  # noqa: F401
+from .system import PhasePoint, SystemData, build_system, field_poly, residual_sup
 from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, TERMINAL_BUDGET,
-                     Curve, TraceOptions, curve_membership, trace_gamma,
-                     trace_sigma)
+                     _S1_OFFSET, Curve, TraceOptions, _inner_leg, _Orbit,
+                     curve_membership, trace_gamma, trace_sigma)
 
 REASON_MASS_FLUX = "mass_flux_mismatch"
 REASON_NONPOSITIVE_U_PLUS = "nonpositive_u_plus"
@@ -62,12 +62,7 @@ REASON_TRUNCATED = "curve_truncated"
 CURVE_TRIVIAL = "trivial"
 
 _TRIVIAL_RTOL = 1e-12
-_S1_OFFSET = 1e-10   # * scale, where profile runs leave or reach S1
 CURVE_CACHE_SIZE = 32   # far fields whose curves an engine keeps
-# the backward profile leg: tighter than tracing, since the profile is held
-# to its residual bound on the leg's own dense output
-_LEG_SETTINGS = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15, direction=BACKWARD,
-                                    max_steps=500_000)
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -164,55 +159,17 @@ class DecayReport:
     n_tail: int = 0
 
 
-class _Orbit:
-    """One side of a curve's profile orbit: the backward run from the graph
-    point ``edge`` at the graph radius, stepped only as far as a profile
-    has asked, and the inner leg from that point down the graph to S1.
-
-    Every profile on that side is a prefix of this one orbit, and the steps
-    of a run do not depend on where it stops, so ``stop`` returns what
-    ``integrate`` returns for the same field, start, settings and event.
-    The run keeps its steps' dense-output operands stacked, so a profile's
-    residual rows are one evaluation on them.  The inner leg (``_inner_leg``)
-    is the same for every profile on the side; only its xi, which starts
-    from the profile's own stop, is left to each profile.
-    """
-
-    __slots__ = ("run", "lock", "edge", "inner")
-
-    def __init__(self, run: Run, edge: np.ndarray, inner: tuple):
-        self.run = run
-        self.lock = threading.Lock()
-        self.edge = edge
-        self.inner = inner
-
-    def stop(self, ev):
-        """``integrate``'s result for the one event ``ev``: the steps
-        already taken are scanned without the lock; the run is stepped on,
-        under it, only when none of them crosses."""
-        run, events = self.run, (ev,)
-        k = run.crossing(events)
-        if k is None:
-            with self.lock:
-                k = run.crossing(events)
-                if k is None:
-                    k = run.step_until(events)
-        return run.stopped_by(events, k)
-
-
 class _Flight:
     """One key's curves, or the error its trace raised, traced by the first
-    caller while the others wait; and the profile orbits of its curves,
-    keyed by (label, signed graph radius), which leave with it, their
-    stacked steps and inner legs with them."""
+    caller while the others wait.  The curves' profile orbits live on the
+    curves, so they leave the cache with the entry."""
 
-    __slots__ = ("done", "curves", "error", "orbits")
+    __slots__ = ("done", "curves", "error")
 
     def __init__(self):
         self.done = threading.Event()
         self.curves: dict[str, Curve] | None = None
         self.error: BaseException | None = None
-        self.orbits: dict[tuple[str, float], _Orbit] = {}
 
 
 class ExistenceEngine:
@@ -224,15 +181,15 @@ class ExistenceEngine:
     each of them, and is not kept), and the cache keeps the
     ``CURVE_CACHE_SIZE`` keys used last.
 
-    A key's entry also keeps the profile orbits of its curves: for each
-    curve side that a profile has needed, the backward run from the graph
-    point at the graph radius, holding the steps up to the farthest
-    boundary asked of it, and the side's inner leg along the graph.  They
-    leave the cache with the entry.  They cannot change an answer: a
-    profile's leg is a prefix of its orbit, stopped by ``Run.stopped_by``
-    as every ``integrate`` call is, the steps before a stop do not depend
-    on where the run stops, and the inner leg does not depend on the
-    boundary.
+    Each cached curve keeps its profile orbit (``Curve.orbit``): the
+    backward run from the graph point at the graph radius, holding the
+    steps up to the farthest parameter a refinement or a profile has asked
+    of it, and the curve's inner leg along the graph.  The orbits leave the
+    cache with their entry's curves.  They cannot change an answer: a
+    refined membership value and a profile's leg are prefixes of the
+    orbit, stopped by ``Run.stopped_by`` as every ``integrate`` call is,
+    the steps before a stop do not depend on where the run stops, and the
+    inner leg does not depend on the boundary.
     """
 
     def __init__(self, trace_options: TraceOptions | None = None):
@@ -245,10 +202,7 @@ class ExistenceEngine:
 
     def curves_for(self, gas: GasParams, right: EndState,
                    tol_M: float = TOL_MACH) -> dict[str, Curve]:
-        return self._entry(gas, right, tol_M).curves
-
-    def _entry(self, gas: GasParams, right: EndState, tol_M: float) -> _Flight:
-        """The cache entry of the far field, traced if it is not cached."""
+        """The far field's curves, traced if they are not cached."""
         # the regime decides which curves exist, and it depends on tol_M
         regime = classify_regime(mach(right, gas), tol_M)
         key = (gas.gamma, gas.R, gas.mu, gas.kappa,
@@ -262,12 +216,12 @@ class ExistenceEngine:
             if owner and len(self._cache) > CURVE_CACHE_SIZE:
                 del self._cache[next(iter(self._cache))]
             elif flight.curves is not None:
-                return flight
+                return flight.curves
         if not owner:
             flight.done.wait()
             if flight.error is not None:
                 raise flight.error
-            return flight
+            return flight.curves
         try:
             flight.curves = self._trace(build_system(gas, right), regime, tol_M)
         except BaseException as exc:
@@ -279,7 +233,7 @@ class ExistenceEngine:
             raise
         finally:
             flight.done.set()
-        return flight
+        return flight.curves
 
     def _trace(self, s: SystemData, regime: Regime, tol_M: float) -> dict[str, Curve]:
         if regime.is_transonic:
@@ -348,14 +302,15 @@ class ExistenceEngine:
         """Compute the layer profile (V, U, Theta)(xi) for an existing layer.
 
         A boundary beyond its curve's graph radius is reached on the curve's
-        profile orbit, which the far field's cache entry keeps (see
-        ``_backward_leg``); the answer is the same bits on a fresh engine
-        and on one that has profiled any other boundaries before.
+        profile orbit (``Curve.orbit``, see ``_backward_leg``); the answer
+        is the same bits on a fresh engine and on one that has refined or
+        profiled any other boundaries before.
 
         Raises ProfileDiverged if the backward realization fails to land on
-        the boundary data within ten membership tolerances (a sign the
-        membership decision was borderline; tighten tolerances), or spends
-        its step budget before it reaches the boundary parameter.
+        the boundary data within ten membership tolerances, which only an
+        unrefined verdict or one passed in for another boundary can do (a
+        refined one read the same stop), or spends its step budget before
+        it reaches the boundary parameter.
         """
         verdict = verdict if verdict is not None else self.decide(q)
         if not verdict.exists:
@@ -363,14 +318,13 @@ class ExistenceEngine:
         s = build_system(q.gas, q.right)
         if verdict.curve == CURVE_TRIVIAL:
             return self._trivial_profile(q, s)
-        entry = self._entry(q.gas, q.right, q.tolerances.tol_M)
-        curve = entry.curves[verdict.curve]
+        curve = self.curves_for(q.gas, q.right, q.tolerances.tol_M)[verdict.curve]
         pidx = curve.param_index
         # a boundary within ten start offsets of S1 leaves no layer to resolve
         if (abs((q.left.u, q.left.theta)[pidx] - (s.u_plus, s.theta_plus)[pidx])
                 <= 10.0 * _S1_OFFSET * s.scale):
             return self._trivial_profile(q, s)
-        prof = self._graph_profile(q, s, curve, entry)
+        prof = self._graph_profile(q, s, curve)
         prof.metrics["monotone_ok"], prof.metrics["signs"] = _monotone_check(prof)
         prof.metrics["endpoint_gap"] = max(abs(prof.U[-1] - s.u_plus),
                                            abs(prof.Theta[-1] - s.theta_plus))
@@ -391,7 +345,8 @@ class ExistenceEngine:
         return prof
 
     def _landing_check(self, q: Query, event_point: PhasePoint, pidx: int) -> None:
-        # the value coordinate of the landing point must match the boundary
+        """The landing point's value must match the boundary's to ten
+        membership tolerances; a refined verdict's distance is this gap."""
         vidx = 1 - pidx
         gap = abs((event_point.u, event_point.theta)[vidx] - (q.left.u, q.left.theta)[vidx])
         lim = 10.0 * q.tolerances.tol_member * (q.right.u, q.right.theta)[vidx]
@@ -400,32 +355,20 @@ class ExistenceEngine:
                 f"profile landed {gap:.3e} away from the boundary data "
                 f"(limit {lim:.3e}); membership was borderline")
 
-    def _orbit(self, entry: _Flight, s: SystemData, curve: Curve, w_start: float,
-               edge: np.ndarray) -> _Orbit:
-        """The profile orbit of ``curve`` from its graph point ``edge`` at
-        ``w_start``, made at its first use with ``_LEG_SETTINGS``."""
-        key = (curve.label, w_start)
-        with self._lock:
-            orbit = entry.orbits.get(key)
-            if orbit is None:
-                orbit = _Orbit(Run(phase_field(s), edge, _LEG_SETTINGS), edge,
-                               _inner_leg(s, curve.graph, w_start))
-                entry.orbits[key] = orbit
-        return orbit
-
     def _backward_leg(self, q: Query, orbit: _Orbit, pidx: int):
         """The backward run on ``orbit`` to the boundary parameter: (xi,
         points, residual rows), samples in forward order, xi = 0 at the
         boundary.
 
         The run is the one ``integrate`` makes from the orbit's start with
-        ``_LEG_SETTINGS`` and a ``component_crosses`` event at the boundary
-        parameter, taken as a prefix of the orbit: its steps are scanned
-        by ``Run.crossing`` and the stop read out by ``Run.stopped_by``, and
+        ``tracer._LEG_SETTINGS`` and a ``component_crosses`` event at the
+        boundary parameter, taken as a prefix of the orbit (``_Orbit.stop``,
+        the stop ``Curve.refine_value`` makes too): its steps are scanned by
+        ``Run.crossing`` and the stop read out by ``Run.stopped_by``, and
         the orbit is stepped on only when the boundary lies beyond its last
-        step.  So the
-        orbit holds the steps up to the farthest boundary asked of it, and
-        a first profile on a curve takes the steps it would take alone.
+        step.  So the orbit holds the steps up to the farthest boundary
+        asked of it, and a first stop on a curve takes the steps it would
+        take alone.
 
         A row is the dense output and its derivative at the midpoint (where
         the interpolant is independent of the step-end field values) of each
@@ -447,26 +390,18 @@ class ExistenceEngine:
         y, dy = orbit.run.dense_eval(res.n_steps, 0.5 * (t_new[kept] + t_old[kept]), kept)
         return xi, res.points[::-1].copy(), np.hstack([y, dy])
 
-    def _graph_profile(self, q: Query, s: SystemData, curve: Curve,
-                       entry: _Flight) -> Profile:
+    def _graph_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
         """The outer leg, backward on the curve's orbit from the graph point
         at the curve's graph radius to the boundary, or for a boundary
         inside that radius the graph point at the boundary; then the inner
         leg along the graph, the orbit's own beyond the radius."""
-        graph, pidx = curve.graph, curve.param_index
-        p_s1 = (s.u_plus, s.theta_plus)[pidx]
-        d = (q.left.u, q.left.theta)[pidx] - p_s1
-        # the graph leaves S1 along e_slow, so d / e_slow[pidx] has w's sign
-        w_start = math.copysign(curve.graph_radius, d / graph.e_slow[pidx])
-        orbit = entry.orbits.get((curve.label, w_start))
-        edge = graph.points(w_start) if orbit is None else orbit.edge
-        if abs(d) > abs(edge[pidx] - p_s1):
-            if orbit is None:
-                orbit = self._orbit(entry, s, curve, w_start, edge)
+        graph, pidx, orbit = curve.graph, curve.param_index, curve.orbit
+        bparam = (q.left.u, q.left.theta)[pidx]
+        if curve.beyond_graph(bparam):
             xi, pts, rows = self._backward_leg(q, orbit, pidx)
             flights, inner_pts, inner_rows = orbit.inner
         else:
-            w_start = graph.w_at(pidx, d)
+            w_start = graph.w_at(pidx, bparam - (s.u_plus, s.theta_plus)[pidx])
             pts = graph.points(w_start)[None, :]
             self._landing_check(q, PhasePoint(*pts[0]), pidx)
             xi = np.array([0.0])
@@ -476,19 +411,6 @@ class ExistenceEngine:
         xi_inner = np.cumsum(np.concatenate([xi[-1:], flights]))[1:]
         return _profile(s, np.concatenate([xi, xi_inner]), np.vstack([pts, inner_pts]),
                         curve.label, np.vstack([rows, inner_rows]))
-
-
-def _inner_leg(s: SystemData, graph: SlowGraph, w_start: float) -> tuple:
-    """The inner leg from the graph point at ``w_start`` down to ~1e-10 of
-    S1, quadrature of the reduced flow along the graph, 16 panels a decade:
-    the flight time across each panel, and the points and residual rows at
-    the panels' ends."""
-    w_stop = _S1_OFFSET * s.scale / math.hypot(*graph.e_slow)
-    n_pts = max(60, int(round(math.log10(abs(w_start) / w_stop) * 16)) + 1)
-    w_grid = math.copysign(1.0, w_start) * np.geomspace(abs(w_start), w_stop, n_pts)
-    inner_pts = graph.points(w_grid[1:])
-    return (graph.flight_times(w_grid), inner_pts,
-            np.hstack([inner_pts, graph.velocity(w_grid[1:])]))
 
 
 def _profile(s: SystemData, xi: np.ndarray, pts: np.ndarray, curve: str,

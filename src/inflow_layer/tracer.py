@@ -32,7 +32,9 @@ the seed offset.
 
 Each curve keeps its graph and r* (``Curve.graph``, shared by gamma1 and
 gamma2, and ``Curve.graph_radius``): its value between S1 and the first
-offset sample is read off the graph, and the engine's profiles ride it.
+offset sample is read off the graph.  Its profile orbit (``Curve.orbit``)
+is the backward run from the graph point at r*, made at its first use:
+refined memberships and the engine's profiles stop on that one run.
 Seeding, backward integration, terminal classification, thinning and
 validation are one body for all three curves; they differ only in their
 graph, the side of S1 they leave on, and their terminal events.
@@ -43,6 +45,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,9 +53,9 @@ import numpy as np
 from .errors import DomainError, LayerError, OutOfRange, TraceFailed, UnexpectedTerminal
 from .gas import require_positive
 from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
-                         THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationSettings,
-                         capped_knots, component_crosses, integrate, near_equilibrium,
-                         theta_crosses_zero, u_crosses_zero)
+                         THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationResult,
+                         IntegrationSettings, Run, capped_knots, component_crosses,
+                         integrate, near_equilibrium, theta_crosses_zero, u_crosses_zero)
 from .linearize import EigenPair, SlowGraph
 from .system import (PhasePoint, Region, SystemData, phase_field, region_contains,
                      row_residuals)
@@ -70,6 +73,11 @@ TERMINAL_BUDGET = "budget"
 CAPTURE_RADIUS = 1e-8                 # * scale, S2 capture
 SLIDE_POINTS_PER_DECADE = 12          # graph samples per decade of w
 GRAPH_RESIDUAL = 1e-9                 # scaled equation residual of a graph row
+_S1_OFFSET = 1e-10                    # * scale, where profile runs leave or reach S1
+# the profile orbit: tighter than tracing, since a profile is held to its
+# residual bound on the orbit's own dense output
+_LEG_SETTINGS = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15, direction=BACKWARD,
+                                    max_steps=500_000)
 
 
 @dataclass(frozen=True)
@@ -167,6 +175,63 @@ class Membership:
     refined: bool
 
 
+def _inner_leg(s: SystemData, graph: SlowGraph, w_start: float) -> tuple:
+    """The inner leg from the graph point at ``w_start`` down to ~1e-10 of
+    S1, quadrature of the reduced flow along the graph, 16 panels a decade:
+    the flight time across each panel, and the points and residual rows at
+    the panels' ends."""
+    w_stop = _S1_OFFSET * s.scale / math.hypot(*graph.e_slow)
+    n_pts = max(60, int(round(math.log10(abs(w_start) / w_stop) * 16)) + 1)
+    w_grid = math.copysign(1.0, w_start) * np.geomspace(abs(w_start), w_stop, n_pts)
+    inner_pts = graph.points(w_grid[1:])
+    return (graph.flight_times(w_grid), inner_pts,
+            np.hstack([inner_pts, graph.velocity(w_grid[1:])]))
+
+
+class _Orbit:
+    """A curve's profile orbit: the backward run with ``_LEG_SETTINGS`` from
+    the graph point ``edge`` at ``w_start``, the curve's side times its
+    graph radius, stepped only as far as a caller has asked, and the inner
+    leg from that point down the graph to S1.
+
+    Every stop on the curve beyond its graph radius, a refined membership
+    value or a profile's outer leg, is a prefix of this one run, and the
+    steps of a run do not depend on where it stops, so ``stop`` returns
+    what ``integrate`` returns for the same field, start, settings and
+    event.  The run and the inner leg are made at the first stop, under the
+    lock, so racing threads make one of each.  The run keeps its steps'
+    dense-output operands stacked, so a profile's residual rows are one
+    evaluation on them; the inner leg (``_inner_leg``) is the same for every
+    profile on the curve, and only its xi, which starts from the profile's
+    own stop, is left to each profile.
+    """
+
+    __slots__ = ("system", "graph", "w_start", "edge", "lock", "run", "inner")
+
+    def __init__(self, s: SystemData, graph: SlowGraph, w_start: float):
+        self.system, self.graph, self.w_start = s, graph, w_start
+        self.edge = graph.points(w_start)
+        self.lock = threading.Lock()
+        self.run = self.inner = None
+
+    def stop(self, ev) -> IntegrationResult:
+        """``integrate``'s result for the one event ``ev``: the steps
+        already taken are scanned without the lock; the run is made, or
+        stepped on, under it, only when none of them crosses."""
+        run, events = self.run, (ev,)
+        k = None if run is None else run.crossing(events)
+        if k is None:
+            with self.lock:
+                if self.run is None:
+                    self.inner = _inner_leg(self.system, self.graph, self.w_start)
+                    self.run = Run(phase_field(self.system), self.edge, _LEG_SETTINGS)
+                run = self.run
+                k = run.crossing(events)
+                if k is None:
+                    k = run.step_until(events)
+        return run.stopped_by(events, k)
+
+
 @dataclass(frozen=True)
 class Curve:
     """A traced existence curve, sampled from S1 outward (backward-xi order).
@@ -180,7 +245,8 @@ class Curve:
     ``graph`` is the invariant-manifold graph at S1 the curve leaves along,
     and ``graph_radius`` the |w| of its last graph sample: the certified
     radius r* (S2's capture point for a gamma2 that ends on the graph, the
-    seed offset when nothing is certified).
+    seed offset when nothing is certified).  ``orbit`` is the profile
+    orbit from the graph point at r* on the side of S1 the trace left on.
     """
 
     label: str
@@ -193,6 +259,7 @@ class Curve:
     interpolant: Pchip = field(repr=False)
     graph: SlowGraph = field(repr=False)
     graph_radius: float
+    orbit: _Orbit = field(repr=False, compare=False)
 
     @property
     def eig(self) -> EigenPair | None:
@@ -228,7 +295,7 @@ class Curve:
         return float(p[-1]), float(p[0])
 
     def _gap_value(self, q: float) -> float:
-        """Curve value between S1 and the first offset sample, on the graph."""
+        """Curve value at parameter q read off the graph (inside r*)."""
         pidx, g = self.param_index, self.graph
         s1 = (self.system.u_plus, self.system.theta_plus)
         return float(g.points(g.w_at(pidx, q - s1[pidx]))[1 - pidx])
@@ -243,23 +310,25 @@ class Curve:
             return self._gap_value(q)
         return float(self.interpolant(q))
 
-    def refine_value(self, q: float) -> float | None:
-        """Re-integrate locally for a sharper curve value at parameter q.
+    def beyond_graph(self, q: float) -> bool:
+        """Whether parameter q lies farther from S1 than the orbit's start."""
+        pidx = self.param_index
+        p_s1 = (self.system.u_plus, self.system.theta_plus)[pidx]
+        return abs(q - p_s1) > abs(self.orbit.edge[pidx] - p_s1)
 
-        Starts from the stored sample on the S1 side of q and integrates
-        backward (the stable direction) until the parameter crosses q.
+    def refine_value(self, q: float) -> float | None:
+        """The curve value at parameter q on the curve's profile orbit.
+
+        Beyond the graph radius r* it is where the orbit, the backward run
+        from the graph point at r* at rel_tol 1e-13, first crosses q: the
+        stop a profile to that boundary makes, not a local re-integration
+        from a traced sample.  Inside r* it is the graph point at q.  None
+        when the run raises a ``LayerError`` or stops before crossing q.
         """
-        params = self.params
-        if q >= params[1]:
+        if not self.beyond_graph(q):
             return self._gap_value(q)
-        idx = int(np.searchsorted(-params, -q, side="left"))
-        idx = min(max(idx - 1, 1), len(params) - 2)
-        start = self.samples[idx]
-        settings = IntegrationSettings(rel_tol=1e-12, abs_tol=1e-14,
-                                       direction=BACKWARD, max_steps=50_000)
         try:
-            res = integrate(phase_field(self.system), start, settings,
-                            events=[component_crosses(self.param_index, q)])
+            res = self.orbit.stop(component_crosses(self.param_index, q))
         except LayerError:
             return None
         if res.event.kind != COMPONENT_CROSSES:
@@ -463,7 +532,8 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
                  terminal=terminal, terminal_point=terminal_point,
                  seed_offset=eps, system=s,
                  interpolant=Pchip(samples[::-1, pidx], samples[::-1, 1 - pidx]),
-                 graph=graph, graph_radius=float(radii[-1]))
+                 graph=graph, graph_radius=float(radii[-1]),
+                 orbit=_Orbit(s, graph, side * float(radii[-1])))
 
 
 def trace_sigma(s: SystemData, graph: SlowGraph,
@@ -504,8 +574,9 @@ def curve_membership(c: Curve, p: PhasePoint, tol: float = 1e-6) -> Membership:
 
     The curve is parameterized by its strictly monotone coordinate (u for
     sigma/gamma1, theta for gamma2).  Borderline distances (between tol/3
-    and 10 tol, relative) are re-refined by local re-integration before
-    deciding.
+    and 10 tol, relative) are refined before deciding: the value is read
+    off the curve's profile orbit (``Curve.refine_value``), at the stop a
+    profile to the same boundary makes.
 
     Raises
     ------

@@ -14,6 +14,7 @@ from inflow_layer import (EndState, ExistenceEngine, GasParams, InvalidBoundary,
                           verdict_to_dict, verify_decay, verify_residual)
 from inflow_layer import engine as engine_module
 from inflow_layer import linearize as linearize_module
+from inflow_layer import tracer as tracer_module
 from inflow_layer.gas import TOL_MACH
 from inflow_layer.engine import (CURVE_TRIVIAL, REASON_MASS_FLUX,
                                  REASON_NONPOSITIVE_U_PLUS, REASON_OFF_CURVE,
@@ -21,8 +22,8 @@ from inflow_layer.engine import (CURVE_TRIVIAL, REASON_MASS_FLUX,
                                  REASON_TRUNCATED)
 from inflow_layer.integrator import component_crosses, dense_eval, integrate
 from inflow_layer.linearize import SlowGraph
-from inflow_layer.system import _residual_pair, build_system, phase_field
-from inflow_layer.tracer import TERMINAL_BUDGET, TraceOptions
+from inflow_layer.system import PhasePoint, _residual_pair, build_system, phase_field
+from inflow_layer.tracer import TERMINAL_BUDGET, TraceOptions, curve_membership
 
 
 def _left_for(curve, i, right):
@@ -402,7 +403,7 @@ def _leg_by_integrate(q, curve):
                                       (bparam - p_s1) / graph.e_slow[pidx]))
     if abs(bparam - p_s1) <= abs(edge[pidx] - p_s1):
         return None
-    return integrate(phase_field(s), edge, engine_module._LEG_SETTINGS,
+    return integrate(phase_field(s), edge, tracer_module._LEG_SETTINGS,
                      events=[component_crosses(pidx, bparam)])
 
 
@@ -418,9 +419,10 @@ def _profile_and_leg(request, engine, gas, case, label):
 
 
 def _orbit_steps(eng) -> list[int]:
-    """The steps each profile orbit of the engine's cache has stored."""
-    return [orbit.run.n_steps for entry in eng._cache.values()
-            for orbit in entry.orbits.values()]
+    """The steps each profile orbit of the engine's cached curves has
+    stored, for every orbit whose run has been made."""
+    return [c.orbit.run.n_steps for entry in eng._cache.values()
+            for c in entry.curves.values() if c.orbit.run is not None]
 
 
 @pytest.mark.parametrize("case,label", LEG_CASES)
@@ -662,44 +664,81 @@ def _five_on(request, gas, case, label):
                    for k in range(5)]
 
 
+def _borderline(q, curve, k):
+    """q's boundary moved ``k`` membership tolerances off ``curve`` along
+    its value coordinate, flux-compatible."""
+    bump = k * q.tolerances.tol_member * curve.value_scale
+    u, theta = q.left.u, q.left.theta
+    if curve.param_index == 0:
+        theta += bump
+    else:
+        u += bump
+    return Query(EndState(u * q.right.v / q.right.u, u, theta), q.right, q.gas)
+
+
 class TestProfileOrbits:
-    """Profiles on one curve side are prefixes of one backward run that the
-    cache entry keeps; no history of earlier profiles may move a bit."""
+    """Refined memberships and profiles on one curve are prefixes of one
+    backward run that the curve keeps; no history of earlier refinements or
+    profiles may move a bit."""
 
     @pytest.mark.parametrize("case,label", ORBIT_CURVES)
     def test_profiles_do_not_depend_on_cache_history(self, request, gas, case, label):
         curve, queries = _five_on(request, gas, case, label)
+        # a borderline boundary next to each, refined on the orbit: on the
+        # curve at 0.5 membership tolerances, off it at 3
+        near = [_borderline(q, curve, 3.0 if i % 2 else 0.5) for i, q in enumerate(queries)]
         fresh = [_profile_bytes(ExistenceEngine().compute_profile(q)) for q in queries]
+        fresh_verdicts = [verdict_to_dict(ExistenceEngine().decide(q)) for q in near]
+        assert [v["outcome"] for v in fresh_verdicts] == ["exists", "not_exists"] * 2 + ["exists"]
         legs = [leg.n_steps for leg in (_leg_by_integrate(q, curve) for q in queries)
                 if leg is not None]
         assert len(legs) >= 3
         shuffled = list(range(5))
         random.Random(7).shuffle(shuffled)
-        for order in (list(range(5)), list(range(5))[::-1], shuffled):
+        for o, order in enumerate((list(range(5)), list(range(5))[::-1], shuffled)):
             eng = ExistenceEngine()
-            got = {i: _profile_bytes(eng.compute_profile(queries[i])) for i in order}
+            got, verdicts = {}, {}
+            for k, i in enumerate(order):
+                # the refined decide before the profile at every other
+                # boundary, after it at the others; the first call of the
+                # second order is a profile, of the others a decide
+                first = (k + o) % 2 == 0
+                if first:
+                    verdicts[i] = verdict_to_dict(eng.decide(near[i]))
+                got[i] = _profile_bytes(eng.compute_profile(queries[i]))
+                if not first:
+                    verdicts[i] = verdict_to_dict(eng.decide(near[i]))
             assert [got[i] for i in range(5)] == fresh, order
+            assert [verdicts[i] for i in range(5)] == fresh_verdicts, order
             # one orbit, holding the steps to the farthest boundary and no more
             assert _orbit_steps(eng) == [max(legs)]
 
     @pytest.mark.parametrize("case,label", ORBIT_CURVES)
     def test_threads_profiling_one_curve_agree(self, request, gas, case, label):
-        _, queries = _five_on(request, gas, case, label)
+        curve, queries = _five_on(request, gas, case, label)
+        near = [_borderline(q, curve, 3.0 if i % 2 else 0.5) for i, q in enumerate(queries)]
         fresh = [_profile_bytes(ExistenceEngine().compute_profile(q)) for q in queries]
+        fresh_verdicts = [verdict_to_dict(ExistenceEngine().decide(q)) for q in near]
         eng = ExistenceEngine()
         eng.curves_for(gas, queries[0].right)      # the threads race on the orbit only
         n_threads = 4
         barrier = threading.Barrier(n_threads)
-        results, errors = [], []
+        results, verdicts, errors = [], [], []
 
         def caller(j):
-            # each thread starts at another boundary, half of them going back
+            # each thread starts at another boundary, half of them going
+            # back; half of them refine a borderline boundary before each
+            # profile, the others after it
             order = list(range(j, 5)) + list(range(j))
             order = order[::-1] if j % 2 else order
             try:
                 barrier.wait(timeout=10)
                 for i in order:
+                    if j < 2:
+                        verdicts.append((i, verdict_to_dict(eng.decide(near[i]))))
                     results.append((i, _profile_bytes(eng.compute_profile(queries[i]))))
+                    if j >= 2:
+                        verdicts.append((i, verdict_to_dict(eng.decide(near[i]))))
             except Exception as exc:     # reported by the assertions below
                 errors.append(exc)
 
@@ -714,9 +753,11 @@ class TestProfileOrbits:
         finally:
             sys.setswitchinterval(old_interval)
         assert not any(th.is_alive() for th in threads)
-        assert errors == [] and len(results) == 5 * n_threads
+        assert errors == [] and len(results) == len(verdicts) == 5 * n_threads
         for i, got in results:
             assert got == fresh[i], i
+        for i, got in verdicts:
+            assert got == fresh_verdicts[i], i
         assert len(_orbit_steps(eng)) == 1
 
     def test_step_budget_raises_as_on_a_fresh_engine(self, request, gas, monkeypatch):
@@ -725,8 +766,8 @@ class TestProfileOrbits:
         k_near, k_far = (_leg_by_integrate(q, curve).n_steps for q in (near, far))
         assert k_near < k_far
         budget = (k_near + k_far) // 2
-        monkeypatch.setattr(engine_module, "_LEG_SETTINGS",
-                            dataclasses.replace(engine_module._LEG_SETTINGS,
+        monkeypatch.setattr(tracer_module, "_LEG_SETTINGS",
+                            dataclasses.replace(tracer_module._LEG_SETTINGS,
                                                 max_steps=budget))
         with pytest.raises(ProfileDiverged, match="budget") as fresh:
             ExistenceEngine().compute_profile(far)
@@ -740,6 +781,54 @@ class TestProfileOrbits:
             assert _orbit_steps(eng) == [budget]
         # the steps of the spent run still serve the boundaries they reach
         assert _profile_bytes(eng.compute_profile(near)) == want_near
+
+    @pytest.mark.parametrize("case,label", ORBIT_CURVES)
+    def test_refined_verdict_and_its_profile_read_one_stop(self, request, gas, monkeypatch,
+                                                           case, label):
+        curve, queries = _five_on(request, gas, case, label)
+        right, pidx, vidx = queries[0].right, curve.param_index, 1 - curve.param_index
+        # and the first and the last curve sample inside the graph radius
+        params = curve.samples[:, pidx]
+        w_edge = math.copysign(curve.graph_radius,
+                               (params[1] - params[0]) / curve.graph.e_slow[pidx])
+        reach = abs(curve.graph.points(w_edge)[pidx] - params[0])
+        n_in = int(np.count_nonzero(np.abs(params[1:] - params[0]) <= reach))
+        queries += [Query(_left_for(curve, i, right), right, gas) for i in sorted({1, n_in})]
+        legs = [_leg_by_integrate(q, curve) for q in queries]
+        assert sum(leg is not None for leg in legs) >= 3 and legs[-1] is None
+        gaps = []
+        check = ExistenceEngine._landing_check
+
+        def measured(self, q, point, i):
+            gaps.append(abs((point.u, point.theta)[1 - i] - (q.left.u, q.left.theta)[1 - i]))
+            check(self, q, point, i)
+
+        monkeypatch.setattr(ExistenceEngine, "_landing_check", measured)
+        eng = ExistenceEngine()
+        c = eng.curves_for(gas, right)[label]
+        p_s1 = params[0]
+        for q, leg in zip(queries, legs):
+            on = eng.decide(q)
+            assert on.exists and on.curve == label
+            qparam = (q.left.u, q.left.theta)[pidx]
+            if leg is not None:
+                want = (leg.event.point.u, leg.event.point.theta)[vidx]
+            else:
+                want = curve.graph.points(curve.graph.w_at(pidx, qparam - p_s1))[vidx]
+            assert float(c.refine_value(qparam)).hex() == float(want).hex()
+            for k in (0.5, 3.0):
+                b = _borderline(q, curve, k)
+                mem = curve_membership(c, PhasePoint(b.left.u, b.left.theta),
+                                       b.tolerances.tol_member)
+                assert mem.refined and mem.on_curve == (k < 1.0)
+                verdict = eng.decide(b)
+                assert verdict.exists == (k < 1.0)
+                if not verdict.exists:
+                    assert verdict.distance == mem.distance
+                gaps.clear()
+                eng.compute_profile(b, verdict if verdict.exists else on)
+                assert len(gaps) == 1
+                assert float(abs(mem.distance)).hex() == float(gaps[0]).hex(), (k, leg)
 
     def test_borderline_landing_still_raises(self, request, gas):
         curve, queries = _five_on(request, gas, "subsonic", "gamma1")
@@ -771,7 +860,7 @@ class TestProfileOrbits:
 
             return counted
 
-        monkeypatch.setattr(engine_module, "phase_field", counting)
+        monkeypatch.setattr(tracer_module, "phase_field", counting)
         sigma = transonic_curves["sigma"]
         inside = Query(_left_at(sigma, 0.9995 * right_transonic.u, right_transonic),
                        right_transonic, gas)
@@ -781,6 +870,7 @@ class TestProfileOrbits:
         assert _leg_by_integrate(beyond, sigma) is not None
         want = _profile_bytes(ExistenceEngine().compute_profile(inside))
         eng = ExistenceEngine()
+        eng.curves_for(gas, right_transonic)     # the trace calls the field too
         evals.clear()
         assert _profile_bytes(eng.compute_profile(inside)) == want
         assert evals == [] and _orbit_steps(eng) == []

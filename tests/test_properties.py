@@ -145,12 +145,15 @@ def _profile_bytes(prof) -> tuple:
 @settings(max_examples=8)
 @given(st.data())
 def test_warm_profiles_do_not_depend_on_query_order(data):
-    # profiles on one curve side share a backward run, its stacked steps and
-    # an inner leg along the graph; none of it may move a bit, whatever was
-    # profiled before.  The first boundary lies inside the graph radius.
+    # refined memberships and profiles on one curve share a backward run,
+    # its stacked steps and an inner leg along the graph; none of it may
+    # move a bit, whatever was refined or profiled before.  The first
+    # boundary lies inside the graph radius.  Next to each boundary lies a
+    # borderline one, 0.5 or 3 membership tolerances off the curve, whose
+    # membership is refined on the curve's orbit.
     gas, right = data.draw(far_fields(st.floats(0.05, 0.99)))
     curves = ExistenceEngine().curves_for(gas, right)
-    queries = []
+    queries, near = [], []
     for j in range(4):
         curve = curves[data.draw(st.sampled_from(["gamma1", "gamma2"]))]
         # the last sample at or before a drawn fraction of the distance from
@@ -167,11 +170,23 @@ def test_warm_profiles_do_not_depend_on_query_order(data):
         i = max(1, int(np.count_nonzero(dist <= data.draw(st.floats(0.0, 1.0)) * reach)))
         u, theta = (float(x) for x in curve.samples[i])
         queries.append(Query(EndState(u * right.v / right.u, u, theta), right, gas))
+        bump = (data.draw(st.sampled_from([0.5, 3.0])) * queries[-1].tolerances.tol_member
+                * curve.value_scale)
+        u, theta = (u, theta + bump) if pidx == 0 else (u + bump, theta)
+        near.append(Query(EndState(u * right.v / right.u, u, theta), right, gas))
     fresh = [_profile_bytes(ExistenceEngine().compute_profile(q)) for q in queries]
-    warm, got = ExistenceEngine(), {}
-    for i in data.draw(st.permutations(range(4))):
+    fresh_verdicts = [_decision(ExistenceEngine(), q) for q in near]
+    warm, got, verdicts = ExistenceEngine(), {}, {}
+    order = data.draw(st.permutations(range(4)))
+    for i, decide_first in zip(order, data.draw(st.lists(st.booleans(), min_size=4,
+                                                         max_size=4))):
+        if decide_first:
+            verdicts[i] = _decision(warm, near[i])
         got[i] = _profile_bytes(warm.compute_profile(queries[i]))
+        if not decide_first:
+            verdicts[i] = _decision(warm, near[i])
     assert [got[i] for i in range(4)] == fresh
+    assert [verdicts[i] for i in range(4)] == fresh_verdicts
 
 
 @settings(max_examples=300)

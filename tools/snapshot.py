@@ -18,7 +18,7 @@ copy placed in another checkout snapshots that checkout.  The output set:
   U, Theta and metrics of each profile (``metrics.residual_sup`` pins the
   residual rows); and all of them again, on the same warm engine in
   reverse case order (``query_mix_reversed``), which must give the same
-  bits whatever the engine's profile orbits already hold;
+  bits whatever the curves' profile orbits already hold;
 * sonic verdicts and profiles at u-/u+ = 0.5, 0.9995 and 0.99999, and
   sigma's predictions between S1 and its first offset sample;
 * near-sonic verdicts and profiles at 1-M+ = 1e-2 and 1e-3, with the
