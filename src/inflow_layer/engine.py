@@ -22,9 +22,10 @@ tail and the subsonic exp(lambda2 xi) one alike, where an integrator would
 crawl at |lambda2| ~ 1 - M+ with its steps capped by the fast rate.
 
 Beyond the radius the inner leg starts at the same graph point for every
-boundary on the curve, so the orbit keeps it too, and its run keeps its
-steps stacked for the residual rows: a warm profile pays for its own stop
-and the sum of its xi, not for the curve's shared tail.
+boundary on the curve, so the orbit keeps it too, and the residual rows are
+one evaluation on the run's step record, which stores each step once: a
+warm profile pays for its own stop and the sum of its xi, not for the
+curve's shared tail.
 """
 
 from __future__ import annotations
@@ -306,11 +307,13 @@ class ExistenceEngine:
         is the same bits on a fresh engine and on one that has refined or
         profiled any other boundaries before.
 
-        Raises ProfileDiverged if the backward realization fails to land on
-        the boundary data within ten membership tolerances, which only an
-        unrefined verdict or one passed in for another boundary can do (a
-        refined one read the same stop), or spends its step budget before
-        it reaches the boundary parameter.
+        Raises ProfileDiverged, before any step, if the boundary parameter
+        lies outside the verdict's curve's range, which only a verdict
+        passed in for another boundary can do; and if the backward
+        realization fails to land on the boundary data within ten
+        membership tolerances, which only an unrefined verdict or one for
+        another boundary can do (a refined one read the same stop), or
+        spends its step budget before it reaches the boundary parameter.
         """
         verdict = verdict if verdict is not None else self.decide(q)
         if not verdict.exists:
@@ -320,10 +323,15 @@ class ExistenceEngine:
             return self._trivial_profile(q, s)
         curve = self.curves_for(q.gas, q.right, q.tolerances.tol_M)[verdict.curve]
         pidx = curve.param_index
+        bparam = (q.left.u, q.left.theta)[pidx]
         # a boundary within ten start offsets of S1 leaves no layer to resolve
-        if (abs((q.left.u, q.left.theta)[pidx] - (s.u_plus, s.theta_plus)[pidx])
-                <= 10.0 * _S1_OFFSET * s.scale):
+        if abs(bparam - (s.u_plus, s.theta_plus)[pidx]) <= 10.0 * _S1_OFFSET * s.scale:
             return self._trivial_profile(q, s)
+        lo, hi = curve.param_range
+        if not lo <= bparam <= hi:
+            raise ProfileDiverged(
+                f"boundary parameter {bparam} is outside {curve.label}'s range "
+                f"[{lo}, {hi}]; the verdict is for another boundary")
         prof = self._graph_profile(q, s, curve)
         prof.metrics["monotone_ok"], prof.metrics["signs"] = _monotone_check(prof)
         prof.metrics["endpoint_gap"] = max(abs(prof.U[-1] - s.u_plus),
@@ -372,8 +380,8 @@ class ExistenceEngine:
 
         A row is the dense output and its derivative at the midpoint (where
         the interpolant is independent of the step-end field values) of each
-        step's part in [t_event, 0] that is at least 1e-5 long, evaluated on
-        the steps the run keeps stacked."""
+        step's part in [t_event, 0] that is at least 1e-5 long, evaluated in
+        one call on the stop's view of the orbit's step record."""
         bparam = (q.left.u, q.left.theta)[pidx]
         res = orbit.stop(component_crosses(pidx, bparam))
         if res.event.kind != COMPONENT_CROSSES:
@@ -387,7 +395,7 @@ class ExistenceEngine:
         # the last passes t_ev, and its end res.xi[-1] is t_ev itself
         t_old, t_new = res.xi[:-1], np.maximum(res.xi[1:], t_ev)
         kept = t_old - t_new >= 1e-5
-        y, dy = orbit.run.dense_eval(res.n_steps, 0.5 * (t_new[kept] + t_old[kept]), kept)
+        y, dy = res.steps.dense(0.5 * (t_new[kept] + t_old[kept]), kept, slopes=True)
         return xi, res.points[::-1].copy(), np.hstack([y, dy])
 
     def _graph_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
@@ -401,7 +409,7 @@ class ExistenceEngine:
             xi, pts, rows = self._backward_leg(q, orbit, pidx)
             flights, inner_pts, inner_rows = orbit.inner
         else:
-            w_start = graph.w_at(pidx, bparam - (s.u_plus, s.theta_plus)[pidx])
+            w_start = curve.graph_w(bparam)
             pts = graph.points(w_start)[None, :]
             self._landing_check(q, PhasePoint(*pts[0]), pidx)
             xi = np.array([0.0])

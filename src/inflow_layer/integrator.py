@@ -17,8 +17,9 @@ singular line u = 0, so an explicit pair is appropriate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +42,7 @@ MAX_INSERTED = 1000   # knots ``capped_knots`` inserts into one segment at most
 MIN_REL_TOL = 100 * np.finfo(float).eps   # below it the error estimate is noise
 _BISECT_LEVELS = 5    # halvings whose midpoints one dense-output call evaluates
 _BISECT_NODES = 2 ** _BISECT_LEVELS - 1
+_FIRST_STEPS = 64     # steps a run's record holds before it first doubles
 
 # Dormand-Prince 5(4) tableau with the dense-output matrix P for the optimum
 # c_6 of Shampine (1986), written exactly as in scipy's RK45 so that every
@@ -163,15 +165,15 @@ class IntegrationResult:
     """A run's samples in traversal order and the event that stopped it,
     as ``Run.stopped_by`` reads them out.
 
-    ``segments`` holds one (t_old, t_new, DenseStep) triple per accepted
-    step, in traversal order; ``dense_eval`` evaluates them.
+    ``steps`` holds the run's first ``n_steps`` accepted steps as read-only
+    views, the last one's end where the step ended, not moved to the stop.
     """
 
     xi: np.ndarray
     points: np.ndarray
     event: Event
     n_steps: int
-    segments: list = field(default_factory=list)
+    steps: Steps
 
 
 def _crossed(g_old, g_new, direction: int):
@@ -182,15 +184,16 @@ def _crossed(g_old, g_new, direction: int):
     return hit | ((g_old < 0.0) & (g_new >= 0.0))
 
 
-def _bisect_event(ev: EventSpec, seg, t_lo: float, t_hi: float,
+def _bisect_event(ev: EventSpec, values, t_lo: float, t_hi: float,
                   g_lo: float) -> float:
-    """Bisect the event location on a step's dense output.
+    """Bisect the event location on a step's dense output, ``values``
+    (``Steps.values`` of the step).
 
     Returns the triggered side of the final bracket, with width at most
     1e-12 * (1 + |t|), after at most 200 halvings.  The midpoints that the
     next ``_BISECT_LEVELS`` halvings can reach are made first, each as
     ``0.5 * (a + b)`` of its bracket, and evaluated in one dense-output
-    call, whose values have ``DenseStep.__call__``'s bits; the walk down
+    call, whose rows have the bits of one-point calls; the walk down
     them takes the one-point loop's decisions, so the result is that
     loop's, bit for bit and of the same type.
     """
@@ -204,7 +207,7 @@ def _bisect_event(ev: EventSpec, seg, t_lo: float, t_hi: float,
             mids.append(mid)
             if len(brackets) < _BISECT_NODES:
                 brackets += [(lo, mid), (mid, hi)]
-        ys = seg.values(mids)
+        ys = values(mids)
         i = 0
         for _ in range(min(_BISECT_LEVELS, left)):
             left -= 1
@@ -222,30 +225,6 @@ def _immediate(ev: EventSpec, g0: float) -> bool:
     return g0 <= 0.0 if ev.direction < 0 else g0 == 0.0
 
 
-class DenseStep:
-    """Interpolant of one accepted step, polynomial in x = (t - t_old) / h.
-
-    ``Q`` holds the coefficients of x, x^2, x^3, x^4 of each component, so
-    the value at t is ``y_old + h * Q @ (x, x^2, x^3, x^4)``.
-    """
-
-    __slots__ = ("t_old", "h", "Q", "y_old")
-
-    def __init__(self, t_old, t, y_old: np.ndarray, K: np.ndarray):
-        self.t_old = t_old
-        self.h = t - t_old
-        self.Q = K.T.dot(_P)
-        self.y_old = y_old
-
-    def __call__(self, t) -> np.ndarray:
-        return self.values([t])[0]
-
-    def values(self, t) -> np.ndarray:
-        """The value at each t[i], one row each, with ``__call__``'s bits."""
-        x = (np.asarray(t, dtype=float) - self.t_old) / self.h
-        return _dense_values(self.Q, self.h, self.y_old, x)
-
-
 def _dense_values(Q, h, y_old, x: np.ndarray) -> np.ndarray:
     """y_old + h * Q @ (x, x^2, x^3, x^4) at each x[i], the powers by
     cumprod; Q, h and y_old are one step's or one per x[i]."""
@@ -253,35 +232,37 @@ def _dense_values(Q, h, y_old, x: np.ndarray) -> np.ndarray:
     return h * np.matmul(Q, powers[:, :, None])[:, :, 0] + y_old
 
 
-def _stacked(steps: Sequence[DenseStep]) -> tuple:
-    """t_old, h, Q and y_old of each of ``steps``, stacked: the one way
-    steps are stacked for a dense evaluation."""
-    return (np.array([st.t_old for st in steps], dtype=float),
-            np.array([st.h for st in steps], dtype=float),
-            np.array([st.Q for st in steps], dtype=float).reshape(-1, 2, _P.shape[1]),
-            np.array([st.y_old for st in steps], dtype=float).reshape(-1, 2))
+class Steps(NamedTuple):
+    """Accepted steps: the step ends ``t`` (n + 1) and ``y`` (n + 1, 2),
+    and per step ``h`` (n) and ``Q`` (n, 2, 4).
 
+    Step i runs from t[i] to t[i + 1] = t[i] + h[i], and its dense output
+    is y[i] + h[i] * Q[i] @ (x, x^2, x^3, x^4) with x = (t - t[i]) / h[i];
+    Q[i] holds the coefficients of x .. x^4 of each component.
+    """
 
-def _operands(stack: tuple, t, which=slice(None)):
-    """Q, h (a column), y_old and x = (t[i] - t_old) / h of step
-    ``which[i]`` of a ``_stacked`` stack at t[i], the operands of
-    ``_dense_values`` and ``_dense_eval``."""
-    t_old, h, Q, y_old = (a[which] for a in stack)
-    return Q, h[:, None], y_old, (np.asarray(t, dtype=float) - t_old) / h
+    t: np.ndarray
+    y: np.ndarray
+    h: np.ndarray
+    Q: np.ndarray
 
+    def values(self, i: int, t) -> np.ndarray:
+        """Step i's dense output at each t[j], one row each; a row has the
+        bits of a call for its t alone."""
+        x = (np.asarray(t, dtype=float) - self.t[i]) / self.h[i]
+        return _dense_values(self.Q[i], self.h[i], self.y[i], x)
 
-def _dense_eval(Q, h, y_old, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_dense_values`` and the exact xi-derivative at each x[i]."""
-    y = _dense_values(Q, h, y_old, x)
-    k = np.arange(_P.shape[1])
-    dy = np.matmul(Q, ((k + 1) * x[:, None] ** k)[:, :, None])[:, :, 0]
-    return y, dy
-
-
-def dense_eval(steps: Sequence[DenseStep], t) -> tuple[np.ndarray, np.ndarray]:
-    """Value and exact xi-derivative of step i's interpolant at t[i], each of
-    shape (len(steps), 2); the values equal ``DenseStep.__call__``'s bits."""
-    return _dense_eval(*_operands(_stacked(steps), t))
+    def dense(self, t, which, slopes: bool = False):
+        """Step which[j]'s dense output at t[j], one row each, ``which`` a
+        mask or indices of steps, with each row's ``values`` bits; with
+        ``slopes``, also the exact xi-derivative there."""
+        h, Q = self.h[which], self.Q[which]
+        x = (np.asarray(t, dtype=float) - self.t[:-1][which]) / h
+        y = _dense_values(Q, h[:, None], self.y[:-1][which], x)
+        if not slopes:
+            return y
+        k = np.arange(_P.shape[1])
+        return y, np.matmul(Q, ((k + 1) * x[:, None] ** k)[:, :, None])[:, :, 0]
 
 
 def capped_knots(knots: np.ndarray, points: np.ndarray, cap: float):
@@ -412,20 +393,16 @@ class Run:
     of either: what ``integrate`` returns for the same field, start,
     settings and events, whose first k steps it takes.
 
-    The record (the step ends, the start included, and one (t_old, t_new,
-    DenseStep) triple per step in ``segments``) only grows, and a step is
-    counted in ``n_steps`` only once all of it is stored, so readers may
-    scan the first ``n_steps`` steps while one writer steps on; the
-    caller serializes the writers.  The run also keeps the record stacked
-    as arrays, its step ends for ``crossing`` and its steps' dense-output
-    operands for ``dense_eval``, each as far as a reader has needed it: a
-    stack grows only past what an earlier reader stacked, and is replaced,
-    never changed, so readers that hold no lock each see a whole one.
+    The record, a ``Steps`` of the first ``n_steps`` steps, is written
+    once per step into arrays that double, by copying into new ones, when
+    they are full; a stored entry is never changed, and a step is counted
+    in ``n_steps`` only once all of it is stored.  So a reader that reads
+    ``n_steps`` before the record may scan that many steps while one writer
+    steps on; the caller serializes the writers.
     """
 
     __slots__ = ("fieldfn", "settings", "t", "y", "f", "h_abs", "direction",
-                 "h_max", "rtol", "atol", "stages", "segments", "_xs", "_ys",
-                 "_end_stack", "_step_stack")
+                 "h_max", "rtol", "atol", "stages", "n_steps", "_record")
 
     def __init__(self, fieldfn: Callable[[float, np.ndarray], np.ndarray], start,
                  settings: IntegrationSettings = IntegrationSettings()):
@@ -442,20 +419,14 @@ class Run:
         self.h_max, self.rtol = settings.h_max, settings.rel_tol
         self.atol = np.asarray(settings.abs_tol)
         self.stages = _Stages(y0.size)
-        self.segments = []
-        self._xs = [0.0]
-        self._ys = [y0.copy()]
-        # the step ends and the steps' operands as arrays, as far as a
-        # reader has needed them
-        self._end_stack = (np.empty(0), np.empty((0, y0.size)))
-        self._step_stack = _stacked([])
+        self.n_steps = 0
+        n = _FIRST_STEPS
+        self._record = Steps(np.empty(n + 1), np.empty((n + 1, y0.size)), np.empty(n),
+                             np.empty((n, y0.size, _P.shape[1])))
+        self._record.t[0], self._record.y[0] = self.t, y0
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.segments)
-
-    def step(self) -> DenseStep:
-        """Take and record one more accepted step; return its interpolant.
+    def step(self) -> None:
+        """Take and record one more accepted step.
 
         Raises StepUnderflow as ``integrate`` does, and then records nothing.
         """
@@ -469,36 +440,22 @@ class Run:
         if abs(t - t_old) < _MIN_STEP_FACTOR * (1.0 + abs(t)):
             raise StepUnderflow(
                 f"step size {abs(t - t_old)} below floor at xi={t}")
-        seg = DenseStep(t_old, t, y_old, self.stages.K)
         self.t, self.y, self.f, self.h_abs = t, y, f, h_abs
-        self._xs.append(t)
-        self._ys.append(y)
-        self.segments.append((t_old, t, seg))
-        return seg
+        n, rec = self.n_steps, self._record
+        if n == len(rec.h):
+            rec = self._record = Steps(*(np.concatenate((a, np.empty_like(a))) for a in rec))
+        rec.t[n + 1], rec.y[n + 1] = t, y
+        rec.h[n], rec.Q[n] = t - t_old, self.stages.K.T.dot(_P)
+        self.n_steps = n + 1
 
-    def _ends(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The xi and points of the first n + 1 step ends as arrays."""
-        xi, pts = self._end_stack
-        if len(xi) <= n:
-            xi = np.concatenate([xi, np.asarray(self._xs[len(xi):n + 1])])
-            pts = np.concatenate([pts, np.array(self._ys[len(pts):n + 1])])
-            self._end_stack = xi, pts
-        return xi[:n + 1], pts[:n + 1]
-
-    def stacked(self, n: int) -> tuple:
-        """``_stacked`` of the first n steps: their t_old, h, Q and y_old."""
-        stack = self._step_stack
-        done = len(stack[0])
-        if done < n:
-            more = _stacked([seg for _, _, seg in self.segments[done:n]])
-            stack = tuple(np.concatenate(pair) for pair in zip(stack, more))
-            self._step_stack = stack
-        return tuple(a[:n] for a in stack)
-
-    def dense_eval(self, n: int, t, which=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """``dense_eval`` of step ``which[i]`` of the first n steps at t[i]
-        (``which`` a mask or indices), on the run's stacked operands."""
-        return _dense_eval(*_operands(self.stacked(n), t, which))
+    def steps(self, n: int) -> Steps:
+        """The first n steps, as read-only views; n at most ``n_steps`` as
+        read before this call."""
+        rec = self._record
+        views = Steps(rec.t[:n + 1], rec.y[:n + 1], rec.h[:n], rec.Q[:n])
+        for a in views:
+            a.flags.writeable = False
+        return views
 
     def crossing(self, events: Sequence[EventSpec]) -> int | None:
         """Where the steps taken so far first stop on ``events``: 0 if one
@@ -509,7 +466,8 @@ class Run:
         ``ev.fn`` must act elementwise on the (2, n) array of step ends, as
         the component and axis events do.
         """
-        xi, pts = self._ends(self.n_steps)
+        steps = self.steps(self.n_steps)
+        xi, pts = steps.t, steps.y
         ks = []
         for ev in events:
             g = ev.fn(xi, pts.T)
@@ -549,30 +507,33 @@ class Run:
         step's start, the first listed on a tie.
         """
         if k is None:
-            n = self.n_steps
-            return self._result(n, BUDGET, self._xs[n], self._ys[n])
+            k = self.n_steps
+            steps = self.steps(k)
+            return _result(steps, BUDGET, steps.t[k], steps.y[k])
+        steps = self.steps(k)
         if k == 0:
-            y0 = self._ys[0]
+            y0 = steps.y[0]
             ev = next(ev for ev in events if _immediate(ev, float(ev.fn(0.0, y0))))
-            return self._result(0, ev.kind, 0.0, y0)
-        t_old, t, seg = self.segments[k - 1]
-        y_old, y = self._ys[k - 1], self._ys[k]
+            return _result(steps, ev.kind, 0.0, y0)
+        t_old, t, y_old, y = steps.t[k - 1], steps.t[k], steps.y[k - 1], steps.y[k]
+        values = partial(steps.values, k - 1)
         stops = []
         for ev in events:
             g_old = float(ev.fn(t_old, y_old))
             if _crossed(g_old, float(ev.fn(t, y)), ev.direction):
-                t_ev = _bisect_event(ev, seg, t_old, t, g_old)
+                t_ev = _bisect_event(ev, values, t_old, t, g_old)
                 stops.append((abs(t_ev - t_old), t_ev, ev))
         _, t_ev, ev = min(stops, key=lambda stop: stop[0])
-        return self._result(k, ev.kind, t_ev, seg(t_ev))
+        return _result(steps, ev.kind, t_ev, values([t_ev])[0])
 
-    def _result(self, k: int, kind: str, t, y) -> IntegrationResult:
-        """The run's first k steps, their last end moved to the stop (t, y)."""
-        xi, points = (ends.copy() for ends in self._ends(k))
-        xi[-1], points[-1] = t, y
-        pt = PhasePoint(float(points[-1, 0]), float(points[-1, 1]))
-        return IntegrationResult(xi=xi, points=points, event=Event(kind, float(t), pt),
-                                 n_steps=k, segments=self.segments[:k])
+
+def _result(steps: Steps, kind: str, t, y) -> IntegrationResult:
+    """A run's result over ``steps``, the last step end moved to the stop (t, y)."""
+    xi, points = steps.t.copy(), steps.y.copy()
+    xi[-1], points[-1] = t, y
+    pt = PhasePoint(float(points[-1, 0]), float(points[-1, 1]))
+    return IntegrationResult(xi=xi, points=points, event=Event(kind, float(t), pt),
+                             n_steps=len(steps.h), steps=steps)
 
 
 def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
@@ -636,7 +597,6 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
         points = res.points[at]
         inner = k > 0
         if inner.any():
-            points[inner] = _dense_values(*_operands(run.stacked(res.n_steps),
-                                                     xi[inner], at[inner]))
+            points[inner] = res.steps.dense(xi[inner], at[inner])
         res.xi, res.points = xi, points
     return res

@@ -199,11 +199,11 @@ class _Orbit:
     steps of a run do not depend on where it stops, so ``stop`` returns
     what ``integrate`` returns for the same field, start, settings and
     event.  The run and the inner leg are made at the first stop, under the
-    lock, so racing threads make one of each.  The run keeps its steps'
-    dense-output operands stacked, so a profile's residual rows are one
-    evaluation on them; the inner leg (``_inner_leg``) is the same for every
-    profile on the curve, and only its xi, which starts from the profile's
-    own stop, is left to each profile.
+    lock, so racing threads make one of each.  A stop's result carries
+    views of the run's one step record, so a profile's residual rows are
+    one evaluation on them; the inner leg (``_inner_leg``) is the same for
+    every profile on the curve, and only its xi, which starts from the
+    profile's own stop, is left to each profile.
     """
 
     __slots__ = ("system", "graph", "w_start", "edge", "lock", "run", "inner")
@@ -294,11 +294,14 @@ class Curve:
         p = self.params
         return float(p[-1]), float(p[0])
 
+    def graph_w(self, q: float) -> float:
+        """The graph coordinate w of parameter q (inside r*)."""
+        pidx = self.param_index
+        return self.graph.w_at(pidx, q - (self.system.u_plus, self.system.theta_plus)[pidx])
+
     def _gap_value(self, q: float) -> float:
         """Curve value at parameter q read off the graph (inside r*)."""
-        pidx, g = self.param_index, self.graph
-        s1 = (self.system.u_plus, self.system.theta_plus)
-        return float(g.points(g.w_at(pidx, q - s1[pidx]))[1 - pidx])
+        return float(self.graph.points(self.graph_w(q))[1 - self.param_index])
 
     def predict(self, q: float) -> float:
         """Interpolated curve value at parameter q (inside the traced span)."""

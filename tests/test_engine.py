@@ -20,7 +20,7 @@ from inflow_layer.engine import (CURVE_TRIVIAL, REASON_MASS_FLUX,
                                  REASON_NONPOSITIVE_U_PLUS, REASON_OFF_CURVE,
                                  REASON_OUT_OF_RANGE, REASON_SUPERSONIC,
                                  REASON_TRUNCATED)
-from inflow_layer.integrator import component_crosses, dense_eval, integrate
+from inflow_layer.integrator import component_crosses, integrate
 from inflow_layer.linearize import SlowGraph
 from inflow_layer.system import PhasePoint, _residual_pair, build_system, phase_field
 from inflow_layer.tracer import TERMINAL_BUDGET, TraceOptions, curve_membership
@@ -426,19 +426,19 @@ def _orbit_steps(eng) -> list[int]:
 
 
 @pytest.mark.parametrize("case,label", LEG_CASES)
-def test_dense_eval_equals_each_step(request, engine, gas, case, label):
+def test_dense_with_slopes_equals_each_step(request, engine, gas, case, label):
     _, res = _profile_and_leg(request, engine, gas, case, label)
-    steps = [seg for _, _, seg in res.segments]
-    assert len(steps) > 50
+    steps = res.steps
+    assert res.n_steps > 50
     for frac in (0.0, 0.5, 0.9, 1.0):
-        t = np.array([seg.t_old + frac * seg.h for seg in steps])
-        y, dy = dense_eval(steps, t)
-        for i, (seg, ti) in enumerate(zip(steps, t)):
-            assert y[i].tobytes() == seg(ti).tobytes(), (frac, i)
-            # the per-step derivative formula dense_eval replaced
-            x = (ti - seg.t_old) / seg.h
-            k = np.arange(seg.Q.shape[1])
-            assert dy[i].tobytes() == (seg.Q @ ((k + 1) * x ** k)).tobytes(), (frac, i)
+        t = steps.t[:-1] + frac * steps.h
+        y, dy = steps.dense(t, np.arange(res.n_steps), slopes=True)
+        for i, ti in enumerate(t):
+            assert y[i].tobytes() == steps.values(i, [ti])[0].tobytes(), (frac, i)
+            # the derivative of step i's quartic, evaluated for that step alone
+            x = (ti - steps.t[i]) / steps.h[i]
+            k = np.arange(steps.Q.shape[2])
+            assert dy[i].tobytes() == (steps.Q[i] @ ((k + 1) * x ** k)).tobytes(), (frac, i)
 
 
 @pytest.mark.parametrize("case,label", LEG_CASES)
@@ -449,15 +449,15 @@ def test_array_residual_equals_scalar_loop(request, engine, gas, case, label):
     # at least 1e-5 long, at its midpoint; the inner leg adds one row per
     # sample along the graph
     dom_lo, dom_hi = min(res.event.xi, 0.0), max(res.event.xi, 0.0)
-    kept = []
-    for t_lo, t_hi, seg in res.segments:
-        a, b = sorted((t_lo, t_hi))
+    kept, steps = [], res.steps
+    for i in range(res.n_steps):
+        a, b = sorted((steps.t[i], steps.t[i + 1]))
         a, b = max(a, dom_lo), min(b, dom_hi)
         if b - a >= 1e-5:
-            kept.append((seg, 0.5 * (a + b)))
+            kept.append((i, 0.5 * (a + b)))
     assert len(prof.residual_rows) == len(kept) + len(prof.xi) - len(res.xi)
-    for row, (seg, t_mid) in zip(prof.residual_rows, kept):
-        assert row[:2].tobytes() == seg(t_mid).tobytes()
+    for row, (i, t_mid) in zip(prof.residual_rows, kept):
+        assert row[:2].tobytes() == steps.values(i, [t_mid])[0].tobytes()
     # the scalar loop the array evaluation replaced, on Python floats
     scale = max(abs(s.sigma_minus) * s.u_plus, s.p_plus * s.u_plus)
     worst = 0.0
@@ -846,6 +846,24 @@ class TestProfileOrbits:
             with pytest.raises(ProfileDiverged) as warm:
                 eng.compute_profile(off, verdict)
             assert str(warm.value) == str(fresh.value)
+
+    def test_verdict_for_the_other_curve_raises_before_a_step(self, gas, right_subsonic):
+        # a mid-sample gamma2 boundary lies beyond gamma1's parameter range
+        # (its u is above u+), so gamma1's verdict passed with it is
+        # rejected before gamma1's orbit takes a step
+        eng = ExistenceEngine()
+        curves = eng.curves_for(gas, right_subsonic)
+        gamma1, gamma2 = curves["gamma1"], curves["gamma2"]
+        mid = len(gamma1.samples) // 2
+        verdict = eng.decide(Query(_left_for(gamma1, mid, right_subsonic), right_subsonic, gas))
+        assert verdict.exists and verdict.curve == "gamma1"
+        q = Query(_left_for(gamma2, len(gamma2.samples) // 2, right_subsonic),
+                  right_subsonic, gas)
+        before = _orbit_steps(eng)
+        with pytest.raises(ProfileDiverged, match="outside gamma1's range"):
+            eng.compute_profile(q, verdict)
+        assert _orbit_steps(eng) == before
+        assert gamma1.orbit.run is None or gamma1.orbit.run.n_steps == 0
 
     def test_boundary_inside_the_graph_radius_takes_no_step(
             self, gas, monkeypatch, right_transonic, transonic_curves):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from inflow_layer import (Event, EventSpec, ExistenceEngine, IntegrationSettings
                           transonic_frame, u_crosses_zero)
 from inflow_layer import integrator
 from inflow_layer.integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, FORWARD,
-                                     MAX_INSERTED, NEAR_EQUILIBRIUM, U_CROSSES_ZERO, DenseStep, Run,
-                                     _rms, dense_eval)
+                                     MAX_INSERTED, NEAR_EQUILIBRIUM, U_CROSSES_ZERO, Run, Steps,
+                                     _rms)
 from inflow_layer.tracer import CAPTURE_RADIUS
 
 
@@ -315,13 +316,20 @@ def real_runs(gas, right_subsonic, right_transonic):
     return runs
 
 
-def _one_point_value(seg: DenseStep, t) -> np.ndarray:
-    """The interpolant at one t, evaluated as scipy's ``RkDenseOutput``
+def _one_step(t_old, t_new, y_old, K) -> Steps:
+    """A record of one step from (t_old, y_old) to t_new with the stages K,
+    stored as ``Run.step`` stores it; its end point is not read."""
+    return Steps(np.array([t_old, t_new]), np.array([y_old, y_old]),
+                 np.array([t_new - t_old]), K.T.dot(integrator._P)[None])
+
+
+def _one_point_value(steps: Steps, i: int, t) -> np.ndarray:
+    """Step i's interpolant at one t, evaluated as scipy's ``RkDenseOutput``
     evaluates it: powers by cumprod of a tiled x, one np.dot."""
-    x = (t - seg.t_old) / seg.h
-    p = np.cumprod(np.tile(x, seg.Q.shape[1]))
-    y = seg.h * np.dot(seg.Q, p)
-    y += seg.y_old
+    x = (t - steps.t[i]) / steps.h[i]
+    p = np.cumprod(np.tile(x, steps.Q.shape[2]))
+    y = steps.h[i] * np.dot(steps.Q[i], p)
+    y += steps.y[i]
     return y
 
 
@@ -331,21 +339,20 @@ def test_batched_samples_are_each_steps_values(real_runs):
     for name, res in real_runs.items():
         assert res.n_steps > 50, name
         sign = 1.0 if res.xi[-1] > 0.0 else -1.0
-        t_old = np.array([t0 for t0, _, _ in res.segments])
+        t_old = res.steps.t[:-1]
         step = np.searchsorted(sign * t_old, sign * res.xi, side="right") - 1
         inner = np.flatnonzero(~np.isin(res.xi, np.append(t_old, res.event.xi)))
         assert inner.size > 0, name
         for i in inner:
-            seg = res.segments[step[i]][2]
-            want = _one_point_value(seg, res.xi[i]).tobytes()
+            want = _one_point_value(res.steps, step[i], res.xi[i]).tobytes()
             assert res.points[i].tobytes() == want, (name, i)
     # on a real step the last bits of the power terms mostly vanish into
     # y_old; a unit step from the origin with random stages keeps them
-    seg = DenseStep(0.0, 1.0, np.zeros(2), np.random.default_rng(3).normal(size=(7, 2)))
+    steps = _one_step(0.0, 1.0, np.zeros(2), np.random.default_rng(3).normal(size=(7, 2)))
     t = np.random.default_rng(4).uniform(0.0, 1.0, 2000)
-    for ti, row in zip(t, dense_eval([seg] * t.size, t)[0]):
-        want = _one_point_value(seg, ti).tobytes()
-        assert row.tobytes() == want and seg(ti).tobytes() == want, ti
+    for ti, row in zip(t, steps.dense(t, np.zeros(t.size, dtype=int))):
+        want = _one_point_value(steps, 0, ti).tobytes()
+        assert row.tobytes() == want and steps.values(0, [ti])[0].tobytes() == want, ti
 
 
 def test_a_step_gets_at_most_max_inserted_sub_samples(gas, right_subsonic):
@@ -358,12 +365,12 @@ def test_a_step_gets_at_most_max_inserted_sub_samples(gas, right_subsonic):
     res = integrate(phase_field(s), start, settings, [u_crosses_zero()], 1e-8)
     wanted = (np.max(np.abs(np.diff(ends.points, axis=0)), axis=1) / 1e-8).astype(int)
     assert wanted[0] < MAX_INSERTED < wanted[1:].min()
-    i = 0
-    for (t_old, t_new, seg), n in zip(res.segments, np.minimum(wanted, MAX_INSERTED)):
-        knots = np.linspace(t_old, t_new, n + 2)
+    i, steps = 0, res.steps
+    for j, n in enumerate(np.minimum(wanted, MAX_INSERTED)):
+        knots = np.linspace(steps.t[j], steps.t[j + 1], n + 2)
         assert np.array_equal(res.xi[i:i + n + 2], knots)
         for ti, row in zip(knots[1:-1], res.points[i + 1:i + n + 1]):
-            assert row.tobytes() == seg(ti).tobytes()
+            assert row.tobytes() == steps.values(j, [ti])[0].tobytes()
         i += n + 1
     assert i == len(res.xi) - 1 and np.array_equal(res.points[-1], ends.points[-1])
 
@@ -379,14 +386,17 @@ def test_max_state_step_validation():
 def test_emitted_points_are_step_ends_and_their_sub_samples(real_runs):
     for name, res in real_runs.items():
         sign = 1.0 if res.xi[-1] > 0.0 else -1.0
-        ends = [t_new for _, t_new, _ in res.segments[:-1]] + [res.event.xi]
+        steps = res.steps
+        ends = list(steps.t[1:-1]) + [res.event.xi]
         stops = np.searchsorted(sign * res.xi, sign * np.array(ends))
         assert stops[-1] == len(res.xi) - 1 and np.all(sign * np.diff(res.xi) > 0.0)
         start, most = 0, 0
-        for k, ((t_old, _, seg), stop) in enumerate(zip(res.segments, stops)):
-            assert res.xi[start] == t_old and res.points[start].tobytes() == seg.y_old.tobytes()
+        for k, stop in enumerate(stops):
+            assert res.xi[start] == steps.t[k]
+            assert res.points[start].tobytes() == steps.y[k].tobytes()
             for i in range(start + 1, stop):
-                assert res.points[i].tobytes() == seg(res.xi[i]).tobytes(), (name, k, i)
+                assert res.points[i].tobytes() == steps.values(k, [res.xi[i]])[0].tobytes(), \
+                    (name, k, i)
             most = max(most, stop - start - 1)
             start = stop
         assert most >= (300 if name == "gamma1" else 1), name
@@ -396,13 +406,13 @@ def _run_bits(res) -> tuple:
     """Every bit of an IntegrationResult that ``integrate`` promises: xi,
     points, the event, the step count, and each step's bounds and dense
     values at fractions 0, 0.5 and 1."""
-    ev = res.event
-    dense = [seg(t0 + frac * (t1 - t0)).tobytes()
-             for t0, t1, seg in res.segments for frac in (0.0, 0.5, 1.0)]
+    ev, steps = res.event, res.steps
+    bounds = list(zip(steps.t[:-1], steps.t[1:]))
+    dense = [steps.values(i, [t0 + frac * (t1 - t0)])[0].tobytes()
+             for i, (t0, t1) in enumerate(bounds) for frac in (0.0, 0.5, 1.0)]
     return (res.xi.tobytes(), res.points.tobytes(), ev.kind, type(ev.xi),
             float(ev.xi).hex(), float(ev.point.u).hex(), float(ev.point.theta).hex(),
-            res.n_steps, [(float(t0).hex(), float(t1).hex()) for t0, t1, _ in res.segments],
-            dense)
+            res.n_steps, [(float(t0).hex(), float(t1).hex()) for t0, t1 in bounds], dense)
 
 
 def test_run_prefixes_equal_separate_integrate_calls(gas, right_subsonic):
@@ -423,7 +433,7 @@ def test_run_prefixes_equal_separate_integrate_calls(gas, right_subsonic):
         assert k == run.n_steps == want[b].n_steps
         assert want[b].event.kind == COMPONENT_CROSSES
         assert _run_bits(run.stopped_by(evs, k)) == _run_bits(want[b])
-    assert run.n_steps > 64            # the record grew past its first size
+    assert run.n_steps > integrator._FIRST_STEPS   # the record grew past its first size
     # every boundary short of the last is now a scan of the stored steps
     for b in reversed(bounds):
         evs = [component_crosses(0, b)]
@@ -435,44 +445,38 @@ def test_run_prefixes_equal_separate_integrate_calls(gas, right_subsonic):
         integrate(phase_field(s), start, settings, evs))
 
 
-def test_run_keeps_its_steps_stacked(gas, right_subsonic, monkeypatch):
-    # stepped in three pieces and read along the way, the run stacks each
-    # step once, and a stack it hands out keeps its bytes as the run grows
-    stacked = []
-    restack = integrator._stacked
-
-    def counted(steps):
-        stacked.append(len(steps))
-        return restack(steps)
-
+def test_run_record_grows_and_keeps_its_views(gas, right_subsonic):
+    # stepped in pieces past three doublings of its record, the run hands
+    # out read-only views that keep their bytes, and a masked evaluation on
+    # one is each step's own values
     s = build_system(gas, right_subsonic)
     start = np.array([s.u_plus, s.theta_plus]) - 1e-3 * s.scale * eigen_2x2(s.matrix).e2
     run = Run(phase_field(s), start,
               IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15, direction=BACKWARD))
-    monkeypatch.setattr(integrator, "_stacked", counted)
-    held, done = [], 0
-    for n in (10, 40, 100):
+    first, held = integrator._FIRST_STEPS, []
+    for n in (first // 2, first, first + 1, 2 * first + 1, 3 * first, 4 * first + 1):
         while run.n_steps < n:
             run.step()
-        steps = [seg for _, _, seg in run.segments]
-        stacked.clear()
-        for k in (n // 2, n, 0, 1):
-            got = run.stacked(k)
-            want = restack(steps[:k])
-            assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes())
-                                                             for a in want], k
-            held.append((got, [a.tobytes() for a in got]))
-        # each read stacked only the steps no earlier read had
-        assert stacked == [n // 2 - done, n - n // 2]
-        done = n
-        # a masked prefix, evaluated on the stack, is dense_eval of its steps
+        steps = run.steps(n)
+        assert (len(steps.t), len(steps.y), len(steps.h), len(steps.Q)) == (n + 1, n + 1, n, n)
+        assert not any(a.flags.writeable for a in steps)
+        held.append((steps, [a.tobytes() for a in steps]))
         mask = np.arange(n) % 3 != 1
-        t = np.array([st.t_old + 0.3 * st.h for st in steps[:n]])[mask]
-        y, dy = run.dense_eval(n, t, mask)
-        want_y, want_dy = dense_eval([st for st, m in zip(steps, mask) if m], t)
-        assert y.tobytes() == want_y.tobytes() and dy.tobytes() == want_dy.tobytes()
-    for got, want in held:
-        assert [a.tobytes() for a in got] == want
+        which = np.flatnonzero(mask)
+        t = (steps.t[:-1] + 0.3 * steps.h)[mask]
+        y, dy = steps.dense(t, mask, slopes=True)
+        assert y.tobytes() == steps.dense(t, which).tobytes()
+        for row, slope, i, ti in zip(y, dy, which, t):
+            assert row.tobytes() == steps.values(i, [ti])[0].tobytes(), (n, i)
+            x = (ti - steps.t[i]) / steps.h[i]
+            k = np.arange(steps.Q.shape[2])
+            assert slope.tobytes() == (steps.Q[i] @ ((k + 1) * x ** k)).tobytes(), (n, i)
+    assert len(run.steps(0).h) == 0 and run._record.h.size == 8 * first
+    # every view kept its bytes, which are still the run's first steps
+    for steps, want in held:
+        assert [a.tobytes() for a in steps] == want
+        now = run.steps(len(steps.h))
+        assert [a.tobytes() for a in now] == want
 
 
 def test_run_budget_equals_integrate_budget(gas, right_subsonic):
@@ -525,14 +529,14 @@ def test_run_stops_on_the_first_of_several_events_as_integrate_does():
         assert _run_bits(fresh.stopped_by(events, k)) == _run_bits(want)
 
 
-def _one_point_bisect(ev: EventSpec, seg: DenseStep, t_lo, t_hi, g_lo):
+def _one_point_bisect(ev: EventSpec, values, t_lo, t_hi, g_lo):
     """The bisection as one dense-output call per halving."""
     a, b = t_lo, t_hi
     for _ in range(200):
         mid = 0.5 * (a + b)
         if abs(b - a) <= 1e-12 * (1.0 + abs(mid)):
             break
-        if integrator._crossed(g_lo, ev.fn(mid, seg(mid)), ev.direction):
+        if integrator._crossed(g_lo, ev.fn(mid, values([mid])[0]), ev.direction):
             b = mid
         else:
             a = mid
@@ -576,8 +580,9 @@ def test_batched_bisection_equals_the_one_point_loop_on_random_steps():
     for trial in range(60):
         t_old = float(rng.uniform(-5.0, 5.0))
         t_new = t_old + float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 1.0))
-        seg = DenseStep(t_old, t_new, rng.normal(size=2), rng.normal(size=(7, 2)))
-        ends = seg.values([t_old, t_new])
+        values = partial(_one_step(t_old, t_new, rng.normal(size=2),
+                                   rng.normal(size=(7, 2))).values, 0)
+        ends = values([t_old, t_new])
         level = float(rng.uniform(*sorted(ends[:, 0])))
         cross = component_crosses(0, level)                   # direction 0
         capture = near_equilibrium(ends[1] + 1e-3 * rng.normal(size=2),
@@ -586,8 +591,8 @@ def test_batched_bisection_equals_the_one_point_loop_on_random_steps():
             g_lo = float(ev.fn(t_old, ends[0]))
             # the loop's bounds may be Python floats or numpy scalars
             for lo, hi in ((t_old, t_new), (np.float64(t_old), np.float64(t_new))):
-                got = integrator._bisect_event(ev, seg, lo, hi, g_lo)
-                assert _same_float(got, _one_point_bisect(ev, seg, lo, hi, g_lo)), trial
+                got = integrator._bisect_event(ev, values, lo, hi, g_lo)
+                assert _same_float(got, _one_point_bisect(ev, values, lo, hi, g_lo)), trial
 
 
 @pytest.mark.parametrize("levels", [3, integrator._BISECT_LEVELS])
@@ -597,9 +602,9 @@ def test_batched_bisection_stops_at_the_halving_cap(levels, monkeypatch):
     # when a batch's levels do not divide 200
     monkeypatch.setattr(integrator, "_BISECT_LEVELS", levels)
     monkeypatch.setattr(integrator, "_BISECT_NODES", 2 ** levels - 1)
-    seg = DenseStep(0.0, 1e300, np.zeros(2), np.ones((7, 2)))
+    values = partial(_one_step(0.0, 1e300, np.zeros(2), np.ones((7, 2))).values, 0)
     for bisect in (integrator._bisect_event, _one_point_bisect):
         seen = []
         ev = EventSpec("always", lambda t, y: seen.append(t) or -1.0)
-        got = bisect(ev, seg, 0.0, 1e300, 1.0)
+        got = bisect(ev, values, 0.0, 1e300, 1.0)
         assert len(seen) == 200 and got == 1e300 / 2 ** 200

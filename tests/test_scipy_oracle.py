@@ -51,11 +51,13 @@ def _check_against_rk45(field, y0, settings: IntegrationSettings, n_steps: int):
     assert _same(res.xi, ts)
     assert _same(res.points, np.vstack(ys))
     assert calls[0] == solver.nfev
-    for (t_lo, t_hi, seg), ref in zip(res.segments, dense):
+    steps = res.steps
+    for i, ref in enumerate(dense):
+        t_lo, t_hi = steps.t[i], steps.t[i + 1]
         assert (t_lo, t_hi) == (ref.t_old, ref.t)
         for frac in (0.0, 0.125, 0.5, 0.9, 1.0):
             t = t_lo + frac * (t_hi - t_lo)
-            assert _same(seg(t), ref(t))
+            assert _same(steps.values(i, [t])[0], ref(t))
     return solver
 
 

@@ -5,6 +5,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "snapshot.py"
@@ -48,3 +49,24 @@ def test_key_in_one_file_is_listed(snapshot_tool, tmp_path, capsys, side):
     a, b = (more, BASE) if side == "a" else (BASE, more)
     assert _compare(snapshot_tool, tmp_path, a, b) == 1
     assert capsys.readouterr().out.splitlines() == ["sweep/001", "1 differing keys"]
+
+
+def test_integrate_section_has_one_row_per_step(snapshot_tool):
+    # the tool reads IntegrationResult itself, so a change there fails here
+    # and not only in a --compare between two checkouts
+    runs = snapshot_tool._integrations(snapshot_tool._load_workloads())
+    assert runs and all(key.startswith("integrate/") for key in runs)
+    assert snapshot_tool.DENSE_FRACTIONS[0] == 0.0
+    for key, run in runs.items():
+        n, bounds, dense = run["n_steps"], run["bounds"], run["dense"]
+        assert len(bounds) == n and dense.shape == (n, len(snapshot_tool.DENSE_FRACTIONS), 2)
+        snapshot_tool.encode(run)
+        if not n:
+            continue
+        # the steps tile the run from xi = 0, each starting at an emitted
+        # point, where its dense value at fraction 0 is that point
+        assert bounds[0, 0] == 0.0 and np.array_equal(bounds[1:, 0], bounds[:-1, 1]), key
+        xi, sign = run["xi"], np.sign(run["xi"][-1])
+        at = np.searchsorted(sign * xi, sign * bounds[:, 0])
+        assert np.array_equal(xi[at], bounds[:, 0]), key
+        assert run["points"][at].tobytes() == dense[:, 0].tobytes(), key

@@ -127,11 +127,13 @@ def _curve(curve) -> dict:
 
 
 def _integration(res) -> dict:
-    dense = np.array([[seg(t0 + frac * (t1 - t0)) for frac in DENSE_FRACTIONS]
-                      for t0, t1, seg in res.segments]).reshape(-1, len(DENSE_FRACTIONS), 2)
+    steps = res.steps
+    bounds = list(zip(steps.t[:-1], steps.t[1:]))
+    dense = np.array([[steps.values(i, [t0 + frac * (t1 - t0)])[0]
+                       for frac in DENSE_FRACTIONS]
+                      for i, (t0, t1) in enumerate(bounds)]).reshape(-1, len(DENSE_FRACTIONS), 2)
     return {"xi": res.xi, "points": res.points, "event": res.event,
-            "n_steps": res.n_steps, "bounds": np.array([seg[:2] for seg in res.segments]),
-            "dense": dense}
+            "n_steps": res.n_steps, "bounds": np.array(bounds), "dense": dense}
 
 
 def _integrations(wl) -> dict:
