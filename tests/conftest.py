@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,3 +103,16 @@ def random_system(rng, regime=None):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(filename: str, name: str):
+    """A module of the benchmark, loaded from its file as ``name``."""
+    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / filename)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the body runs
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -5,25 +5,11 @@ fails to start when a name its workloads import is gone; these tests make a
 refactor that moves such a name fail the test suite instead.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+from conftest import load_bench
 
-
-def _load(filename: str, name: str):
-    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / filename)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules while the body runs
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-spans = _load("spans.py", "bench_spans")
+spans = load_bench("spans.py", "bench_spans")
 
 
 @pytest.mark.parametrize("module, path", [(t[0], t[1]) for t in spans.TARGETS])
@@ -40,5 +26,5 @@ def test_field_factory_resolves(module):
 
 def test_workload_imports_resolve():
     # importing the module resolves its REASON_*, TERMINAL_* and CURVE_* names
-    workloads = _load("workloads.py", "bench_workloads")
+    workloads = load_bench("workloads.py", "bench_workloads")
     assert workloads.NAMES == ("cold-cli", "trace-ladder", "query-mix", "sweep")

@@ -3,6 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from inflow_layer import (Event, EventSpec, ExistenceEngine, IntegrationSettings,
@@ -15,6 +16,8 @@ from inflow_layer.integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, FORWAR
                                      MAX_INSERTED, NEAR_EQUILIBRIUM, U_CROSSES_ZERO, Run, Steps,
                                      _rms)
 from inflow_layer.tracer import CAPTURE_RADIUS
+
+from conftest import load_bench
 
 
 def test_settings_validation():
@@ -547,6 +550,22 @@ def _same_float(x, y) -> bool:
     return type(x) is type(y) and float(x).hex() == float(y).hex()
 
 
+def _location(located, steps: Steps, i: int, t_hi):
+    """The location of a ``_bisect_event`` result, after checking that its
+    row is step i's own ``values`` there, or that it has none because it
+    stayed at ``t_hi``."""
+    got, y = located
+    if y is None:
+        assert got is t_hi
+    else:
+        assert y.tobytes() == steps.values(i, [got])[0].tobytes()
+    return got
+
+
+def _located(ev: EventSpec, steps: Steps, i: int, t_lo, t_hi, g_lo):
+    return _location(integrator._bisect_event(ev, steps, i, t_lo, t_hi, g_lo), steps, i, t_hi)
+
+
 def test_batched_bisection_equals_the_one_point_loop_on_real_steps(
         monkeypatch, gas, right_subsonic, right_subcase_b, right_transonic):
     calls = []
@@ -571,40 +590,141 @@ def test_batched_bisection_equals_the_one_point_loop_on_real_steps(
     kinds = {args[0].kind for args, _ in calls}
     assert {NEAR_EQUILIBRIUM, COMPONENT_CROSSES, U_CROSSES_ZERO} <= kinds
     assert any(args[0].direction == 0 for args, _ in calls)
-    for args, got in calls:
-        assert _same_float(got, _one_point_bisect(*args)), args[0].kind
+    for (ev, steps, i, lo, hi, g_lo), located in calls:
+        want = _one_point_bisect(ev, partial(steps.values, i), lo, hi, g_lo)
+        assert _same_float(_location(located, steps, i, hi), want), ev.kind
 
 
-def test_batched_bisection_equals_the_one_point_loop_on_random_steps():
-    rng = np.random.default_rng(11)
-    for trial in range(60):
-        t_old = float(rng.uniform(-5.0, 5.0))
-        t_new = t_old + float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 1.0))
-        values = partial(_one_step(t_old, t_new, rng.normal(size=2),
-                                   rng.normal(size=(7, 2))).values, 0)
-        ends = values([t_old, t_new])
-        level = float(rng.uniform(*sorted(ends[:, 0])))
-        cross = component_crosses(0, level)                   # direction 0
-        capture = near_equilibrium(ends[1] + 1e-3 * rng.normal(size=2),
-                                   float(np.linalg.norm(ends[1] - ends[0])) / 2)
-        for ev in (cross, capture):
-            g_lo = float(ev.fn(t_old, ends[0]))
-            # the loop's bounds may be Python floats or numpy scalars
-            for lo, hi in ((t_old, t_new), (np.float64(t_old), np.float64(t_new))):
-                got = integrator._bisect_event(ev, values, lo, hi, g_lo)
-                assert _same_float(got, _one_point_bisect(ev, values, lo, hi, g_lo)), trial
-
-
-@pytest.mark.parametrize("levels", [3, integrator._BISECT_LEVELS])
-def test_batched_bisection_stops_at_the_halving_cap(levels, monkeypatch):
+@pytest.mark.parametrize("predict", ["quartic", "triggered end"])
+def test_batched_bisection_stops_at_the_halving_cap(predict, monkeypatch):
     # every midpoint is on the triggered side and the bracket never gets
-    # narrow enough, so both loops stop after exactly 200 evaluations, also
-    # when a batch's levels do not divide 200
-    monkeypatch.setattr(integrator, "_BISECT_LEVELS", levels)
-    monkeypatch.setattr(integrator, "_BISECT_NODES", 2 ** levels - 1)
-    values = partial(_one_step(0.0, 1e300, np.zeros(2), np.ones((7, 2))).values, 0)
-    for bisect in (integrator._bisect_event, _one_point_bisect):
-        seen = []
-        ev = EventSpec("always", lambda t, y: seen.append(t) or -1.0)
-        got = bisect(ev, values, 0.0, 1e300, 1.0)
-        assert len(seen) == 200 and got == 1e300 / 2 ** 200
+    # narrow enough, so both loops stop after exactly 200 decided midpoints,
+    # also when every prediction misses and each call decides only one
+    if predict != "quartic":
+        monkeypatch.setattr(integrator, "_predicted_crossing", lambda g, a, g_a, b, g_b: b)
+    decided = []
+    crossed = integrator._crossed
+    monkeypatch.setattr(integrator, "_crossed",
+                        lambda g_old, g_new, direction:
+                        decided.append(g_new) or crossed(g_old, g_new, direction))
+    steps = _one_step(0.0, 1e300, np.zeros(2), np.ones((7, 2)))
+    ev = EventSpec("always", lambda t, y: -1.0)
+    values, counted = Steps.values, []
+    monkeypatch.setattr(Steps, "values", lambda *args: counted.append(1) or values(*args))
+    for bisect in (partial(_located, ev, steps, 0),
+                   partial(_one_point_bisect, ev, partial(values, steps, 0))):
+        decided.clear()
+        got = bisect(0.0, 1e300, 1.0)
+        assert len(decided) == 200 and got == 1e300 / 2 ** 200
+    # one values call for the first located crossing (and one to check its
+    # row); one per halving when every prediction misses
+    assert len(counted) == (2 if predict == "quartic" else 201)
+
+
+@st.composite
+def _crossing_steps(draw):
+    """A one-step record whose u component crosses ``level`` at 1, 2 or 3
+    points inside the step, starting above it, and a random theta
+    component: u = level + a (x - r1) .. (x - r4) at x = (t - t_old) / h.
+    Also the roots in xi inside the step and those outside it."""
+    t_old = draw(st.floats(-5.0, 5.0))
+    h = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-6.0, 1.0))
+    inside = draw(st.integers(1, 3))
+    inner = draw(st.lists(st.floats(0.02, 0.98), min_size=inside, max_size=inside))
+    outer = draw(st.lists(st.floats(-3.0, -0.1) | st.floats(1.1, 3.0),
+                          min_size=4 - inside, max_size=4 - inside))
+    level = draw(st.floats(-2.0, 2.0))
+    theta = draw(st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5))
+    coef = np.poly(inner + outer)[::-1]      # of x^0 .. x^4
+    a = math.copysign(draw(st.floats(0.1, 10.0)), coef[0])
+    y_old = np.array([level + a * coef[0], theta[0]])
+    Q = np.array([a * coef[1:] / h, theta[1:]])
+    steps = Steps(np.array([t_old, t_old + h]), np.array([y_old, y_old]), np.array([h]),
+                  Q[None])
+    return steps, level, ([t_old + h * r for r in inner], [t_old + h * r for r in outer])
+
+
+def _shifted(steps: Steps, level: float, swap: bool) -> Steps:
+    """``steps`` with u moved down by ``level``, and with u and theta
+    swapped if ``swap``."""
+    y = steps.y - [level, 0.0]
+    order = [1, 0] if swap else [0, 1]
+    return steps._replace(y=y[:, order], Q=steps.Q[:, order])
+
+
+def _predictor(kind: str, steps: Steps, roots, want):
+    """A stand-in for ``_predicted_crossing``: t_lo, t_hi, NaN, a point
+    beyond the triggered end, or the step's other root: the root inside
+    the step farthest from ``want``, or one outside if there is only one
+    inside."""
+    t_lo, t_hi = steps.t
+    inner, outer = roots
+    other = max(inner, key=lambda r: abs(r - float(want))) if len(inner) > 1 else outer[0]
+    return {"t_lo": lambda g, a, g_a, b, g_b: t_lo,
+            "t_hi": lambda g, a, g_a, b, g_b: t_hi,
+            "nan": lambda g, a, g_a, b, g_b: math.nan,
+            "outside": lambda g, a, g_a, b, g_b: b + (b - a),
+            "other root": lambda g, a, g_a, b, g_b: other}[kind]
+
+
+@pytest.mark.parametrize("predict", ["quartic", "t_lo", "t_hi", "nan", "outside",
+                                     "other root"])
+@given(record=_crossing_steps(), target=st.tuples(st.floats(-1e-3, 1e-3),
+                                                 st.floats(-1e-3, 1e-3)))
+@settings(max_examples=30)
+def test_located_crossing_is_the_one_point_loops_whatever_the_prediction(
+        predict, record, target):
+    steps, level, roots = record
+    t_lo, t_hi = (float(t) for t in steps.t)
+    ends = steps.values(0, steps.t)
+    cases = [
+        (component_crosses(0, level), steps),                          # from above
+        (EventSpec("rising", lambda t, y: level - y[0], direction=0), steps),
+        (EventSpec("falling", lambda t, y: y[0] - level), steps),
+        (u_crosses_zero(), _shifted(steps, level, swap=False)),
+        (theta_crosses_zero(), _shifted(steps, level, swap=True)),
+        (near_equilibrium(ends[1] + target, float(np.linalg.norm(ends[1] - ends[0])) / 2),
+         steps),
+        (left_region(lambda y: y[0] > level), steps),
+    ]
+    for ev, rec in cases:
+        g_lo = float(ev.fn(t_lo, rec.y[0]))
+        # the loop's bounds may be Python floats or numpy scalars
+        for lo, hi in ((t_lo, t_hi), (rec.t[0], rec.t[1])):
+            want = _one_point_bisect(ev, partial(rec.values, 0), lo, hi, g_lo)
+            with pytest.MonkeyPatch.context() as mp:
+                if predict != "quartic":
+                    mp.setattr(integrator, "_predicted_crossing",
+                               _predictor(predict, rec, roots, want))
+                got = _located(ev, rec, 0, lo, hi, g_lo)
+            assert _same_float(got, want), (ev.kind, type(lo))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_each_query_mix_bisection_makes_one_values_call(seed, monkeypatch):
+    # the query mix's stops: canonical gamma1 and gamma2, the alpha2 < 0
+    # curves and sonic sigma, traced and then stopped on by profile legs and
+    # refined memberships; the path predicted along the quartic is the one
+    # the halvings take, so one dense-output call decides all of them
+    workloads = load_bench("workloads.py", "bench_workloads")
+    values, bisect = Steps.values, integrator._bisect_event
+    made, per_bisection = [], []
+
+    def counted_values(*args):
+        made.append(1)
+        return values(*args)
+
+    def counted_bisect(*args):
+        before = len(made)
+        out = bisect(*args)
+        per_bisection.append(len(made) - before)
+        return out
+
+    monkeypatch.setattr(Steps, "values", counted_values)
+    monkeypatch.setattr(integrator, "_bisect_event", counted_bisect)
+    mix = workloads.QueryMix(seed)
+    mix.setup()
+    tally = workloads.Tally()
+    mix.run_round(tally)
+    assert not tally.failures
+    assert len(per_bisection) > 30 and set(per_bisection) == {1}
