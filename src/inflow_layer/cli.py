@@ -21,7 +21,7 @@ from pathlib import Path
 from .engine import (ExistenceEngine, Query, Tolerances, decay_to_dict,
                      export_profile_csv, verdict_to_dict)
 from .errors import ConfigError, LayerError
-from .gas import (EndState, GasParams, TOL_FLUX, TOL_MACH, classify_regime,
+from .gas import (EndState, GasParams, TOL_FLUX, TOL_MACH, TOL_MEMBER, classify_regime,
                   require_positive)
 from .linearize import eigen_2x2, saddle_graph
 from .portrait import render_portrait
@@ -41,7 +41,7 @@ class RunConfig:
     v_plus: float | None = None
     u_plus: float | None = None
     theta_plus: float | None = None
-    tol_member: float = 1e-6
+    tol_member: float = TOL_MEMBER
     tol_mach: float = TOL_MACH
     tol_flux: float = TOL_FLUX
     mach_min: float | None = None

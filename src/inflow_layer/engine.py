@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from .errors import (InvalidBoundary, OutOfRange, ProfileDiverged, TailTooShort)
-from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH,
+from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH, TOL_MEMBER,
                   check_flux_condition, check_tol_mach, classify_regime, mach,
                   require_positive)
 from .integrator import COMPONENT_CROSSES, component_crosses
@@ -71,7 +71,7 @@ class Tolerances:
 
     tol_A: float = TOL_FLUX
     tol_M: float = TOL_MACH
-    tol_member: float = 1e-6
+    tol_member: float = TOL_MEMBER
 
     def __post_init__(self):
         require_positive(self, ("tol_A", "tol_member"))

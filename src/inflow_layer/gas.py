@@ -20,6 +20,8 @@ SUBSONIC = "subsonic"
 TOL_MACH = 1e-8
 #: Default relative tolerance for the mass-flux compatibility identity.
 TOL_FLUX = 1e-10
+#: Default relative tolerance for a boundary point's distance from a curve.
+TOL_MEMBER = 1e-6
 
 
 def _require_finite(obj) -> None:

@@ -22,13 +22,11 @@ point of a fixed geometric grid, contiguous from the seed and in the open
 quadrant, at which the graph's invariance defect over the fast rate is
 within the trace tolerance ``abs_tol + rel_tol * scale``, pulled in to the
 last whose graph row (point and phase velocity) satisfies the layer
-equations to ``GRAPH_RESIDUAL``.  The samples
-carry the Gauss-Legendre flight times of the reduced flow along the graph,
-and the backward integration starts at r*.  When S2 lies inside r*, gamma2
-is the graph from S1 to S2's capture point and needs no integration; that
-is the whole branch as M+ -> 1-, where S2 merges into S1.  When the grid's
-first point already fails, the integration starts from the graph point at
-the seed offset.
+equations to ``GRAPH_RESIDUAL``, and the backward integration starts at
+r*.  When S2 lies inside r*, gamma2 is the graph from S1 to S2's own graph
+point and needs no integration; that is the whole branch as M+ -> 1-,
+where S2 merges into S1.  When the grid's first point already fails, the
+integration starts from the graph point at the seed offset.
 
 Each curve keeps its graph and r* (``Curve.graph``, shared by gamma1 and
 gamma2, and ``Curve.graph_radius``): its value between S1 and the first
@@ -51,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, LayerError, OutOfRange, TraceFailed, UnexpectedTerminal
-from .gas import require_positive
+from .gas import TOL_MEMBER, require_positive
 from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
                          THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationResult,
                          IntegrationSettings, Run, capped_knots, component_crosses,
@@ -239,27 +237,30 @@ class Curve:
     S1 itself is included as the first sample (the degenerate constant
     layer); the axis terminal point, when present, is the last sample but is
     excluded from the membership parameter range since it violates the
-    positivity constraints.  ``backward_time`` is the time-of-flight from
-    the seed (S1 itself carries +inf: the true orbit needs infinite xi).
+    positivity constraints; ``terminal_point`` reads it off the samples.
     ``interpolant`` is the monotone interpolant of value over parameter.
     ``graph`` is the invariant-manifold graph at S1 the curve leaves along,
     and ``graph_radius`` the |w| of its last graph sample: the certified
-    radius r* (S2's capture point for a gamma2 that ends on the graph, the
-    seed offset when nothing is certified).  ``orbit`` is the profile
+    radius r* (S2's slow coordinate for a gamma2 that ends on the graph,
+    the seed offset when nothing is certified).  ``orbit`` is the profile
     orbit from the graph point at r* on the side of S1 the trace left on.
     """
 
     label: str
     samples: np.ndarray
-    backward_time: np.ndarray
     terminal: str
-    terminal_point: PhasePoint
     seed_offset: float
     system: SystemData
     interpolant: Pchip = field(repr=False)
     graph: SlowGraph = field(repr=False)
     graph_radius: float
     orbit: _Orbit = field(repr=False, compare=False)
+
+    @property
+    def terminal_point(self) -> PhasePoint:
+        """The last sample: the axis point, S2's capture point or S2's own
+        graph point, or where the step budget ran out."""
+        return PhasePoint(*map(float, self.samples[-1]))
 
     @property
     def eig(self) -> EigenPair | None:
@@ -340,8 +341,8 @@ class Curve:
         return pt.theta if self.param_index == 0 else pt.u
 
 
-def _thin(samples: np.ndarray, times: np.ndarray, s: SystemData,
-          param_index: int, keep_radius: float, floor: float, noise: float):
+def _thin(samples: np.ndarray, s: SystemData, param_index: int,
+          keep_radius: float, floor: float, noise: float) -> np.ndarray:
     """Thin to the target density while enforcing strict monotonicity.
 
     Keeps a sample only when both coordinates strictly advance in the
@@ -349,8 +350,8 @@ def _thin(samples: np.ndarray, times: np.ndarray, s: SystemData,
     increases away from S1); noise-level backtracks (integration error
     around a weak eigendirection) are absorbed into the previous sample,
     anything beyond the noise budget raises TraceFailed.  ``samples`` has
-    one row per sample and ``times`` one entry; the kept rows of each are
-    returned.
+    one row per sample; the kept rows are returned, the last always among
+    them.
     """
     p_s1 = (s.u_plus, s.theta_plus)[param_index]
     params = samples[:, param_index].tolist()
@@ -375,7 +376,7 @@ def _thin(samples: np.ndarray, times: np.ndarray, s: SystemData,
         # terminal bisection can land within noise of the last kept samples
         kept.pop()
     kept.append(last)
-    return samples[kept], times[kept]
+    return samples[kept]
 
 
 def _validate_curve(label: str, samples: np.ndarray, s: SystemData,
@@ -416,14 +417,6 @@ _TERMINALS = {
 }
 
 
-def _graph_samples(s: SystemData, graph: SlowGraph, w: np.ndarray):
-    """S1 and the graph points over ``w``, from the seed outward, one row
-    each, with their backward times: +inf at S1, then the reduced flow's
-    flight time from the first point."""
-    return (np.vstack(([s.u_plus, s.theta_plus], graph.points(w))),
-            np.concatenate(([math.inf, 0.0], np.cumsum(-graph.flight_times(w)))))
-
-
 def _certified_radii(graph: SlowGraph, side: float, eps: float, tol: float,
                      s: SystemData) -> np.ndarray:
     """Radii eps * 10**(j / SLIDE_POINTS_PER_DECADE), j = 0, 1, ..., up to the
@@ -453,39 +446,19 @@ def _to_s2(graph: SlowGraph, side: float, radii: np.ndarray, s: SystemData,
            tol: float) -> tuple[np.ndarray, bool]:
     """The radii of a gamma2 with alpha2 > 0, and whether they end at S2.
 
-    When S2 lies inside the certified radii and the graph passes within
-    ``tol`` of it, the radii run to the graph's point within
-    ``CAPTURE_RADIUS`` of S2, bisected on the captured side as the
-    integrator's event is, and those past S2 / 2 are graded geometrically
-    towards S2, where the reduced flow stops.  A graph that misses S2 keeps
+    When S2's slow coordinate r_s2 lies inside the certified radii and the
+    graph point there lies within ``min(tol, CAPTURE_RADIUS * scale)`` of
+    S2, the radii are those below r_s2, then r_s2 itself: the branch is the
+    graph from S1 to S2's own graph point.  A graph that misses S2 keeps
     only its radii below S2 / 2, for the integration to carry on into S2.
     """
     s2 = s.s2.as_array()
     r_s2 = side * float((graph.P_inv @ (s2 - s.s1.as_array()))[1])
     if not 0.0 < r_s2 <= radii[-1]:
         return radii, False
-    radius = CAPTURE_RADIUS * s.scale
-
-    def dist(r: float) -> float:
-        return float(np.linalg.norm(graph.points(side * r) - s2))
-
-    if dist(r_s2) > min(tol, radius):
+    if np.linalg.norm(graph.points(side * r_s2) - s2) > min(tol, CAPTURE_RADIUS * s.scale):
         return radii[radii < 0.5 * r_s2], False
-    lo, hi = 0.0, r_s2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if dist(mid) > radius:
-            lo = mid
-        else:
-            hi = mid
-    start = min(0.5 * r_s2, hi)
-    n = max(2, int(round(math.log10((r_s2 - start) / (r_s2 - hi))
-                         * SLIDE_POINTS_PER_DECADE)) + 1)
-    tail = r_s2 - np.geomspace(r_s2 - start, r_s2 - hi, n)
-    tail[-1] = hi
-    return np.concatenate([radii[radii < start], tail]), True
+    return np.append(radii[radii < r_s2], r_s2), True
 
 
 def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
@@ -494,7 +467,7 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
     ``side``: the graph samples from the seed offset out to the certified
     radius r*, then the backward integration from there until one of
     ``events``, or for a gamma2 whose S2 lies inside r* the graph samples
-    out to S2's capture point; then the terminal is checked and the
+    out to S2's own graph point; then the terminal is checked and the
     samples are thinned and validated.  The graph radii and the
     integration are spaced by one rule, ``capped_knots`` at
     ``sample_cap * scale``."""
@@ -509,16 +482,14 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
         radii = np.array([eps])
     cap = opts.sample_cap * scale
     w = side * capped_knots(radii, graph.points(side * radii), cap)[0]
-    pts, times = _graph_samples(s, graph, w)
+    pts = np.vstack(([s.u_plus, s.theta_plus], graph.points(w)))
     if at_s2:
         terminal = TERMINAL_CONVERGED_TO_S2
-        terminal_point = PhasePoint(*map(float, pts[-1]))
     else:
         res = integrate(phase_field(s), pts[-1], opts.integration_settings(),
                         events=events, max_state_step=cap)
         pts = np.concatenate((pts, res.points[1:]))
-        times = np.concatenate((times, times[-1] - res.xi[1:]))
-        terminal, terminal_point = _TERMINALS[res.event.kind], res.event.point
+        terminal = _TERMINALS[res.event.kind]
     if label == CURVE_GAMMA2:
         expected = (TERMINAL_CONVERGED_TO_S2 if s.alpha2 > 0.0
                     else TERMINAL_HIT_THETA_AXIS)
@@ -528,11 +499,10 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
 
     pidx = 1 if label == CURVE_GAMMA2 else 0
     noise = 1e3 * tol
-    samples, btimes = _thin(pts, times, s, pidx, keep_radius=10.0 * eps,
-                            floor=opts.thin_spacing * scale, noise=noise)
+    samples = _thin(pts, s, pidx, keep_radius=10.0 * eps,
+                    floor=opts.thin_spacing * scale, noise=noise)
     _validate_curve(label, samples, s, eps, terminal, noise)
-    return Curve(label=label, samples=samples, backward_time=btimes,
-                 terminal=terminal, terminal_point=terminal_point,
+    return Curve(label=label, samples=samples, terminal=terminal,
                  seed_offset=eps, system=s,
                  interpolant=Pchip(samples[::-1, pidx], samples[::-1, 1 - pidx]),
                  graph=graph, graph_radius=float(radii[-1]),
@@ -572,7 +542,7 @@ def trace_gamma(s: SystemData, graph: SlowGraph, branch: str,
     return _trace(s, branch, graph, side, events, opts or TraceOptions())
 
 
-def curve_membership(c: Curve, p: PhasePoint, tol: float = 1e-6) -> Membership:
+def curve_membership(c: Curve, p: PhasePoint, tol: float = TOL_MEMBER) -> Membership:
     """Decide whether a phase point lies on a traced curve.
 
     The curve is parameterized by its strictly monotone coordinate (u for

@@ -251,6 +251,17 @@ class TestSlowGraph:
         assert np.array_equal(graph.h, h[:GRAPH_ORDER + 1])
         assert np.array_equal(graph.flow, (graph.lam_slow * w + g(h)[1]).c)
 
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_flight_times_near_s1_are_the_linear_ones(self, s_sub, side):
+        # summed over a 12-per-decade grid from 1e-6 scale, the backward
+        # flight time from the first point is log(r / r0) / |lambda2|
+        graph = saddle_graph(s_sub, eigen_2x2(s_sub.matrix))
+        w = side * 1e-6 * s_sub.scale * 10.0 ** (np.arange(12) / 12)
+        backward = np.concatenate(([0.0], np.cumsum(-graph.flight_times(w))))
+        r = np.linalg.norm(graph.points(w) - s_sub.s1.as_array(), axis=1)
+        np.testing.assert_allclose(backward, np.log(r / r[0]) / -graph.lam_slow,
+                                   rtol=1e-3, atol=1e-9)
+
     @pytest.mark.parametrize("mach", [0.99, 0.999, 1.0 - 1e-5])
     def test_graph_passes_through_s2_inside_the_radius(self, mach):
         s, graph = _subsonic_graph(mach)

@@ -513,7 +513,6 @@ class TestGraphSeed:
             assert tracer._certified_radii(graph, side, 0.2, tol, s_sub).size == 0
             c = trace_gamma(s_sub, graph, branch, opts)
             assert np.array_equal(c.samples[1], graph.points(side * 0.2))
-            assert c.backward_time[1] == 0.0
             assert c.terminal == (TERMINAL_HIT_U_AXIS if branch == CURVE_GAMMA1
                                   else TERMINAL_CONVERGED_TO_S2)
 
@@ -536,7 +535,7 @@ class TestGraphSeed:
         c = tracer._trace(s_sub, CURVE_GAMMA1, bad, -1.0, [u_crosses_zero()], opts)
         assert c.graph_radius == eps
         assert np.array_equal(c.samples[1], graph.points(-eps))
-        assert c.backward_time[1] == 0.0 and c.terminal == TERMINAL_HIT_U_AXIS
+        assert c.terminal == TERMINAL_HIT_U_AXIS
 
     def test_a_nan_field_coefficient_certifies_no_radius(self, s_sub):
         # a NaN in the cubic reaches the defect polynomial through the
@@ -548,30 +547,26 @@ class TestGraphSeed:
         for side in (-1.0, 1.0):
             assert tracer._certified_radii(graph, side, 1e-6 * s.scale, tol, s).size == 0
 
-    def test_graph_samples_are_capped_and_timed(self, subsonic_curves, s_sub):
+    def test_graph_samples_are_capped(self, subsonic_curves, s_sub):
         c = subsonic_curves["gamma1"]
-        assert c.backward_time[0] == math.inf and c.backward_time[1] == 0.0
-        assert np.all(np.diff(c.backward_time[1:]) > 0.0)
         # the graph part, well inside the certified radius
         graph = c.samples[1:][np.max(np.abs(c.samples[1:] - s_sub.s1.as_array()), axis=1)
                               < 0.05 * s_sub.scale]
         steps = np.max(np.abs(np.diff(graph, axis=0)), axis=1)
         assert steps.max() <= TraceOptions().sample_cap * s_sub.scale
-        # near S1 the flight time is the linear one, log(r / eps) / |lambda2|
-        eig = eigen_2x2(s_sub.matrix)
-        r = np.linalg.norm(c.samples[1:12] - s_sub.s1.as_array(), axis=1)
-        np.testing.assert_allclose(c.backward_time[1:12],
-                                   np.log(r / r[0]) / -eig.lambda2, rtol=1e-3, atol=1e-9)
 
     def test_a_graph_that_misses_s2_stops_short_of_it(self):
-        # a graph bent away from S2 must not carry the branch past S2: it
-        # keeps its radii below S2 / 2 and the integration goes on from there
+        # a graph through S2 ends at S2's own graph point; one bent away from
+        # S2 must not carry the branch past S2: it keeps its radii below
+        # S2 / 2 and the integration goes on from there
         s, graph = _far_field(0.99)
         tol = TraceOptions().abs_tol + TraceOptions().rel_tol * s.scale
         radii = tracer._certified_radii(graph, 1.0, 1e-6 * s.scale, tol, s)
         r_s2 = float((graph.P_inv @ (s.s2.as_array() - s.s1.as_array()))[1])
         on, at_s2 = tracer._to_s2(graph, 1.0, radii, s, tol)
-        assert at_s2 and on[-1] < r_s2
+        assert at_s2 and on[-1] == r_s2
+        assert (np.linalg.norm(graph.points(on[-1]) - s.s2.as_array())
+                <= min(tol, CAPTURE_RADIUS * s.scale))
         bent = dataclasses.replace(graph, h=graph.h + np.eye(1, graph.h.size, 2)[0] * 1e-6)
         off, at_s2 = tracer._to_s2(bent, 1.0, radii, s, tol)
         assert not at_s2
@@ -672,11 +667,11 @@ class TestGraphGrid:
 LADDER_U = (1.0, 0.3, SOUND, (1.0 - 1e-2) * SOUND, (1.0 - 1e-3) * SOUND)
 
 
-def _reference_thin(samples, times, s, param_index, keep_radius, floor, noise):
+def _reference_thin(samples, s, param_index, keep_radius, floor, noise):
     """The row loop ``tracer._thin`` replaced: numpy rows in, rows kept."""
     p_s1 = (s.u_plus, s.theta_plus)[param_index]
     vidx = 1 - param_index
-    kept_s, kept_t = [samples[0]], [times[0]]
+    kept_s = [samples[0]]
     for i in range(1, len(samples) - 1):
         row = samples[i]
         adv_p = kept_s[-1][param_index] - row[param_index]
@@ -688,16 +683,13 @@ def _reference_thin(samples, times, s, param_index, keep_radius, floor, noise):
         wanted = adv_p >= floor or (near_s1 and adv_p > 0.0)
         if wanted and adv_p > 0.0 and adv_v > 0.0:
             kept_s.append(row)
-            kept_t.append(times[i])
     last = samples[-1]
     while len(kept_s) > 1 and (
             kept_s[-1][param_index] - last[param_index] <= 0.0
             or last[vidx] - kept_s[-1][vidx] <= 0.0):
         kept_s.pop()
-        kept_t.pop()
     kept_s.append(last)
-    kept_t.append(times[-1])
-    return np.vstack(kept_s), np.asarray(kept_t)
+    return np.vstack(kept_s)
 
 
 class TestThin:
@@ -715,11 +707,11 @@ class TestThin:
             ExistenceEngine(opts).curves_for(gas, EndState(1.0, u_plus, 1.0))
         monkeypatch.undo()
         assert len(calls) == 9   # gamma1 and gamma2 on three rungs, sigma on two
-        for (samples, times, *rest), kwargs in calls:
-            got = tracer._thin(samples, times, *rest, **kwargs)
-            want = _reference_thin(list(samples), list(times), *rest, **kwargs)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert len(samples) > len(got[0]) > 2
+        for (samples, *rest), kwargs in calls:
+            got = tracer._thin(samples, *rest, **kwargs)
+            want = _reference_thin(list(samples), *rest, **kwargs)
+            assert np.array_equal(got, want)
+            assert len(samples) > len(got) > 2
 
     def test_noise_budget_is_the_row_loop(self, s_sub):
         # u falls away from S1 as on gamma1, then backtracks by 1e-6 at
@@ -727,14 +719,63 @@ class TestThin:
         # theta backtracks by 5e-7 from the last kept sample, but not from S1
         samples = np.array([[1.0, 1.0], [0.99, 1.01], [0.98, 1.02], [0.980001, 1.03],
                             [0.97, 1.0199995], [0.96, 1.04]])
-        times = np.array([math.inf, 0.0, 0.5, 1.0, 1.5, 2.0])
         args = (s_sub, 0, 1e-6, 1e-3)
         with pytest.raises(tracer.TraceFailed) as got:
-            tracer._thin(samples, times, *args, noise=1e-7)
+            tracer._thin(samples, *args, noise=1e-7)
         with pytest.raises(tracer.TraceFailed) as want:
-            _reference_thin(list(samples), list(times), *args, noise=1e-7)
+            _reference_thin(list(samples), *args, noise=1e-7)
         assert str(got.value) == str(want.value) and "sample 3" in str(got.value)
-        got = tracer._thin(samples, times, *args, noise=1e-5)
-        want = _reference_thin(list(samples), list(times), *args, noise=1e-5)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[1].tolist() == [math.inf, 0.0, 0.5, 2.0]
+        got = tracer._thin(samples, *args, noise=1e-5)
+        want = _reference_thin(list(samples), *args, noise=1e-5)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, samples[[0, 1, 2, 5]])
+
+
+class TestGamma2EndsAtS2:
+    # (1 - M+, fractions of S2's slow coordinate r_s2): each boundary is
+    # within CAPTURE_RADIUS * scale of S2, where a branch stopped at S2's
+    # capture point left it out of range
+    CASES = [(3e-8, 0.9), (3e-8, 0.999), (2e-8, 0.9), (2e-8, 0.999),
+             (1e-5, 0.9999), (1e-5, 0.99999)]
+
+    @pytest.mark.parametrize("gap, frac", CASES)
+    def test_a_boundary_next_to_s2_exists_on_gamma2(self, gas, gap, frac):
+        right = EndState(1.0, (1.0 - gap) * SOUND, 1.0)
+        eng = ExistenceEngine()
+        c = eng.curves_for(gas, right)[CURVE_GAMMA2]
+        s, graph = c.system, c.graph
+        r_s2 = float((graph.P_inv @ (s.s2.as_array() - s.s1.as_array()))[1])
+        u, theta = map(float, graph.points(frac * r_s2))
+        q = Query(EndState(u * right.v / right.u, u, theta), right, gas)
+        verdict = eng.decide(q)
+        assert verdict.exists and verdict.curve == CURVE_GAMMA2, verdict
+        assert c.terminal == TERMINAL_CONVERGED_TO_S2 and c.graph_radius == r_s2
+        m = eng.compute_profile(q, verdict).metrics
+        assert m["monotone_ok"] and m["signs"] == (-1, -1, 1)
+        assert m["residual_sup"] <= 1e-8 and m["endpoint_gap"] <= 1e-8
+
+    def test_terminal_point_is_the_last_sample(self, gas, monkeypatch):
+        # bit for bit, and for an integrated curve also the stop's event point
+        runs, curves = [], []
+
+        def recording_integrate(*args, **kwargs):
+            runs.append(integrate(*args, **kwargs))
+            return runs[-1]
+
+        def recording_trace(*args, **kwargs):
+            runs.clear()
+            c = trace(*args, **kwargs)
+            end = [c.terminal_point.u.hex(), c.terminal_point.theta.hex()]
+            assert end == [float(x).hex() for x in c.samples[-1]]
+            if runs:
+                ev = runs[-1].event.point
+                assert end == [ev.u.hex(), ev.theta.hex()]
+            curves.append(c)
+            return c
+
+        trace = tracer._trace
+        monkeypatch.setattr(tracer, "integrate", recording_integrate)
+        monkeypatch.setattr(tracer, "_trace", recording_trace)
+        for u_plus in LADDER_U:
+            ExistenceEngine().curves_for(gas, EndState(1.0, u_plus, 1.0))
+        assert len(curves) == 9   # gamma1 and gamma2 on four rungs, sigma on one

@@ -10,10 +10,10 @@ script on both commits and comparing the two files:
 The script imports the package from the ``src`` directory next to it, so a
 copy placed in another checkout snapshots that checkout.  The output set:
 
-* the trace-ladder rungs of ``bench/workloads.py`` (samples, backward times,
-  terminal, terminal point, seed offset and graph radius of every curve, and
-  the h, flow, defect_coef and P_inv of the invariant-manifold graph it
-  leaves S1 along);
+* the trace-ladder rungs of ``bench/workloads.py`` (samples, terminal,
+  terminal point, seed offset and graph radius of every curve, and the h,
+  flow, defect_coef and P_inv of the invariant-manifold graph it leaves S1
+  along);
 * the query-mix cases of seeds 0 and 1: the verdict of each, and the xi, V,
   U, Theta and metrics of each profile (``metrics.residual_sup`` pins the
   residual rows); and all of them again, on the same warm engine in
@@ -119,8 +119,8 @@ def _load_workloads():
 
 def _curve(curve) -> dict:
     graph = curve.graph
-    return {"samples": curve.samples, "backward_time": curve.backward_time,
-            "terminal": curve.terminal, "terminal_point": curve.terminal_point,
+    return {"samples": curve.samples, "terminal": curve.terminal,
+            "terminal_point": curve.terminal_point,
             "seed_offset": curve.seed_offset, "graph_radius": curve.graph_radius,
             "graph": {"h": graph.h, "flow": graph.flow,
                       "defect_coef": graph.defect_coef, "P_inv": graph.P_inv}}
