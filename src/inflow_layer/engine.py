@@ -7,23 +7,20 @@ case giving the trivial constant layer.
 
 Profiles ride invariant manifolds into the far-field equilibrium S1, which
 forward shooting cannot follow (transverse errors grow exponentially).
-Every profile rides its curve's invariant-manifold graph at S1
-(``Curve.graph``).  A boundary beyond the graph's radius is reached on the
-curve's profile orbit (``Curve.orbit``), the stable backward run from the
-graph point at that radius, stopped where the boundary parameter is
-crossed, then reversed and re-based to xi = 0 at the boundary; a boundary
-inside it is the graph point itself.  The orbit is one run for every
-boundary on the curve, and the refined membership of ``decide`` stops on
-it too, so a refined verdict and its profile read the same crossing.  From
-there down to 1e-10 * scale of S1 the profile is the reduced flow along the
-graph: xi by Gauss-Legendre quadrature of its flight time, the residual
+Every profile is a cut of its curve (``Curve.leg``), along its
+invariant-manifold graph at S1 (``Curve.graph``).  A boundary beyond the
+graph's radius is reached on the curve's profile orbit (``Curve.orbit``),
+the stable backward run from the graph point at that radius, stopped where
+the boundary parameter is crossed, then reversed and re-based to xi = 0 at
+the boundary; a boundary inside it is the graph point itself.  The refined
+membership of ``decide`` stops on the same run, so a refined verdict and
+its profile read the same crossing.  From there down to 1e-10 * scale of S1
+every profile reads the orbit's one inner grid along the graph, joined two
+panels below a boundary inside the radius by one panel of its own: xi by
+Gauss-Legendre quadrature of the reduced flow's flight time, the residual
 rows from the graph's phase velocity.  Quadrature resolves the sonic 1/xi
 tail and the subsonic exp(lambda2 xi) one alike, where an integrator would
-crawl at |lambda2| ~ 1 - M+ with its steps capped by the fast rate.
-
-Beyond the radius the inner leg starts at the same graph point for every
-boundary on the curve, so the orbit keeps it too, and the residual rows are
-one evaluation on the run's step record, which stores each step once: a
+crawl at |lambda2| ~ 1 - M+ with its steps capped by the fast rate.  A
 warm profile pays for its own stop and the sum of its xi, not for the
 curve's shared tail.
 """
@@ -41,17 +38,16 @@ from .errors import (InvalidBoundary, OutOfRange, ProfileDiverged, TailTooShort)
 from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH, TOL_MEMBER,
                   check_flux_condition, check_tol_mach, classify_regime, mach,
                   require_positive)
-from .integrator import COMPONENT_CROSSES, component_crosses
-# the profile legs stop on the curve's orbit; ``integrate`` and
-# ``phase_field`` stay importable here, the engine's names for the
-# integrator and the field, which bench/spans.py wraps
+# the profile legs are cuts of the curve's orbit (``Curve.leg``);
+# ``integrate`` and ``phase_field`` stay importable here, the engine's
+# names for the integrator and the field, which bench/spans.py wraps
 from .integrator import integrate  # noqa: F401
 from .linearize import eigen_2x2, saddle_graph, transonic_frame
 from .system import phase_field  # noqa: F401
 from .system import PhasePoint, SystemData, build_system, field_poly, residual_sup
 from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, TERMINAL_BUDGET,
-                     _S1_OFFSET, Curve, TraceOptions, _inner_leg, _Orbit,
-                     curve_membership, trace_gamma, trace_sigma)
+                     _S1_OFFSET, Curve, TraceOptions, curve_membership, trace_gamma,
+                     trace_sigma)
 
 REASON_MASS_FLUX = "mass_flux_mismatch"
 REASON_NONPOSITIVE_U_PLUS = "nonpositive_u_plus"
@@ -120,7 +116,7 @@ class Verdict:
 class Profile:
     """Sampled layer profile, xi = 0 at the boundary: the outer leg's step
     ends (the boundary's graph point alone inside the graph radius), then
-    the inner leg's quadrature grid along the graph down to S1.
+    the nodes of its curve's one quadrature grid along the graph down to S1.
 
     V satisfies V = (v+/u+) U identically (the integrated mass equation).
     ``metrics`` holds monotonicity, the scaled sup residual, the endpoint
@@ -185,12 +181,12 @@ class ExistenceEngine:
     Each cached curve keeps its profile orbit (``Curve.orbit``): the
     backward run from the graph point at the graph radius, holding the
     steps up to the farthest parameter a refinement or a profile has asked
-    of it, and the curve's inner leg along the graph.  The orbits leave the
+    of it, and the curve's inner grid along the graph.  The orbits leave the
     cache with their entry's curves.  They cannot change an answer: a
     refined membership value and a profile's leg are prefixes of the
     orbit, stopped by ``Run.stopped_by`` as every ``integrate`` call is,
     the steps before a stop do not depend on where the run stops, and the
-    inner leg does not depend on the boundary.
+    grid does not depend on the boundary.
     """
 
     def __init__(self, trace_options: TraceOptions | None = None):
@@ -302,10 +298,9 @@ class ExistenceEngine:
     def compute_profile(self, q: Query, verdict: Verdict | None = None) -> Profile:
         """Compute the layer profile (V, U, Theta)(xi) for an existing layer.
 
-        A boundary beyond its curve's graph radius is reached on the curve's
-        profile orbit (``Curve.orbit``, see ``_backward_leg``); the answer
-        is the same bits on a fresh engine and on one that has refined or
-        profiled any other boundaries before.
+        The profile is a cut of the curve's profile orbit (``Curve.leg``);
+        the answer is the same bits on a fresh engine and on one that has
+        refined or profiled any other boundaries before.
 
         Raises ProfileDiverged, before any step, if the boundary parameter
         lies outside the verdict's curve's range, which only a verdict
@@ -332,7 +327,9 @@ class ExistenceEngine:
             raise ProfileDiverged(
                 f"boundary parameter {bparam} is outside {curve.label}'s range "
                 f"[{lo}, {hi}]; the verdict is for another boundary")
-        prof = self._graph_profile(q, s, curve)
+        xi, pts, rows = curve.leg(bparam)
+        self._landing_check(q, PhasePoint(*pts[0]), pidx)
+        prof = _profile(s, xi, pts, curve.label, rows)
         prof.metrics["monotone_ok"], prof.metrics["signs"] = _monotone_check(prof)
         prof.metrics["endpoint_gap"] = max(abs(prof.U[-1] - s.u_plus),
                                            abs(prof.Theta[-1] - s.theta_plus))
@@ -362,63 +359,6 @@ class ExistenceEngine:
             raise ProfileDiverged(
                 f"profile landed {gap:.3e} away from the boundary data "
                 f"(limit {lim:.3e}); membership was borderline")
-
-    def _backward_leg(self, q: Query, orbit: _Orbit, pidx: int):
-        """The backward run on ``orbit`` to the boundary parameter: (xi,
-        points, residual rows), samples in forward order, xi = 0 at the
-        boundary.
-
-        The run is the one ``integrate`` makes from the orbit's start with
-        ``tracer._LEG_SETTINGS`` and a ``component_crosses`` event at the
-        boundary parameter, taken as a prefix of the orbit (``_Orbit.stop``,
-        the stop ``Curve.refine_value`` makes too): its steps are scanned by
-        ``Run.crossing`` and the stop read out by ``Run.stopped_by``, and
-        the orbit is stepped on only when the boundary lies beyond its last
-        step.  So the orbit holds the steps up to the farthest boundary
-        asked of it, and a first stop on a curve takes the steps it would
-        take alone.
-
-        A row is the dense output and its derivative at the midpoint (where
-        the interpolant is independent of the step-end field values) of each
-        step's part in [t_event, 0] that is at least 1e-5 long, evaluated in
-        one call on the stop's view of the orbit's step record."""
-        bparam = (q.left.u, q.left.theta)[pidx]
-        res = orbit.stop(component_crosses(pidx, bparam))
-        if res.event.kind != COMPONENT_CROSSES:
-            raise ProfileDiverged(
-                f"backward profile run ended with {res.event.kind} before "
-                "reaching the boundary data")
-        self._landing_check(q, res.event.point, pidx)
-        t_ev = res.event.xi
-        xi = (res.xi - t_ev)[::-1].copy()
-        # backward steps run from t_old down to t_new, the step ends; only
-        # the last passes t_ev, and its end res.xi[-1] is t_ev itself
-        t_old, t_new = res.xi[:-1], np.maximum(res.xi[1:], t_ev)
-        kept = t_old - t_new >= 1e-5
-        y, dy = res.steps.dense(0.5 * (t_new[kept] + t_old[kept]), kept, slopes=True)
-        return xi, res.points[::-1].copy(), np.hstack([y, dy])
-
-    def _graph_profile(self, q: Query, s: SystemData, curve: Curve) -> Profile:
-        """The outer leg, backward on the curve's orbit from the graph point
-        at the curve's graph radius to the boundary, or for a boundary
-        inside that radius the graph point at the boundary; then the inner
-        leg along the graph, the orbit's own beyond the radius."""
-        graph, pidx, orbit = curve.graph, curve.param_index, curve.orbit
-        bparam = (q.left.u, q.left.theta)[pidx]
-        if curve.beyond_graph(bparam):
-            xi, pts, rows = self._backward_leg(q, orbit, pidx)
-            flights, inner_pts, inner_rows = orbit.inner
-        else:
-            w_start = curve.graph_w(bparam)
-            pts = graph.points(w_start)[None, :]
-            self._landing_check(q, PhasePoint(*pts[0]), pidx)
-            xi = np.array([0.0])
-            rows = np.empty((0, 4))
-            flights, inner_pts, inner_rows = _inner_leg(s, graph, w_start)
-        # the first grid point coincides with the outer leg's last sample
-        xi_inner = np.cumsum(np.concatenate([xi[-1:], flights]))[1:]
-        return _profile(s, np.concatenate([xi, xi_inner]), np.vstack([pts, inner_pts]),
-                        curve.label, np.vstack([rows, inner_rows]))
 
 
 def _profile(s: SystemData, xi: np.ndarray, pts: np.ndarray, curve: str,

@@ -31,8 +31,9 @@ integration starts from the graph point at the seed offset.
 Each curve keeps its graph and r* (``Curve.graph``, shared by gamma1 and
 gamma2, and ``Curve.graph_radius``): its value between S1 and the first
 offset sample is read off the graph.  Its profile orbit (``Curve.orbit``)
-is the backward run from the graph point at r*, made at its first use:
-refined memberships and the engine's profiles stop on that one run.
+is the backward run from the graph point at r* and one inner grid down the
+graph to S1, each made at its first use.  Refined memberships stop on that
+run, and every profile on the curve is a cut of it (``Curve.leg``).
 Seeding, backward integration, terminal classification, thinning and
 validation are one body for all three curves; they differ only in their
 graph, the side of S1 they leave on, and their terminal events.
@@ -48,7 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, LayerError, OutOfRange, TraceFailed, UnexpectedTerminal
+from .errors import (DomainError, LayerError, OutOfRange, ProfileDiverged, TraceFailed,
+                     UnexpectedTerminal)
 from .gas import TOL_MEMBER, require_positive
 from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
                          THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationResult,
@@ -72,6 +74,10 @@ CAPTURE_RADIUS = 1e-8                 # * scale, S2 capture
 SLIDE_POINTS_PER_DECADE = 12          # graph samples per decade of w
 GRAPH_RESIDUAL = 1e-9                 # scaled equation residual of a graph row
 _S1_OFFSET = 1e-10                    # * scale, where profile runs leave or reach S1
+# a profile inside r* joins the inner grid two panels (1/8 decade) below
+# its |w|: of 445 boundaries inside r* on the query mix's curves, 7 fail the
+# sonic exponent bound at a 1/64 or 1/32 decade gap, 3 at 1/16, none at 1/8
+_FIRST_PANEL = 10.0 ** -0.125
 # the profile orbit: tighter than tracing, since a profile is held to its
 # residual bound on the orbit's own dense output
 _LEG_SETTINGS = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15, direction=BACKWARD,
@@ -173,35 +179,21 @@ class Membership:
     refined: bool
 
 
-def _inner_leg(s: SystemData, graph: SlowGraph, w_start: float) -> tuple:
-    """The inner leg from the graph point at ``w_start`` down to ~1e-10 of
-    S1, quadrature of the reduced flow along the graph, 16 panels a decade:
-    the flight time across each panel, and the points and residual rows at
-    the panels' ends."""
-    w_stop = _S1_OFFSET * s.scale / math.hypot(*graph.e_slow)
-    n_pts = max(60, int(round(math.log10(abs(w_start) / w_stop) * 16)) + 1)
-    w_grid = math.copysign(1.0, w_start) * np.geomspace(abs(w_start), w_stop, n_pts)
-    inner_pts = graph.points(w_grid[1:])
-    return (graph.flight_times(w_grid), inner_pts,
-            np.hstack([inner_pts, graph.velocity(w_grid[1:])]))
-
-
 class _Orbit:
     """A curve's profile orbit: the backward run with ``_LEG_SETTINGS`` from
     the graph point ``edge`` at ``w_start``, the curve's side times its
-    graph radius, stepped only as far as a caller has asked, and the inner
-    leg from that point down the graph to S1.
+    graph radius, stepped only as far as a caller has asked, and the one
+    inner grid from that point down the graph to S1.
 
     Every stop on the curve beyond its graph radius, a refined membership
     value or a profile's outer leg, is a prefix of this one run, and the
     steps of a run do not depend on where it stops, so ``stop`` returns
     what ``integrate`` returns for the same field, start, settings and
-    event.  The run and the inner leg are made at the first stop, under the
-    lock, so racing threads make one of each.  A stop's result carries
+    event.  The run is made at the first stop and the grid at the first
+    ``leg``, each under the lock, so racing threads make one of each, and a
+    profile inside the graph radius starts no run.  A stop's result carries
     views of the run's one step record, so a profile's residual rows are
-    one evaluation on them; the inner leg (``_inner_leg``) is the same for
-    every profile on the curve, and only its xi, which starts from the
-    profile's own stop, is left to each profile.
+    one evaluation on them.
     """
 
     __slots__ = ("system", "graph", "w_start", "edge", "lock", "run", "inner")
@@ -221,13 +213,35 @@ class _Orbit:
         if k is None:
             with self.lock:
                 if self.run is None:
-                    self.inner = _inner_leg(self.system, self.graph, self.w_start)
                     self.run = Run(phase_field(self.system), self.edge, _LEG_SETTINGS)
                 run = self.run
                 k = run.crossing(events)
                 if k is None:
                     k = run.step_until(events)
         return run.stopped_by(events, k)
+
+    def leg(self, w: float) -> tuple:
+        """The inner leg from the graph point at ``w`` down to ~1e-10 of S1,
+        quadrature of the reduced flow along the graph: the flight time
+        across each panel, and the points and residual rows at the panels'
+        ends.  At ``w_start`` it is the grid, 16 panels a decade; inside,
+        the grid's nodes from the first at most ``_FIRST_PANEL`` |w|, after
+        one panel of its own from w to that node."""
+        graph, w0 = self.graph, self.w_start
+        if self.inner is None:
+            with self.lock:
+                if self.inner is None:
+                    w_stop = _S1_OFFSET * self.system.scale / math.hypot(*graph.e_slow)
+                    n_pts = max(60, int(round(math.log10(abs(w0) / w_stop) * 16)) + 1)
+                    grid = math.copysign(1.0, w0) * np.geomspace(abs(w0), w_stop, n_pts)
+                    rows = np.hstack([graph.points(grid[1:]), graph.velocity(grid[1:])])
+                    self.inner = grid, graph.flight_times(grid), rows
+        grid, flights, rows = self.inner
+        if w != w0:
+            k = int(np.searchsorted(-np.abs(grid), -_FIRST_PANEL * abs(w)))
+            flights = np.concatenate([graph.flight_times([w, grid[k]]), flights[k:]])
+            rows = rows[k - 1:]
+        return flights, rows[:, :2], rows
 
 
 @dataclass(frozen=True)
@@ -239,11 +253,12 @@ class Curve:
     excluded from the membership parameter range since it violates the
     positivity constraints; ``terminal_point`` reads it off the samples.
     ``interpolant`` is the monotone interpolant of value over parameter.
-    ``graph`` is the invariant-manifold graph at S1 the curve leaves along,
-    and ``graph_radius`` the |w| of its last graph sample: the certified
-    radius r* (S2's slow coordinate for a gamma2 that ends on the graph,
-    the seed offset when nothing is certified).  ``orbit`` is the profile
-    orbit from the graph point at r* on the side of S1 the trace left on.
+    ``graph`` is the invariant-manifold graph at S1 the curve leaves along.
+    ``orbit`` is the profile orbit from the graph point at the |w| of the
+    last graph sample, ``graph_radius``: the certified radius r* (S2's slow
+    coordinate for a gamma2 that ends on the graph, the seed offset when
+    nothing is certified), on the side of S1 the trace left on.  Every
+    profile on the curve is a cut of that orbit (``leg``).
     """
 
     label: str
@@ -253,8 +268,12 @@ class Curve:
     system: SystemData
     interpolant: Pchip = field(repr=False)
     graph: SlowGraph = field(repr=False)
-    graph_radius: float
     orbit: _Orbit = field(repr=False, compare=False)
+
+    @property
+    def graph_radius(self) -> float:
+        """r*, the |w| the profile orbit starts at."""
+        return abs(self.orbit.w_start)
 
     @property
     def terminal_point(self) -> PhasePoint:
@@ -339,6 +358,41 @@ class Curve:
             return None
         pt = res.event.point
         return pt.theta if self.param_index == 0 else pt.u
+
+    def leg(self, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The profile to boundary parameter q, a cut of the orbit: (xi,
+        points, residual rows), in forward order, xi = 0 at the boundary.
+
+        Beyond r* the outer leg is the orbit's stop at q (the one
+        ``refine_value`` makes), reversed; a row is the dense output and its
+        derivative at the midpoint (where the interpolant is independent of
+        the step-end field values) of each step's part in [t_event, 0] at
+        least 1e-5 long.  Inside r* it is the graph point at q, with no row.
+        The orbit's inner leg from there follows (``_Orbit.leg``).  Raises
+        ProfileDiverged when the orbit ends before it reaches q."""
+        pidx, orbit = self.param_index, self.orbit
+        if self.beyond_graph(q):
+            res = orbit.stop(component_crosses(pidx, q))
+            if res.event.kind != COMPONENT_CROSSES:
+                raise ProfileDiverged(
+                    f"backward profile run ended with {res.event.kind} before "
+                    "reaching the boundary data")
+            t_ev, w = res.event.xi, orbit.w_start
+            xi = (res.xi - t_ev)[::-1]
+            # backward steps run from t_old down to t_new, the step ends; only
+            # the last passes t_ev, and its end res.xi[-1] is t_ev itself
+            t_old, t_new = res.xi[:-1], np.maximum(res.xi[1:], t_ev)
+            kept = t_old - t_new >= 1e-5
+            y, dy = res.steps.dense(0.5 * (t_new[kept] + t_old[kept]), kept, slopes=True)
+            pts, rows = res.points[::-1], np.hstack([y, dy])
+        else:
+            w = self.graph_w(q)
+            xi, pts, rows = np.zeros(1), self.graph.points(w)[None, :], np.empty((0, 4))
+        flights, inner_pts, inner_rows = orbit.leg(w)
+        # the inner leg's first flight starts at the outer leg's last sample
+        xi_inner = np.cumsum(np.concatenate([xi[-1:], flights]))[1:]
+        return (np.concatenate([xi, xi_inner]), np.vstack([pts, inner_pts]),
+                np.vstack([rows, inner_rows]))
 
 
 def _thin(samples: np.ndarray, s: SystemData, param_index: int,
@@ -505,8 +559,7 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
     return Curve(label=label, samples=samples, terminal=terminal,
                  seed_offset=eps, system=s,
                  interpolant=Pchip(samples[::-1, pidx], samples[::-1, 1 - pidx]),
-                 graph=graph, graph_radius=float(radii[-1]),
-                 orbit=_Orbit(s, graph, side * float(radii[-1])))
+                 graph=graph, orbit=_Orbit(s, graph, side * float(radii[-1])))
 
 
 def trace_sigma(s: SystemData, graph: SlowGraph,

@@ -676,6 +676,22 @@ def _borderline(q, curve, k):
     return Query(EndState(u * q.right.v / q.right.u, u, theta), q.right, q.gas)
 
 
+SUFFIX_CURVES = ORBIT_CURVES + [("subcase_b", "gamma1"), ("subcase_b", "gamma2")]
+
+
+def _grid_edges(orbit) -> list[float]:
+    """Graph coordinates inside the orbit's start at the edges of the first
+    panel rule: on three nodes of its inner grid and one ulp either side of
+    each, exactly two panels (1/8 decade) above each and one ulp either
+    side of that, and just inside the start."""
+    grid = orbit.inner[0]
+    ws = [orbit.w_start * (1.0 - 1e-12)]
+    for g in (float(grid[j]) for j in (3, len(grid) // 3, 2 * len(grid) // 3)):
+        for w in (g, g / tracer_module._FIRST_PANEL):
+            ws += [w, math.nextafter(w, 0.0), math.nextafter(w, 2.0 * w)]
+    return ws
+
+
 class TestProfileOrbits:
     """Refined memberships and profiles on one curve are prefixes of one
     backward run that the curve keeps; no history of earlier refinements or
@@ -899,8 +915,11 @@ class TestProfileOrbits:
         assert _profile_bytes(eng.compute_profile(inside)) == want
         assert len(evals) == n_evals and _orbit_steps(eng) == steps
 
+    @pytest.mark.parametrize("first_inside", [True, False],
+                             ids=["inside_first", "beyond_first"])
     @pytest.mark.parametrize("case,label", ORBIT_CURVES)
-    def test_inner_leg_is_built_once_per_side(self, request, gas, monkeypatch, case, label):
+    def test_inner_leg_is_built_once_per_curve(self, request, gas, monkeypatch, case, label,
+                                               first_inside):
         curve, queries = _five_on(request, gas, case, label)
         # and the first and the last curve sample inside the graph radius
         right, pidx = queries[0].right, curve.param_index
@@ -931,17 +950,58 @@ class TestProfileOrbits:
         monkeypatch.setattr(linearize_module, "_horner", counted_horner)
         order = list(range(len(queries)))
         random.Random(11).shuffle(order)
-        got, cost = {}, {}
+        # whichever side of the graph radius the first profile lies on
+        first = next(i for i in order if (i in inside) == first_inside)
+        order.remove(first)
+        order.insert(0, first)
+        got, grids, cost = {}, {}, {}
         for i in order:
             n_flights, n_polys = len(flights), len(polys)
             got[i] = _profile_bytes(eng.compute_profile(queries[i], verdicts[i]))
-            cost[i] = len(flights) - n_flights, len(polys) - n_polys
+            grids[i], cost[i] = flights[n_flights:], len(polys) - n_polys
         assert [got[i] for i in range(len(queries))] == fresh
-        assert sum(cost[i][0] for i in beyond) == 1
-        assert all(cost[i][0] == 1 for i in inside)
+        # the full grid is quadratured once per curve, by the first profile;
+        # a profile inside the radius adds one panel, from its boundary on
+        assert [n for i in order for n in grids[i] if n > 2] == grids[first][:1]
+        assert all([n for n in grids[i] if n <= 2] == [2] for i in inside)
+        assert all(n > 2 for i in beyond for n in grids[i])
         # after the first, a profile beyond the radius evaluates no graph polynomial
-        first = next(i for i in order if i in beyond)
-        assert all(cost[i] == (0, 0) for i in beyond - {first})
+        assert all(grids[i] == [] and cost[i] == 0 for i in beyond - {first})
+
+    @pytest.mark.parametrize("case,label", SUFFIX_CURVES)
+    def test_profile_inside_the_graph_radius_is_a_suffix_of_its_curve(
+            self, request, engine, gas, case, label):
+        right = request.getfixturevalue(f"right_{case}")
+        curve = request.getfixturevalue(f"{case}_curves")[label]
+        # the last sample short of the terminal, beyond the graph radius
+        far = Query(_left_for(curve, len(curve.samples) - 2, right), right, gas)
+        assert _leg_by_integrate(far, curve) is not None
+        beyond = engine.compute_profile(far)
+        tail = np.column_stack([beyond.U, beyond.Theta])
+        orbit = curve.orbit
+        full, grid = orbit.leg(orbit.w_start), orbit.inner[0]
+        for w in _grid_edges(orbit):
+            assert abs(w) < abs(orbit.w_start)
+            # the orbit's leg from w joins the grid at its first node at
+            # least two panels below w
+            flights, pts, rows = orbit.leg(w)
+            k = len(grid) - len(pts)
+            assert abs(grid[k]) <= tracer_module._FIRST_PANEL * abs(w) < abs(grid[k - 1])
+            assert pts.tobytes() == full[1][k - 1:].tobytes()
+            assert rows.tobytes() == full[2][k - 1:].tobytes()
+            assert flights[1:].tobytes() == full[0][k:].tobytes() and flights[0] > 0.0
+            # and so does the profile to the boundary at w
+            u, theta = (float(x) for x in curve.graph.points(w))
+            prof = engine.compute_profile(
+                Query(EndState(u * right.v / right.u, u, theta), right, gas))
+            m = len(prof.xi) - 1
+            assert prof.curve == label and len(prof.residual_rows) == m
+            assert np.column_stack([prof.U, prof.Theta])[1:].tobytes() == tail[-m:].tobytes()
+            assert prof.residual_rows.tobytes() == beyond.residual_rows[-m:].tobytes()
+            assert np.all(np.diff(prof.xi) > 0.0)
+            assert prof.metrics["monotone_ok"]
+            assert prof.metrics["residual_sup"] <= 1e-8
+            assert prof.metrics["endpoint_gap"] <= 1e-8
 
     def test_orbits_leave_with_their_cache_entry(self, request, gas, monkeypatch):
         monkeypatch.setattr(engine_module, "CURVE_CACHE_SIZE", 1)

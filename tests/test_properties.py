@@ -118,6 +118,33 @@ def test_profile_at_a_traced_sample_meets_the_bounds(data):
         assert prof.metrics["endpoint_gap"] <= 1e-8 * prof.system.scale
 
 
+@settings(max_examples=10)
+@given(st.data())
+def test_profile_inside_the_graph_radius_is_a_suffix_of_its_curve(data):
+    # every profile on a curve ends on the one inner grid of its orbit: the
+    # leg from the graph radius r*, which a profile beyond r* ends with
+    gas, right = data.draw(far_fields(st.one_of(st.floats(0.05, 0.99), st.just(1.0))))
+    engine = ExistenceEngine()
+    for label, curve in sorted(engine.curves_for(gas, right).items()):
+        orbit, pidx, scale = curve.orbit, curve.param_index, curve.system.scale
+        # the parameter's distance from S1, log-uniform from 1e-7 scale to r*'s
+        p_s1 = curve.samples[0, pidx]
+        reach = abs(orbit.edge[pidx] - p_s1)
+        d = reach * (1e-7 * scale / reach) ** data.draw(st.floats(0.0, 1.0, exclude_min=True))
+        u, theta = (float(x) for x in curve.graph.points(curve.graph_w(p_s1 - d)))
+        prof = engine.compute_profile(Query(EndState(u * right.v / right.u, u, theta),
+                                            right, gas))
+        _, tail, rows = orbit.leg(orbit.w_start)
+        m = len(prof.xi) - 1
+        assert prof.curve == label and len(prof.residual_rows) == m
+        assert np.column_stack([prof.U, prof.Theta])[1:].tobytes() == tail[-m:].tobytes()
+        assert prof.residual_rows.tobytes() == rows[-m:].tobytes()
+        assert np.all(np.diff(prof.xi) > 0.0)
+        assert prof.metrics["monotone_ok"]
+        assert prof.metrics["residual_sup"] <= 1e-8
+        assert prof.metrics["endpoint_gap"] <= 1e-8 * scale
+
+
 @pytest.fixture(scope="module")
 def warm_engine():
     return ExistenceEngine()

@@ -70,3 +70,18 @@ def test_integrate_section_has_one_row_per_step(snapshot_tool):
         at = np.searchsorted(sign * xi, sign * bounds[:, 0])
         assert np.array_equal(xi[at], bounds[:, 0]), key
         assert run["points"][at].tobytes() == dense[:, 0].tobytes(), key
+
+
+def test_grid_edges_lie_inside_the_graph_radius(snapshot_tool):
+    # the section pins the inner grid's first-panel rule only while its
+    # boundaries are inside r*, where no orbit stop is made
+    from inflow_layer import ExistenceEngine
+
+    wl = snapshot_tool._load_workloads()
+    for right in (wl.CANONICAL, wl.THETA_AXIS, wl.SONIC):
+        for curve in ExistenceEngine().curves_for(wl.GAS, right).values():
+            ws = snapshot_tool.grid_edges(curve)
+            assert len(ws) == len(set(ws)) == 19
+            assert all(0.0 < w / curve.orbit.w_start < 1.0 for w in ws)
+            params = curve.graph.points(np.array(ws))[:, curve.param_index]
+            assert not any(curve.beyond_graph(p) for p in params)

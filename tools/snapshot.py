@@ -19,6 +19,11 @@ copy placed in another checkout snapshots that checkout.  The output set:
   residual rows); and all of them again, on the same warm engine in
   reverse case order (``query_mix_reversed``), which must give the same
   bits whatever the curves' profile orbits already hold;
+* verdicts and profiles at the edges of the inner grid's first-panel rule
+  on the query mix's five curves (``grid_edge``): on three nodes of the
+  grid that every profile on a curve ends with, one ulp either side of
+  each, 1/8 decade above each and one ulp either side of that, and just
+  inside the graph radius;
 * sonic verdicts and profiles at u-/u+ = 0.5, 0.9995 and 0.99999, and
   sigma's predictions between S1 and its first offset sample;
 * near-sonic verdicts and profiles at 1-M+ = 1e-2 and 1e-3, with the
@@ -179,6 +184,25 @@ def _integrations(wl) -> dict:
             for name, (start, settings, events, step) in runs.items()}
 
 
+def grid_edges(curve) -> list[float]:
+    """Graph coordinates w inside the curve's graph radius around its inner
+    grid: 16 nodes a decade of |w| from the orbit's start down to 1e-10
+    scale of S1, at least 60.  On nodes 3, n/3 and 2n/3, one ulp either
+    side of each, 10**(1/8) times each and one ulp either side of that,
+    and the start times 1 - 1e-12."""
+    from inflow_layer.tracer import _S1_OFFSET
+
+    w0 = curve.orbit.w_start
+    w_stop = _S1_OFFSET * curve.system.scale / math.hypot(*curve.graph.e_slow)
+    n = max(60, int(round(math.log10(abs(w0) / w_stop) * 16)) + 1)
+    grid = math.copysign(1.0, w0) * np.geomspace(abs(w0), w_stop, n)
+    ws = [w0 * (1.0 - 1e-12)]
+    for g in (float(grid[j]) for j in (3, n // 3, 2 * n // 3)):
+        for w in (g, g * 10.0 ** 0.125):
+            ws += [w, math.nextafter(w, 0.0), math.nextafter(w, 2.0 * w)]
+    return ws
+
+
 def _profile(prof) -> dict:
     return {"xi": prof.xi, "V": prof.V, "U": prof.U, "Theta": prof.Theta,
             "metrics": prof.metrics}
@@ -220,6 +244,15 @@ def snapshot() -> dict:
                 mix.engine, mix.cases[i].query, verdict_to_dict)
 
     engine = ExistenceEngine()
+    for name, right in (("canonical", wl.CANONICAL), ("theta_axis", wl.THETA_AXIS),
+                        ("sonic", wl.SONIC)):
+        for label, curve in engine.curves_for(wl.GAS, right).items():
+            for i, w in enumerate(grid_edges(curve)):
+                u, theta = (float(x) for x in curve.graph.points(w))
+                left = EndState(u * right.v / right.u, u, theta)
+                out[f"grid_edge/{name}/{label}/{i:02d}"] = _decided(
+                    engine, Query(left, right, wl.GAS), verdict_to_dict)
+
     right = wl.SONIC
     sigma = engine.curves_for(wl.GAS, right)["sigma"]
     for ratio in SONIC_RATIOS:
