@@ -267,13 +267,11 @@ class ExistenceEngine:
         if regime.is_supersonic:
             return Verdict(exists=False, mach_plus=mach_plus, regime=regime,
                            reason=REASON_SUPERSONIC)
-        curves = self.curves_for(gas, right, q.tolerances.tol_M)
-        order = [CURVE_SIGMA] if regime.is_transonic else [CURVE_GAMMA1, CURVE_GAMMA2]
         p = PhasePoint(left.u, left.theta)
         best = None
         truncated = False
-        for label in order:
-            curve = curves[label]
+        # sigma, or gamma1 then gamma2: the order ``_trace`` builds them in
+        for label, curve in self.curves_for(gas, right, q.tolerances.tol_M).items():
             try:
                 mem = curve_membership(curve, p, q.tolerances.tol_member)
             except OutOfRange:
@@ -330,7 +328,7 @@ class ExistenceEngine:
         xi, pts, rows = curve.leg(bparam)
         self._landing_check(q, PhasePoint(*pts[0]), pidx)
         prof = _profile(s, xi, pts, curve.label, rows)
-        prof.metrics["monotone_ok"], prof.metrics["signs"] = _monotone_check(prof)
+        prof.metrics["monotone_ok"], prof.metrics["signs"] = _monotone_check(prof, pidx)
         prof.metrics["endpoint_gap"] = max(abs(prof.U[-1] - s.u_plus),
                                            abs(prof.Theta[-1] - s.theta_plus))
         prof.metrics["residual_sup"] = verify_residual(prof, s)
@@ -344,8 +342,9 @@ class ExistenceEngine:
     def _trivial_profile(self, q: Query, s: SystemData) -> Profile:
         pts = np.array([[q.left.u, q.left.theta]] * 2)
         prof = _profile(s, np.array([0.0, 1.0]), pts, CURVE_TRIVIAL, np.empty((0, 4)))
+        gap = max(abs(q.left.u - s.u_plus), abs(q.left.theta - s.theta_plus))
         prof.metrics = {"monotone_ok": True, "signs": (0, 0, 0),
-                        "residual_sup": 0.0, "endpoint_gap": 0.0,
+                        "residual_sup": 0.0, "endpoint_gap": gap,
                         "decay": DecayReport(kind="not_applicable")}
         return prof
 
@@ -371,8 +370,10 @@ def _profile(s: SystemData, xi: np.ndarray, pts: np.ndarray, curve: str,
                    curve=curve, system=s, residual_rows=residual_rows)
 
 
-def _monotone_check(prof: Profile) -> tuple[bool, tuple[int, int, int]]:
-    """Strict monotonicity of (V, U, Theta) via sample differences."""
+def _monotone_check(prof: Profile, pidx: int) -> tuple[bool, tuple[int, int, int]]:
+    """Strict monotonicity of (V, U, Theta) via sample differences: toward
+    S1 the curve's parameter, coordinate ``pidx`` of (u, theta), rises and
+    the other one falls, and V moves with U."""
     dV = np.diff(prof.V)
     dU = np.diff(prof.U)
     dT = np.diff(prof.Theta)
@@ -385,11 +386,8 @@ def _monotone_check(prof: Profile) -> tuple[bool, tuple[int, int, int]]:
         return 0
 
     signs = (sgn(dV), sgn(dU), sgn(dT))
-    if prof.curve == CURVE_GAMMA2:
-        ok = signs == (-1, -1, 1)
-    else:
-        ok = signs == (1, 1, -1)
-    return ok, signs
+    u_sign = 1 if pidx == 0 else -1
+    return signs == (u_sign, u_sign, -u_sign), signs
 
 
 def verify_residual(prof: Profile, s: SystemData) -> float:

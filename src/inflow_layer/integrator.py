@@ -4,16 +4,12 @@ The stepper is the Dormand-Prince 5(4) embedded pair (Dormand & Prince,
 J. Comput. Appl. Math. 6 (1980)) with its free quartic interpolant.  It is
 a literal port of scipy's ``RK45``: the same tableau, the same
 floating-point operations in the same order, the same error norm, step
-controller and initial-step rule.  Every accepted step, and so every curve,
-profile and verdict, is therefore bitwise identical to what scipy computes,
-without scipy's import cost.  Events are located by sign change on step
-endpoints followed by bisection on the dense output, so event functions
-only need to be evaluable, not differentiable.  The event's regula falsi
-root along the step's quartic predicts which side each halving keeps, so
-that one dense-output call evaluates all the midpoints the halvings take;
-every decision is still made on the dense output at the halvings' own
-midpoints, so the prediction moves no bit of the location (Shampine &
-Thompson 2000 locate events from the interpolant's root itself).  Every
+controller and initial-step rule.  Every accepted step and its dense output
+are therefore bitwise what scipy computes, without scipy's import cost.
+Events are located by sign change on step endpoints followed by a plain
+bisection (``_bisect_event``), each halving decided on the step's quartic
+in Python floats, so event functions only need to be evaluable, not
+differentiable; the stop point is then read off the dense output.  Every
 event is terminal: the first one triggered ends the run, and ``Run`` is
 the one step loop that stops on it.  The phase field is smooth and
 non-stiff away from the singular line u = 0, so an explicit pair is
@@ -45,7 +41,6 @@ BUDGET = "budget"
 _MIN_STEP_FACTOR = 1e-14
 MAX_INSERTED = 1000   # knots ``capped_knots`` inserts into one segment at most
 MIN_REL_TOL = 100 * np.finfo(float).eps   # below it the error estimate is noise
-_PREDICT_ITERS = 50   # regula falsi steps one crossing prediction takes at most
 _FIRST_STEPS = 64     # steps a run's record holds before it first doubles
 
 # Dormand-Prince 5(4) tableau with the dense-output matrix P for the optimum
@@ -122,9 +117,8 @@ class EventSpec:
 
     direction -1 triggers on + -> -, 0 on any sign change.  The event stops
     the integration at the bracketed location.  ``fn(xi, y)`` must be pure:
-    it is called at step ends, at the bisection's midpoints and at the
-    points where the bisection predicts the crossing along a step's
-    interpolant, with ``y`` a float64 array of shape (2,).
+    it is called at step ends and at the bisection's midpoints, with ``y``
+    a float64 array of shape (2,).
     """
 
     kind: str
@@ -191,104 +185,32 @@ def _crossed(g_old, g_new, direction: int):
     return hit | ((g_old < 0.0) & (g_new >= 0.0))
 
 
-def _predicted_crossing(g, a: float, g_a: float, b: float, g_b: float) -> float:
-    """Where ``g`` crosses zero between ``a``, where g_a > 0, and the
-    triggered side ``b``, where g_b <= 0: Illinois regula falsi (Dowell &
-    Jarratt 1971), halving where a secant point falls outside the bracket.
-    NaN if the ends do not bracket a crossing."""
-    if not g_a > 0.0 >= g_b:
-        return math.nan
-    t, side = a, 0
-    for _ in range(_PREDICT_ITERS):
-        d = g_b - g_a
-        t_new = (a * g_b - b * g_a) / d if d < 0.0 else math.nan
-        if not (t_new - a) * (t_new - b) <= 0.0:
-            t_new = 0.5 * (a + b)
-        if t_new == t:
-            break
-        t = t_new
-        g_t = g(t)
-        if g_t > 0.0:
-            a, g_a = t, g_t
-            if side > 0:
-                g_b *= 0.5
-            side = 1
-        elif g_t < 0.0:
-            b, g_b = t, g_t
-            if side < 0:
-                g_a *= 0.5
-            side = -1
-        else:   # on the crossing, or not finite
-            break
-        if abs(b - a) <= 1e-15 * (1.0 + abs(t)):
-            break
-    return t
-
-
 def _bisect_event(ev: EventSpec, steps: Steps, i: int, t_lo: float, t_hi: float,
-                  g_lo: float):
-    """Bisect the event location on step i's dense output.
+                  g_lo: float) -> float:
+    """Bisect the event location on step i's quartic; the triggered end of
+    the final bracket, as a Python float.
 
-    Returns the triggered side of the final bracket, with width at most
-    1e-12 * (1 + |t|), after at most 200 halvings, and the step's
-    ``values`` row there, or None if that side is still ``t_hi``.  The
-    crossing of ``ev.fn`` along the step's quartic, in Python floats
-    (``_predicted_crossing``), predicts which side each halving keeps; the
-    midpoints of that path, each ``0.5 * (a + b)`` of its bracket, are
-    evaluated in one ``values`` call, whose rows have the bits of one-point
-    calls.  The walk down them takes the one-point loop's decisions, with
-    its stop test and cap, up to the first one the prediction missed, and
-    predicts again inside the bracket left.  So the result is that loop's,
-    bit for bit and of the same type, whatever the prediction, and each
-    call decides at least one halving.
+    Each halving decides by ``_crossed`` from g_lo on ``ev.fn`` at the
+    bracket's midpoint, the step's dense output y0 + h (x (c1 + x (c2 +
+    x (c3 + x c4)))) there evaluated in Python floats; the bracket is halved
+    until its width is at most 1e-12 * (1 + |t|), or 200 times.  The end is
+    ``t_hi`` if no midpoint has crossed.
     """
     t0, h = float(steps.t[i]), float(steps.h[i])
     y0, q = steps.y[i].tolist(), steps.Q[i].tolist()
-    sign = 1.0 if g_lo > 0.0 else -1.0
-
-    def g(t: float) -> float:
-        """sign * ev.fn on the quartic, > 0 on t_lo's side of a crossing."""
-        x = (t - t0) / h
-        y = [yj + h * (x * (c1 + x * (c2 + x * (c3 + x * c4))))
-             for yj, (c1, c2, c3, c4) in zip(y0, q)]
-        return sign * float(ev.fn(t, np.array(y)))
-
-    # the loop's arithmetic on its bounds is IEEE double arithmetic whether
-    # they are Python floats or numpy scalars, so it runs on floats, and the
-    # midpoint kept is given back the type the loop's would have
-    as_t = type(0.5 * (t_lo + t_hi))
-    a, b, y_b = float(t_lo), float(t_hi), None
-    g_a, g_b = sign * g_lo, g(b)
-    left = 200
-    while left:
-        t_star = _predicted_crossing(g, a, g_a, b, g_b)
-        if not (t_star - a) * (t_star - b) <= 0.0:
-            t_star = 0.5 * (a + b)
-        # the halvings' path if the crossing were at t_star
-        lo, hi, mids, sides = a, b, [], []
-        for _ in range(left):
-            mid = 0.5 * (lo + hi)
-            if abs(hi - lo) <= 1e-12 * (1.0 + abs(mid)):
-                break
-            crossed = (mid - t_star) * (hi - lo) >= 0.0
-            mids.append(mid)
-            sides.append(crossed)
-            lo, hi = (lo, mid) if crossed else (mid, hi)
-        if not mids:
+    a, b = float(t_lo), float(t_hi)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if abs(b - a) <= 1e-12 * (1.0 + abs(mid)):
             break
-        for mid, y, predicted in zip(mids, steps.values(i, mids), sides):
-            left -= 1
-            g_mid = float(ev.fn(mid, y))
-            crossed = _crossed(g_lo, g_mid, ev.direction)
-            if crossed:
-                b, y_b, g_b = mid, y, sign * g_mid
-            else:
-                a, g_a = mid, sign * g_mid
-            if crossed != predicted:
-                break
-        else:   # the path ran to the stop test or the cap
-            break
-    return (t_hi, None) if y_b is None else (as_t(b), y_b)
+        x = (mid - t0) / h
+        y = np.array([yj + h * (x * (c1 + x * (c2 + x * (c3 + x * c4))))
+                      for yj, (c1, c2, c3, c4) in zip(y0, q)])
+        if _crossed(g_lo, float(ev.fn(mid, y)), ev.direction):
+            b = mid
+        else:
+            a = mid
+    return b
 
 
 def _immediate(ev: EventSpec, g0: float) -> bool:
@@ -574,7 +496,8 @@ class Run:
         None stops it at its step budget; 0 at its start, on the first
         listed event that triggers there; k >= 1 on step k, at the
         bisected location of each event that crosses there nearest the
-        step's start, the first listed on a tie.
+        step's start, the first listed on a tie.  The stop point is step
+        k's dense output there, one ``Steps.values`` call.
         """
         if k is None:
             k = self.n_steps
@@ -590,12 +513,10 @@ class Run:
         for ev in events:
             g_old = float(ev.fn(t_old, y_old))
             if _crossed(g_old, float(ev.fn(t, y)), ev.direction):
-                t_ev, y_ev = _bisect_event(ev, steps, k - 1, t_old, t, g_old)
-                stops.append((abs(t_ev - t_old), t_ev, y_ev, ev))
-        _, t_ev, y_ev, ev = min(stops, key=lambda stop: stop[0])
-        if y_ev is None:   # the stop is the step's end, where no midpoint was
-            y_ev = steps.values(k - 1, [t_ev])[0]
-        return _result(steps, ev.kind, t_ev, y_ev)
+                t_ev = _bisect_event(ev, steps, k - 1, t_old, t, g_old)
+                stops.append((abs(t_ev - t_old), t_ev, ev))
+        _, t_ev, ev = min(stops, key=lambda stop: stop[0])
+        return _result(steps, ev.kind, t_ev, steps.values(k - 1, [t_ev])[0])
 
 
 def _result(steps: Steps, kind: str, t, y) -> IntegrationResult:

@@ -547,6 +547,10 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
     if label == CURVE_GAMMA2:
         expected = (TERMINAL_CONVERGED_TO_S2 if s.alpha2 > 0.0
                     else TERMINAL_HIT_THETA_AXIS)
+        if terminal == TERMINAL_CONVERGED_TO_S2 and s.alpha2 <= 0.0:
+            # S2 lies on theta = 0 or, within the capture radius, below it:
+            # the capture at S2 is the axis terminal
+            terminal = TERMINAL_HIT_THETA_AXIS
         if terminal != expected and terminal != TERMINAL_BUDGET:
             raise UnexpectedTerminal(
                 f"gamma2 ended with {terminal}, but alpha2 = {s.alpha2} predicts {expected}")

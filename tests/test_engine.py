@@ -262,6 +262,10 @@ class TestProfiles:
         assert prof.trivial and list(prof.xi) == [0.0, 1.0]
         assert prof.metrics["monotone_ok"]
         assert prof.metrics["residual_sup"] == 0.0
+        # the constant state is the boundary's, which is not S1
+        gap = max(abs(q.left.u - right.u), abs(q.left.theta - right.theta))
+        assert gap >= 5e-11 * right.u * (1.0 - 1e-6)
+        assert prof.metrics["endpoint_gap"] == gap
 
     def test_profile_requires_existing_layer(self, engine, gas, right_supersonic):
         q = Query(EndState(0.5, 1.0, 1.3), right_supersonic, gas)

@@ -546,36 +546,34 @@ def _one_point_bisect(ev: EventSpec, values, t_lo, t_hi, g_lo):
     return b
 
 
-def _same_float(x, y) -> bool:
-    return type(x) is type(y) and float(x).hex() == float(y).hex()
+def _float_quartic(steps: Steps, i: int, t: float) -> np.ndarray:
+    """Step i's interpolant at t by Horner's rule in Python floats."""
+    t0, h = float(steps.t[i]), float(steps.h[i])
+    x = (t - t0) / h
+    return np.array([y0 + h * (x * (c1 + x * (c2 + x * (c3 + x * c4))))
+                     for y0, (c1, c2, c3, c4) in zip(steps.y[i].tolist(),
+                                                     steps.Q[i].tolist())])
 
 
-def _location(located, steps: Steps, i: int, t_hi):
-    """The location of a ``_bisect_event`` result, after checking that its
-    row is step i's own ``values`` there, or that it has none because it
-    stayed at ``t_hi``."""
-    got, y = located
-    if y is None:
-        assert got is t_hi
-    else:
-        assert y.tobytes() == steps.values(i, [got])[0].tobytes()
-    return got
-
-
-def _located(ev: EventSpec, steps: Steps, i: int, t_lo, t_hi, g_lo):
-    return _location(integrator._bisect_event(ev, steps, i, t_lo, t_hi, g_lo), steps, i, t_hi)
-
-
-def test_batched_bisection_equals_the_one_point_loop_on_real_steps(
+def test_bisection_equals_the_one_point_loop_on_real_steps(
         monkeypatch, gas, right_subsonic, right_subcase_b, right_transonic):
-    calls = []
-    bisect = integrator._bisect_event
+    # every stop of three fresh traces, two integrations and a query-mix
+    # round: each location is the numpy one-point loop's, bit for bit, and
+    # each stop point is the dense output there
+    calls, stops = [], []
+    bisect, stopped_by = integrator._bisect_event, Run.stopped_by
 
     def recorded(*args):
         calls.append((args, bisect(*args)))
         return calls[-1][1]
 
+    def recorded_stop(run, events, k):
+        res = stopped_by(run, events, k)
+        stops.append((k, res.event.xi, res.points[-1].copy(), res.steps))
+        return res
+
     monkeypatch.setattr(integrator, "_bisect_event", recorded)
+    monkeypatch.setattr(Run, "stopped_by", recorded_stop)
     engine = ExistenceEngine()
     for right in (right_subsonic, right_subcase_b, right_transonic):
         engine.curves_for(gas, right)
@@ -587,21 +585,31 @@ def test_batched_bisection_equals_the_one_point_loop_on_real_steps(
               [near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)])
     integrate(phase_field(s), s1 - 0.3 * s.scale * e2, IntegrationSettings(),
               [component_crosses(0, 0.99 * s.u_plus)])
+    workloads = load_bench("workloads.py", "bench_workloads")
+    for seed in (0, 1):
+        mix = workloads.QueryMix(seed)
+        mix.setup()
+        tally = workloads.Tally()
+        mix.run_round(tally)
+        assert not tally.failures
     kinds = {args[0].kind for args, _ in calls}
     assert {NEAR_EQUILIBRIUM, COMPONENT_CROSSES, U_CROSSES_ZERO} <= kinds
     assert any(args[0].direction == 0 for args, _ in calls)
-    for (ev, steps, i, lo, hi, g_lo), located in calls:
+    assert len(calls) > 60
+    for (ev, steps, i, lo, hi, g_lo), got in calls:
         want = _one_point_bisect(ev, partial(steps.values, i), lo, hi, g_lo)
-        assert _same_float(_location(located, steps, i, hi), want), ev.kind
+        assert type(got) is float and got.hex() == float(want).hex(), ev.kind
+    located = {got for _, got in calls}
+    stopped = [(k, xi, point, steps) for k, xi, point, steps in stops if k]
+    assert len(stopped) > 30
+    for k, xi, point, steps in stopped:
+        assert xi in located
+        assert point.tobytes() == steps.values(k - 1, [xi])[0].tobytes()
 
 
-@pytest.mark.parametrize("predict", ["quartic", "triggered end"])
-def test_batched_bisection_stops_at_the_halving_cap(predict, monkeypatch):
+def test_bisection_stops_at_the_halving_cap(monkeypatch):
     # every midpoint is on the triggered side and the bracket never gets
-    # narrow enough, so both loops stop after exactly 200 decided midpoints,
-    # also when every prediction misses and each call decides only one
-    if predict != "quartic":
-        monkeypatch.setattr(integrator, "_predicted_crossing", lambda g, a, g_a, b, g_b: b)
+    # narrow enough, so both loops stop after exactly 200 decided midpoints
     decided = []
     crossed = integrator._crossed
     monkeypatch.setattr(integrator, "_crossed",
@@ -609,16 +617,13 @@ def test_batched_bisection_stops_at_the_halving_cap(predict, monkeypatch):
                         decided.append(g_new) or crossed(g_old, g_new, direction))
     steps = _one_step(0.0, 1e300, np.zeros(2), np.ones((7, 2)))
     ev = EventSpec("always", lambda t, y: -1.0)
-    values, counted = Steps.values, []
-    monkeypatch.setattr(Steps, "values", lambda *args: counted.append(1) or values(*args))
-    for bisect in (partial(_located, ev, steps, 0),
-                   partial(_one_point_bisect, ev, partial(values, steps, 0))):
+    got = []
+    for bisect in (partial(integrator._bisect_event, ev, steps, 0),
+                   partial(_one_point_bisect, ev, partial(steps.values, 0))):
         decided.clear()
-        got = bisect(0.0, 1e300, 1.0)
-        assert len(decided) == 200 and got == 1e300 / 2 ** 200
-    # one values call for the first located crossing (and one to check its
-    # row); one per halving when every prediction misses
-    assert len(counted) == (2 if predict == "quartic" else 201)
+        got.append(bisect(0.0, 1e300, 1.0))
+        assert len(decided) == 200 and got[-1] == 1e300 / 2 ** 200
+    assert type(got[0]) is float
 
 
 @st.composite
@@ -652,63 +657,87 @@ def _shifted(steps: Steps, level: float, swap: bool) -> Steps:
     return steps._replace(y=y[:, order], Q=steps.Q[:, order])
 
 
-def _predictor(kind: str, steps: Steps, roots, want):
-    """A stand-in for ``_predicted_crossing``: t_lo, t_hi, NaN, a point
-    beyond the triggered end, or the step's other root: the root inside
-    the step farthest from ``want``, or one outside if there is only one
-    inside."""
-    t_lo, t_hi = steps.t
-    inner, outer = roots
-    other = max(inner, key=lambda r: abs(r - float(want))) if len(inner) > 1 else outer[0]
-    return {"t_lo": lambda g, a, g_a, b, g_b: t_lo,
-            "t_hi": lambda g, a, g_a, b, g_b: t_hi,
-            "nan": lambda g, a, g_a, b, g_b: math.nan,
-            "outside": lambda g, a, g_a, b, g_b: b + (b - a),
-            "other root": lambda g, a, g_a, b, g_b: other}[kind]
+def _bisected(ev: EventSpec, steps: Steps, t_lo, t_hi, g_lo):
+    """``_bisect_event`` on step 0, with the (t, y, g) of each midpoint its
+    event function was called at."""
+    seen = []
+
+    def fn(t, y):
+        seen.append((t, y.copy(), float(ev.fn(t, y))))
+        return seen[-1][2]
+
+    got = integrator._bisect_event(EventSpec(ev.kind, fn, ev.direction), steps, 0,
+                                   t_lo, t_hi, g_lo)
+    return got, seen
 
 
-@pytest.mark.parametrize("predict", ["quartic", "t_lo", "t_hi", "nan", "outside",
-                                     "other root"])
+def _event_on(kind: str, steps: Steps, level: float, target) -> tuple:
+    """An event of ``kind`` on a ``_crossing_steps`` record, and the record
+    it reads; all but the capture cross where u crosses ``level``."""
+    if kind == "capture":
+        ends = steps.values(0, steps.t)
+        radius = float(np.linalg.norm(ends[1] - ends[0])) / 2
+        return near_equilibrium(ends[1] + np.array(target), radius), steps
+    return {
+        "component": (component_crosses(0, level), steps),                  # from above
+        "rising": (EventSpec("rising", lambda t, y: level - y[0], direction=0), steps),
+        "falling": (EventSpec("falling", lambda t, y: y[0] - level), steps),
+        "u_axis": (u_crosses_zero(), _shifted(steps, level, swap=False)),
+        "theta_axis": (theta_crosses_zero(), _shifted(steps, level, swap=True)),
+        "region": (left_region(lambda y: y[0] > level), steps),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["component", "rising", "falling", "u_axis", "theta_axis",
+                                  "region", "capture"])
 @given(record=_crossing_steps(), target=st.tuples(st.floats(-1e-3, 1e-3),
                                                  st.floats(-1e-3, 1e-3)))
-@settings(max_examples=30)
-def test_located_crossing_is_the_one_point_loops_whatever_the_prediction(
-        predict, record, target):
-    steps, level, roots = record
+@settings(max_examples=40)
+def test_bisection_brackets_a_crossing_of_the_quartic(kind, record, target):
+    steps, level, (inner, _outer) = record
     t_lo, t_hi = (float(t) for t in steps.t)
-    ends = steps.values(0, steps.t)
-    cases = [
-        (component_crosses(0, level), steps),                          # from above
-        (EventSpec("rising", lambda t, y: level - y[0], direction=0), steps),
-        (EventSpec("falling", lambda t, y: y[0] - level), steps),
-        (u_crosses_zero(), _shifted(steps, level, swap=False)),
-        (theta_crosses_zero(), _shifted(steps, level, swap=True)),
-        (near_equilibrium(ends[1] + target, float(np.linalg.norm(ends[1] - ends[0])) / 2),
-         steps),
-        (left_region(lambda y: y[0] > level), steps),
-    ]
-    for ev, rec in cases:
-        g_lo = float(ev.fn(t_lo, rec.y[0]))
-        # the loop's bounds may be Python floats or numpy scalars
-        for lo, hi in ((t_lo, t_hi), (rec.t[0], rec.t[1])):
+    ev, rec = _event_on(kind, steps, level, target)
+    g_lo = float(ev.fn(t_lo, rec.y[0]))
+
+    def crossed(t):
+        """Whether the event has crossed at t, on the quartic in Python floats."""
+        return integrator._crossed(g_lo, float(ev.fn(t, _float_quartic(rec, 0, t))),
+                                   ev.direction)
+
+    # the loop's bounds may be Python floats or numpy scalars
+    for lo, hi in ((t_lo, t_hi), (rec.t[0], rec.t[1])):
+        got, seen = _bisected(ev, rec, lo, hi, g_lo)
+        assert type(got) is float, type(lo)
+        # each halving decided on the quartic in Python floats, the
+        # crossed side kept: the result is the last crossed midpoint
+        a, b = t_lo, t_hi
+        for t, y, g in seen:
+            assert y.dtype == np.float64
+            assert y.tobytes() == _float_quartic(rec, 0, t).tobytes()
+            if integrator._crossed(g_lo, g, ev.direction):
+                b = t
+            else:
+                a = t
+        # crossed at the returned end, unless no midpoint was and it is
+        # t_hi, and not at the other
+        assert got == b and (crossed(got) or got == t_hi) and not crossed(a)
+        assert len(seen) == 200 or abs(b - a) <= 1e-12 * (1.0 + abs(0.5 * (a + b)))
+        # with one crossing inside the step, the numpy one-point loop's
+        # decisions can differ only within the rounding of the quartic
+        if len(inner) == 1 and kind != "capture":
             want = _one_point_bisect(ev, partial(rec.values, 0), lo, hi, g_lo)
-            with pytest.MonkeyPatch.context() as mp:
-                if predict != "quartic":
-                    mp.setattr(integrator, "_predicted_crossing",
-                               _predictor(predict, rec, roots, want))
-                got = _located(ev, rec, 0, lo, hi, g_lo)
-            assert _same_float(got, want), (ev.kind, type(lo))
+            assert abs(got - float(want)) <= 2.0 * abs(b - a)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_each_query_mix_bisection_makes_one_values_call(seed, monkeypatch):
+def test_each_query_mix_stop_makes_one_values_call(seed, monkeypatch):
     # the query mix's stops: canonical gamma1 and gamma2, the alpha2 < 0
     # curves and sonic sigma, traced and then stopped on by profile legs and
-    # refined memberships; the path predicted along the quartic is the one
-    # the halvings take, so one dense-output call decides all of them
+    # refined memberships; the halvings read the quartic in Python floats,
+    # and the stop point is one dense-output call
     workloads = load_bench("workloads.py", "bench_workloads")
-    values, bisect = Steps.values, integrator._bisect_event
-    made, per_bisection = [], []
+    values, bisect, stopped_by = Steps.values, integrator._bisect_event, Run.stopped_by
+    made, per_bisection, per_stop = [], [], []
 
     def counted_values(*args):
         made.append(1)
@@ -720,11 +749,20 @@ def test_each_query_mix_bisection_makes_one_values_call(seed, monkeypatch):
         per_bisection.append(len(made) - before)
         return out
 
+    def counted_stop(run, events, k):
+        before = len(made)
+        out = stopped_by(run, events, k)
+        if k:
+            per_stop.append(len(made) - before)
+        return out
+
     monkeypatch.setattr(Steps, "values", counted_values)
     monkeypatch.setattr(integrator, "_bisect_event", counted_bisect)
+    monkeypatch.setattr(Run, "stopped_by", counted_stop)
     mix = workloads.QueryMix(seed)
     mix.setup()
     tally = workloads.Tally()
     mix.run_round(tally)
     assert not tally.failures
-    assert len(per_bisection) > 30 and set(per_bisection) == {1}
+    assert len(per_stop) > 20 and set(per_stop) == {1}
+    assert len(per_bisection) >= len(per_stop) and set(per_bisection) == {0}

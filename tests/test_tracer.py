@@ -19,7 +19,7 @@ from inflow_layer.tracer import (CAPTURE_RADIUS, CURVE_GAMMA1, CURVE_GAMMA2,
                                  TERMINAL_BUDGET, TERMINAL_CONVERGED_TO_S2,
                                  TERMINAL_HIT_THETA_AXIS, TERMINAL_HIT_U_AXIS,
                                  _TERMINALS as _TERMINAL_OF, Pchip)
-from inflow_layer.cli import SWEEP_TRACE
+from inflow_layer.cli import SWEEP_TRACE, run_sweep
 from inflow_layer.integrator import MAX_INSERTED, capped_knots
 from inflow_layer.system import residual_sup
 from conftest import random_system
@@ -239,6 +239,36 @@ class TestGamma:
         (below, u_below), (above, u_above) = ends
         assert below == TERMINAL_HIT_THETA_AXIS and above == TERMINAL_CONVERGED_TO_S2
         assert abs(u_above - u_below) <= 2.0 * math.sqrt(delta)
+
+    def test_gamma2_at_alpha2_zero_ends_on_the_theta_axis(self):
+        # at M+ = sqrt((gamma - 1) / (2 gamma)) = 0.5 exactly, S2 lies on
+        # theta = 0, so the capture at S2 is gamma2's axis terminal; it used
+        # to be reported as converged_to_s2 and refused as UnexpectedTerminal
+        gas, right = GasParams(2.0, 1.0, 1.0, 1.0), EndState(1.0, math.sqrt(0.5), 1.0)
+        s = build_system(gas, right)
+        assert s.alpha2 == 0.0 and s.s2.theta == 0.0
+        engine = ExistenceEngine()
+        c = engine.curves_for(gas, right)[CURVE_GAMMA2]
+        assert c.terminal == TERMINAL_HIT_THETA_AXIS
+        assert 0.0 < c.terminal_point.theta <= CAPTURE_RADIUS * s.scale
+        n = len(c.samples)
+        for i in (n // 4, n // 2, n - 3):
+            u, theta = (float(x) for x in c.samples[i])
+            q = Query(EndState(u * right.v / right.u, u, theta), right, gas)
+            verdict = engine.decide(q)
+            assert verdict.exists and verdict.curve == CURVE_GAMMA2, i
+            prof = engine.compute_profile(q, verdict)
+            assert prof.metrics["monotone_ok"], i
+            assert prof.metrics["residual_sup"] <= 1e-8, i
+            assert prof.metrics["endpoint_gap"] <= 1e-8, i
+        rows = run_sweep(gas, 1.0, 1.0, [0.49, 0.5, 0.51])
+        assert [r["gamma2_terminal"] for r in rows] == [
+            TERMINAL_HIT_THETA_AXIS, TERMINAL_HIT_THETA_AXIS, TERMINAL_CONVERGED_TO_S2]
+        # just below, S2 lies within the capture radius under the axis, and
+        # the capture is still the axis terminal
+        right = EndState(1.0, math.sqrt(0.5) * (1.0 - 1e-10), 1.0)
+        assert build_system(gas, right).alpha2 < 0.0
+        assert engine.curves_for(gas, right)[CURVE_GAMMA2].terminal == TERMINAL_HIT_THETA_AXIS
 
     def test_requires_saddle(self, s_trans):
         # checked before the graph is built, whose divisor k lambda2 -

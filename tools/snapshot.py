@@ -32,6 +32,13 @@ copy placed in another checkout snapshots that checkout.  The output set:
   included, and the
   verdict and profile at its middle sample (a checkout whose sigma is
   integrated from 1e-3 scale of S1 needs about 20 s for them);
+* the far field with alpha2 = 0 exactly (``alpha2_zero``: gas (2, 1, 1, 1),
+  M+ = 0.5, where S2 lies on the theta axis): both curves, the verdict and
+  profile at gamma2's middle sample, and the ``run_sweep`` rows at M+ =
+  0.49, 0.5 and 0.51;
+* the trivial profiles of boundaries on canonical gamma1 and sonic sigma at
+  u- = (1 - 5e-11) u+ (``trivial_near_s1``), whose endpoint gap is the
+  boundary's distance from S1;
 * the 200 ``run_sweep`` rows of the acceptance grid, and the gamma2 curve
   at each of its subsonic points with its graph, traced with
   ``cli.SWEEP_TRACE`` as the sweep traces it (the rows keep only its
@@ -53,8 +60,10 @@ copy placed in another checkout snapshots that checkout.  The output set:
   stderr and every written file.
 
 Floats are stored as ``float.hex`` with their type, arrays as dtype, shape
-and the sha256 of their bytes, text as its sha256.  ``--compare`` prints the
-keys that differ and exits 1 when there are any.
+and the sha256 of their bytes, text as its sha256.  A case whose call
+raises a ``LayerError`` is stored as ``error:<type name>``, so the script
+runs on a checkout that cannot answer it.  ``--compare`` prints the keys
+that differ and exits 1 when there are any.
 """
 
 from __future__ import annotations
@@ -80,6 +89,9 @@ GAP_OFFSETS = (1e-7, 3e-7, 5e-7, 7e-7, 9e-7)   # (u+ - u) / u+, inside sigma's g
 NEAR_SONIC = (1e-2, 1e-3)                       # 1 - M+ of the pinned near-sonic profiles
 STIFF_GAS = (1.4241, 5.5366, 6.3002, 0.10869)  # gamma, R, mu, kappa
 STIFF_THETA = 0.3812                            # theta+ of the stiff sonic far field
+ALPHA2_ZERO_GAS = (2.0, 1.0, 1.0, 1.0)          # M* = sqrt((gamma - 1) / (2 gamma)) = 0.5
+ALPHA2_ZERO_MACHS = (0.49, 0.5, 0.51)           # sweep rows around alpha2 = 0
+TRIVIAL_OFFSET = 5e-11                          # (u+ - u-) / u+ of the trivial profiles
 DENSE_FRACTIONS = (0.0, 0.5, 1.0)               # where each step's interpolant is pinned
 
 
@@ -276,6 +288,29 @@ def snapshot() -> dict:
     out["stiff_sonic/sigma"] = _curve(stiff)
     left = wl.boundary_on(stiff, len(stiff.samples) // 2, right)
     out["stiff_sonic/mid"] = _decided(engine, Query(left, right, gas), verdict_to_dict)
+
+    gas = GasParams(*ALPHA2_ZERO_GAS)
+    right = EndState(1.0, math.sqrt(0.5), 1.0)    # M+ = 0.5: alpha2 = 0.0 exactly
+    keys = ("gamma1", "gamma2", "mid")
+    try:
+        curves = engine.curves_for(gas, right)
+        gamma2 = curves["gamma2"]
+        left = wl.boundary_on(gamma2, len(gamma2.samples) // 2, right)
+        cases = (_curve(curves["gamma1"]), _curve(gamma2),
+                 _decided(engine, Query(left, right, gas), verdict_to_dict))
+    except LayerError as exc:
+        cases = (f"error:{type(exc).__name__}",) * len(keys)
+    out.update((f"alpha2_zero/{key}", case) for key, case in zip(keys, cases))
+    for mach, row in zip(ALPHA2_ZERO_MACHS, cli.run_sweep(gas, 1.0, 1.0,
+                                                          list(ALPHA2_ZERO_MACHS))):
+        out[f"alpha2_zero/sweep/{mach}"] = row
+
+    for right, label in ((wl.CANONICAL, "gamma1"), (wl.SONIC, "sigma")):
+        curve = engine.curves_for(wl.GAS, right)[label]
+        u_b = (1.0 - TRIVIAL_OFFSET) * right.u
+        left = EndState(u_b * right.v / right.u, u_b, curve.predict(u_b))
+        out[f"trivial_near_s1/{label}"] = _decided(engine, Query(left, right, wl.GAS),
+                                                   verdict_to_dict)
 
     grid = np.linspace(0.25, 1.25, 200).tolist()
     sound = math.sqrt(wl.GAS.R * wl.GAS.gamma)
