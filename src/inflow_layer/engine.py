@@ -20,9 +20,20 @@ panels below a boundary inside the radius by one panel of its own: xi by
 Gauss-Legendre quadrature of the reduced flow's flight time, the residual
 rows from the graph's phase velocity.  Quadrature resolves the sonic 1/xi
 tail and the subsonic exp(lambda2 xi) one alike, where an integrator would
-crawl at |lambda2| ~ 1 - M+ with its steps capped by the fast rate.  A
-warm profile pays for its own stop and the sum of its xi, not for the
-curve's shared tail.
+crawl at |lambda2| ~ 1 - M+ with its steps capped by the fast rate.
+
+A warm profile pays only for its own rows: its stop, the sum of its xi,
+and the checks of its outer points and its crossing step's partial row.
+What every profile on the curve shares, the grid and the steps its stop
+passes whole, the orbit checks once: the largest residual and the extreme
+differences of V, U and Theta of each grid suffix, the residual rows of
+the run's steps with their running maximum, and on gamma the exponential
+tail fit of the grid's window rows.  Max, min and sign tests are exact, so
+the residual and monotonicity metrics are those of the whole profile, bit
+for bit.  A subsonic profile whose window rows are exactly the grid's
+reports the grid's fit, the same rate for every such profile on the curve,
+up to rounding what its own fit gives; any other profile is fitted on its
+own (``verify_decay``), as is every sonic one.
 """
 
 from __future__ import annotations
@@ -44,10 +55,11 @@ from .gas import (EndState, GasParams, Regime, TOL_FLUX, TOL_MACH, TOL_MEMBER,
 from .integrator import integrate  # noqa: F401
 from .linearize import eigen_2x2, saddle_graph, transonic_frame
 from .system import phase_field  # noqa: F401
-from .system import PhasePoint, SystemData, build_system, field_poly, residual_sup
+from .system import (PhasePoint, SystemData, build_system, field_poly, residual_sup,
+                     specific_volume)
 from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, TERMINAL_BUDGET,
-                     _S1_OFFSET, Curve, TraceOptions, curve_membership, trace_gamma,
-                     trace_sigma)
+                     _S1_OFFSET, Curve, TraceOptions, curve_membership, exponential_tail,
+                     trace_gamma, trace_sigma)
 
 REASON_MASS_FLUX = "mass_flux_mismatch"
 REASON_NONPOSITIVE_U_PLUS = "nonpositive_u_plus"
@@ -121,9 +133,13 @@ class Profile:
     V satisfies V = (v+/u+) U identically (the integrated mass equation).
     ``metrics`` holds monotonicity, the scaled sup residual, the endpoint
     gap to S1, and the decay report when a fit was possible.
-    ``residual_rows`` holds the (u, theta, u', theta') rows the residual is
-    checked on, from the engine's legs; a non-trivial profile without rows
-    gets ``residual_sup = inf``.
+    ``compute_profile`` takes the checks from ``Curve.leg``, which reads
+    those of the rows its curve's profiles share off the curve's orbit: the
+    residual and the signs are those of ``verify_residual`` and of the
+    whole profile's differences, bit for bit, and the decay is
+    ``verify_decay``'s up to rounding.  ``residual_rows`` holds the (u,
+    theta, u', theta') rows the residual is checked on, from the engine's
+    legs; a non-trivial profile without rows gets ``residual_sup = inf``.
     """
 
     xi: np.ndarray
@@ -181,12 +197,13 @@ class ExistenceEngine:
     Each cached curve keeps its profile orbit (``Curve.orbit``): the
     backward run from the graph point at the graph radius, holding the
     steps up to the farthest parameter a refinement or a profile has asked
-    of it, and the curve's inner grid along the graph.  The orbits leave the
-    cache with their entry's curves.  They cannot change an answer: a
+    of it and the residual rows of those steps, and the curve's inner grid
+    along the graph with the checks its profiles share.  The orbits leave
+    the cache with their entry's curves.  They cannot change an answer: a
     refined membership value and a profile's leg are prefixes of the
     orbit, stopped by ``Run.stopped_by`` as every ``integrate`` call is,
-    the steps before a stop do not depend on where the run stops, and the
-    grid does not depend on the boundary.
+    the steps before a stop and their rows do not depend on where the run
+    stops, and the grid does not depend on the boundary.
     """
 
     def __init__(self, trace_options: TraceOptions | None = None):
@@ -325,17 +342,28 @@ class ExistenceEngine:
             raise ProfileDiverged(
                 f"boundary parameter {bparam} is outside {curve.label}'s range "
                 f"[{lo}, {hi}]; the verdict is for another boundary")
-        xi, pts, rows = curve.leg(bparam)
-        self._landing_check(q, PhasePoint(*pts[0]), pidx)
-        prof = _profile(s, xi, pts, curve.label, rows)
-        prof.metrics["monotone_ok"], prof.metrics["signs"] = _monotone_check(prof, pidx)
+        leg = curve.leg(bparam)
+        self._landing_check(q, PhasePoint(*leg.points[0]), pidx)
+        prof = _profile(s, leg.xi, leg.points, curve.label, leg.rows)
+        # strictly monotone: toward S1 the curve's parameter, coordinate
+        # pidx of (u, theta), rises and the other one falls, and V moves with U
+        signs = tuple(1 if lo > 0.0 else -1 if hi < 0.0 else 0
+                      for lo, hi in zip(leg.diff_min, leg.diff_max))
+        u_sign = 1 if pidx == 0 else -1
+        prof.metrics["monotone_ok"] = signs == (u_sign, u_sign, -u_sign)
+        prof.metrics["signs"] = signs
         prof.metrics["endpoint_gap"] = max(abs(prof.U[-1] - s.u_plus),
                                            abs(prof.Theta[-1] - s.theta_plus))
-        prof.metrics["residual_sup"] = verify_residual(prof, s)
-        try:
-            report = verify_decay(prof, classify_regime(s.mach_plus, q.tolerances.tol_M))
-        except TailTooShort:
-            report = None
+        prof.metrics["residual_sup"] = leg.residual_sup
+        if leg.decay is not None:      # a gamma curve's, so the regime is subsonic
+            rate, amplitude, rate_theta, n = leg.decay
+            report = DecayReport(kind="exponential", rate=rate, amplitude=amplitude,
+                                 rate_theta=rate_theta, n_tail=n)
+        else:
+            try:
+                report = verify_decay(prof, classify_regime(s.mach_plus, q.tolerances.tol_M))
+            except TailTooShort:
+                report = None
         prof.metrics["decay"] = report
         return prof
 
@@ -365,29 +393,9 @@ def _profile(s: SystemData, xi: np.ndarray, pts: np.ndarray, curve: str,
     """Profile from (u, theta) samples; V follows from the mass equation."""
     U = pts[:, 0]
     Theta = pts[:, 1]
-    V = (s.v_plus / s.u_plus) * U
+    V = specific_volume(s, U)
     return Profile(xi=xi, V=V, U=U, Theta=Theta, trivial=curve == CURVE_TRIVIAL,
                    curve=curve, system=s, residual_rows=residual_rows)
-
-
-def _monotone_check(prof: Profile, pidx: int) -> tuple[bool, tuple[int, int, int]]:
-    """Strict monotonicity of (V, U, Theta) via sample differences: toward
-    S1 the curve's parameter, coordinate ``pidx`` of (u, theta), rises and
-    the other one falls, and V moves with U."""
-    dV = np.diff(prof.V)
-    dU = np.diff(prof.U)
-    dT = np.diff(prof.Theta)
-
-    def sgn(d):
-        if np.all(d > 0.0):
-            return 1
-        if np.all(d < 0.0):
-            return -1
-        return 0
-
-    signs = (sgn(dV), sgn(dU), sgn(dT))
-    u_sign = 1 if pidx == 0 else -1
-    return signs == (u_sign, u_sign, -u_sign), signs
 
 
 def verify_residual(prof: Profile, s: SystemData) -> float:
@@ -400,7 +408,10 @@ def verify_decay(prof: Profile, regime: Regime) -> DecayReport:
     """Fit the tail decay of a profile and report the fitted constants.
 
     Subsonic profiles decay exponentially; the fitted rate should match the
-    magnitude of the negative eigenvalue at S1.  Sonic profiles decay
+    magnitude of the negative eigenvalue at S1.  The window and the fit are
+    ``tracer.exponential_tail``'s, the one the curve's grid is fitted with:
+    ``compute_profile`` reports the grid's fit instead when the profile's
+    window rows are exactly the grid's.  Sonic profiles decay
     algebraically like 1/xi with xi * (u+ - U) approaching the reciprocal
     of the center-direction quadratic coefficient.
 
@@ -409,19 +420,12 @@ def verify_decay(prof: Profile, regime: Regime) -> DecayReport:
     if prof.trivial:
         return DecayReport(kind="not_applicable")
     s = prof.system
-    y = np.abs(prof.U - s.u_plus)
-    z = np.abs(prof.Theta - s.theta_plus)
     if regime.is_subsonic:
-        mask = (y >= 1e-9 * s.scale) & (y <= 1e-2 * s.scale) & (prof.xi > 0.0)
-        n = int(np.count_nonzero(mask))
-        if n < 50:
-            raise TailTooShort(f"{n} samples in the exponential tail window")
-        slope, intercept = np.polyfit(prof.xi[mask], np.log(y[mask]), 1)
-        zmask = mask & (z > 0.0)
-        slope_th, _ = np.polyfit(prof.xi[zmask], np.log(z[zmask]), 1)
+        slope, intercept, slope_th, n = exponential_tail(prof.xi, prof.U, prof.Theta, s)
         return DecayReport(kind="exponential", rate=float(-slope),
                            amplitude=float(math.exp(intercept)),
                            rate_theta=float(-slope_th), n_tail=n)
+    y = np.abs(prof.U - s.u_plus)
     if regime.is_transonic:
         mask = (y >= 1e-8 * s.scale) & (y <= 1e-4 * s.scale) & (prof.xi > 0.0)
         n = int(np.count_nonzero(mask))

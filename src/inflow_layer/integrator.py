@@ -116,9 +116,11 @@ class EventSpec:
     """Scalar event function whose zero crossing marks the event.
 
     direction -1 triggers on + -> -, 0 on any sign change.  The event stops
-    the integration at the bracketed location.  ``fn(xi, y)`` must be pure:
-    it is called at step ends and at the bisection's midpoints, with ``y``
-    a float64 array of shape (2,).
+    the integration at the bracketed location.  ``fn(xi, y)`` must be pure,
+    and may only index ``y`` and do arithmetic on it: ``y`` is a float64
+    array of shape (2,) at a step end, a list of two Python floats at a
+    bisection midpoint (``_bisect_event``), and the (2, n) array of all
+    step ends in ``Run.crossing``.
     """
 
     kind: str
@@ -192,9 +194,10 @@ def _bisect_event(ev: EventSpec, steps: Steps, i: int, t_lo: float, t_hi: float,
 
     Each halving decides by ``_crossed`` from g_lo on ``ev.fn`` at the
     bracket's midpoint, the step's dense output y0 + h (x (c1 + x (c2 +
-    x (c3 + x c4)))) there evaluated in Python floats; the bracket is halved
-    until its width is at most 1e-12 * (1 + |t|), or 200 times.  The end is
-    ``t_hi`` if no midpoint has crossed.
+    x (c3 + x c4)))) there evaluated in Python floats and passed on as a
+    list of them; the bracket is halved until its width is at most 1e-12 *
+    (1 + |t|), or 200 times.  The end is ``t_hi`` if no midpoint has
+    crossed.
     """
     t0, h = float(steps.t[i]), float(steps.h[i])
     y0, q = steps.y[i].tolist(), steps.Q[i].tolist()
@@ -204,8 +207,8 @@ def _bisect_event(ev: EventSpec, steps: Steps, i: int, t_lo: float, t_hi: float,
         if abs(b - a) <= 1e-12 * (1.0 + abs(mid)):
             break
         x = (mid - t0) / h
-        y = np.array([yj + h * (x * (c1 + x * (c2 + x * (c3 + x * c4))))
-                      for yj, (c1, c2, c3, c4) in zip(y0, q)])
+        y = [yj + h * (x * (c1 + x * (c2 + x * (c3 + x * c4))))
+             for yj, (c1, c2, c3, c4) in zip(y0, q)]
         if _crossed(g_lo, float(ev.fn(mid, y)), ev.direction):
             b = mid
         else:

@@ -125,6 +125,11 @@ def build_system(gas: GasParams, right: EndState) -> SystemData:
     )
 
 
+def specific_volume(s: SystemData, u):
+    """V = (v+/u+) u, the integrated mass equation, of a float or an array."""
+    return (s.v_plus / s.u_plus) * u
+
+
 def rational_terms(u, theta, s: SystemData):
     """Terms of the two integrated equations in rational form.
 
@@ -133,7 +138,7 @@ def rational_terms(u, theta, s: SystemData):
     kappa Theta'/V = t2a + t2b + t2c.
     """
     gas = s.gas
-    V = (s.v_plus / s.u_plus) * u
+    V = specific_volume(s, u)
     du = u - s.u_plus
     dth = theta - s.theta_plus
     t1a = -s.sigma_minus * du

@@ -33,7 +33,12 @@ gamma2, and ``Curve.graph_radius``): its value between S1 and the first
 offset sample is read off the graph.  Its profile orbit (``Curve.orbit``)
 is the backward run from the graph point at r* and one inner grid down the
 graph to S1, each made at its first use.  Refined memberships stop on that
-run, and every profile on the curve is a cut of it (``Curve.leg``).
+run, and every profile on the curve is a cut of it (``Curve.leg``).  The
+orbit also checks once what its profiles share: the residual rows of the
+run's steps, the grid's residual and difference suffixes, and on gamma the
+exponential tail fit of the grid (``exponential_tail``, the one window and
+fit of the subsonic decay), so that a warm profile checks only its own
+rows.
 Seeding, backward integration, terminal classification, thinning and
 validation are one body for all three curves; they differ only in their
 graph, the side of S1 they leave on, and their terminal events.
@@ -46,11 +51,12 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DomainError, LayerError, OutOfRange, ProfileDiverged, TraceFailed,
-                     UnexpectedTerminal)
+from .errors import (DomainError, LayerError, OutOfRange, ProfileDiverged, TailTooShort,
+                     TraceFailed, UnexpectedTerminal)
 from .gas import TOL_MEMBER, require_positive
 from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
                          THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationResult,
@@ -58,7 +64,7 @@ from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
                          integrate, near_equilibrium, theta_crosses_zero, u_crosses_zero)
 from .linearize import EigenPair, SlowGraph
 from .system import (PhasePoint, Region, SystemData, phase_field, region_contains,
-                     row_residuals)
+                     row_residuals, specific_volume)
 
 CURVE_SIGMA = "sigma"
 CURVE_GAMMA1 = "gamma1"
@@ -82,6 +88,35 @@ _FIRST_PANEL = 10.0 ** -0.125
 # residual bound on the orbit's own dense output
 _LEG_SETTINGS = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15, direction=BACKWARD,
                                     max_steps=500_000)
+_MIN_ROW_STEP = 1e-5                  # an outer leg's shortest step with a residual row
+# the subsonic decay is fitted where 1e-9 scale <= |U - u+| <= 1e-2 scale,
+# on at least TAIL_MIN samples
+TAIL_WINDOW = (1e-9, 1e-2)
+TAIL_MIN = 50
+
+
+def tail_rows(xi: np.ndarray, U: np.ndarray, s: SystemData) -> np.ndarray:
+    """Which samples the exponential decay is fitted on: xi > 0 and |U - u+|
+    in the ``TAIL_WINDOW`` times scale."""
+    y = np.abs(U - s.u_plus)
+    return (y >= TAIL_WINDOW[0] * s.scale) & (y <= TAIL_WINDOW[1] * s.scale) & (xi > 0.0)
+
+
+def exponential_tail(xi: np.ndarray, U: np.ndarray, Theta: np.ndarray,
+                     s: SystemData) -> tuple[float, float, float, int]:
+    """Least-squares lines of log|U - u+| and of log|Theta - theta+| over xi
+    on the ``tail_rows`` (the latter where Theta != theta+): (slope,
+    intercept, slope of the Theta line, number of tail rows).  Raises
+    TailTooShort below ``TAIL_MIN`` rows."""
+    mask = tail_rows(xi, U, s)
+    n = int(np.count_nonzero(mask))
+    if n < TAIL_MIN:
+        raise TailTooShort(f"{n} samples in the exponential tail window")
+    slope, intercept = np.polyfit(xi[mask], np.log(np.abs(U - s.u_plus)[mask]), 1)
+    z = np.abs(Theta - s.theta_plus)
+    zmask = mask & (z > 0.0)
+    slope_th, _ = np.polyfit(xi[zmask], np.log(z[zmask]), 1)
+    return slope, intercept, slope_th, n
 
 
 @dataclass(frozen=True)
@@ -179,30 +214,146 @@ class Membership:
     refined: bool
 
 
+class _TailFit(NamedTuple):
+    """``exponential_tail`` of an inner grid against its own flight time,
+    with the grid's first tail row and its flight time there."""
+
+    slope: float
+    intercept: float
+    slope_theta: float
+    n: int
+    first: int
+    xi_first: float
+
+
+class _Grid(NamedTuple):
+    """A curve's inner grid along its graph and the reductions of what its
+    profiles share: every profile ends with the grid's rows from some row
+    j on, and reads the suffix values at j.
+
+    ``w`` holds the n nodes, ``flights`` the n - 1 panel flight times and
+    ``rows`` the (u, theta, u', theta') rows at w[1:].  Per row j:
+    ``residual`` is the largest ``row_residuals`` of rows[j:], and
+    ``diff_min`` and ``diff_max`` (one column each for V, U and Theta) the
+    extremes of the differences along rows[j:], +inf and -inf at the last
+    row.  ``tail`` is, on a gamma curve with enough tail rows, the fit of
+    the rows against the grid's own flight time cumsum(flights); None
+    otherwise."""
+
+    w: np.ndarray
+    flights: np.ndarray
+    rows: np.ndarray
+    residual: np.ndarray
+    diff_min: np.ndarray
+    diff_max: np.ndarray
+    tail: _TailFit | None
+
+
+def _grid(s: SystemData, graph: SlowGraph, w0: float, exponential: bool) -> _Grid:
+    """The inner grid from the graph point at w0 down to ~1e-10 of S1, 16
+    nodes a decade, and its suffix reductions."""
+    w_stop = _S1_OFFSET * s.scale / math.hypot(*graph.e_slow)
+    n_pts = max(60, int(round(math.log10(abs(w0) / w_stop) * 16)) + 1)
+    w = math.copysign(1.0, w0) * np.geomspace(abs(w0), w_stop, n_pts)
+    rows = np.hstack([graph.points(w[1:]), graph.velocity(w[1:])])
+    flights = graph.flight_times(w)
+    U, Theta = rows[:, 0], rows[:, 1]
+    d = np.diff(np.column_stack([specific_volume(s, U), U, Theta]), axis=0)[::-1]
+    end = np.full((1, 3), math.inf)
+    tail = None
+    if exponential:
+        tau = np.cumsum(flights)
+        try:
+            fit = exponential_tail(tau, U, Theta, s)
+        except TailTooShort:
+            pass
+        else:
+            j = int(np.argmax(tail_rows(tau, U, s)))
+            tail = _TailFit(*fit, j, tau[j])
+    return _Grid(w, flights, rows,
+                 np.maximum.accumulate(row_residuals(s, rows)[::-1])[::-1],
+                 np.vstack([np.minimum.accumulate(d)[::-1], end]),
+                 np.vstack([np.maximum.accumulate(d)[::-1], -end]), tail)
+
+
+class _StepRows(NamedTuple):
+    """The residual rows of the first ``n`` steps of a profile orbit: a row
+    (dense output and slope at the midpoint) for each step at least
+    ``_MIN_ROW_STEP`` long, ``upto[i]`` of them among the first i steps, and
+    ``sup[m]`` the largest ``row_residuals`` of the first m rows (-inf for
+    none)."""
+
+    n: int
+    rows: np.ndarray
+    upto: np.ndarray
+    sup: np.ndarray
+
+
+_NO_STEP_ROWS = _StepRows(0, np.empty((0, 4)), np.zeros(1, dtype=int),
+                          np.full(1, -math.inf))
+
+
+def _midpoint_rows(steps, t_old: np.ndarray, t_new: np.ndarray, first: int):
+    """Which steps first, first + 1, .. running from t_old to t_new are long
+    enough for a residual row, and the rows at their midpoints."""
+    kept = t_old - t_new >= _MIN_ROW_STEP
+    y, dy = steps.dense(0.5 * (t_new[kept] + t_old[kept]), np.flatnonzero(kept) + first,
+                        slopes=True)
+    return kept, np.hstack([y, dy])
+
+
+class Leg(NamedTuple):
+    """A profile as ``Curve.leg`` cuts it from its curve, in forward order,
+    xi = 0 at the boundary, with the checks of its rows.
+
+    ``residual_sup`` is the largest ``row_residuals`` of ``rows``;
+    ``diff_min`` and ``diff_max`` are the extremes of the differences of
+    V = (v+/u+) u, u and theta along ``points``.  ``decay`` is (rate,
+    amplitude, rate of theta, tail rows) of the exponential fit of the
+    curve's inner grid when the profile's tail rows are exactly the grid's:
+    the fit of ``exponential_tail`` on the profile, up to rounding, read off
+    the curve; None when the profile must be fitted on its own."""
+
+    xi: np.ndarray
+    points: np.ndarray
+    rows: np.ndarray
+    residual_sup: float
+    diff_min: np.ndarray
+    diff_max: np.ndarray
+    decay: tuple | None
+
+
 class _Orbit:
     """A curve's profile orbit: the backward run with ``_LEG_SETTINGS`` from
     the graph point ``edge`` at ``w_start``, the curve's side times its
     graph radius, stepped only as far as a caller has asked, and the one
-    inner grid from that point down the graph to S1.
+    inner grid from that point down the graph to S1, with the reductions
+    its profiles share (``_Grid``).
 
     Every stop on the curve beyond its graph radius, a refined membership
     value or a profile's outer leg, is a prefix of this one run, and the
     steps of a run do not depend on where it stops, so ``stop`` returns
     what ``integrate`` returns for the same field, start, settings and
-    event.  The run is made at the first stop and the grid at the first
-    ``leg``, each under the lock, so racing threads make one of each, and a
-    profile inside the graph radius starts no run.  A stop's result carries
-    views of the run's one step record, so a profile's residual rows are
-    one evaluation on them.
+    event.  The residual rows of the steps a profile passes whole are
+    prefixes too: ``step_rows`` keeps them with a running maximum of their
+    residuals, for as many steps as the run has when a profile first needs
+    more.  The run is made at the first stop and the grid at the first
+    ``leg``, each under the lock, and the step rows grow under it, each
+    record replaced whole by a longer one, so racing threads make one of
+    each and read the same bits; a profile inside the graph radius starts
+    no run.  A stop's result carries views of the run's one step record.
     """
 
-    __slots__ = ("system", "graph", "w_start", "edge", "lock", "run", "inner")
+    __slots__ = ("system", "graph", "w_start", "edge", "exponential", "lock", "run",
+                 "inner", "rows")
 
-    def __init__(self, s: SystemData, graph: SlowGraph, w_start: float):
+    def __init__(self, s: SystemData, graph: SlowGraph, w_start: float, exponential: bool):
         self.system, self.graph, self.w_start = s, graph, w_start
         self.edge = graph.points(w_start)
+        self.exponential = exponential
         self.lock = threading.Lock()
         self.run = self.inner = None
+        self.rows = _NO_STEP_ROWS
 
     def stop(self, ev) -> IntegrationResult:
         """``integrate``'s result for the one event ``ev``: the steps
@@ -220,6 +371,43 @@ class _Orbit:
                     k = run.step_until(events)
         return run.stopped_by(events, k)
 
+    def step_rows(self, n: int) -> tuple[np.ndarray, float]:
+        """The residual rows of the run's first n steps (taken already),
+        in step order, and their largest residual (-inf for none)."""
+        rec = self.rows
+        if rec.n < n:
+            with self.lock:
+                rec = self.rows
+                if rec.n < n:
+                    steps = self.run.steps(self.run.n_steps)
+                    t = steps.t[rec.n:]
+                    kept, rows = _midpoint_rows(steps, t[:-1], t[1:], rec.n)
+                    sup = np.maximum.accumulate(
+                        np.concatenate([rec.sup[-1:], row_residuals(self.system, rows)]))
+                    rec = self.rows = _StepRows(
+                        self.run.n_steps, np.vstack([rec.rows, rows]),
+                        np.concatenate([rec.upto, rec.upto[-1] + np.cumsum(kept)]),
+                        np.concatenate([rec.sup, sup[1:]]))
+        m = int(rec.upto[n])
+        return rec.rows[:m], float(rec.sup[m])
+
+    def grid(self) -> _Grid:
+        """The inner grid, made under the lock at its first use."""
+        if self.inner is None:
+            with self.lock:
+                if self.inner is None:
+                    self.inner = _grid(self.system, self.graph, self.w_start,
+                                       self.exponential)
+        return self.inner
+
+    def first_row(self, w: float) -> int:
+        """The grid row a leg from the graph point at ``w`` joins: 0 at
+        ``w_start``; inside, the row of the first node at most
+        ``_FIRST_PANEL`` |w|."""
+        if w == self.w_start:
+            return 0
+        return int(np.searchsorted(-np.abs(self.grid().w), -_FIRST_PANEL * abs(w))) - 1
+
     def leg(self, w: float) -> tuple:
         """The inner leg from the graph point at ``w`` down to ~1e-10 of S1,
         quadrature of the reduced flow along the graph: the flight time
@@ -227,20 +415,13 @@ class _Orbit:
         ends.  At ``w_start`` it is the grid, 16 panels a decade; inside,
         the grid's nodes from the first at most ``_FIRST_PANEL`` |w|, after
         one panel of its own from w to that node."""
-        graph, w0 = self.graph, self.w_start
-        if self.inner is None:
-            with self.lock:
-                if self.inner is None:
-                    w_stop = _S1_OFFSET * self.system.scale / math.hypot(*graph.e_slow)
-                    n_pts = max(60, int(round(math.log10(abs(w0) / w_stop) * 16)) + 1)
-                    grid = math.copysign(1.0, w0) * np.geomspace(abs(w0), w_stop, n_pts)
-                    rows = np.hstack([graph.points(grid[1:]), graph.velocity(grid[1:])])
-                    self.inner = grid, graph.flight_times(grid), rows
-        grid, flights, rows = self.inner
-        if w != w0:
-            k = int(np.searchsorted(-np.abs(grid), -_FIRST_PANEL * abs(w)))
-            flights = np.concatenate([graph.flight_times([w, grid[k]]), flights[k:]])
-            rows = rows[k - 1:]
+        g = self.grid()
+        flights, rows = g.flights, g.rows
+        if w != self.w_start:
+            j = self.first_row(w)
+            flights = np.concatenate([self.graph.flight_times([w, g.w[j + 1]]),
+                                      flights[j + 1:]])
+            rows = rows[j:]
         return flights, rows[:, :2], rows
 
 
@@ -359,18 +540,22 @@ class Curve:
         pt = res.event.point
         return pt.theta if self.param_index == 0 else pt.u
 
-    def leg(self, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The profile to boundary parameter q, a cut of the orbit: (xi,
-        points, residual rows), in forward order, xi = 0 at the boundary.
+    def leg(self, q: float) -> Leg:
+        """The profile to boundary parameter q, a cut of the orbit, with the
+        checks of its rows (``Leg``).
 
         Beyond r* the outer leg is the orbit's stop at q (the one
         ``refine_value`` makes), reversed; a row is the dense output and its
         derivative at the midpoint (where the interpolant is independent of
         the step-end field values) of each step's part in [t_event, 0] at
         least 1e-5 long.  Inside r* it is the graph point at q, with no row.
-        The orbit's inner leg from there follows (``_Orbit.leg``).  Raises
-        ProfileDiverged when the orbit ends before it reaches q."""
-        pidx, orbit = self.param_index, self.orbit
+        The orbit's inner leg from there follows (``_Orbit.leg``).  The
+        profile's own points and rows are those up to its first grid row;
+        the checks evaluate only them and read the rest off the orbit: the
+        rows of the steps the stop passes whole (``_Orbit.step_rows``) and
+        the grid's suffix reductions.  Raises ProfileDiverged when the orbit
+        ends before it reaches q."""
+        pidx, orbit, s = self.param_index, self.orbit, self.system
         if self.beyond_graph(q):
             res = orbit.stop(component_crosses(pidx, q))
             if res.event.kind != COMPONENT_CROSSES:
@@ -379,20 +564,41 @@ class Curve:
                     "reaching the boundary data")
             t_ev, w = res.event.xi, orbit.w_start
             xi = (res.xi - t_ev)[::-1]
-            # backward steps run from t_old down to t_new, the step ends; only
-            # the last passes t_ev, and its end res.xi[-1] is t_ev itself
-            t_old, t_new = res.xi[:-1], np.maximum(res.xi[1:], t_ev)
-            kept = t_old - t_new >= 1e-5
-            y, dy = res.steps.dense(0.5 * (t_new[kept] + t_old[kept]), kept, slopes=True)
-            pts, rows = res.points[::-1], np.hstack([y, dy])
+            pts = res.points[::-1]
+            # the stop passes its first k - 1 steps whole; of the last one
+            # it takes the part from res.xi[-2] down to res.xi[-1] = t_ev
+            k = res.n_steps
+            rows, sup = orbit.step_rows(k - 1)
+            kept, last = _midpoint_rows(res.steps, res.xi[-2:-1], res.xi[-1:], k - 1)
+            if kept[0]:
+                rows = np.vstack([rows, last])
+                sup = max(sup, float(row_residuals(s, last)[0]))
         else:
             w = self.graph_w(q)
             xi, pts, rows = np.zeros(1), self.graph.points(w)[None, :], np.empty((0, 4))
+            sup = -math.inf
         flights, inner_pts, inner_rows = orbit.leg(w)
         # the inner leg's first flight starts at the outer leg's last sample
         xi_inner = np.cumsum(np.concatenate([xi[-1:], flights]))[1:]
-        return (np.concatenate([xi, xi_inner]), np.vstack([pts, inner_pts]),
-                np.vstack([rows, inner_rows]))
+        grid, j, n_own = orbit.grid(), orbit.first_row(w), len(xi)
+        xi, pts = np.concatenate([xi, xi_inner]), np.vstack([pts, inner_pts])
+        # the differences along the own points and on to the first grid row
+        own = pts[:n_own + 1]
+        d = np.diff(np.column_stack([specific_volume(s, own[:, 0]), own[:, 0], own[:, 1]]),
+                    axis=0)
+        # the profile's tail rows are the grid's when it holds the grid's
+        # rows from the first tail row on and none of its own points is one
+        fit, decay = grid.tail, None
+        if (fit is not None and j <= fit.first
+                and not tail_rows(xi[:n_own], pts[:n_own, 0], s).any()):
+            # the grid's lines, with xi measured from the profile's boundary
+            c = xi[n_own + fit.first - j] - fit.xi_first
+            decay = (float(-fit.slope), math.exp(fit.intercept - fit.slope * c),
+                     float(-fit.slope_theta), fit.n)
+        return Leg(xi, pts, np.vstack([rows, inner_rows]),
+                   max(sup, float(grid.residual[j])),
+                   np.minimum(d.min(axis=0), grid.diff_min[j]),
+                   np.maximum(d.max(axis=0), grid.diff_max[j]), decay)
 
 
 def _thin(samples: np.ndarray, s: SystemData, param_index: int,
@@ -563,7 +769,8 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
     return Curve(label=label, samples=samples, terminal=terminal,
                  seed_offset=eps, system=s,
                  interpolant=Pchip(samples[::-1, pidx], samples[::-1, 1 - pidx]),
-                 graph=graph, orbit=_Orbit(s, graph, side * float(radii[-1])))
+                 graph=graph, orbit=_Orbit(s, graph, side * float(radii[-1]),
+                                           exponential=label != CURVE_SIGMA))
 
 
 def trace_sigma(s: SystemData, graph: SlowGraph,

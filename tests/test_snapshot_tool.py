@@ -85,3 +85,23 @@ def test_grid_edges_lie_inside_the_graph_radius(snapshot_tool):
             assert all(0.0 < w / curve.orbit.w_start < 1.0 for w in ws)
             params = curve.graph.points(np.array(ws))[:, curve.param_index]
             assert not any(curve.beyond_graph(p) for p in params)
+
+
+def test_decay_edges_straddle_the_first_window_row(snapshot_tool):
+    # inside r*, the boundaries join the inner grid one row before, at and
+    # one row after its first row in the decay window: the first two read
+    # the grid's fit, the last fits its own
+    from inflow_layer import ExistenceEngine
+
+    wl = snapshot_tool._load_workloads()
+    for curve in ExistenceEngine().curves_for(wl.GAS, wl.CANONICAL).values():
+        orbit, pidx = curve.orbit, curve.param_index
+        first = orbit.grid().tail.first
+        ws = snapshot_tool.decay_edges(curve)
+        assert len(ws) == len(snapshot_tool.DECAY_EDGE_NODES) == 3
+        for k, w in zip(snapshot_tool.DECAY_EDGE_NODES, ws):
+            assert 0.0 < w / orbit.w_start < 1.0
+            assert orbit.first_row(w) == first + k
+            param = float(curve.graph.points(w)[pidx])
+            assert not curve.beyond_graph(param)
+            assert (curve.leg(param).decay is None) == (k > 0)

@@ -24,6 +24,12 @@ copy placed in another checkout snapshots that checkout.  The output set:
   grid that every profile on a curve ends with, one ulp either side of
   each, 1/8 decade above each and one ulp either side of that, and just
   inside the graph radius;
+* verdicts and profiles at the edge of the subsonic decay's window rule
+  on the canonical gamma1 and gamma2 (``decay_edge``): inside the graph
+  radius, joining the inner grid one node before, at and one node after
+  its first node in the decay window, with the path each decay took
+  (``grid``: the grid's fit, read off the curve; ``own``: fitted on the
+  profile; None on a checkout whose legs do not say);
 * sonic verdicts and profiles at u-/u+ = 0.5, 0.9995 and 0.99999, and
   sigma's predictions between S1 and its first offset sample;
 * near-sonic verdicts and profiles at 1-M+ = 1e-2 and 1e-3, with the
@@ -93,6 +99,7 @@ ALPHA2_ZERO_GAS = (2.0, 1.0, 1.0, 1.0)          # M* = sqrt((gamma - 1) / (2 gam
 ALPHA2_ZERO_MACHS = (0.49, 0.5, 0.51)           # sweep rows around alpha2 = 0
 TRIVIAL_OFFSET = 5e-11                          # (u+ - u-) / u+ of the trivial profiles
 DENSE_FRACTIONS = (0.0, 0.5, 1.0)               # where each step's interpolant is pinned
+DECAY_EDGE_NODES = (-1, 0, 1)                   # first grid node, from the first in the window
 
 
 def _sha(data: bytes) -> str:
@@ -196,23 +203,42 @@ def _integrations(wl) -> dict:
             for name, (start, settings, events, step) in runs.items()}
 
 
-def grid_edges(curve) -> list[float]:
-    """Graph coordinates w inside the curve's graph radius around its inner
-    grid: 16 nodes a decade of |w| from the orbit's start down to 1e-10
-    scale of S1, at least 60.  On nodes 3, n/3 and 2n/3, one ulp either
-    side of each, 10**(1/8) times each and one ulp either side of that,
-    and the start times 1 - 1e-12."""
+def _inner_grid(curve) -> np.ndarray:
+    """The nodes of the curve's inner grid: 16 a decade of |w| from the
+    orbit's start down to 1e-10 scale of S1, at least 60."""
     from inflow_layer.tracer import _S1_OFFSET
 
     w0 = curve.orbit.w_start
     w_stop = _S1_OFFSET * curve.system.scale / math.hypot(*curve.graph.e_slow)
     n = max(60, int(round(math.log10(abs(w0) / w_stop) * 16)) + 1)
-    grid = math.copysign(1.0, w0) * np.geomspace(abs(w0), w_stop, n)
-    ws = [w0 * (1.0 - 1e-12)]
+    return math.copysign(1.0, w0) * np.geomspace(abs(w0), w_stop, n)
+
+
+def grid_edges(curve) -> list[float]:
+    """Graph coordinates w inside the curve's graph radius around its inner
+    grid: on nodes 3, n/3 and 2n/3, one ulp either side of each, 10**(1/8)
+    times each and one ulp either side of that, and the orbit's start
+    times 1 - 1e-12."""
+    grid = _inner_grid(curve)
+    n = len(grid)
+    ws = [curve.orbit.w_start * (1.0 - 1e-12)]
     for g in (float(grid[j]) for j in (3, n // 3, 2 * n // 3)):
         for w in (g, g * 10.0 ** 0.125):
             ws += [w, math.nextafter(w, 0.0), math.nextafter(w, 2.0 * w)]
     return ws
+
+
+def decay_edges(curve) -> list[float]:
+    """Graph coordinates w inside a gamma curve's graph radius whose
+    profiles join its inner grid at the nodes ``DECAY_EDGE_NODES`` from the
+    grid's first node in the subsonic decay window, 1e-9 to 1e-2 scale of
+    |u - u+|: 2.5 nodes above each, since a profile inside the radius
+    joins the grid at its first node at least 2 nodes below it."""
+    s = curve.system
+    grid = _inner_grid(curve)
+    y = np.abs(curve.graph.points(grid[1:])[:, 0] - s.u_plus)
+    first = 1 + int(np.argmax((y >= 1e-9 * s.scale) & (y <= 1e-2 * s.scale)))
+    return [float(grid[first + k]) * 10.0 ** (2.5 / 16) for k in DECAY_EDGE_NODES]
 
 
 def _profile(prof) -> dict:
@@ -264,6 +290,17 @@ def snapshot() -> dict:
                 left = EndState(u * right.v / right.u, u, theta)
                 out[f"grid_edge/{name}/{label}/{i:02d}"] = _decided(
                     engine, Query(left, right, wl.GAS), verdict_to_dict)
+
+    right = wl.CANONICAL
+    for label, curve in engine.curves_for(wl.GAS, right).items():
+        for k, w in zip(DECAY_EDGE_NODES, decay_edges(curve)):
+            u, theta = (float(x) for x in curve.graph.points(w))
+            left = EndState(u * right.v / right.u, u, theta)
+            case = _decided(engine, Query(left, right, wl.GAS), verdict_to_dict)
+            leg = curve.leg((u, theta)[curve.param_index])
+            case["decay_path"] = (None if not hasattr(leg, "decay")
+                                  else "own" if leg.decay is None else "grid")
+            out[f"decay_edge/{label}/{k:+d}"] = case
 
     right = wl.SONIC
     sigma = engine.curves_for(wl.GAS, right)["sigma"]
