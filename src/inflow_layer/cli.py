@@ -233,7 +233,7 @@ def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
     a ``LayerError``.
 
     Each row is a pure function of its Mach number, so the rows may be
-    computed anywhere: with k = min(usable CPUs, subsonic rows // 4) of
+    computed anywhere: with k = min(usable CPUs, subsonic rows // 6) of
     at least 2, and when the process can fork and runs no other thread,
     the grid is split into k interleaved shares ``machs[j::k]``, each
     spanning the whole Mach range.  This process computes share 0 and
@@ -281,13 +281,16 @@ def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
 
 def _shares(machs, tol_M: float) -> int:
     """How many processes share a sweep: min(usable CPUs, subsonic rows //
-    4), or 1 where the process cannot fork or runs another thread.
+    6), or 1 where the process cannot fork or runs another thread.
 
-    A subsonic row traces gamma2, about 8 ms on a 2-core VM; the other
-    rows cost microseconds.  There, splitting 3 subsonic rows in two
-    already gains nothing (23 ms either way), hence the 4.  A process with
-    other threads is not forked: a lock one of them holds would stay held
-    in the child.
+    A subsonic row traces gamma2, about 3 ms on a 2-core VM; the other
+    rows cost microseconds.  A forked child pays about 5 ms more: the
+    fork and the reaping, and a first row about 2.6 ms slower than the
+    next.  There, in 21 alternating runs, 8 subsonic rows split in two
+    took 28.5 ms against 20.6 ms in one process, 10 rows about 28 ms
+    either way, and 12 rows 26.9 ms against 37.6 ms, faster in 20 of the
+    21; hence the 6.  A process with other threads is not forked: a lock
+    one of them holds would stay held in the child.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
@@ -296,7 +299,7 @@ def _shares(machs, tol_M: float) -> int:
     except AttributeError:
         cpus = os.cpu_count() or 1
     subsonic = sum(1 for m in machs if 0.0 <= m < 1.0 - tol_M)
-    return min(cpus, subsonic // 4)
+    return min(cpus, subsonic // 6)
 
 
 def _rows(one, machs) -> tuple[list[dict], Exception | None]:

@@ -6,6 +6,19 @@ a literal port of scipy's ``RK45``: the same tableau, the same
 floating-point operations in the same order, the same error norm, step
 controller and initial-step rule.  Every accepted step and its dense output
 are therefore bitwise what scipy computes, without scipy's import cost.
+
+Only a reduction can depend on how the linear-algebra library orders a
+sum, so each one stays the ``np.dot`` scipy makes, on scipy's operands:
+the stage sums K[:s].T a_s, the update sum K[:-1].T b, the error sum K.T
+e, the sum of squares of every RMS norm (``_rms``), and the dense-output
+coefficients K.T P.  Everything elementwise is one correctly rounded IEEE
+operation per component, with the same bits on Python floats as in numpy
+on every host, and runs on Python floats: the stage states y + (sum) h,
+the new point y + h (sum), the error scale atol + max(|y|, |y_new|) rtol
+and the scaled error, the initial-step rule's scaled vectors, and the
+field.  The run's t, y and h are Python floats; the field gets each
+stage state, and an event function each step end, as a list of two.
+
 Events are located by sign change on step endpoints followed by a plain
 bisection (``_bisect_event``), each halving decided on the step's quartic
 in Python floats, so event functions only need to be evaluable, not
@@ -116,15 +129,16 @@ class EventSpec:
     """Scalar event function whose zero crossing marks the event.
 
     direction -1 triggers on + -> -, 0 on any sign change.  The event stops
-    the integration at the bracketed location.  ``fn(xi, y)`` must be pure,
-    and may only index ``y`` and do arithmetic on it: ``y`` is a float64
-    array of shape (2,) at a step end, a list of two Python floats at a
-    bisection midpoint (``_bisect_event``), and the (2, n) array of all
-    step ends in ``Run.crossing``.
+    the integration at the bracketed location.  ``fn(xi, y)`` must be pure.
+    ``y`` is a list of two Python floats, with xi a Python float, at a
+    step end and at a bisection midpoint (``_bisect_event``), and the
+    (2, n) array of all step ends in ``Run.crossing``; so ``fn`` may only
+    index ``y``, or subtract it from or add it to a numpy array, and do
+    arithmetic on what that gives.
     """
 
     kind: str
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[float, list], float]
     direction: int = -1
 
     def __post_init__(self):
@@ -143,12 +157,15 @@ def theta_crosses_zero() -> EventSpec:
 
 
 def near_equilibrium(target, radius: float) -> EventSpec:
-    """Euclidean capture within the given radius of a target point."""
+    """Euclidean capture within the given radius of a target point; the
+    difference is taken on the floats of ``y``, the sum of squares is the
+    dot np.linalg.norm makes."""
     tgt = target.as_array() if isinstance(target, PhasePoint) else np.asarray(target, float)
+    tu, tth = tgt.tolist()
 
     def fn(t, y):
-        d = y - tgt
-        return math.sqrt(d.dot(d)) - radius   # the dot np.linalg.norm makes
+        d = np.array((y[0] - tu, y[1] - tth))
+        return math.sqrt(d.dot(d)) - radius
 
     return EventSpec(NEAR_EQUILIBRIUM, fn)
 
@@ -290,18 +307,26 @@ def _require_finite_field(f, t, y) -> None:
 
 def _initial_step(fun, t0, y0, f0, direction, h_max, rtol, atol):
     """Starting step size from the local scales of y and its derivatives
-    (Hairer-Norsett-Wanner I, Sec. II.4)."""
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    (Hairer-Norsett-Wanner I, Sec. II.4), on Python floats but for the
+    sums of squares of ``_rms``.
+
+    Raises NonFinite when the field value f0, finite as it is, overflows
+    its scaled norm: the first trial step would then be 0.
+    """
+    scale = [atol + abs(y) * rtol for y in y0]
+    d0 = _rms(np.array([y / sc for y, sc in zip(y0, scale)]))
+    d1 = _rms(np.array([f / sc for f, sc in zip(f0, scale)]))
+    if not math.isfinite(d1):
+        raise NonFinite(f"field value {f0} at xi={t0}, y={y0} overflows its scaled norm")
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
-    _require_finite_field(f1, t0 + h0 * direction, y1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    dt = h0 * direction
+    y1 = [y + dt * f for y, f in zip(y0, f0)]
+    f1 = fun(t0 + dt, y1)
+    _require_finite_field(f1, t0 + dt, y1)
+    d2 = _rms(np.array([(b - a) / sc for a, b, sc in zip(f0, f1, scale)])) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -325,15 +350,23 @@ class _Stages:
 
 
 def _rk_step(fun, t, y, f, h, st: _Stages):
-    """One Dormand-Prince step of size h; the stages are left in st.K."""
+    """One Dormand-Prince step of size h from the point y, a list of two
+    Python floats; the stages are left in st.K.
+
+    Each stage sum is one np.dot, scipy's, and everything else is one
+    correctly rounded operation per component on Python floats: the
+    stage state y + (sum) h and the new point y + h (sum).
+    """
     K = st.K
-    K[0] = f
+    K[0, 0], K[0, 1] = f
+    u, th = y
     for s, c, a, Ks in st.sums:
-        dy = np.dot(Ks, a) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(st.KB, _B)
+        du, dth = np.dot(Ks, a).tolist()
+        K[s, 0], K[s, 1] = fun(t + c * h, [u + du * h, th + dth * h])
+    bu, bth = np.dot(st.KB, _B).tolist()
+    y_new = [u + h * bu, th + h * bth]
     f_new = fun(t + h, y_new)
-    K[-1] = f_new
+    K[-1, 0], K[-1, 1] = f_new
     return y_new, f_new
 
 
@@ -341,16 +374,19 @@ def _accepted_step(fun, t, y, f, h_abs, direction, h_max, rtol, atol, st: _Stage
     """Retry from (t, y) until the error estimate is accepted.
 
     Returns (t_new, y_new, f_new, next h_abs); the stages of the accepted
-    step are left in st.K.  The stages are checked for finiteness only when
-    the error norm is not finite.  A NaN or infinite stage always makes it
-    so: h != 0, and every nonzero _E entry is finite.  Stage 1, whose _E and
-    _B entries are 0, reaches the norm only because np.dot forms inf * 0 =
-    NaN rather than skipping the zero weight.  Arithmetic on an infinite
-    stage may emit a numpy RuntimeWarning before the NonFinite is raised.
+    step are left in st.K.  The error sum and its sum of squares are
+    np.dot's; the scale atol + max(|y|, |y_new|) rtol and the scaled error
+    are Python floats, max taking a NaN |y_new| as np.maximum does.  The
+    stages are checked for finiteness only when the error norm is not
+    finite.  A NaN or infinite stage always makes it so: h != 0, and every
+    nonzero _E entry is finite.  Stage 1, whose _E and _B entries are 0,
+    reaches the norm only because np.dot forms inf * 0 = NaN rather than
+    skipping the zero weight, and may emit a numpy RuntimeWarning doing so.
     """
     min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
     h_abs = min(max(h_abs, min_step), h_max)
     rejected = False
+    u_abs, th_abs = abs(y[0]), abs(y[1])
     while True:
         if h_abs < min_step:
             raise StepUnderflow(
@@ -360,8 +396,10 @@ def _accepted_step(fun, t, y, f, h_abs, direction, h_max, rtol, atol, st: _Stage
         h = t_new - t
         h_abs = abs(h)
         y_new, f_new = _rk_step(fun, t, y, f, h, st)
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms(np.dot(st.KE, _E) * h / scale)
+        eu, eth = np.dot(st.KE, _E).tolist()
+        error_norm = _rms(np.array([
+            eu * h / (atol + max(abs(y_new[0]), u_abs) * rtol),
+            eth * h / (atol + max(abs(y_new[1]), th_abs) * rtol)]))
         if not math.isfinite(error_norm):
             _require_finite_field(st.K, t, y)
         if error_norm < 1:
@@ -388,6 +426,12 @@ class Run:
     of either: what ``integrate`` returns for the same field, start,
     settings and events, whose first k steps it takes.
 
+    The stepper state is Python floats: t, h_abs and the direction, and y,
+    the last step end, a list of two.  f is what ``fieldfn`` returned
+    there, two floats or a float64 array of shape (2,).  ``fieldfn`` is
+    called with a list of two Python floats, and so is every ``ev.fn``
+    at a step end.
+
     The record, a ``Steps`` of the first ``n_steps`` steps, is written
     once per step into arrays that double, by copying into new ones, when
     they are full; a stored entry is never changed, and a step is counted
@@ -399,20 +443,21 @@ class Run:
     __slots__ = ("fieldfn", "settings", "t", "y", "f", "h_abs", "direction",
                  "h_max", "rtol", "atol", "stages", "n_steps", "_record")
 
-    def __init__(self, fieldfn: Callable[[float, np.ndarray], np.ndarray], start,
+    def __init__(self, fieldfn: Callable[[float, list], Sequence[float]], start,
                  settings: IntegrationSettings = IntegrationSettings()):
         y0 = start.as_array() if isinstance(start, PhasePoint) else np.asarray(start, float)
+        if y0.shape != (2,):
+            raise ValueError(f"start must be a point of the plane, got shape {y0.shape}")
         if not np.all(np.isfinite(y0)):
             raise NonFinite(f"start point {y0} is not finite")
         self.fieldfn, self.settings = fieldfn, settings
-        self.t, self.y = 0.0, y0
-        self.f = fieldfn(self.t, y0)
-        _require_finite_field(self.f, self.t, y0)
+        self.t, self.y = 0.0, y0.tolist()
+        self.f = fieldfn(self.t, self.y)
+        _require_finite_field(self.f, self.t, self.y)
         # None until the first step: the initial-step rule costs a field call
         self.h_abs = settings.h_init
-        self.direction = np.float64(1.0 if settings.direction == FORWARD else -1.0)
-        self.h_max, self.rtol = settings.h_max, settings.rel_tol
-        self.atol = np.asarray(settings.abs_tol)
+        self.direction = 1.0 if settings.direction == FORWARD else -1.0
+        self.h_max, self.rtol, self.atol = settings.h_max, settings.rel_tol, settings.abs_tol
         self.stages = _Stages(y0.size)
         self.n_steps = 0
         n = _FIRST_STEPS
@@ -509,9 +554,9 @@ class Run:
         steps = self.steps(k)
         if k == 0:
             y0 = steps.y[0]
-            ev = next(ev for ev in events if _immediate(ev, float(ev.fn(0.0, y0))))
+            ev = next(ev for ev in events if _immediate(ev, float(ev.fn(0.0, y0.tolist()))))
             return _result(steps, ev.kind, 0.0, y0)
-        t_old, t, y_old, y = steps.t[k - 1], steps.t[k], steps.y[k - 1], steps.y[k]
+        (t_old, t), (y_old, y) = steps.t[k - 1:k + 1].tolist(), steps.y[k - 1:k + 1].tolist()
         stops = []
         for ev in events:
             g_old = float(ev.fn(t_old, y_old))
@@ -531,7 +576,7 @@ def _result(steps: Steps, kind: str, t, y) -> IntegrationResult:
                              n_steps=len(steps.h), steps=steps)
 
 
-def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
+def integrate(fieldfn: Callable[[float, list], Sequence[float]],
               start,
               settings: IntegrationSettings = IntegrationSettings(),
               events: Sequence[EventSpec] = (),
@@ -548,9 +593,11 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
 
     Parameters
     ----------
-    fieldfn : callable(xi, y) -> float64 array of shape (2,)
-        The phase velocity.  Must be pure.  The stepper calls it directly;
-        its values are checked for finiteness at the start point, at the
+    fieldfn : callable(xi, y) -> two floats
+        The phase velocity.  Must be pure.  The stepper calls it directly,
+        with xi a Python float and y a list of two, and stores what it
+        returns, two floats or a float64 array of shape (2,), as a stage.
+        Its values are checked for finiteness at the start point, at the
         initial-step probe and, all stages at once, at every attempted step
         whose error norm is not finite.
     start : PhasePoint or array-like of shape (2,)
@@ -574,10 +621,13 @@ def integrate(fieldfn: Callable[[float, np.ndarray], np.ndarray],
     Raises
     ------
     ValueError
-        If ``max_state_step`` is neither None nor finite and positive.
+        If ``max_state_step`` is neither None nor finite and positive, or
+        ``start`` is not a point of the plane.
     NonFinite
-        If the field returns NaN or infinity, or the start point is not finite.
-        An infinite field value may also emit a numpy RuntimeWarning first.
+        If the field returns NaN or infinity, or the start point is not
+        finite, or the start's field value, finite, overflows its norm
+        scaled by the tolerances.  An overflow may also emit a numpy
+        RuntimeWarning first.
     StepUnderflow
         If the error controller drives the step below 1e-14 * (1 + |xi|), or
         a rejected step below ten spacings of the floating-point numbers at xi.

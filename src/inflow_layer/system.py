@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonFinite
 from .gas import EndState, GasParams, mach
 
 
@@ -253,15 +253,22 @@ def residual_sup(s: SystemData, rows: np.ndarray) -> float:
 
 
 def phase_field(s: SystemData):
-    """Polynomial field in the (xi, y) -> array signature integrators use.
+    """Polynomial field in the (xi, y) -> (u', theta') signature the
+    integrator uses: ``y`` is two floats (the integrator passes a list of
+    Python floats), and the result is the pair ``field_poly`` makes of
+    them, two Python floats for Python floats.
 
-    The field is computed on Python floats, which round every operation as
-    numpy's float64 scalars do, at a fraction of their call overhead.
+    Python floats round every operation as numpy's float64 scalars do, at
+    a fraction of their call overhead.  A cube too large for a float
+    raises NonFinite where Python's pow raises OverflowError.
     """
 
-    def fun(_xi, y):
-        u, theta = y.tolist()
-        return np.array(field_poly(u, theta, s))
+    def fun(xi, y):
+        u, theta = y
+        try:
+            return field_poly(u, theta, s)
+        except OverflowError:
+            raise NonFinite(f"field overflows at xi={xi}, y={y}") from None
 
     return fun
 

@@ -64,6 +64,16 @@ class TestClassify:
         assert rc == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_overflowing_field_is_a_typed_error(self, capsys):
+        # a finite far field whose phase field overflows a float once the
+        # first trace steps away from S1: an error line, not a traceback
+        rc = main(["classify", "--gamma", "1.4", "--R", "1", "--mu", "1", "--kappa", "1",
+                   "--v-plus", "1", "--u-plus", "1e60", "--theta-plus", "1e120",
+                   *_left(0.5, 5e59, 1.3e120)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: field overflows") and "Traceback" not in err
+
     @pytest.mark.parametrize("cmd, flag, value", [
         ("classify", "--tol-mach", "0.6"),
         ("classify", "--tol-flux", "-1"),
@@ -348,12 +358,14 @@ class TestSweepSplit:
     def test_split_rule(self, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
-        # eight usable CPUs: 12 subsonic rows make 3 shares, 7 make 1
-        assert cli._shares(SUBSONIC_GRID + [1.0, 1.5], 1e-8) == 3
-        assert cli._shares(SUBSONIC_GRID[:7], 1e-8) == 1
-        rows = run_sweep(GAS, 1.0, 1.0, SUBSONIC_GRID)
+        # eight usable CPUs: 18 subsonic rows make 3 shares, 12 make 2, 11 make 1
+        grid = np.linspace(0.3, 0.9, 18).tolist()
+        assert cli._shares(grid + [1.0, 1.5], 1e-8) == 3
+        assert cli._shares(SUBSONIC_GRID, 1e-8) == 2
+        assert cli._shares(SUBSONIC_GRID[:11], 1e-8) == 1
+        rows = run_sweep(GAS, 1.0, 1.0, grid)
         assert len(forks) == 2 and _reaped(forks)
-        assert [r["mach_plus"] for r in rows] == SUBSONIC_GRID
+        assert [r["mach_plus"] for r in rows] == grid
 
     def test_one_usable_cpu_forks_nothing(self, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

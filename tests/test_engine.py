@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from inflow_layer import (EndState, ExistenceEngine, GasParams, InvalidBoundary,
+from inflow_layer import (EndState, ExistenceEngine, GasParams, InvalidBoundary, NonFinite,
                           Profile, ProfileDiverged, Query, TailTooShort,
                           Tolerances, TraceFailed, classify_regime, trace_gamma,
                           verdict_to_dict, verify_decay, verify_residual)
@@ -1033,3 +1033,11 @@ def test_verdict_continuous_across_the_sonic_band_edge(gas):
         assert sub.regime.is_subsonic and sub.exists and sub.curve == "gamma1"
         assert sonic.regime.is_transonic and sonic.exists and sonic.curve == "sigma"
         assert sonic.curve_parameter == sub.curve_parameter
+
+
+def test_a_far_field_whose_field_overflows_raises_nonfinite(gas):
+    # theta+ = 1e120: the first trace's first attempted step reaches
+    # |u - u+| ~ 1e108, whose cube is too large for a float
+    q = Query(EndState(0.5, 5e59, 1.3e120), EndState(1.0, 1e60, 1e120), gas)
+    with pytest.raises(NonFinite, match="overflows"):
+        ExistenceEngine().decide(q)

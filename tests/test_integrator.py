@@ -195,6 +195,17 @@ def test_overflowing_error_norm_of_a_finite_field_rejects_the_step():
     np.testing.assert_allclose(res.points, [[0.0, 1.0], [0.2, 1.1]], rtol=1e-15)
 
 
+@pytest.mark.parametrize("start", [(1e60, 1.0), (1.0, 1e200), (1e104, 1.0), (1e160, 1e160)])
+def test_a_field_that_overflows_at_the_start_raises_nonfinite(gas, right_subsonic, start):
+    # at the first two starts the field is finite, but its norm scaled by
+    # atol + |y| rtol overflows, and the initial-step rule's trial step
+    # would be 0; at the last two, (u - u+) ** 3 is too large for a float,
+    # which Python's pow reports as an OverflowError
+    field = phase_field(build_system(gas, right_subsonic))
+    with pytest.raises(NonFinite), np.errstate(over="ignore"):
+        integrate(field, np.array(start))
+
+
 @pytest.mark.parametrize("direction", [1, 2, -2])
 def test_event_direction_must_be_falling_or_either(direction):
     with pytest.raises(ValueError, match="direction"):
@@ -270,6 +281,45 @@ def test_trajectory_order_and_event_typing():
                     IntegrationSettings(max_steps=10))
     assert isinstance(res.event, Event)
     assert np.all(np.diff(res.xi) > 0.0)
+
+
+def test_field_and_events_get_two_python_floats_at_each_step_end():
+    # the stepper state is Python floats: the field at every stage and the
+    # event functions at every step end (and bisection midpoint) get a
+    # list of two of them, and xi as a Python float
+    fields, events = [], []
+
+    def field(t, y):
+        fields.append((t, y))
+        return (-1.0, 0.5 * y[1])
+
+    def fn(t, y):
+        events.append((t, y))
+        return y[0] - 0.3
+
+    res = integrate(field, PhasePoint(1.0, 1.0), IntegrationSettings(h_init=2.0),
+                    [EventSpec("at_0.3", fn)])
+    assert res.n_steps > 1 and len(fields) > 1 + 6 * res.n_steps   # a step was rejected
+    for t, y in fields + events:
+        assert type(t) is float and type(y) is list and [type(v) for v in y] == [float, float]
+    seen = {(t, tuple(y)) for t, y in events}
+    for t, y in zip(res.steps.t.tolist(), res.steps.y.tolist()):
+        assert (t, tuple(y)) in seen
+
+
+def test_a_field_may_return_two_floats_or_a_float64_array(gas, right_subsonic):
+    # what the field returns goes straight into a stage row, so a tuple of
+    # floats and a float64 array of the same values step to the same bits
+    s = build_system(gas, right_subsonic)
+    field = phase_field(s)
+    seed = np.array([s.u_plus, s.theta_plus]) - 1e-3 * s.scale * eigen_2x2(s.matrix).e2
+    for settings in (TraceOptions().integration_settings(),
+                     IntegrationSettings(h_init=1.0, direction=BACKWARD)):
+        as_floats = integrate(field, seed, settings, [u_crosses_zero()])
+        as_array = integrate(lambda t, y: np.array(field(t, y)), seed, settings,
+                             [u_crosses_zero()])
+        assert as_floats.n_steps > 100
+        assert _run_bits(as_floats) == _run_bits(as_array)
 
 
 def test_norms_are_their_linalg_norm_forms():
@@ -384,6 +434,10 @@ def test_max_state_step_validation():
         with pytest.raises(ValueError, match="max_state_step"):
             integrate(field, PhasePoint(0.0, 0.0), IntegrationSettings(max_steps=3),
                       max_state_step=bad)
+    # so is a start that is not a point of the plane
+    for start in ((0.0,), (0.0, 0.0, 0.0), [[0.0, 0.0]]):
+        with pytest.raises(ValueError, match="plane"):
+            integrate(field, start, IntegrationSettings(max_steps=3))
 
 
 def test_emitted_points_are_step_ends_and_their_sub_samples(real_runs):
