@@ -26,8 +26,9 @@ from .gas import (EndState, GasParams, TOL_FLUX, TOL_MACH, TOL_MEMBER, classify_
 from .linearize import eigen_2x2, saddle_graph
 from .portrait import render_portrait
 from .system import build_system
-from .tracer import (CURVE_GAMMA2, TraceOptions, export_curve_csv,
-                     export_curve_json, trace_gamma)
+# trace_gamma is looked up here by bench/spans.py, which wraps it
+from .tracer import (TraceOptions, export_curve_csv, export_curve_json,  # noqa: F401
+                     trace_gamma, trace_gamma2_to_basin)
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -217,7 +218,8 @@ def cmd_portrait(cfg: RunConfig) -> int:
     return 0
 
 
-# run_sweep's gamma2 traces keep only their terminal kind
+# run_sweep's gamma2 traces (trace_gamma2_to_basin) keep only their
+# terminal kind, so they stop where they enter S2's certified basin
 SWEEP_TRACE = TraceOptions(rel_tol=1e-8, abs_tol=1e-10, max_steps=100_000,
                            sample_cap=5e-2, thin_spacing=1e-4)
 
@@ -230,7 +232,10 @@ def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
     grid order, each labelled with its regime for the transonic band
     half-width ``tol_M``.  Subsonic rows carry the actual traced terminal
     kind of the gamma2 branch, or ``"error:<Type>"`` when its trace raised
-    a ``LayerError``.
+    a ``LayerError``.  The trace is ``trace_gamma2_to_basin``'s with
+    ``SWEEP_TRACE``: when alpha2 > 0 it stops as soon as gamma2 enters a
+    sublevel set of a Lyapunov function that certifies convergence to S2,
+    short of the capture radius that ``trace_gamma`` runs on to.
 
     Each row is a pure function of its Mach number, so the rows may be
     computed anywhere: with k = min(usable CPUs, subsonic rows // 6) of
@@ -265,8 +270,7 @@ def run_sweep(gas: GasParams, v_plus: float, theta_plus: float, machs,
         }
         if regime.is_subsonic:
             try:
-                curve = trace_gamma(s, saddle_graph(s, eig), CURVE_GAMMA2,
-                                    SWEEP_TRACE)
+                curve = trace_gamma2_to_basin(s, saddle_graph(s, eig), SWEEP_TRACE)
                 row["gamma2_terminal"] = curve.terminal
             except LayerError as exc:
                 row["gamma2_terminal"] = f"error:{type(exc).__name__}"
@@ -283,14 +287,16 @@ def _shares(machs, tol_M: float) -> int:
     """How many processes share a sweep: min(usable CPUs, subsonic rows //
     6), or 1 where the process cannot fork or runs another thread.
 
-    A subsonic row traces gamma2, about 3 ms on a 2-core VM; the other
-    rows cost microseconds.  A forked child pays about 5 ms more: the
-    fork and the reaping, and a first row about 2.6 ms slower than the
-    next.  There, in 21 alternating runs, 8 subsonic rows split in two
-    took 28.5 ms against 20.6 ms in one process, 10 rows about 28 ms
-    either way, and 12 rows 26.9 ms against 37.6 ms, faster in 20 of the
-    21; hence the 6.  A process with other threads is not forked: a lock
-    one of them holds would stay held in the child.
+    A subsonic row traces gamma2, about 2 ms on a 2-core VM (1.9 ms at
+    M+ = 0.6); the other rows cost microseconds.  A forked child pays
+    about 8 ms more: 3.4 ms for the fork and the reaping, and a first row
+    about 4.3 ms slower than the next.  There, in 21 alternating runs on
+    rows spread evenly over the subsonic part of the 200-point grid of
+    M+ in [0.25, 1.25], 8 subsonic rows split in two took 22.5 ms against
+    14.4 ms in one process, slower in all 21, 10 rows 23.2 ms against
+    31.0 ms, faster in 12 of the 21, and 12 rows 26.8 ms against 40.0 ms,
+    faster in all 21; hence the 6.  A process with other threads is not
+    forked: a lock one of them holds would stay held in the child.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1

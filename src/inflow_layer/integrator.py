@@ -47,6 +47,7 @@ BACKWARD = "backward"
 U_CROSSES_ZERO = "u_crosses_zero"
 THETA_CROSSES_ZERO = "theta_crosses_zero"
 NEAR_EQUILIBRIUM = "near_equilibrium"
+INSIDE_ELLIPSE = "inside_ellipse"
 LEFT_REGION = "left_region"
 COMPONENT_CROSSES = "component_crosses"
 BUDGET = "budget"
@@ -168,6 +169,21 @@ def near_equilibrium(target, radius: float) -> EventSpec:
         return math.sqrt(d.dot(d)) - radius
 
     return EventSpec(NEAR_EQUILIBRIUM, fn)
+
+
+def inside_ellipse(center, P, level: float) -> EventSpec:
+    """Entry into the ellipse x^T P x <= level, x = y - center, with
+    ``center`` two floats and the symmetric P given by its entries (p00,
+    p01, p11); a quadratic on the floats of ``y``, or elementwise on its
+    rows."""
+    cu, cth = center
+    p00, p01, p11 = P
+
+    def fn(t, y):
+        a, b = y[0] - cu, y[1] - cth
+        return (p00 * a + 2.0 * p01 * b) * a + p11 * b * b - level
+
+    return EventSpec(INSIDE_ELLIPSE, fn)
 
 
 def left_region(contains: Callable[[np.ndarray], bool]) -> EventSpec:
@@ -311,11 +327,14 @@ def _initial_step(fun, t0, y0, f0, direction, h_max, rtol, atol):
     sums of squares of ``_rms``.
 
     Raises NonFinite when the field value f0, finite as it is, overflows
-    its scaled norm: the first trial step would then be 0.
+    its scaled norm: the first trial step would then be 0.  The norms of
+    y0 and f0 overflow to inf quietly, so that the error is the only
+    report.
     """
     scale = [atol + abs(y) * rtol for y in y0]
-    d0 = _rms(np.array([y / sc for y, sc in zip(y0, scale)]))
-    d1 = _rms(np.array([f / sc for f, sc in zip(f0, scale)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0 = _rms(np.array([y / sc for y, sc in zip(y0, scale)]))
+        d1 = _rms(np.array([f / sc for f, sc in zip(f0, scale)]))
     if not math.isfinite(d1):
         raise NonFinite(f"field value {f0} at xi={t0}, y={y0} overflows its scaled norm")
     if d0 < 1e-5 or d1 < 1e-5:
@@ -626,8 +645,8 @@ def integrate(fieldfn: Callable[[float, list], Sequence[float]],
     NonFinite
         If the field returns NaN or infinity, or the start point is not
         finite, or the start's field value, finite, overflows its norm
-        scaled by the tolerances.  An overflow may also emit a numpy
-        RuntimeWarning first.
+        scaled by the tolerances.  An overflow inside a step may also emit
+        a numpy RuntimeWarning first.
     StepUnderflow
         If the error controller drives the step below 1e-14 * (1 + |xi|), or
         a rejected step below ten spacings of the floating-point numbers at xi.

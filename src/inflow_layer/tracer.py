@@ -6,7 +6,9 @@ grows like exp(lambda_unstable * xi).  Backward integration reverses the
 roles, contracting the off-manifold component, so every trace here seeds a
 small offset from S1 on the curve's invariant manifold and integrates
 backward until it hits an axis, is captured by the secondary equilibrium
-S2, or exhausts its budget.
+S2, or exhausts its budget.  The sweep's gamma2 (``trace_gamma2_to_basin``)
+stops earlier, where it enters a set around S2 certified to lie in S2's
+basin (``s2_basin``).
 
 Near S1 the backward orbit crawls along the slow direction while explicit
 steps are capped by the fast rate, so the innermost stretch of every curve
@@ -58,13 +60,14 @@ import numpy as np
 from .errors import (DomainError, LayerError, OutOfRange, ProfileDiverged, TailTooShort,
                      TraceFailed, UnexpectedTerminal)
 from .gas import TOL_MEMBER, require_positive
-from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, NEAR_EQUILIBRIUM,
-                         THETA_CROSSES_ZERO, U_CROSSES_ZERO, IntegrationResult,
-                         IntegrationSettings, Run, capped_knots, component_crosses,
-                         integrate, near_equilibrium, theta_crosses_zero, u_crosses_zero)
+from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, INSIDE_ELLIPSE,
+                         NEAR_EQUILIBRIUM, THETA_CROSSES_ZERO, U_CROSSES_ZERO, EventSpec,
+                         IntegrationResult, IntegrationSettings, Run, capped_knots,
+                         component_crosses, inside_ellipse, integrate, near_equilibrium,
+                         theta_crosses_zero, u_crosses_zero)
 from .linearize import EigenPair, SlowGraph
-from .system import (PhasePoint, Region, SystemData, phase_field, region_contains,
-                     row_residuals, specific_volume)
+from .system import (PhasePoint, Region, SystemData, jacobian, phase_field,
+                     region_contains, row_residuals, specific_volume)
 
 CURVE_SIGMA = "sigma"
 CURVE_GAMMA1 = "gamma1"
@@ -77,6 +80,7 @@ TERMINAL_BUDGET = "budget"
 
 
 CAPTURE_RADIUS = 1e-8                 # * scale, S2 capture
+BASIN_SAFETY = 0.5                    # on S2's largest certified level, for rounding
 SLIDE_POINTS_PER_DECADE = 12          # graph samples per decade of w
 GRAPH_RESIDUAL = 1e-9                 # scaled equation residual of a graph row
 _S1_OFFSET = 1e-10                    # * scale, where profile runs leave or reach S1
@@ -459,7 +463,8 @@ class Curve:
     @property
     def terminal_point(self) -> PhasePoint:
         """The last sample: the axis point, S2's capture point or S2's own
-        graph point, or where the step budget ran out."""
+        graph point, the entry into S2's certified basin on a gamma2 of
+        ``trace_gamma2_to_basin``, or where the step budget ran out."""
         return PhasePoint(*map(float, self.samples[-1]))
 
     @property
@@ -673,6 +678,7 @@ _TERMINALS = {
     U_CROSSES_ZERO: TERMINAL_HIT_U_AXIS,
     THETA_CROSSES_ZERO: TERMINAL_HIT_THETA_AXIS,
     NEAR_EQUILIBRIUM: TERMINAL_CONVERGED_TO_S2,
+    INSIDE_ELLIPSE: TERMINAL_CONVERGED_TO_S2,
     BUDGET: TERMINAL_BUDGET,
 }
 
@@ -800,10 +806,94 @@ def trace_gamma(s: SystemData, graph: SlowGraph, branch: str,
     if branch == CURVE_GAMMA1:
         events = [u_crosses_zero()]
     else:
-        events = [theta_crosses_zero(),
-                  near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)]
+        events = [theta_crosses_zero(), _s2_capture(s)]
     side = 1.0 if branch == CURVE_GAMMA2 else -1.0
     return _trace(s, branch, graph, side, events, opts or TraceOptions())
+
+
+def _s2_capture(s: SystemData) -> EventSpec:
+    return near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)
+
+
+class S2Basin(NamedTuple):
+    """The ellipse x^T P x <= level, x = (u, theta) - ``center`` with
+    ``center`` S2, that ``s2_basin`` certifies to lie in S2's basin of the
+    backward flow; ``P`` holds (p00, p01, p11)."""
+
+    center: tuple
+    P: tuple
+    level: float
+
+    def event(self) -> EventSpec:
+        """Entry into the ellipse, an ``inside_ellipse`` event."""
+        return inside_ellipse(self.center, self.P, self.level)
+
+
+def s2_basin(s: SystemData) -> S2Basin | None:
+    """A quadratic Lyapunov sublevel set around S2 from which every
+    backward orbit converges to S2 without leaving u > 0, theta > 0 (the
+    region-of-attraction estimate of Khalil, Nonlinear Systems, 3rd ed.,
+    Sec. 8.2); None unless S2 lies in the open quadrant and attracts
+    backward, its backward Jacobian J = -``jacobian(S2)`` having a negative
+    trace and a positive determinant.
+
+    P solves J^T P + P J = -I in closed form, P = (det J I + B^T B) /
+    (-2 tr J det J) with B = J - tr J I.  With x = (a, b) = y - S2 and du2
+    = u_S2 - u+, the cubic field at y is -J x + g(x) exactly, where g =
+    (a^2/mu, (c_sq - 3 du2/(2 kappa)) a^2 + c_mix a b - a^3/(2 kappa)), so
+    |g| <= q |x|^2 + c3 |x|^3 by |a| <= |x| and |a b| <= |x|^2 / 2.
+    Backward, x' = J x - g(x), and V = x^T P x has V' = -|x|^2 - 2 x^T P g
+    <= -|x|^2 + 2 lam_max(P) |x| (q |x|^2 + c3 |x|^3) < 0 for 0 < |x| < r,
+    r the positive root of 2 lam_max (q r + c3 r^2) = 1, and {V <= c}
+    lies in |x| <= r for c <= lam_min(P) r^2.  c is cut to d^2 / (n^T P^-1
+    n) for each axis, the line n.x = -d at distance d from S2, so that the
+    set lies in the open quadrant, and then multiplied by
+    ``BASIN_SAFETY``.
+
+    In exact arithmetic the set is positively invariant under the backward
+    flow, and every orbit in it tends to S2.  Not rigorous: P, its
+    eigenvalues, q, r and c are computed in floating point, their rounding
+    covered by ``BASIN_SAFETY`` but not bounded; and an orbit traced into
+    the set is the integrator's numerical orbit, within its tolerance of
+    the true one, as one captured within ``CAPTURE_RADIUS`` is.  The
+    estimate is crude: on a stiff node P is as eccentric as the ratio of
+    J's rates, and the set shrinks with it.
+    """
+    u2, th2 = float(s.s2.u), float(s.s2.theta)
+    (a, b), (c, d) = (-jacobian(s.s2, s)).tolist()
+    tr, det = a + d, a * d - b * c
+    if not (tr < 0.0 and det > 0.0 and u2 > 0.0 and th2 > 0.0):
+        return None
+    den = -2.0 * tr * det
+    p00, p11 = (det + c * c + d * d) / den, (det + a * a + b * b) / den
+    p01 = -(a * c + b * d) / den
+    det_p = p00 * p11 - p01 * p01
+    lam_max = 0.5 * (p00 + p11) + math.hypot(0.5 * (p00 - p11), p01)
+    lam_min = det_p / lam_max
+    q = math.hypot(1.0 / s.gas.mu,
+                   abs(s.c_sq - 1.5 * (u2 - s.u_plus) / s.gas.kappa) + 0.5 * abs(s.c_mix))
+    c3 = 0.5 / s.gas.kappa
+    r = (1.0 / lam_max) / (q + math.sqrt(q * q + 2.0 * c3 / lam_max))
+    level = min(lam_min * r * r, u2 * u2 * det_p / p11, th2 * th2 * det_p / p00)
+    return S2Basin((u2, th2), (p00, p01, p11), BASIN_SAFETY * level)
+
+
+def trace_gamma2_to_basin(s: SystemData, graph: SlowGraph,
+                          opts: TraceOptions | None = None) -> Curve:
+    """gamma2 as ``trace_gamma`` traces it, but stopped where it enters
+    S2's certified basin (``s2_basin``), terminal ``converged_to_s2``.
+
+    The curve is a prefix of ``trace_gamma``'s, its samples thinned and
+    validated up to the stop; it ends far short of S2, so only its
+    terminal kind is meant to be read.  The theta = 0 crossing comes
+    first among the events and the capture within ``CAPTURE_RADIUS`` of
+    S2 last, the terminal wherever no basin is certified.
+    """
+    basin = s2_basin(s)
+    events = [theta_crosses_zero(), _s2_capture(s)]
+    if basin is not None:
+        events.insert(1, basin.event())
+    return _trace(s, CURVE_GAMMA2, graph, 1.0, events, opts or TraceOptions())
 
 
 def curve_membership(c: Curve, p: PhasePoint, tol: float = TOL_MEMBER) -> Membership:

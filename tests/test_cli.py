@@ -18,7 +18,7 @@ from inflow_layer import cli
 from inflow_layer.cli import main, load_config_file, run_sweep
 from inflow_layer.errors import ConfigError, TraceFailed
 from inflow_layer.gas import GasParams, classify_regime
-from inflow_layer.tracer import trace_gamma
+from inflow_layer.tracer import trace_gamma2_to_basin
 
 SUBSONIC = ["--gamma", "1.4", "--R", "1", "--mu", "1", "--kappa", "1",
             "--v-plus", "1", "--u-plus", "1", "--theta-plus", "1"]
@@ -330,14 +330,15 @@ def _bits(rows):
 
 
 def _failing_trace(monkeypatch, failures):
-    """Make ``cli.trace_gamma`` raise ``failures[i]`` at SUBSONIC_GRID[i]."""
-    def trace_or_raise(s, graph, branch, opts):
+    """Make ``cli.trace_gamma2_to_basin`` raise ``failures[i]`` at
+    SUBSONIC_GRID[i]."""
+    def trace_or_raise(s, graph, opts):
         for i, exc in failures.items():
             if s.mach_plus == pytest.approx(SUBSONIC_GRID[i], rel=1e-12):
                 raise exc
-        return trace_gamma(s, graph, branch, opts)
+        return trace_gamma2_to_basin(s, graph, opts)
 
-    monkeypatch.setattr(cli, "trace_gamma", trace_or_raise)
+    monkeypatch.setattr(cli, "trace_gamma2_to_basin", trace_or_raise)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
@@ -413,7 +414,7 @@ class TestSweepSplit:
                 raise Interrupt()
             time.sleep(60)
 
-        monkeypatch.setattr(cli, "trace_gamma", interrupted_or_stuck)
+        monkeypatch.setattr(cli, "trace_gamma2_to_basin", interrupted_or_stuck)
         start = time.perf_counter()
         with pytest.raises(Interrupt):
             run_sweep(GAS, 1.0, 1.0, SUBSONIC_GRID)

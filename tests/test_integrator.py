@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -204,6 +205,17 @@ def test_a_field_that_overflows_at_the_start_raises_nonfinite(gas, right_subsoni
     field = phase_field(build_system(gas, right_subsonic))
     with pytest.raises(NonFinite), np.errstate(over="ignore"):
         integrate(field, np.array(start))
+
+
+@pytest.mark.parametrize("start", [(1e60, 1.0), (1.0, 1e200), (1e104, 1.0), (1e160, 1e160)])
+def test_an_overflowing_start_raises_nonfinite_and_warns_nothing(gas, right_subsonic, start):
+    # the initial-step rule's norms overflow quietly, so the typed error is
+    # the only report, under numpy's default error state
+    field = phase_field(build_system(gas, right_subsonic))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            integrate(field, np.array(start))
 
 
 @pytest.mark.parametrize("direction", [1, 2, -2])

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from inflow_layer import (DomainError, EndState, ExistenceEngine, GasParams,
                           OutOfRange, PhasePoint, Query, TraceOptions, build_system,
@@ -18,9 +19,10 @@ from inflow_layer import tracer
 from inflow_layer.tracer import (CAPTURE_RADIUS, CURVE_GAMMA1, CURVE_GAMMA2,
                                  TERMINAL_BUDGET, TERMINAL_CONVERGED_TO_S2,
                                  TERMINAL_HIT_THETA_AXIS, TERMINAL_HIT_U_AXIS,
-                                 _TERMINALS as _TERMINAL_OF, Pchip)
+                                 _TERMINALS as _TERMINAL_OF, Pchip, s2_basin,
+                                 trace_gamma2_to_basin)
 from inflow_layer.cli import SWEEP_TRACE, run_sweep
-from inflow_layer.integrator import MAX_INSERTED, capped_knots
+from inflow_layer.integrator import MAX_INSERTED, NEAR_EQUILIBRIUM, capped_knots
 from inflow_layer.system import residual_sup
 from conftest import random_system
 from sonic_reference import graph_defect
@@ -809,3 +811,104 @@ class TestGamma2EndsAtS2:
         for u_plus in LADDER_U:
             ExistenceEngine().curves_for(gas, EndState(1.0, u_plus, 1.0))
         assert len(curves) == 9   # gamma1 and gamma2 on four rungs, sigma on one
+
+
+def _probe_log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+# the random far fields of the membership probe: gamma uniform, R, mu and
+# theta+ log-uniform in [0.2, 5], kappa log-uniform in [0.05, 20], v+ = 1,
+# and M+ uniform below 0.99 or 1 - 10^x with x in [-6, -2]
+_probe_gases = st.builds(GasParams, gamma=st.floats(1.05, 1.9),
+                         R=_probe_log_uniform(0.2, 5.0), mu=_probe_log_uniform(0.2, 5.0),
+                         kappa=_probe_log_uniform(0.05, 20.0))
+_probe_machs = st.one_of(st.floats(0.05, 0.99),
+                         st.floats(-6.0, -2.0).map(lambda x: 1.0 - 10.0 ** x))
+_BOUNDARY_ANGLES = 2.0 * math.pi * np.arange(64) / 64
+
+
+class TestS2Basin:
+    """The certified set around S2 at which the sweep's gamma2 stops."""
+
+    @settings(max_examples=40)
+    @given(gas=_probe_gases, theta=_probe_log_uniform(0.2, 5.0), mach=_probe_machs)
+    # S2 just above the theta axis (alpha2 = 0.011), where the cut to the
+    # quadrant sets the level
+    @example(gas=GasParams(1.4, 1.0, 1.0, 1.0), theta=1.0, mach=0.38)
+    def test_the_set_is_certified(self, gas, theta, mach):
+        s = build_system(gas, EndState(1.0, mach * math.sqrt(gas.R * gas.gamma * theta),
+                                       theta))
+        assume(s.alpha2 > 0.0)
+        basin = s2_basin(s)
+        assert basin is not None
+        (u2, th2), (p00, p01, p11), level = basin
+        ev = basin.event()
+        # it contains S2 and excludes S1
+        assert level > 0.0 and ev.fn(0.0, [u2, th2]) < 0.0
+        assert ev.fn(0.0, [s.u_plus, s.theta_plus]) > 0.0
+        # its extents along u and theta stop short of the axes
+        det = p00 * p11 - p01 * p01
+        assert math.sqrt(level * p11 / det) < u2 and math.sqrt(level * p00 / det) < th2
+        # V = x^T P x decreases along the backward field on its boundary
+        e = np.stack([np.cos(_BOUNDARY_ANGLES), np.sin(_BOUNDARY_ANGLES)])
+        x = e * np.sqrt(level / (p00 * e[0] ** 2 + 2.0 * p01 * e[0] * e[1] + p11 * e[1] ** 2))
+        pts = np.array([[u2], [th2]]) + x
+        assert np.all(pts > 0.0)
+        fu, fth = field_poly(pts[0], pts[1], s)
+        v_dot = -2.0 * ((p00 * x[0] + p01 * x[1]) * fu + (p01 * x[0] + p11 * x[1]) * fth)
+        assert np.all(v_dot < 0.0)
+        # and a backward run from its boundary is captured by S2, at the
+        # default trace tolerance, whose noise stays below the capture
+        # radius; near Mach 1 the node is as stiff as 1 / (1 - M+), and the
+        # runs are left out
+        if mach > 0.99:
+            return
+        events = [theta_crosses_zero(), near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)]
+        for p in pts.T[::8]:
+            res = integrate(phase_field(s), p, TraceOptions().integration_settings(), events)
+            assert res.event.kind == NEAR_EQUILIBRIUM
+
+    def test_none_without_s2_in_the_quadrant(self, gas, right_subcase_b):
+        # alpha2 < 0: S2 lies below the theta axis
+        assert s2_basin(build_system(gas, right_subcase_b)) is None
+
+    @pytest.mark.parametrize("gas_params, machs", [
+        ((1.4, 1.0, 1.0, 1.0), np.linspace(0.25, 1.25, 200)),
+        ((1.2728, 4.2983, 3.5278, 0.1), np.linspace(0.4, 0.95, 6)),
+    ], ids=["acceptance-grid", "stiff"])
+    def test_sweep_terminal_is_the_full_traces(self, gas_params, machs):
+        gas = GasParams(*gas_params)
+        rows = run_sweep(gas, 1.0, 1.0, machs.tolist())
+        sound = math.sqrt(gas.R * gas.gamma)
+        subsonic = [r for r in rows if r["regime"] == "subsonic"]
+        assert subsonic
+        for row in subsonic:
+            s = build_system(gas, EndState(1.0, row["mach_plus"] * sound, 1.0))
+            full = trace_gamma(s, saddle_graph(s, eigen_2x2(s.matrix)), CURVE_GAMMA2,
+                               SWEEP_TRACE)
+            assert row["gamma2_terminal"] == full.terminal, row["mach_plus"]
+
+    def test_the_sweep_answers_where_its_full_trace_stalls(self):
+        # S2 lies at u = 2.4 > scale, where SWEEP_TRACE's error noise near S2
+        # (rel_tol |u|) exceeds the capture radius: the full trace hovers at
+        # about 1.5e-8 of S2 until its budget, while the basin stop and the
+        # default trace agree on the terminal
+        gas = GasParams(1.5, 1.0046157902783952, 0.238592024994101, 9.843025249911998)
+        mach = 0.42784268952472265
+        (row,) = run_sweep(gas, 1.0, 1.0, [mach])
+        s = build_system(gas, EndState(1.0, mach * math.sqrt(gas.R * gas.gamma), 1.0))
+        full = trace_gamma(s, saddle_graph(s, eigen_2x2(s.matrix)), CURVE_GAMMA2)
+        assert row["gamma2_terminal"] == full.terminal == TERMINAL_CONVERGED_TO_S2
+
+    def test_the_sweeps_gamma2_takes_fewer_steps(self, s_sub, monkeypatch):
+        counted = _CountedIntegrate()
+        monkeypatch.setattr(tracer, "integrate", counted)
+        graph = saddle_graph(s_sub, eigen_2x2(s_sub.matrix))
+        full = trace_gamma(s_sub, graph, CURVE_GAMMA2, SWEEP_TRACE)
+        short = trace_gamma2_to_basin(s_sub, graph, SWEEP_TRACE)
+        assert full.terminal == short.terminal == TERMINAL_CONVERGED_TO_S2
+        assert len(counted.steps) == 2 and counted.steps[1] < counted.steps[0]
+        # the stop's curve is a prefix of the full one, but for its last sample
+        n = len(short.samples) - 1
+        assert np.array_equal(short.samples[:n], full.samples[:n])

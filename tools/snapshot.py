@@ -46,9 +46,9 @@ copy placed in another checkout snapshots that checkout.  The output set:
   u- = (1 - 5e-11) u+ (``trivial_near_s1``), whose endpoint gap is the
   boundary's distance from S1;
 * the 200 ``run_sweep`` rows of the acceptance grid, and the gamma2 curve
-  at each of its subsonic points with its graph, traced with
-  ``cli.SWEEP_TRACE`` as the sweep traces it (the rows keep only its
-  terminal kind).  With its 150 subsonic rows this grid takes the sweep's
+  at each of its subsonic points with its graph, traced by
+  ``trace_gamma2_to_basin`` with ``cli.SWEEP_TRACE`` as the sweep traces
+  it, up to S2's certified basin (the rows keep only its terminal kind).  With its 150 subsonic rows this grid takes the sweep's
   split path on any host with two or more usable CPUs, while the 7-point
   CLI sweep below, with 5 subsonic rows, stays in-process, so a
   ``--compare`` pins both sides of the split rule;
@@ -257,7 +257,7 @@ def _decided(engine, query, verdict_to_dict) -> dict:
 def snapshot() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     from inflow_layer import (EndState, ExistenceEngine, GasParams, LayerError, Query,
-                              build_system, eigen_2x2, saddle_graph, trace_gamma)
+                              build_system, eigen_2x2, saddle_graph)
     from inflow_layer import cli
     from inflow_layer.engine import verdict_to_dict
     from inflow_layer.portrait import render_portrait
@@ -358,8 +358,8 @@ def snapshot() -> dict:
         # the far field as run_sweep builds it from the Mach number
         s = build_system(wl.GAS, EndState(1.0, row["mach_plus"] * sound, 1.0))
         try:
-            curve = trace_gamma(s, saddle_graph(s, eigen_2x2(s.matrix)), "gamma2",
-                                cli.SWEEP_TRACE)
+            curve = cli.trace_gamma2_to_basin(s, saddle_graph(s, eigen_2x2(s.matrix)),
+                                              cli.SWEEP_TRACE)
             out[f"sweep_curve/{i:03d}"] = _curve(curve)
         except LayerError as exc:
             out[f"sweep_curve/{i:03d}"] = f"error:{type(exc).__name__}"
