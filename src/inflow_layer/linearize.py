@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .gas import TOL_MACH
 from .system import SystemData, field_nonlinear
 
 GRAPH_ORDER = 10     # highest power of the slow coordinate in ``slow_graph``
-_NEWTON_STEPS = 20   # cap on ``SlowGraph.w_at``; a few steps suffice inside r*
+_NEWTON_STEPS = 20   # cap on ``SlowGraph.w_at`` and ``Curve.predict``; a few suffice
 
 # 20-node Gauss-Legendre rule on [-1, 1] for the flight-time panels along
 # the graph, as computed by scipy.special.roots_legendre(20); numpy's leggauss
@@ -147,8 +147,8 @@ def eigen_2x2(A) -> EigenPair:
 
 def _horner(coef, w):
     """Value at w (a float or an array) of the polynomial with ascending
-    coefficients ``coef``; it only multiplies and adds, so it rounds the
-    same on every host."""
+    coefficients ``coef`` (an array or a list of floats); it only
+    multiplies and adds, so it rounds the same on every host."""
     acc = coef[-1] + 0.0 * w
     for c in coef[-2::-1]:
         acc = acc * w + c
@@ -170,7 +170,8 @@ class SlowGraph:
     w^N (the first two are 0), ``flow`` those of the reduced flow w' =
     lam_slow w + g_w(h(w), w) along it, and ``defect_coef`` those of the
     invariance defect z' - h'(w) w', zero up to rounding through w^N, all
-    exactly as composed.
+    exactly as composed.  ``point`` and ``w_at`` read the graph at one w on
+    Python-float copies of h, h' and the eigenvectors, made once.
     """
 
     lam_fast: float
@@ -182,6 +183,12 @@ class SlowGraph:
     flow: np.ndarray
     defect_coef: np.ndarray
     _sys: SystemData
+    _floats: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        h = self.h.tolist()      # and h' as ``_derivative`` forms it, h_k * k
+        object.__setattr__(self, "_floats", (h, [c * k for k, c in enumerate(h)][1:] + [0.0],
+                                             self.e_fast.tolist(), self.e_slow.tolist()))
 
     def points(self, w) -> np.ndarray:
         """Phase points S1 + h(w) e_fast + w e_slow, rows of shape (..., 2)."""
@@ -191,6 +198,14 @@ class SlowGraph:
         return np.stack([s.u_plus + (z * self.e_fast[0] + w * self.e_slow[0]),
                          s.theta_plus + (z * self.e_fast[1] + w * self.e_slow[1])],
                         axis=-1)
+
+    def point(self, w: float) -> tuple[float, float]:
+        """``points`` at one w on Python floats: the same operations in the
+        same order, so the same bits."""
+        h, _, (ef0, ef1), (es0, es1) = self._floats
+        z = _horner(h, w)
+        s = self._sys
+        return (s.u_plus + (z * ef0 + w * es0), s.theta_plus + (z * ef1 + w * es1))
 
     def speed(self, w):
         """Reduced-flow speed w'."""
@@ -209,12 +224,11 @@ class SlowGraph:
         """The w near 0 at which component ``i`` of points(w) - S1 is ``d``:
         Newton's method from the eigenline's w = d / e_slow[i], on Python
         floats."""
-        ef, es = float(self.e_fast[i]), float(self.e_slow[i])
-        dh = _derivative(self.h)
+        h, dh, e_fast, e_slow = self._floats
+        ef, es = e_fast[i], e_slow[i]
         w = d / es
         for _ in range(_NEWTON_STEPS):
-            step = ((float(_horner(self.h, w)) * ef + w * es - d)
-                    / (float(_horner(dh, w)) * ef + es))
+            step = (_horner(h, w) * ef + w * es - d) / (_horner(dh, w) * ef + es)
             w -= step
             if abs(step) <= 1e-15 * abs(w):
                 break

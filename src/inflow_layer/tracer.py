@@ -31,16 +31,16 @@ where S2 merges into S1.  When the grid's first point already fails, the
 integration starts from the graph point at the seed offset.
 
 Each curve keeps its graph and r* (``Curve.graph``, shared by gamma1 and
-gamma2, and ``Curve.graph_radius``): its value between S1 and the first
-offset sample is read off the graph.  Its profile orbit (``Curve.orbit``)
-is the backward run from the graph point at r* and one inner grid down the
-graph to S1, each made at its first use.  Refined memberships stop on that
-run, and every profile on the curve is a cut of it (``Curve.leg``).  The
-orbit also checks once what its profiles share: the residual rows of the
-run's steps, the grid's residual and difference suffixes, and on gamma the
-exponential tail fit of the grid (``exponential_tail``, the one window and
-fit of the subsonic decay), so that a warm profile checks only its own
-rows.
+gamma2, and ``Curve.graph_radius``) and its trace run's steps: its value
+is read off the graph inside r* and off the run's dense output beyond
+(``Curve.predict``).  Its profile orbit (``Curve.orbit``) is the backward
+run from the graph point at r* and one inner grid down the graph to S1,
+each made at its first use.  Refined memberships stop on that run, and
+every profile on the curve is a cut of it (``Curve.leg``).  The orbit also
+checks once what its profiles share: the residual rows of the run's steps,
+the grid's residual and difference suffixes, and on gamma the exponential
+tail fit of the grid (``exponential_tail``, the one window and fit of the
+subsonic decay), so that a warm profile checks only its own rows.
 Seeding, backward integration, terminal classification, thinning and
 validation are one body for all three curves; they differ only in their
 graph, the side of S1 they leave on, and their terminal events.
@@ -52,7 +52,9 @@ import csv
 import json
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -62,10 +64,10 @@ from .errors import (DomainError, LayerError, OutOfRange, ProfileDiverged, TailT
 from .gas import TOL_MEMBER, require_positive
 from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, INSIDE_ELLIPSE,
                          NEAR_EQUILIBRIUM, THETA_CROSSES_ZERO, U_CROSSES_ZERO, EventSpec,
-                         IntegrationResult, IntegrationSettings, Run, capped_knots,
+                         IntegrationResult, IntegrationSettings, Run, Steps, capped_knots,
                          component_crosses, inside_ellipse, integrate, near_equilibrium,
                          theta_crosses_zero, u_crosses_zero)
-from .linearize import EigenPair, SlowGraph
+from .linearize import _NEWTON_STEPS, EigenPair, SlowGraph
 from .system import (PhasePoint, Region, SystemData, jacobian, phase_field,
                      region_contains, row_residuals, specific_volume)
 
@@ -150,62 +152,6 @@ class TraceOptions:
         """The settings of every backward trace run."""
         return IntegrationSettings(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
                                    max_steps=self.max_steps, direction=BACKWARD)
-
-
-def _edge_slope(h0, h1, m0, m1):
-    """One-sided three-point end slope, clipped to keep the data's shape."""
-    d = ((2*h0 + h1)*m0 - h0*m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.*abs(m0):
-        return 3.*m0
-    return d
-
-
-class Pchip:
-    """Monotone piecewise-cubic interpolant through strictly increasing knots.
-
-    Fritsch-Carlson slopes (SIAM J. Numer. Anal. 17 (1980)): zero at a local
-    extremum or flat segment, otherwise the weighted harmonic mean of the
-    neighbouring secants, with shape-preserving one-sided end slopes.  The
-    slopes, the power-form coefficients and the evaluation repeat the
-    floating-point operations of scipy's ``PchipInterpolator(x, y,
-    extrapolate=False)`` in the same order, so the values agree with it bit
-    for bit.  Outside [x[0], x[-1]] the value is NaN.
-    """
-
-    def __init__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        hk = x[1:] - x[:-1]
-        mk = (y[1:] - y[:-1]) / hk
-        d = np.zeros_like(y)
-        if len(x) == 2:
-            d[0] = d[1] = mk[0]
-        else:
-            smk = np.sign(mk)
-            flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-            w1 = 2*hk[1:] + hk[:-1]
-            w2 = hk[1:] + 2*hk[:-1]
-            # the divisions by zero fall on flat knots, whose slope stays 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                whmean = (w1/mk[:-1] + w2/mk[1:]) / (w1 + w2)
-            d[1:-1][~flat] = 1.0 / whmean[~flat]
-            d[0] = _edge_slope(hk[0], hk[1], mk[0], mk[1])
-            d[-1] = _edge_slope(hk[-1], hk[-2], mk[-1], mk[-2])
-        t = (d[:-1] + d[1:] - 2 * mk) / hk
-        self.x = x
-        # coefficients of s^3, s^2, s, 1 on each interval, s = q - x[i]
-        self.c = np.stack((t / hk, (mk - d[:-1]) / hk - t, d[:-1], y[:-1]))
-
-    def __call__(self, q: float) -> float:
-        x = self.x
-        if not x[0] <= q <= x[-1]:
-            return math.nan
-        i = min(int(np.searchsorted(x, q, side="right")) - 1, len(x) - 2)
-        s = q - x[i]
-        c0, c1, c2, c3 = self.c[:, i]
-        return ((c3 + c2*s) + c1*(s*s)) + c0*((s*s)*s)
 
 
 @dataclass(frozen=True)
@@ -437,8 +383,10 @@ class Curve:
     layer); the axis terminal point, when present, is the last sample but is
     excluded from the membership parameter range since it violates the
     positivity constraints; ``terminal_point`` reads it off the samples.
-    ``interpolant`` is the monotone interpolant of value over parameter.
     ``graph`` is the invariant-manifold graph at S1 the curve leaves along.
+    ``steps`` is the record of the trace's backward run from r* (None for a
+    gamma2 that ends on the graph), whose dense output is the curve beyond
+    r* (``predict``).
     ``orbit`` is the profile orbit from the graph point at the |w| of the
     last graph sample, ``graph_radius``: the certified radius r* (S2's slow
     coordinate for a gamma2 that ends on the graph, the seed offset when
@@ -451,8 +399,8 @@ class Curve:
     terminal: str
     seed_offset: float
     system: SystemData
-    interpolant: Pchip = field(repr=False)
     graph: SlowGraph = field(repr=False)
+    steps: Steps | None = field(repr=False, compare=False)
     orbit: _Orbit = field(repr=False, compare=False)
 
     @property
@@ -507,17 +455,48 @@ class Curve:
 
     def _gap_value(self, q: float) -> float:
         """Curve value at parameter q read off the graph (inside r*)."""
-        return float(self.graph.points(self.graph_w(q))[1 - self.param_index])
+        return self.graph.point(self.graph_w(q))[1 - self.param_index]
+
+    @cached_property
+    def _reach(self) -> list:
+        """Minus the least parameter among the trace's step ends up to each,
+        nondecreasing: the first step end at or past q is bisect_left(-q)."""
+        return np.maximum.accumulate(-self.steps.y[:, self.param_index]).tolist()
 
     def predict(self, q: float) -> float:
-        """Interpolated curve value at parameter q (inside the traced span)."""
+        """The curve value at parameter q (inside the traced span).
+
+        Inside r* it is the graph point at q.  Beyond, it is the trace
+        run's own dense output on the first step whose end reaches q (the
+        first crossing ``Run.crossing`` finds), at the root of that step's
+        quartic p(x) = q, found from the chord's root by safeguarded Newton
+        steps in Python floats.
+        """
         lo, hi = self.param_range
         if not lo <= q <= hi:
             raise OutOfRange(
                 f"{self.label}: parameter {q} outside traced span [{lo}, {hi}]")
-        if q > self.params[1]:  # between S1 and the first offset sample
+        if not self.beyond_graph(q):
             return self._gap_value(q)
-        return float(self.interpolant(q))
+        pidx, steps = self.param_index, self.steps
+        i = min(bisect_left(self._reach, -q), len(steps.h)) - 1
+        h = float(steps.h[i])
+        (y0, y1), Q = steps.y[i:i + 2].tolist(), steps.Q[i].tolist()
+        p0, p1 = y0[pidx], y1[pidx]
+        c1, c2, c3, c4 = Q[pidx]
+        a, b = 0.0, 1.0           # the root's bracket: p(x) > q at a, <= q at b
+        # every step end short of q only where the parameter turns back on the last step
+        x = (p0 - q) / (p0 - p1) if p1 <= q else 1.0
+        for _ in range(_NEWTON_STEPS):
+            g = p0 + h * (x * (c1 + x * (c2 + x * (c3 + x * c4)))) - q
+            a, b = (x, b) if g > 0.0 else (a, x)
+            dg = h * (c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * (4.0 * c4))))
+            x_new = x - g / dg if dg else 0.5 * (a + b)
+            x = x_new if a <= x_new <= b else 0.5 * (a + b)
+            if abs(g) <= 1e-15 * abs(p0):     # down to p(x)'s rounding: no step helps
+                break
+        c1, c2, c3, c4 = Q[1 - pidx]
+        return y0[1 - pidx] + h * (x * (c1 + x * (c2 + x * (c3 + x * c4))))
 
     def beyond_graph(self, q: float) -> bool:
         """Whether parameter q lies farther from S1 than the orbit's start."""
@@ -750,12 +729,12 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
     w = side * capped_knots(radii, graph.points(side * radii), cap)[0]
     pts = np.vstack(([s.u_plus, s.theta_plus], graph.points(w)))
     if at_s2:
-        terminal = TERMINAL_CONVERGED_TO_S2
+        terminal, steps = TERMINAL_CONVERGED_TO_S2, None
     else:
         res = integrate(phase_field(s), pts[-1], opts.integration_settings(),
                         events=events, max_state_step=cap)
         pts = np.concatenate((pts, res.points[1:]))
-        terminal = _TERMINALS[res.event.kind]
+        terminal, steps = _TERMINALS[res.event.kind], res.steps
     if label == CURVE_GAMMA2:
         expected = (TERMINAL_CONVERGED_TO_S2 if s.alpha2 > 0.0
                     else TERMINAL_HIT_THETA_AXIS)
@@ -773,10 +752,9 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
                     floor=opts.thin_spacing * scale, noise=noise)
     _validate_curve(label, samples, s, eps, terminal, noise)
     return Curve(label=label, samples=samples, terminal=terminal,
-                 seed_offset=eps, system=s,
-                 interpolant=Pchip(samples[::-1, pidx], samples[::-1, 1 - pidx]),
-                 graph=graph, orbit=_Orbit(s, graph, side * float(radii[-1]),
-                                           exponential=label != CURVE_SIGMA))
+                 seed_offset=eps, system=s, graph=graph, steps=steps,
+                 orbit=_Orbit(s, graph, side * float(radii[-1]),
+                              exponential=label != CURVE_SIGMA))
 
 
 def trace_sigma(s: SystemData, graph: SlowGraph,
@@ -900,10 +878,12 @@ def curve_membership(c: Curve, p: PhasePoint, tol: float = TOL_MEMBER) -> Member
     """Decide whether a phase point lies on a traced curve.
 
     The curve is parameterized by its strictly monotone coordinate (u for
-    sigma/gamma1, theta for gamma2).  Borderline distances (between tol/3
-    and 10 tol, relative) are refined before deciding: the value is read
-    off the curve's profile orbit (``Curve.refine_value``), at the stop a
-    profile to the same boundary makes.
+    sigma/gamma1, theta for gamma2), and its value there is read off the
+    traced curve itself (``Curve.predict``): the graph inside r*, the trace
+    run's dense output beyond.  Borderline distances (between tol/3 and 10
+    tol, relative) are refined before deciding: the value is read off the
+    curve's profile orbit (``Curve.refine_value``), at the stop a profile
+    to the same boundary makes.
 
     Raises
     ------

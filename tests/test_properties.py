@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from inflow_layer import (EndState, ExistenceEngine, GasParams, LayerError,
                           Query, build_system, field_poly, phase_field,
                           verdict_to_dict)
+from inflow_layer.gas import TOL_MEMBER
 from inflow_layer.portrait import render_portrait
 
 
@@ -143,6 +144,35 @@ def test_profile_inside_the_graph_radius_is_a_suffix_of_its_curve(data):
         assert prof.metrics["monotone_ok"]
         assert prof.metrics["residual_sup"] <= 1e-8
         assert prof.metrics["endpoint_gap"] <= 1e-8 * scale
+
+
+# the ranges of the probe of predictions near the axis end: gamma in
+# [1.05, 1.9]; R, mu and theta+ log-uniform in [0.2, 5]; kappa log-uniform
+# in [0.05, 20]; v+ = 1
+_PROBE_SPAN = _log_uniform(math.log10(0.2), math.log10(5.0))
+probe_gases = st.builds(GasParams, gamma=st.floats(1.05, 1.9), R=_PROBE_SPAN,
+                        mu=_PROBE_SPAN, kappa=_log_uniform(math.log10(0.05), math.log10(20.0)))
+
+
+@settings(max_examples=40)
+@given(probe_gases, _PROBE_SPAN, layer_machs)
+def test_prediction_is_the_curve_up_to_its_axis_end(gas, theta, mach):
+    # beyond r* a prediction is the trace run's dense output, within a
+    # tenth of the membership tolerance of the profile orbit's value, also
+    # between the last samples before the u = 0 axis, 1-2 % of u+ apart,
+    # where a monotone interpolant through the samples was off by up to
+    # 4.84 tolerances
+    right = EndState(1.0, mach * math.sqrt(gas.gamma * gas.R * theta), theta)
+    curves = ExistenceEngine().curves_for(gas, right)
+    curve = curves.get("sigma") or curves["gamma1"]
+    p, n = curve.params, len(curve.params)
+    mids = 0.5 * (p[1:] + p[:-1])
+    thr = TOL_MEMBER * curve.value_scale
+    qs = [q for q in mids[19 * n // 20:].tolist() + [float(mids[n // 2])]
+          if curve.beyond_graph(q)]
+    for q in qs:
+        better = curve.refine_value(q)
+        assert better is not None and abs(curve.predict(q) - better) <= thr / 10.0, q
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
-"""The package's own stepper, monotone interpolant and quadrature table
-against scipy, which they replace at runtime: every value must agree bit
-for bit, because traced curves, profiles and verdicts are pinned to them."""
+"""The package's own stepper and quadrature table against scipy, which they
+replace at runtime: every value must agree bit for bit, because traced
+curves, profiles and verdicts are pinned to them."""
 
 import dataclasses
 import math
@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.integrate import RK45
-from scipy.interpolate import PchipInterpolator
 from scipy.special import roots_legendre
 
 from inflow_layer import (EndState, ExistenceEngine, GasParams, IntegrationSettings,
@@ -18,7 +17,7 @@ from inflow_layer import (EndState, ExistenceEngine, GasParams, IntegrationSetti
 from inflow_layer.cli import SWEEP_TRACE
 from inflow_layer.integrator import BACKWARD, BUDGET, FORWARD, Run
 from inflow_layer.linearize import _GL_NODES, _GL_WEIGHTS
-from inflow_layer.tracer import _LEG_SETTINGS, Pchip
+from inflow_layer.tracer import _LEG_SETTINGS
 
 # the settings of the package's backward runs: a traced curve's, a sweep
 # row's gamma2 and a profile orbit's
@@ -184,48 +183,6 @@ def test_stepper_matches_rk45_on_random_gases(run):
     # kappa log-uniform in [0.05, 20]; v+ = 1; M+ in [0.05, 0.99] or sonic
     field, y0, settings = run
     _check_against_rk45(field, y0, dataclasses.replace(settings, max_steps=30), 30)
-
-
-KNOTS = {
-    "two points": ([0.0, 1.0], [2.0, -1.0]),
-    "three points": ([0.0, 0.3, 1.0], [0.0, 1.0, 1.5]),
-    "flat segment": ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0, 2.0, 3.0]),
-    "slope sign change": ([0.0, 0.5, 1.5, 2.0, 3.5], [0.0, 2.0, 1.0, 1.5, 0.5]),
-    # end slope estimate opposes the first secant: clipped to 0
-    "end slope clipped": ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 7.0, 8.0]),
-    # secants change sign and the estimate overshoots: limited to 3 m0
-    "end slope limited": ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -9.0, -8.0]),
-}
-
-
-@pytest.mark.parametrize("name", list(KNOTS))
-def test_pchip_matches_scipy(name):
-    x, y = (np.array(v) for v in KNOTS[name])
-    mine = Pchip(x, y)
-    ref = PchipInterpolator(x, y, extrapolate=False)
-    mids = 0.5 * (x[1:] + x[:-1])
-    rand = np.random.default_rng(7).uniform(x[0], x[-1], 200)
-    for q in np.concatenate([x, mids, rand, [np.nextafter(x[-1], -np.inf)]]):
-        assert _same(mine(float(q)), ref(q)), q
-    for q in (x[0] - 1e-9, x[-1] + 1e-9, np.nan):
-        assert np.isnan(mine(q)) and np.isnan(ref(q))
-
-
-def test_pchip_end_slope_branches():
-    # the two end-slope limiters of the data sets above really fire; both
-    # first secants are 1
-    assert Pchip(*KNOTS["end slope clipped"]).c[2, 0] == 0.0
-    assert Pchip(*KNOTS["end slope limited"]).c[2, 0] == 3.0
-
-
-def test_pchip_matches_scipy_on_traced_curve(subsonic_curves):
-    for curve in subsonic_curves.values():
-        x, y = curve.params[::-1], curve.values[::-1]
-        mine = curve.interpolant
-        ref = PchipInterpolator(x, y, extrapolate=False)
-        qs = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
-                             np.random.default_rng(3).uniform(x[0], x[-1], 500)])
-        assert _same([mine(float(q)) for q in qs], ref(qs))
 
 
 def test_gauss_legendre_table_matches_scipy():

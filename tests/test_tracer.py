@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from inflow_layer import (DomainError, EndState, ExistenceEngine, GasParams,
                           OutOfRange, PhasePoint, Query, TraceOptions, build_system,
@@ -19,10 +20,12 @@ from inflow_layer import tracer
 from inflow_layer.tracer import (CAPTURE_RADIUS, CURVE_GAMMA1, CURVE_GAMMA2,
                                  TERMINAL_BUDGET, TERMINAL_CONVERGED_TO_S2,
                                  TERMINAL_HIT_THETA_AXIS, TERMINAL_HIT_U_AXIS,
-                                 _TERMINALS as _TERMINAL_OF, Pchip, s2_basin,
+                                 _TERMINALS as _TERMINAL_OF, s2_basin,
                                  trace_gamma2_to_basin)
 from inflow_layer.cli import SWEEP_TRACE, run_sweep
+from inflow_layer.engine import REASON_OFF_CURVE
 from inflow_layer.integrator import MAX_INSERTED, NEAR_EQUILIBRIUM, capped_knots
+from inflow_layer.linearize import _NEWTON_STEPS, _derivative, _horner
 from inflow_layer.system import residual_sup
 from conftest import random_system
 from sonic_reference import graph_defect
@@ -113,7 +116,7 @@ class TestSigma:
                                       TraceOptions(rel_tol=1e-13, sample_cap=2e-4))
         assert _TERMINAL_OF[ref.event.kind] == c.terminal
         ref_pts = ref.points[:-1]         # up to the terminal event
-        interp = Pchip(ref_pts[::-1, 0], ref_pts[::-1, 1])
+        interp = _reference_interpolant(ref, 0)
         # the samples the reference covers, from 1e-3 scale outward
         rows = c.samples[2:-1][c.samples[2:-1, 0] <= ref_pts[0, 0]]
         gap = np.abs([interp(u) - theta for u, theta in rows])
@@ -206,13 +209,17 @@ class TestGamma:
         diff = np.abs([base.predict(u) - half.predict(u) for u in us])
         assert float(np.max(diff)) < 1e-6 * s_sub.theta_plus
 
-    def test_curve_is_frozen_with_its_interpolant(self, subsonic_curves):
-        # curves are shared across queries and threads: nothing writes to one
+    def test_curve_is_frozen_and_predicts_its_own_steps(self, subsonic_curves):
+        # curves are shared across queries and threads: nothing writes to
+        # one; beyond r* a curve is its trace run, so predict at a step end
+        # returns that end
         c = subsonic_curves["gamma1"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.samples = c.samples[:2]
-        q = 0.5 * (c.params[2] + c.params[3])
-        assert c.predict(q) == c.interpolant(q)
+        ends = c.steps.y[1:-1]
+        assert len(ends) > 50
+        gap = [abs(c.predict(q) - v) for q, v in zip(ends[:, 0], ends[:, 1])]
+        assert max(gap) <= 1e-3 * TOL_MEMBER * c.value_scale
 
     def test_terminal_kind_tracks_alpha2_sign(self, rng):
         gas = GasParams(1.4, 1.0, 1.0, 1.0)
@@ -320,6 +327,32 @@ def test_trace_options_rejected_at_construction(field, value):
         TraceOptions(**{field: value})
 
 
+# the query mix's five curves: its gas on the canonical, the theta-axis and
+# the sonic far field
+QUERY_MIX_CURVES = [("subsonic_curves", "gamma1"), ("subsonic_curves", "gamma2"),
+                    ("subcase_b_curves", "gamma1"), ("subcase_b_curves", "gamma2"),
+                    ("transonic_curves", "sigma")]
+
+
+def _mid_intervals(c) -> list:
+    """The parameter midway between each pair of neighbouring samples."""
+    p = c.params
+    return (0.5 * (p[1:] + p[:-1])).tolist()
+
+
+def _w_at_on_arrays(graph, i, d):
+    """``SlowGraph.w_at`` on numpy scalars, h and h' as coefficient arrays."""
+    ef, es = graph.e_fast[i], graph.e_slow[i]
+    dh = _derivative(graph.h)
+    w = d / es
+    for _ in range(_NEWTON_STEPS):
+        step = (_horner(graph.h, w) * ef + w * es - d) / (_horner(dh, w) * ef + es)
+        w -= step
+        if abs(step) <= 1e-15 * abs(w):
+            break
+    return w
+
+
 class TestMembership:
     def test_stored_samples_are_members(self, subsonic_curves):
         for label in ("gamma1", "gamma2"):
@@ -391,6 +424,50 @@ class TestMembership:
         c = subsonic_curves["gamma1"]
         m = curve_membership(c, s_sub.s1, tol=1e-6)
         assert m.on_curve
+
+    @pytest.mark.parametrize("curves, label", QUERY_MIX_CURVES)
+    def test_graph_read_has_the_array_bits(self, request, curves, label):
+        # inside r* a prediction is the graph point at q, read on Python
+        # floats; it keeps the bits of the read on numpy scalars and arrays
+        c = request.getfixturevalue(curves)[label]
+        pidx, graph = c.param_index, c.graph
+        p_s1 = float(c.samples[0, pidx])
+        mids = [q for q in _mid_intervals(c) if not c.beyond_graph(q)]
+        assert len(mids) > 50
+        for q in mids:
+            w = _w_at_on_arrays(graph, pidx, q - p_s1)
+            assert c.graph_w(q).hex() == float(w).hex(), q
+            assert c.predict(q).hex() == float(graph.points(w)[1 - pidx]).hex(), q
+            assert [x.hex() for x in graph.point(c.graph_w(q))] == \
+                [float(x).hex() for x in graph.points(w)], q
+
+    @pytest.mark.parametrize("curves, label", QUERY_MIX_CURVES)
+    def test_prediction_meets_r_star_and_the_terminal(self, request, curves, label):
+        # the trace run's dense output takes over from the graph at r*,
+        # where the run starts, and ends at the terminal sample, where it
+        # stopped
+        c = request.getfixturevalue(curves)[label]
+        pidx, thr = c.param_index, TOL_MEMBER * c.value_scale
+        edge = float(c.orbit.edge[pidx])
+        past = math.nextafter(edge, -math.inf)
+        assert not c.beyond_graph(edge) and c.beyond_graph(past)
+        assert abs(c.predict(past) - c.predict(edge)) <= 1e-6 * thr
+        assert abs(c.predict(c.param_range[0]) - c.values[-1]) <= 1e-6 * thr
+
+    def test_boundary_near_the_axis_end_is_off_gamma1(self):
+        # 2.74 membership tolerances off the traced gamma1 at u/u+ = 0.021,
+        # 0.3 tolerances above the old monotone interpolant through its
+        # samples, which was 2.44 tolerances off the curve there
+        gas = GasParams(1.7425802135426758, 0.3065821070753507, 0.9889264133265302,
+                        0.05267704580080501)
+        right = EndState(1.0, 0.49018520392034076, 4.004891542676476)
+        u = 0.0101167
+        thr = TOL_MEMBER * right.theta
+        left = EndState(u * right.v / right.u, u, 4.984652970410182 + 0.3 * thr)
+        v = ExistenceEngine().decide(Query(left, right, gas))
+        assert not v.exists and v.reason == REASON_OFF_CURVE
+        assert v.nearest_curve == CURVE_GAMMA1
+        assert 2.7 * thr <= abs(v.distance) <= 2.8 * thr
 
 
 class TestExports:
@@ -465,6 +542,18 @@ def _center_graph_reference(s, graph, opts):
                      max_state_step=0.1 * opts.sample_cap * s.scale)
 
 
+def _reference_interpolant(ref, pidx):
+    """scipy's monotone interpolant of value over parameter through a
+    reference trace up to its terminal event, on the points where the
+    parameter falls below all earlier ones: scipy takes strictly
+    increasing knots only, and near S2 a trace jitters in theta by about
+    1e-11."""
+    pts = ref.points[:-1]
+    p = pts[:, pidx]
+    pts = pts[np.concatenate([[True], p[1:] < np.minimum.accumulate(p)[:-1]])][::-1]
+    return PchipInterpolator(pts[:, pidx], pts[:, 1 - pidx], extrapolate=False)
+
+
 class _CountedIntegrate:
     """Stands in for ``tracer.integrate`` and records each run's steps."""
 
@@ -486,8 +575,7 @@ class TestGraphSeed:
         ref = _eigenline_reference(s, branch)
         pidx = curve.param_index
         assert _TERMINAL_OF[ref.event.kind] == curve.terminal
-        ref_pts = ref.points[:-1]         # up to the terminal event
-        interp = Pchip(ref_pts[::-1, pidx], ref_pts[::-1, 1 - pidx])
+        interp = _reference_interpolant(ref, pidx)
         rows = curve.samples[2:-1]
         gap = np.abs([interp(q) - v for q, v in zip(rows[:, pidx], rows[:, 1 - pidx])])
         assert np.all(np.isfinite(gap))
@@ -505,6 +593,14 @@ class TestGraphSeed:
             assert np.linalg.norm(c.terminal_point.as_array() - s.s2.as_array()) \
                 <= CAPTURE_RADIUS * s.scale
         assert counted.steps == []
+
+    def test_gamma2_that_ends_on_the_graph_is_predicted_off_it(self):
+        # no trace run, so no steps: every prediction is a graph read
+        s, graph = _far_field(1.0 - 1e-3)
+        c = trace_gamma(s, graph, CURVE_GAMMA2)
+        assert c.steps is None and not any(map(c.beyond_graph, c.params))
+        gap = [abs(c.predict(q) - v) for q, v in zip(c.params, c.values)]
+        assert max(gap) <= 1e-6 * TOL_MEMBER * c.value_scale
 
     def test_near_sonic_gamma1_cost_is_bounded(self, monkeypatch):
         counted = _CountedIntegrate()

@@ -24,6 +24,9 @@ copy placed in another checkout snapshots that checkout.  The output set:
   grid that every profile on a curve ends with, one ulp either side of
   each, 1/8 decade above each and one ulp either side of that, and just
   inside the graph radius;
+* the curve values ``predict`` reads on the same five curves midway
+  between neighbouring samples, inside the graph radius (off the graph)
+  and beyond it (off the trace run's dense output) apart (``predict``);
 * verdicts and profiles at the edge of the subsonic decay's window rule
   on the canonical gamma1 and gamma2 (``decay_edge``): inside the graph
   radius, joining the inner grid one node before, at and one node after
@@ -241,6 +244,17 @@ def decay_edges(curve) -> list[float]:
     return [float(grid[first + k]) * 10.0 ** (2.5 / 16) for k in DECAY_EDGE_NODES]
 
 
+def _predictions(curve, key: str) -> dict:
+    """``predict`` midway between each pair of neighbouring samples, those
+    inside the graph radius and those beyond it apart."""
+    p = curve.params
+    mids = (0.5 * (p[1:] + p[:-1])).tolist()
+    beyond = [curve.beyond_graph(q) for q in mids]
+    return {f"{key}/{side}": np.array([curve.predict(q) for q, b in zip(mids, beyond)
+                                       if b == (side == "beyond")])
+            for side in ("inside", "beyond")}
+
+
 def _profile(prof) -> dict:
     return {"xi": prof.xi, "V": prof.V, "U": prof.U, "Theta": prof.Theta,
             "metrics": prof.metrics}
@@ -290,6 +304,7 @@ def snapshot() -> dict:
                 left = EndState(u * right.v / right.u, u, theta)
                 out[f"grid_edge/{name}/{label}/{i:02d}"] = _decided(
                     engine, Query(left, right, wl.GAS), verdict_to_dict)
+            out.update(_predictions(curve, f"predict/{name}/{label}"))
 
     right = wl.CANONICAL
     for label, curve in engine.curves_for(wl.GAS, right).items():
