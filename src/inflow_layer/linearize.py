@@ -11,26 +11,27 @@ serve the sigma and gamma traces, the curves' values next to S1 and the
 profiles' legs; ``transonic_frame`` builds it in the closed-form sonic frame,
 ``saddle_graph`` in the subsonic saddle's eigenframe.
 
-``slow_graph`` applies ``field_nonlinear`` itself to ``_Taylor``
-polynomials in w, whose coefficients are computed once each, in increasing
-order, when first read (the recurrences of Taylor-series arithmetic; Jorba
-and Zou, Experimental Math. 14, 2005).  One pass over k = 2 .. N solves h_k
-as soon as the w^k coefficients of the invariance equation are in, which
-never read h_k; the flow and the defect are then read out to w^3N and
-w^(4N - 1).
+``slow_graph`` solves the invariance equation order by order (the
+parameterization method in graph form; Cabre, Fontich and de la Llave,
+Indiana Univ. Math. J. 52, 2003) in one eager pass over k = 0 .. 4N - 1 on
+Python-float lists: at each k it appends the w^k coefficient of every node
+of ``field_nonlinear``'s expression tree on the graph, by the recurrences
+of Taylor-series arithmetic (Jorba and Zou, Experimental Math. 14, 2005),
+and for k = 2 .. N it solves h_k from the w^k coefficients of the
+invariance equation, which never read h_k.  The flow and the defect, to
+w^3N and w^(4N - 1), come out of the same lists.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DefectiveMatrix, DomainError
 from .gas import TOL_MACH
-from .system import SystemData, field_nonlinear
+from .system import SystemData
 
 GRAPH_ORDER = 10     # highest power of the slow coordinate in ``slow_graph``
 _NEWTON_STEPS = 20   # cap on ``SlowGraph.w_at`` and ``Curve.predict``; a few suffice
@@ -251,104 +252,20 @@ class SlowGraph:
         return _horner(self.defect_coef, w)
 
 
-class _Taylor:
-    """Polynomial in w whose coefficients are computed once each, in
-    increasing order, when first read.
-
-    ``c`` holds the coefficients of w^0 .. w^(len(c) - 1) as Python floats;
-    those of w^k for k outside [lo, hi] are all ``zero`` and are never
-    computed.  ``fill(n)`` computes them through w^min(n, hi).  Sums,
-    differences, scalar products and quotients act coefficient by
-    coefficient.  Coefficient k of a product a * b is the sum, from 0.0 and
-    in ascending i, of a_i b_(k-i) over the nonzero a_i (a NaN counts) with
-    i in [max(a.lo, k - b.hi), min(a.hi, k - b.lo)]: the terms left out
-    are products with an exact zero of b, which move no finite sum.  With
-    a.lo, b.lo >= 1 it reads a and b only below w^k.
-    """
-
-    __slots__ = ("c", "lo", "hi", "zero", "_coefs")
-    __array_ufunc__ = None     # numpy scalars defer to the reflected methods
-
-    def __init__(self, lo: int, hi: int, zero: float, coefs):
-        """``coefs(k0, n)`` returns the coefficients of w^k0 .. w^n for
-        n <= hi, reading other polynomials only after their ``fill``."""
-        self.c = []
-        self.lo, self.hi, self.zero, self._coefs = lo, hi, zero, coefs
-
-    def fill(self, n: int) -> None:
-        """Compute the coefficients through w^min(n, hi)."""
-        if n > self.hi:
-            n = self.hi
-        if len(self.c) <= n:
-            self.c.extend(self._coefs(len(self.c), n))
-
-    @classmethod
-    def of(cls, lo: int, hi: int, coef) -> _Taylor:
-        """The polynomial with coefficients coef(k) on [lo, hi], 0.0 elsewhere."""
-        return cls(lo, hi, 0.0, lambda k0, n: [coef(k) if k >= lo else 0.0
-                                               for k in range(k0, n + 1)])
-
-    def values(self, k0: int, n: int) -> list:
-        """Coefficients of w^k0 .. w^n."""
-        self.fill(n)
-        vals = self.c[k0:n + 1]
-        return vals + [self.zero] * (n + 1 - k0 - len(vals))
-
-    def _combine(self, other, op) -> _Taylor:
-        return _Taylor(min(self.lo, other.lo), max(self.hi, other.hi),
-                       op(self.zero, other.zero),
-                       lambda k0, n: list(map(op, self.values(k0, n),
-                                              other.values(k0, n))))
-
-    def __add__(self, other):
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other):
-        return self._combine(other, operator.sub)
-
-    def __truediv__(self, x):
-        x = float(x)
-
-        def coefs(k0, n):
-            self.fill(n)
-            return [v / x for v in self.c[k0:n + 1]]
-        return _Taylor(self.lo, self.hi, self.zero / x, coefs)
-
-    def __mul__(self, other):
-        if not isinstance(other, _Taylor):
-            x = float(other)
-
-            def coefs(k0, n):
-                self.fill(n)
-                return [v * x for v in self.c[k0:n + 1]]
-            return _Taylor(self.lo, self.hi, self.zero * x, coefs)
-        a, b = self, other
-        ac, bc = a.c, b.c
-
-        def coefs(k0, n):
-            # coefficient k reads a through w^(k - b.lo), b through w^(k - a.lo)
-            a.fill(n - b.lo)
-            b.fill(n - a.lo)
-            out = []
-            for k in range(k0, n + 1):
-                i0 = k - b.hi if k - b.hi > a.lo else a.lo
-                i1 = k - b.lo if k - b.lo < a.hi else a.hi
-                acc = 0.0
-                for i in range(i0, i1 + 1):
-                    ai = ac[i]
-                    if ai != 0.0:
-                        acc += ai * bc[k - i]
-                out.append(acc)
-            return out
-        return _Taylor(a.lo + b.lo, a.hi + b.hi, 0.0, coefs)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+def _product_coef(a: list, b: list, k: int, i0: int, i1: int) -> float:
+    """Coefficient k of the product of the series ``a`` and ``b`` whose
+    terms a_i b_(k-i) lie in the window i0 <= i <= i1: their sum from 0.0,
+    in ascending i, over the nonzero a_i (a NaN counts).  The caller cuts
+    the window to the i at which a_i and b_(k-i) can both be nonzero, so
+    the terms left out are products with an exact zero, which move no
+    finite sum.  An explicit loop, since ``sum`` of floats is compensated
+    from Python 3.12 on and would move bits."""
+    acc = 0.0
+    for i in range(i0, i1 + 1):
+        ai = a[i]
+        if ai != 0.0:
+            acc += ai * b[k - i]
+    return acc
 
 
 def transonic_frame(s: SystemData, tol_M: float = TOL_MACH) -> SlowGraph:
@@ -404,18 +321,23 @@ def slow_graph(s: SystemData, lam_fast: float, e_fast, lam_slow: float,
     Math. J. 52, 2003).  The divisors stay away from zero when lam_slow <=
     0 < lam_fast, and for lam_slow = 0 != lam_fast.
 
-    The composition runs on ``_Taylor`` polynomials in w, with h's
-    coefficients appended as they are solved.  z = h(w) starts at w^2 and
-    du, dtheta at w^1, so coefficient k of every product in the cubic, and
-    of h' g_w, reads its operands only below w^k: [g_z]_k and [h' g_w]_k
-    involve h_2 .. h_{k-1}, never h_k itself, and one pass in increasing k
-    solves h_2 .. h_N.  The flow lam_slow w + g_w (degree 3N) and the
-    defect lam_fast h + g_z - h' (lam_slow w + g_w) (degree 4N - 1, zero up
-    to rounding through w^N) are then read out of the same polynomials, so
-    no coefficient is computed twice.  Every finite coefficient keeps the
-    bits of the composition on numpy arrays cut after w^k for h_k and after
-    w^(4N - 1) for the flow and defect: it adds the same nonzero terms in
-    the same order.
+    One pass over k = 0 .. 4N - 1 appends coefficient k of every node of
+    ``field_nonlinear``'s expression tree, on du = h e_fast[0] + w
+    e_slow[0] and dtheta = h e_fast[1] + w e_slow[1]: the products du du
+    (which f1 and the cube (du du) du share), (c_sq du) du and (c_mix du)
+    dtheta, then f1, f2, g_z and g_w.  du and dtheta start at w^1 and h at
+    w^2, so coefficient k of every product, and of h' g_w, reads its
+    operands only below w^k: for 2 <= k <= N, h_k is solved before du_k
+    and dtheta_k are appended.  The flow lam_slow w + g_w (degree 3N) and
+    the defect lam_fast h + g_z - h' (lam_slow w + g_w) (degree 4N - 1,
+    zero up to rounding through w^N) come out of the same pass.  Each
+    product sums its terms with ``_product_coef`` over its operands'
+    windows of coefficients that can be nonzero (w^1 .. w^N for du and
+    dtheta, w^2 .. w^2N for du du, w^1 .. w^(N-1) for h', w^2 .. w^3N for
+    g_w, w^1 .. w^3N for the flow), so every finite coefficient keeps the
+    bits of the composition on numpy arrays cut after w^k for h_k and
+    after w^(4N - 1) for the flow and defect: it adds the same nonzero
+    terms in the same order.
     """
     e_fast = np.asarray(e_fast, dtype=float)
     e_slow = np.asarray(e_slow, dtype=float)
@@ -424,19 +346,34 @@ def slow_graph(s: SystemData, lam_fast: float, e_fast, lam_slow: float,
     (p00, p01), (p10, p11) = (es1 / det, -es0 / det), (-ef1 / det, ef0 / det)
 
     n = GRAPH_ORDER
-    h = [0.0, 0.0]     # h_k is appended once solved; reading it earlier raises
-    z = _Taylor.of(2, n, h.__getitem__)
-    dz = _Taylor.of(1, n - 1, lambda k: h[k + 1] * float(k + 1))
-    w = _Taylor.of(1, 1, lambda k: 1.0)
-    f1, f2 = field_nonlinear(z * ef0 + w * es0, z * ef1 + w * es1, s)
-    g_z, g_w = p00 * f1 + p01 * f2, p10 * f1 + p11 * f2
-    rhs = g_z - dz * g_w
-    for k in range(2, n + 1):
-        rhs.fill(k)
-        h.append(float(rhs.c[k] / (k * lam_slow - lam_fast)))
-    flow = lam_slow * w + g_w
-    defect = (z * lam_fast + g_z) - dz * flow
+    mu, cube_div = float(s.gas.mu), float(2.0 * s.gas.kappa)
+    c_sq, c_mix = float(s.c_sq), float(s.c_mix)
+    lam_f, lam_s = float(lam_fast), float(lam_slow)
+    h, dh = [0.0, 0.0], [0.0]     # h and h', each coefficient appended once solved
+    du, dth, sq_du, mix_du, du2, g_w, flow, defect = [], [], [], [], [], [], [], []
+    for k in range(4 * n):
+        lo, hi = max(1, k - n), min(n, k - 1)
+        d2 = _product_coef(du, du, k, lo, hi)
+        f1 = d2 / mu
+        f2 = ((_product_coef(sq_du, du, k, lo, hi) + _product_coef(mix_du, dth, k, lo, hi))
+              - _product_coef(du2, du, k, max(2, k - n), min(2 * n, k - 1)) / cube_div)
+        du2.append(d2)
+        g_z = f1 * p00 + f2 * p01
+        g_w.append(f1 * p10 + f2 * p11)
+        if 2 <= k <= n:
+            rhs = g_z - _product_coef(dh, g_w, k, max(1, k - 3 * n), min(n - 1, k - 2))
+            h.append(rhs / (k * lam_s - lam_f))
+            dh.append(h[k] * float(k))
+        z = h[k] if k <= n else 0.0
+        w = 1.0 if k == 1 else 0.0
+        du.append(z * ef0 + w * es0)
+        dth.append(z * ef1 + w * es1)
+        sq_du.append(du[k] * c_sq)
+        mix_du.append(du[k] * c_mix)
+        flow.append(w * lam_s + g_w[k])
+        defect.append((z * lam_f + g_z)
+                      - _product_coef(dh, flow, k, max(1, k - 3 * n), min(n - 1, k - 1)))
     return SlowGraph(lam_fast=lam_fast, lam_slow=lam_slow, e_fast=e_fast,
                      e_slow=e_slow, P_inv=np.array([[p00, p01], [p10, p11]]),
-                     h=np.array(h), flow=np.array(flow.values(0, 3 * n)),
-                     defect_coef=np.array(defect.values(0, 4 * n - 1)), _sys=s)
+                     h=np.array(h), flow=np.array(flow[:3 * n + 1]),
+                     defect_coef=np.array(defect), _sys=s)

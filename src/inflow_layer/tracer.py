@@ -82,6 +82,11 @@ TERMINAL_BUDGET = "budget"
 
 
 CAPTURE_RADIUS = 1e-8                 # * scale, S2 capture
+# a loose trace hovers within about 1.5x its error noise of S2 and comes
+# within 0.5x of it; at 2x, default tolerances keep CAPTURE_RADIUS wherever
+# S2 = (alpha1 u+, alpha2 theta+) has alpha1 <= 45 and scale >= 0.01, and
+# alpha1 <= (gamma + 1) / (gamma - 1) <= 41 where alpha2 > 0 and gamma >= 1.05
+CAPTURE_NOISE = 2.0                   # * the trace's error noise at S2, S2 capture
 BASIN_SAFETY = 0.5                    # on S2's largest certified level, for rounding
 SLIDE_POINTS_PER_DECADE = 12          # graph samples per decade of w
 GRAPH_RESIDUAL = 1e-9                 # scaled equation residual of a graph row
@@ -781,16 +786,21 @@ def trace_gamma(s: SystemData, graph: SlowGraph, branch: str,
     """
     if branch not in (CURVE_GAMMA1, CURVE_GAMMA2):
         raise ValueError(f"unknown branch {branch!r}")
+    opts = opts or TraceOptions()
     if branch == CURVE_GAMMA1:
         events = [u_crosses_zero()]
     else:
-        events = [theta_crosses_zero(), _s2_capture(s)]
+        events = [theta_crosses_zero(), _s2_capture(s, opts)]
     side = 1.0 if branch == CURVE_GAMMA2 else -1.0
-    return _trace(s, branch, graph, side, events, opts or TraceOptions())
+    return _trace(s, branch, graph, side, events, opts)
 
 
-def _s2_capture(s: SystemData) -> EventSpec:
-    return near_equilibrium(s.s2, CAPTURE_RADIUS * s.scale)
+def _s2_capture(s: SystemData, opts: TraceOptions) -> EventSpec:
+    """Capture within ``CAPTURE_RADIUS * scale`` of S2, widened to
+    ``CAPTURE_NOISE`` times the trace's error noise at S2, abs_tol +
+    rel_tol |S2|, inside which a loose trace hovers instead of closing in."""
+    noise = opts.abs_tol + opts.rel_tol * math.hypot(s.s2.u, s.s2.theta)
+    return near_equilibrium(s.s2, max(CAPTURE_RADIUS * s.scale, CAPTURE_NOISE * noise))
 
 
 class S2Basin(NamedTuple):
@@ -864,14 +874,15 @@ def trace_gamma2_to_basin(s: SystemData, graph: SlowGraph,
     The curve is a prefix of ``trace_gamma``'s, its samples thinned and
     validated up to the stop; it ends far short of S2, so only its
     terminal kind is meant to be read.  The theta = 0 crossing comes
-    first among the events and the capture within ``CAPTURE_RADIUS`` of
-    S2 last, the terminal wherever no basin is certified.
+    first among the events and the capture at S2 (``_s2_capture``)
+    last, the terminal wherever no basin is certified.
     """
+    opts = opts or TraceOptions()
     basin = s2_basin(s)
-    events = [theta_crosses_zero(), _s2_capture(s)]
+    events = [theta_crosses_zero(), _s2_capture(s, opts)]
     if basin is not None:
         events.insert(1, basin.event())
-    return _trace(s, CURVE_GAMMA2, graph, 1.0, events, opts or TraceOptions())
+    return _trace(s, CURVE_GAMMA2, graph, 1.0, events, opts)
 
 
 def curve_membership(c: Curve, p: PhasePoint, tol: float = TOL_MEMBER) -> Membership:

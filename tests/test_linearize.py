@@ -5,13 +5,14 @@ import pytest
 
 from inflow_layer import (DefectiveMatrix, DomainError, EndState, GasParams,
                           TraceOptions, build_system, eigen_2x2, field_poly,
-                          saddle_graph, transonic_frame)
+                          linearize, saddle_graph, transonic_frame)
 from inflow_layer.gas import TOL_MACH
-from inflow_layer.linearize import GRAPH_ORDER, _derivative, _Taylor
+from inflow_layer.linearize import GRAPH_ORDER, _derivative, _product_coef
 from inflow_layer.system import field_nonlinear
 from inflow_layer.tracer import _certified_radii
 from conftest import random_system
 from degenerate import DegenerateKind, FitAmbiguous, classify_degenerate
+import graph_reference
 from graph_reference import Series, reference_graph
 from sonic_reference import closed_form, graph_defect, w_equations
 
@@ -307,15 +308,23 @@ ORACLE_FIELDS = {
     "stiff_sonic": _on(STIFF, 1.0),
     "stiff_sonic_sigma": _on(GasParams(1.4241, 5.5366, 6.3002, 0.10869), 1.0, 0.3812),
 }
+ORACLE_ORDERS = [(name, order) for order in (GRAPH_ORDER, 6, 16) for name in ORACLE_FIELDS]
 
 
 class TestGraphOracle:
     """``slow_graph`` against the k-loop composition on numpy series of
     ``graph_reference``: h, flow, defect_coef and P_inv to the last bit."""
 
-    @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
-    def test_listed_fields(self, name):
-        _assert_reference_bits(_graph(ORACLE_FIELDS[name]))
+    @pytest.mark.parametrize("name, order", ORACLE_ORDERS,
+                             ids=[name if order == GRAPH_ORDER else f"{name}-order{order}"
+                                  for name, order in ORACLE_ORDERS])
+    def test_listed_fields(self, name, order, monkeypatch):
+        # the builder and the reference both read GRAPH_ORDER when called
+        monkeypatch.setattr(linearize, "GRAPH_ORDER", order)
+        monkeypatch.setattr(graph_reference, "GRAPH_ORDER", order)
+        graph = _graph(ORACLE_FIELDS[name])
+        assert graph.h.size == order + 1 and graph.defect_coef.size == 4 * order
+        _assert_reference_bits(graph)
 
     def test_random_fields(self):
         rng = np.random.default_rng(15)
@@ -332,8 +341,10 @@ class TestGraphOracle:
         b = np.array([0.0, 1.5, 0.0, -0.75, 0.25, 2.0, 0.0, 0.0, 0.0, 0.0])
         b[m] = value
         ref = (Series(a) * Series(b)).c
-        prod = _Taylor.of(1, 5, a.__getitem__) * _Taylor.of(1, 5, b.__getitem__)
-        assert np.array(prod.values(0, a.size - 1)).tobytes() == ref.tobytes()
+        # both operands hold w^1 .. w^5
+        prod = [_product_coef(a.tolist(), b.tolist(), k, max(1, k - 5), min(5, k - 1))
+                for k in range(a.size)]
+        assert np.array(prod).tobytes() == ref.tobytes()
 
 
 class TestWCoordinates:

@@ -985,17 +985,35 @@ class TestS2Basin:
                                SWEEP_TRACE)
             assert row["gamma2_terminal"] == full.terminal, row["mach_plus"]
 
-    def test_the_sweep_answers_where_its_full_trace_stalls(self):
-        # S2 lies at u = 2.4 > scale, where SWEEP_TRACE's error noise near S2
-        # (rel_tol |u|) exceeds the capture radius: the full trace hovers at
-        # about 1.5e-8 of S2 until its budget, while the basin stop and the
-        # default trace agree on the terminal
-        gas = GasParams(1.5, 1.0046157902783952, 0.238592024994101, 9.843025249911998)
-        mach = 0.42784268952472265
+    # S2 lies at u = 2.4 > scale, where a loose trace's error noise near S2
+    # (about rel_tol |S2|) exceeds CAPTURE_RADIUS * scale
+    NOISY_GAS = GasParams(1.5, 1.0046157902783952, 0.238592024994101, 9.843025249911998)
+    NOISY_MACH = 0.42784268952472265
+
+    def test_the_sweep_answers_where_the_error_noise_exceeds_the_radius(self):
+        # the basin stop and the default trace agree on the terminal
+        gas, mach = self.NOISY_GAS, self.NOISY_MACH
         (row,) = run_sweep(gas, 1.0, 1.0, [mach])
         s = build_system(gas, EndState(1.0, mach * math.sqrt(gas.R * gas.gamma), 1.0))
         full = trace_gamma(s, saddle_graph(s, eigen_2x2(s.matrix)), CURVE_GAMMA2)
         assert row["gamma2_terminal"] == full.terminal == TERMINAL_CONVERGED_TO_S2
+        # the default trace's noise lies below CAPTURE_RADIUS * scale, so its
+        # capture keeps that radius
+        end = full.terminal_point
+        assert math.hypot(end.u - s.s2.u, end.theta - s.s2.theta) <= CAPTURE_RADIUS * s.scale
+
+    @pytest.mark.parametrize("opts", [SWEEP_TRACE, TraceOptions(rel_tol=1e-8)],
+                             ids=["sweep", "rel_tol-1e-8"])
+    def test_a_loose_trace_reaches_s2_where_its_noise_exceeds_the_radius(self, opts):
+        # it hovers 1.2-3.7e-8 from S2, where a capture at CAPTURE_RADIUS *
+        # scale alone never fires; one at twice its noise, 4.8e-8, does
+        gas, mach = self.NOISY_GAS, self.NOISY_MACH
+        right = EndState(1.0, mach * math.sqrt(gas.R * gas.gamma), 1.0)
+        s = build_system(gas, right)
+        full = trace_gamma(s, saddle_graph(s, eigen_2x2(s.matrix)), CURVE_GAMMA2, opts)
+        assert full.terminal == TERMINAL_CONVERGED_TO_S2
+        engine = ExistenceEngine(trace_options=opts)
+        assert engine.curves_for(gas, right)[CURVE_GAMMA2].terminal == TERMINAL_CONVERGED_TO_S2
 
     def test_the_sweeps_gamma2_takes_fewer_steps(self, s_sub, monkeypatch):
         counted = _CountedIntegrate()
