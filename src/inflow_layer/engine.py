@@ -57,7 +57,7 @@ from .linearize import eigen_2x2, saddle_graph, transonic_frame
 from .system import phase_field  # noqa: F401
 from .system import (PhasePoint, SystemData, build_system, field_poly, residual_sup,
                      specific_volume)
-from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, TERMINAL_BUDGET,
+from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, TAIL_MIN, TERMINAL_BUDGET,
                      _S1_OFFSET, Curve, TraceOptions, curve_membership, exponential_tail,
                      trace_gamma, trace_sigma)
 
@@ -415,7 +415,7 @@ def verify_decay(prof: Profile, regime: Regime) -> DecayReport:
     algebraically like 1/xi with xi * (u+ - U) approaching the reciprocal
     of the center-direction quadratic coefficient.
 
-    Raises TailTooShort if fewer than 50 samples lie in the tail window.
+    Raises TailTooShort below ``TAIL_MIN`` samples in the tail window.
     """
     if prof.trivial:
         return DecayReport(kind="not_applicable")
@@ -429,7 +429,7 @@ def verify_decay(prof: Profile, regime: Regime) -> DecayReport:
     if regime.is_transonic:
         mask = (y >= 1e-8 * s.scale) & (y <= 1e-4 * s.scale) & (prof.xi > 0.0)
         n = int(np.count_nonzero(mask))
-        if n < 50:
+        if n < TAIL_MIN:
             raise TailTooShort(f"{n} samples in the algebraic tail window")
         exponent, _ = np.polyfit(np.log(prof.xi[mask]), np.log(y[mask]), 1)
         pmask = mask & (y <= 1e-5 * s.scale)

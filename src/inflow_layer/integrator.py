@@ -131,11 +131,8 @@ class EventSpec:
 
     direction -1 triggers on + -> -, 0 on any sign change.  The event stops
     the integration at the bracketed location.  ``fn(xi, y)`` must be pure.
-    ``y`` is a list of two Python floats, with xi a Python float, at a
-    step end and at a bisection midpoint (``_bisect_event``), and the
-    (2, n) array of all step ends in ``Run.crossing``; so ``fn`` may only
-    index ``y``, or subtract it from or add it to a numpy array, and do
-    arithmetic on what that gives.
+    It gets xi a Python float and ``y`` a list of two Python floats, at a
+    step end and at a bisection midpoint (``_bisect_event``).
     """
 
     kind: str
@@ -174,8 +171,7 @@ def near_equilibrium(target, radius: float) -> EventSpec:
 def inside_ellipse(center, P, level: float) -> EventSpec:
     """Entry into the ellipse x^T P x <= level, x = y - center, with
     ``center`` two floats and the symmetric P given by its entries (p00,
-    p01, p11); a quadratic on the floats of ``y``, or elementwise on its
-    rows."""
+    p01, p11); a quadratic on the floats of ``y``."""
     cu, cth = center
     p00, p01, p11 = P
 
@@ -186,7 +182,7 @@ def inside_ellipse(center, P, level: float) -> EventSpec:
     return EventSpec(INSIDE_ELLIPSE, fn)
 
 
-def left_region(contains: Callable[[np.ndarray], bool]) -> EventSpec:
+def left_region(contains: Callable[[list], bool]) -> EventSpec:
     """Exit from a region given by a boolean membership predicate."""
     return EventSpec(LEFT_REGION, lambda t, y: 1.0 if contains(y) else -1.0)
 
@@ -213,7 +209,7 @@ class IntegrationResult:
 
 
 def _crossed(g_old, g_new, direction: int):
-    """Whether g_old -> g_new crosses zero as ``direction`` asks; elementwise."""
+    """Whether g_old -> g_new crosses zero as ``direction`` asks."""
     hit = (g_old > 0.0) & (g_new <= 0.0)
     if direction < 0:
         return hit
@@ -328,13 +324,12 @@ def _initial_step(fun, t0, y0, f0, direction, h_max, rtol, atol):
 
     Raises NonFinite when the field value f0, finite as it is, overflows
     its scaled norm: the first trial step would then be 0.  The norms of
-    y0 and f0 overflow to inf quietly, so that the error is the only
-    report.
+    y0 and f0 overflow to inf quietly in ``Run.step_until``'s error state,
+    so that the error is the only report.
     """
     scale = [atol + abs(y) * rtol for y in y0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        d0 = _rms(np.array([y / sc for y, sc in zip(y0, scale)]))
-        d1 = _rms(np.array([f / sc for f, sc in zip(f0, scale)]))
+    d0 = _rms(np.array([y / sc for y, sc in zip(y0, scale)]))
+    d1 = _rms(np.array([f / sc for f, sc in zip(f0, scale)]))
     if not math.isfinite(d1):
         raise NonFinite(f"field value {f0} at xi={t0}, y={y0} overflows its scaled norm")
     if d0 < 1e-5 or d1 < 1e-5:
@@ -400,7 +395,7 @@ def _accepted_step(fun, t, y, f, h_abs, direction, h_max, rtol, atol, st: _Stage
     finite.  A NaN or infinite stage always makes it so: h != 0, and every
     nonzero _E entry is finite.  Stage 1, whose _E and _B entries are 0,
     reaches the norm only because np.dot forms inf * 0 = NaN rather than
-    skipping the zero weight, and may emit a numpy RuntimeWarning doing so.
+    skipping the zero weight, quietly in ``Run.step_until``'s error state.
     """
     min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
     h_abs = min(max(h_abs, min_step), h_max)
@@ -440,10 +435,10 @@ class Run:
     ``step`` takes one more accepted step.  Events do not steer the step
     control, so the steps do not depend on when, or by whom, the run is
     resumed, nor on where it will stop.  ``step_until`` steps on until a
-    sequence of events is crossed, ``crossing`` finds where the steps
-    already taken first cross one, and ``stopped_by`` reads the result out
-    of either: what ``integrate`` returns for the same field, start,
-    settings and events, whose first k steps it takes.
+    sequence of events is crossed, and ``stopped_by`` reads the result out
+    of the step that crosses, whoever found it: what ``integrate`` returns
+    for the same field, start, settings and events, whose first k steps it
+    takes.
 
     The stepper state is Python floats: t, h_abs and the direction, and y,
     the last step end, a list of two.  f is what ``fieldfn`` returned
@@ -487,7 +482,8 @@ class Run:
     def step(self) -> None:
         """Take and record one more accepted step.
 
-        Raises StepUnderflow as ``integrate`` does, and then records nothing.
+        Raises StepUnderflow, or NonFinite at a non-finite step end, as
+        ``integrate`` does, and then records nothing.
         """
         t_old, y_old = self.t, self.y
         if self.h_abs is None:
@@ -499,6 +495,8 @@ class Run:
         if abs(t - t_old) < _MIN_STEP_FACTOR * (1.0 + abs(t)):
             raise StepUnderflow(
                 f"step size {abs(t - t_old)} below floor at xi={t}")
+        if not math.isfinite(y[0] + y[1]):
+            raise NonFinite(f"step from xi={t_old}, y={y_old} ends at y={y}")
         self.t, self.y, self.f, self.h_abs = t, y, f, h_abs
         n, rec = self.n_steps, self._record
         if n == len(rec.h):
@@ -516,49 +514,30 @@ class Run:
             a.flags.writeable = False
         return views
 
-    def crossing(self, events: Sequence[EventSpec]) -> int | None:
-        """Where the steps taken so far first stop on ``events``: 0 if one
-        triggers at the start, k if the first crossing of any is on step
-        k, None if there is none yet.
-
-        The test is ``step_until``'s, on all the step ends at once: each
-        ``ev.fn`` must act elementwise on the (2, n) array of step ends, as
-        the component and axis events do.
-        """
-        steps = self.steps(self.n_steps)
-        xi, pts = steps.t, steps.y
-        ks = []
-        for ev in events:
-            g = ev.fn(xi, pts.T)
-            if _immediate(ev, float(g[0])):
-                return 0
-            hits = _crossed(g[:-1], g[1:], ev.direction)
-            if hits.any():
-                ks.append(int(np.argmax(hits)) + 1)
-        return min(ks, default=None)
-
     def step_until(self, events: Sequence[EventSpec]) -> int | None:
         """Step until one of ``events`` is crossed on the last step; that
         step's index, 0 if the run has no steps and one triggers at its
         start, or None once ``settings.max_steps`` steps are taken.  The
-        steps taken so far must not cross any."""
+        steps taken so far must not cross any.  Numpy's overflow warnings
+        are off while it steps: NonFinite is an overflow's one report."""
         g_prev = [float(ev.fn(self.t, self.y)) for ev in events]
         if not self.n_steps and any(map(_immediate, events, g_prev)):
             return 0
-        for _ in range(self.settings.max_steps - self.n_steps):
-            self.step()
-            t, y, crossed = self.t, self.y, False
-            for i, ev in enumerate(events):
-                g = float(ev.fn(t, y))
-                crossed |= _crossed(g_prev[i], g, ev.direction)
-                g_prev[i] = g
-            if crossed:
-                return self.n_steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(self.settings.max_steps - self.n_steps):
+                self.step()
+                t, y, crossed = self.t, self.y, False
+                for i, ev in enumerate(events):
+                    g = float(ev.fn(t, y))
+                    crossed |= _crossed(g_prev[i], g, ev.direction)
+                    g_prev[i] = g
+                if crossed:
+                    return self.n_steps
         return None
 
     def stopped_by(self, events: Sequence[EventSpec], k: int | None) -> IntegrationResult:
-        """The run stopped on ``events``, given ``k`` from ``crossing`` or
-        ``step_until``.
+        """The run stopped on ``events`` on step ``k``: the first step
+        whose end crosses one, as ``step_until`` returns it.
 
         None stops it at its step budget; 0 at its start, on the first
         listed event that triggers there; k >= 1 on step k, at the
@@ -607,8 +586,8 @@ def integrate(fieldfn: Callable[[float, list], Sequence[float]],
     function adds only the ``max_state_step`` sub-samples.  Events do not
     steer the step control, so without ``max_state_step`` a longer run of
     the same field, start and settings gives the same result, bit for bit,
-    through ``Run.crossing`` and ``Run.stopped_by``; the engine's profile
-    legs are made that way.
+    through ``Run.stopped_by`` on the first step that crosses; the
+    curves' profile orbits are read that way.
 
     Parameters
     ----------
@@ -645,8 +624,8 @@ def integrate(fieldfn: Callable[[float, list], Sequence[float]],
     NonFinite
         If the field returns NaN or infinity, or the start point is not
         finite, or the start's field value, finite, overflows its norm
-        scaled by the tolerances.  An overflow inside a step may also emit
-        a numpy RuntimeWarning first.
+        scaled by the tolerances, or a step ends at a point that is not
+        finite.  No numpy RuntimeWarning precedes it.
     StepUnderflow
         If the error controller drives the step below 1e-14 * (1 + |xi|), or
         a rejected step below ten spacings of the floating-point numbers at xi.

@@ -100,8 +100,8 @@ _FIRST_PANEL = 10.0 ** -0.125
 _LEG_SETTINGS = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15, direction=BACKWARD,
                                     max_steps=500_000)
 _MIN_ROW_STEP = 1e-5                  # an outer leg's shortest step with a residual row
-# the subsonic decay is fitted where 1e-9 scale <= |U - u+| <= 1e-2 scale,
-# on at least TAIL_MIN samples
+# the subsonic decay is fitted where 1e-9 scale <= |U - u+| <= 1e-2 scale;
+# every decay fit, the sonic one too, needs at least TAIL_MIN samples
 TAIL_WINDOW = (1e-9, 1e-2)
 TAIL_MIN = 50
 
@@ -278,6 +278,13 @@ class Leg(NamedTuple):
     decay: tuple | None
 
 
+def _reach(y: np.ndarray, pidx: int) -> list:
+    """Minus the least parameter (column ``pidx``) among the step ends ``y``
+    up to each, nondecreasing: the first step end at or below q, where a
+    run from above q first crosses it, is bisect_left(-q)."""
+    return np.maximum.accumulate(-y[:, pidx]).tolist()
+
+
 class _Orbit:
     """A curve's profile orbit: the backward run with ``_LEG_SETTINGS`` from
     the graph point ``edge`` at ``w_start``, the curve's side times its
@@ -289,42 +296,49 @@ class _Orbit:
     value or a profile's outer leg, is a prefix of this one run, and the
     steps of a run do not depend on where it stops, so ``stop`` returns
     what ``integrate`` returns for the same field, start, settings and
-    event.  The residual rows of the steps a profile passes whole are
-    prefixes too: ``step_rows`` keeps them with a running maximum of their
-    residuals, for as many steps as the run has when a profile first needs
-    more.  The run is made at the first stop and the grid at the first
-    ``leg``, each under the lock, and the step rows grow under it, each
-    record replaced whole by a longer one, so racing threads make one of
-    each and read the same bits; a profile inside the graph radius starts
-    no run.  A stop's result carries views of the run's one step record.
+    crossing of the curve's parameter, column ``pidx``.  The residual rows
+    of the steps a profile passes whole are prefixes too: ``step_rows``
+    keeps them with a running maximum of their residuals, for as many steps
+    as the run has when a profile first needs more.  The run is made at the
+    first stop and the grid at the first ``leg``, each under the lock, and
+    the step rows and the run's ``reach`` grow under it, each replaced
+    whole by a longer one, so racing threads make one of each and read the
+    same bits; a profile inside the graph radius starts no run.  A stop's
+    result carries views of the run's one step record.
     """
 
-    __slots__ = ("system", "graph", "w_start", "edge", "exponential", "lock", "run",
-                 "inner", "rows")
+    __slots__ = ("system", "graph", "w_start", "edge", "pidx", "exponential", "lock",
+                 "run", "reach", "inner", "rows")
 
-    def __init__(self, s: SystemData, graph: SlowGraph, w_start: float, exponential: bool):
+    def __init__(self, s: SystemData, graph: SlowGraph, w_start: float, pidx: int,
+                 exponential: bool):
         self.system, self.graph, self.w_start = s, graph, w_start
         self.edge = graph.points(w_start)
-        self.exponential = exponential
+        self.pidx, self.exponential = pidx, exponential
         self.lock = threading.Lock()
         self.run = self.inner = None
+        self.reach = []
         self.rows = _NO_STEP_ROWS
 
-    def stop(self, ev) -> IntegrationResult:
-        """``integrate``'s result for the one event ``ev``: the steps
-        already taken are scanned without the lock; the run is made, or
-        stepped on, under it, only when none of them crosses."""
-        run, events = self.run, (ev,)
-        k = None if run is None else run.crossing(events)
-        if k is None:
+    def stop(self, q: float) -> IntegrationResult:
+        """``integrate``'s result for the crossing of parameter q beyond
+        ``edge``, on the first step end at or below q: the stored steps'
+        ``_reach`` is bisected without the lock; the run is made, or
+        stepped on, under it, only when none of them reaches q."""
+        events = (component_crosses(self.pidx, q),)
+        reach = self.reach
+        k = bisect_left(reach, -q)
+        if k == len(reach):
             with self.lock:
                 if self.run is None:
                     self.run = Run(phase_field(self.system), self.edge, _LEG_SETTINGS)
                 run = self.run
-                k = run.crossing(events)
-                if k is None:
+                reach = self.reach = _reach(run.steps(run.n_steps).y, self.pidx)
+                k = bisect_left(reach, -q)
+                if k == len(reach):
                     k = run.step_until(events)
-        return run.stopped_by(events, k)
+                    self.reach = _reach(run.steps(run.n_steps).y, self.pidx)
+        return self.run.stopped_by(events, k)
 
     def step_rows(self, n: int) -> tuple[np.ndarray, float]:
         """The residual rows of the run's first n steps (taken already),
@@ -464,18 +478,17 @@ class Curve:
 
     @cached_property
     def _reach(self) -> list:
-        """Minus the least parameter among the trace's step ends up to each,
-        nondecreasing: the first step end at or past q is bisect_left(-q)."""
-        return np.maximum.accumulate(-self.steps.y[:, self.param_index]).tolist()
+        """``_reach`` of the trace run's step ends."""
+        return _reach(self.steps.y, self.param_index)
 
     def predict(self, q: float) -> float:
         """The curve value at parameter q (inside the traced span).
 
         Inside r* it is the graph point at q.  Beyond, it is the trace
-        run's own dense output on the first step whose end reaches q (the
-        first crossing ``Run.crossing`` finds), at the root of that step's
-        quartic p(x) = q, found from the chord's root by safeguarded Newton
-        steps in Python floats.
+        run's own dense output on the first step whose end reaches q,
+        bisected on ``_reach`` as ``_Orbit.stop`` finds its stop, at the
+        root of that step's quartic p(x) = q, found from the chord's root
+        by safeguarded Newton steps in Python floats.
         """
         lo, hi = self.param_range
         if not lo <= q <= hi:
@@ -521,7 +534,7 @@ class Curve:
         if not self.beyond_graph(q):
             return self._gap_value(q)
         try:
-            res = self.orbit.stop(component_crosses(self.param_index, q))
+            res = self.orbit.stop(q)
         except LayerError:
             return None
         if res.event.kind != COMPONENT_CROSSES:
@@ -546,7 +559,7 @@ class Curve:
         ends before it reaches q."""
         pidx, orbit, s = self.param_index, self.orbit, self.system
         if self.beyond_graph(q):
-            res = orbit.stop(component_crosses(pidx, q))
+            res = orbit.stop(q)
             if res.event.kind != COMPONENT_CROSSES:
                 raise ProfileDiverged(
                     f"backward profile run ended with {res.event.kind} before "
@@ -758,7 +771,7 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
     _validate_curve(label, samples, s, eps, terminal, noise)
     return Curve(label=label, samples=samples, terminal=terminal,
                  seed_offset=eps, system=s, graph=graph, steps=steps,
-                 orbit=_Orbit(s, graph, side * float(radii[-1]),
+                 orbit=_Orbit(s, graph, side * float(radii[-1]), pidx,
                               exponential=label != CURVE_SIGMA))
 
 

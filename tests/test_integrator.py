@@ -1,5 +1,6 @@
 import math
 import warnings
+from bisect import bisect_left
 from functools import partial
 
 import numpy as np
@@ -16,7 +17,7 @@ from inflow_layer import integrator
 from inflow_layer.integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, FORWARD,
                                      MAX_INSERTED, NEAR_EQUILIBRIUM, U_CROSSES_ZERO, Run, Steps,
                                      _rms)
-from inflow_layer.tracer import CAPTURE_RADIUS
+from inflow_layer.tracer import CAPTURE_RADIUS, _reach
 
 from conftest import load_bench
 
@@ -159,16 +160,18 @@ def test_nonfinite_value_at_one_call_raises(bad_call, bad):
     # within its first step.  The stages are checked only when the error norm
     # is not finite, so every one of them must make it so; call 3's stage has
     # zero weight in both the solution and the error estimate, and reaches
-    # the norm only through np.dot's inf * 0 = NaN.  Arithmetic on the
-    # infinite stage may warn on the way to the raise.
+    # the norm only through np.dot's inf * 0 = NaN.  The arithmetic on the
+    # infinite stage is quiet: the typed error is the only report.
     calls = []
 
     def field(t, y):
         calls.append(t)
         return np.array([1.0, bad if len(calls) == bad_call else 0.5])
 
-    with pytest.raises(NonFinite), np.errstate(invalid="ignore"):
-        integrate(field, PhasePoint(0.0, 1.0), IntegrationSettings(max_steps=5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            integrate(field, PhasePoint(0.0, 1.0), IntegrationSettings(max_steps=5))
     assert len(calls) <= 8
 
 
@@ -187,8 +190,7 @@ def test_overflowing_error_norm_of_a_finite_field_rejects_the_step():
     # atol + 1.1 rtol, is about 2e298, and its square is infinite
     with np.errstate(over="ignore"):
         assert np.isinf(np.float64(1e290 / 40 / (1e-12 + 1.1e-10)) ** 2)
-        res = integrate(field, PhasePoint(0.0, 1.0),
-                        IntegrationSettings(h_init=1.0, max_steps=1))
+    res = integrate(field, PhasePoint(0.0, 1.0), IntegrationSettings(h_init=1.0, max_steps=1))
     assert res.event.kind == BUDGET and res.n_steps == 1
     # start, the rejected attempt ending at 1.0, the accepted one at 0.2
     assert len(calls) == 13 and calls[6] == 1.0 and calls[12] == 0.2
@@ -203,7 +205,7 @@ def test_a_field_that_overflows_at_the_start_raises_nonfinite(gas, right_subsoni
     # would be 0; at the last two, (u - u+) ** 3 is too large for a float,
     # which Python's pow reports as an OverflowError
     field = phase_field(build_system(gas, right_subsonic))
-    with pytest.raises(NonFinite), np.errstate(over="ignore"):
+    with pytest.raises(NonFinite):
         integrate(field, np.array(start))
 
 
@@ -216,6 +218,24 @@ def test_an_overflowing_start_raises_nonfinite_and_warns_nothing(gas, right_subs
         warnings.simplefilter("error")
         with pytest.raises(NonFinite):
             integrate(field, np.array(start))
+
+
+def test_a_step_ending_at_a_non_finite_point_raises_nonfinite():
+    # the field is finite everywhere, but once u > 1.5 it is so large that
+    # the step ends at infinity; that end scales its own error to 0, so the
+    # step would be accepted, and the run must stop there rather than step
+    # on through NaN states
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return [1e308, 1e308] if y[0] > 1.5 else [1.0, 0.0]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="ends at"):
+            integrate(field, PhasePoint(1, 1), IntegrationSettings(max_steps=100))
+    assert len(calls) < 100
 
 
 @pytest.mark.parametrize("direction", [1, 2, -2])
@@ -282,8 +302,7 @@ def test_event_xi_is_a_python_float_however_the_run_stops():
     for events, settings, kind in cases:
         run = Run(field, start, settings)
         for res in (integrate(field, start, settings, events),
-                    run.stopped_by(events, run.step_until(events)),
-                    run.stopped_by(events, run.crossing(events))):
+                    run.stopped_by(events, run.step_until(events))):
             assert res.event.kind == kind
             assert type(res.event.xi) is float
 
@@ -496,20 +515,22 @@ def test_run_prefixes_equal_separate_integrate_calls(gas, right_subsonic):
             for b in bounds}
     for b in bounds:
         evs = [component_crosses(0, b)]
-        assert run.crossing(evs) is None
+        reach = _reach(run.steps(run.n_steps).y, 0)
+        assert bisect_left(reach, -b) == len(reach)
         k = run.step_until(evs)
         # the run stores the steps up to the farthest boundary and no more
         assert k == run.n_steps == want[b].n_steps
         assert want[b].event.kind == COMPONENT_CROSSES
         assert _run_bits(run.stopped_by(evs, k)) == _run_bits(want[b])
     assert run.n_steps > integrator._FIRST_STEPS   # the record grew past its first size
-    # every boundary short of the last is now a scan of the stored steps
+    # every boundary is now a bisection of the stored steps' reach
+    reach = _reach(run.steps(run.n_steps).y, 0)
     for b in reversed(bounds):
         evs = [component_crosses(0, b)]
-        assert _run_bits(run.stopped_by(evs, run.crossing(evs))) == _run_bits(want[b])
+        assert _run_bits(run.stopped_by(evs, bisect_left(reach, -b))) == _run_bits(want[b])
     # a boundary at the start triggers there, before any step
     evs = [component_crosses(0, float(start[0]))]
-    assert run.crossing(evs) == 0
+    assert bisect_left(reach, -float(start[0])) == 0
     assert _run_bits(run.stopped_by(evs, 0)) == _run_bits(
         integrate(phase_field(s), start, settings, evs))
 
@@ -560,30 +581,35 @@ def test_run_budget_equals_integrate_budget(gas, right_subsonic):
     assert _run_bits(run.stopped_by(evs, None)) == _run_bits(want)
 
 
-def test_run_scan_finds_the_first_crossing_of_many():
-    # on a circle every level is crossed twice a turn, once each way, and
-    # the run goes round several times
+def test_reach_finds_the_first_falling_crossing_as_step_until_does():
+    # on a circle each coordinate turns back at -1 and +1, and the run goes
+    # round several times; for a level q below the start's coordinate the
+    # first step end at or below q, bisected on the stored steps' reach, is
+    # the step a fresh run stops on, also where the coordinate rises first
+    # or q is a stored step end's own value
     field = lambda t, y: np.array([-y[1], y[0]])
     start, settings = PhasePoint(1.0, 0.0), IntegrationSettings(max_steps=800)
     run = Run(field, start, settings)
     assert run.step_until([component_crosses(0, 2.0)]) is None
     assert run.t > 3 * 2 * math.pi
-    for ev in (component_crosses(1, 0.5),            # first crossed rising
-               component_crosses(0, -0.5),           # first crossed falling
-               EventSpec("falling", lambda t, y: 0.5 - y[1]),
-               EventSpec("falling", lambda t, y: y[1] + 0.5)):
+    y = run.steps(run.n_steps).y
+    lowest_theta = int(np.argmin(y[:, 1]))
+    for pidx, q in ((0, 0.5), (0, -0.5), (0, float(y[3, 0])), (0, float(y[:, 0].min())),
+                    (1, -0.5), (1, float(y[lowest_theta, 1]))):
+        k = bisect_left(_reach(y, pidx), -q)
+        ev = component_crosses(pidx, q)
+        fresh = Run(field, start, settings)
+        assert fresh.step_until([ev]) == k, (pidx, q)
         want = integrate(field, start, settings, [ev])
-        assert want.event.kind == ev.kind and want.event.xi < 2 * math.pi
-        assert _run_bits(run.stopped_by([ev], run.crossing([ev]))) == _run_bits(want)
+        assert want.event.kind == COMPONENT_CROSSES and want.n_steps == k
+        assert _run_bits(run.stopped_by([ev], k)) == _run_bits(want), (pidx, q)
+    assert bisect_left(_reach(y, 1), -float(y[lowest_theta, 1])) == lowest_theta
 
 
 def test_run_stops_on_the_first_of_several_events_as_integrate_does():
-    # several events, each list scanned on a run that went round a circle
-    # several times and stepped on a fresh run
+    # several events, each list stepped on a fresh run of a circle
     field = lambda t, y: np.array([-y[1], y[0]])
     start, settings = PhasePoint(1.0, 0.0), IntegrationSettings(max_steps=800)
-    run = Run(field, start, settings)
-    assert run.step_until([component_crosses(0, 2.0)]) is None
     rising, falling = component_crosses(1, 0.5), component_crosses(0, -0.5)
     hair = component_crosses(1, 0.5 + 1e-9)
     at_start = EventSpec("at_start", lambda t, y: y[0] - 1.0)
@@ -591,7 +617,6 @@ def test_run_stops_on_the_first_of_several_events_as_integrate_does():
                    [falling, at_start], [component_crosses(0, 1.0), at_start],
                    [at_start, component_crosses(0, 1.0)]):
         want = integrate(field, start, settings, events)
-        assert _run_bits(run.stopped_by(events, run.crossing(events))) == _run_bits(want)
         fresh = Run(field, start, settings)
         k = fresh.step_until(events)
         assert k == fresh.n_steps == want.n_steps
