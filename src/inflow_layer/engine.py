@@ -26,14 +26,12 @@ A warm profile pays only for its own rows: its stop, the sum of its xi,
 and the checks of its outer points and its crossing step's partial row.
 What every profile on the curve shares, the grid and the steps its stop
 passes whole, the orbit checks once: the largest residual and the extreme
-differences of V, U and Theta of each grid suffix, the residual rows of
-the run's steps with their running maximum, and on gamma the exponential
-tail fit of the grid's window rows.  Max, min and sign tests are exact, so
-the residual and monotonicity metrics are those of the whole profile, bit
-for bit.  A subsonic profile whose window rows are exactly the grid's
-reports the grid's fit, the same rate for every such profile on the curve,
-up to rounding what its own fit gives; any other profile is fitted on its
-own (``verify_decay``), as is every sonic one.
+differences of V, U and Theta of each grid suffix, and the residual rows
+of the run's steps with their running maximum.  Max, min and sign tests
+are exact, so the residual and monotonicity metrics are those of the whole
+profile, bit for bit.  Every profile's decay is fitted on its own window
+rows (``verify_decay``), with closed-form least-squares lines; the windows
+of both regimes are this module's.
 """
 
 from __future__ import annotations
@@ -57,9 +55,8 @@ from .linearize import eigen_2x2, saddle_graph, transonic_frame
 from .system import phase_field  # noqa: F401
 from .system import (PhasePoint, SystemData, build_system, field_poly, residual_sup,
                      specific_volume)
-from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, TAIL_MIN, TERMINAL_BUDGET,
-                     _S1_OFFSET, Curve, TraceOptions, curve_membership, exponential_tail,
-                     trace_gamma, trace_sigma)
+from .tracer import (CURVE_GAMMA1, CURVE_GAMMA2, CURVE_SIGMA, TERMINAL_BUDGET, _S1_OFFSET,
+                     Curve, TraceOptions, curve_membership, trace_gamma, trace_sigma)
 
 REASON_MASS_FLUX = "mass_flux_mismatch"
 REASON_NONPOSITIVE_U_PLUS = "nonpositive_u_plus"
@@ -136,10 +133,11 @@ class Profile:
     ``compute_profile`` takes the checks from ``Curve.leg``, which reads
     those of the rows its curve's profiles share off the curve's orbit: the
     residual and the signs are those of ``verify_residual`` and of the
-    whole profile's differences, bit for bit, and the decay is
-    ``verify_decay``'s up to rounding.  ``residual_rows`` holds the (u,
-    theta, u', theta') rows the residual is checked on, from the engine's
-    legs; a non-trivial profile without rows gets ``residual_sup = inf``.
+    whole profile's differences, bit for bit; the decay is
+    ``verify_decay``'s, fitted on the profile.  ``residual_rows`` holds the
+    (u, theta, u', theta') rows the residual is checked on, from the
+    engine's legs; a non-trivial profile without rows gets ``residual_sup =
+    inf``.
     """
 
     xi: np.ndarray
@@ -355,15 +353,10 @@ class ExistenceEngine:
         prof.metrics["endpoint_gap"] = max(abs(prof.U[-1] - s.u_plus),
                                            abs(prof.Theta[-1] - s.theta_plus))
         prof.metrics["residual_sup"] = leg.residual_sup
-        if leg.decay is not None:      # a gamma curve's, so the regime is subsonic
-            rate, amplitude, rate_theta, n = leg.decay
-            report = DecayReport(kind="exponential", rate=rate, amplitude=amplitude,
-                                 rate_theta=rate_theta, n_tail=n)
-        else:
-            try:
-                report = verify_decay(prof, classify_regime(s.mach_plus, q.tolerances.tol_M))
-            except TailTooShort:
-                report = None
+        try:
+            report = verify_decay(prof, classify_regime(s.mach_plus, q.tolerances.tol_M))
+        except TailTooShort:
+            report = None
         prof.metrics["decay"] = report
         return prof
 
@@ -404,16 +397,55 @@ def verify_residual(prof: Profile, s: SystemData) -> float:
     return 0.0 if prof.trivial else residual_sup(s, prof.residual_rows)
 
 
+# the subsonic decay is fitted where 1e-9 scale <= |U - u+| <= 1e-2 scale;
+# every decay fit, the sonic one too, needs at least TAIL_MIN samples
+TAIL_WINDOW = (1e-9, 1e-2)
+TAIL_MIN = 50
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The least-squares line y ~ slope x + intercept, in closed form on
+    centred data: (slope, intercept)."""
+    n = len(x)
+    x_mean, y_mean = x.sum() / n, y.sum() / n
+    dx = x - x_mean
+    slope = float((dx * (y - y_mean)).sum() / (dx * dx).sum())
+    return slope, float(y_mean - slope * x_mean)
+
+
+def tail_rows(xi: np.ndarray, U: np.ndarray, s: SystemData) -> np.ndarray:
+    """Which samples the exponential decay is fitted on: xi > 0 and |U - u+|
+    in the ``TAIL_WINDOW`` times scale."""
+    y = np.abs(U - s.u_plus)
+    return (y >= TAIL_WINDOW[0] * s.scale) & (y <= TAIL_WINDOW[1] * s.scale) & (xi > 0.0)
+
+
+def exponential_tail(xi: np.ndarray, U: np.ndarray, Theta: np.ndarray,
+                     s: SystemData) -> tuple[float, float, float, int]:
+    """Least-squares lines of log|U - u+| and of log|Theta - theta+| over xi
+    on the ``tail_rows`` (the latter where Theta != theta+): (slope,
+    intercept, slope of the Theta line, number of tail rows).  Raises
+    TailTooShort below ``TAIL_MIN`` rows."""
+    mask = tail_rows(xi, U, s)
+    n = int(np.count_nonzero(mask))
+    if n < TAIL_MIN:
+        raise TailTooShort(f"{n} samples in the exponential tail window")
+    slope, intercept = _line_fit(xi[mask], np.log(np.abs(U - s.u_plus)[mask]))
+    z = np.abs(Theta - s.theta_plus)
+    zmask = mask & (z > 0.0)
+    slope_th, _ = _line_fit(xi[zmask], np.log(z[zmask]))
+    return slope, intercept, slope_th, n
+
+
 def verify_decay(prof: Profile, regime: Regime) -> DecayReport:
     """Fit the tail decay of a profile and report the fitted constants.
 
     Subsonic profiles decay exponentially; the fitted rate should match the
     magnitude of the negative eigenvalue at S1.  The window and the fit are
-    ``tracer.exponential_tail``'s, the one the curve's grid is fitted with:
-    ``compute_profile`` reports the grid's fit instead when the profile's
-    window rows are exactly the grid's.  Sonic profiles decay
-    algebraically like 1/xi with xi * (u+ - U) approaching the reciprocal
-    of the center-direction quadratic coefficient.
+    ``exponential_tail``'s.  Sonic profiles decay algebraically like 1/xi
+    with xi * (u+ - U) approaching the reciprocal of the center-direction
+    quadratic coefficient.  Every profile's decay in ``compute_profile`` is
+    this report.
 
     Raises TailTooShort below ``TAIL_MIN`` samples in the tail window.
     """
@@ -422,22 +454,22 @@ def verify_decay(prof: Profile, regime: Regime) -> DecayReport:
     s = prof.system
     if regime.is_subsonic:
         slope, intercept, slope_th, n = exponential_tail(prof.xi, prof.U, prof.Theta, s)
-        return DecayReport(kind="exponential", rate=float(-slope),
-                           amplitude=float(math.exp(intercept)),
-                           rate_theta=float(-slope_th), n_tail=n)
+        return DecayReport(kind="exponential", rate=-slope, amplitude=math.exp(intercept),
+                           rate_theta=-slope_th, n_tail=n)
     y = np.abs(prof.U - s.u_plus)
     if regime.is_transonic:
         mask = (y >= 1e-8 * s.scale) & (y <= 1e-4 * s.scale) & (prof.xi > 0.0)
         n = int(np.count_nonzero(mask))
         if n < TAIL_MIN:
             raise TailTooShort(f"{n} samples in the algebraic tail window")
-        exponent, _ = np.polyfit(np.log(prof.xi[mask]), np.log(y[mask]), 1)
+        log_xi = np.log(prof.xi[mask])
+        exponent, _ = _line_fit(log_xi, np.log(y[mask]))
         pmask = mask & (y <= 1e-5 * s.scale)
         prod = float(np.median(prof.xi[pmask] * (s.u_plus - prof.U[pmask])))
         fu, _fth = field_poly(prof.U[mask], prof.Theta[mask], s)
-        d1, _ = np.polyfit(np.log(prof.xi[mask]), np.log(np.abs(fu)), 1)
-        return DecayReport(kind="algebraic", exponent=float(exponent),
-                           inv_coeff=prod, exponent_d1=float(d1), n_tail=n)
+        d1, _ = _line_fit(log_xi, np.log(np.abs(fu)))
+        return DecayReport(kind="algebraic", exponent=exponent,
+                           inv_coeff=prod, exponent_d1=d1, n_tail=n)
     raise ProfileDiverged("supersonic profiles do not exist")
 
 

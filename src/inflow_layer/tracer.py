@@ -37,10 +37,9 @@ is read off the graph inside r* and off the run's dense output beyond
 run from the graph point at r* and one inner grid down the graph to S1,
 each made at its first use.  Refined memberships stop on that run, and
 every profile on the curve is a cut of it (``Curve.leg``).  The orbit also
-checks once what its profiles share: the residual rows of the run's steps,
-the grid's residual and difference suffixes, and on gamma the exponential
-tail fit of the grid (``exponential_tail``, the one window and fit of the
-subsonic decay), so that a warm profile checks only its own rows.
+checks once what its profiles share, the residual rows of the run's steps
+and the grid's residual and difference suffixes, so that a warm profile
+checks the residual and the signs of only its own rows.
 Seeding, backward integration, terminal classification, thinning and
 validation are one body for all three curves; they differ only in their
 graph, the side of S1 they leave on, and their terminal events.
@@ -59,8 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DomainError, LayerError, OutOfRange, ProfileDiverged, TailTooShort,
-                     TraceFailed, UnexpectedTerminal)
+from .errors import (DomainError, LayerError, OutOfRange, ProfileDiverged, TraceFailed,
+                     UnexpectedTerminal)
 from .gas import TOL_MEMBER, require_positive
 from .integrator import (BACKWARD, BUDGET, COMPONENT_CROSSES, INSIDE_ELLIPSE,
                          NEAR_EQUILIBRIUM, THETA_CROSSES_ZERO, U_CROSSES_ZERO, EventSpec,
@@ -100,34 +99,6 @@ _FIRST_PANEL = 10.0 ** -0.125
 _LEG_SETTINGS = IntegrationSettings(rel_tol=1e-13, abs_tol=1e-15, direction=BACKWARD,
                                     max_steps=500_000)
 _MIN_ROW_STEP = 1e-5                  # an outer leg's shortest step with a residual row
-# the subsonic decay is fitted where 1e-9 scale <= |U - u+| <= 1e-2 scale;
-# every decay fit, the sonic one too, needs at least TAIL_MIN samples
-TAIL_WINDOW = (1e-9, 1e-2)
-TAIL_MIN = 50
-
-
-def tail_rows(xi: np.ndarray, U: np.ndarray, s: SystemData) -> np.ndarray:
-    """Which samples the exponential decay is fitted on: xi > 0 and |U - u+|
-    in the ``TAIL_WINDOW`` times scale."""
-    y = np.abs(U - s.u_plus)
-    return (y >= TAIL_WINDOW[0] * s.scale) & (y <= TAIL_WINDOW[1] * s.scale) & (xi > 0.0)
-
-
-def exponential_tail(xi: np.ndarray, U: np.ndarray, Theta: np.ndarray,
-                     s: SystemData) -> tuple[float, float, float, int]:
-    """Least-squares lines of log|U - u+| and of log|Theta - theta+| over xi
-    on the ``tail_rows`` (the latter where Theta != theta+): (slope,
-    intercept, slope of the Theta line, number of tail rows).  Raises
-    TailTooShort below ``TAIL_MIN`` rows."""
-    mask = tail_rows(xi, U, s)
-    n = int(np.count_nonzero(mask))
-    if n < TAIL_MIN:
-        raise TailTooShort(f"{n} samples in the exponential tail window")
-    slope, intercept = np.polyfit(xi[mask], np.log(np.abs(U - s.u_plus)[mask]), 1)
-    z = np.abs(Theta - s.theta_plus)
-    zmask = mask & (z > 0.0)
-    slope_th, _ = np.polyfit(xi[zmask], np.log(z[zmask]), 1)
-    return slope, intercept, slope_th, n
 
 
 @dataclass(frozen=True)
@@ -169,18 +140,6 @@ class Membership:
     refined: bool
 
 
-class _TailFit(NamedTuple):
-    """``exponential_tail`` of an inner grid against its own flight time,
-    with the grid's first tail row and its flight time there."""
-
-    slope: float
-    intercept: float
-    slope_theta: float
-    n: int
-    first: int
-    xi_first: float
-
-
 class _Grid(NamedTuple):
     """A curve's inner grid along its graph and the reductions of what its
     profiles share: every profile ends with the grid's rows from some row
@@ -191,9 +150,7 @@ class _Grid(NamedTuple):
     ``residual`` is the largest ``row_residuals`` of rows[j:], and
     ``diff_min`` and ``diff_max`` (one column each for V, U and Theta) the
     extremes of the differences along rows[j:], +inf and -inf at the last
-    row.  ``tail`` is, on a gamma curve with enough tail rows, the fit of
-    the rows against the grid's own flight time cumsum(flights); None
-    otherwise."""
+    row."""
 
     w: np.ndarray
     flights: np.ndarray
@@ -201,10 +158,9 @@ class _Grid(NamedTuple):
     residual: np.ndarray
     diff_min: np.ndarray
     diff_max: np.ndarray
-    tail: _TailFit | None
 
 
-def _grid(s: SystemData, graph: SlowGraph, w0: float, exponential: bool) -> _Grid:
+def _grid(s: SystemData, graph: SlowGraph, w0: float) -> _Grid:
     """The inner grid from the graph point at w0 down to ~1e-10 of S1, 16
     nodes a decade, and its suffix reductions."""
     w_stop = _S1_OFFSET * s.scale / math.hypot(*graph.e_slow)
@@ -215,20 +171,10 @@ def _grid(s: SystemData, graph: SlowGraph, w0: float, exponential: bool) -> _Gri
     U, Theta = rows[:, 0], rows[:, 1]
     d = np.diff(np.column_stack([specific_volume(s, U), U, Theta]), axis=0)[::-1]
     end = np.full((1, 3), math.inf)
-    tail = None
-    if exponential:
-        tau = np.cumsum(flights)
-        try:
-            fit = exponential_tail(tau, U, Theta, s)
-        except TailTooShort:
-            pass
-        else:
-            j = int(np.argmax(tail_rows(tau, U, s)))
-            tail = _TailFit(*fit, j, tau[j])
     return _Grid(w, flights, rows,
                  np.maximum.accumulate(row_residuals(s, rows)[::-1])[::-1],
                  np.vstack([np.minimum.accumulate(d)[::-1], end]),
-                 np.vstack([np.maximum.accumulate(d)[::-1], -end]), tail)
+                 np.vstack([np.maximum.accumulate(d)[::-1], -end]))
 
 
 class _StepRows(NamedTuple):
@@ -263,11 +209,7 @@ class Leg(NamedTuple):
 
     ``residual_sup`` is the largest ``row_residuals`` of ``rows``;
     ``diff_min`` and ``diff_max`` are the extremes of the differences of
-    V = (v+/u+) u, u and theta along ``points``.  ``decay`` is (rate,
-    amplitude, rate of theta, tail rows) of the exponential fit of the
-    curve's inner grid when the profile's tail rows are exactly the grid's:
-    the fit of ``exponential_tail`` on the profile, up to rounding, read off
-    the curve; None when the profile must be fitted on its own."""
+    V = (v+/u+) u, u and theta along ``points``."""
 
     xi: np.ndarray
     points: np.ndarray
@@ -275,7 +217,6 @@ class Leg(NamedTuple):
     residual_sup: float
     diff_min: np.ndarray
     diff_max: np.ndarray
-    decay: tuple | None
 
 
 def _reach(y: np.ndarray, pidx: int) -> list:
@@ -307,14 +248,12 @@ class _Orbit:
     result carries views of the run's one step record.
     """
 
-    __slots__ = ("system", "graph", "w_start", "edge", "pidx", "exponential", "lock",
+    __slots__ = ("system", "graph", "w_start", "edge", "pidx", "lock",
                  "run", "reach", "inner", "rows")
 
-    def __init__(self, s: SystemData, graph: SlowGraph, w_start: float, pidx: int,
-                 exponential: bool):
-        self.system, self.graph, self.w_start = s, graph, w_start
+    def __init__(self, s: SystemData, graph: SlowGraph, w_start: float, pidx: int):
+        self.system, self.graph, self.w_start, self.pidx = s, graph, w_start, pidx
         self.edge = graph.points(w_start)
-        self.pidx, self.exponential = pidx, exponential
         self.lock = threading.Lock()
         self.run = self.inner = None
         self.reach = []
@@ -365,8 +304,7 @@ class _Orbit:
         if self.inner is None:
             with self.lock:
                 if self.inner is None:
-                    self.inner = _grid(self.system, self.graph, self.w_start,
-                                       self.exponential)
+                    self.inner = _grid(self.system, self.graph, self.w_start)
         return self.inner
 
     def first_row(self, w: float) -> int:
@@ -588,19 +526,10 @@ class Curve:
         own = pts[:n_own + 1]
         d = np.diff(np.column_stack([specific_volume(s, own[:, 0]), own[:, 0], own[:, 1]]),
                     axis=0)
-        # the profile's tail rows are the grid's when it holds the grid's
-        # rows from the first tail row on and none of its own points is one
-        fit, decay = grid.tail, None
-        if (fit is not None and j <= fit.first
-                and not tail_rows(xi[:n_own], pts[:n_own, 0], s).any()):
-            # the grid's lines, with xi measured from the profile's boundary
-            c = xi[n_own + fit.first - j] - fit.xi_first
-            decay = (float(-fit.slope), math.exp(fit.intercept - fit.slope * c),
-                     float(-fit.slope_theta), fit.n)
         return Leg(xi, pts, np.vstack([rows, inner_rows]),
                    max(sup, float(grid.residual[j])),
                    np.minimum(d.min(axis=0), grid.diff_min[j]),
-                   np.maximum(d.max(axis=0), grid.diff_max[j]), decay)
+                   np.maximum(d.max(axis=0), grid.diff_max[j]))
 
 
 def _thin(samples: np.ndarray, s: SystemData, param_index: int,
@@ -771,8 +700,7 @@ def _trace(s: SystemData, label: str, graph: SlowGraph, side: float, events,
     _validate_curve(label, samples, s, eps, terminal, noise)
     return Curve(label=label, samples=samples, terminal=terminal,
                  seed_offset=eps, system=s, graph=graph, steps=steps,
-                 orbit=_Orbit(s, graph, side * float(radii[-1]), pidx,
-                              exponential=label != CURVE_SIGMA))
+                 orbit=_Orbit(s, graph, side * float(radii[-1]), pidx))
 
 
 def trace_sigma(s: SystemData, graph: SlowGraph,

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,6 +274,16 @@ class TestProfiles:
             engine.compute_profile(q)
 
 
+def _exact_line(x, y) -> tuple[float, float]:
+    """The least-squares line of the float rows, solved in rationals and
+    rounded once: (slope, intercept)."""
+    xs, ys = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in y.tolist()]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((a - x_mean) * (b - y_mean) for a, b in zip(xs, ys))
+             / sum((a - x_mean) ** 2 for a in xs))
+    return float(slope), float(y_mean - slope * x_mean)
+
+
 class TestVerifyDecay:
     def test_subsonic_rate_matches_eigenvalue(self, engine, gas, right_subsonic,
                                               subsonic_curves):
@@ -295,6 +306,40 @@ class TestVerifyDecay:
         assert report.exponent == pytest.approx(-1.0, abs=0.1)
         assert report.inv_coeff == pytest.approx(13.0 / 14.0, rel=0.1)
         assert report.exponent_d1 == pytest.approx(-2.0, abs=0.2)
+
+    @pytest.mark.parametrize("case,label", [("subsonic", "gamma1"), ("subsonic", "gamma2"),
+                                            ("transonic", "sigma")])
+    def test_line_fit_equals_polyfit_on_the_window_rows(self, request, engine, gas,
+                                                        monkeypatch, case, label):
+        # np.polyfit, an SVD least-squares solve, and the exact line of the
+        # rows in rationals are the references for the closed-form line of
+        # each decay fit, on the rows that fit is given
+        right = request.getfixturevalue(f"right_{case}")
+        c = request.getfixturevalue(f"{case}_curves")[label]
+        prof = engine.compute_profile(
+            Query(_left_for(c, len(c.samples) // 2, right), right, gas))
+        line_fit, calls = engine_module._line_fit, []
+
+        def recorded(x, y):
+            calls.append((x, y))
+            return line_fit(x, y)
+
+        monkeypatch.setattr(engine_module, "_line_fit", recorded)
+        verify_decay(prof, classify_regime(prof.system.mach_plus))
+        assert len(calls) == 2
+        for x, y in calls:
+            assert len(x) >= engine_module.TAIL_MIN
+            slope, intercept = line_fit(x, y)
+            exact_slope, exact_intercept = _exact_line(x, y)
+            assert abs(slope - exact_slope) <= 1e-13 * abs(exact_slope)
+            assert abs(intercept - exact_intercept) <= 1e-13 * abs(exact_intercept)
+            ref_slope, ref_intercept = np.polyfit(x, y, 1)
+            assert abs(slope - ref_slope) <= 1e-13 * abs(ref_slope)
+            # the sonic lines' intercepts (which no report uses) are what is
+            # left of mean(y) - slope mean(x) after cancellation, where
+            # polyfit is up to 6e-13 off the exact line
+            scale = abs(ref_intercept) + abs(ref_slope * x.mean())
+            assert abs(intercept - ref_intercept) <= 1e-13 * scale
 
     def test_tail_too_short(self, engine, gas, right_subsonic, subsonic_curves):
         c = subsonic_curves["gamma1"]

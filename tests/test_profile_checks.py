@@ -12,6 +12,7 @@ import pytest
 from conftest import load_bench
 from inflow_layer import (EndState, ExistenceEngine, Query, TailTooShort, classify_regime,
                           verify_decay, verify_residual)
+from inflow_layer import engine as engine_module
 from inflow_layer import integrator as integrator_module
 from inflow_layer import system as system_module
 from inflow_layer import tracer as tracer_module
@@ -41,12 +42,11 @@ def _own_decay(prof, regime):
         return None
 
 
-def _check(engine, q) -> bool | None:
+def _check(engine, q) -> str | None:
     """Profile q's boundary and check its metrics against the checks of
-    the whole profile: the residual and signs bit for bit, the decay within
-    1e-12 relative when it is read off the curve's grid and bit for bit
-    when it is fitted on the profile.  Whether it was read off the grid;
-    None for a boundary with no layer."""
+    the whole profile, bit for bit: the residual, the signs and the decay.
+    The decay's kind ("none" when the tail is too short); None for a
+    boundary with no layer."""
     verdict = engine.decide(q)
     if not verdict.exists:
         return None
@@ -58,16 +58,9 @@ def _check(engine, q) -> bool | None:
     assert (m["monotone_ok"], m["signs"]) == _monotone_check(prof, pidx)
     regime = classify_regime(prof.system.mach_plus, q.tolerances.tol_M)
     want = _own_decay(prof, regime)
-    shared = curve.leg((q.left.u, q.left.theta)[pidx]).decay is not None
-    if not shared:
-        assert repr(m["decay"]) == repr(want)
-        return False
-    got = m["decay"]
-    assert got.kind == want.kind == "exponential" and got.n_tail == want.n_tail
-    for name in ("rate", "amplitude", "rate_theta"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert abs(a - b) <= 1e-12 * abs(b), name
-    return True
+    # equal, and with the same float reprs: bit for bit
+    assert m["decay"] == want and repr(m["decay"]) == repr(want)
+    return "none" if want is None else want.kind
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -75,10 +68,10 @@ def test_query_mix_checks_equal_the_whole_profile_checks(seed):
     workloads = load_bench("workloads.py", "bench_workloads")
     mix = workloads.QueryMix(seed)
     mix.setup()
-    paths = [_check(mix.engine, case.query)
+    kinds = [_check(mix.engine, case.query)
              for case in mix.cases + mix.cases[::-1]]
-    # most subsonic profiles read the grid's fit, and the sonic ones fit their own
-    assert paths.count(True) > 20 and paths.count(False) >= 10
+    # both regimes' fits are checked
+    assert kinds.count("exponential") > 20 and kinds.count("algebraic") >= 4
 
 
 def _on(curve, i: int, right: EndState, gas) -> Query:
@@ -111,36 +104,34 @@ def test_grid_edge_and_near_sonic_checks_equal_the_whole_profile_checks(gas):
     for gap in (1e-2, 1e-3):
         right = EndState(1.0, (1.0 - gap) * sound, 1.0)
         for label, curve in engine.curves_for(gas, right).items():
-            path = _check(engine, _on(curve, len(curve.samples) // 2, right, gas))
-            # near-sonic gamma2 lies inside its graph radius, past the
-            # grid's first tail row: it is fitted on its own
-            assert path == (label == "gamma1"), (gap, label)
+            q = _on(curve, len(curve.samples) // 2, right, gas)
+            assert _check(engine, q) is not None, (gap, label)
 
 
-def test_fallback_on_either_side_of_the_window_rule(gas, right_subsonic):
-    # inside r*, a gamma1 profile whose first grid row is at most the
-    # grid's first tail row reads the grid's fit; one whose boundary lies
-    # in the window itself, |U - u+| < 1e-2 scale, misses the grid's first
-    # tail rows and fits its own
+def test_boundaries_across_the_window_fit_the_grid_rows_they_keep(gas, right_subsonic):
+    # inside r*, a profile from a boundary joining the inner grid at row j
+    # is its boundary (at xi = 0) and the grid's rows from j on, so its
+    # decay is fitted on exactly the grid's window rows from j on: all of
+    # them up to the grid's first window row, one fewer for each row past
+    # it, also once the boundary itself lies in the window
     engine = ExistenceEngine()
-    gamma1 = engine.curves_for(gas, right_subsonic)["gamma1"]
-    grid, scale = gamma1.orbit.grid(), gamma1.system.scale
-    first = grid.tail.first
-    for j, shared in ((first - 1, True), (first, True), (first + 1, False),
-                      (first + 3, False)):
-        # the boundary two and a half nodes above node j + 1, grid row j's
-        w = float(grid.w[j + 1]) * 10.0 ** (2.5 / 16)
-        assert gamma1.orbit.first_row(w) == j
-        u, theta = (float(x) for x in gamma1.graph.points(w))
-        q = Query(EndState(u * right_subsonic.v / right_subsonic.u, u, theta),
-                  right_subsonic, gas)
-        assert _check(engine, q) is shared
-    assert abs(u - right_subsonic.u) < 1e-2 * scale
-    # near-sonic gamma2 at 1 - M+ = 1e-2, inside its graph radius past the
-    # grid's first tail row
-    right = EndState(1.0, 0.99 * math.sqrt(gas.gamma * gas.R), 1.0)
-    gamma2 = engine.curves_for(gas, right)["gamma2"]
-    assert _check(engine, _on(gamma2, len(gamma2.samples) // 2, right, gas)) is False
+    for curve in engine.curves_for(gas, right_subsonic).values():
+        orbit, pidx, s = curve.orbit, curve.param_index, curve.system
+        grid = orbit.grid()
+        window = engine_module.tail_rows(np.cumsum(grid.flights), grid.rows[:, 0], s)
+        first = int(np.argmax(window))
+        for j in (first - 1, first, first + 1, first + 3, first + 8):
+            # the boundary two and a half nodes above node j + 1, grid row j's
+            w = float(grid.w[j + 1]) * 10.0 ** (2.5 / 16)
+            assert orbit.first_row(w) == j
+            u, theta = (float(x) for x in curve.graph.points(w))
+            q = Query(EndState(u * right_subsonic.v / right_subsonic.u, u, theta),
+                      right_subsonic, gas)
+            assert _check(engine, q) == "exponential"
+            report = engine.compute_profile(q).metrics["decay"]
+            assert report.n_tail == int(np.count_nonzero(window[j:]))
+            assert report.n_tail == np.count_nonzero(window) - max(j - first, 0)
+        assert abs(u - right_subsonic.u) < engine_module.TAIL_WINDOW[1] * s.scale
 
 
 def _profile_bytes(prof) -> tuple:
@@ -160,9 +151,9 @@ def test_warm_profile_checks_only_its_own_rows(gas, right_subsonic, monkeypatch,
     engine.compute_profile(far)       # the orbit steps, and keeps rows, past mid's stop
 
     residual_rows, dense_steps, fits = [], set(), []
-    rows_of, dense, values, polyfit = (system_module.row_residuals,
-                                       integrator_module.Steps.dense,
-                                       integrator_module.Steps.values, np.polyfit)
+    rows_of, dense, values, line_fit = (system_module.row_residuals,
+                                        integrator_module.Steps.dense,
+                                        integrator_module.Steps.values, engine_module._line_fit)
 
     def counted_rows(s, rows):
         residual_rows.append(len(rows))
@@ -176,21 +167,23 @@ def test_warm_profile_checks_only_its_own_rows(gas, right_subsonic, monkeypatch,
         dense_steps.add(int(i))
         return values(steps, i, t)
 
-    def counted_polyfit(*args, **kwargs):
-        fits.append(1)
-        return polyfit(*args, **kwargs)
+    def counted_line_fit(x, y):
+        fits.append(len(x))
+        return line_fit(x, y)
 
     monkeypatch.setattr(system_module, "row_residuals", counted_rows)
     monkeypatch.setattr(tracer_module, "row_residuals", counted_rows)
     monkeypatch.setattr(integrator_module.Steps, "dense", counted_dense)
     monkeypatch.setattr(integrator_module.Steps, "values", counted_values)
-    monkeypatch.setattr(np, "polyfit", counted_polyfit)
-    got = _profile_bytes(engine.compute_profile(mid))
-    assert got == want
-    # the residual of its crossing step's partial row, the dense output of
-    # that one step, and no fit: the grid's and the whole steps' rows are
-    # the orbit's
-    assert sum(residual_rows) <= 1 and len(dense_steps) <= 1 and fits == []
+    monkeypatch.setattr(engine_module, "_line_fit", counted_line_fit)
+    prof = engine.compute_profile(mid)
+    assert _profile_bytes(prof) == want
+    # the residual of its crossing step's partial row and the dense output
+    # of that one step: the grid's and the whole steps' rows are the
+    # orbit's; and its own decay, the lines of U and Theta on its window
+    # rows
+    assert sum(residual_rows) <= 1 and len(dense_steps) <= 1
+    assert fits == [prof.metrics["decay"].n_tail] * 2
 
 
 def test_threads_checking_one_curves_profiles_agree(gas):

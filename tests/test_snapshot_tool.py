@@ -40,7 +40,33 @@ def test_changed_key_is_listed(snapshot_tool, tmp_path, capsys):
     changed = dict(BASE, **{"ladder/a/gamma1": {"terminal": "hit_u_axis",
                                                 "seed_offset": "float:0x1.0p-19"}})
     assert _compare(snapshot_tool, tmp_path, BASE, changed) == 1
-    assert capsys.readouterr().out.splitlines() == ["ladder/a/gamma1", "1 differing keys"]
+    assert capsys.readouterr().out.splitlines() == [
+        "ladder/a/gamma1",
+        "float seed_offset: 1 keys, largest relative change 1.00e+00",
+        "1 differing keys"]
+
+
+def test_moved_floats_are_summed_up_per_field_name(snapshot_tool, tmp_path, capsys):
+    def case(rate, amplitude, sha):
+        return {"profile": {"metrics": {"decay": {"rate": rate, "amplitude": amplitude,
+                                                  "n_tail": "int:112"}},
+                            "xi": {"sha256": sha}}}
+
+    one, half, three = ((1.0).hex(), (0.5).hex(), (3.0).hex())
+    a = {"query_mix/0/000": case(f"float:{one}", f"float:{one}", "aa"),
+         "query_mix/0/001": case(f"float:{one}", f"float:{half}", "bb"),
+         "sigma_gap/1e-07": f"float64:{one}"}
+    b = {"query_mix/0/000": case(f"float:{(1.0 + 2.0 ** -52).hex()}", f"float:{one}", "cc"),
+         "query_mix/0/001": case(f"float:{three}", f"float:{one}", "bb"),
+         "sigma_gap/1e-07": f"float64:{half}"}
+    assert _compare(snapshot_tool, tmp_path, a, b) == 1
+    # a hash that moved is a differing key, but no float field
+    assert capsys.readouterr().out.splitlines() == [
+        "query_mix/0/000", "query_mix/0/001", "sigma_gap/1e-07",
+        "float amplitude: 1 keys, largest relative change 1.00e+00",
+        "float rate: 2 keys, largest relative change 2.00e+00",
+        "float sigma_gap/1e-07: 1 keys, largest relative change 5.00e-01",
+        "3 differing keys"]
 
 
 @pytest.mark.parametrize("side", ["a", "b"])
@@ -89,14 +115,16 @@ def test_grid_edges_lie_inside_the_graph_radius(snapshot_tool):
 
 def test_decay_edges_straddle_the_first_window_row(snapshot_tool):
     # inside r*, the boundaries join the inner grid one row before, at and
-    # one row after its first row in the decay window: the first two read
-    # the grid's fit, the last fits its own
+    # one row after its first row in the decay window
     from inflow_layer import ExistenceEngine
+    from inflow_layer.engine import tail_rows
 
     wl = snapshot_tool._load_workloads()
     for curve in ExistenceEngine().curves_for(wl.GAS, wl.CANONICAL).values():
         orbit, pidx = curve.orbit, curve.param_index
-        first = orbit.grid().tail.first
+        grid = orbit.grid()
+        first = int(np.argmax(tail_rows(np.cumsum(grid.flights), grid.rows[:, 0],
+                                        curve.system)))
         ws = snapshot_tool.decay_edges(curve)
         assert len(ws) == len(snapshot_tool.DECAY_EDGE_NODES) == 3
         for k, w in zip(snapshot_tool.DECAY_EDGE_NODES, ws):
@@ -104,4 +132,3 @@ def test_decay_edges_straddle_the_first_window_row(snapshot_tool):
             assert orbit.first_row(w) == first + k
             param = float(curve.graph.points(w)[pidx])
             assert not curve.beyond_graph(param)
-            assert (curve.leg(param).decay is None) == (k > 0)

@@ -27,12 +27,10 @@ copy placed in another checkout snapshots that checkout.  The output set:
 * the curve values ``predict`` reads on the same five curves midway
   between neighbouring samples, inside the graph radius (off the graph)
   and beyond it (off the trace run's dense output) apart (``predict``);
-* verdicts and profiles at the edge of the subsonic decay's window rule
-  on the canonical gamma1 and gamma2 (``decay_edge``): inside the graph
-  radius, joining the inner grid one node before, at and one node after
-  its first node in the decay window, with the path each decay took
-  (``grid``: the grid's fit, read off the curve; ``own``: fitted on the
-  profile; None on a checkout whose legs do not say);
+* verdicts and profiles at the edge of the subsonic decay's window on the
+  canonical gamma1 and gamma2 (``decay_edge``): inside the graph radius,
+  joining the inner grid one node before, at and one node after its first
+  node in the decay window;
 * sonic verdicts and profiles at u-/u+ = 0.5, 0.9995 and 0.99999, and
   sigma's predictions between S1 and its first offset sample;
 * near-sonic verdicts and profiles at 1-M+ = 1e-2 and 1e-3, with the
@@ -72,7 +70,9 @@ Floats are stored as ``float.hex`` with their type, arrays as dtype, shape
 and the sha256 of their bytes, text as its sha256.  A case whose call
 raises a ``LayerError`` is stored as ``error:<type name>``, so the script
 runs on a checkout that cannot answer it.  ``--compare`` prints the keys
-that differ and exits 1 when there are any.
+that differ, then, for each name of a float field that moved, in how many
+keys it moved and its largest relative change, and exits 1 when any key
+differs.
 """
 
 from __future__ import annotations
@@ -311,11 +311,8 @@ def snapshot() -> dict:
         for k, w in zip(DECAY_EDGE_NODES, decay_edges(curve)):
             u, theta = (float(x) for x in curve.graph.points(w))
             left = EndState(u * right.v / right.u, u, theta)
-            case = _decided(engine, Query(left, right, wl.GAS), verdict_to_dict)
-            leg = curve.leg((u, theta)[curve.param_index])
-            case["decay_path"] = (None if not hasattr(leg, "decay")
-                                  else "own" if leg.decay is None else "grid")
-            out[f"decay_edge/{label}/{k:+d}"] = case
+            out[f"decay_edge/{label}/{k:+d}"] = _decided(
+                engine, Query(left, right, wl.GAS), verdict_to_dict)
 
     right = wl.SONIC
     sigma = engine.curves_for(wl.GAS, right)["sigma"]
@@ -426,11 +423,47 @@ def _cli_outputs(wl, cli, sigma) -> dict:
     return out
 
 
-def compare(path_a: Path, path_b: Path) -> list[str]:
-    """Keys whose encoded values differ, or that only one file has."""
-    a = json.loads(path_a.read_text())
-    b = json.loads(path_b.read_text())
+def compare(a: dict, b: dict) -> list[str]:
+    """Keys whose encoded values differ, or that only one snapshot has."""
     return sorted(k for k in a.keys() | b.keys() if a.get(k, ...) != b.get(k, ...))
+
+
+def _decode_float(value) -> float | None:
+    """The float an ``encode``d value holds, or None for any other value."""
+    if isinstance(value, str) and value.startswith("float"):
+        with contextlib.suppress(ValueError):
+            return float.fromhex(value.partition(":")[2])
+    return None
+
+
+def _float_moves(a, b, name: str, found: dict) -> None:
+    """Into ``found``, the largest relative change of each field name whose
+    floats differ between the encoded values a and b."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in a.keys() & b.keys():
+            _float_moves(a[k], b[k], k, found)
+    elif isinstance(a, list) and isinstance(b, list):
+        for x, y in zip(a, b):
+            _float_moves(x, y, name, found)
+    elif a != b:
+        x, y = _decode_float(a), _decode_float(b)
+        if x is not None and y is not None:
+            rel = abs(y - x) / abs(x) if x else math.inf
+            found[name] = max(found.get(name, 0.0), rel)
+
+
+def float_moves(a: dict, b: dict) -> dict[str, tuple[int, float]]:
+    """For each name of a float field that differs between two snapshots,
+    the number of keys in which it moved and its largest relative change;
+    a key whose value is itself a float counts under its own name."""
+    moves = {}
+    for key in a.keys() & b.keys():
+        found = {}
+        _float_moves(a[key], b[key], key, found)
+        for name, rel in found.items():
+            n, worst = moves.get(name, (0, 0.0))
+            moves[name] = (n + 1, max(worst, rel))
+    return moves
 
 
 def main(argv=None) -> int:
@@ -440,9 +473,12 @@ def main(argv=None) -> int:
                         help="list the keys that differ between two snapshots")
     args = parser.parse_args(argv)
     if args.compare:
-        diff = compare(*map(Path, args.compare))
+        a, b = (json.loads(Path(p).read_text()) for p in args.compare)
+        diff = compare(a, b)
         for key in diff:
             print(key)
+        for name, (n, rel) in sorted(float_moves(a, b).items()):
+            print(f"float {name}: {n} keys, largest relative change {rel:.2e}")
         print(f"{len(diff)} differing keys")
         return 1 if diff else 0
     if not args.out:
