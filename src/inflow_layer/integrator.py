@@ -6,6 +6,8 @@ a literal port of scipy's ``RK45``: the same tableau, the same
 floating-point operations in the same order, the same error norm, step
 controller and initial-step rule.  Every accepted step and its dense output
 are therefore bitwise what scipy computes, without scipy's import cost.
+``Run.step`` is the whole step: the stages, the retry loop and the record
+write; ``_initial_step`` sizes a run's first step.
 
 Only a reduction can depend on how the linear-algebra library orders a
 sum, so each one stays the ``np.dot`` scipy makes, on scipy's operands:
@@ -348,89 +350,9 @@ def _initial_step(fun, t0, y0, f0, direction, h_max, rtol, atol):
     return min(100 * h0, h1, h_max)
 
 
-class _Stages:
-    """The stage array K of one run and its stage-sum operands, built once:
-    ``sums`` holds (stage, node, row of _A, K[:stage].T) of each stage
-    between the first and the last, ``KB`` is K[:-1].T and ``KE`` K.T."""
-
-    __slots__ = ("K", "sums", "KB", "KE")
-
-    def __init__(self, n: int):
-        self.K = K = np.empty((len(_C) + 1, n))
-        self.sums = tuple((s, float(_C[s]), _A[s, :s], K[:s].T)
-                          for s in range(1, len(_C)))
-        self.KB = K[:-1].T
-        self.KE = K.T
-
-
-def _rk_step(fun, t, y, f, h, st: _Stages):
-    """One Dormand-Prince step of size h from the point y, a list of two
-    Python floats; the stages are left in st.K.
-
-    Each stage sum is one np.dot, scipy's, and everything else is one
-    correctly rounded operation per component on Python floats: the
-    stage state y + (sum) h and the new point y + h (sum).
-    """
-    K = st.K
-    K[0, 0], K[0, 1] = f
-    u, th = y
-    for s, c, a, Ks in st.sums:
-        du, dth = np.dot(Ks, a).tolist()
-        K[s, 0], K[s, 1] = fun(t + c * h, [u + du * h, th + dth * h])
-    bu, bth = np.dot(st.KB, _B).tolist()
-    y_new = [u + h * bu, th + h * bth]
-    f_new = fun(t + h, y_new)
-    K[-1, 0], K[-1, 1] = f_new
-    return y_new, f_new
-
-
-def _accepted_step(fun, t, y, f, h_abs, direction, h_max, rtol, atol, st: _Stages):
-    """Retry from (t, y) until the error estimate is accepted.
-
-    Returns (t_new, y_new, f_new, next h_abs); the stages of the accepted
-    step are left in st.K.  The error sum and its sum of squares are
-    np.dot's; the scale atol + max(|y|, |y_new|) rtol and the scaled error
-    are Python floats, max taking a NaN |y_new| as np.maximum does.  The
-    stages are checked for finiteness only when the error norm is not
-    finite.  A NaN or infinite stage always makes it so: h != 0, and every
-    nonzero _E entry is finite.  Stage 1, whose _E and _B entries are 0,
-    reaches the norm only because np.dot forms inf * 0 = NaN rather than
-    skipping the zero weight, quietly in ``Run.step_until``'s error state.
-    """
-    min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-    h_abs = min(max(h_abs, min_step), h_max)
-    rejected = False
-    u_abs, th_abs = abs(y[0]), abs(y[1])
-    while True:
-        if h_abs < min_step:
-            raise StepUnderflow(
-                f"step controller failed: required step {h_abs} is below "
-                f"the spacing of floating-point numbers at xi={t}")
-        t_new = t + h_abs * direction
-        h = t_new - t
-        h_abs = abs(h)
-        y_new, f_new = _rk_step(fun, t, y, f, h, st)
-        eu, eth = np.dot(st.KE, _E).tolist()
-        error_norm = _rms(np.array([
-            eu * h / (atol + max(abs(y_new[0]), u_abs) * rtol),
-            eth * h / (atol + max(abs(y_new[1]), th_abs) * rtol)]))
-        if not math.isfinite(error_norm):
-            _require_finite_field(st.K, t, y)
-        if error_norm < 1:
-            if error_norm == 0:
-                factor = _MAX_FACTOR
-            else:
-                factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            if rejected:
-                factor = min(1, factor)
-            return t_new, y_new, f_new, h_abs * factor
-        h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-        rejected = True
-
-
 class Run:
-    """The one step loop: the stepper state (t, y, f, h_abs, stages) and
-    every accepted step so far, resumable.
+    """The one step loop: the stepper state (t, y, f, h_abs), the stage
+    array, and every accepted step so far, resumable.
 
     ``step`` takes one more accepted step.  Events do not steer the step
     control, so the steps do not depend on when, or by whom, the run is
@@ -444,7 +366,10 @@ class Run:
     the last step end, a list of two.  f is what ``fieldfn`` returned
     there, two floats or a float64 array of shape (2,).  ``fieldfn`` is
     called with a list of two Python floats, and so is every ``ev.fn``
-    at a step end.
+    at a step end.  The stage array K and the operands of its sums are
+    built once: ``sums`` holds (stage, node, row of _A, K[:stage].T) of
+    each stage between the first and the last, ``KB`` is K[:-1].T and
+    ``KT`` K.T.
 
     The record, a ``Steps`` of the first ``n_steps`` steps, is written
     once per step into arrays that double, by copying into new ones, when
@@ -455,7 +380,7 @@ class Run:
     """
 
     __slots__ = ("fieldfn", "settings", "t", "y", "f", "h_abs", "direction",
-                 "h_max", "rtol", "atol", "stages", "n_steps", "_record")
+                 "h_max", "rtol", "atol", "K", "sums", "KB", "KT", "n_steps", "_record")
 
     def __init__(self, fieldfn: Callable[[float, list], Sequence[float]], start,
                  settings: IntegrationSettings = IntegrationSettings()):
@@ -472,7 +397,9 @@ class Run:
         self.h_abs = settings.h_init
         self.direction = 1.0 if settings.direction == FORWARD else -1.0
         self.h_max, self.rtol, self.atol = settings.h_max, settings.rel_tol, settings.abs_tol
-        self.stages = _Stages(y0.size)
+        self.K = K = np.empty((len(_C) + 1, y0.size))
+        self.sums = tuple((s, float(_C[s]), _A[s, :s], K[:s].T) for s in range(1, len(_C)))
+        self.KB, self.KT = K[:-1].T, K.T
         self.n_steps = 0
         n = _FIRST_STEPS
         self._record = Steps(np.empty(n + 1), np.empty((n + 1, y0.size)), np.empty(n),
@@ -480,29 +407,76 @@ class Run:
         self._record.t[0], self._record.y[0] = self.t, y0
 
     def step(self) -> None:
-        """Take and record one more accepted step.
+        """Take and record one more accepted step: one Dormand-Prince step
+        retried from (t, y) until its error estimate is accepted.
+
+        Each stage sum, the update sum K[:-1].T b and the error sum K.T e
+        is one np.dot, scipy's; everything else is one correctly rounded
+        operation per component on Python floats: the stage states y +
+        (sum) h, the new point y + h (sum), the scale atol + max(|y|,
+        |y_new|) rtol, max taking a NaN |y_new| as np.maximum does, and
+        the scaled error.  The stages are checked for finiteness only when
+        the error norm is not finite.  A NaN or infinite stage always
+        makes it so: h != 0, and every nonzero _E entry is finite.  Stage
+        1, whose _E and _B entries are 0, reaches the norm only because
+        np.dot forms inf * 0 = NaN rather than skipping the zero weight,
+        quietly in ``step_until``'s error state.
 
         Raises StepUnderflow, or NonFinite at a non-finite step end, as
         ``integrate`` does, and then records nothing.
         """
-        t_old, y_old = self.t, self.y
+        fun, t, y, f, direction = self.fieldfn, self.t, self.y, self.f, self.direction
+        rtol, atol, K = self.rtol, self.atol, self.K
         if self.h_abs is None:
-            self.h_abs = _initial_step(self.fieldfn, t_old, y_old, self.f, self.direction,
-                                       self.h_max, self.rtol, self.atol)
-        t, y, f, h_abs = _accepted_step(self.fieldfn, t_old, y_old, self.f, self.h_abs,
-                                        self.direction, self.h_max, self.rtol, self.atol,
-                                        self.stages)
-        if abs(t - t_old) < _MIN_STEP_FACTOR * (1.0 + abs(t)):
+            self.h_abs = _initial_step(fun, t, y, f, direction, self.h_max, rtol, atol)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = min(max(self.h_abs, min_step), self.h_max)
+        rejected = False
+        u, th = y
+        u_abs, th_abs = abs(u), abs(th)
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflow(
+                    f"step controller failed: required step {h_abs} is below "
+                    f"the spacing of floating-point numbers at xi={t}")
+            t_new = t + h_abs * direction
+            h = t_new - t
+            h_abs = abs(h)
+            K[0, 0], K[0, 1] = f
+            for s, c, a, Ks in self.sums:
+                du, dth = np.dot(Ks, a).tolist()
+                K[s, 0], K[s, 1] = fun(t + c * h, [u + du * h, th + dth * h])
+            bu, bth = np.dot(self.KB, _B).tolist()
+            y_new = [u + h * bu, th + h * bth]
+            f_new = fun(t + h, y_new)
+            K[-1, 0], K[-1, 1] = f_new
+            eu, eth = np.dot(self.KT, _E).tolist()
+            error_norm = _rms(np.array([
+                eu * h / (atol + max(abs(y_new[0]), u_abs) * rtol),
+                eth * h / (atol + max(abs(y_new[1]), th_abs) * rtol)]))
+            if not math.isfinite(error_norm):
+                _require_finite_field(K, t, y)
+            if error_norm < 1:
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        if error_norm == 0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        if rejected:
+            factor = min(1, factor)
+        if abs(t_new - t) < _MIN_STEP_FACTOR * (1.0 + abs(t_new)):
             raise StepUnderflow(
-                f"step size {abs(t - t_old)} below floor at xi={t}")
-        if not math.isfinite(y[0] + y[1]):
-            raise NonFinite(f"step from xi={t_old}, y={y_old} ends at y={y}")
-        self.t, self.y, self.f, self.h_abs = t, y, f, h_abs
+                f"step size {abs(t_new - t)} below floor at xi={t_new}")
+        if not math.isfinite(y_new[0] + y_new[1]):
+            raise NonFinite(f"step from xi={t}, y={y} ends at y={y_new}")
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs * factor
         n, rec = self.n_steps, self._record
         if n == len(rec.h):
             rec = self._record = Steps(*(np.concatenate((a, np.empty_like(a))) for a in rec))
-        rec.t[n + 1], rec.y[n + 1] = t, y
-        rec.h[n], rec.Q[n] = t - t_old, self.stages.K.T.dot(_P)
+        rec.t[n + 1], rec.y[n + 1] = t_new, y_new
+        rec.h[n], rec.Q[n] = h, self.KT.dot(_P)
         self.n_steps = n + 1
 
     def steps(self, n: int) -> Steps:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import warnings
 from bisect import bisect_left
 from functools import partial
@@ -242,6 +244,44 @@ def test_step_underflow_on_singular_field():
     field = lambda t, y: np.array([1.0 / (1.0 - t), 0.0])
     with pytest.raises(StepUnderflow):
         integrate(field, PhasePoint(0.0, 1.0), IntegrationSettings(max_steps=100_000))
+
+
+# the first step ends just short of xi = 1, two spacings of the floats below
+# it; every later attempt has a stage at or beyond xi = 1, where the field
+# is 1e300, so it is rejected and shrunk until it falls below ten spacings
+RETRY_UNDERFLOW = (lambda t, y: [1.0 if t < 1.0 else 1e300, 0.0], PhasePoint(0.0, 1.0),
+                   IntegrationSettings(h_init=1 - 2**-52, h_max=1 - 2**-52, max_steps=10))
+
+
+def test_step_underflow_in_the_retry_loop():
+    field, start, settings = RETRY_UNDERFLOW
+    with pytest.raises(StepUnderflow, match=re.escape(
+            "step controller failed: required step 3.9968028886505636e-16 is below "
+            "the spacing of floating-point numbers at xi=0.9999999999999998")):
+        integrate(field, start, settings)
+
+
+@pytest.mark.parametrize("case, error", [
+    (RETRY_UNDERFLOW, StepUnderflow),
+    ((lambda t, y: np.array([1.0 / (1.0 - t), 0.0]), PhasePoint(0.0, 1.0),
+      IntegrationSettings(max_steps=100_000)), StepUnderflow),
+    ((lambda t, y: [1e308, 1e308] if y[0] > 1.5 else [1.0, 0.0], PhasePoint(1, 1),
+      IntegrationSettings(max_steps=100)), NonFinite),
+], ids=["retry_loop_underflow", "floor_underflow", "non_finite_end"])
+def test_a_raising_step_records_nothing(case, error):
+    # a run that raises holds what the same run stopped by its budget just
+    # before the raising step holds
+    field, start, settings = case
+    run = Run(field, start, settings)
+    with pytest.raises(error):
+        run.step_until(())
+    n = run.n_steps
+    before = Run(field, start, dataclasses.replace(settings, max_steps=n))
+    assert before.step_until(()) is None
+    assert (run.t, run.y, run.h_abs, run.n_steps) == (before.t, before.y, before.h_abs, n)
+    assert np.array_equal(run.f, before.f)
+    for got, want in zip(run.steps(n), before.steps(n)):
+        assert np.array_equal(got, want)
 
 
 def test_immediate_trigger_when_already_inside():

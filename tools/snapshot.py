@@ -61,6 +61,11 @@ copy placed in another checkout snapshots that checkout.  The output set:
   and rising, the step budget), runs where two events stop on one step or
   both at the start, each with its xi, points, event, step count and
   every step's dense value at fractions 0, 0.5 and 1;
+* three ``integrate`` runs that raise, one where each raise of a step
+  sits (``integrate/raises``): a rejected attempt below ten float spacings
+  (``StepUnderflow``), an accepted step below the step floor
+  (``StepUnderflow``) and a step ending at a non-finite point
+  (``NonFinite``), each with its exception type and message;
 * the canonical, sonic and alpha2 < 0 portrait SVGs;
 * ``classify``, ``trace`` (csv and json), ``profile`` and ``portrait`` on
   canonical and sonic data, and a 7-point ``sweep``: exit code, stdout,
@@ -69,7 +74,8 @@ copy placed in another checkout snapshots that checkout.  The output set:
 Floats are stored as ``float.hex`` with their type, arrays as dtype, shape
 and the sha256 of their bytes, text as its sha256.  A case whose call
 raises a ``LayerError`` is stored as ``error:<type name>``, so the script
-runs on a checkout that cannot answer it.  ``--compare`` prints the keys
+runs on a checkout that cannot answer it; the raising ``integrate`` runs
+keep its message too.  ``--compare`` prints the keys
 that differ, then, for each name of a float field that moved, in how many
 keys it moved and its largest relative change, and exits 1 when any key
 differs.
@@ -204,6 +210,35 @@ def _integrations(wl) -> dict:
                 integrate(phase_field(s), np.array(start, dtype=float), settings,
                           events=events, max_state_step=step))
             for name, (start, settings, events, step) in runs.items()}
+
+
+def _raising_integrations() -> dict:
+    """``integrate`` runs that raise, one per place a step can raise: the
+    exception type and message of each, which carries its xi and y."""
+    from inflow_layer import IntegrationSettings, LayerError, integrate
+
+    runs = {
+        # every attempt after the first step reaches xi = 1, where the field
+        # is 1e300, and is rejected until it falls below ten float spacings
+        "retry_loop_underflow": (lambda t, y: [1.0 if t < 1.0 else 1e300, 0.0], (0.0, 1.0),
+                                 IntegrationSettings(h_init=1 - 2**-52, h_max=1 - 2**-52,
+                                                     max_steps=10)),
+        # the accepted steps shrink below the floor short of xi = 1
+        "floor_underflow": (lambda t, y: np.array([1.0 / (1.0 - t), 0.0]), (0.0, 1.0),
+                            IntegrationSettings(max_steps=100_000)),
+        # once u > 1.5 the field is so large that a step ends at infinity
+        "non_finite_end": (lambda t, y: [1e308, 1e308] if y[0] > 1.5 else [1.0, 0.0],
+                           (1.0, 1.0), IntegrationSettings(max_steps=100)),
+    }
+    out = {}
+    for name, (field, start, settings) in runs.items():
+        try:
+            out[f"integrate/raises/{name}"] = _integration(
+                integrate(field, np.array(start), settings))
+        except LayerError as exc:
+            out[f"integrate/raises/{name}"] = {"error": type(exc).__name__,
+                                               "message": str(exc)}
+    return out
 
 
 def _inner_grid(curve) -> np.ndarray:
@@ -382,6 +417,7 @@ def snapshot() -> dict:
         out[f"portrait/{name}"] = render_portrait(build_system(wl.GAS, right), curves)
 
     out.update(_integrations(wl))
+    out.update(_raising_integrations())
     out.update(_cli_outputs(wl, cli, sigma))
     return {key: encode(value) for key, value in out.items()}
 
